@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, TextIO
 
 from .errors import DataValidationError
 from .matrix import Matrix
-from .text import CLASS_INDEX, CLASS_NAMES, NEGATIVE, POSITIVE
+from .text import CLASS_INDEX, CLASS_NAMES, NEGATIVE, NUM_CLASSES, POSITIVE
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,10 @@ class Alert:
 
 def risk_score(class_probs: Matrix, predicted_return: float) -> float:
     """p(negative), plus half the clamped predicted loss when return < 0."""
-    if class_probs.shape != (3, 1):
+    if class_probs.shape != (NUM_CLASSES, 1):
         raise DataValidationError(
-            f"class probabilities must be 3x1, got {class_probs.rows}x{class_probs.cols}"
+            f"class probabilities must be {NUM_CLASSES}x1, "
+            f"got {class_probs.rows}x{class_probs.cols}"
         )
     vals = class_probs.values
     if min(vals) < -1e-12:
@@ -128,19 +129,20 @@ def load_predictions_jsonl(path: str | Path) -> list[DailyPrediction]:
                 raise DataValidationError(f"{path}:{lineno}: bad json ({exc.msg})") from None
             try:
                 probs = [float(v) for v in obj["probs"]]
-                if len(probs) != 3:
-                    raise DataValidationError(f"need 3 probabilities, got {len(probs)}")
+                if len(probs) != NUM_CLASSES:
+                    raise DataValidationError(
+                        f"need {NUM_CLASSES} probabilities, got {len(probs)}")
                 if "predicted_class" in obj:
                     name = obj["predicted_class"]
                     if name not in CLASS_INDEX:
                         raise DataValidationError(f"unknown predicted_class {name!r}")
                     cls = CLASS_INDEX[name]
                 else:
-                    cls = max(range(3), key=lambda i: probs[i])
+                    cls = max(range(NUM_CLASSES), key=lambda i: probs[i])
                 preds.append(DailyPrediction(
                     date=dt.date.fromisoformat(obj["date"]),
                     predicted_class=cls,
-                    probs=Matrix(3, 1, probs),
+                    probs=Matrix(NUM_CLASSES, 1, probs),
                     predicted_return=float(obj["predicted_return"]),
                 ))
             except KeyError as exc:

@@ -27,7 +27,7 @@ from . import train as train_mod
 from .errors import CheckpointError, DataValidationError, NumericError, ShapeError
 from .matrix import softmax
 from .model import ArchKind, ModelConfig, build_model, load_checkpoint, model_forward, save_checkpoint
-from .text import Lexicon
+from .text import NUM_CLASSES, Lexicon
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +48,6 @@ CONFIG_DEFAULTS: dict = {
     "max_doc_len": 30,
     "attention": True,
     "attn_size": None,
-    "num_classes": 3,
     "mse_weight": 0.5,
     # training
     "lr": 1e-4,
@@ -197,7 +196,6 @@ def _model_config(cfg: dict, vocab_size: int, window: int) -> ModelConfig:
         max_doc_len=cfg["max_doc_len"],
         attention_enabled=bool(cfg["attention"]),
         attn_size=cfg["attn_size"],
-        num_classes=cfg["num_classes"],
         mse_weight=cfg["mse_weight"],
         seed=cfg["seed"],
     )
@@ -364,7 +362,7 @@ def cmd_alert(args: argparse.Namespace) -> int:
             probs = softmax(logits)
             preds.append(alerts_mod.DailyPrediction(
                 date=sample.target_date,
-                predicted_class=max(range(3), key=lambda i: probs.at(i, 0)),
+                predicted_class=max(range(NUM_CLASSES), key=lambda i: probs.at(i, 0)),
                 probs=probs,
                 predicted_return=pred,
             ))

@@ -10,7 +10,9 @@ finite-difference oracle in the test suite. The GRU follows
     h_t = (1 - z_t) * h_prev + z_t * h~
 
 with the hidden state first in the concatenation and no bias terms; the
-dense output heads carry the only biases in the network.
+dense output heads carry the only biases in the network. The convolution's
+filters are one (width * channels, filters) matrix, so its forward and
+backward passes are matrix products with the flattened input windows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import Matrix
+from .matrix import Matrix, _sigmoid_array
 
 N_GRU_GATES = 3  # z, r, candidate
 N_LSTM_GATES = 4  # same-shape comparison baseline
@@ -53,32 +55,31 @@ class EmbeddingTable:
 
 @dataclass
 class Conv1DParams:
-    """num_filters kernels of shape kernel_width x in_channels, plus stride."""
+    """The filter bank as one (width * in_channels, num_filters) matrix, plus stride.
 
-    kernels: list[Matrix]
+    Column f is kernel f, a width x in_channels window flattened row-major, so
+    a convolution is one product of the flattened input windows with kernel.
+    """
+
+    kernel: Matrix
+    width: int
     stride: int
 
     def __post_init__(self) -> None:
-        if not self.kernels:
-            raise ShapeError("conv needs at least one kernel")
-        w, c = self.kernels[0].shape
-        for k in self.kernels:
-            if k.shape != (w, c):
-                raise ShapeError(f"kernel shapes differ: {k.shape} vs {(w, c)}")
-        if w < 1 or self.stride < 1:
+        if self.width < 1 or self.stride < 1:
             raise ShapeError("kernel width and stride must be >= 1")
-
-    @property
-    def kernel_width(self) -> int:
-        return self.kernels[0].rows
+        if self.kernel.rows % self.width:
+            raise ShapeError(
+                f"kernel has {self.kernel.rows} rows, not a multiple of width {self.width}"
+            )
 
     @property
     def in_channels(self) -> int:
-        return self.kernels[0].cols
+        return self.kernel.rows // self.width
 
     @property
     def num_filters(self) -> int:
-        return len(self.kernels)
+        return self.kernel.cols
 
 
 @dataclass
@@ -151,10 +152,11 @@ def init_embedding(rng: np.random.Generator, vocab_size: int, embed_dim: int) ->
 
 def init_conv(rng: np.random.Generator, num_filters: int, kernel_width: int,
               in_channels: int, stride: int) -> Conv1DParams:
+    """One (num_filters, width * in_channels) draw, transposed: filter f gets the
+    same values as the f-th of num_filters (width, in_channels) draws."""
     fan_in = kernel_width * in_channels
-    kernels = [uniform_init(rng, kernel_width, in_channels, fan_in, num_filters)
-               for _ in range(num_filters)]
-    return Conv1DParams(kernels=kernels, stride=stride)
+    draws = uniform_init(rng, num_filters, fan_in, fan_in, num_filters)
+    return Conv1DParams(kernel=Matrix._wrap(draws.data.T), width=kernel_width, stride=stride)
 
 
 def init_gru(rng: np.random.Generator, hidden: int, input_size: int) -> GRUParams:
@@ -235,50 +237,44 @@ def conv1d_forward(params: Conv1DParams, input: Matrix) -> tuple[Matrix, Conv1DC
 
     The caller applies its own nonlinearity; nothing is fused here.
     """
-    width = params.kernel_width
+    width = params.width
     if input.cols != params.in_channels:
         raise ShapeError(
-            f"conv input has {input.cols} channels, kernels expect {params.in_channels}"
+            f"conv input has {input.cols} channels, the kernel expects {params.in_channels}"
         )
     if input.rows < width:
         raise ShapeError(
             f"conv input length {input.rows} is shorter than kernel width {width}"
         )
     out_len = conv_output_length(input.rows, width, params.stride)
-    # windows: out_len x (width * channels); kernels flattened to match
+    # windows: out_len x (width * channels), flattened like the kernel's columns
     starts = np.arange(out_len) * params.stride
     idx = starts[:, None] + np.arange(width)[None, :]
     windows = input.data[idx].reshape(out_len, width * params.in_channels)
-    kmat = np.stack([k.data.ravel() for k in params.kernels], axis=1)
-    out = np.einsum("ik,kj->ij", windows, kmat)
+    out = np.einsum("ik,kj->ij", windows, params.kernel.data)
     return Matrix._wrap(out), Conv1DCache(input=input, out_len=out_len)
 
 
 def conv1d_backward(params: Conv1DParams, cache: Conv1DCache,
-                    d_out: Matrix) -> tuple[Matrix, list[Matrix]]:
-    """Gradients w.r.t. the input and each kernel."""
+                    d_out: Matrix) -> tuple[Matrix, Matrix]:
+    """Gradients w.r.t. the input and the kernel matrix."""
     if d_out.shape != (cache.out_len, params.num_filters):
         raise ShapeError(
             f"conv upstream grad {d_out.shape} does not match "
             f"{(cache.out_len, params.num_filters)}"
         )
-    width = params.kernel_width
+    width = params.width
     stride = params.stride
     starts = np.arange(cache.out_len) * stride
     idx = starts[:, None] + np.arange(width)[None, :]
     windows = cache.input.data[idx].reshape(cache.out_len, width * params.in_channels)
 
-    # d_kernels: (width*channels, filters) = windows^T . d_out
-    dk_flat = np.einsum("ik,ij->kj", windows, d_out.data)
-    d_kernels = [Matrix._wrap(dk_flat[:, f].reshape(width, params.in_channels).copy())
-                 for f in range(params.num_filters)]
-
-    kmat = np.stack([k.data.ravel() for k in params.kernels], axis=1)
-    d_windows = np.einsum("ij,kj->ik", d_out.data, kmat)
+    d_kernel = np.einsum("ik,ij->kj", windows, d_out.data)
+    d_windows = np.einsum("ij,kj->ik", d_out.data, params.kernel.data)
     d_input = np.zeros_like(cache.input.data)
     d_win = d_windows.reshape(cache.out_len, width, params.in_channels)
     np.add.at(d_input, idx.ravel(), d_win.reshape(-1, params.in_channels))
-    return Matrix._wrap(d_input), d_kernels
+    return Matrix._wrap(d_input), Matrix._wrap(d_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +333,8 @@ def gru_step(params: GRUParams, h_prev: Matrix, x_t: Matrix) -> tuple[Matrix, GR
         raise ShapeError(f"x_t shape {x_t.shape} does not match input size {d}")
 
     concat = h_prev.concat_rows(x_t)  # [h_prev; x_t]
-    z_arr = _sigmoid(params.w_z.data @ concat.data)
-    r_arr = _sigmoid(params.w_r.data @ concat.data)
+    z_arr = _sigmoid_array(params.w_z.data @ concat.data)
+    r_arr = _sigmoid_array(params.w_r.data @ concat.data)
     gated = np.concatenate([r_arr * h_prev.data, x_t.data], axis=0)
     h_tilde_arr = np.tanh(params.w.data @ gated)
     h_t_arr = (1.0 - z_arr) * h_prev.data + z_arr * h_tilde_arr
@@ -352,15 +348,6 @@ def gru_step(params: GRUParams, h_prev: Matrix, x_t: Matrix) -> tuple[Matrix, GR
         h_t=Matrix._wrap(h_t_arr),
     )
     return cache.h_t, cache
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def gru_forward(params: GRUParams, inputs: Sequence[Matrix],

@@ -7,7 +7,8 @@ the convolutional text encoder with the mean of the day's token embeddings.
 CnnGru and GruOnly run a GRU over the window and pool its hidden states with
 additive attention (or take the last hidden state); CnnOnly averages the day
 vectors directly. Two dense heads emit the scalar return prediction and the
-3-class sentiment logits.
+3-class sentiment logits. The conv filters are one (kernel_width * embed_dim,
+num_filters) tensor, conv/k, used as is by both paths below.
 
 Two paths compute this network from the same parameters. model_forward and
 model_backward run one window on Matrix values, layer by layer through
@@ -63,12 +64,12 @@ from .layers import (
     max_pool_backward,
     pad_or_truncate,
     relu_backward,
-    _sigmoid,
 )
 from .losses import cross_entropy_grad, mse_grad, softmax_rows
-from .matrix import Matrix
+from .matrix import Matrix, _sigmoid_array
+from .text import NUM_CLASSES
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class ArchKind(str, enum.Enum):
@@ -89,7 +90,6 @@ class ModelConfig:
     max_doc_len: int = 30
     attention_enabled: bool = True
     attn_size: int | None = None  # defaults to gru_hidden
-    num_classes: int = 3
     mse_weight: float = 0.5
     seed: int = 0
 
@@ -103,7 +103,6 @@ class ModelConfig:
             "gru_hidden": self.gru_hidden,
             "window": self.window,
             "max_doc_len": self.max_doc_len,
-            "num_classes": self.num_classes,
         }
         for name, v in counts.items():
             if v < 1:
@@ -135,7 +134,6 @@ class ModelConfig:
             "max_doc_len": self.max_doc_len,
             "attention_enabled": self.attention_enabled,
             "attn_size": self.attn_size,
-            "num_classes": self.num_classes,
             "mse_weight": self.mse_weight,
             "seed": self.seed,
         }
@@ -162,14 +160,18 @@ class CnnGruModel:
 
     @property
     def day_vec_size(self) -> int:
-        text = self.cfg.embed_dim if self.arch is ArchKind.GRU_ONLY else self.cfg.num_filters
-        return text + N_MARKET_FEATURES
+        return _text_dim(self.cfg, self.arch) + N_MARKET_FEATURES
 
     @property
     def head_input_size(self) -> int:
         if self.arch is ArchKind.CNN_ONLY:
             return self.day_vec_size
         return self.cfg.gru_hidden
+
+
+def _text_dim(cfg: ModelConfig, arch: ArchKind) -> int:
+    """Size of a day's text vector: mean embedding (GruOnly) or pooled filters."""
+    return cfg.embed_dim if arch is ArchKind.GRU_ONLY else cfg.num_filters
 
 
 def build_model(cfg: ModelConfig, arch: ArchKind) -> CnnGruModel:
@@ -180,8 +182,7 @@ def build_model(cfg: ModelConfig, arch: ArchKind) -> CnnGruModel:
     if arch is not ArchKind.GRU_ONLY:
         conv = init_conv(rng, cfg.num_filters, cfg.kernel_width, cfg.embed_dim,
                          cfg.conv_stride)
-    text_dim = cfg.embed_dim if arch is ArchKind.GRU_ONLY else cfg.num_filters
-    day_dim = text_dim + N_MARKET_FEATURES
+    day_dim = _text_dim(cfg, arch) + N_MARKET_FEATURES
     gru = None
     attention = None
     if arch is not ArchKind.CNN_ONLY:
@@ -190,7 +191,7 @@ def build_model(cfg: ModelConfig, arch: ArchKind) -> CnnGruModel:
             attention = init_attention(rng, cfg.attention_size, cfg.gru_hidden)
     head_in = day_dim if arch is ArchKind.CNN_ONLY else cfg.gru_hidden
     head_reg = init_dense(rng, 1, head_in)
-    head_cls = init_dense(rng, cfg.num_classes, head_in)
+    head_cls = init_dense(rng, NUM_CLASSES, head_in)
     return CnnGruModel(
         cfg=cfg, arch=arch, embedding=embedding, conv=conv, gru=gru,
         attention=attention, head_reg=head_reg, head_cls=head_cls,
@@ -205,8 +206,7 @@ def build_model(cfg: ModelConfig, arch: ArchKind) -> CnnGruModel:
 def named_params(model: CnnGruModel) -> dict[str, Matrix]:
     out: dict[str, Matrix] = {"embedding": model.embedding.table}
     if model.conv is not None:
-        for i, k in enumerate(model.conv.kernels):
-            out[f"conv/k{i}"] = k
+        out["conv/k"] = model.conv.kernel
     if model.gru is not None:
         out["gru/w_z"] = model.gru.w_z
         out["gru/w_r"] = model.gru.w_r
@@ -234,10 +234,7 @@ def set_named_params(model: CnnGruModel, params: dict[str, Matrix]) -> CnnGruMod
             )
     conv = model.conv
     if conv is not None:
-        conv = Conv1DParams(
-            kernels=[params[f"conv/k{i}"] for i in range(conv.num_filters)],
-            stride=conv.stride,
-        )
+        conv = replace(conv, kernel=params["conv/k"])
     gru = model.gru
     if gru is not None:
         gru = GRUParams(w_z=params["gru/w_z"], w_r=params["gru/w_r"], w=params["gru/w"])
@@ -350,7 +347,7 @@ def model_forward(model: CnnGruModel, sample: WindowSample
                   ) -> tuple[float, Matrix, ModelCache]:
     cfg = model.cfg
     _check_window(cfg, sample)
-    text_dim = cfg.embed_dim if model.arch is ArchKind.GRU_ONLY else cfg.num_filters
+    text_dim = _text_dim(cfg, model.arch)
     day_text: list[DayTextCache | None] = []
     day_vecs: list[Matrix] = []
     for day in sample.inputs:
@@ -428,11 +425,11 @@ def model_backward(model: CnnGruModel, cache: ModelCache,
         grads["gru/w_r"] = gru_grads.d_w_r
         grads["gru/w"] = gru_grads.d_w
 
-    text_dim = cfg.embed_dim if model.arch is ArchKind.GRU_ONLY else cfg.num_filters
+    text_dim = _text_dim(cfg, model.arch)
     d_embed = np.zeros_like(model.embedding.table.data)
-    d_kernels = None
+    d_kernel = None
     if model.conv is not None:
-        d_kernels = [np.zeros_like(k.data) for k in model.conv.kernels]
+        d_kernel = np.zeros_like(model.conv.kernel.data)
 
     for day_cache, d_vec in zip(cache.day_text, d_day_vecs):
         if day_cache is None:
@@ -450,16 +447,14 @@ def model_backward(model: CnnGruModel, cache: ModelCache,
                 d_relu = max_pool_backward(doc.memo, doc.conv_cache.out_len, d_pooled)
                 d_conv = relu_backward(doc.conv_pre, d_relu)
                 d_emb, dk = conv1d_backward(model.conv, doc.conv_cache, d_conv)
-                for acc, g in zip(d_kernels, dk):
-                    acc += g.data
+                d_kernel += dk.data
                 d_embed_doc = embed_backward(model.embedding, doc.padded_ids, d_emb)
                 d_embed += d_embed_doc.data
 
     d_embed[0, :] = 0.0  # pad row is frozen
     grads["embedding"] = Matrix._wrap(d_embed)
-    if d_kernels is not None:
-        for i, g in enumerate(d_kernels):
-            grads[f"conv/k{i}"] = Matrix._wrap(g)
+    if d_kernel is not None:
+        grads["conv/k"] = Matrix._wrap(d_kernel)
 
     expected = set(named_params(model))
     if set(grads) != expected:
@@ -491,7 +486,6 @@ class BatchCache:
     ids: np.ndarray  # conv: (N, max_doc_len) padded documents; mean: (M,) non-pad tokens
     seg: np.ndarray  # (N,) or (M,): the text row of each document or token
     counts: np.ndarray  # (U,) documents or tokens per text row
-    kmat: np.ndarray | None  # conv: the kernels stacked as a (width * embed, F) matrix
     winners: np.ndarray | None  # conv: (N, F) max-pool time step per filter
     pooled: np.ndarray | None  # conv: (N, F) pooled ReLU outputs
     x: np.ndarray  # (B, T, D) day vectors
@@ -554,18 +548,18 @@ def _conv_plan(model: CnnGruModel) -> tuple[np.ndarray, int]:
     return windows, max(1, CHUNK_VALUES // (windows.size * cfg.embed_dim))
 
 
-def _conv_encode(model: CnnGruModel, kmat: np.ndarray, ids: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _conv_encode(model: CnnGruModel, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pooled, winners) of every document: embed, conv as one im2col GEMM per
     chunk, ReLU, max-pool over time (ties go to the earliest step)."""
     table = model.embedding.table.data
+    kernel = model.conv.kernel.data
     windows, step = _conv_plan(model)
-    pooled = np.empty((len(ids), kmat.shape[1]))
-    winners = np.empty((len(ids), kmat.shape[1]), dtype=np.intp)
+    pooled = np.empty((len(ids), kernel.shape[1]))
+    winners = np.empty((len(ids), kernel.shape[1]), dtype=np.intp)
     for s in range(0, len(ids), step):
         tok = ids[s : s + step][:, windows]  # (n, out_len, width)
         n, out_len = tok.shape[:2]
-        act = np.maximum(table[tok].reshape(n * out_len, -1) @ kmat, 0.0)
+        act = np.maximum(table[tok].reshape(n * out_len, -1) @ kernel, 0.0)
         act = act.reshape(n, out_len, -1)
         win = np.argmax(act, axis=1)
         winners[s : s + step] = win
@@ -578,20 +572,20 @@ def _conv_backward(model: CnnGruModel, cache: BatchCache, d_pooled: np.ndarray,
     """Kernel-matrix gradient; adds the embedding gradient into d_embed."""
     table = model.embedding.table.data
     windows, step = _conv_plan(model)
-    kmat = cache.kmat
-    d_kmat = np.zeros_like(kmat)
+    kernel = model.conv.kernel.data
+    d_kernel = np.zeros_like(kernel)
     # the ReLU passes gradient only where the winning pre-activation was positive
     g = d_pooled * (cache.pooled > 0.0)
     for s in range(0, len(cache.ids), step):
         tok = cache.ids[s : s + step][:, windows]
         n, out_len = tok.shape[:2]
-        d_act = np.zeros((n, out_len, kmat.shape[1]))
+        d_act = np.zeros((n, out_len, kernel.shape[1]))
         np.put_along_axis(d_act, cache.winners[s : s + step, None, :], g[s : s + step, None, :],
                           axis=1)
         d_act = d_act.reshape(n * out_len, -1)
-        d_kmat += table[tok].reshape(n * out_len, -1).T @ d_act
-        np.add.at(d_embed, tok.ravel(), (d_act @ kmat.T).reshape(tok.size, -1))
-    return d_kmat
+        d_kernel += table[tok].reshape(n * out_len, -1).T @ d_act
+        np.add.at(d_embed, tok.ravel(), (d_act @ kernel.T).reshape(tok.size, -1))
+    return d_kernel
 
 
 def _gru_weights(gru: GRUParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -616,7 +610,7 @@ def _gru_forward(gru: GRUParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
     z, r, cand, hid = (np.empty((b, t_len, h)) for _ in range(4))
     h_prev = np.zeros((b, h))
     for t in range(t_len):
-        zr = _sigmoid(h_prev @ w_zr.T + x_proj[:, t, : 2 * h])
+        zr = _sigmoid_array(h_prev @ w_zr.T + x_proj[:, t, : 2 * h])
         z[:, t], r[:, t] = zr[:, :h], zr[:, h:]
         cand[:, t] = np.tanh((r[:, t] * h_prev) @ w_hh.T + x_proj[:, t, 2 * h :])
         h_prev = hid[:, t] = (1.0 - z[:, t]) * h_prev + z[:, t] * cand[:, t]
@@ -680,10 +674,6 @@ def _attention_backward(attn: AttentionParams, hid: np.ndarray, acts: np.ndarray
     return d_hid, d_w_a, d_u
 
 
-def _text_dim(model: CnnGruModel) -> int:
-    return model.day_vec_size - N_MARKET_FEATURES
-
-
 def batch_forward(model: CnnGruModel, samples: Sequence[WindowSample]) -> BatchCache:
     """One forward pass over a batch of windows; the cache's pred (B,) and
     logits (B, C) equal what model_forward gives each window."""
@@ -691,14 +681,13 @@ def batch_forward(model: CnnGruModel, samples: Sequence[WindowSample]) -> BatchC
         raise ShapeError("batch_forward needs at least one window")
     day_index, feats, texts = _gather_days(model, samples)
     ids, seg, counts = _text_ids(model, texts)
-    kmat = winners = pooled = None
+    winners = pooled = None
     if model.arch is ArchKind.GRU_ONLY:
         items = model.embedding.table.data[ids]
     else:
-        kmat = np.stack([k.data.ravel() for k in model.conv.kernels], axis=1)
-        pooled, winners = _conv_encode(model, kmat, ids)
+        pooled, winners = _conv_encode(model, ids)
         items = pooled
-    vecs = np.zeros((len(texts) + 1, _text_dim(model)))
+    vecs = np.zeros((len(texts) + 1, _text_dim(model.cfg, model.arch)))
     np.add.at(vecs, seg, items)
     vecs[:-1] /= np.maximum(counts, 1)[:, None]
     x = np.concatenate([vecs[day_index], feats], axis=2)
@@ -716,7 +705,7 @@ def batch_forward(model: CnnGruModel, samples: Sequence[WindowSample]) -> BatchC
     pred = (ctx @ model.head_reg.w.data.T + model.head_reg.b.data.T)[:, 0]
     logits = ctx @ model.head_cls.w.data.T + model.head_cls.b.data.T
     return BatchCache(day_index=day_index, ids=ids, seg=seg, counts=counts,
-                      kmat=kmat, winners=winners, pooled=pooled, x=x, gru=gru, attn=attn,
+                      winners=winners, pooled=pooled, x=x, gru=gru, attn=attn,
                       ctx=ctx, pred=pred, logits=logits)
 
 
@@ -750,7 +739,7 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
         d_x, grads["gru/w_z"], grads["gru/w_r"], grads["gru/w"] = _gru_backward(
             model.gru, cache.x, cache.gru, d_hid)
 
-    text_dim = _text_dim(model)
+    text_dim = _text_dim(model.cfg, model.arch)
     d_vecs = np.zeros((len(cache.counts) + 1, text_dim))
     np.add.at(d_vecs, cache.day_index.ravel(), d_x[:, :, :text_dim].reshape(-1, text_dim))
     d_items = d_vecs[cache.seg] / cache.counts[cache.seg][:, None]
@@ -758,10 +747,7 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
     if model.arch is ArchKind.GRU_ONLY:
         np.add.at(d_embed, cache.ids, d_items)
     else:
-        d_kmat = _conv_backward(model, cache, d_items, d_embed)
-        shape = model.conv.kernels[0].shape
-        for i in range(d_kmat.shape[1]):
-            grads[f"conv/k{i}"] = d_kmat[:, i].reshape(shape)
+        grads["conv/k"] = _conv_backward(model, cache, d_items, d_embed)
     d_embed[0, :] = 0.0  # pad row is frozen
     grads["embedding"] = d_embed
     return {name: grads[name] for name in named_params(model)}
@@ -774,6 +760,10 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
 
 def save_checkpoint(model: CnnGruModel, path: str | Path) -> None:
     """Versioned JSON: config block plus named tensors as nested float lists.
+
+    Format 2 stores the conv filters as the one conv/k tensor; load_checkpoint
+    rejects format 1 (one conv/k<i> tensor per filter), whose models must be
+    retrained.
 
     Python's repr-based float serialization round-trips every finite float64
     bit-exactly, which load_checkpoint relies on.

@@ -22,6 +22,7 @@ UNK_ID = 1
 
 CLASS_NAMES = ("negative", "neutral", "positive")
 CLASS_INDEX = {name: i for i, name in enumerate(CLASS_NAMES)}
+NUM_CLASSES = len(CLASS_NAMES)
 
 NEGATIVE, NEUTRAL, POSITIVE = 0, 1, 2
 

@@ -37,6 +37,7 @@ from .model import (
     set_named_params,
 )
 from .optim import AdamConfig, Optimizer, SGDConfig
+from .text import NUM_CLASSES
 
 log = logging.getLogger(__name__)
 
@@ -254,8 +255,7 @@ class MetricsReport:
 def evaluate(model: CnnGruModel, split: Sequence[WindowSample]) -> MetricsReport:
     if not split:
         raise DataValidationError("cannot evaluate an empty split")
-    c = model.cfg.num_classes
-    confusion = [[0] * c for _ in range(c)]
+    confusion = [[0] * NUM_CLASSES for _ in range(NUM_CLASSES)]
     returns, classes = _targets(split)
     pred, logits = _split_outputs(model, split)
     for true, guess in zip(classes, np.argmax(logits, axis=1)):

@@ -8,14 +8,17 @@ train-dependent tests stay fast.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
 import pytest
 
+from sentirisk.alerts import AlertRuleConfig
 from sentirisk.cli import CONFIG_DEFAULTS, main
-from sentirisk.data import load_prepared
-from sentirisk.model import ArchKind, load_checkpoint
+from sentirisk.data import PrepareConfig, load_prepared
+from sentirisk.model import ArchKind, ModelConfig, load_checkpoint
+from sentirisk.train import TrainConfig
 from sentirisk.synthetic import (
     make_demo_docs,
     make_demo_market,
@@ -352,6 +355,34 @@ class TestEvaluate:
         assert rc == 2
         assert "checkpoint not found" in captured.err
 
+    def test_format_1_checkpoint_exits_2_naming_the_version(self, workspace, trained,
+                                                            tmp_path, capsys):
+        # format 1 held one (width, embed) tensor per filter, conv/k0, conv/k1, ...,
+        # and a num_classes config key
+        obj = json.loads(trained.read_text())
+        kernel = obj["tensors"].pop("conv/k")
+        width = TINY_CFG["kernel_width"]
+        chans = kernel["rows"] // width
+        for f in range(kernel["cols"]):
+            col = [row[f] for row in kernel["values"]]
+            obj["tensors"][f"conv/k{f}"] = {
+                "rows": width, "cols": chans,
+                "values": [col[w * chans : (w + 1) * chans] for w in range(width)],
+            }
+        obj["config"]["num_classes"] = 3
+        obj["format_version"] = 1
+        old = tmp_path / "format1.ckpt.json"
+        old.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        rc = main([
+            "evaluate", "--data-dir", str(workspace["root"]), "--model-in", str(old),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "format_version 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestCompare:
     def test_table_and_json_out(self, workspace, tmp_path, capsys):
@@ -523,3 +554,25 @@ class TestUsage:
         assert "seed" in CONFIG_DEFAULTS
         assert "risk_threshold" in CONFIG_DEFAULTS
         assert "window" in CONFIG_DEFAULTS
+
+    def test_config_defaults_equal_the_dataclass_defaults(self):
+        mcfg, tcfg, pcfg = ModelConfig(vocab_size=2), TrainConfig(), PrepareConfig()
+        owners = (mcfg, tcfg, pcfg, AlertRuleConfig())
+        renamed = {
+            "attention": [mcfg.attention_enabled],
+            "train_ratio": [pcfg.ratios[0]],
+            "val_ratio": [pcfg.ratios[1]],
+            "test_ratio": [pcfg.ratios[2]],
+            # lexicon paths: None selects the bundled lexicons
+            "lexicon_positive": [None],
+            "lexicon_negative": [None],
+        }
+        for key, value in CONFIG_DEFAULTS.items():
+            defaults = renamed.get(key, [getattr(o, key) for o in owners if hasattr(o, key)])
+            assert defaults, f"{key} is no config field"
+            assert all(d == value for d in defaults), (key, value, defaults)
+        # and every model and training field is a config key (vocab_size comes
+        # from the prepared dataset, attention_enabled is the "attention" key)
+        for f in dataclasses.fields(ModelConfig) + dataclasses.fields(TrainConfig):
+            if f.name not in ("vocab_size", "attention_enabled"):
+                assert f.name in CONFIG_DEFAULTS, f.name

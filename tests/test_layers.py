@@ -125,54 +125,63 @@ class TestPadOrTruncate:
 # ---------------------------------------------------------------------------
 
 
-def naive_conv(kernels, input_lists, stride):
-    # quadruple loop, written without the production code's vectorization
-    width = len(kernels[0])
-    chans = len(kernels[0][0])
+def naive_conv(kernel, input_lists, width, stride):
+    # quadruple loop, written without the production code's vectorization;
+    # row w * chans + c of the kernel weighs channel c at window offset w
+    chans = len(input_lists[0])
+    filters = len(kernel[0])
     out_len = (len(input_lists) - width) // stride + 1
-    out = [[0.0] * len(kernels) for _ in range(out_len)]
+    out = [[0.0] * filters for _ in range(out_len)]
     for t in range(out_len):
-        for f, kern in enumerate(kernels):
+        for f in range(filters):
             s = 0.0
             for w in range(width):
                 for c in range(chans):
-                    s += input_lists[t * stride + w][c] * kern[w][c]
+                    s += input_lists[t * stride + w][c] * kernel[w * chans + c][f]
             out[t][f] = s
     return out
 
 
+def rand_kernel(filters, width, chans) -> Matrix:
+    """A (width * chans, filters) kernel; column f holds the f-th of `filters`
+    sequential (width, chans) draws from RNG, flattened row-major."""
+    return Matrix._wrap(rand_matrix(filters, width * chans).data.T)
+
+
 class TestConv1d:
     def test_sum_kernel_hand_arithmetic(self):
-        params = L.Conv1DParams(kernels=[Matrix.column([1.0, 1.0, 1.0])], stride=3)
+        params = L.Conv1DParams(kernel=Matrix.column([1.0, 1.0, 1.0]), width=3, stride=3)
         x = Matrix.column([1, 2, 3, 4, 5, 6, 7])
         out, cache = L.conv1d_forward(params, x)
         assert out.to_lists() == [[6.0], [15.0]]
         assert cache.out_len == 2
 
     def test_selector_kernel(self):
-        params = L.Conv1DParams(kernels=[Matrix.column([1.0, 0.0, 0.0])], stride=1)
+        params = L.Conv1DParams(kernel=Matrix.column([1.0, 0.0, 0.0]), width=3, stride=1)
         x = Matrix.column([11.0, 22.0, 33.0, 44.0])
         out, _ = L.conv1d_forward(params, x)
         assert out.to_lists() == [[11.0], [22.0]]
 
     def test_matches_quadruple_loop_oracle(self):
-        params = L.Conv1DParams(
-            kernels=[rand_matrix(3, 2) for _ in range(4)], stride=2
-        )
+        params = L.Conv1DParams(kernel=rand_kernel(4, 3, 2), width=3, stride=2)
         x = rand_matrix(11, 2)
         out, _ = L.conv1d_forward(params, x)
-        want = naive_conv([k.to_lists() for k in params.kernels], x.to_lists(), 2)
+        want = naive_conv(params.kernel.to_lists(), x.to_lists(), 3, 2)
         assert np.allclose(out.data, np.array(want), atol=1e-12, rtol=0.0)
 
     def test_input_shorter_than_kernel_rejected(self):
-        params = L.Conv1DParams(kernels=[Matrix.column([1.0, 1.0, 1.0])], stride=1)
+        params = L.Conv1DParams(kernel=Matrix.column([1.0, 1.0, 1.0]), width=3, stride=1)
         with pytest.raises(ShapeError):
             L.conv1d_forward(params, Matrix.column([1.0, 2.0]))
 
     def test_channel_mismatch_rejected(self):
-        params = L.Conv1DParams(kernels=[rand_matrix(3, 2)], stride=1)
+        params = L.Conv1DParams(kernel=rand_kernel(1, 3, 2), width=3, stride=1)
         with pytest.raises(ShapeError):
             L.conv1d_forward(params, rand_matrix(5, 3))
+
+    def test_kernel_rows_must_be_whole_windows(self):
+        with pytest.raises(ShapeError):
+            L.Conv1DParams(kernel=Matrix.zeros(5, 2), width=3, stride=1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -183,17 +192,17 @@ class TestConv1d:
     def test_output_length_law(self, length, width, stride):
         if length < width:
             return
-        params = L.Conv1DParams(kernels=[Matrix.zeros(width, 1)], stride=stride)
+        params = L.Conv1DParams(kernel=Matrix.zeros(width, 1), width=width, stride=stride)
         out, _ = L.conv1d_forward(params, Matrix.zeros(length, 1))
         assert out.rows == (length - width) // stride + 1
         assert out.rows == L.conv_output_length(length, width, stride)
 
     def test_backward_vs_finite_difference(self):
-        params = L.Conv1DParams(kernels=[rand_matrix(3, 2) for _ in range(3)], stride=2)
+        params = L.Conv1DParams(kernel=rand_kernel(3, 3, 2), width=3, stride=2)
         x = rand_matrix(9, 2)
         out, cache = L.conv1d_forward(params, x)
         c = rand_matrix(out.rows, out.cols)
-        d_in, d_kernels = L.conv1d_backward(params, cache, c)
+        d_in, d_kernel = L.conv1d_backward(params, cache, c)
 
         def loss_of_input(xv):
             o, _ = L.conv1d_forward(params, xv)
@@ -201,14 +210,11 @@ class TestConv1d:
 
         assert fd_check(loss_of_input, x, d_in) <= REL_TOL
 
-        for f in range(3):
-            def loss_of_kernel(kv, f=f):
-                ks = list(params.kernels)
-                ks[f] = kv
-                o, _ = L.conv1d_forward(L.Conv1DParams(kernels=ks, stride=2), x)
-                return o.hadamard(c).sum()
+        def loss_of_kernel(kv):
+            o, _ = L.conv1d_forward(L.Conv1DParams(kernel=kv, width=3, stride=2), x)
+            return o.hadamard(c).sum()
 
-            assert fd_check(loss_of_kernel, params.kernels[f], d_kernels[f]) <= REL_TOL
+        assert fd_check(loss_of_kernel, params.kernel, d_kernel) <= REL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +250,7 @@ class TestGlobalMaxPool:
         assert grad.to_lists() == [[0.0, 20.0], [10.0, 0.0], [0.0, 0.0]]
 
     def test_backward_vs_finite_difference_through_conv_relu_pool(self):
-        params = L.Conv1DParams(kernels=[rand_matrix(3, 2) for _ in range(4)], stride=3)
+        params = L.Conv1DParams(kernel=rand_kernel(4, 3, 2), width=3, stride=3)
         x = rand_matrix(12, 2)
         c = rand_matrix(4, 1)
 

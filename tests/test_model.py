@@ -88,6 +88,29 @@ class TestBuildModel:
         assert model.conv is None
         assert not any(name.startswith("conv/") for name in named_params(model))
 
+    @pytest.mark.parametrize("cfg", [TINY, ModelConfig(vocab_size=50)], ids=["tiny", "default"])
+    def test_conv_kernel_columns_are_the_sequential_filter_draws(self, cfg):
+        # the init order of the per-filter kernels this matrix replaced: the
+        # embedding, one (width, embed) draw per filter, then the GRU; seeded
+        # builds and training runs stay bit-identical only while it holds
+        model = build_model(cfg, ArchKind.CNN_GRU)
+        params = named_params(model)
+        assert [n for n in params if n.startswith("conv/")] == ["conv/k"]
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        s_emb = np.sqrt(6.0 / (2 * cfg.embed_dim))
+        rng.uniform(-s_emb, s_emb, size=(cfg.vocab_size, cfg.embed_dim))
+        fan_in = cfg.kernel_width * cfg.embed_dim
+        s = np.sqrt(6.0 / (fan_in + cfg.num_filters))
+        kernel = params["conv/k"].data
+        assert kernel.shape == (fan_in, cfg.num_filters)
+        for f in range(cfg.num_filters):
+            draw = rng.uniform(-s, s, size=(cfg.kernel_width, cfg.embed_dim))
+            assert np.array_equal(kernel[:, f], draw.ravel()), f
+        cols = cfg.gru_hidden + model.day_vec_size
+        s_gru = np.sqrt(6.0 / (cols + cfg.gru_hidden))
+        assert np.array_equal(params["gru/w_z"].data,
+                              rng.uniform(-s_gru, s_gru, size=(cfg.gru_hidden, cols)))
+
     def test_cnn_only_has_no_gru_tensors(self):
         model = build_model(TINY, ArchKind.CNN_ONLY)
         assert model.gru is None
