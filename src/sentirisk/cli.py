@@ -226,9 +226,9 @@ def _require(args: argparse.Namespace, flag: str) -> str:
 
 def _find_prepared(data_dir: str) -> Path:
     root = Path(data_dir)
-    if (root / "samples.jsonl").is_file():
+    if (root / "norm_stats.json").is_file():
         return root
-    if (root / "prepared" / "samples.jsonl").is_file():
+    if (root / "prepared" / "norm_stats.json").is_file():
         return root / "prepared"
     raise DataValidationError(f"no prepared dataset under {root} (run `sentirisk prepare`)")
 

@@ -4,6 +4,13 @@ Pipeline order: load bars + raw docs, clean and label each doc, build the
 vocabulary, encode docs, align docs onto trading days (roll-forward), build
 sliding-window samples, split chronologically, fit normalization statistics
 on the training span only, then normalize every day and target.
+
+A prepared directory (format 2) holds vocab.txt (line i is the token with id
+i+2); days.jsonl, one line per distinct day; windows.jsonl, one line per
+sample: its targets and the row indices of its days in days.jsonl; and
+norm_stats.json: stats, window, ratios, format_version, n_days, n_samples.
+load_prepared rejects any other format_version (none means format 1), row
+counts other than n_days/n_samples (a truncated file) and bad day indices.
 """
 
 from __future__ import annotations
@@ -14,9 +21,9 @@ import json
 import logging
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .errors import DataValidationError
 from .matrix import Matrix
@@ -36,6 +43,8 @@ log = logging.getLogger(__name__)
 MARKET_CSV_HEADER = ["date", "open", "high", "low", "close", "volume"]
 N_MARKET_FEATURES = 5  # logret, range, gap, log volume, has_text
 DEFAULT_RATIOS = (0.7, 0.15, 0.15)
+PREPARED_FORMAT_VERSION = 2
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -181,30 +190,30 @@ def load_text_jsonl(path: str | Path) -> list[RawTextDoc]:
     path = Path(path)
     if not path.is_file():
         raise DataValidationError(f"text jsonl not found: {path}")
-    docs: list[RawTextDoc] = []
+    return _read_jsonl(path, lambda obj: RawTextDoc(
+        timestamp=_parse_timestamp(obj["timestamp"]),
+        text=obj["text"],
+        source=obj.get("source", ""),
+        label=obj.get("label"),
+    ))
+
+
+def _read_jsonl(path: Path, parse: Callable[[dict], T]) -> list[T]:
+    """parse() of each non-blank line; every error names the file and line."""
+    rows: list[T] = []
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                rows.append(parse(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise DataValidationError(f"{path}:{lineno}: bad json ({exc.msg})") from None
-            try:
-                docs.append(
-                    RawTextDoc(
-                        timestamp=_parse_timestamp(obj["timestamp"]),
-                        text=obj["text"],
-                        source=obj.get("source", ""),
-                        label=obj.get("label"),
-                    )
-                )
             except KeyError as exc:
                 raise DataValidationError(f"{path}:{lineno}: missing key {exc}") from None
             except (DataValidationError, ValueError, TypeError) as exc:
                 raise DataValidationError(f"{path}:{lineno}: {exc}") from None
-    return docs
+    return rows
 
 
 def _parse_timestamp(value: str) -> dt.datetime:
@@ -453,32 +462,21 @@ def prepare_dataset(bars: Sequence[MarketBar], raw_docs: Sequence[RawTextDoc],
 
 
 def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
-    """Writes vocab.txt (line i = token with id i+2), samples.jsonl, norm_stats.json."""
+    """Writes a prepared directory; each distinct day object (by identity) once."""
+    days = list({id(d): d for s in ds.samples for d in s.inputs}.values())
+    rows = {id(d): i for i, d in enumerate(days)}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "vocab.txt").write_text(
         "".join(line + "\n" for line in ds.vocab.to_lines()), encoding="utf-8"
     )
-    meta = ds.stats.to_dict()
-    meta["window"] = ds.window
-    meta["ratios"] = list(ds.ratios)
-    meta["n_samples"] = len(ds.samples)
+    meta = {**ds.stats.to_dict(), "window": ds.window, "ratios": list(ds.ratios),
+            "format_version": PREPARED_FORMAT_VERSION, "n_days": len(days),
+            "n_samples": len(ds.samples)}
     (out / "norm_stats.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-    with (out / "samples.jsonl").open("w", encoding="utf-8") as fh:
-        for s in ds.samples:
-            fh.write(json.dumps(_sample_to_obj(s)) + "\n")
-
-
-def _sample_to_obj(s: WindowSample) -> dict:
-    return {
-        "target_date": s.target_date.isoformat(),
-        "target_class": CLASS_NAMES[s.target_class],
-        "target_return": s.target_return,
-        "target_return_raw": s.target_return_raw,
-        "target_close": s.target_close,
-        "prev_close": s.prev_close,
-        "days": [
-            {
+    with (out / "days.jsonl").open("w", encoding="utf-8") as fh:
+        for d in days:
+            fh.write(json.dumps({
                 "date": d.date.isoformat(),
                 "raw": list(d.raw),
                 "features": [v for row in d.features.to_lists() for v in row]
@@ -487,74 +485,89 @@ def _sample_to_obj(s: WindowSample) -> dict:
                 "label": CLASS_NAMES[d.label],
                 "has_text": d.has_text,
                 "close": d.close,
-            }
-            for d in s.inputs
-        ],
-    }
+            }) + "\n")
+    with (out / "windows.jsonl").open("w", encoding="utf-8") as fh:
+        for s in ds.samples:
+            fh.write(json.dumps({
+                "days": [rows[id(d)] for d in s.inputs],
+                "target_date": s.target_date.isoformat(),
+                "target_class": CLASS_NAMES[s.target_class],
+                "target_return": s.target_return,
+                "target_return_raw": s.target_return_raw,
+                "target_close": s.target_close,
+                "prev_close": s.prev_close,
+            }) + "\n")
 
 
-def _sample_from_obj(obj: dict, lineno: int) -> WindowSample:
-    try:
-        days = [
-            AlignedDay(
-                date=dt.date.fromisoformat(d["date"]),
-                raw=tuple(float(v) for v in d["raw"]),
-                token_seqs=[list(map(int, seq)) for seq in d["token_seqs"]],
-                label=CLASS_INDEX[d["label"]],
-                has_text=bool(d["has_text"]),
-                close=float(d["close"]),
-                features=Matrix(N_MARKET_FEATURES, 1, [float(v) for v in d["features"]])
-                if d["features"] is not None else None,
-            )
-            for d in obj["days"]
-        ]
-        return WindowSample(
-            inputs=days,
-            target_date=dt.date.fromisoformat(obj["target_date"]),
-            target_class=CLASS_INDEX[obj["target_class"]],
-            target_return_raw=float(obj["target_return_raw"]),
-            target_close=float(obj["target_close"]),
-            prev_close=float(obj["prev_close"]),
-            target_return=float(obj["target_return"])
-            if obj["target_return"] is not None else None,
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DataValidationError(f"samples.jsonl:{lineno}: {exc}") from None
+def _day_from_obj(obj: dict) -> AlignedDay:
+    return AlignedDay(
+        date=dt.date.fromisoformat(obj["date"]),
+        raw=tuple(float(v) for v in obj["raw"]),
+        token_seqs=[list(map(int, seq)) for seq in obj["token_seqs"]],
+        label=CLASS_INDEX[obj["label"]],
+        has_text=bool(obj["has_text"]),
+        close=float(obj["close"]),
+        features=Matrix(N_MARKET_FEATURES, 1, [float(v) for v in obj["features"]])
+        if obj["features"] is not None else None,
+    )
+
+
+def _window_from_obj(obj: dict, days: list[AlignedDay], window: int) -> WindowSample:
+    """A sample whose inputs are the shared day objects its indices name."""
+    index = obj["days"]
+    if len(index) != window or any(type(i) is not int or not 0 <= i < len(days)
+                                   for i in index):
+        raise DataValidationError(f"need {window} day indices in [0, {len(days)}), got {index}")
+    return WindowSample(
+        inputs=[days[i] for i in index],
+        target_date=dt.date.fromisoformat(obj["target_date"]),
+        target_class=CLASS_INDEX[obj["target_class"]],
+        target_return_raw=float(obj["target_return_raw"]),
+        target_close=float(obj["target_close"]),
+        prev_close=float(obj["prev_close"]),
+        target_return=float(obj["target_return"])
+        if obj["target_return"] is not None else None,
+    )
 
 
 def load_prepared(in_dir: str | Path) -> PreparedDataset:
+    """Reads save_prepared's directory; every window shares the loaded day objects."""
     root = Path(in_dir)
-    for name in ("vocab.txt", "samples.jsonl", "norm_stats.json"):
-        if not (root / name).is_file():
-            raise DataValidationError(f"prepared dataset file missing: {root / name}")
-    vocab = Vocabulary.from_lines(
-        (root / "vocab.txt").read_text(encoding="utf-8").splitlines()
-    )
+    if not (root / "norm_stats.json").is_file():
+        raise DataValidationError(f"prepared dataset file missing: {root / 'norm_stats.json'}")
     try:
         meta = json.loads((root / "norm_stats.json").read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataValidationError(f"norm_stats.json: bad json ({exc.msg})") from None
     stats = NormStats.from_dict(meta)
+    version = meta.get("format_version", 1)
+    if version != PREPARED_FORMAT_VERSION:
+        raise DataValidationError(
+            f"prepared dataset format {version} is not supported, expected "
+            f"{PREPARED_FORMAT_VERSION}; re-run `sentirisk prepare`"
+        )
     try:
         window = int(meta["window"])
         ratios = tuple(float(r) for r in meta["ratios"])
+        n_days, n_samples = int(meta["n_days"]), int(meta["n_samples"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"norm_stats.json: {exc}") from None
     if len(ratios) != 3:
         raise DataValidationError(f"norm_stats.json: need 3 ratios, got {len(ratios)}")
-    samples: list[WindowSample] = []
-    with (root / "samples.jsonl").open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataValidationError(
-                    f"samples.jsonl:{lineno}: bad json ({exc.msg})"
-                ) from None
-            samples.append(_sample_from_obj(obj, lineno))
+    for name in ("vocab.txt", "days.jsonl", "windows.jsonl"):
+        if not (root / name).is_file():
+            raise DataValidationError(f"prepared dataset file missing: {root / name}")
+    vocab = Vocabulary.from_lines(
+        (root / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    )
+    days = _read_jsonl(root / "days.jsonl", _day_from_obj)
+    if len(days) != n_days:
+        raise DataValidationError(f"days.jsonl: {len(days)} rows, norm_stats.json n_days {n_days}")
+    samples = _read_jsonl(root / "windows.jsonl",
+                          lambda obj: _window_from_obj(obj, days, window))
+    if len(samples) != n_samples:
+        raise DataValidationError(f"windows.jsonl: {len(samples)} rows, "
+                                  f"norm_stats.json n_samples {n_samples}")
     return PreparedDataset(
         vocab=vocab, samples=samples, stats=stats, window=window, ratios=ratios,
     )

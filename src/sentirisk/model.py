@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -123,20 +123,7 @@ class ModelConfig:
         return self.attn_size if self.attn_size is not None else self.gru_hidden
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "embed_dim": self.embed_dim,
-            "num_filters": self.num_filters,
-            "kernel_width": self.kernel_width,
-            "conv_stride": self.conv_stride,
-            "gru_hidden": self.gru_hidden,
-            "window": self.window,
-            "max_doc_len": self.max_doc_len,
-            "attention_enabled": self.attention_enabled,
-            "attn_size": self.attn_size,
-            "mse_weight": self.mse_weight,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":

@@ -113,7 +113,8 @@ class TestPrepare:
         assert ds.vocab.size == int(m.group(4))
 
     def test_default_out_is_data_dir_prepared(self, workspace):
-        assert (workspace["root"] / "prepared" / "samples.jsonl").is_file()
+        for name in ("vocab.txt", "days.jsonl", "windows.jsonl", "norm_stats.json"):
+            assert (workspace["root"] / "prepared" / name).is_file()
 
     def test_market_only_dataset(self, tmp_path, capsys):
         bars = make_demo_market(n_days=20, seed=1)
@@ -380,6 +381,67 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert rc == 2
         assert "format_version 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+def _cut_in_half(path):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+    return f"{path.name}: "
+
+
+def _cut_days(prep):
+    return _cut_in_half(prep / "days.jsonl")
+
+
+def _cut_windows(prep):
+    return _cut_in_half(prep / "windows.jsonl")
+
+
+def _day_index_out_of_range(prep):
+    n_days = json.loads((prep / "norm_stats.json").read_text(encoding="utf-8"))["n_days"]
+    rows = [json.loads(line) for line in
+            (prep / "windows.jsonl").read_text(encoding="utf-8").splitlines()]
+    rows[2]["days"][-1] = n_days
+    (prep / "windows.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows),
+                                        encoding="utf-8")
+    return "windows.jsonl:3: "
+
+
+def _format_1(prep):
+    # format 1 spelled every window's days out in samples.jsonl, and its
+    # norm_stats.json had no format_version or n_days
+    days = [json.loads(line) for line in
+            (prep / "days.jsonl").read_text(encoding="utf-8").splitlines()]
+    with (prep / "samples.jsonl").open("w", encoding="utf-8") as fh:
+        for line in (prep / "windows.jsonl").read_text(encoding="utf-8").splitlines():
+            row = json.loads(line)
+            row["days"] = [days[i] for i in row["days"]]
+            fh.write(json.dumps(row) + "\n")
+    (prep / "days.jsonl").unlink()
+    (prep / "windows.jsonl").unlink()
+    meta = json.loads((prep / "norm_stats.json").read_text(encoding="utf-8"))
+    del meta["format_version"], meta["n_days"]
+    (prep / "norm_stats.json").write_text(json.dumps(meta), encoding="utf-8")
+    return ("prepared dataset format 1 is not supported, expected 2; "
+            "re-run `sentirisk prepare`")
+
+
+class TestDamagedPrepared:
+    @pytest.mark.parametrize("damage", [_cut_days, _cut_windows, _day_index_out_of_range,
+                                        _format_1], ids=lambda f: f.__name__.lstrip("_"))
+    def test_exits_2_naming_the_fault(self, workspace, trained, tmp_path, capsys, damage):
+        prep = tmp_path / "prepared"
+        prep.mkdir()
+        for src in (workspace["root"] / "prepared").iterdir():
+            (prep / src.name).write_bytes(src.read_bytes())
+        expected = damage(prep)
+        capsys.readouterr()
+        rc = main(["evaluate", "--data-dir", str(tmp_path), "--model-in", str(trained)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert expected in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import logging
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from sentirisk.data import (
     MarketBar,
     NormStats,
     PrepareConfig,
+    PreparedDataset,
     RawTextDoc,
     align_days,
     load_market_csv,
@@ -24,7 +26,8 @@ from sentirisk.data import (
     split_chronological,
 )
 from sentirisk.errors import DataValidationError
-from sentirisk.text import Lexicon
+from sentirisk.synthetic import make_ablation_dataset
+from sentirisk.text import Lexicon, Vocabulary
 
 
 def bar(day: dt.date, close: float = 100.0, volume: float = 1e6) -> MarketBar:
@@ -393,6 +396,30 @@ class TestPrepareDataset:
                                                            ratios=(0.3, 0.35, 0.35)))
 
 
+def assert_same_samples(loaded, original):
+    assert len(loaded) == len(original)
+    for a, b in zip(loaded, original):
+        assert a.target_date == b.target_date
+        assert a.target_class == b.target_class
+        assert a.target_return == b.target_return  # json float round-trip is exact
+        assert a.target_return_raw == b.target_return_raw
+        assert a.target_close == b.target_close
+        assert a.prev_close == b.prev_close
+        assert len(a.inputs) == len(b.inputs)
+        for da, db in zip(a.inputs, b.inputs):
+            assert da.date == db.date
+            assert da.raw == db.raw
+            assert da.token_seqs == db.token_seqs
+            assert da.label == db.label
+            assert da.has_text == db.has_text
+            assert da.close == db.close
+            assert da.features == db.features
+
+
+def read_lines(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 class TestPreparedRoundTrip:
     def test_save_then_load_preserves_everything(self, tmp_path):
         bars, docs, lex = build_corpus(30)
@@ -400,29 +427,47 @@ class TestPreparedRoundTrip:
                                                             ratios=(0.6, 0.2, 0.2)))
         out = tmp_path / "prepared"
         save_prepared(ds, out)
-        assert (out / "vocab.txt").exists()
-        assert (out / "samples.jsonl").exists()
-        assert (out / "norm_stats.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "days.jsonl", "norm_stats.json", "vocab.txt", "windows.jsonl",
+        ]
 
         again = load_prepared(out)
         assert again.vocab.token_to_id == ds.vocab.token_to_id
         assert again.stats == ds.stats
         assert again.window == ds.window
         assert tuple(again.ratios) == tuple(ds.ratios)
-        assert len(again.samples) == len(ds.samples)
-        for a, b in zip(again.samples, ds.samples):
-            assert a.target_date == b.target_date
-            assert a.target_class == b.target_class
-            assert a.target_return == b.target_return  # json float round-trip is exact
-            assert a.prev_close == b.prev_close
-            assert len(a.inputs) == len(b.inputs)
-            for da, db in zip(a.inputs, b.inputs):
-                assert da.date == db.date
-                assert da.raw == db.raw
-                assert da.token_seqs == db.token_seqs
-                assert da.label == db.label
-                assert da.has_text == db.has_text
-                assert da.features == db.features
+        assert_same_samples(again.samples, ds.samples)
+
+        # each day is stored once and loaded once, shared by every window holding it
+        dates = {d.date for s in ds.samples for d in s.inputs}
+        stored = [row["date"] for row in read_lines(out / "days.jsonl")]
+        assert sorted(stored) == sorted(d.isoformat() for d in dates)
+        assert len({id(d) for s in again.samples for d in s.inputs}) == len(dates)
+        meta = json.loads((out / "norm_stats.json").read_text(encoding="utf-8"))
+        assert (meta["format_version"], meta["n_days"], meta["n_samples"]) == (
+            2, len(dates), len(ds.samples))
+
+    def test_ablation_dataset_round_trip(self, tmp_path):
+        # its target_class counts positive days over the window, so unlike
+        # prepare_dataset's it is not the target day's label
+        samples, vocab_size = make_ablation_dataset(n_days=60)
+        vocab = Vocabulary({f"tok{i}": i for i in range(2, vocab_size)})
+        ds = PreparedDataset(vocab, samples, NormStats(means=(0.0,) * 4, stds=(1.0,) * 4),
+                             window=20, ratios=(0.7, 0.15, 0.15))
+        save_prepared(ds, tmp_path)
+        again = load_prepared(tmp_path)
+        assert_same_samples(again.samples, samples)
+        assert len(read_lines(tmp_path / "days.jsonl")) == 60 - 1  # last day is only a target
+
+    def test_windows_holding_copies_of_days_round_trip(self, tmp_path):
+        bars, docs, lex = build_corpus(20)
+        ds = prepare_dataset(bars, docs, lex, PrepareConfig(window=5,
+                                                            ratios=(0.6, 0.2, 0.2)))
+        copies = [replace(s, inputs=[replace(d) for d in s.inputs]) for s in ds.samples]
+        save_prepared(replace(ds, samples=copies), tmp_path)
+        # copies are distinct objects, so each is stored: correct, only larger
+        assert len(read_lines(tmp_path / "days.jsonl")) == 5 * len(copies)
+        assert_same_samples(load_prepared(tmp_path).samples, ds.samples)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises((DataValidationError, OSError)):
