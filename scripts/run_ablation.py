@@ -6,7 +6,7 @@ local token trigram (convolution-detectable) while the next day's class and
 return follow the count of positive days in the trailing window
 (recurrence-detectable). Training CNN-only, GRU-only, and CNN+GRU under
 identical seeds and budgets shows neither partial architecture can read both
-signals; defaults reproduce the acceptance-gate run in about 25 seconds on
+signals; defaults reproduce the acceptance-gate run in about 10 seconds on
 a 2-core 2 GHz Xeon.
 
 Usage:

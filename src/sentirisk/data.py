@@ -10,7 +10,8 @@ i+2); days.jsonl, one line per distinct day; windows.jsonl, one line per
 sample: its targets and the row indices of its days in days.jsonl; and
 norm_stats.json: stats, window, ratios, format_version, n_days, n_samples.
 load_prepared rejects any other format_version (none means format 1), row
-counts other than n_days/n_samples (a truncated file) and bad day indices.
+counts other than n_days/n_samples (a truncated file), bad day indices and
+token ids outside vocab.txt (a truncated vocabulary).
 """
 
 from __future__ import annotations
@@ -499,11 +500,17 @@ def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
             }) + "\n")
 
 
-def _day_from_obj(obj: dict) -> AlignedDay:
+def _day_from_obj(obj: dict, vocab_size: int) -> AlignedDay:
+    """A day whose token ids all lie in [0, vocab_size)."""
+    token_seqs = [list(map(int, seq)) for seq in obj["token_seqs"]]
+    for seq in token_seqs:
+        if seq and not 0 <= min(seq) <= max(seq) < vocab_size:
+            bad = next(tok for tok in seq if not 0 <= tok < vocab_size)
+            raise DataValidationError(f"token id {bad} out of range for vocab of {vocab_size}")
     return AlignedDay(
         date=dt.date.fromisoformat(obj["date"]),
         raw=tuple(float(v) for v in obj["raw"]),
-        token_seqs=[list(map(int, seq)) for seq in obj["token_seqs"]],
+        token_seqs=token_seqs,
         label=CLASS_INDEX[obj["label"]],
         has_text=bool(obj["has_text"]),
         close=float(obj["close"]),
@@ -560,7 +567,7 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
     vocab = Vocabulary.from_lines(
         (root / "vocab.txt").read_text(encoding="utf-8").splitlines()
     )
-    days = _read_jsonl(root / "days.jsonl", _day_from_obj)
+    days = _read_jsonl(root / "days.jsonl", lambda obj: _day_from_obj(obj, vocab.size))
     if len(days) != n_days:
         raise DataValidationError(f"days.jsonl: {len(days)} rows, norm_stats.json n_days {n_days}")
     samples = _read_jsonl(root / "windows.jsonl",

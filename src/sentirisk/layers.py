@@ -26,7 +26,6 @@ from .errors import ShapeError
 from .matrix import Matrix, _sigmoid_array
 
 N_GRU_GATES = 3  # z, r, candidate
-N_LSTM_GATES = 4  # same-shape comparison baseline
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 This is the validated numeric type at the package's boundaries: the model's
 weights, the per-layer API in layers.py, and the single-window
 model_forward/model_backward take and return Matrix values. Training and
-validation run whole mini-batches on raw ndarrays (model.batch_forward) and
-meet Matrix again only at the optimizer. Values live in a read-only float64
+validation run whole mini-batches on raw ndarrays, as index arrays into a
+day table built once per split (model.table_forward), and meet Matrix again
+only at the optimizer. _sigmoid_array, the gate activation of both GRU
+paths, is branch-free and cannot overflow. Values live in a read-only float64
 numpy array, so instances are safe to share across threads and every
 operation allocates a fresh output. Matrix products are evaluated with a
 fixed row-major, left-to-right summation order (np.einsum), which makes the
@@ -195,13 +197,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _sigmoid_array(x: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: Matrix) -> Matrix:

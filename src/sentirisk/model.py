@@ -13,14 +13,17 @@ num_filters) tensor, conv/k, used as is by both paths below.
 Two paths compute this network from the same parameters. model_forward and
 model_backward run one window on Matrix values, layer by layer through
 layers.py: the single-window API behind predict, alert and the CLI, and the
-reference the batched path is tested against. batch_forward and
+reference the batched path is tested against. table_forward and
 batch_backward run a whole mini-batch on raw ndarrays, which is how training
-and validation run: each distinct day of the batch is encoded once, the
-convolution of its documents is one im2col matrix product per chunk of
-documents, the GRU takes its input projections for all steps in one product
-before the recurrence, and the embedding gradient is scattered with
-np.add.at. Every reduction runs in a fixed order, so seeded reruns are
-bitwise identical.
+and validation run. A DayTable holds the distinct days of a split as arrays,
+built and checked once per split; a batch is a list of window indices into
+it. Each distinct day text of the batch is encoded once, the convolution of
+its documents is one im2col matrix product per chunk of documents, the GRU
+takes its input projections for all steps in one product before the
+recurrence, and the embedding gradient is scattered with np.add.at.
+batch_forward(model, samples) builds a table of its samples and runs them
+all. Every reduction runs in a fixed order, so seeded reruns are bitwise
+identical.
 """
 
 from __future__ import annotations
@@ -483,48 +486,85 @@ class BatchCache:
     logits: np.ndarray  # (B, C)
 
 
-def _gather_days(model: CnnGruModel, samples: Sequence[WindowSample]
-                 ) -> tuple[np.ndarray, np.ndarray, list[tuple[tuple[int, ...], ...]]]:
-    """(day_index, features (B, T, 5), the truncated documents of each text row).
+@dataclass(frozen=True)
+class DayTable:
+    """The distinct days of a list of windows, as arrays built and checked once.
 
-    Days are keyed by their truncated token ids, so windows that share a day
-    encode it once even when each window holds its own copy of the day.
+    Days are rows by object identity; texts are rows by their truncated token
+    ids, so copies of a day, or two dates with the same text, share one text
+    row. A batch is a list of window indices into the table.
     """
-    cfg = model.cfg
-    rows: dict[tuple[tuple[int, ...], ...], int] = {}
-    day_index = np.empty((len(samples), cfg.window), dtype=np.intp)
-    feats = np.empty((len(samples), cfg.window, N_MARKET_FEATURES))
+
+    windows: np.ndarray  # (n_windows, T) day rows
+    features: np.ndarray  # (n_days, 5)
+    text: np.ndarray  # (n_days,) text row, -1 for a day without text
+    docs: np.ndarray  # (n_docs, max_doc_len) padded token ids, grouped by text row
+    doc_start: np.ndarray  # (n_texts + 1,) first document of each text row
+
+
+def day_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
+    """Builds the table of samples; every window, feature and token-id check runs here."""
+    rows: dict[int, int] = {}
+    days: list[AlignedDay] = []  # holds every day object, so no id is reused
+    texts: dict[tuple[tuple[int, ...], ...], int] = {}
+    text: list[int] = []
+    windows = np.empty((len(samples), cfg.window), dtype=np.intp)
     for b, sample in enumerate(samples):
         _check_window(cfg, sample)
         for t, day in enumerate(sample.inputs):
-            _check_features(day)
-            feats[b, t] = day.features.data[:, 0]
-            row = -1
-            if day.has_text and day.token_seqs:
-                key = tuple(tuple(seq[: cfg.max_doc_len]) for seq in day.token_seqs)
-                row = rows.setdefault(key, len(rows))
-            day_index[b, t] = row
-    day_index[day_index < 0] = len(rows)
-    return day_index, feats, list(rows)
-
-
-def _text_ids(model: CnnGruModel, texts: list[tuple[tuple[int, ...], ...]]
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ids, seg, counts): padded documents for the conv, non-pad tokens for the mean."""
-    if model.arch is ArchKind.GRU_ONLY:
-        items = [[tok for seq in key for tok in seq if tok != 0] for key in texts]
-        ids = np.array([tok for row in items for tok in row], dtype=np.intp)
-    else:
-        items = texts
-        ids = np.zeros((sum(len(key) for key in texts), model.cfg.max_doc_len), dtype=np.intp)
-        for i, seq in enumerate(seq for key in texts for seq in key):
-            ids[i, : len(seq)] = seq
-    vocab = model.cfg.vocab_size
-    bad = ids[(ids < 0) | (ids >= vocab)]
+            row = rows.get(id(day))
+            if row is None:
+                _check_features(day)
+                row = rows[id(day)] = len(days)
+                days.append(day)
+                text_row = -1
+                if day.has_text and day.token_seqs:
+                    key = tuple(tuple(seq[: cfg.max_doc_len]) for seq in day.token_seqs)
+                    text_row = texts.setdefault(key, len(texts))
+                text.append(text_row)
+            windows[b, t] = row
+    counts = np.array([len(key) for key in texts], dtype=np.intp)
+    docs = np.zeros((int(counts.sum()), cfg.max_doc_len), dtype=np.intp)
+    for i, seq in enumerate(seq for key in texts for seq in key):
+        docs[i, : len(seq)] = seq
+    bad = docs[(docs < 0) | (docs >= cfg.vocab_size)]
     if bad.size:
-        raise ShapeError(f"token id {bad[0]} out of range for vocab of {vocab}")
-    counts = np.array([len(row) for row in items], dtype=np.intp)
-    return ids, np.repeat(np.arange(len(texts)), counts), counts
+        raise ShapeError(f"token id {bad[0]} out of range for vocab of {cfg.vocab_size}")
+    features = np.array([day.features.data[:, 0] for day in days]).reshape(-1, N_MARKET_FEATURES)
+    return DayTable(windows=windows, features=features, text=np.array(text, dtype=np.intp),
+                    docs=docs, doc_start=np.concatenate([[0], np.cumsum(counts)]))
+
+
+def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(day_index, features (B, T, 5), ids, seg, counts) of the windows index names.
+
+    The batch's text rows are numbered in order of first appearance; the
+    conv path gets their padded documents, the mean path the non-pad tokens
+    of those documents in row-major order.
+    """
+    day_rows = table.windows[index]
+    text_rows = table.text[day_rows].ravel()
+    has_text = text_rows >= 0
+    uniq, first, inverse = np.unique(text_rows[has_text], return_index=True,
+                                     return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(uniq), dtype=np.intp)
+    rank[by_first] = np.arange(len(uniq))
+    day_index = np.full(text_rows.shape, len(uniq), dtype=np.intp)
+    day_index[has_text] = rank[inverse]
+    texts = uniq[by_first]
+    starts = table.doc_start[texts]
+    n_docs = table.doc_start[texts + 1] - starts
+    doc_rows = np.repeat(starts - np.cumsum(n_docs) + n_docs, n_docs) + np.arange(n_docs.sum())
+    ids = table.docs[doc_rows]
+    seg = np.repeat(np.arange(len(texts)), n_docs)
+    if model.arch is ArchKind.GRU_ONLY:
+        keep = ids != 0
+        seg = np.repeat(seg, keep.sum(axis=1))
+        ids = ids[keep]
+    return (day_index.reshape(day_rows.shape), table.features[day_rows], ids, seg,
+            np.bincount(seg, minlength=len(texts)))
 
 
 def _conv_plan(model: CnnGruModel) -> tuple[np.ndarray, int]:
@@ -664,17 +704,21 @@ def _attention_backward(attn: AttentionParams, hid: np.ndarray, acts: np.ndarray
 def batch_forward(model: CnnGruModel, samples: Sequence[WindowSample]) -> BatchCache:
     """One forward pass over a batch of windows; the cache's pred (B,) and
     logits (B, C) equal what model_forward gives each window."""
-    if not samples:
-        raise ShapeError("batch_forward needs at least one window")
-    day_index, feats, texts = _gather_days(model, samples)
-    ids, seg, counts = _text_ids(model, texts)
+    return table_forward(model, day_table(model.cfg, samples), np.arange(len(samples)))
+
+
+def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray) -> BatchCache:
+    """One forward pass over the windows of table that index names, in its order."""
+    if not len(index):
+        raise ShapeError("a forward pass needs at least one window")
+    day_index, feats, ids, seg, counts = _gather(model, table, index)
     winners = pooled = None
     if model.arch is ArchKind.GRU_ONLY:
         items = model.embedding.table.data[ids]
     else:
         pooled, winners = _conv_encode(model, ids)
         items = pooled
-    vecs = np.zeros((len(texts) + 1, _text_dim(model.cfg, model.arch)))
+    vecs = np.zeros((len(counts) + 1, _text_dim(model.cfg, model.arch)))
     np.add.at(vecs, seg, items)
     vecs[:-1] /= np.maximum(counts, 1)[:, None]
     x = np.concatenate([vecs[day_index], feats], axis=2)

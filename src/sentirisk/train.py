@@ -2,11 +2,14 @@
 
 Training runs deterministic seeded epochs: a fresh permutation of the train
 split per epoch, batch-averaged gradients, one optimizer step per batch.
-Each mini-batch goes through model.batch_forward/batch_backward as whole
-arrays, and validation and evaluate score a split the same way; Matrix
-stays at the boundary, as the model's and the optimizer's named tensors.
-Early stopping watches the validation joint loss and the best-validation
-parameter snapshot is what the caller gets back.
+The train split's days are gathered once per call into a model.DayTable,
+and each mini-batch is a slice of the permutation run through
+model.table_forward/batch_backward as whole arrays; validation and evaluate
+build a table of the split they score and run it in blocks of indices.
+Matrix stays at the boundary, as the model's and the optimizer's named
+tensors. A batch with a non-finite loss aborts the run; early stopping
+watches the validation joint loss and the best-validation parameter
+snapshot is what the caller gets back.
 """
 
 from __future__ import annotations
@@ -28,13 +31,15 @@ from .matrix import Matrix
 from .model import (
     ArchKind,
     CnnGruModel,
+    DayTable,
     ModelConfig,
     batch_backward,
-    batch_forward,
     build_model,
+    day_table,
     model_forward,
     named_params,
     set_named_params,
+    table_forward,
 )
 from .optim import AdamConfig, Optimizer, SGDConfig
 from .text import NUM_CLASSES
@@ -94,26 +99,28 @@ def _targets(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
 def _split_outputs(model: CnnGruModel, split: Sequence[WindowSample]
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Predictions (n,) and logits (n, C) of a split, FORWARD_BLOCK windows at a time."""
-    outs = [_block_outputs(model, split[i : i + FORWARD_BLOCK])
+    table = day_table(model.cfg, split)
+    outs = [_block_outputs(model, table, np.arange(i, min(i + FORWARD_BLOCK, len(split))))
             for i in range(0, len(split), FORWARD_BLOCK)]
     return np.concatenate([p for p, _ in outs]), np.concatenate([lg for _, lg in outs])
 
 
-def _block_outputs(model: CnnGruModel, block: Sequence[WindowSample]
+def _block_outputs(model: CnnGruModel, table: DayTable, index: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(pred, logits) of a block; its activations are freed on return."""
-    cache = batch_forward(model, block)
+    cache = table_forward(model, table, index)
     return cache.pred, cache.logits
 
 
-def _batch_step(model: CnnGruModel, batch: Sequence[WindowSample]
+def _batch_step(model: CnnGruModel, table: DayTable, index: np.ndarray,
+                returns: np.ndarray, classes: np.ndarray
                 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """(summed squared error, summed cross entropy, summed gradients) of a batch.
 
     Its own function so the batch's activations are freed before the next one.
     """
-    returns, classes = _targets(batch)
-    cache = batch_forward(model, batch)
+    cache = table_forward(model, table, index)
+    returns, classes = returns[index], classes[index]
     sq_err = float(np.sum((cache.pred - returns) ** 2))
     ce = float(np.sum(batch_cross_entropy(cache.logits, classes)))
     return sq_err, ce, batch_backward(model, cache, returns, classes)
@@ -149,13 +156,20 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
     history: list[dict] = []
 
     n = len(train_split)
+    returns, classes = _targets(train_split)
+    table = day_table(model.cfg, train_split)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_mse = 0.0
         epoch_ce = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch = [train_split[i] for i in order[start : start + cfg.batch_size]]
-            sq_err, ce, grads = _batch_step(model, batch)
+            batch = order[start : start + cfg.batch_size]
+            sq_err, ce, grads = _batch_step(model, table, batch, returns, classes)
+            if not (math.isfinite(sq_err) and math.isfinite(ce)):
+                raise TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size + 1}: "
+                    f"squared error={sq_err}, cross entropy={ce}"
+                )
             epoch_mse += sq_err
             epoch_ce += ce
             mean_grads = {name: Matrix._wrap(g / len(batch)) for name, g in grads.items()}

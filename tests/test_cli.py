@@ -300,6 +300,19 @@ class TestTrain:
         assert "trained gru for" in captured.out
         assert load_checkpoint(ckpt).arch is ArchKind.GRU_ONLY
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan en route to abort
+    def test_diverging_run_exits_3_naming_the_batch(self, workspace, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"optimizer": "sgd", "lr": 1e200})
+        ckpt = tmp_path / "m.ckpt.json"
+        capsys.readouterr()
+        rc = main(["train", "--data-dir", str(workspace["root"]), "--config", str(cfg),
+                   "--model-out", str(ckpt), "--seed", "0"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "non-finite loss at epoch 1, batch 2: " in captured.err
+        assert "Traceback" not in captured.err
+        assert not ckpt.exists()
+
     def test_missing_data_dir_flag_exits_1(self, tmp_path, capsys):
         rc = main(["train", "--model-out", str(tmp_path / "m.ckpt.json")])
         captured = capsys.readouterr()
@@ -442,6 +455,29 @@ class TestDamagedPrepared:
         captured = capsys.readouterr()
         assert rc == 2
         assert expected in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+class TestTruncatedVocab:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "alert"])
+    def test_exits_2_naming_the_day(self, workspace, trained, tmp_path, capsys, command):
+        prep = tmp_path / "prepared"
+        prep.mkdir()
+        for src in (workspace["root"] / "prepared").iterdir():
+            (prep / src.name).write_bytes(src.read_bytes())
+        vocab = (prep / "vocab.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        (prep / "vocab.txt").write_text("".join(vocab[:3]), encoding="utf-8")
+        args = {"train": ["--config", str(workspace["config"]),
+                          "--model-out", str(tmp_path / "m.ckpt.json")],
+                "evaluate": ["--model-in", str(trained)],
+                "alert": ["--model-in", str(trained)]}[command]
+        capsys.readouterr()
+        rc = main([command, "--data-dir", str(tmp_path), *args])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert re.search(r"days\.jsonl:\d+: token id \d+ out of range for vocab of 5",
+                         captured.err)
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

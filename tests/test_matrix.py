@@ -16,6 +16,7 @@ from sentirisk.matrix import (
     softmax,
     tanh,
 )
+from sentirisk.matrix import _sigmoid_array
 
 RNG = np.random.Generator(np.random.PCG64(1234))
 
@@ -170,6 +171,23 @@ class TestActivations:
         th = activate("tanh", Matrix.column([-1000.0, 1000.0]))
         assert np.all(np.isfinite(th.data))
         assert np.all((th.data >= -1.0) & (th.data <= 1.0))
+
+    def test_sigmoid_array_equals_the_two_branch_formula_bit_for_bit(self):
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 800.0, -800.0,
+                   np.inf, -np.inf]
+        x = np.concatenate([special, RNG.standard_normal(1000) * 10.0]).reshape(-1, 10)
+        got = _sigmoid_array(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == two_branch(x).tobytes()
+        assert np.isnan(_sigmoid_array(np.array([np.nan, 1.0])))[0]
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError):

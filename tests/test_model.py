@@ -27,6 +27,7 @@ from sentirisk.model import (
     batch_forward,
     build_model,
     count_params,
+    day_table,
     gru_param_count,
     load_checkpoint,
     model_backward,
@@ -34,6 +35,7 @@ from sentirisk.model import (
     named_params,
     save_checkpoint,
     set_named_params,
+    table_forward,
 )
 
 RNG = np.random.Generator(np.random.PCG64(202))
@@ -397,6 +399,63 @@ class TestBatchedCore:
         model = build_model(TINY, ArchKind.CNN_GRU)
         with pytest.raises(ShapeError):
             batch_forward(model, [make_sample(dataclasses.replace(TINY, window=4), seed=8)])
+
+
+class TestDayTable:
+    def test_rows_per_day_object_and_per_text(self):
+        first = shared_day_windows(BATCHED, 4, seed=4)[0]
+        d0, d1, d2, d3 = first.inputs  # d1 has no text, d2 only pad tokens
+        copy = dataclasses.replace(d0, token_seqs=[list(q) for q in d0.token_seqs])
+        twin = dataclasses.replace(d3, date=d3.date + dt.timedelta(days=1),
+                                   token_seqs=[list(q) for q in d0.token_seqs])
+        samples = [first, dataclasses.replace(first, inputs=[d1, d2, d3, twin]),
+                   dataclasses.replace(first, inputs=[copy, d1, d2, d3])]
+        table = day_table(BATCHED, samples)
+        assert len(table.features) == len(table.text) == 6  # d0..d3, twin, copy
+        rows = dict(zip(map(id, [d0, d1, d2, d3, twin, copy]), range(6)))
+        for sample, row in zip(samples, table.windows):
+            assert list(row) == [rows[id(d)] for d in sample.inputs]
+        for day in (d0, d1, d2, d3, twin, copy):
+            assert (table.features[rows[id(day)]].tobytes()
+                    == day.features.data[:, 0].tobytes())
+        # copy and twin share d0's text row; d1 has none
+        assert list(table.text) == [0, -1, 1, 2, 0, 0]
+        assert list(table.doc_start) == list(np.cumsum(
+            [0] + [len(d.token_seqs) for d in (d0, d2, d3)]))
+        for doc, seq in zip(table.docs[: len(d0.token_seqs)], d0.token_seqs):
+            seq = seq[: BATCHED.max_doc_len]
+            assert list(doc) == seq + [0] * (BATCHED.max_doc_len - len(seq))
+
+    @pytest.mark.parametrize("arch", list(ArchKind))
+    def test_table_rows_equal_batch_forward_bit_for_bit(self, arch):
+        model = build_model(BATCHED, arch)
+        samples = shared_day_windows(BATCHED, 11, seed=4)
+        index = np.array([3, 0, 5])
+        got = table_forward(model, day_table(BATCHED, samples), index)
+        want = batch_forward(model, [samples[i] for i in index])
+        for name in ("day_index", "ids", "seg", "counts", "x", "ctx", "pred", "logits"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        returns = np.array([samples[i].target_return for i in index])
+        classes = np.array([samples[i].target_class for i in index])
+        got_g = batch_backward(model, got, returns, classes)
+        want_g = batch_backward(model, want, returns, classes)
+        assert list(got_g) == list(want_g)
+        for name in want_g:
+            assert got_g[name].tobytes() == want_g[name].tobytes(), name
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda days: days[1:], "sample has 3 days, model expects 4"),
+        (lambda days: days[:-1] + [dataclasses.replace(days[-1], features=None)],
+         "has no normalized features"),
+        (lambda days: days[:-1] + [dataclasses.replace(days[-1], has_text=True,
+                                                       token_seqs=[[2, 15]])],
+         "token id 15 out of range for vocab of 15"),
+    ], ids=["short window", "missing features", "token id"])
+    def test_bad_input_rejected_at_build(self, damage, message):
+        samples = shared_day_windows(BATCHED, 6, seed=4)
+        samples[2] = dataclasses.replace(samples[2], inputs=damage(samples[2].inputs))
+        with pytest.raises(ShapeError, match=message):
+            day_table(BATCHED, samples)
 
 
 class TestCountParams:

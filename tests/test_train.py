@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sentirisk.data import AlignedDay, NormStats, WindowSample
-from sentirisk.errors import DataValidationError, NumericError
+from sentirisk.errors import DataValidationError, NumericError, TrainingDivergedError
 from sentirisk.matrix import Matrix
 from sentirisk.model import (
     ArchKind,
@@ -111,6 +111,14 @@ class TestTrainLoop:
                           optimizer="sgd", lr=1e6)
         with pytest.raises(NumericError):
             train(model, samples[:6], samples[6:], cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_non_finite_batch_aborts_naming_epoch_and_batch(self):
+        # the first step leaves weights near 1e200, so batch 2's loss overflows
+        samples = make_samples(TINY, 14)
+        cfg = TrainConfig(epochs=3, patience=0, batch_size=4, optimizer="sgd", lr=1e200)
+        with pytest.raises(TrainingDivergedError, match="non-finite loss at epoch 1, batch 2: "):
+            train(build_model(TINY, ArchKind.CNN_GRU), samples[:12], samples[12:], cfg)
 
     def test_zero_patience_disables_early_stopping(self):
         samples = make_samples(TINY, 8)
