@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -112,7 +113,8 @@ def write_alerts_jsonl(alerts: Iterable[Alert], out: TextIO) -> None:
 def load_predictions_jsonl(path: str | Path) -> list[DailyPrediction]:
     """Reads {date, probs: [3], predicted_return, optional predicted_class}.
 
-    Without an explicit predicted_class the argmax of probs is used.
+    Without an explicit predicted_class the argmax of probs is used. A
+    non-finite probability or predicted_return is rejected, naming the line.
     """
     path = Path(path)
     if not path.is_file():
@@ -132,6 +134,12 @@ def load_predictions_jsonl(path: str | Path) -> list[DailyPrediction]:
                 if len(probs) != NUM_CLASSES:
                     raise DataValidationError(
                         f"need {NUM_CLASSES} probabilities, got {len(probs)}")
+                if not all(math.isfinite(v) for v in probs):
+                    raise DataValidationError(f"probs must be finite, got {probs}")
+                predicted_return = float(obj["predicted_return"])
+                if not math.isfinite(predicted_return):
+                    raise DataValidationError(
+                        f"predicted_return must be finite, got {predicted_return}")
                 if "predicted_class" in obj:
                     name = obj["predicted_class"]
                     if name not in CLASS_INDEX:
@@ -143,7 +151,7 @@ def load_predictions_jsonl(path: str | Path) -> list[DailyPrediction]:
                     date=dt.date.fromisoformat(obj["date"]),
                     predicted_class=cls,
                     probs=Matrix(NUM_CLASSES, 1, probs),
-                    predicted_return=float(obj["predicted_return"]),
+                    predicted_return=predicted_return,
                 ))
             except KeyError as exc:
                 raise DataValidationError(f"{path}:{lineno}: missing key {exc}") from None

@@ -5,19 +5,26 @@ numeric failure. Long-running subcommands log progress to standard error;
 machine-readable results (metrics JSON, CSV, alert JSONL) go to standard
 output unless an output path is given.
 
-Configuration is a flat JSON object whose keys mirror the ModelConfig,
-TrainConfig, prepare, and alert-rule fields; explicit CLI flags override the
-file. The environment variable SENTI_RISK_SEED overrides the seed when the
---seed flag is absent.
+Configuration is a flat JSON object whose keys are the fields of ModelConfig,
+TrainConfig, PrepareConfig and AlertRuleConfig, which alone define each
+setting's default, type and range. Three names differ: "attention" is
+attention_enabled, the three *_ratio keys are PrepareConfig.ratios, and the
+two lexicon_* paths are CLI-only. A key that several dataclasses share (seed,
+window, max_doc_len) sets every one of them. A value of the wrong JSON type
+or out of range is a data error. Explicit CLI flags override the file. The
+environment variable SENTI_RISK_SEED overrides the seed when the --seed flag
+is absent.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
 from typing import Sequence
 
@@ -37,38 +44,35 @@ ARCH_BY_FLAG = {
     "cnn-gru": ArchKind.CNN_GRU,
 }
 
-CONFIG_DEFAULTS: dict = {
-    # model
-    "embed_dim": 64,
-    "num_filters": 64,
-    "kernel_width": 3,
-    "conv_stride": 3,
-    "gru_hidden": 32,
-    "window": 20,
-    "max_doc_len": 30,
-    "attention": True,
-    "attn_size": None,
-    "mse_weight": 0.5,
-    # training
-    "lr": 1e-4,
-    "batch_size": 50,
-    "epochs": 100,
-    "patience": 10,
-    "optimizer": "adam",
-    "weight_decay": 0.0,
-    # preparation
-    "min_freq": 1,
-    "max_vocab": 20000,
-    "train_ratio": 0.7,
-    "val_ratio": 0.15,
-    "test_ratio": 0.15,
-    "lexicon_positive": None,
-    "lexicon_negative": None,
-    # alerting
-    "risk_threshold": 0.7,
-    # global
-    "seed": 0,
-}
+CONFIG_CLASSES = (ModelConfig, train_mod.TrainConfig, data_mod.PrepareConfig,
+                  alerts_mod.AlertRuleConfig)
+_KEY_OF_FIELD = {"attention_enabled": "attention"}
+_RATIO_KEYS = ("train_ratio", "val_ratio", "test_ratio")  # PrepareConfig.ratios
+# CLI-only: null selects the bundled lexicons
+_LEXICON_KEYS = ("lexicon_positive", "lexicon_negative")
+
+
+def _config_schema() -> tuple[dict, dict]:
+    """(default, annotation) of every config key, read off CONFIG_CLASSES."""
+    defaults: dict = {}
+    types: dict = {}
+    for cls in CONFIG_CLASSES:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if f.default is dataclasses.MISSING:  # vocab_size: from the prepared dataset
+                continue
+            if f.name == "ratios":
+                for key, default in zip(_RATIO_KEYS, f.default):
+                    defaults[key], types[key] = default, float
+            else:
+                key = _KEY_OF_FIELD.get(f.name, f.name)
+                defaults[key], types[key] = f.default, hints[f.name]
+    for key in _LEXICON_KEYS:
+        defaults[key], types[key] = None, str | None
+    return defaults, types
+
+
+CONFIG_DEFAULTS, _CONFIG_TYPES = _config_schema()
 
 
 class UsageError(Exception):
@@ -155,7 +159,29 @@ def load_config_file(path: str | Path) -> dict:
     unknown = set(obj) - set(CONFIG_DEFAULTS)
     if unknown:
         raise DataValidationError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, value in obj.items():
+        hint = _CONFIG_TYPES[key]
+        if not _accepts(hint, value):
+            raise DataValidationError(
+                f"{path}: {key} must be {_type_name(hint)}, got {json.dumps(value)}")
     return obj
+
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", type(None): "null"}
+
+
+def _accepts(hint, value) -> bool:
+    """A JSON value fits a field annotation: an int is a float, a bool is no number."""
+    if typing.get_args(hint):  # X | None
+        return any(_accepts(h, value) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _type_name(hint) -> str:
+    return " or ".join(_TYPE_NAMES[h] for h in typing.get_args(hint) or (hint,))
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -180,37 +206,27 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def build_config(cls: type, cfg: dict, **given):
+    """One of CONFIG_CLASSES from a resolved config; ``given`` fields win.
+
+    Each field reads its own key, so a shared key reaches every dataclass
+    that holds it. A value the dataclass rejects is a data error.
+    """
+    values = {f.name: (tuple(cfg[k] for k in _RATIO_KEYS) if f.name == "ratios"
+                       else cfg[_KEY_OF_FIELD.get(f.name, f.name)])
+              for f in dataclasses.fields(cls) if f.name not in given}
+    try:
+        return cls(**values, **given)
+    except ShapeError as exc:
+        raise DataValidationError(str(exc)) from None
+
+
 def _model_config(cfg: dict, vocab_size: int, window: int) -> ModelConfig:
     if "window" in cfg["_explicit"] and cfg["window"] != window:
         raise DataValidationError(
             f"config window {cfg['window']} does not match prepared dataset window {window}"
         )
-    return ModelConfig(
-        vocab_size=vocab_size,
-        embed_dim=cfg["embed_dim"],
-        num_filters=cfg["num_filters"],
-        kernel_width=cfg["kernel_width"],
-        conv_stride=cfg["conv_stride"],
-        gru_hidden=cfg["gru_hidden"],
-        window=window,
-        max_doc_len=cfg["max_doc_len"],
-        attention_enabled=bool(cfg["attention"]),
-        attn_size=cfg["attn_size"],
-        mse_weight=cfg["mse_weight"],
-        seed=cfg["seed"],
-    )
-
-
-def _train_config(cfg: dict) -> train_mod.TrainConfig:
-    return train_mod.TrainConfig(
-        lr=cfg["lr"],
-        batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"],
-        patience=cfg["patience"],
-        optimizer=cfg["optimizer"],
-        weight_decay=cfg["weight_decay"],
-        seed=cfg["seed"],
-    )
+    return build_config(ModelConfig, cfg, vocab_size=vocab_size, window=window)
 
 
 def _arch(args: argparse.Namespace) -> ArchKind:
@@ -263,14 +279,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     docs = data_mod.load_text_jsonl(texts) if texts.is_file() else []
     if not texts.is_file():
         log.info("no %s; preparing a market-only dataset", texts)
-    ratios = (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"])
-    pcfg = data_mod.PrepareConfig(
-        window=cfg["window"],
-        max_doc_len=cfg["max_doc_len"],
-        min_freq=cfg["min_freq"],
-        max_vocab=cfg["max_vocab"],
-        ratios=ratios,
-    )
+    pcfg = build_config(data_mod.PrepareConfig, cfg)
     ds = data_mod.prepare_dataset(bars, docs, _lexicon(cfg), pcfg)
     out = Path(args.out) if args.out else data_dir / "prepared"
     data_mod.save_prepared(ds, out)
@@ -287,7 +296,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     mcfg = _model_config(cfg, ds.vocab.size, ds.window)
     model = build_model(mcfg, _arch(args))
     train_s, val_s, _ = ds.splits()
-    best, history = train_mod.train(model, train_s, val_s, _train_config(cfg))
+    best, history = train_mod.train(model, train_s, val_s,
+                                    build_config(train_mod.TrainConfig, cfg))
     save_checkpoint(best, model_out)
     if args.history_out:
         history_path = Path(args.history_out)
@@ -321,7 +331,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     prepared = _find_prepared(_require(args, "--data-dir"))
     ds = data_mod.load_prepared(prepared)
     mcfg = _model_config(cfg, ds.vocab.size, ds.window)
-    reports = train_mod.compare_ablations(ds.samples, mcfg, _train_config(cfg),
+    reports = train_mod.compare_ablations(ds.samples, mcfg,
+                                          build_config(train_mod.TrainConfig, cfg),
                                           ratios=ds.ratios)
     print(train_mod.render_comparison_table(train_mod.report_rows(reports)))
     if args.out:
@@ -346,7 +357,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_alert(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    rules = alerts_mod.AlertRuleConfig(risk_threshold=cfg["risk_threshold"])
+    rules = build_config(alerts_mod.AlertRuleConfig, cfg)
     if args.predictions:
         preds = alerts_mod.load_predictions_jsonl(args.predictions)
     else:

@@ -325,8 +325,8 @@ def split_chronological(samples: Sequence, ratios: tuple[float, float, float]
     floor allocation, e.g. 10 samples at (0.7, 0.15, 0.15) → 7/1/2.
     """
     r1, r2, r3 = ratios
-    if min(r1, r2, r3) <= 0.0:
-        raise DataValidationError(f"split ratios must all be positive, got {ratios}")
+    if not all(0.0 < r < math.inf for r in ratios):
+        raise DataValidationError(f"split ratios must all be positive and finite, got {ratios}")
     if abs((r1 + r2 + r3) - 1.0) > 1e-9:
         raise DataValidationError(f"split ratios must sum to 1, got {ratios}")
     n = len(samples)

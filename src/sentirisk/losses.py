@@ -4,11 +4,11 @@ The training objective is a convex combination of a regression MSE (next-day
 normalized return) and a 3-class cross entropy (next-day sentiment class):
 
     J = mse_weight * MSE + (1 - mse_weight) * CE
+
+mse_weight is a ModelConfig field, which checks that it lies in [0, 1].
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,17 +16,6 @@ from .errors import ShapeError
 from .matrix import Matrix
 
 PROB_FLOOR = 1e-12  # clamp applied before the log; the gradient ignores it
-
-
-@dataclass(frozen=True)
-class JointLossConfig:
-    """mse_weight is the coefficient on the MSE term, in [0, 1]."""
-
-    mse_weight: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mse_weight <= 1.0:
-            raise ShapeError(f"mse_weight must lie in [0, 1], got {self.mse_weight}")
 
 
 def mse(pred: Matrix, target: Matrix) -> float:
@@ -87,5 +76,5 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(PROB_FLOOR, probs))
 
 
-def joint_loss(mse_val: float, ce_val: float, cfg: JointLossConfig) -> float:
-    return cfg.mse_weight * mse_val + (1.0 - cfg.mse_weight) * ce_val
+def joint_loss(mse_val: float, ce_val: float, mse_weight: float) -> float:
+    return mse_weight * mse_val + (1.0 - mse_weight) * ce_val

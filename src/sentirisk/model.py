@@ -152,12 +152,6 @@ class CnnGruModel:
     def day_vec_size(self) -> int:
         return _text_dim(self.cfg, self.arch) + N_MARKET_FEATURES
 
-    @property
-    def head_input_size(self) -> int:
-        if self.arch is ArchKind.CNN_ONLY:
-            return self.day_vec_size
-        return self.cfg.gru_hidden
-
 
 def _text_dim(cfg: ModelConfig, arch: ArchKind) -> int:
     """Size of a day's text vector: mean embedding (GruOnly) or pooled filters."""

@@ -2,6 +2,8 @@
 
 Both operate on single tensors; ``Optimizer`` lifts them over the model's
 named-tensor dict so the training loop can stay agnostic to which rule runs.
+The learning rate and decay come from ``train.TrainConfig``, which checks
+their ranges; Adam's betas and epsilon are the published defaults, fixed.
 """
 
 from __future__ import annotations
@@ -13,38 +15,16 @@ import numpy as np
 from .errors import ShapeError
 from .matrix import Matrix
 
-
-@dataclass(frozen=True)
-class SGDConfig:
-    alpha: float
-    weight_decay: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise ShapeError(f"learning rate must be positive, got {self.alpha}")
-        if self.weight_decay < 0.0:
-            raise ShapeError(f"weight decay must be nonnegative, got {self.weight_decay}")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-def sgd_step(param: Matrix, grad: Matrix, cfg: SGDConfig) -> Matrix:
-    """param - alpha * (grad + weight_decay * param)."""
+def sgd_step(param: Matrix, grad: Matrix, lr: float, weight_decay: float = 0.0) -> Matrix:
+    """param - lr * (grad + weight_decay * param)."""
     if param.shape != grad.shape:
         raise ShapeError(f"sgd shapes differ: {param.shape} vs {grad.shape}")
-    return Matrix._wrap(param.data - cfg.alpha * (grad.data + cfg.weight_decay * param.data))
-
-
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.lr <= 0.0:
-            raise ShapeError(f"learning rate must be positive, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ShapeError("betas must lie in [0, 1)")
+    return Matrix._wrap(param.data - lr * (grad.data + weight_decay * param.data))
 
 
 @dataclass
@@ -59,18 +39,18 @@ class AdamState:
 
 
 def adam_step(param: Matrix, grad: Matrix, state: AdamState,
-              cfg: AdamConfig) -> tuple[Matrix, AdamState]:
+              lr: float) -> tuple[Matrix, AdamState]:
     """Standard bias-corrected Adam; returns the new param and new state."""
     if param.shape != grad.shape:
         raise ShapeError(f"adam shapes differ: {param.shape} vs {grad.shape}")
     if state.m.shape != param.shape or state.v.shape != param.shape:
         raise ShapeError(f"adam state shape does not match param {param.shape}")
     t = state.t + 1
-    m = cfg.beta1 * state.m.data + (1.0 - cfg.beta1) * grad.data
-    v = cfg.beta2 * state.v.data + (1.0 - cfg.beta2) * grad.data * grad.data
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    new_param = param.data - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    m = ADAM_BETA1 * state.m.data + (1.0 - ADAM_BETA1) * grad.data
+    v = ADAM_BETA2 * state.v.data + (1.0 - ADAM_BETA2) * grad.data * grad.data
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_param = param.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return (
         Matrix._wrap(new_param),
         AdamState(m=Matrix._wrap(m), v=Matrix._wrap(v), t=t),
@@ -82,19 +62,9 @@ class Optimizer:
     """Applies one update rule across a dict of named parameter tensors."""
 
     kind: str  # "sgd" | "adam"
-    sgd: SGDConfig | None = None
-    adam: AdamConfig | None = None
+    lr: float
+    weight_decay: float = 0.0  # sgd only
     _states: dict[str, AdamState] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind == "sgd":
-            if self.sgd is None:
-                raise ShapeError("sgd optimizer needs an SGDConfig")
-        elif self.kind == "adam":
-            if self.adam is None:
-                self.adam = AdamConfig()
-        else:
-            raise ShapeError(f"unknown optimizer kind {self.kind!r}")
 
     def apply(self, params: dict[str, Matrix], grads: dict[str, Matrix]) -> dict[str, Matrix]:
         missing = set(params) - set(grads)
@@ -104,10 +74,10 @@ class Optimizer:
         for name, p in params.items():
             g = grads[name]
             if self.kind == "sgd":
-                out[name] = sgd_step(p, g, self.sgd)  # type: ignore[arg-type]
+                out[name] = sgd_step(p, g, self.lr, self.weight_decay)
             else:
                 st = self._states.get(name)
                 if st is None:
                     st = AdamState.zeros_like(p)
-                out[name], self._states[name] = adam_step(p, g, st, self.adam)  # type: ignore[arg-type]
+                out[name], self._states[name] = adam_step(p, g, st, self.lr)
         return out

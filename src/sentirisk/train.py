@@ -1,4 +1,4 @@
-"""Mini-batch training, metrics, forward-chaining CV, ablations, exports.
+"""Mini-batch training, metrics, ablations, exports.
 
 Training runs deterministic seeded epochs: a fresh permutation of the train
 split per epoch, batch-averaged gradients, one optimizer step per batch.
@@ -9,7 +9,8 @@ build a table of the split they score and run it in blocks of indices.
 Matrix stays at the boundary, as the model's and the optimizer's named
 tensors. A batch with a non-finite loss aborts the run; early stopping
 watches the validation joint loss and the best-validation parameter
-snapshot is what the caller gets back.
+snapshot is what the caller gets back. TrainConfig is the one place that
+checks the training settings, the optimizer's among them.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import NormStats, WindowSample, split_chronological
+from .data import DEFAULT_RATIOS, NormStats, WindowSample, split_chronological
 from .errors import DataValidationError, ShapeError, TrainingDivergedError
-from .losses import JointLossConfig, batch_cross_entropy, joint_loss
+from .losses import batch_cross_entropy, joint_loss
 from .matrix import Matrix
 from .model import (
     ArchKind,
@@ -41,7 +42,7 @@ from .model import (
     set_named_params,
     table_forward,
 )
-from .optim import AdamConfig, Optimizer, SGDConfig
+from .optim import Optimizer
 from .text import NUM_CLASSES
 
 log = logging.getLogger(__name__)
@@ -60,12 +61,12 @@ class TrainConfig:
     epochs: int = 100
     patience: int = 10  # 0 disables early stopping
     optimizer: str = "adam"
-    weight_decay: float = 0.0
+    weight_decay: float = 0.0  # L2 decay, sgd only
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise DataValidationError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise DataValidationError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise DataValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -74,12 +75,12 @@ class TrainConfig:
             raise DataValidationError(f"patience must be >= 0, got {self.patience}")
         if self.optimizer not in ("sgd", "adam"):
             raise DataValidationError(f"optimizer must be sgd or adam, got {self.optimizer!r}")
-
-
-def _make_optimizer(cfg: TrainConfig) -> Optimizer:
-    if cfg.optimizer == "sgd":
-        return Optimizer("sgd", sgd=SGDConfig(alpha=cfg.lr, weight_decay=cfg.weight_decay))
-    return Optimizer("adam", adam=AdamConfig(lr=cfg.lr))
+        if not 0 <= self.weight_decay < math.inf:
+            raise DataValidationError(
+                f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
+        if self.weight_decay > 0 and self.optimizer != "sgd":
+            raise DataValidationError(
+                f"weight_decay {self.weight_decay} needs optimizer sgd, got {self.optimizer!r}")
 
 
 # windows per batched forward pass when scoring a whole split: about one
@@ -130,11 +131,11 @@ def split_joint_loss(model: CnnGruModel, split: Sequence[WindowSample]) -> float
     """Mean joint loss over a split."""
     if not split:
         raise DataValidationError("cannot score an empty split")
-    jcfg = JointLossConfig(mse_weight=model.cfg.mse_weight)
     returns, classes = _targets(split)
     pred, logits = _split_outputs(model, split)
     return joint_loss(float(np.mean((pred - returns) ** 2)),
-                      float(np.mean(batch_cross_entropy(logits, classes))), jcfg)
+                      float(np.mean(batch_cross_entropy(logits, classes))),
+                      model.cfg.mse_weight)
 
 
 def train(model: CnnGruModel, train_split: Sequence[WindowSample],
@@ -146,8 +147,7 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
     if not val_split:
         raise DataValidationError("validation split is empty")
 
-    jcfg = JointLossConfig(mse_weight=model.cfg.mse_weight)
-    opt = _make_optimizer(cfg)
+    opt = Optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     params = named_params(model)
     best_params = dict(params)
@@ -178,7 +178,7 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
 
         train_mse = epoch_mse / n
         train_ce = epoch_ce / n
-        train_loss = joint_loss(train_mse, train_ce, jcfg)
+        train_loss = joint_loss(train_mse, train_ce, model.cfg.mse_weight)
         val_loss = split_joint_loss(model, val_split)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingDivergedError(
@@ -279,65 +279,13 @@ def evaluate(model: CnnGruModel, split: Sequence[WindowSample]) -> MetricsReport
 
 
 # ---------------------------------------------------------------------------
-# forward-chaining cross-validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CVPlan:
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise DataValidationError(f"cross-validation needs k >= 2, got {self.k}")
-
-    def fold_bounds(self, n: int) -> list[tuple[int, int]]:
-        """Near-equal chronological folds covering [0, n)."""
-        if n < self.k:
-            raise DataValidationError(f"{n} samples cannot fill {self.k} folds")
-        bounds = []
-        start = 0
-        for i in range(self.k):
-            size = n // self.k + (1 if i < n % self.k else 0)
-            bounds.append((start, start + size))
-            start += size
-        return bounds
-
-
-def cross_validate(grid: Sequence[tuple[ModelConfig, TrainConfig]],
-                   samples: Sequence[WindowSample], plan: CVPlan,
-                   arch: ArchKind = ArchKind.CNN_GRU,
-                   ) -> tuple[tuple[ModelConfig, TrainConfig], list[float]]:
-    """Forward-chaining CV; returns (best grid entry, per-entry mean val loss).
-
-    Fold i validates on fold i's span and trains on everything before it;
-    ties in mean validation joint loss keep the earliest grid entry.
-    """
-    if not grid:
-        raise DataValidationError("empty hyperparameter grid")
-    bounds = plan.fold_bounds(len(samples))
-    mean_losses: list[float] = []
-    for mcfg, tcfg in grid:
-        losses = []
-        for i in range(1, plan.k):
-            train_part = list(samples[: bounds[i][0]])
-            val_part = list(samples[bounds[i][0] : bounds[i][1]])
-            model = build_model(mcfg, arch)
-            best, _ = train(model, train_part, val_part, tcfg)
-            losses.append(split_joint_loss(best, val_part))
-        mean_losses.append(sum(losses) / len(losses))
-    best_idx = min(range(len(grid)), key=lambda i: mean_losses[i])
-    return grid[best_idx], mean_losses
-
-
-# ---------------------------------------------------------------------------
 # ablation comparison
 # ---------------------------------------------------------------------------
 
 
 def compare_ablations(samples: Sequence[WindowSample], mcfg: ModelConfig,
                       tcfg: TrainConfig,
-                      ratios: tuple[float, float, float] = (0.7, 0.15, 0.15),
+                      ratios: tuple[float, float, float] = DEFAULT_RATIOS,
                       ) -> dict[ArchKind, MetricsReport]:
     """Trains all three architectures under identical seeds/splits/budgets."""
     train_split, val_split, test_split = split_chronological(samples, ratios)

@@ -187,7 +187,15 @@ class TestAlertSerialization:
 
     def test_load_rejects_bad_probs(self, tmp_path):
         path = tmp_path / "preds.jsonl"
-        path.write_text(json.dumps({"date": "2024-03-01", "probs": [0.5, 0.5],
-                                    "predicted_return": 0.0}) + "\n")
-        with pytest.raises(DataValidationError):
-            load_predictions_jsonl(path)
+        good = {"date": "2024-03-01", "probs": [0.2, 0.3, 0.5], "predicted_return": 0.1}
+        for bad, message in [
+            ({"probs": [0.5, 0.5]}, "need 3 probabilities"),
+            ({"probs": [float("nan"), 0.5, 0.5]}, "probs must be finite"),
+            ({"probs": [float("inf"), 0.0, 0.0]}, "probs must be finite"),
+            ({"predicted_return": float("nan")}, "predicted_return must be finite"),
+            ({"predicted_return": float("-inf")}, "predicted_return must be finite"),
+        ]:
+            # json.dumps writes the non-finite floats as NaN and -Infinity
+            path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **bad}) + "\n")
+            with pytest.raises(DataValidationError, match=f":2: {message}"):
+                load_predictions_jsonl(path)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from sentirisk.alerts import AlertRuleConfig
-from sentirisk.cli import CONFIG_DEFAULTS, main
+from sentirisk.cli import CONFIG_DEFAULTS, build_config, main
 from sentirisk.data import PrepareConfig, load_prepared
 from sentirisk.model import ArchKind, ModelConfig, load_checkpoint
 from sentirisk.train import TrainConfig
@@ -185,6 +186,60 @@ class TestConfigFile:
         ])
         assert rc == 0
         assert load_checkpoint(tmp_path / "m.ckpt.json").cfg.window == WINDOW
+
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("train", {"attention": "off"}),  # bool("off") trained with attention
+        ("train", {"epochs": "ten"}),
+        ("train", {"batch_size": 2.5}),
+        ("train", {"seed": True}),
+        ("prepare", {"min_freq": "x"}),
+        ("alert", {"risk_threshold": "high"}),
+    ], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
+    def test_wrong_type_exits_2_naming_file_and_key(self, workspace, tmp_path, capsys,
+                                                    command, overrides):
+        cfg = write_config(tmp_path, overrides)
+        key = next(iter(overrides))
+        rc = main(_config_argv(command, workspace, tmp_path, cfg))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{cfg}: {key} must be " in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "m.ckpt.json").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"embed_dim": 0},
+        {"mse_weight": 2},
+        {"weight_decay": 0.9},  # under Adam: trained as if it were 0.0
+        {"weight_decay": 0.1},
+        {"optimizer": "sgd", "weight_decay": -1},
+    ], ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()))
+    def test_out_of_range_exits_2_naming_the_key(self, workspace, tmp_path, capsys,
+                                                 overrides):
+        cfg = write_config(tmp_path, overrides)
+        rc = main(_config_argv("train", workspace, tmp_path, cfg))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "data error: " in captured.err
+        assert list(overrides)[-1] in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "m.ckpt.json").exists()
+
+    def test_int_for_a_float_and_null_for_an_optional_accepted(self, workspace, tmp_path):
+        cfg = write_config(tmp_path, {"epochs": 1, "mse_weight": 1, "attn_size": None})
+        rc = main(_config_argv("train", workspace, tmp_path, cfg))
+        assert rc == 0
+        mcfg = load_checkpoint(tmp_path / "m.ckpt.json").cfg
+        assert (mcfg.mse_weight, mcfg.attn_size) == (1, None)
+
+
+def _config_argv(command, workspace, tmp_path, cfg):
+    if command == "alert":
+        return ["alert", "--predictions", str(write_predictions(tmp_path)), "--config", str(cfg)]
+    argv = [command, "--data-dir", str(workspace["root"]), "--config", str(cfg)]
+    if command == "prepare":
+        return [*argv, "--out", str(tmp_path / "prep")]
+    return [*argv, "--model-out", str(tmp_path / "m.ckpt.json")]
 
 
 class TestSeedPrecedence:
@@ -618,6 +673,26 @@ class TestAlert:
         captured = capsys.readouterr()
         assert rc == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("predicted_return", float("nan")),  # was a risk-1.0 alert printed as NaN
+        ("predicted_return", float("inf")),
+        ("probs", [float("nan"), 0.5, 0.5]),  # was exit 3 with no line number
+        ("probs", [0.0, float("inf"), 0.0]),
+    ], ids=["nan-return", "inf-return", "nan-prob", "inf-prob"])
+    def test_non_finite_prediction_exits_2_naming_the_line(self, tmp_path, capsys,
+                                                           key, value):
+        rows = [dict(r) for r in PRED_ROWS]
+        rows[1][key] = value
+        path = tmp_path / "preds.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["alert", "--predictions", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{path}:2: {key} must be finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestUsage:
     def test_no_subcommand_exits_1(self, capsys):
@@ -674,3 +749,42 @@ class TestUsage:
         for f in dataclasses.fields(ModelConfig) + dataclasses.fields(TrainConfig):
             if f.name not in ("vocab_size", "attention_enabled"):
                 assert f.name in CONFIG_DEFAULTS, f.name
+
+    def test_every_key_reaches_every_dataclass_that_holds_it(self):
+        # shared keys (seed, window, max_doc_len) must set each of their owners
+        assert set(NON_DEFAULT) == set(CONFIG_DEFAULTS)
+        assert all(NON_DEFAULT[k] != v for k, v in CONFIG_DEFAULTS.items())
+        mcfg = build_config(ModelConfig, NON_DEFAULT, vocab_size=50)
+        tcfg = build_config(TrainConfig, NON_DEFAULT)
+        pcfg = build_config(PrepareConfig, NON_DEFAULT)
+        rules = build_config(AlertRuleConfig, NON_DEFAULT)
+        assert (mcfg.seed, tcfg.seed) == (7, 7)
+        assert (mcfg.window, pcfg.window) == (9, 9)
+        assert (mcfg.max_doc_len, pcfg.max_doc_len) == (11, 11)
+        assert pcfg.ratios == (0.6, 0.3, 0.1)
+        assert mcfg.attention_enabled is False
+        for obj in (mcfg, tcfg, pcfg, rules):
+            for f in dataclasses.fields(obj):
+                if f.name not in ("vocab_size", "attention_enabled", "ratios"):
+                    assert getattr(obj, f.name) == NON_DEFAULT[f.name], f.name
+
+    def test_readme_table_matches_config_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        documented = {key: json.loads(value.strip("`"))
+                      for key, value in re.findall(r"\| `(\w+)` \| ([^|]+?) \|", table)}
+        assert documented == CONFIG_DEFAULTS
+        assert ({k: type(v) for k, v in documented.items()}
+                == {k: type(v) for k, v in CONFIG_DEFAULTS.items()})
+
+
+# a valid value other than the default for every config key
+NON_DEFAULT = {
+    "embed_dim": 5, "num_filters": 6, "kernel_width": 2, "conv_stride": 1,
+    "gru_hidden": 4, "window": 9, "max_doc_len": 11, "attention": False,
+    "attn_size": 3, "mse_weight": 0.25, "seed": 7, "lr": 0.01, "batch_size": 8,
+    "epochs": 3, "patience": 2, "optimizer": "sgd", "weight_decay": 0.01,
+    "min_freq": 2, "max_vocab": 500, "train_ratio": 0.6, "val_ratio": 0.3,
+    "test_ratio": 0.1, "risk_threshold": 0.6,
+    "lexicon_positive": "pos.txt", "lexicon_negative": "neg.txt",
+}

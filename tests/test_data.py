@@ -278,8 +278,9 @@ class TestSplitChronological:
                 assert train + val + test == list(range(n))
 
     def test_zero_ratio_rejected(self):
-        with pytest.raises(DataValidationError):
-            split_chronological(list(range(10)), (1.0, 0.0, 0.0))
+        for ratios in ((1.0, 0.0, 0.0), (0.7, math.nan, 0.15), (math.inf, 0.15, 0.15)):
+            with pytest.raises(DataValidationError, match="positive and finite"):
+                split_chronological(list(range(10)), ratios)
 
     def test_bad_sum_rejected(self):
         with pytest.raises(DataValidationError):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from sentirisk.errors import ShapeError
 from sentirisk.losses import (
-    JointLossConfig,
     cross_entropy,
     cross_entropy_grad,
     joint_loss,
@@ -17,14 +16,17 @@ from sentirisk.losses import (
     mse_grad,
 )
 from sentirisk.matrix import Matrix, finite_diff_grad, softmax
+from sentirisk.model import ModelConfig
 from sentirisk.optim import (
-    AdamConfig,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     Optimizer,
-    SGDConfig,
     adam_step,
     sgd_step,
 )
+from sentirisk.train import TrainConfig
 
 RNG = np.random.Generator(np.random.PCG64(33))
 
@@ -108,19 +110,20 @@ class TestCrossEntropy:
 
 class TestJointLoss:
     def test_lambda_one_is_pure_mse(self):
-        assert joint_loss(0.37, 0.91, JointLossConfig(mse_weight=1.0)) == 0.37
+        assert joint_loss(0.37, 0.91, 1.0) == 0.37
 
     def test_lambda_zero_is_pure_ce(self):
-        assert joint_loss(0.37, 0.91, JointLossConfig(mse_weight=0.0)) == 0.91
+        assert joint_loss(0.37, 0.91, 0.0) == 0.91
 
     def test_equal_weight_arithmetic(self):
-        assert joint_loss(0.2, 0.8, JointLossConfig(mse_weight=0.5)) == 0.5
+        assert joint_loss(0.2, 0.8, 0.5) == 0.5
 
     def test_weight_outside_unit_interval_rejected(self):
+        # the weight is a model setting; ModelConfig checks its range
         with pytest.raises(ValueError):
-            JointLossConfig(mse_weight=1.5)
+            ModelConfig(vocab_size=2, mse_weight=1.5)
         with pytest.raises(ValueError):
-            JointLossConfig(mse_weight=-0.1)
+            ModelConfig(vocab_size=2, mse_weight=-0.1)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -131,36 +134,34 @@ class TestJointLoss:
         c2=st.floats(0.0, 10.0),
     )
     def test_monotone_in_each_argument(self, lam, m1, m2, c1, c2):
-        cfg = JointLossConfig(mse_weight=lam)
         lo_m, hi_m = min(m1, m2), max(m1, m2)
         lo_c, hi_c = min(c1, c2), max(c1, c2)
-        assert joint_loss(lo_m, lo_c, cfg) <= joint_loss(hi_m, lo_c, cfg)
-        assert joint_loss(lo_m, lo_c, cfg) <= joint_loss(lo_m, hi_c, cfg)
+        assert joint_loss(lo_m, lo_c, lam) <= joint_loss(hi_m, lo_c, lam)
+        assert joint_loss(lo_m, lo_c, lam) <= joint_loss(lo_m, hi_c, lam)
 
 
 class TestSGD:
     def test_basic_arithmetic(self):
-        out = sgd_step(Matrix.column([1.0]), Matrix.column([2.0]),
-                       SGDConfig(alpha=0.1))
+        out = sgd_step(Matrix.column([1.0]), Matrix.column([2.0]), 0.1)
         assert abs(out.item() - 0.8) < 1e-15
 
     def test_zero_grad_is_stationary(self):
         p = rand_col(4)
-        out = sgd_step(p, Matrix.zeros(4, 1), SGDConfig(alpha=0.1))
+        out = sgd_step(p, Matrix.zeros(4, 1), 0.1)
         assert out == p
 
     def test_decay_only_arithmetic(self):
-        out = sgd_step(Matrix.column([1.0]), Matrix.column([0.0]),
-                       SGDConfig(alpha=0.1, weight_decay=0.1))
+        out = sgd_step(Matrix.column([1.0]), Matrix.column([0.0]), 0.1, weight_decay=0.1)
         assert abs(out.item() - 0.99) < 1e-15
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            sgd_step(Matrix.zeros(2, 1), Matrix.zeros(3, 1), SGDConfig(alpha=0.1))
+            sgd_step(Matrix.zeros(2, 1), Matrix.zeros(3, 1), 0.1)
 
     def test_nonpositive_alpha_rejected(self):
+        # the learning rate is a training setting; TrainConfig checks its range
         with pytest.raises(ValueError):
-            SGDConfig(alpha=0.0)
+            TrainConfig(optimizer="sgd", lr=0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -173,8 +174,7 @@ class TestSGD:
         if abs(w - target) < 1e-9:
             return
         f_before = 0.5 * (w - target) ** 2
-        stepped = sgd_step(Matrix.column([w]), Matrix.column([w - target]),
-                           SGDConfig(alpha=alpha)).item()
+        stepped = sgd_step(Matrix.column([w]), Matrix.column([w - target]), alpha).item()
         f_after = 0.5 * (stepped - target) ** 2
         assert f_after < f_before
 
@@ -195,57 +195,56 @@ def textbook_adam(param, grads, lr, b1, b2, eps):
 
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
-        cfg = AdamConfig(lr=1e-3)
+        lr = 1e-3
         for g in (0.01, 1.0, 250.0, -7.0):
             p = Matrix.column([0.5])
-            new_p, state = adam_step(p, Matrix.column([g]), AdamState.zeros_like(p), cfg)
+            new_p, state = adam_step(p, Matrix.column([g]), AdamState.zeros_like(p), lr)
             step = abs(new_p.item() - 0.5)
             # m_hat/sqrt(v_hat) = sign(g) on the first step, up to eps
-            assert abs(step - cfg.lr) < cfg.lr * 1e-3
+            assert abs(step - lr) < lr * 1e-3
             assert state.t == 1
 
     def test_zero_grad_never_moves(self):
-        cfg = AdamConfig()
         p = rand_col(3)
         state = AdamState.zeros_like(p)
         for _ in range(5):
-            p2, state = adam_step(p, Matrix.zeros(3, 1), state, cfg)
+            p2, state = adam_step(p, Matrix.zeros(3, 1), state, 1e-4)
             assert p2 == p
             p = p2
 
     def test_ten_steps_match_textbook_oracle(self):
-        cfg = AdamConfig(lr=3e-3)
+        lr = 3e-3
         p = rand_col(4)
         grads = [rand_col(4) for _ in range(10)]
         state = AdamState.zeros_like(p)
         got = p
         for g in grads:
-            got, state = adam_step(got, g, state, cfg)
+            got, state = adam_step(got, g, state, lr)
         want = textbook_adam(p.data, [g.data for g in grads],
-                             cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+                             lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
         assert np.allclose(got.data, want, rtol=1e-12, atol=1e-15)
         assert state.t == 10
 
     def test_default_learning_rate(self):
-        assert AdamConfig().lr == 1e-4
+        assert TrainConfig().optimizer == "adam"
+        assert TrainConfig().lr == 1e-4
 
     def test_shape_mismatch_rejected(self):
         p = Matrix.zeros(2, 1)
         with pytest.raises(ShapeError):
-            adam_step(p, Matrix.zeros(3, 1), AdamState.zeros_like(p), AdamConfig())
+            adam_step(p, Matrix.zeros(3, 1), AdamState.zeros_like(p), 1e-4)
 
     def test_second_moment_stays_nonnegative(self):
-        cfg = AdamConfig()
         p = rand_col(3)
         state = AdamState.zeros_like(p)
         for _ in range(8):
-            p, state = adam_step(p, rand_col(3, scale=4.0), state, cfg)
+            p, state = adam_step(p, rand_col(3, scale=4.0), state, 1e-4)
             assert np.all(state.v.data >= 0.0)
 
 
 class TestOptimizerWrapper:
     def test_applies_to_every_named_tensor(self):
-        opt = Optimizer(kind="sgd", sgd=SGDConfig(alpha=0.5))
+        opt = Optimizer(kind="sgd", lr=0.5)
         params = {"a": Matrix.column([1.0]), "b": Matrix.column([2.0])}
         grads = {"a": Matrix.column([1.0]), "b": Matrix.column([1.0])}
         out = opt.apply(params, grads)
@@ -253,7 +252,7 @@ class TestOptimizerWrapper:
         assert out["b"].item() == 1.5
 
     def test_adam_state_tracked_per_tensor(self):
-        opt = Optimizer(kind="adam", adam=AdamConfig(lr=0.1))
+        opt = Optimizer(kind="adam", lr=0.1)
         params = {"a": Matrix.column([0.0]), "b": Matrix.column([0.0])}
         grads = {"a": Matrix.column([1.0]), "b": Matrix.column([0.0])}
         out = opt.apply(params, grads)

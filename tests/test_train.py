@@ -1,4 +1,4 @@
-"""Training loop, metrics, cross-validation, ablation table, prediction export."""
+"""Training loop, metrics, ablation table, prediction export."""
 
 import csv
 import datetime as dt
@@ -20,11 +20,9 @@ from sentirisk.model import (
     set_named_params,
 )
 from sentirisk.train import (
-    CVPlan,
     MetricsReport,
     TrainConfig,
     compare_ablations,
-    cross_validate,
     evaluate,
     export_predictions,
     render_comparison_table,
@@ -161,10 +159,14 @@ class TestTrainLoop:
         assert lines == history
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="rmsprop")
+        for bad in ({"batch_size": 0}, {"optimizer": "rmsprop"},
+                    {"lr": 0.0}, {"lr": -1e-3}, {"lr": math.nan}, {"lr": math.inf},
+                    {"optimizer": "sgd", "weight_decay": -1.0},
+                    {"optimizer": "sgd", "weight_decay": math.nan},
+                    {"weight_decay": 0.1}):  # Adam has no decay term
+            with pytest.raises(DataValidationError):
+                TrainConfig(**bad)
+        assert TrainConfig(optimizer="sgd", weight_decay=0.01).weight_decay == 0.01
 
 
 class TestMetrics:
@@ -253,52 +255,6 @@ class TestMetrics:
     def test_evaluate_empty_split_rejected(self):
         with pytest.raises(DataValidationError):
             evaluate(build_model(TINY, ArchKind.CNN_GRU), [])
-
-
-class TestCrossValidation:
-    def test_plan_validates_k(self):
-        with pytest.raises(DataValidationError):
-            CVPlan(k=1)
-
-    def test_fold_bounds_cover_range_in_order(self):
-        plan = CVPlan(k=4)
-        bounds = plan.fold_bounds(10)
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == 10
-        for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):
-            assert a1 == b0
-            assert a0 < a1
-        # forward chaining: every training index precedes its validation fold
-        for start, _ in bounds[1:]:
-            assert all(i < start for i in range(start))
-
-    def test_insufficient_samples_rejected(self):
-        with pytest.raises(DataValidationError):
-            CVPlan(k=5).fold_bounds(3)
-
-    def test_single_config_returned(self):
-        samples = make_samples(TINY, 12)
-        grid = [(TINY, TrainConfig(epochs=1, patience=0, batch_size=8))]
-        best, losses = cross_validate(grid, samples, CVPlan(k=3))
-        assert best is grid[0]
-        assert len(losses) == 1
-
-    def test_tie_keeps_first_entry(self):
-        samples = make_samples(TINY, 12)
-        cfg = TrainConfig(epochs=1, patience=0, batch_size=8)
-        grid = [(TINY, cfg), (TINY, cfg)]
-        best, losses = cross_validate(grid, samples, CVPlan(k=3))
-        assert best is grid[0]
-        assert losses[0] == losses[1]
-
-    def test_planted_winner_selected(self):
-        samples = make_samples(TINY, 24, const_return=2.0)
-        live = TrainConfig(epochs=30, patience=0, batch_size=50, lr=1e-2, seed=2)
-        dead = TrainConfig(epochs=30, patience=0, batch_size=50, lr=1e-9, seed=2)
-        grid = [(TINY, dead), (TINY, live)]
-        best, losses = cross_validate(grid, samples, CVPlan(k=3))
-        assert best is grid[1]
-        assert losses[1] < losses[0]
 
 
 class TestComparisonTable:
