@@ -18,9 +18,11 @@ batch_backward run a whole mini-batch on raw ndarrays, which is how training
 and validation run. A DayTable holds the distinct days of a split as arrays,
 built and checked once per split; a batch is a list of window indices into
 it. Each distinct day text of the batch is encoded once, the convolution of
-its documents is one im2col matrix product per chunk of documents, the GRU
-takes its input projections for all steps in one product before the
-recurrence, and the embedding gradient is scattered with np.add.at.
+its documents is one im2col matrix product per chunk of documents over the
+conv windows that start at or before the batch's last token (later windows
+see only padding and cannot win the max-pool), the GRU takes its input
+projections for all steps in one product before the recurrence, and row
+gradients are scattered with one flat-index np.add.at each.
 batch_forward(model, samples) builds a table of its samples and runs them
 all. Every reduction runs in a fixed order, so seeded reruns are bitwise
 identical.
@@ -467,7 +469,9 @@ class BatchCache:
     """
 
     day_index: np.ndarray  # (B, T)
-    ids: np.ndarray  # conv: (N, max_doc_len) padded documents; mean: (M,) non-pad tokens
+    # conv: (N, max_doc_len) padded documents, whose windows past the batch's
+    # last token are skipped; mean: (M,) non-pad tokens
+    ids: np.ndarray
     seg: np.ndarray  # (N,) or (M,): the text row of each document or token
     counts: np.ndarray  # (U,) documents or tokens per text row
     winners: np.ndarray | None  # conv: (N, F) max-pool time step per filter
@@ -492,31 +496,42 @@ class DayTable:
     windows: np.ndarray  # (n_windows, T) day rows
     features: np.ndarray  # (n_days, 5)
     text: np.ndarray  # (n_days,) text row, -1 for a day without text
-    docs: np.ndarray  # (n_docs, max_doc_len) padded token ids, grouped by text row
+    # (n_docs, max_doc_len) padded token ids, grouped by text row; the conv
+    # skips the windows past a batch's last token
+    docs: np.ndarray
     doc_start: np.ndarray  # (n_texts + 1,) first document of each text row
 
 
+def _by_first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position of each distinct value's first appearance, in order of first
+    appearance; each value's number in that order)."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[by_first] = np.arange(len(first))
+    return first[by_first], rank[inverse]
+
+
 def day_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
-    """Builds the table of samples; every window, feature and token-id check runs here."""
-    rows: dict[int, int] = {}
-    days: list[AlignedDay] = []  # holds every day object, so no id is reused
-    texts: dict[tuple[tuple[int, ...], ...], int] = {}
-    text: list[int] = []
-    windows = np.empty((len(samples), cfg.window), dtype=np.intp)
-    for b, sample in enumerate(samples):
+    """Builds the table of samples; every window, feature and token-id check runs here.
+
+    Day rows are numbered by first appearance, so the Python loop below runs
+    once per distinct day, not once per (window, day).
+    """
+    for sample in samples:
         _check_window(cfg, sample)
-        for t, day in enumerate(sample.inputs):
-            row = rows.get(id(day))
-            if row is None:
-                _check_features(day)
-                row = rows[id(day)] = len(days)
-                days.append(day)
-                text_row = -1
-                if day.has_text and day.token_seqs:
-                    key = tuple(tuple(seq[: cfg.max_doc_len]) for seq in day.token_seqs)
-                    text_row = texts.setdefault(key, len(texts))
-                text.append(text_row)
-            windows[b, t] = row
+    flat = [day for sample in samples for day in sample.inputs]
+    # flat holds every day object, so no id is reused while this runs
+    first, rows = _by_first_appearance(np.fromiter(map(id, flat), dtype=np.uintp,
+                                                   count=len(flat)))
+    days = [flat[i] for i in first]
+    texts: dict[tuple[tuple[int, ...], ...], int] = {}
+    text = np.full(len(days), -1, dtype=np.intp)
+    for row, day in enumerate(days):
+        _check_features(day)
+        if day.has_text and day.token_seqs:
+            key = tuple(tuple(seq[: cfg.max_doc_len]) for seq in day.token_seqs)
+            text[row] = texts.setdefault(key, len(texts))
     counts = np.array([len(key) for key in texts], dtype=np.intp)
     docs = np.zeros((int(counts.sum()), cfg.max_doc_len), dtype=np.intp)
     for i, seq in enumerate(seq for key in texts for seq in key):
@@ -525,8 +540,8 @@ def day_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     if bad.size:
         raise ShapeError(f"token id {bad[0]} out of range for vocab of {cfg.vocab_size}")
     features = np.array([day.features.data[:, 0] for day in days]).reshape(-1, N_MARKET_FEATURES)
-    return DayTable(windows=windows, features=features, text=np.array(text, dtype=np.intp),
-                    docs=docs, doc_start=np.concatenate([[0], np.cumsum(counts)]))
+    return DayTable(windows=rows.reshape(len(samples), cfg.window), features=features,
+                    text=text, docs=docs, doc_start=np.concatenate([[0], np.cumsum(counts)]))
 
 
 def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray
@@ -540,14 +555,11 @@ def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray
     day_rows = table.windows[index]
     text_rows = table.text[day_rows].ravel()
     has_text = text_rows >= 0
-    uniq, first, inverse = np.unique(text_rows[has_text], return_index=True,
-                                     return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty(len(uniq), dtype=np.intp)
-    rank[by_first] = np.arange(len(uniq))
-    day_index = np.full(text_rows.shape, len(uniq), dtype=np.intp)
-    day_index[has_text] = rank[inverse]
-    texts = uniq[by_first]
+    with_text = text_rows[has_text]
+    first, rank = _by_first_appearance(with_text)
+    day_index = np.full(text_rows.shape, len(first), dtype=np.intp)
+    day_index[has_text] = rank
+    texts = with_text[first]
     starts = table.doc_start[texts]
     n_docs = table.doc_start[texts + 1] - starts
     doc_rows = np.repeat(starts - np.cumsum(n_docs) + n_docs, n_docs) + np.arange(n_docs.sum())
@@ -561,12 +573,32 @@ def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray
             np.bincount(seg, minlength=len(texts)))
 
 
-def _conv_plan(model: CnnGruModel) -> tuple[np.ndarray, int]:
-    """(token positions of each conv window (out_len, width), documents per chunk)."""
+def _add_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """np.add.at(out, rows, values) for a C-contiguous 2-D out, as one 1-D
+    np.add.at on flat indices: numpy's 1-D fast path adds the same elements in
+    the same order, so the sums are the same bits, several times faster."""
+    width = out.shape[1]
+    flat = rows.reshape(-1, 1) * width + np.arange(width)
+    np.add.at(out.reshape(-1), flat.ravel(), values.ravel())
+
+
+def _conv_plan(model: CnnGruModel, ids: np.ndarray) -> tuple[np.ndarray, int]:
+    """(token positions of the conv windows to run (n_windows, width), documents per chunk).
+
+    Only the windows that start at or before the last non-pad column of ids
+    run, and at least one. Every later window sees only the all-zero pad row,
+    so its ReLU output is 0, which never beats an earlier window under
+    max-over-time pooling (ties go to the earliest step): the pooled values,
+    winners and gradients are those of the full grid of windows. A chunk holds
+    as many documents as it would on the full grid, so the kernel gradient's
+    per-chunk sums, and with them its bits, do not depend on the trim.
+    """
     cfg = model.cfg
     out_len = conv_output_length(cfg.max_doc_len, cfg.kernel_width, cfg.conv_stride)
-    windows = (np.arange(out_len) * cfg.conv_stride)[:, None] + np.arange(cfg.kernel_width)
-    return windows, max(1, CHUNK_VALUES // (windows.size * cfg.embed_dim))
+    cols = np.flatnonzero(ids.any(axis=0))
+    n_windows = min(out_len, int(cols[-1]) // cfg.conv_stride + 1) if cols.size else 1
+    windows = (np.arange(n_windows) * cfg.conv_stride)[:, None] + np.arange(cfg.kernel_width)
+    return windows, max(1, CHUNK_VALUES // (out_len * cfg.kernel_width * cfg.embed_dim))
 
 
 def _conv_encode(model: CnnGruModel, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -574,7 +606,7 @@ def _conv_encode(model: CnnGruModel, ids: np.ndarray) -> tuple[np.ndarray, np.nd
     chunk, ReLU, max-pool over time (ties go to the earliest step)."""
     table = model.embedding.table.data
     kernel = model.conv.kernel.data
-    windows, step = _conv_plan(model)
+    windows, step = _conv_plan(model, ids)
     pooled = np.empty((len(ids), kernel.shape[1]))
     winners = np.empty((len(ids), kernel.shape[1]), dtype=np.intp)
     for s in range(0, len(ids), step):
@@ -592,7 +624,7 @@ def _conv_backward(model: CnnGruModel, cache: BatchCache, d_pooled: np.ndarray,
                    d_embed: np.ndarray) -> np.ndarray:
     """Kernel-matrix gradient; adds the embedding gradient into d_embed."""
     table = model.embedding.table.data
-    windows, step = _conv_plan(model)
+    windows, step = _conv_plan(model, cache.ids)
     kernel = model.conv.kernel.data
     d_kernel = np.zeros_like(kernel)
     # the ReLU passes gradient only where the winning pre-activation was positive
@@ -605,7 +637,7 @@ def _conv_backward(model: CnnGruModel, cache: BatchCache, d_pooled: np.ndarray,
                           axis=1)
         d_act = d_act.reshape(n * out_len, -1)
         d_kernel += table[tok].reshape(n * out_len, -1).T @ d_act
-        np.add.at(d_embed, tok.ravel(), (d_act @ kernel.T).reshape(tok.size, -1))
+        _add_rows(d_embed, tok, d_act @ kernel.T)
     return d_kernel
 
 
@@ -713,7 +745,7 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray) -> Bat
         pooled, winners = _conv_encode(model, ids)
         items = pooled
     vecs = np.zeros((len(counts) + 1, _text_dim(model.cfg, model.arch)))
-    np.add.at(vecs, seg, items)
+    _add_rows(vecs, seg, items)
     vecs[:-1] /= np.maximum(counts, 1)[:, None]
     x = np.concatenate([vecs[day_index], feats], axis=2)
 
@@ -766,11 +798,11 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
 
     text_dim = _text_dim(model.cfg, model.arch)
     d_vecs = np.zeros((len(cache.counts) + 1, text_dim))
-    np.add.at(d_vecs, cache.day_index.ravel(), d_x[:, :, :text_dim].reshape(-1, text_dim))
+    _add_rows(d_vecs, cache.day_index, d_x[:, :, :text_dim])
     d_items = d_vecs[cache.seg] / cache.counts[cache.seg][:, None]
     d_embed = np.zeros_like(model.embedding.table.data)
     if model.arch is ArchKind.GRU_ONLY:
-        np.add.at(d_embed, cache.ids, d_items)
+        _add_rows(d_embed, cache.ids, d_items)
     else:
         grads["conv/k"] = _conv_backward(model, cache, d_items, d_embed)
     d_embed[0, :] = 0.0  # pad row is frozen
@@ -832,8 +864,8 @@ def load_checkpoint(path: str | Path) -> CnnGruModel:
         raise CheckpointError(f"unknown arch {obj['arch']!r}") from None
     try:
         cfg = ModelConfig.from_dict(obj["config"])
-    except TypeError as exc:
-        raise CheckpointError(f"bad config block: {exc}") from None
+    except (TypeError, ShapeError) as exc:
+        raise CheckpointError(f"bad config block in {path}: {exc}") from None
     model = build_model(cfg, arch)
     expected = named_params(model)
     stored = obj["tensors"]
@@ -865,4 +897,7 @@ def load_checkpoint(path: str | Path) -> CnnGruModel:
             params[name] = Matrix(rows, cols, flat)
         except (ShapeError, NumericError, ValueError, TypeError) as exc:
             raise CheckpointError(f"tensor {name} invalid: {exc}") from None
-    return set_named_params(model, params)
+    try:
+        return set_named_params(model, params)
+    except ShapeError as exc:  # shapes match by now: a nonzero embedding pad row
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None

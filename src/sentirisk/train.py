@@ -2,10 +2,10 @@
 
 Training runs deterministic seeded epochs: a fresh permutation of the train
 split per epoch, batch-averaged gradients, one optimizer step per batch.
-The train split's days are gathered once per call into a model.DayTable,
-and each mini-batch is a slice of the permutation run through
-model.table_forward/batch_backward as whole arrays; validation and evaluate
-build a table of the split they score and run it in blocks of indices.
+The train and validation splits' days are gathered once per call into a
+model.DayTable each, and each mini-batch is a slice of the permutation run
+through model.table_forward/batch_backward as whole arrays; validation,
+split_joint_loss and evaluate run a table in blocks of indices.
 Matrix stays at the boundary, as the model's and the optimizer's named
 tensors. A batch with a non-finite loss aborts the run; early stopping
 watches the validation joint loss and the best-validation parameter
@@ -97,12 +97,11 @@ def _targets(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
             np.array([s.target_class for s in samples], dtype=np.intp))
 
 
-def _split_outputs(model: CnnGruModel, split: Sequence[WindowSample]
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions (n,) and logits (n, C) of a split, FORWARD_BLOCK windows at a time."""
-    table = day_table(model.cfg, split)
-    outs = [_block_outputs(model, table, np.arange(i, min(i + FORWARD_BLOCK, len(split))))
-            for i in range(0, len(split), FORWARD_BLOCK)]
+def _split_outputs(model: CnnGruModel, table: DayTable) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions (n,) and logits (n, C) of every window of table, FORWARD_BLOCK at a time."""
+    n = len(table.windows)
+    outs = [_block_outputs(model, table, np.arange(i, min(i + FORWARD_BLOCK, n)))
+            for i in range(0, n, FORWARD_BLOCK)]
     return np.concatenate([p for p, _ in outs]), np.concatenate([lg for _, lg in outs])
 
 
@@ -111,6 +110,15 @@ def _block_outputs(model: CnnGruModel, table: DayTable, index: np.ndarray
     """(pred, logits) of a block; its activations are freed on return."""
     cache = table_forward(model, table, index)
     return cache.pred, cache.logits
+
+
+def _table_joint_loss(model: CnnGruModel, table: DayTable, returns: np.ndarray,
+                      classes: np.ndarray) -> float:
+    """Mean joint loss over every window of table."""
+    pred, logits = _split_outputs(model, table)
+    return joint_loss(float(np.mean((pred - returns) ** 2)),
+                      float(np.mean(batch_cross_entropy(logits, classes))),
+                      model.cfg.mse_weight)
 
 
 def _batch_step(model: CnnGruModel, table: DayTable, index: np.ndarray,
@@ -132,10 +140,7 @@ def split_joint_loss(model: CnnGruModel, split: Sequence[WindowSample]) -> float
     if not split:
         raise DataValidationError("cannot score an empty split")
     returns, classes = _targets(split)
-    pred, logits = _split_outputs(model, split)
-    return joint_loss(float(np.mean((pred - returns) ** 2)),
-                      float(np.mean(batch_cross_entropy(logits, classes))),
-                      model.cfg.mse_weight)
+    return _table_joint_loss(model, day_table(model.cfg, split), returns, classes)
 
 
 def train(model: CnnGruModel, train_split: Sequence[WindowSample],
@@ -158,6 +163,8 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
     n = len(train_split)
     returns, classes = _targets(train_split)
     table = day_table(model.cfg, train_split)
+    val_returns, val_classes = _targets(val_split)
+    val_table = day_table(model.cfg, val_split)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_mse = 0.0
@@ -179,7 +186,7 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
         train_mse = epoch_mse / n
         train_ce = epoch_ce / n
         train_loss = joint_loss(train_mse, train_ce, model.cfg.mse_weight)
-        val_loss = split_joint_loss(model, val_split)
+        val_loss = _table_joint_loss(model, val_table, val_returns, val_classes)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}: train={train_loss}, val={val_loss}"
@@ -271,7 +278,7 @@ def evaluate(model: CnnGruModel, split: Sequence[WindowSample]) -> MetricsReport
         raise DataValidationError("cannot evaluate an empty split")
     confusion = [[0] * NUM_CLASSES for _ in range(NUM_CLASSES)]
     returns, classes = _targets(split)
-    pred, logits = _split_outputs(model, split)
+    pred, logits = _split_outputs(model, day_table(model.cfg, split))
     for true, guess in zip(classes, np.argmax(logits, axis=1)):
         confusion[true][guess] += 1
     sq_err = float(np.sum((pred - returns) ** 2))

@@ -453,6 +453,24 @@ class TestEvaluate:
         assert captured.out == ""
 
 
+    def test_nonzero_pad_embedding_exits_2_naming_the_file(self, workspace, trained,
+                                                            tmp_path, capsys):
+        obj = json.loads(trained.read_text())
+        obj["tensors"]["embedding"]["values"][0][0] = 1.0
+        bad = tmp_path / "pad.ckpt.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        rc = main([
+            "evaluate", "--data-dir", str(workspace["root"]), "--model-in", str(bad),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "data error" in captured.err
+        assert str(bad) in captured.err and "embedding row 0" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 def _cut_in_half(path):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")

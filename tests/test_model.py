@@ -354,6 +354,44 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.abs(got - want).max()) / scale if scale else float(np.abs(got).max())
 
 
+# documents far shorter than max_doc_len: most conv windows see only padding
+SHORT = ModelConfig(
+    vocab_size=15, embed_dim=4, num_filters=3, kernel_width=3, conv_stride=3,
+    gru_hidden=5, window=4, max_doc_len=20, seed=2,
+)
+
+
+def short_doc_windows(cfg: ModelConfig, lengths: list[int], seed: int) -> list[WindowSample]:
+    """Sliding windows over a textless day, a day of one all-pad document, and
+    then one day per two documents of the given lengths (no pad id inside)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    docs = [[int(v) for v in rng.integers(2, cfg.vocab_size, size=n)] for n in lengths]
+    texts = [[], [[0, 0]]] + [docs[i : i + 2] for i in range(0, len(docs), 2)]
+    days = [AlignedDay(
+        date=dt.date(2024, 1, 1) + dt.timedelta(days=t), raw=(0.0, 0.0, 0.0, 0.0),
+        token_seqs=seqs, label=0, has_text=t > 0, close=100.0,
+        features=Matrix._wrap(rng.standard_normal((5, 1))),
+    ) for t, seqs in enumerate(texts)]
+    return [WindowSample(
+        inputs=days[start : start + cfg.window],
+        target_date=days[start + cfg.window - 1].date + dt.timedelta(days=1),
+        target_class=int(rng.integers(0, 3)), target_return_raw=0.01,
+        target_close=101.0, prev_close=100.0, target_return=float(rng.standard_normal()),
+    ) for start in range(len(days) - cfg.window + 1)]
+
+
+def full_grid_encode(model, ids):
+    """Pooled ReLU outputs and winners over every conv window of max_doc_len."""
+    cfg = model.cfg
+    out_len = (cfg.max_doc_len - cfg.kernel_width) // cfg.conv_stride + 1
+    windows = (np.arange(out_len) * cfg.conv_stride)[:, None] + np.arange(cfg.kernel_width)
+    tok = ids[:, windows]
+    act = np.maximum(model.embedding.table.data[tok].reshape(len(ids) * out_len, -1)
+                     @ model.conv.kernel.data, 0.0).reshape(len(ids), out_len, -1)
+    win = np.argmax(act, axis=1)
+    return np.take_along_axis(act, win[:, None, :], axis=1)[:, 0], win
+
+
 class TestBatchedCore:
     """batch_forward/batch_backward against the per-window model_forward/model_backward."""
 
@@ -394,6 +432,45 @@ class TestBatchedCore:
         cache = batch_forward(build_model(BATCHED, ArchKind.CNN_GRU), samples)
         text_days = {d.date for s in samples for d in s.inputs if d.has_text}
         assert len(cache.counts) == len(text_days)
+
+    # with width 3: at stride 3 the 6-token document ends where window 2
+    # starts and the 7-token one puts its last token at that window's start;
+    # at stride 2 the 5-token document's last token starts window 2
+    @pytest.mark.parametrize("stride, lengths, kept", [
+        (3, [1, 6, 2, 4, 3, 2], 2),
+        (3, [7, 1, 5, 2, 3, 6], 3),
+        (2, [4, 1, 3, 2, 5, 2], 3),
+    ], ids=["stride 3, ends on a boundary", "stride 3, starts a window",
+            "stride 2"])
+    @pytest.mark.parametrize("arch", list(ArchKind))
+    @pytest.mark.parametrize("chunk", [model_mod.CHUNK_VALUES, 120])
+    def test_short_documents_match_summed_per_window_passes(self, stride, lengths, kept,
+                                                           arch, chunk, monkeypatch):
+        monkeypatch.setattr(model_mod, "CHUNK_VALUES", chunk)
+        cfg = dataclasses.replace(SHORT, conv_stride=stride)
+        samples = short_doc_windows(cfg, lengths, seed=6)
+        model = build_model(cfg, arch)
+        self.check(model, samples)
+        if arch is not ArchKind.GRU_ONLY:
+            cache = batch_forward(model, samples)
+            assert len(model_mod._conv_plan(model, cache.ids)[0]) == kept
+
+    def test_all_pad_batch_runs_one_window(self):
+        cfg = dataclasses.replace(SHORT, window=2)
+        samples = short_doc_windows(cfg, [], seed=7)  # a textless day, an all-pad day
+        model = build_model(cfg, ArchKind.CNN_GRU)
+        self.check(model, samples)
+        assert len(model_mod._conv_plan(model, batch_forward(model, samples).ids)[0]) == 1
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_conv_encode_equals_full_grid_bit_for_bit(self, stride):
+        cfg = dataclasses.replace(SHORT, conv_stride=stride)
+        model = build_model(cfg, ArchKind.CNN_GRU)
+        ids = batch_forward(model, short_doc_windows(cfg, [1, 6, 2, 4, 3, 7], seed=8)).ids
+        pooled, winners = model_mod._conv_encode(model, ids)
+        want_pooled, want_winners = full_grid_encode(model, ids)
+        assert pooled.tobytes() == want_pooled.tobytes()
+        assert winners.tobytes() == want_winners.tobytes()
 
     def test_bad_window_rejected(self):
         model = build_model(TINY, ArchKind.CNN_GRU)
@@ -456,6 +533,33 @@ class TestDayTable:
         samples[2] = dataclasses.replace(samples[2], inputs=damage(samples[2].inputs))
         with pytest.raises(ShapeError, match=message):
             day_table(BATCHED, samples)
+
+
+class TestAddRows:
+    """model._add_rows against np.add.at, bit for bit."""
+
+    @pytest.mark.parametrize("rows, start", [
+        (np.tile([2, 0, 2, 2, 1, 0], 8), 0.0),
+        (np.array([3, 3, 1]), 1.0),
+        (np.array([], dtype=np.intp), 1.0),
+    ], ids=["repeated rows", "nonzero accumulator", "empty index"])
+    def test_equals_add_at(self, rows, start):
+        values = RNG.standard_normal((len(rows), 5)) * 10.0 ** RNG.integers(-8, 8, (len(rows), 1))
+        want = np.full((4, 5), start) + RNG.standard_normal((4, 5))
+        got = want.copy()
+        np.add.at(want, rows, values)
+        model_mod._add_rows(got, rows, values)
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_contiguous_values(self):
+        # the day-vector gradient slice of batch_backward: d_x[:, :, :text_dim]
+        d_x = RNG.standard_normal((3, 4, 7))
+        day_index = RNG.integers(0, 5, (3, 4))
+        want = RNG.standard_normal((5, 4))
+        got = want.copy()
+        np.add.at(want, day_index.ravel(), d_x[:, :, :4].reshape(-1, 4))
+        model_mod._add_rows(got, day_index, d_x[:, :, :4])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCountParams:
@@ -566,6 +670,22 @@ class TestCheckpoint:
         obj["tensors"]["head_reg/b"]["values"] = [[float("nan")]]
         path.write_text(json.dumps(obj))  # json emits bare NaN, loads accepts it
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_out_of_range_config_rejected_naming_file_and_key(self, tmp_path):
+        path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["config"]["embed_dim"] = 0
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointError, match=f"{path.name}.*embed_dim must be positive"):
+            load_checkpoint(path)
+
+    def test_nonzero_pad_embedding_rejected_naming_file_and_tensor(self, tmp_path):
+        path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["tensors"]["embedding"]["values"][0][1] = 0.5
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointError, match=f"{path.name}.*embedding row 0"):
             load_checkpoint(path)
 
     def test_flat_values_rejected(self, tmp_path):
