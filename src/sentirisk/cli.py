@@ -3,7 +3,11 @@
 Exit codes: 0 success, 1 usage error, 2 data validation error, 3 runtime or
 numeric failure. Long-running subcommands log progress to standard error;
 machine-readable results (metrics JSON, CSV, alert JSONL) go to standard
-output unless an output path is given.
+output unless an output path is given. A failed run leaves a previous
+checkpoint, history, predict CSV or alert file as it was. evaluate, predict
+and alert load their inputs through one loader (a checkpoint whose vocab_size
+or window differs from the dataset's is a data error) and score the split
+with train.score_windows.
 
 Configuration is a flat JSON object whose keys are the fields of ModelConfig,
 TrainConfig, PrepareConfig and AlertRuleConfig, which alone define each
@@ -32,9 +36,10 @@ from . import alerts as alerts_mod
 from . import data as data_mod
 from . import train as train_mod
 from .errors import CheckpointError, DataValidationError, NumericError, ShapeError
-from .matrix import softmax
-from .model import ArchKind, ModelConfig, build_model, load_checkpoint, model_forward, save_checkpoint
-from .text import NUM_CLASSES, Lexicon
+from .losses import softmax_rows
+from .matrix import Matrix
+from .model import ArchKind, CnnGruModel, ModelConfig, build_model, load_checkpoint, save_checkpoint
+from .text import Lexicon
 
 log = logging.getLogger(__name__)
 
@@ -260,9 +265,23 @@ def _lexicon(cfg: dict) -> Lexicon:
     return Lexicon.from_files(pos, neg)
 
 
-def _split(ds: data_mod.PreparedDataset, name: str) -> list:
-    train_s, val_s, test_s = ds.splits()
-    return {"train": train_s, "val": val_s, "test": test_s}[name]
+def _load_for_scoring(args: argparse.Namespace
+                      ) -> tuple[CnnGruModel, data_mod.PreparedDataset, list]:
+    """The --model-in checkpoint, checked against the prepared dataset, and its --split."""
+    prepared = _find_prepared(_require(args, "--data-dir"))
+    model_in = _require(args, "--model-in")
+    model = load_checkpoint(model_in)
+    ds = data_mod.load_prepared(prepared)
+    for key, have, want in (("vocab_size", model.cfg.vocab_size, ds.vocab.size),
+                            ("window", model.cfg.window, ds.window)):
+        if have != want:
+            raise DataValidationError(
+                f"checkpoint {model_in} has {key} {have}, "
+                f"but the prepared dataset {prepared} has {want}")
+    split = dict(zip(("train", "val", "test"), ds.splits()))[args.split]
+    if not split:
+        raise DataValidationError(f"{args.split} split is empty")
+    return model, ds, split
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +334,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     resolve_config(args)
-    prepared = _find_prepared(_require(args, "--data-dir"))
-    model = load_checkpoint(_require(args, "--model-in"))
-    ds = data_mod.load_prepared(prepared)
-    split = _split(ds, args.split)
-    if not split:
-        raise DataValidationError(f"{args.split} split is empty")
+    model, _, split = _load_for_scoring(args)
     report = train_mod.evaluate(model, split)
     print(json.dumps({"split": args.split, **report.to_dict()}, indent=2))
     return 0
@@ -343,13 +357,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     resolve_config(args)
-    prepared = _find_prepared(_require(args, "--data-dir"))
     out = _require(args, "--out")
-    model = load_checkpoint(_require(args, "--model-in"))
-    ds = data_mod.load_prepared(prepared)
-    split = _split(ds, args.split)
-    if not split:
-        raise DataValidationError(f"{args.split} split is empty")
+    model, ds, split = _load_for_scoring(args)
     train_mod.export_predictions(model, split, ds.stats, out)
     print(f"wrote {len(split)} predictions -> {out}")
     return 0
@@ -361,25 +370,15 @@ def cmd_alert(args: argparse.Namespace) -> int:
     if args.predictions:
         preds = alerts_mod.load_predictions_jsonl(args.predictions)
     else:
-        prepared = _find_prepared(_require(args, "--data-dir"))
-        model = load_checkpoint(_require(args, "--model-in"))
-        ds = data_mod.load_prepared(prepared)
-        split = _split(ds, args.split)
-        if not split:
-            raise DataValidationError(f"{args.split} split is empty")
-        preds = []
-        for sample in split:
-            pred, logits, _ = model_forward(model, sample)
-            probs = softmax(logits)
-            preds.append(alerts_mod.DailyPrediction(
-                date=sample.target_date,
-                predicted_class=max(range(NUM_CLASSES), key=lambda i: probs.at(i, 0)),
-                probs=probs,
-                predicted_return=pred,
-            ))
+        model, _, split = _load_for_scoring(args)
+        pred, logits = train_mod.score_windows(model, split)
+        probs = softmax_rows(logits)
+        # argmax breaks ties toward the first class
+        preds = [alerts_mod.DailyPrediction(s.target_date, int(c), Matrix.column(p), r)
+                 for s, c, p, r in zip(split, probs.argmax(axis=1), probs, pred.tolist())]
     found = alerts_mod.detect_inflections(preds, rules)
     if args.out:
-        with Path(args.out).open("w", encoding="utf-8") as fh:
+        with data_mod.atomic_write(args.out) as fh:
             alerts_mod.write_alerts_jsonl(found, fh)
         log.info("wrote %d alerts -> %s", len(found), args.out)
     else:

@@ -21,10 +21,12 @@ import datetime as dt
 import json
 import logging
 import math
+import os
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import DataValidationError
 from .matrix import Matrix
@@ -460,6 +462,22 @@ def prepare_dataset(bars: Sequence[MarketBar], raw_docs: Sequence[RawTextDoc],
 # ---------------------------------------------------------------------------
 # prepared-directory serialization
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """A temp text file beside path that os.replace moves over path when the
+    with-block completes; if anything raises, it is deleted and path is untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = tmp.open("w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:

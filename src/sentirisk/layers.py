@@ -25,8 +25,6 @@ import numpy as np
 from .errors import ShapeError
 from .matrix import Matrix, _sigmoid_array
 
-N_GRU_GATES = 3  # z, r, candidate
-
 
 # ---------------------------------------------------------------------------
 # parameter containers

@@ -1,11 +1,10 @@
-"""Dense 64-bit matrix arithmetic, activations, and a finite-difference oracle.
+"""Dense 64-bit matrix arithmetic, the sigmoid, and a finite-difference oracle.
 
-This is the validated numeric type at the package's boundaries: the model's
-weights, the per-layer API in layers.py, and the single-window
-model_forward/model_backward take and return Matrix values. Training and
-validation run whole mini-batches on raw ndarrays, as index arrays into a
-day table built once per split (model.table_forward), and meet Matrix again
-only at the optimizer. _sigmoid_array, the gate activation of both GRU
+This is the validated numeric type of the model's named weights, the
+optimizer's state, day features, alert probabilities, and the per-window
+reference (layers.py, model.model_forward/model_backward). Training and all
+scoring run whole batches on raw ndarrays indexed out of a day table
+(model.table_forward). _sigmoid_array, the gate activation of both GRU
 paths, is branch-free and cannot overflow. Values live in a read-only float64
 numpy array, so instances are safe to share across threads and every
 operation allocates a fresh output. Matrix products are evaluated with a
@@ -27,12 +26,8 @@ from .errors import NumericError, ShapeError
 __all__ = [
     "Matrix",
     "matmul",
-    "activate",
     "softmax",
     "finite_diff_grad",
-    "sigmoid",
-    "tanh",
-    "relu",
 ]
 
 
@@ -154,15 +149,6 @@ class Matrix:
         self._require_same_shape(other, "hadamard")
         return Matrix._wrap(self.data * other.data)
 
-    def scale(self, factor: float) -> "Matrix":
-        return Matrix._wrap(self.data * float(factor))
-
-    def transpose(self) -> "Matrix":
-        return Matrix._wrap(self.data.T.copy())
-
-    def sum(self) -> float:
-        return float(self.data.sum())
-
     def concat_rows(self, bottom: "Matrix") -> "Matrix":
         """Stack vertically: [self; bottom]."""
         if self.cols != bottom.cols:
@@ -171,11 +157,6 @@ class Matrix:
                 f"and {bottom.rows}x{bottom.cols}"
             )
         return Matrix._wrap(np.concatenate([self.data, bottom.data], axis=0))
-
-    def row_slice(self, start: int, stop: int) -> "Matrix":
-        if not (0 <= start < stop <= self.rows):
-            raise ShapeError(f"row_slice [{start}:{stop}] out of range for {self.rows} rows")
-        return Matrix._wrap(self.data[start:stop].copy())
 
     def with_value(self, i: int, j: int, value: float) -> "Matrix":
         """Copy with a single entry replaced (used by the finite-difference oracle)."""
@@ -200,34 +181,6 @@ def _sigmoid_array(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(x: Matrix) -> Matrix:
-    return Matrix._wrap(_sigmoid_array(x.data))
-
-
-def tanh(x: Matrix) -> Matrix:
-    return Matrix._wrap(np.tanh(x.data))
-
-
-def relu(x: Matrix) -> Matrix:
-    return Matrix._wrap(np.maximum(x.data, 0.0))
-
-
-_ACTIVATIONS: dict[str, Callable[[Matrix], Matrix]] = {
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-}
-
-
-def activate(kind: str, x: Matrix) -> Matrix:
-    """Elementwise activation; kind is one of sigmoid, tanh, relu."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}; expected one of {sorted(_ACTIVATIONS)}")
-    return fn(x)
 
 
 def softmax(logits: Matrix) -> Matrix:

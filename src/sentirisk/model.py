@@ -10,19 +10,21 @@ vectors directly. Two dense heads emit the scalar return prediction and the
 3-class sentiment logits. The conv filters are one (kernel_width * embed_dim,
 num_filters) tensor, conv/k, used as is by both paths below.
 
-Two paths compute this network from the same parameters. model_forward and
+Two paths compute this network from the same parameters. table_forward and
+batch_backward run a whole batch of windows on raw ndarrays: the batched
+core behind training, validation, evaluate, predict and alert
+(train.score_windows scores a list of windows). model_forward and
 model_backward run one window on Matrix values, layer by layer through
-layers.py: the single-window API behind predict, alert and the CLI, and the
-reference the batched path is tested against. table_forward and
-batch_backward run a whole mini-batch on raw ndarrays, which is how training
-and validation run. A DayTable holds the distinct days of a split as arrays,
-built and checked once per split; a batch is a list of window indices into
-it. Each distinct day text of the batch is encoded once, the convolution of
-its documents is one im2col matrix product per chunk of documents over the
-conv windows that start at or before the batch's last token (later windows
-see only padding and cannot win the max-pool), the GRU takes its input
-projections for all steps in one product before the recurrence, and row
-gradients are scattered with one flat-index np.add.at each.
+layers.py: the per-window reference the batched core is tested against,
+which nothing else in the package calls. A DayTable holds the distinct days
+of a split as arrays, built and checked once per split; a batch is a list of
+window indices into it. Each distinct day text of the batch is encoded once,
+the convolution of its documents is one im2col matrix product per chunk of
+documents over the conv windows that start at or before the batch's last
+token (later windows see only padding and cannot win the max-pool), the GRU
+takes its input projections for all steps in one product before the
+recurrence, and row gradients are scattered with one flat-index np.add.at
+each.
 batch_forward(model, samples) builds a table of its samples and runs them
 all. Every reduction runs in a fixed order, so seeded reruns are bitwise
 identical.
@@ -38,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import N_MARKET_FEATURES, AlignedDay, WindowSample
+from .data import N_MARKET_FEATURES, AlignedDay, WindowSample, atomic_write
 from .errors import CheckpointError, NumericError, ShapeError
 from .layers import (
     AttentionCache,
@@ -836,7 +838,8 @@ def save_checkpoint(model: CnnGruModel, path: str | Path) -> None:
         "config": model.cfg.to_dict(),
         "tensors": tensors,
     }
-    Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> CnnGruModel:

@@ -1,16 +1,17 @@
-"""Mini-batch training, metrics, ablations, exports.
+"""Mini-batch training, scoring, metrics, ablations, exports.
 
 Training runs deterministic seeded epochs: a fresh permutation of the train
 split per epoch, batch-averaged gradients, one optimizer step per batch.
 The train and validation splits' days are gathered once per call into a
 model.DayTable each, and each mini-batch is a slice of the permutation run
-through model.table_forward/batch_backward as whole arrays; validation,
-split_joint_loss and evaluate run a table in blocks of indices.
-Matrix stays at the boundary, as the model's and the optimizer's named
-tensors. A batch with a non-finite loss aborts the run; early stopping
-watches the validation joint loss and the best-validation parameter
-snapshot is what the caller gets back. TrainConfig is the one place that
-checks the training settings, the optimizer's among them.
+through model.table_forward/batch_backward as whole arrays. score_windows,
+behind evaluate, split_joint_loss, export_predictions and the CLI's alert,
+runs one table of a list of windows FORWARD_BLOCK windows at a time, as
+validation does. Matrix stays at the boundary, as the model's and the
+optimizer's named tensors. A batch with a non-finite loss aborts the run;
+early stopping watches the validation joint loss and the best-validation
+parameter snapshot is what the caller gets back. TrainConfig is the one
+place that checks the training settings, the optimizer's among them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DEFAULT_RATIOS, NormStats, WindowSample, split_chronological
+from .data import DEFAULT_RATIOS, NormStats, WindowSample, atomic_write, split_chronological
 from .errors import DataValidationError, ShapeError, TrainingDivergedError
 from .losses import batch_cross_entropy, joint_loss
 from .matrix import Matrix
@@ -37,7 +38,6 @@ from .model import (
     batch_backward,
     build_model,
     day_table,
-    model_forward,
     named_params,
     set_named_params,
     table_forward,
@@ -97,6 +97,15 @@ def _targets(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
             np.array([s.target_class for s in samples], dtype=np.intp))
 
 
+def score_windows(model: CnnGruModel, windows: Sequence[WindowSample]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted normalized returns (n,) and logits (n, C) of windows: one day
+    table per call, run through the batched core FORWARD_BLOCK windows at a time."""
+    if not windows:
+        raise DataValidationError("cannot score an empty split")
+    return _split_outputs(model, day_table(model.cfg, windows))
+
+
 def _split_outputs(model: CnnGruModel, table: DayTable) -> tuple[np.ndarray, np.ndarray]:
     """Predictions (n,) and logits (n, C) of every window of table, FORWARD_BLOCK at a time."""
     n = len(table.windows)
@@ -112,10 +121,9 @@ def _block_outputs(model: CnnGruModel, table: DayTable, index: np.ndarray
     return cache.pred, cache.logits
 
 
-def _table_joint_loss(model: CnnGruModel, table: DayTable, returns: np.ndarray,
-                      classes: np.ndarray) -> float:
-    """Mean joint loss over every window of table."""
-    pred, logits = _split_outputs(model, table)
+def _joint_loss(model: CnnGruModel, pred: np.ndarray, logits: np.ndarray,
+                returns: np.ndarray, classes: np.ndarray) -> float:
+    """Mean joint loss of a split's outputs against its targets."""
     return joint_loss(float(np.mean((pred - returns) ** 2)),
                       float(np.mean(batch_cross_entropy(logits, classes))),
                       model.cfg.mse_weight)
@@ -137,10 +145,8 @@ def _batch_step(model: CnnGruModel, table: DayTable, index: np.ndarray,
 
 def split_joint_loss(model: CnnGruModel, split: Sequence[WindowSample]) -> float:
     """Mean joint loss over a split."""
-    if not split:
-        raise DataValidationError("cannot score an empty split")
     returns, classes = _targets(split)
-    return _table_joint_loss(model, day_table(model.cfg, split), returns, classes)
+    return _joint_loss(model, *score_windows(model, split), returns, classes)
 
 
 def train(model: CnnGruModel, train_split: Sequence[WindowSample],
@@ -186,7 +192,8 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
         train_mse = epoch_mse / n
         train_ce = epoch_ce / n
         train_loss = joint_loss(train_mse, train_ce, model.cfg.mse_weight)
-        val_loss = _table_joint_loss(model, val_table, val_returns, val_classes)
+        val_loss = _joint_loss(model, *_split_outputs(model, val_table), val_returns,
+                               val_classes)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}: train={train_loss}, val={val_loss}"
@@ -213,7 +220,7 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
 
 
 def save_history(history: Sequence[dict], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for row in history:
             fh.write(json.dumps(row) + "\n")
 
@@ -274,11 +281,9 @@ class MetricsReport:
 
 
 def evaluate(model: CnnGruModel, split: Sequence[WindowSample]) -> MetricsReport:
-    if not split:
-        raise DataValidationError("cannot evaluate an empty split")
     confusion = [[0] * NUM_CLASSES for _ in range(NUM_CLASSES)]
     returns, classes = _targets(split)
-    pred, logits = _split_outputs(model, day_table(model.cfg, split))
+    pred, logits = score_windows(model, split)
     for true, guess in zip(classes, np.argmax(logits, axis=1)):
         confusion[true][guess] += 1
     sq_err = float(np.sum((pred - returns) ** 2))
@@ -342,13 +347,11 @@ def export_predictions(model: CnnGruModel, split: Sequence[WindowSample],
     """
     if stats is None:
         raise DataValidationError("prediction export needs normalization statistics")
-    if not split:
-        raise DataValidationError("cannot export predictions for an empty split")
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    pred, _ = score_windows(model, split)
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "true_close", "pred_close"])
-        for sample in split:
-            pred_z, _, _ = model_forward(model, sample)
+        for sample, pred_z in zip(split, pred.tolist()):
             raw = stats.denormalize_return(pred_z)
             pred_close = sample.prev_close * math.exp(raw)
             writer.writerow([

@@ -18,7 +18,16 @@ import pytest
 from sentirisk.alerts import AlertRuleConfig
 from sentirisk.cli import CONFIG_DEFAULTS, build_config, main
 from sentirisk.data import PrepareConfig, load_prepared
-from sentirisk.model import ArchKind, ModelConfig, load_checkpoint
+from sentirisk.matrix import softmax
+from sentirisk.model import (
+    ArchKind,
+    ModelConfig,
+    build_model,
+    load_checkpoint,
+    model_forward,
+    save_checkpoint,
+)
+from sentirisk.text import CLASS_NAMES
 from sentirisk.train import TrainConfig
 from sentirisk.synthetic import (
     make_demo_docs,
@@ -471,6 +480,32 @@ class TestEvaluate:
         assert captured.out == ""
 
 
+class TestCheckpointDatasetMismatch:
+    @pytest.mark.parametrize("key, delta", [("vocab_size", 6), ("vocab_size", -6),
+                                            ("window", 1)],
+                             ids=["larger vocab", "smaller vocab", "longer window"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "alert"])
+    def test_exits_2_naming_both_values(self, workspace, trained, tmp_path, capsys,
+                                        command, key, delta):
+        model = load_checkpoint(trained)
+        want = getattr(model.cfg, key)
+        other = dataclasses.replace(model.cfg, **{key: want + delta})
+        ckpt = tmp_path / "other.ckpt.json"
+        save_checkpoint(build_model(other, model.arch), ckpt)
+        out = tmp_path / "preds.csv"
+        extra = ["--out", str(out)] if command == "predict" else []
+        capsys.readouterr()
+        rc = main([command, "--data-dir", str(workspace["root"]), "--model-in", str(ckpt),
+                   *extra])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert (f"checkpoint {ckpt} has {key} {want + delta}, but the prepared dataset "
+                f"{workspace['root'] / 'prepared'} has {want}") in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 def _cut_in_half(path):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
@@ -679,6 +714,34 @@ class TestAlert:
         for line in captured.out.splitlines():
             alert = json.loads(line)
             assert alert["kind"] in {"bearish_flip", "bullish_flip", "risk_threshold"}
+
+    def test_model_run_matches_the_per_window_oracle(self, workspace, trained, tmp_path,
+                                                     capsys):
+        model = load_checkpoint(trained)
+        rows = []
+        for s in load_prepared(workspace["root"] / "prepared").splits()[0]:
+            pred, logits, _ = model_forward(model, s)
+            probs = softmax(logits).values
+            rows.append({"date": s.target_date.isoformat(), "probs": probs,
+                         "predicted_return": pred,
+                         "predicted_class": CLASS_NAMES[max(range(3), key=lambda i: probs[i])]})
+        oracle = tmp_path / "oracle.jsonl"
+        oracle.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"risk_threshold": 0.33}), encoding="utf-8")
+        runs = []
+        for source in (["--predictions", str(oracle)],
+                       ["--data-dir", str(workspace["root"]), "--model-in", str(trained)]):
+            capsys.readouterr()
+            assert main(["alert", *source, "--split", "train", "--config", str(cfg)]) == 0
+            runs.append([json.loads(line) for line in capsys.readouterr().out.splitlines()])
+        want, got = runs
+        assert {"bearish_flip", "bullish_flip", "risk_threshold"} <= {a["kind"] for a in want}
+        assert ([(a["date"], a["kind"], a["predicted_class"]) for a in got]
+                == [(a["date"], a["kind"], a["predicted_class"]) for a in want])
+        for a, b in zip(got, want):
+            for key in ("confidence", "predicted_return", "risk_score"):
+                assert a[key] == pytest.approx(b[key], rel=1e-12, abs=1e-12)
 
     def test_needs_predictions_or_data_dir(self, capsys):
         rc = main(["alert"])

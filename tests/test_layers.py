@@ -92,7 +92,7 @@ class TestEmbedding:
 
         def loss(t):
             out = L.embed_lookup(L.EmbeddingTable(_zero_pad_row(t)), ids, max_len=4)
-            return out.hadamard(c).sum()
+            return out.hadamard(c).data.sum()
 
         out = L.embed_lookup(table, ids, max_len=4)
         grad = L.embed_backward(table, ids, c)
@@ -206,13 +206,13 @@ class TestConv1d:
 
         def loss_of_input(xv):
             o, _ = L.conv1d_forward(params, xv)
-            return o.hadamard(c).sum()
+            return o.hadamard(c).data.sum()
 
         assert fd_check(loss_of_input, x, d_in) <= REL_TOL
 
         def loss_of_kernel(kv):
             o, _ = L.conv1d_forward(L.Conv1DParams(kernel=kv, width=3, stride=2), x)
-            return o.hadamard(c).sum()
+            return o.hadamard(c).data.sum()
 
         assert fd_check(loss_of_kernel, params.kernel, d_kernel) <= REL_TOL
 
@@ -258,7 +258,7 @@ class TestGlobalMaxPool:
             pre, _ = L.conv1d_forward(params, xv)
             relu = Matrix._wrap(np.maximum(pre.data, 0.0))
             pooled, _ = L.global_max_pool(relu)
-            return pooled.hadamard(c).sum()
+            return pooled.hadamard(c).data.sum()
 
         pre, cache = L.conv1d_forward(params, x)
         relu = Matrix._wrap(np.maximum(pre.data, 0.0))
@@ -382,7 +382,7 @@ class TestGRUStep:
             )
             h_t, _ = L.gru_step(p, hp if hp is not None else h_prev,
                                 xv if xv is not None else x)
-            return h_t.hadamard(c).sum()
+            return h_t.hadamard(c).data.sum()
 
         assert fd_check(lambda m: loss(wz=m), params.w_z, grads.d_w_z) <= REL_TOL
         assert fd_check(lambda m: loss(wr=m), params.w_r, grads.d_w_r) <= REL_TOL
@@ -448,7 +448,7 @@ class TestGRUSequence:
                 w=w if w is not None else params.w,
             )
             hiddens, _ = L.gru_forward(p, xs if xs is not None else inputs)
-            return sum(h.hadamard(c).sum() for h, c in zip(hiddens, cs))
+            return sum(h.hadamard(c).data.sum() for h, c in zip(hiddens, cs))
 
         _, caches = L.gru_forward(params, inputs)
         d_inputs, d_h0, grads = L.gru_sequence_backward(params, caches, cs)
@@ -476,7 +476,7 @@ class TestGRUSequence:
         def loss(m):
             p = L.GRUParams(w_z=m, w_r=params.w_r, w=params.w)
             hiddens, _ = L.gru_forward(p, inputs)
-            return hiddens[-1].hadamard(c).sum()
+            return hiddens[-1].hadamard(c).data.sum()
 
         assert fd_check(loss, params.w_z, grads.d_w_z) <= REL_TOL
 
@@ -548,7 +548,7 @@ class TestAttention:
                 u=u if u is not None else params.u,
             )
             ctx, _, _ = L.attention_pool(p, hs if hs is not None else hiddens)
-            return ctx.hadamard(c).sum()
+            return ctx.hadamard(c).data.sum()
 
         assert fd_check(lambda m: loss(w_a=m), params.w_a, d_w_a) <= REL_TOL
         assert fd_check(lambda m: loss(u=m), params.u, d_u) <= REL_TOL
@@ -604,7 +604,7 @@ class TestDense:
 
         def loss(wv=None, bv=None, xv=None):
             p = L.DenseParams(w=wv if wv is not None else w, b=bv if bv is not None else b)
-            return L.dense_forward(p, xv if xv is not None else x).hadamard(c).sum()
+            return L.dense_forward(p, xv if xv is not None else x).hadamard(c).data.sum()
 
         assert fd_check(lambda m: loss(wv=m), w, d_w) <= REL_TOL
         assert fd_check(lambda m: loss(bv=m), b, d_b) <= REL_TOL

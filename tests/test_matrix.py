@@ -1,4 +1,4 @@
-"""Matrix carrier, activations, softmax, and the finite-difference oracle."""
+"""Matrix carrier, the sigmoid, softmax, and the finite-difference oracle."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentirisk.errors import NumericError, ShapeError
-from sentirisk.matrix import (
-    Matrix,
-    activate,
-    finite_diff_grad,
-    matmul,
-    relu,
-    sigmoid,
-    softmax,
-    tanh,
-)
-from sentirisk.matrix import _sigmoid_array
+from sentirisk.matrix import Matrix, _sigmoid_array, finite_diff_grad, matmul, softmax
 
 RNG = np.random.Generator(np.random.PCG64(1234))
 
@@ -110,13 +100,12 @@ class TestMatmul:
 
 
 class TestElementwiseOps:
-    def test_add_sub_hadamard_scale(self):
+    def test_add_sub_hadamard(self):
         a = Matrix.from_rows([[1, 2], [3, 4]])
         b = Matrix.from_rows([[10, 20], [30, 40]])
         assert (a + b).to_lists() == [[11.0, 22.0], [33.0, 44.0]]
         assert (b - a).to_lists() == [[9.0, 18.0], [27.0, 36.0]]
         assert a.hadamard(b).to_lists() == [[10.0, 40.0], [90.0, 160.0]]
-        assert a.scale(2.0).to_lists() == [[2.0, 4.0], [6.0, 8.0]]
 
     def test_shape_checked(self):
         with pytest.raises(ShapeError):
@@ -124,53 +113,33 @@ class TestElementwiseOps:
         with pytest.raises(ShapeError):
             Matrix.zeros(2, 2).hadamard(Matrix.zeros(3, 2))
 
-    def test_concat_and_slice(self):
+    def test_concat_rows(self):
         top = Matrix.from_rows([[1], [2]])
         bottom = Matrix.from_rows([[3]])
         cat = top.concat_rows(bottom)
         assert cat.to_lists() == [[1.0], [2.0], [3.0]]
-        assert cat.row_slice(1, 3).to_lists() == [[2.0], [3.0]]
-
-    def test_transpose_and_sum(self):
-        m = Matrix.from_rows([[1, 2, 3]])
-        assert m.transpose().to_lists() == [[1.0], [2.0], [3.0]]
-        assert m.sum() == 6.0
 
 
 class TestActivations:
     def test_sigmoid_symmetry_point(self):
-        assert sigmoid(Matrix.column([0.0])).item() == 0.5
-
-    def test_forced_values(self):
-        assert tanh(Matrix.column([0.0])).item() == 0.0
-        assert relu(Matrix.column([-2.0])).item() == 0.0
-        assert relu(Matrix.column([3.0])).item() == 3.0
+        assert _sigmoid_array(np.array([0.0]))[0] == 0.5
 
     def test_sigmoid_complement_identity(self):
         xs = RNG.standard_normal(100) * 4.0
         for x in xs:
-            s = sigmoid(Matrix.column([float(x)])).item()
-            c = sigmoid(Matrix.column([float(-x)])).item()
+            s = _sigmoid_array(np.array([x]))[0]
+            c = _sigmoid_array(np.array([-x]))[0]
             assert abs(s + c - 1.0) < 1e-12
 
     def test_ranges_on_random_inputs(self):
-        # |x| <= 15 keeps the strict interior representable in float64;
-        # past ~19 tanh correctly rounds to the boundary itself.
-        xs = Matrix._wrap(RNG.uniform(-15.0, 15.0, size=(100, 100)))
-        sig = activate("sigmoid", xs)
-        th = activate("tanh", xs)
-        re_ = activate("relu", xs)
-        assert np.all((sig.data > 0.0) & (sig.data < 1.0))
-        assert np.all((th.data > -1.0) & (th.data < 1.0))
-        assert np.all(re_.data >= 0.0)
+        # |x| <= 15 keeps the strict interior representable in float64
+        sig = _sigmoid_array(RNG.uniform(-15.0, 15.0, size=(100, 100)))
+        assert np.all((sig > 0.0) & (sig < 1.0))
 
     def test_extreme_inputs_stay_finite_and_bounded(self):
-        out = sigmoid(Matrix.column([-1000.0, 1000.0]))
-        assert np.all(np.isfinite(out.data))
-        assert np.all((out.data >= 0.0) & (out.data <= 1.0))
-        th = activate("tanh", Matrix.column([-1000.0, 1000.0]))
-        assert np.all(np.isfinite(th.data))
-        assert np.all((th.data >= -1.0) & (th.data <= 1.0))
+        out = _sigmoid_array(np.array([-1000.0, 1000.0]))
+        assert np.all(np.isfinite(out))
+        assert np.all((out >= 0.0) & (out <= 1.0))
 
     def test_sigmoid_array_equals_the_two_branch_formula_bit_for_bit(self):
         def two_branch(x):
@@ -188,10 +157,6 @@ class TestActivations:
         assert got.shape == x.shape
         assert got.tobytes() == two_branch(x).tobytes()
         assert np.isnan(_sigmoid_array(np.array([np.nan, 1.0])))[0]
-
-    def test_unknown_activation_rejected(self):
-        with pytest.raises(ValueError):
-            activate("gelu", Matrix.zeros(1, 1))
 
 
 class TestSoftmax:
@@ -239,12 +204,12 @@ class TestSoftmax:
 class TestFiniteDiff:
     def test_linear_function_all_ones(self):
         x = Matrix._wrap(RNG.standard_normal((3, 2)))
-        grad = finite_diff_grad(lambda m: m.sum(), x)
+        grad = finite_diff_grad(lambda m: m.data.sum(), x)
         assert np.allclose(grad.data, 1.0, atol=1e-9)
 
     def test_quadratic_analytic_gradient(self):
         x = Matrix.from_rows([[1.0, 2.0]])
-        grad = finite_diff_grad(lambda m: m.hadamard(m).sum(), x)
+        grad = finite_diff_grad(lambda m: m.hadamard(m).data.sum(), x)
         assert abs(grad.at(0, 0) - 2.0) < 1e-6
         assert abs(grad.at(0, 1) - 4.0) < 1e-6
 
@@ -253,7 +218,7 @@ class TestFiniteDiff:
         a = Matrix._wrap(RNG.standard_normal((4, 4)))
 
         def f(m):
-            return matmul(a, m).hadamard(matmul(a, m)).sum()
+            return matmul(a, m).hadamard(matmul(a, m)).data.sum()
 
         grad = finite_diff_grad(f, x)
         want = 2.0 * a.data.T @ (a.data @ x.data)
@@ -261,4 +226,4 @@ class TestFiniteDiff:
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
-            finite_diff_grad(lambda m: m.sum(), Matrix.zeros(1, 1), h=0.0)
+            finite_diff_grad(lambda m: m.data.sum(), Matrix.zeros(1, 1), h=0.0)

@@ -20,6 +20,7 @@ from sentirisk.model import (
     set_named_params,
 )
 from sentirisk.train import (
+    FORWARD_BLOCK,
     MetricsReport,
     TrainConfig,
     compare_ablations,
@@ -28,6 +29,7 @@ from sentirisk.train import (
     render_comparison_table,
     report_rows,
     save_history,
+    score_windows,
     split_joint_loss,
     train,
 )
@@ -158,6 +160,17 @@ class TestTrainLoop:
         lines = [json.loads(x) for x in path.read_text().splitlines()]
         assert lines == history
 
+    def test_failed_history_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        save_history([{"epoch": 1, "train_loss": 0.5}], path)
+        old = path.read_bytes()
+        # the second row cannot be encoded, after the first has been written
+        with pytest.raises(TypeError):
+            save_history([{"epoch": 1, "train_loss": 0.25}, {"epoch": 2, "train_loss": object()}],
+                         path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["h.jsonl"]
+
     def test_invalid_config_rejected(self):
         for bad in ({"batch_size": 0}, {"optimizer": "rmsprop"},
                     {"lr": 0.0}, {"lr": -1e-3}, {"lr": math.nan}, {"lr": math.inf},
@@ -255,6 +268,20 @@ class TestMetrics:
     def test_evaluate_empty_split_rejected(self):
         with pytest.raises(DataValidationError):
             evaluate(build_model(TINY, ArchKind.CNN_GRU), [])
+
+
+class TestScoreWindows:
+    @pytest.mark.parametrize("arch", list(ArchKind))
+    def test_matches_the_per_window_oracle_across_blocks(self, arch):
+        samples = make_samples(TINY, 2 * FORWARD_BLOCK + 2, seed=5)  # two blocks and a short one
+        model = build_model(TINY, arch)
+        pred, logits = score_windows(model, samples)
+        oracle = [model_forward(model, s) for s in samples]
+        want_pred = np.array([p for p, _, _ in oracle])
+        want_logits = np.array([lg.data[:, 0] for _, lg, _ in oracle])
+        assert pred.shape == want_pred.shape and logits.shape == want_logits.shape
+        assert np.abs(pred - want_pred).max() <= 1e-10 * np.abs(want_pred).max()
+        assert np.abs(logits - want_logits).max() <= 1e-10 * np.abs(want_logits).max()
 
 
 class TestComparisonTable:
