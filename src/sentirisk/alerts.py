@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
+from .data import read_jsonl
 from .errors import DataValidationError
 from .matrix import Matrix
 from .text import CLASS_INDEX, CLASS_NAMES, NEGATIVE, NUM_CLASSES, POSITIVE
@@ -119,42 +120,28 @@ def load_predictions_jsonl(path: str | Path) -> list[DailyPrediction]:
     path = Path(path)
     if not path.is_file():
         raise DataValidationError(f"predictions file not found: {path}")
-    preds: list[DailyPrediction] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataValidationError(f"{path}:{lineno}: bad json ({exc.msg})") from None
-            try:
-                probs = [float(v) for v in obj["probs"]]
-                if len(probs) != NUM_CLASSES:
-                    raise DataValidationError(
-                        f"need {NUM_CLASSES} probabilities, got {len(probs)}")
-                if not all(math.isfinite(v) for v in probs):
-                    raise DataValidationError(f"probs must be finite, got {probs}")
-                predicted_return = float(obj["predicted_return"])
-                if not math.isfinite(predicted_return):
-                    raise DataValidationError(
-                        f"predicted_return must be finite, got {predicted_return}")
-                if "predicted_class" in obj:
-                    name = obj["predicted_class"]
-                    if name not in CLASS_INDEX:
-                        raise DataValidationError(f"unknown predicted_class {name!r}")
-                    cls = CLASS_INDEX[name]
-                else:
-                    cls = max(range(NUM_CLASSES), key=lambda i: probs[i])
-                preds.append(DailyPrediction(
-                    date=dt.date.fromisoformat(obj["date"]),
-                    predicted_class=cls,
-                    probs=Matrix(NUM_CLASSES, 1, probs),
-                    predicted_return=predicted_return,
-                ))
-            except KeyError as exc:
-                raise DataValidationError(f"{path}:{lineno}: missing key {exc}") from None
-            except (ValueError, TypeError) as exc:
-                raise DataValidationError(f"{path}:{lineno}: {exc}") from None
-    return preds
+    return read_jsonl(path, _prediction_from_obj)
+
+
+def _prediction_from_obj(obj: dict) -> DailyPrediction:
+    probs = [float(v) for v in obj["probs"]]
+    if len(probs) != NUM_CLASSES:
+        raise DataValidationError(f"need {NUM_CLASSES} probabilities, got {len(probs)}")
+    if not all(math.isfinite(v) for v in probs):
+        raise DataValidationError(f"probs must be finite, got {probs}")
+    predicted_return = float(obj["predicted_return"])
+    if not math.isfinite(predicted_return):
+        raise DataValidationError(f"predicted_return must be finite, got {predicted_return}")
+    if "predicted_class" in obj:
+        name = obj["predicted_class"]
+        if name not in CLASS_INDEX:
+            raise DataValidationError(f"unknown predicted_class {name!r}")
+        cls = CLASS_INDEX[name]
+    else:
+        cls = max(range(NUM_CLASSES), key=lambda i: probs[i])
+    return DailyPrediction(
+        date=dt.date.fromisoformat(obj["date"]),
+        predicted_class=cls,
+        probs=Matrix(NUM_CLASSES, 1, probs),
+        predicted_return=predicted_return,
+    )

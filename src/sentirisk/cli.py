@@ -14,10 +14,9 @@ TrainConfig, PrepareConfig and AlertRuleConfig, which alone define each
 setting's default, type and range. Three names differ: "attention" is
 attention_enabled, the three *_ratio keys are PrepareConfig.ratios, and the
 two lexicon_* paths are CLI-only. A key that several dataclasses share (seed,
-window, max_doc_len) sets every one of them. A value of the wrong JSON type
-or out of range is a data error. Explicit CLI flags override the file. The
-environment variable SENTI_RISK_SEED overrides the seed when the --seed flag
-is absent.
+window) sets every one of them. A value of the wrong JSON type or out of
+range is a data error. Explicit CLI flags override the file. The environment
+variable SENTI_RISK_SEED overrides the seed when the --seed flag is absent.
 """
 
 from __future__ import annotations
@@ -351,7 +350,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(train_mod.render_comparison_table(train_mod.report_rows(reports)))
     if args.out:
         obj = {arch.value: r.to_dict() for arch, r in reports.items()}
-        Path(args.out).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+        with data_mod.atomic_write(args.out) as fh:
+            fh.write(json.dumps(obj, indent=2) + "\n")
     return 0
 
 

@@ -6,7 +6,8 @@ sliding-window samples, split chronologically, fit normalization statistics
 on the training span only, then normalize every day and target.
 
 A prepared directory (format 2) holds vocab.txt (line i is the token with id
-i+2); days.jsonl, one line per distinct day; windows.jsonl, one line per
+i+2); days.jsonl, one line per distinct day, each document's token ids as
+read (only the model pads and truncates them); windows.jsonl, one line per
 sample: its targets and the row indices of its days in days.jsonl; and
 norm_stats.json: stats, window, ratios, format_version, n_days, n_samples.
 load_prepared rejects any other format_version (none means format 1), row
@@ -193,7 +194,7 @@ def load_text_jsonl(path: str | Path) -> list[RawTextDoc]:
     path = Path(path)
     if not path.is_file():
         raise DataValidationError(f"text jsonl not found: {path}")
-    return _read_jsonl(path, lambda obj: RawTextDoc(
+    return read_jsonl(path, lambda obj: RawTextDoc(
         timestamp=_parse_timestamp(obj["timestamp"]),
         text=obj["text"],
         source=obj.get("source", ""),
@@ -201,7 +202,7 @@ def load_text_jsonl(path: str | Path) -> list[RawTextDoc]:
     ))
 
 
-def _read_jsonl(path: Path, parse: Callable[[dict], T]) -> list[T]:
+def read_jsonl(path: Path, parse: Callable[[dict], T]) -> list[T]:
     """parse() of each non-blank line; every error names the file and line."""
     rows: list[T] = []
     with path.open(encoding="utf-8") as fh:
@@ -399,7 +400,6 @@ class NormStats:
 @dataclass
 class PrepareConfig:
     window: int = 20
-    max_doc_len: int = 30
     min_freq: int = 1
     max_vocab: int = 20000
     ratios: tuple[float, float, float] = DEFAULT_RATIOS
@@ -429,7 +429,7 @@ def prepare_dataset(bars: Sequence[MarketBar], raw_docs: Sequence[RawTextDoc],
     encoded = [
         LabeledDoc(
             timestamp=doc.timestamp,
-            token_ids=encode_doc(c, vocab, cfg.max_doc_len),
+            token_ids=encode_doc(c, vocab),
             label=lab,
         )
         for doc, c, lab in zip(raw_docs, cleaned, labels)
@@ -518,6 +518,12 @@ def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
             }) + "\n")
 
 
+def _class_index(name: str) -> int:
+    if name not in CLASS_INDEX:
+        raise DataValidationError(f"unknown class {name!r}")
+    return CLASS_INDEX[name]
+
+
 def _day_from_obj(obj: dict, vocab_size: int) -> AlignedDay:
     """A day whose token ids all lie in [0, vocab_size)."""
     token_seqs = [list(map(int, seq)) for seq in obj["token_seqs"]]
@@ -529,7 +535,7 @@ def _day_from_obj(obj: dict, vocab_size: int) -> AlignedDay:
         date=dt.date.fromisoformat(obj["date"]),
         raw=tuple(float(v) for v in obj["raw"]),
         token_seqs=token_seqs,
-        label=CLASS_INDEX[obj["label"]],
+        label=_class_index(obj["label"]),
         has_text=bool(obj["has_text"]),
         close=float(obj["close"]),
         features=Matrix(N_MARKET_FEATURES, 1, [float(v) for v in obj["features"]])
@@ -546,7 +552,7 @@ def _window_from_obj(obj: dict, days: list[AlignedDay], window: int) -> WindowSa
     return WindowSample(
         inputs=[days[i] for i in index],
         target_date=dt.date.fromisoformat(obj["target_date"]),
-        target_class=CLASS_INDEX[obj["target_class"]],
+        target_class=_class_index(obj["target_class"]),
         target_return_raw=float(obj["target_return_raw"]),
         target_close=float(obj["target_close"]),
         prev_close=float(obj["prev_close"]),
@@ -585,11 +591,11 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
     vocab = Vocabulary.from_lines(
         (root / "vocab.txt").read_text(encoding="utf-8").splitlines()
     )
-    days = _read_jsonl(root / "days.jsonl", lambda obj: _day_from_obj(obj, vocab.size))
+    days = read_jsonl(root / "days.jsonl", lambda obj: _day_from_obj(obj, vocab.size))
     if len(days) != n_days:
         raise DataValidationError(f"days.jsonl: {len(days)} rows, norm_stats.json n_days {n_days}")
-    samples = _read_jsonl(root / "windows.jsonl",
-                          lambda obj: _window_from_obj(obj, days, window))
+    samples = read_jsonl(root / "windows.jsonl",
+                         lambda obj: _window_from_obj(obj, days, window))
     if len(samples) != n_samples:
         raise DataValidationError(f"windows.jsonl: {len(samples)} rows, "
                                   f"norm_stats.json n_samples {n_samples}")

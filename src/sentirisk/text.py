@@ -152,11 +152,6 @@ def build_vocab(corpus: Iterable[str], min_freq: int = 1,
     return Vocabulary(token_to_id={tok: i + 2 for i, (tok, _) in enumerate(kept)})
 
 
-def encode_doc(cleaned: str, vocab: Vocabulary, max_len: int) -> list[int]:
-    """Whitespace tokens → ids (unknown → 1), truncated/right-padded to max_len."""
-    from .layers import pad_or_truncate
-
-    if max_len < 1:
-        raise DataValidationError(f"max_len must be >= 1, got {max_len}")
-    ids = [vocab.id_for(tok) for tok in cleaned.split()]
-    return pad_or_truncate(ids, max_len)
+def encode_doc(cleaned: str, vocab: Vocabulary) -> list[int]:
+    """Whitespace tokens → ids (unknown → 1), as read: only the model pads and truncates."""
+    return [vocab.id_for(tok) for tok in cleaned.split()]

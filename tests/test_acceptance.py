@@ -156,7 +156,7 @@ def demo_ds():
     bars = make_demo_market(n_days=40, seed=3)
     docs = make_demo_docs(bars, seed=4)
     return prepare_dataset(bars, docs, Lexicon.bundled(),
-                           PrepareConfig(window=20, max_doc_len=12))
+                           PrepareConfig(window=20))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from sentirisk import data as data_mod
 from sentirisk.alerts import AlertRuleConfig
 from sentirisk.cli import CONFIG_DEFAULTS, build_config, main
 from sentirisk.data import PrepareConfig, load_prepared
@@ -549,9 +550,28 @@ def _format_1(prep):
             "re-run `sentirisk prepare`")
 
 
+def _rewrite_row(path, lineno, key, value):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[lineno - 1])
+    row[key] = value
+    lines[lineno - 1] = json.dumps(row) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _unknown_target_class(prep):
+    _rewrite_row(prep / "windows.jsonl", 2, "target_class", "Positive")
+    return "windows.jsonl:2: unknown class 'Positive'"
+
+
+def _unknown_day_label(prep):
+    _rewrite_row(prep / "days.jsonl", 3, "label", "bogus")
+    return "days.jsonl:3: unknown class 'bogus'"
+
+
 class TestDamagedPrepared:
     @pytest.mark.parametrize("damage", [_cut_days, _cut_windows, _day_index_out_of_range,
-                                        _format_1], ids=lambda f: f.__name__.lstrip("_"))
+                                        _format_1, _unknown_target_class, _unknown_day_label],
+                             ids=lambda f: f.__name__.lstrip("_"))
     def test_exits_2_naming_the_fault(self, workspace, trained, tmp_path, capsys, damage):
         prep = tmp_path / "prepared"
         prep.mkdir()
@@ -610,6 +630,26 @@ class TestCompare:
         assert set(obj) == {"cnn", "gru", "cnn-gru"}
         for report in obj.values():
             assert 0.0 <= report["accuracy"] <= 1.0
+
+    def test_failed_write_leaves_the_previous_out_file(self, workspace, tmp_path, capsys,
+                                                       monkeypatch):
+        cfg = write_config(tmp_path, {"epochs": 1})
+        out = tmp_path / "metrics.json"
+        out.write_bytes(b'{"previous": true}\n')
+
+        def fail(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(data_mod.os, "replace", fail)
+        rc = main([
+            "compare", "--data-dir", str(workspace["root"]),
+            "--config", str(cfg), "--out", str(out), "--seed", "0",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "i/o error:" in captured.err
+        assert out.read_bytes() == b'{"previous": true}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "metrics.json"]
 
 
 class TestPredict:
@@ -832,7 +872,7 @@ class TestUsage:
                 assert f.name in CONFIG_DEFAULTS, f.name
 
     def test_every_key_reaches_every_dataclass_that_holds_it(self):
-        # shared keys (seed, window, max_doc_len) must set each of their owners
+        # shared keys (seed, window) must set each of their owners
         assert set(NON_DEFAULT) == set(CONFIG_DEFAULTS)
         assert all(NON_DEFAULT[k] != v for k, v in CONFIG_DEFAULTS.items())
         mcfg = build_config(ModelConfig, NON_DEFAULT, vocab_size=50)
@@ -841,7 +881,6 @@ class TestUsage:
         rules = build_config(AlertRuleConfig, NON_DEFAULT)
         assert (mcfg.seed, tcfg.seed) == (7, 7)
         assert (mcfg.window, pcfg.window) == (9, 9)
-        assert (mcfg.max_doc_len, pcfg.max_doc_len) == (11, 11)
         assert pcfg.ratios == (0.6, 0.3, 0.1)
         assert mcfg.attention_enabled is False
         for obj in (mcfg, tcfg, pcfg, rules):

@@ -4,8 +4,9 @@ import datetime as dt
 import json
 import logging
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from sentirisk.data import (
@@ -26,8 +27,11 @@ from sentirisk.data import (
     split_chronological,
 )
 from sentirisk.errors import DataValidationError
+from sentirisk.layers import pad_or_truncate
+from sentirisk.model import ArchKind, DayTable, ModelConfig, build_model, day_table, named_params
 from sentirisk.synthetic import make_ablation_dataset
 from sentirisk.text import Lexicon, Vocabulary
+from sentirisk.train import TrainConfig, score_windows, train
 
 
 def bar(day: dt.date, close: float = 100.0, volume: float = 1e6) -> MarketBar:
@@ -473,3 +477,65 @@ class TestPreparedRoundTrip:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises((DataValidationError, OSError)):
             load_prepared(tmp_path / "nope")
+
+
+def long_doc_corpus():
+    """build_corpus(30) plus one 40-token document on day 10."""
+    bars, docs, lex = build_corpus(30)
+    d = bars[10].date
+    long_doc = RawTextDoc(timestamp=dt.datetime(d.year, d.month, d.day, 11, 0),
+                          text=" ".join(f"w{i}" for i in range(40)), source="unit")
+    return bars, docs + [long_doc], lex
+
+
+def tiny_model_config(vocab_size: int, max_doc_len: int) -> ModelConfig:
+    return ModelConfig(vocab_size=vocab_size, embed_dim=3, num_filters=2, kernel_width=2,
+                       conv_stride=1, gru_hidden=2, window=5, max_doc_len=max_doc_len, seed=3)
+
+
+class TestDocumentLength:
+    """prepare stores every token id it reads; only the model pads and truncates."""
+
+    CFG = PrepareConfig(window=5, ratios=(0.6, 0.2, 0.2))
+
+    def test_prepare_keeps_every_id_of_a_long_document(self, tmp_path):
+        ds = prepare_dataset(*long_doc_corpus(), self.CFG)
+        save_prepared(ds, tmp_path)
+        stored = [seq for row in read_lines(tmp_path / "days.jsonl") for seq in row["token_seqs"]]
+        assert max(len(seq) for seq in stored) == 40
+        assert all(tok != 0 for seq in stored for tok in seq)
+
+        cfg = tiny_model_config(ds.vocab.size, max_doc_len=60)
+        docs = day_table(cfg, load_prepared(tmp_path).samples).docs
+        assert (docs != 0).sum(axis=1).max() == 40
+
+    def test_ids_padded_to_30_score_and_train_the_same(self, tmp_path):
+        # format-2 directories once stored every document padded or cut to 30 ids
+        ds = prepare_dataset(*long_doc_corpus(), self.CFG)
+        save_prepared(ds, tmp_path / "as_read")
+        padded = tmp_path / "padded"
+        save_prepared(ds, padded)
+        rows = read_lines(padded / "days.jsonl")
+        for row in rows:
+            row["token_seqs"] = [pad_or_truncate(seq, 30) for seq in row["token_seqs"]]
+        (padded / "days.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows),
+                                           encoding="utf-8")
+        a, b = load_prepared(tmp_path / "as_read"), load_prepared(padded)
+        assert a.samples[6].inputs[-1].token_seqs != b.samples[6].inputs[-1].token_seqs  # day 10
+
+        cfg = tiny_model_config(ds.vocab.size, max_doc_len=12)
+        ta, tb = day_table(cfg, a.samples), day_table(cfg, b.samples)
+        for f in fields(DayTable):
+            x, y = getattr(ta, f.name), getattr(tb, f.name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        tcfg = TrainConfig(lr=0.01, batch_size=4, epochs=2, patience=0, seed=1)
+        for arch in ArchKind:
+            ma, mb = build_model(cfg, arch), build_model(cfg, arch)
+            for x, y in zip(score_windows(ma, a.samples), score_windows(mb, b.samples)):
+                assert np.array_equal(x, y), arch
+            best_a, hist_a = train(ma, *a.splits()[:2], tcfg)
+            best_b, hist_b = train(mb, *b.splits()[:2], tcfg)
+            assert hist_a == hist_b
+            pb = named_params(best_b)
+            for name, p in named_params(best_a).items():
+                assert np.array_equal(p.data, pb[name].data), (arch, name)

@@ -146,14 +146,14 @@ class TestEncodeDoc:
     def vocab(self):
         return Vocabulary(token_to_id={"a": 2, "b": 3})
 
-    def test_basic_with_padding(self):
-        assert encode_doc("a b", self.vocab(), max_len=4) == [2, 3, 0, 0]
+    def test_basic_ids_are_not_padded(self):
+        assert encode_doc("a b", self.vocab()) == [2, 3]
 
     def test_unknown_maps_to_unk(self):
-        assert encode_doc("zzz a", self.vocab(), max_len=2) == [1, 2]
+        assert encode_doc("zzz a", self.vocab()) == [1, 2]
 
-    def test_truncation(self):
-        assert encode_doc("a b", self.vocab(), max_len=1) == [2]
+    def test_long_doc_keeps_every_id(self):
+        assert encode_doc(" ".join(["a", "b", "zzz"] * 20), self.vocab()) == [2, 3, 1] * 20
 
-    def test_empty_doc_is_all_padding(self):
-        assert encode_doc("", self.vocab(), max_len=3) == [0, 0, 0]
+    def test_empty_doc_has_no_ids(self):
+        assert encode_doc("", self.vocab()) == []
