@@ -1,9 +1,10 @@
 """Market/text ingestion, day alignment, windowing, splits, normalization.
 
-Pipeline order: load bars + raw docs, clean and label each doc, build the
-vocabulary, encode docs, align docs onto trading days (roll-forward), build
-sliding-window samples, split chronologically, fit normalization statistics
-on the training span only, then normalize every day and target.
+Pipeline order: load bars + raw docs, clean and label each doc (one that
+cleans to no tokens, such as a bare URL, is dropped), build the vocabulary,
+encode docs, align docs onto trading days (roll-forward), build sliding-window
+samples, split chronologically, fit normalization statistics on the training
+span only, then normalize every day and target.
 
 A prepared directory (format 2) holds vocab.txt (line i is the token with id
 i+2); days.jsonl, one line per distinct day, each document's token ids as
@@ -90,8 +91,9 @@ class RawTextDoc:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.text:
-            raise DataValidationError("document text is empty")
+        if not isinstance(self.text, str) or not self.text:
+            raise DataValidationError(f"document text must be a non-empty string, "
+                                      f"got {self.text!r:.40}")
         if self.label is not None and self.label not in CLASS_INDEX:
             raise DataValidationError(f"unknown label {self.label!r}")
 
@@ -419,20 +421,19 @@ class PreparedDataset:
 
 def prepare_dataset(bars: Sequence[MarketBar], raw_docs: Sequence[RawTextDoc],
                     lexicon: Lexicon, cfg: PrepareConfig) -> PreparedDataset:
-    cleaned: list[str] = []
-    labels: list[int] = []
-    for doc in raw_docs:
-        c = clean_text(doc.text)
-        cleaned.append(c)
-        labels.append(CLASS_INDEX[label_sentiment(c, lexicon, presupplied=doc.label)])
-    vocab = build_vocab(cleaned, min_freq=cfg.min_freq, max_size=cfg.max_vocab)
+    # a doc that cleans to no tokens (a bare URL) would vote in its day's label
+    kept = [(doc, c) for doc in raw_docs if (c := clean_text(doc.text))]
+    if len(kept) < len(raw_docs):
+        log.info("dropping %d documents with no tokens after cleaning",
+                 len(raw_docs) - len(kept))
+    vocab = build_vocab([c for _, c in kept], min_freq=cfg.min_freq, max_size=cfg.max_vocab)
     encoded = [
         LabeledDoc(
             timestamp=doc.timestamp,
             token_ids=encode_doc(c, vocab),
-            label=lab,
+            label=CLASS_INDEX[label_sentiment(c, lexicon, presupplied=doc.label)],
         )
-        for doc, c, lab in zip(raw_docs, cleaned, labels)
+        for doc, c in kept
     ]
     days_raw = align_days(bars, encoded)
     raw_samples = make_windows(days_raw, window=cfg.window)

@@ -1,15 +1,15 @@
 """Dense 64-bit matrix arithmetic, the sigmoid, and a finite-difference oracle.
 
-This is the validated numeric type of the model's named weights, the
-optimizer's state, day features, alert probabilities, and the per-window
-reference (layers.py, model.model_forward/model_backward). Training and all
-scoring run whole batches on raw ndarrays indexed out of a day table
-(model.table_forward). _sigmoid_array, the gate activation of both GRU
-paths, is branch-free and cannot overflow. Values live in a read-only float64
-numpy array, so instances are safe to share across threads and every
-operation allocates a fresh output. Matrix products are evaluated with a
-fixed row-major, left-to-right summation order (np.einsum), which makes the
-naive triple-loop oracle an exact match.
+This is the validated numeric type of the model's named weights, day
+features, alert probabilities, and the per-window reference (layers.py,
+model.model_forward/model_backward). Training and all scoring run whole
+batches on raw ndarrays indexed out of a day table (model.table_forward).
+_sigmoid_array, the gate activation of both GRU paths, is branch-free and
+cannot overflow. Values live in a read-only float64 numpy array and every
+operation allocates a fresh output; only train() writes behind one, between
+batches, in the flat vector its model's weights view (model.with_flat_params).
+Matrix products are evaluated with a fixed row-major, left-to-right summation
+order (np.einsum), which makes the naive triple-loop oracle an exact match.
 
 No broadcasting anywhere: shapes must line up exactly or the call is
 rejected with both shapes in the message.

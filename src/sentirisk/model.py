@@ -191,25 +191,32 @@ def build_model(cfg: ModelConfig, arch: ArchKind) -> CnnGruModel:
 # ---------------------------------------------------------------------------
 
 
+# (name, model field, container field) of every tensor, in named_params order:
+# the layout of checkpoints and of flat_params
+_PARAM_SLOTS = (
+    ("embedding", "embedding", "table"),
+    ("conv/k", "conv", "kernel"),
+    ("gru/w_z", "gru", "w_z"),
+    ("gru/w_r", "gru", "w_r"),
+    ("gru/w", "gru", "w"),
+    ("attn/w_a", "attention", "w_a"),
+    ("attn/u", "attention", "u"),
+    ("head_reg/w", "head_reg", "w"),
+    ("head_reg/b", "head_reg", "b"),
+    ("head_cls/w", "head_cls", "w"),
+    ("head_cls/b", "head_cls", "b"),
+)
+
+
 def named_params(model: CnnGruModel) -> dict[str, Matrix]:
-    out: dict[str, Matrix] = {"embedding": model.embedding.table}
-    if model.conv is not None:
-        out["conv/k"] = model.conv.kernel
-    if model.gru is not None:
-        out["gru/w_z"] = model.gru.w_z
-        out["gru/w_r"] = model.gru.w_r
-        out["gru/w"] = model.gru.w
-    if model.attention is not None:
-        out["attn/w_a"] = model.attention.w_a
-        out["attn/u"] = model.attention.u
-    out["head_reg/w"] = model.head_reg.w
-    out["head_reg/b"] = model.head_reg.b
-    out["head_cls/w"] = model.head_cls.w
-    out["head_cls/b"] = model.head_cls.b
-    return out
+    """Every tensor of model by name; an absent conv, gru or attention has none."""
+    return {name: getattr(getattr(model, part), slot) for name, part, slot in _PARAM_SLOTS
+            if getattr(model, part) is not None}
 
 
 def set_named_params(model: CnnGruModel, params: dict[str, Matrix]) -> CnnGruModel:
+    """model with its tensors replaced by params of the same names and shapes;
+    each part runs its own checks again, the zero embedding pad row among them."""
     expected = named_params(model)
     if set(params) != set(expected):
         missing = sorted(set(expected) - set(params))
@@ -220,24 +227,30 @@ def set_named_params(model: CnnGruModel, params: dict[str, Matrix]) -> CnnGruMod
             raise ShapeError(
                 f"tensor {name} has shape {params[name].shape}, expected {old.shape}"
             )
-    conv = model.conv
-    if conv is not None:
-        conv = replace(conv, kernel=params["conv/k"])
-    gru = model.gru
-    if gru is not None:
-        gru = GRUParams(w_z=params["gru/w_z"], w_r=params["gru/w_r"], w=params["gru/w"])
-    attention = model.attention
-    if attention is not None:
-        attention = AttentionParams(w_a=params["attn/w_a"], u=params["attn/u"])
-    return replace(
-        model,
-        embedding=EmbeddingTable(params["embedding"]),
-        conv=conv,
-        gru=gru,
-        attention=attention,
-        head_reg=DenseParams(w=params["head_reg/w"], b=params["head_reg/b"]),
-        head_cls=DenseParams(w=params["head_cls/w"], b=params["head_cls/b"]),
-    )
+    parts: dict[str, dict[str, Matrix]] = {}
+    for name, part, slot in _PARAM_SLOTS:
+        if name in params:
+            parts.setdefault(part, {})[slot] = params[name]
+    return replace(model, **{part: replace(getattr(model, part), **tensors)
+                             for part, tensors in parts.items()})
+
+
+def flat_params(model: CnnGruModel) -> np.ndarray:
+    """A fresh float64 vector of every named tensor, raveled, in named_params order."""
+    return np.concatenate([t.data.ravel() for t in named_params(model).values()])
+
+
+def with_flat_params(model: CnnGruModel, flat: np.ndarray) -> CnnGruModel:
+    """model with each named tensor a read-only view of its span of flat, laid
+    out as flat_params lays it out; writes to flat show through the views."""
+    named = named_params(model)
+    ends = np.cumsum([t.rows * t.cols for t in named.values()])
+    if flat.dtype != np.float64 or flat.shape != (ends[-1],):
+        raise ShapeError(f"flat parameters must be float64 of shape ({ends[-1]},), "
+                         f"got {flat.dtype} {flat.shape}")
+    return set_named_params(model, {
+        name: Matrix._wrap(span.reshape(t.shape))
+        for (name, t), span in zip(named.items(), np.split(flat, ends[:-1]))})
 
 
 def count_params(model: CnnGruModel) -> int:
@@ -869,38 +882,21 @@ def load_checkpoint(path: str | Path) -> CnnGruModel:
         cfg = ModelConfig.from_dict(obj["config"])
     except (TypeError, ShapeError) as exc:
         raise CheckpointError(f"bad config block in {path}: {exc}") from None
-    model = build_model(cfg, arch)
-    expected = named_params(model)
-    stored = obj["tensors"]
-    missing = sorted(set(expected) - set(stored))
-    if missing:
-        raise CheckpointError(f"checkpoint missing tensors: {missing}")
-    extra = sorted(set(stored) - set(expected))
-    if extra:
-        raise CheckpointError(f"checkpoint has unexpected tensors: {extra}")
+    if not isinstance(obj["tensors"], dict):
+        raise CheckpointError(f"checkpoint {path}: tensors must be a json object")
     params: dict[str, Matrix] = {}
-    for name, spec in stored.items():
+    for name, spec in obj["tensors"].items():
         try:
             rows, cols, values = spec["rows"], spec["cols"], spec["values"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"tensor {name} malformed: {exc}") from None
-        want = expected[name].shape
-        if (rows, cols) != want:
-            raise CheckpointError(
-                f"tensor {name} has shape {(rows, cols)}, expected {want}"
-            )
         if not isinstance(values, list) or not all(isinstance(r, list) for r in values):
             raise CheckpointError(f"tensor {name} values must be nested lists")
-        flat = [v for row in values for v in row]
-        if len(flat) != rows * cols:
-            raise CheckpointError(
-                f"tensor {name} holds {len(flat)} values, expected {rows * cols}"
-            )
-        try:
-            params[name] = Matrix(rows, cols, flat)
+        try:  # the Matrix checks the value count against rows x cols
+            params[name] = Matrix(rows, cols, [v for row in values for v in row])
         except (ShapeError, NumericError, ValueError, TypeError) as exc:
             raise CheckpointError(f"tensor {name} invalid: {exc}") from None
-    try:
-        return set_named_params(model, params)
-    except ShapeError as exc:  # shapes match by now: a nonzero embedding pad row
+    try:  # names, shapes and the zero embedding pad row
+        return set_named_params(build_model(cfg, arch), params)
+    except ShapeError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None

@@ -7,10 +7,11 @@ model.DayTable each, and each mini-batch is a slice of the permutation run
 through model.table_forward/batch_backward as whole arrays. score_windows,
 behind evaluate, split_joint_loss, export_predictions and the CLI's alert,
 runs one table of a list of windows FORWARD_BLOCK windows at a time, as
-validation does. Matrix stays at the boundary, as the model's and the
-optimizer's named tensors. A batch with a non-finite loss aborts the run;
-early stopping watches the validation joint loss and the best-validation
-parameter snapshot is what the caller gets back. TrainConfig is the one
+validation does. The optimizer steps a flat copy of the parameters
+(model.flat_params) in place, under a model built once over views of it, so
+the caller's model is never written. A batch with a non-finite loss aborts
+the run; early stopping watches the validation joint loss, and a copy of the
+vector at the best one is what the caller gets back. TrainConfig is the one
 place that checks the training settings, the optimizer's among them.
 """
 
@@ -29,7 +30,6 @@ import numpy as np
 from .data import DEFAULT_RATIOS, NormStats, WindowSample, atomic_write, split_chronological
 from .errors import DataValidationError, ShapeError, TrainingDivergedError
 from .losses import batch_cross_entropy, joint_loss
-from .matrix import Matrix
 from .model import (
     ArchKind,
     CnnGruModel,
@@ -38,9 +38,9 @@ from .model import (
     batch_backward,
     build_model,
     day_table,
-    named_params,
-    set_named_params,
+    flat_params,
     table_forward,
+    with_flat_params,
 )
 from .optim import Optimizer
 from .text import NUM_CLASSES
@@ -131,8 +131,8 @@ def _joint_loss(model: CnnGruModel, pred: np.ndarray, logits: np.ndarray,
 
 def _batch_step(model: CnnGruModel, table: DayTable, index: np.ndarray,
                 returns: np.ndarray, classes: np.ndarray
-                ) -> tuple[float, float, dict[str, np.ndarray]]:
-    """(summed squared error, summed cross entropy, summed gradients) of a batch.
+                ) -> tuple[float, float, np.ndarray]:
+    """(summed squared error, summed cross entropy, summed flat gradients) of a batch.
 
     Its own function so the batch's activations are freed before the next one.
     """
@@ -140,7 +140,8 @@ def _batch_step(model: CnnGruModel, table: DayTable, index: np.ndarray,
     returns, classes = returns[index], classes[index]
     sq_err = float(np.sum((cache.pred - returns) ** 2))
     ce = float(np.sum(batch_cross_entropy(cache.logits, classes)))
-    return sq_err, ce, batch_backward(model, cache, returns, classes)
+    grads = batch_backward(model, cache, returns, classes).values()  # flat_params order
+    return sq_err, ce, np.concatenate([g.ravel() for g in grads])
 
 
 def split_joint_loss(model: CnnGruModel, split: Sequence[WindowSample]) -> float:
@@ -160,8 +161,9 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
 
     opt = Optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    params = named_params(model)
-    best_params = dict(params)
+    flat = flat_params(model)  # a copy: the caller's model is never written
+    model = with_flat_params(model, flat)
+    best = flat.copy()
     best_val = math.inf
     bad_epochs = 0
     history: list[dict] = []
@@ -185,9 +187,7 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
                 )
             epoch_mse += sq_err
             epoch_ce += ce
-            mean_grads = {name: Matrix._wrap(g / len(batch)) for name, g in grads.items()}
-            params = opt.apply(params, mean_grads)
-            model = set_named_params(model, params)
+            opt.apply(flat, grads / len(batch))
 
         train_mse = epoch_mse / n
         train_ce = epoch_ce / n
@@ -209,14 +209,14 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
 
         if val_loss < best_val:
             best_val = val_loss
-            best_params = dict(params)
+            best = flat.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
             if cfg.patience > 0 and bad_epochs >= cfg.patience:
                 break
 
-    return set_named_params(model, best_params), history
+    return with_flat_params(model, best), history
 
 
 def save_history(history: Sequence[dict], path: str | Path) -> None:

@@ -145,6 +145,20 @@ class TestPrepare:
         assert "data error:" in captured.err
         assert "market csv not found" in captured.err
 
+    @pytest.mark.parametrize("text", [5, ["stocks", "surge"]], ids=["int", "list"])
+    def test_non_string_text_exits_2_naming_the_line(self, tmp_path, capsys, text):
+        write_market_csv(make_demo_market(n_days=20, seed=1), tmp_path / "market.csv")
+        (tmp_path / "texts.jsonl").write_text(
+            json.dumps({"timestamp": "2020-01-06T10:00:00", "text": text}) + "\n",
+            encoding="utf-8")
+        rc = main(["prepare", "--data-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "texts.jsonl:1: document text must be a non-empty string" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "prepared").exists()
+
 
 class TestConfigFile:
     def test_unknown_key_exits_2(self, workspace, tmp_path, capsys):

@@ -96,6 +96,11 @@ class TestRawTextDoc:
         with pytest.raises(DataValidationError):
             RawTextDoc(timestamp=dt.datetime(2024, 1, 2), text="", source="t")
 
+    def test_non_string_text_rejected(self):
+        for text in (5, ["x"], None):
+            with pytest.raises(DataValidationError, match="must be a non-empty string"):
+                RawTextDoc(timestamp=dt.datetime(2024, 1, 2), text=text, source="t")
+
     def test_bad_label_rejected(self):
         with pytest.raises(DataValidationError):
             RawTextDoc(timestamp=dt.datetime(2024, 1, 2), text="x", source="t",
@@ -399,6 +404,41 @@ class TestPrepareDataset:
         with pytest.raises(DataValidationError):
             prepare_dataset(bars, docs, lex, PrepareConfig(window=5,
                                                            ratios=(0.3, 0.35, 0.35)))
+
+    @staticmethod
+    def days_by_date(ds):
+        return {d.date: d for s in ds.samples for d in s.inputs}
+
+    @staticmethod
+    def url_post(day: dt.date, label=None) -> RawTextDoc:
+        return RawTextDoc(timestamp=dt.datetime(day.year, day.month, day.day, 11, 0),
+                          text="https://t.co/abc", source="unit", label=label)
+
+    def test_document_without_tokens_dropped(self, caplog):
+        # a bare URL cleans to no tokens; beside "up" it would tie the day's
+        # label vote to neutral and halve its mean text vector
+        bars, docs, lex = build_corpus(30)
+        day = bars[0].date
+        assert docs[0].text == "up" and docs[0].timestamp.date() == day
+        want = prepare_dataset(bars, docs, lex, self.CFG)
+        with caplog.at_level(logging.INFO, logger="sentirisk.data"):
+            got = prepare_dataset(bars, docs + [self.url_post(day, label="negative")],
+                                  lex, self.CFG)
+        assert "dropping 1 documents with no tokens" in caplog.text
+        a, b = self.days_by_date(want)[day], self.days_by_date(got)[day]
+        assert (b.token_seqs, b.label, b.has_text) == (a.token_seqs, a.label, a.has_text)
+        assert b.features == a.features
+        assert got.vocab == want.vocab
+        assert_same_samples(got.samples, want.samples)
+
+    def test_day_with_only_a_tokenless_post_has_no_text(self):
+        bars, docs, lex = build_corpus(30)
+        day = bars[2].date  # every third day of the corpus has no posts
+        assert all(d.timestamp.date() != day for d in docs)
+        got = self.days_by_date(
+            prepare_dataset(bars, docs + [self.url_post(day)], lex, self.CFG))[day]
+        assert not got.has_text
+        assert got.token_seqs == []
 
 
 def assert_same_samples(loaded, original):

@@ -17,15 +17,7 @@ from sentirisk.losses import (
 )
 from sentirisk.matrix import Matrix, finite_diff_grad, softmax
 from sentirisk.model import ModelConfig
-from sentirisk.optim import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
-    AdamState,
-    Optimizer,
-    adam_step,
-    sgd_step,
-)
+from sentirisk.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Optimizer
 from sentirisk.train import TrainConfig
 
 RNG = np.random.Generator(np.random.PCG64(33))
@@ -140,23 +132,36 @@ class TestJointLoss:
         assert joint_loss(lo_m, lo_c, lam) <= joint_loss(lo_m, hi_c, lam)
 
 
+def sgd(p, g, lr, weight_decay=0.0):
+    """One SGD step on a copy of p; returns the stepped copy."""
+    p = np.array(p, dtype=float)
+    Optimizer("sgd", lr, weight_decay).apply(p, np.array(g, dtype=float))
+    return p
+
+
 class TestSGD:
     def test_basic_arithmetic(self):
-        out = sgd_step(Matrix.column([1.0]), Matrix.column([2.0]), 0.1)
-        assert abs(out.item() - 0.8) < 1e-15
+        assert abs(sgd([1.0], [2.0], 0.1)[0] - 0.8) < 1e-15
 
     def test_zero_grad_is_stationary(self):
-        p = rand_col(4)
-        out = sgd_step(p, Matrix.zeros(4, 1), 0.1)
-        assert out == p
+        p = RNG.standard_normal(4)
+        assert sgd(p, np.zeros(4), 0.1).tobytes() == p.tobytes()
 
     def test_decay_only_arithmetic(self):
-        out = sgd_step(Matrix.column([1.0]), Matrix.column([0.0]), 0.1, weight_decay=0.1)
-        assert abs(out.item() - 0.99) < 1e-15
+        assert abs(sgd([1.0], [0.0], 0.1, weight_decay=0.1)[0] - 0.99) < 1e-15
+
+    def test_steps_in_place(self):
+        p = np.array([1.0, 2.0])
+        before = p
+        Optimizer("sgd", 0.5).apply(p, np.array([1.0, 1.0]))
+        assert p is before
+        assert p.tolist() == [0.5, 1.5]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            sgd_step(Matrix.zeros(2, 1), Matrix.zeros(3, 1), 0.1)
+            Optimizer("sgd", 0.1).apply(np.zeros(2), np.zeros(3))
+        with pytest.raises(ShapeError):  # a flat vector, not a tensor
+            Optimizer("sgd", 0.1).apply(np.zeros((2, 1)), np.zeros((2, 1)))
 
     def test_nonpositive_alpha_rejected(self):
         # the learning rate is a training setting; TrainConfig checks its range
@@ -174,7 +179,7 @@ class TestSGD:
         if abs(w - target) < 1e-9:
             return
         f_before = 0.5 * (w - target) ** 2
-        stepped = sgd_step(Matrix.column([w]), Matrix.column([w - target]), alpha).item()
+        stepped = sgd([w], [w - target], alpha)[0]
         f_after = 0.5 * (stepped - target) ** 2
         assert f_after < f_before
 
@@ -197,64 +202,71 @@ class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         lr = 1e-3
         for g in (0.01, 1.0, 250.0, -7.0):
-            p = Matrix.column([0.5])
-            new_p, state = adam_step(p, Matrix.column([g]), AdamState.zeros_like(p), lr)
-            step = abs(new_p.item() - 0.5)
+            opt = Optimizer("adam", lr)
+            p = np.array([0.5])
+            opt.apply(p, np.array([g]))
             # m_hat/sqrt(v_hat) = sign(g) on the first step, up to eps
-            assert abs(step - lr) < lr * 1e-3
-            assert state.t == 1
+            assert abs(abs(p[0] - 0.5) - lr) < lr * 1e-3
+            assert opt.t == 1
 
     def test_zero_grad_never_moves(self):
-        p = rand_col(3)
-        state = AdamState.zeros_like(p)
+        opt = Optimizer("adam", 1e-4)
+        p = RNG.standard_normal(3)
+        start = p.copy()
         for _ in range(5):
-            p2, state = adam_step(p, Matrix.zeros(3, 1), state, 1e-4)
-            assert p2 == p
-            p = p2
+            opt.apply(p, np.zeros(3))
+            assert p.tobytes() == start.tobytes()
 
     def test_ten_steps_match_textbook_oracle(self):
+        # the update runs the textbook's per-element operations in its order,
+        # so the result is equal to the last bit
         lr = 3e-3
-        p = rand_col(4)
-        grads = [rand_col(4) for _ in range(10)]
-        state = AdamState.zeros_like(p)
-        got = p
+        p = RNG.standard_normal(4)
+        grads = [RNG.standard_normal(4) for _ in range(10)]
+        opt = Optimizer("adam", lr)
+        got = p.copy()
         for g in grads:
-            got, state = adam_step(got, g, state, lr)
-        want = textbook_adam(p.data, [g.data for g in grads],
-                             lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
-        assert np.allclose(got.data, want, rtol=1e-12, atol=1e-15)
-        assert state.t == 10
+            opt.apply(got, g)
+        want = textbook_adam(p, grads, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+        assert got.tobytes() == want.tobytes()
+        assert opt.t == 10
 
     def test_default_learning_rate(self):
         assert TrainConfig().optimizer == "adam"
         assert TrainConfig().lr == 1e-4
 
     def test_shape_mismatch_rejected(self):
-        p = Matrix.zeros(2, 1)
         with pytest.raises(ShapeError):
-            adam_step(p, Matrix.zeros(3, 1), AdamState.zeros_like(p), 1e-4)
+            Optimizer("adam", 1e-4).apply(np.zeros(2), np.zeros(3))
+
+    def test_params_of_another_length_rejected_after_first_step(self):
+        opt = Optimizer("adam", 1e-4)
+        opt.apply(np.zeros(2), np.ones(2))
+        with pytest.raises(ShapeError):
+            opt.apply(np.zeros(3), np.ones(3))
 
     def test_second_moment_stays_nonnegative(self):
-        p = rand_col(3)
-        state = AdamState.zeros_like(p)
+        opt = Optimizer("adam", 1e-4)
+        p = RNG.standard_normal(3)
         for _ in range(8):
-            p, state = adam_step(p, rand_col(3, scale=4.0), state, 1e-4)
-            assert np.all(state.v.data >= 0.0)
+            opt.apply(p, RNG.standard_normal(3) * 4.0)
+            assert np.all(opt.v >= 0.0)
 
 
-class TestOptimizerWrapper:
-    def test_applies_to_every_named_tensor(self):
-        opt = Optimizer(kind="sgd", lr=0.5)
-        params = {"a": Matrix.column([1.0]), "b": Matrix.column([2.0])}
-        grads = {"a": Matrix.column([1.0]), "b": Matrix.column([1.0])}
-        out = opt.apply(params, grads)
-        assert out["a"].item() == 0.5
-        assert out["b"].item() == 1.5
-
-    def test_adam_state_tracked_per_tensor(self):
+class TestOptimizerState:
+    def test_no_state_before_first_step(self):
         opt = Optimizer(kind="adam", lr=0.1)
-        params = {"a": Matrix.column([0.0]), "b": Matrix.column([0.0])}
-        grads = {"a": Matrix.column([1.0]), "b": Matrix.column([0.0])}
-        out = opt.apply(params, grads)
-        assert abs(out["a"].item() + 0.1) < 1e-4  # moved by ~lr
-        assert out["b"].item() == 0.0  # zero grad, zero moments: no motion
+        assert opt.m is None and opt.v is None and opt.t == 0
+
+    def test_each_element_keeps_its_own_moments(self):
+        opt = Optimizer(kind="adam", lr=0.1)
+        p = np.zeros(2)
+        opt.apply(p, np.array([1.0, 0.0]))
+        assert abs(p[0] + 0.1) < 1e-4  # moved by ~lr
+        assert p[1] == 0.0  # zero grad, zero moments: no motion
+        assert opt.m[1] == 0.0 and opt.v[1] == 0.0
+        opt.apply(p, np.array([0.0, 1.0]))
+        # element 0 decays its moments, element 1 takes its first gradient
+        assert np.allclose(opt.m, [0.9 * 0.1, 0.1], rtol=1e-15, atol=0.0)
+        assert np.allclose(opt.v, [0.999 * 0.001, 0.001], rtol=1e-15, atol=0.0)
+        assert p[0] < -0.1 and p[1] < 0.0

@@ -28,6 +28,7 @@ from sentirisk.model import (
     build_model,
     count_params,
     day_table,
+    flat_params,
     gru_param_count,
     load_checkpoint,
     model_backward,
@@ -36,6 +37,7 @@ from sentirisk.model import (
     save_checkpoint,
     set_named_params,
     table_forward,
+    with_flat_params,
 )
 
 RNG = np.random.Generator(np.random.PCG64(202))
@@ -594,6 +596,47 @@ class TestCountParams:
         assert full > gru_only > 0
 
 
+class TestFlatParams:
+    def test_layout_is_named_order_raveled(self):
+        for arch in ArchKind:
+            model = build_model(TINY, arch)
+            flat = flat_params(model)
+            assert flat.dtype == np.float64 and flat.shape == (count_params(model),)
+            want = np.concatenate([p.data.ravel() for p in named_params(model).values()])
+            assert flat.tobytes() == want.tobytes(), arch
+            for p in named_params(model).values():
+                assert not np.shares_memory(flat, p.data)
+
+    def test_views_round_trip_and_see_writes(self):
+        model = build_model(TINY, ArchKind.CNN_GRU)
+        flat = flat_params(model)
+        viewed = with_flat_params(model, flat)
+        a, b = named_params(model), named_params(viewed)
+        assert a.keys() == b.keys()
+        for n in a:
+            assert a[n] == b[n], n
+            assert np.shares_memory(b[n].data, flat), n
+            assert not b[n].data.flags.writeable, n
+        flat[-1] += 1.0  # the last value is head_cls/b's last entry
+        assert named_params(viewed)["head_cls/b"].data[-1, 0] == flat[-1]
+        assert named_params(model)["head_cls/b"].data[-1, 0] == flat[-1] - 1.0
+
+    def test_wrong_length_or_dtype_rejected(self):
+        model = build_model(TINY, ArchKind.CNN_GRU)
+        flat = flat_params(model)
+        for bad in (flat[:-1], np.append(flat, 0.0), flat.astype(np.float32),
+                    flat.reshape(1, -1)):
+            with pytest.raises(ShapeError):
+                with_flat_params(model, bad)
+
+    def test_nonzero_pad_row_rejected(self):
+        model = build_model(TINY, ArchKind.CNN_GRU)
+        flat = flat_params(model)
+        flat[0] = 0.5  # embedding comes first; its row 0 is the pad row
+        with pytest.raises(ShapeError, match="pad token"):
+            with_flat_params(model, flat)
+
+
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):
         for arch in ArchKind:
@@ -662,6 +705,23 @@ class TestCheckpoint:
         entry["values"] = entry["values"][:-1]
         path.write_text(json.dumps(obj))
         with pytest.raises(CheckpointError, match="head_reg/w"):
+            load_checkpoint(path)
+
+    def test_consistent_wrong_shape_rejected_naming_file_and_tensor(self, tmp_path):
+        path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["tensors"]["head_reg/b"] = {"rows": 2, "cols": 1, "values": [[0.0], [0.0]]}
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointError,
+                           match=rf"{path.name}.*head_reg/b has shape \(2, 1\), expected \(1, 1\)"):
+            load_checkpoint(path)
+
+    def test_tensors_not_an_object_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["tensors"] = [obj["tensors"]["embedding"]]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointError, match="tensors must be a json object"):
             load_checkpoint(path)
 
     def test_non_finite_value_rejected(self, tmp_path):

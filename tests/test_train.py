@@ -95,6 +95,23 @@ class TestTrainLoop:
         for name in a:
             assert a[name] == b[name], name
 
+    def test_repeat_runs_from_one_model_leave_it_unchanged(self):
+        # train steps a private copy of the parameters, so one model object can
+        # seed any number of runs
+        samples = make_samples(TINY, 10)
+        cfg = TrainConfig(epochs=3, patience=0, batch_size=4, lr=1e-3, seed=5)
+        model = build_model(TINY, ArchKind.CNN_GRU)
+        before = {n: p.data.tobytes() for n, p in named_params(model).items()}
+        m1, h1 = train(model, samples[:8], samples[8:], cfg)
+        m2, h2 = train(model, samples[:8], samples[8:], cfg)
+        assert h1 == h2
+        a, b = named_params(m1), named_params(m2)
+        for name, p in named_params(model).items():
+            assert p.data.tobytes() == before[name], name
+            assert a[name] == b[name], name
+            assert a[name] != p, name  # training moved every tensor
+            assert not np.shares_memory(a[name].data, b[name].data), name
+
     def test_empty_split_rejected(self):
         samples = make_samples(TINY, 4)
         model = build_model(TINY, ArchKind.CNN_GRU)
