@@ -38,7 +38,7 @@ from .errors import CheckpointError, DataValidationError, NumericError, ShapeErr
 from .losses import softmax_rows
 from .matrix import Matrix
 from .model import ArchKind, CnnGruModel, ModelConfig, build_model, load_checkpoint, save_checkpoint
-from .text import Lexicon
+from .text import Lexicon, utf8_errors
 
 log = logging.getLogger(__name__)
 
@@ -155,7 +155,8 @@ def load_config_file(path: str | Path) -> dict:
     if not path.is_file():
         raise DataValidationError(f"config file not found: {path}")
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        with utf8_errors(path):
+            obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataValidationError(f"{path}: bad json ({exc.msg})") from None
     if not isinstance(obj, dict):
@@ -165,27 +166,10 @@ def load_config_file(path: str | Path) -> dict:
         raise DataValidationError(f"{path}: unknown config keys {sorted(unknown)}")
     for key, value in obj.items():
         hint = _CONFIG_TYPES[key]
-        if not _accepts(hint, value):
+        if not data_mod.accepts(hint, value):
             raise DataValidationError(
-                f"{path}: {key} must be {_type_name(hint)}, got {json.dumps(value)}")
+                f"{path}: {key} must be {data_mod.type_name(hint)}, got {json.dumps(value)}")
     return obj
-
-
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string", type(None): "null"}
-
-
-def _accepts(hint, value) -> bool:
-    """A JSON value fits a field annotation: an int is a float, a bool is no number."""
-    if typing.get_args(hint):  # X | None
-        return any(_accepts(h, value) for h in typing.get_args(hint))
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _type_name(hint) -> str:
-    return " or ".join(_TYPE_NAMES[h] for h in typing.get_args(hint) or (hint,))
 
 
 def resolve_config(args: argparse.Namespace) -> dict:

@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import os
+import typing
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -41,6 +42,7 @@ from .text import (
     clean_text,
     encode_doc,
     label_sentiment,
+    utf8_errors,
 )
 
 log = logging.getLogger(__name__)
@@ -145,12 +147,29 @@ class WindowSample:
 # ---------------------------------------------------------------------------
 
 
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", type(None): "null"}
+
+
+def accepts(hint, value) -> bool:
+    """A JSON value fits a field annotation: an int is a float, a bool is no number."""
+    if typing.get_args(hint):  # X | None
+        return any(accepts(h, value) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def type_name(hint) -> str:
+    return " or ".join(_TYPE_NAMES[h] for h in typing.get_args(hint) or (hint,))
+
+
 def load_market_csv(path: str | Path) -> list[MarketBar]:
     """Header must be exactly date,open,high,low,close,volume; dates ISO."""
     path = Path(path)
     if not path.is_file():
         raise DataValidationError(f"market csv not found: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with utf8_errors(path), path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -207,7 +226,7 @@ def load_text_jsonl(path: str | Path) -> list[RawTextDoc]:
 def read_jsonl(path: Path, parse: Callable[[dict], T]) -> list[T]:
     """parse() of each non-blank line; every error names the file and line."""
     rows: list[T] = []
-    with path.open(encoding="utf-8") as fh:
+    with utf8_errors(path), path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -568,7 +587,8 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
     if not (root / "norm_stats.json").is_file():
         raise DataValidationError(f"prepared dataset file missing: {root / 'norm_stats.json'}")
     try:
-        meta = json.loads((root / "norm_stats.json").read_text(encoding="utf-8"))
+        with utf8_errors(root / "norm_stats.json"):
+            meta = json.loads((root / "norm_stats.json").read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataValidationError(f"norm_stats.json: bad json ({exc.msg})") from None
     stats = NormStats.from_dict(meta)
@@ -589,9 +609,8 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
     for name in ("vocab.txt", "days.jsonl", "windows.jsonl"):
         if not (root / name).is_file():
             raise DataValidationError(f"prepared dataset file missing: {root / name}")
-    vocab = Vocabulary.from_lines(
-        (root / "vocab.txt").read_text(encoding="utf-8").splitlines()
-    )
+    with utf8_errors(root / "vocab.txt"):
+        vocab = Vocabulary.from_lines((root / "vocab.txt").read_text(encoding="utf-8").splitlines())
     days = read_jsonl(root / "days.jsonl", lambda obj: _day_from_obj(obj, vocab.size))
     if len(days) != n_days:
         raise DataValidationError(f"days.jsonl: {len(days)} rows, norm_stats.json n_days {n_days}")

@@ -28,20 +28,28 @@ each.
 batch_forward(model, samples) builds a table of its samples and runs them
 all. Every reduction runs in a fixed order, so seeded reruns are bitwise
 identical.
+
+A checkpoint (format 3) is one JSON object: format_version, arch, the config
+block, a "tensors" index of name -> [rows, cols] in named_params order, and
+"values", the base64 of flat_params as little-endian float64 bytes. The
+payload is the weights' raw bits, so a save/load round trip is bit-exact
+without printing or parsing a float.
 """
 
 from __future__ import annotations
 
+import base64
 import enum
 import json
+import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import N_MARKET_FEATURES, AlignedDay, WindowSample, atomic_write
-from .errors import CheckpointError, NumericError, ShapeError
+from .data import N_MARKET_FEATURES, AlignedDay, WindowSample, accepts, atomic_write, type_name
+from .errors import CheckpointError, ShapeError
 from .layers import (
     AttentionCache,
     AttentionParams,
@@ -74,9 +82,9 @@ from .layers import (
 )
 from .losses import cross_entropy_grad, mse_grad, softmax_rows
 from .matrix import Matrix, _sigmoid_array
-from .text import NUM_CLASSES
+from .text import NUM_CLASSES, utf8_errors
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 class ArchKind(str, enum.Enum):
@@ -134,10 +142,18 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        """A TypeError names an unknown key or a value that does not fit its
+        field as config files are checked (data.accepts); __post_init__ then
+        checks the ranges."""
+        if not isinstance(obj, dict):
+            raise TypeError(f"config must be a json object, got {json.dumps(obj)}")
+        hints = typing.get_type_hints(cls)
+        unknown = set(obj) - set(hints)
         if unknown:
-            raise CheckpointError(f"unknown config keys: {sorted(unknown)}")
+            raise TypeError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in obj.items():
+            if not accepts(hints[key], value):
+                raise TypeError(f"{key} must be {type_name(hints[key])}, got {json.dumps(value)}")
         return cls(**obj)
 
 
@@ -217,22 +233,24 @@ def named_params(model: CnnGruModel) -> dict[str, Matrix]:
 def set_named_params(model: CnnGruModel, params: dict[str, Matrix]) -> CnnGruModel:
     """model with its tensors replaced by params of the same names and shapes;
     each part runs its own checks again, the zero embedding pad row among them."""
-    expected = named_params(model)
-    if set(params) != set(expected):
-        missing = sorted(set(expected) - set(params))
-        extra = sorted(set(params) - set(expected))
-        raise ShapeError(f"parameter name mismatch: missing {missing}, extra {extra}")
-    for name, old in expected.items():
-        if params[name].shape != old.shape:
-            raise ShapeError(
-                f"tensor {name} has shape {params[name].shape}, expected {old.shape}"
-            )
+    _check_shapes(named_params(model), {name: t.shape for name, t in params.items()})
     parts: dict[str, dict[str, Matrix]] = {}
     for name, part, slot in _PARAM_SLOTS:
         if name in params:
             parts.setdefault(part, {})[slot] = params[name]
     return replace(model, **{part: replace(getattr(model, part), **tensors)
                              for part, tensors in parts.items()})
+
+
+def _check_shapes(expected: dict[str, Matrix], shapes: dict[str, tuple[int, int]]) -> None:
+    """ShapeError naming the first missing, extra or wrong-shape tensor of shapes."""
+    if set(shapes) != set(expected):
+        missing = sorted(set(expected) - set(shapes))
+        extra = sorted(set(shapes) - set(expected))
+        raise ShapeError(f"parameter name mismatch: missing {missing}, extra {extra}")
+    for name, old in expected.items():
+        if shapes[name] != old.shape:
+            raise ShapeError(f"tensor {name} has shape {shapes[name]}, expected {old.shape}")
 
 
 def flat_params(model: CnnGruModel) -> np.ndarray:
@@ -830,37 +848,49 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(model: CnnGruModel, flat: np.ndarray, where: str = "") -> None:
+    """CheckpointError naming model's first tensor with a non-finite value;
+    flat is model's flat_params, so one isfinite pass clears the common case."""
+    if not np.isfinite(flat).all():
+        bad = next(name for name, t in named_params(model).items() if not np.isfinite(t.data).all())
+        raise CheckpointError(f"{where}tensor {bad} contains non-finite values")
+
+
 def save_checkpoint(model: CnnGruModel, path: str | Path) -> None:
-    """Versioned JSON: config block plus named tensors as nested float lists.
+    """Versioned JSON: arch, config block, tensor index and one binary payload.
 
-    Format 2 stores the conv filters as the one conv/k tensor; load_checkpoint
-    rejects format 1 (one conv/k<i> tensor per filter), whose models must be
-    retrained.
-
-    Python's repr-based float serialization round-trips every finite float64
-    bit-exactly, which load_checkpoint relies on.
+    Format 3: "tensors" maps each name to [rows, cols] in named_params order,
+    and "values" is the base64 of flat_params as little-endian float64 ("<f8")
+    bytes. The payload is the raw bits of every weight, so load_checkpoint
+    gets back the same bits, -0.0 and subnormals included, with no float
+    printing or parsing. Formats 1 and 2 (one JSON float list per tensor) are
+    rejected on load; their models must be retrained.
     """
-    tensors = {}
-    for name, t in named_params(model).items():
-        if not np.all(np.isfinite(t.data)):
-            raise CheckpointError(f"tensor {name} contains non-finite values")
-        tensors[name] = {"rows": t.rows, "cols": t.cols, "values": t.to_lists()}
+    named = named_params(model)
+    flat = flat_params(model)
+    _check_finite(model, flat)
     obj = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "arch": model.arch.value,
         "config": model.cfg.to_dict(),
-        "tensors": tensors,
+        "tensors": {name: [t.rows, t.cols] for name, t in named.items()},
+        "values": base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii"),
     }
     with atomic_write(path) as fh:
         fh.write(json.dumps(obj) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> CnnGruModel:
+    """The model save_checkpoint wrote to path; every defect is a CheckpointError
+    naming its cause: the file, format version, arch, config, a tensor missing,
+    extra, misshapen or out of named_params order, a payload that is not base64
+    of exactly the index's float64 count, non-finite values, a nonzero pad row."""
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        with utf8_errors(path, CheckpointError):
+            obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc.msg}") from None
     if not isinstance(obj, dict):
@@ -871,7 +901,7 @@ def load_checkpoint(path: str | Path) -> CnnGruModel:
             f"unsupported checkpoint format_version {version!r}, "
             f"expected {CHECKPOINT_FORMAT_VERSION}"
         )
-    for key in ("arch", "config", "tensors"):
+    for key in ("arch", "config", "tensors", "values"):
         if key not in obj:
             raise CheckpointError(f"checkpoint missing key {key!r}")
     try:
@@ -882,21 +912,31 @@ def load_checkpoint(path: str | Path) -> CnnGruModel:
         cfg = ModelConfig.from_dict(obj["config"])
     except (TypeError, ShapeError) as exc:
         raise CheckpointError(f"bad config block in {path}: {exc}") from None
-    if not isinstance(obj["tensors"], dict):
+    index = obj["tensors"]
+    if not isinstance(index, dict):
         raise CheckpointError(f"checkpoint {path}: tensors must be a json object")
-    params: dict[str, Matrix] = {}
-    for name, spec in obj["tensors"].items():
-        try:
-            rows, cols, values = spec["rows"], spec["cols"], spec["values"]
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"tensor {name} malformed: {exc}") from None
-        if not isinstance(values, list) or not all(isinstance(r, list) for r in values):
-            raise CheckpointError(f"tensor {name} values must be nested lists")
-        try:  # the Matrix checks the value count against rows x cols
-            params[name] = Matrix(rows, cols, [v for row in values for v in row])
-        except (ShapeError, NumericError, ValueError, TypeError) as exc:
-            raise CheckpointError(f"tensor {name} invalid: {exc}") from None
-    try:  # names, shapes and the zero embedding pad row
-        return set_named_params(build_model(cfg, arch), params)
+    model = build_model(cfg, arch)
+    named = named_params(model)
+    try:  # the index only has to match the model's layout
+        _check_shapes(named, {name: tuple(shape) if isinstance(shape, list) else shape
+                              for name, shape in index.items()})
     except ShapeError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None
+    if list(index) != list(named):  # same-shape tensors would swap silently
+        raise CheckpointError(
+            f"checkpoint {path}: tensors listed as {list(index)}, expected {list(named)}")
+    try:
+        raw = base64.b64decode(obj["values"], validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise CheckpointError(f"checkpoint {path}: values must be a base64 string") from None
+    size = count_params(model)
+    if len(raw) != 8 * size:
+        raise CheckpointError(f"checkpoint {path}: values hold {len(raw)} bytes, expected "
+                              f"{8 * size} ({size} float64 values)")
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    try:  # the zero embedding pad row
+        model = with_flat_params(model, flat)
+    except ShapeError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None
+    _check_finite(model, flat, f"checkpoint {path}: ")
+    return model

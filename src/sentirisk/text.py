@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataValidationError
 
@@ -66,10 +67,20 @@ class Lexicon:
         )
 
 
+@contextmanager
+def utf8_errors(path: Path, error: type[Exception] = DataValidationError) -> Iterator[None]:
+    """Text of path that is not UTF-8, read in the with-block, raises error naming path."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_wordlist(path: Path) -> frozenset[str]:
     if not path.is_file():
         raise DataValidationError(f"lexicon file not found: {path}")
-    return _parse_wordlist(path.read_text(encoding="utf-8"))
+    with utf8_errors(path):
+        return _parse_wordlist(path.read_text(encoding="utf-8"))
 
 
 def _parse_wordlist(text: str) -> frozenset[str]:

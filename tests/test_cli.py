@@ -8,11 +8,13 @@ train-dependent tests stay fast.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sentirisk import data as data_mod
@@ -448,11 +450,26 @@ class TestEvaluate:
         assert rc == 2
         assert "checkpoint not found" in captured.err
 
+    def _rejected(self, workspace, path, capsys) -> str:
+        """evaluate's stderr for checkpoint path, asserting a clean exit 2."""
+        capsys.readouterr()
+        rc = main([
+            "evaluate", "--data-dir", str(workspace["root"]), "--model-in", str(path),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "data error" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        return captured.err
+
     def test_format_1_checkpoint_exits_2_naming_the_version(self, workspace, trained,
                                                             tmp_path, capsys):
         # format 1 held one (width, embed) tensor per filter, conv/k0, conv/k1, ...,
-        # and a num_classes config key
+        # as nested float lists, and a num_classes config key
         obj = json.loads(trained.read_text())
+        obj["tensors"] = format_2_tensors(obj)
+        del obj["values"]
         kernel = obj["tensors"].pop("conv/k")
         width = TINY_CFG["kernel_width"]
         chans = kernel["rows"] // width
@@ -466,33 +483,95 @@ class TestEvaluate:
         obj["format_version"] = 1
         old = tmp_path / "format1.ckpt.json"
         old.write_text(json.dumps(obj), encoding="utf-8")
-        capsys.readouterr()
-        rc = main([
-            "evaluate", "--data-dir", str(workspace["root"]), "--model-in", str(old),
-        ])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "format_version 1" in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
+        assert "format_version 1" in self._rejected(workspace, old, capsys)
 
+    def test_format_2_checkpoint_exits_2_naming_the_version(self, workspace, trained,
+                                                            tmp_path, capsys):
+        # format 2 held every tensor as {rows, cols, values} with nested float lists
+        obj = json.loads(trained.read_text())
+        obj["tensors"] = format_2_tensors(obj)
+        del obj["values"]
+        obj["format_version"] = 2
+        old = tmp_path / "format2.ckpt.json"
+        old.write_text(json.dumps(obj), encoding="utf-8")
+        assert "format_version 2, expected 3" in self._rejected(workspace, old, capsys)
 
     def test_nonzero_pad_embedding_exits_2_naming_the_file(self, workspace, trained,
                                                             tmp_path, capsys):
         obj = json.loads(trained.read_text())
-        obj["tensors"]["embedding"]["values"][0][0] = 1.0
+        flat = np.frombuffer(base64.b64decode(obj["values"]), dtype="<f8").copy()
+        flat[0] = 1.0  # embedding row 0, column 0
+        obj["values"] = base64.b64encode(flat.tobytes()).decode("ascii")
         bad = tmp_path / "pad.ckpt.json"
         bad.write_text(json.dumps(obj), encoding="utf-8")
+        err = self._rejected(workspace, bad, capsys)
+        assert str(bad) in err and "embedding row 0" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"embed_dim": 4.0}, "embed_dim must be an integer, got 4.0"),
+        ({"vocab_size": "20"}, 'vocab_size must be an integer, got "20"'),
+    ], ids=["float-embed_dim", "string-vocab_size"])
+    def test_mistyped_config_block_exits_2_naming_file_key_and_type(
+            self, workspace, trained, tmp_path, capsys, edit, message):
+        obj = json.loads(trained.read_text())
+        obj["config"].update(edit)
+        bad = tmp_path / "typed.ckpt.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        assert f"bad config block in {bad}: {message}" in self._rejected(workspace, bad, capsys)
+
+
+def format_2_tensors(obj: dict) -> dict:
+    """A format-3 checkpoint's tensors as format 2 stored them: nested float lists."""
+    flat = np.frombuffer(base64.b64decode(obj["values"]), dtype="<f8")
+    tensors, at = {}, 0
+    for name, (rows, cols) in obj["tensors"].items():
+        values = flat[at : at + rows * cols].reshape(rows, cols).tolist()
+        tensors[name] = {"rows": rows, "cols": cols, "values": values}
+        at += rows * cols
+    return tensors
+
+
+class TestNonUtf8Input:
+    """One byte that is not UTF-8, appended to any input file, is a data error naming it."""
+
+    @pytest.mark.parametrize("name", ["market.csv", "texts.jsonl", "config", "lexicon",
+                                      "vocab.txt", "days.jsonl", "norm_stats.json",
+                                      "checkpoint"])
+    def test_exits_2_naming_the_file(self, workspace, trained, tmp_path, capsys, name):
+        raw, prep = tmp_path / "raw", tmp_path / "prepared"
+        for src_dir, dst in ((workspace["root"], raw), (workspace["root"] / "prepared", prep)):
+            dst.mkdir()
+            for src in src_dir.iterdir():
+                if src.is_file():
+                    (dst / src.name).write_bytes(src.read_bytes())
+        ckpt = tmp_path / "model.ckpt.json"
+        ckpt.write_bytes(trained.read_bytes())
+        if name in ("market.csv", "texts.jsonl"):
+            bad, argv = raw / name, ["prepare", "--data-dir", str(raw)]
+        elif name == "lexicon":
+            bad = raw / "positive.txt"
+            bad.write_text("surge\n", encoding="utf-8")
+            (raw / "negative.txt").write_text("plunge\n", encoding="utf-8")
+            cfg = write_config(tmp_path, {"lexicon_positive": str(bad),
+                                          "lexicon_negative": str(raw / "negative.txt")})
+            argv = ["prepare", "--data-dir", str(raw), "--config", str(cfg)]
+        elif name == "config":
+            bad = raw / "config.json"
+            argv = ["train", "--data-dir", str(prep), "--config", str(bad),
+                    "--model-out", str(tmp_path / "out.ckpt.json")]
+        else:
+            bad = ckpt if name == "checkpoint" else prep / name
+            argv = ["evaluate", "--data-dir", str(prep), "--model-in", str(ckpt)]
+        with bad.open("ab") as fh:
+            fh.write(b"\xff")
         capsys.readouterr()
-        rc = main([
-            "evaluate", "--data-dir", str(workspace["root"]), "--model-in", str(bad),
-        ])
+        rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 2
-        assert "data error" in captured.err
-        assert str(bad) in captured.err and "embedding row 0" in captured.err
+        assert f"data error: {bad}: not UTF-8 text" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+        assert not (tmp_path / "out.ckpt.json").exists()
 
 
 class TestCheckpointDatasetMismatch:

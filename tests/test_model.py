@@ -1,11 +1,17 @@
 """Model assembly: shapes, determinism, composition oracle, batched core, checkpoints."""
 
+import base64
 import dataclasses
 import datetime as dt
+import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentirisk.data import AlignedDay, WindowSample
 from sentirisk.errors import CheckpointError, ShapeError
@@ -46,6 +52,28 @@ TINY = ModelConfig(
     vocab_size=12, embed_dim=3, num_filters=2, kernel_width=2, conv_stride=1,
     gru_hidden=2, window=3, max_doc_len=4, attention_enabled=True, seed=3,
 )
+
+
+GOLDEN = Path(__file__).parent / "fixtures" / "tiny.ckpt.json"
+GOLDEN_SHA256 = "19cb297753c6f0f8c709f147e25ce070a453c5cbbdbeedb929fb41cb5db3bfe4"
+
+
+def payload(obj: dict) -> np.ndarray:
+    """A checkpoint object's flat parameters, decoded into a writable array."""
+    return np.frombuffer(base64.b64decode(obj["values"]), dtype="<f8").copy()
+
+
+def set_payload(obj: dict, flat: np.ndarray) -> None:
+    obj["values"] = base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
+
+
+def offsets(obj: dict) -> dict[str, slice]:
+    """Each indexed tensor's span of a checkpoint object's payload."""
+    spans, at = {}, 0
+    for name, (rows, cols) in obj["tensors"].items():
+        spans[name] = slice(at, at + rows * cols)
+        at += rows * cols
+    return spans
 
 
 def make_sample(cfg: ModelConfig, seed=0, textless_days=()) -> WindowSample:
@@ -693,27 +721,57 @@ class TestCheckpoint:
     def test_extra_tensor_rejected_by_name(self, tmp_path):
         path = self._saved(tmp_path)
         obj = json.loads(path.read_text())
-        obj["tensors"]["mystery"] = {"rows": 1, "cols": 1, "values": [0.0]}
+        obj["tensors"]["mystery"] = [1, 1]
+        set_payload(obj, np.append(payload(obj), 0.0))
         path.write_text(json.dumps(obj))
         with pytest.raises(CheckpointError, match="mystery"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", [[2], [1, 2, 3], "1x2", {"rows": 1, "cols": 2}],
+                             ids=["one-dim", "three-dims", "string", "format-2-entry"])
+    def test_malformed_index_entry_rejected_by_name(self, tmp_path, entry):
+        path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["tensors"]["head_reg/w"] = entry
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointError,
+                           match=rf"{path.name}: tensor head_reg/w has shape .*, expected \(1, 2\)"):
             load_checkpoint(path)
 
     def test_shape_mismatch_rejected_by_name(self, tmp_path):
         path = self._saved(tmp_path)
         obj = json.loads(path.read_text())
-        entry = obj["tensors"]["head_reg/w"]
-        entry["values"] = entry["values"][:-1]
+        rows, cols = obj["tensors"]["head_reg/w"]
+        obj["tensors"]["head_reg/w"] = [rows, cols - 1]
         path.write_text(json.dumps(obj))
-        with pytest.raises(CheckpointError, match="head_reg/w"):
+        with pytest.raises(CheckpointError,
+                           match=rf"head_reg/w has shape \({rows}, {cols - 1}\), "
+                                 rf"expected \({rows}, {cols}\)"):
             load_checkpoint(path)
 
     def test_consistent_wrong_shape_rejected_naming_file_and_tensor(self, tmp_path):
+        # index and payload agree on a (2, 1) bias; the model wants (1, 1)
         path = self._saved(tmp_path)
         obj = json.loads(path.read_text())
-        obj["tensors"]["head_reg/b"] = {"rows": 2, "cols": 1, "values": [[0.0], [0.0]]}
+        at = offsets(obj)["head_reg/b"].stop
+        obj["tensors"]["head_reg/b"] = [2, 1]
+        set_payload(obj, np.insert(payload(obj), at, 0.0))
         path.write_text(json.dumps(obj))
         with pytest.raises(CheckpointError,
                            match=rf"{path.name}.*head_reg/b has shape \(2, 1\), expected \(1, 1\)"):
+            load_checkpoint(path)
+
+    def test_reordered_index_rejected(self, tmp_path):
+        # gru/w_z and gru/w_r share a shape: read in the listed order, their
+        # payload spans would load swapped without an error
+        path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        names = list(obj["tensors"])
+        a, b = names.index("gru/w_z"), names.index("gru/w_r")
+        names[a], names[b] = names[b], names[a]
+        obj["tensors"] = {name: obj["tensors"][name] for name in names}
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointError, match=f"{path.name}: tensors listed as .*gru/w_r"):
             load_checkpoint(path)
 
     def test_tensors_not_an_object_rejected(self, tmp_path):
@@ -724,13 +782,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="tensors must be a json object"):
             load_checkpoint(path)
 
-    def test_non_finite_value_rejected(self, tmp_path):
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected_naming_file_and_tensor(self, tmp_path, value):
         path = self._saved(tmp_path)
         obj = json.loads(path.read_text())
-        obj["tensors"]["head_reg/b"]["values"] = [[float("nan")]]
-        path.write_text(json.dumps(obj))  # json emits bare NaN, loads accepts it
-        with pytest.raises(CheckpointError):
+        flat = payload(obj)
+        flat[offsets(obj)["head_reg/b"]] = value
+        set_payload(obj, flat)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointError,
+                           match=f"{path.name}: tensor head_reg/b contains non-finite values"):
             load_checkpoint(path)
+
+    def test_non_finite_save_rejected_naming_the_first_tensor(self, tmp_path):
+        model = build_model(TINY, ArchKind.CNN_GRU)
+        spans = offsets(json.loads(self._saved(tmp_path).read_text()))
+        flat = flat_params(model)
+        flat[spans["gru/w"].start + 1] = float("nan")
+        flat[-1] = float("inf")  # head_cls/b: a later tensor
+        path = tmp_path / "bad.ckpt.json"
+        with pytest.raises(CheckpointError, match="tensor gru/w contains non-finite values"):
+            save_checkpoint(with_flat_params(model, flat), path)
+        assert not path.exists()
 
     def test_out_of_range_config_rejected_naming_file_and_key(self, tmp_path):
         path = self._saved(tmp_path)
@@ -740,18 +813,105 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"{path.name}.*embed_dim must be positive"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("config_edit, message", [
+        ({"embed_dim": 3.0}, "embed_dim must be an integer, got 3.0"),
+        ({"vocab_size": "12"}, 'vocab_size must be an integer, got "12"'),
+        ({"attention_enabled": 1}, "attention_enabled must be true or false, got 1"),
+        ({"seed": True}, "seed must be an integer, got true"),
+        ({"mse_weight": None}, "mse_weight must be a number, got null"),
+        ({"mystery": 1}, r"unknown config keys: \['mystery'\]"),
+    ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else None)
+    def test_mistyped_config_rejected_naming_file_key_and_type(self, tmp_path, config_edit,
+                                                               message):
+        path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["config"].update(config_edit)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointError,
+                           match=rf"bad config block in .*{path.name}: {message}"):
+            load_checkpoint(path)
+
+    def test_int_for_a_float_and_null_for_an_optional_config_accepted(self, tmp_path):
+        path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["config"].update(mse_weight=1, attn_size=None)
+        path.write_text(json.dumps(obj))
+        cfg = load_checkpoint(path).cfg
+        assert cfg.mse_weight == 1 and cfg.attention_size == TINY.gru_hidden
+
     def test_nonzero_pad_embedding_rejected_naming_file_and_tensor(self, tmp_path):
         path = self._saved(tmp_path)
         obj = json.loads(path.read_text())
-        obj["tensors"]["embedding"]["values"][0][1] = 0.5
+        flat = payload(obj)
+        flat[1] = 0.5  # embedding row 0, column 1
+        set_payload(obj, flat)
         path.write_text(json.dumps(obj))
         with pytest.raises(CheckpointError, match=f"{path.name}.*embedding row 0"):
             load_checkpoint(path)
 
-    def test_flat_values_rejected(self, tmp_path):
+    @pytest.mark.parametrize("values", [[0.0, 1.0], 5, None, "not base64!", "AAAA AAAA"],
+                             ids=["float-list", "number", "null", "bad-chars", "whitespace"])
+    def test_values_not_a_base64_string_rejected(self, tmp_path, values):
         path = self._saved(tmp_path)
         obj = json.loads(path.read_text())
-        obj["tensors"]["head_reg/b"]["values"] = [0.0]
+        obj["values"] = values
         path.write_text(json.dumps(obj))
-        with pytest.raises(CheckpointError, match="nested"):
+        with pytest.raises(CheckpointError, match=f"{path.name}: values must be a base64 string"):
             load_checkpoint(path)
+
+    def test_missing_values_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        del obj["values"]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointError, match="missing key 'values'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [-8, 8], ids=["short", "long"])
+    def test_payload_byte_count_checked(self, tmp_path, extra):
+        path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        raw = base64.b64decode(obj["values"])
+        n = len(raw) // 8
+        bad = (raw + bytes(8))[: len(raw) + extra]
+        obj["values"] = base64.b64encode(bad).decode("ascii")
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointError,
+                           match=rf"{path.name}: values hold {len(bad)} bytes, "
+                                 rf"expected {8 * n} \({n} float64 values\)"):
+            load_checkpoint(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_round_trip_is_bit_exact_for_edge_values(self, tmp_path_factory, data):
+        model = build_model(TINY, ArchKind.CNN_GRU)
+        edges = [-0.0, 0.0, 5e-324, -5e-324, sys.float_info.min / 2, -sys.float_info.min / 3,
+                 sys.float_info.max, -sys.float_info.max, sys.float_info.min]
+        pad = TINY.embed_dim  # embedding row 0 must compare equal to zero
+        values = data.draw(st.lists(
+            st.one_of(st.sampled_from(edges), st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=count_params(model) - pad, max_size=count_params(model) - pad))
+        zeros = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=pad, max_size=pad))
+        flat = np.array(zeros + values, dtype=np.float64)
+        path = tmp_path_factory.mktemp("edge") / "m.ckpt.json"
+        save_checkpoint(with_flat_params(model, flat), path)
+        assert flat_params(load_checkpoint(path)).tobytes() == flat.tobytes()
+
+    def test_golden_file_loads_to_pinned_parameters_and_resaves_byte_for_byte(self, tmp_path):
+        """tests/fixtures/tiny.ckpt.json is save_checkpoint(build_model(TINY,
+        ArchKind.CNN_GRU)); a change to the format must change this test too."""
+        model = load_checkpoint(GOLDEN)
+        assert model.cfg == TINY and model.arch is ArchKind.CNN_GRU
+        assert hashlib.sha256(flat_params(model).tobytes()).hexdigest() == GOLDEN_SHA256
+        again = tmp_path / "again.ckpt.json"
+        save_checkpoint(model, again)
+        assert again.read_bytes() == GOLDEN.read_bytes()
+
+    def test_default_model_file_is_at_most_55_percent_of_json_floats(self, tmp_path):
+        # the format-2 body: every value as its shortest repr in nested lists
+        model = build_model(ModelConfig(vocab_size=400), ArchKind.CNN_GRU)
+        path = tmp_path / "m.ckpt.json"
+        save_checkpoint(model, path)
+        lists = json.dumps({name: {"rows": t.rows, "cols": t.cols, "values": t.to_lists()}
+                            for name, t in named_params(model).items()})
+        assert path.stat().st_size <= 0.55 * len(lists)
