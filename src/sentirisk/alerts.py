@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-from .data import read_jsonl
+from .data import check_fields, read_jsonl
 from .errors import DataValidationError
 from .matrix import Matrix
 from .text import CLASS_INDEX, CLASS_NAMES, NEGATIVE, NUM_CLASSES, POSITIVE
@@ -111,19 +111,22 @@ def write_alerts_jsonl(alerts: Iterable[Alert], out: TextIO) -> None:
         out.write(json.dumps(a.to_dict()) + "\n")
 
 
+_PREDICTION_FIELDS = {"date": str, "probs": list[float], "predicted_return": float,
+                      "predicted_class": str}
+
+
 def load_predictions_jsonl(path: str | Path) -> list[DailyPrediction]:
     """Reads {date, probs: [3], predicted_return, optional predicted_class}.
 
-    Without an explicit predicted_class the argmax of probs is used. A
-    non-finite probability or predicted_return is rejected, naming the line.
+    Without an explicit predicted_class the argmax of probs is used. A key
+    check_fields rejects, or a non-finite probability or predicted_return, is
+    rejected naming the line.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise DataValidationError(f"predictions file not found: {path}")
     return read_jsonl(path, _prediction_from_obj)
 
 
 def _prediction_from_obj(obj: dict) -> DailyPrediction:
+    check_fields(obj, _PREDICTION_FIELDS)
     probs = [float(v) for v in obj["probs"]]
     if len(probs) != NUM_CLASSES:
         raise DataValidationError(f"need {NUM_CLASSES} probabilities, got {len(probs)}")

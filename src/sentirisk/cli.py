@@ -14,9 +14,10 @@ TrainConfig, PrepareConfig and AlertRuleConfig, which alone define each
 setting's default, type and range. Three names differ: "attention" is
 attention_enabled, the three *_ratio keys are PrepareConfig.ratios, and the
 two lexicon_* paths are CLI-only. A key that several dataclasses share (seed,
-window) sets every one of them. A value of the wrong JSON type or out of
-range is a data error. Explicit CLI flags override the file. The environment
-variable SENTI_RISK_SEED overrides the seed when the --seed flag is absent.
+window) sets every one of them. data.read_json reads the file. A value of
+the wrong JSON type or out of range is a data error. Explicit CLI flags
+override the file. The environment variable SENTI_RISK_SEED overrides the
+seed when the --seed flag is absent.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import CheckpointError, DataValidationError, NumericError, ShapeErr
 from .losses import softmax_rows
 from .matrix import Matrix
 from .model import ArchKind, CnnGruModel, ModelConfig, build_model, load_checkpoint, save_checkpoint
-from .text import Lexicon, utf8_errors
+from .text import Lexicon
 
 log = logging.getLogger(__name__)
 
@@ -150,33 +151,11 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def load_config_file(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise DataValidationError(f"config file not found: {path}")
-    try:
-        with utf8_errors(path):
-            obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataValidationError(f"{path}: bad json ({exc.msg})") from None
-    if not isinstance(obj, dict):
-        raise DataValidationError(f"{path}: config must be a json object")
-    unknown = set(obj) - set(CONFIG_DEFAULTS)
-    if unknown:
-        raise DataValidationError(f"{path}: unknown config keys {sorted(unknown)}")
-    for key, value in obj.items():
-        hint = _CONFIG_TYPES[key]
-        if not data_mod.accepts(hint, value):
-            raise DataValidationError(
-                f"{path}: {key} must be {data_mod.type_name(hint)}, got {json.dumps(value)}")
-    return obj
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(CONFIG_DEFAULTS)
     file_cfg: dict = {}
     if getattr(args, "config", None):
-        file_cfg = load_config_file(args.config)
+        file_cfg = data_mod.read_json(args.config, _CONFIG_TYPES)
         cfg.update(file_cfg)
     cfg["_explicit"] = set(file_cfg)
 
@@ -234,7 +213,9 @@ def _find_prepared(data_dir: str) -> Path:
         return root
     if (root / "prepared" / "norm_stats.json").is_file():
         return root / "prepared"
-    raise DataValidationError(f"no prepared dataset under {root} (run `sentirisk prepare`)")
+    raise DataValidationError(
+        f"no prepared dataset under {root}: no {root / 'norm_stats.json'} or "
+        f"{root / 'prepared' / 'norm_stats.json'} (run `sentirisk prepare`)")
 
 
 def _lexicon(cfg: dict) -> Lexicon:

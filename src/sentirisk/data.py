@@ -12,8 +12,10 @@ read (only the model pads and truncates them); windows.jsonl, one line per
 sample: its targets and the row indices of its days in days.jsonl; and
 norm_stats.json: stats, window, ratios, format_version, n_days, n_samples.
 load_prepared rejects any other format_version (none means format 1), row
-counts other than n_days/n_samples (a truncated file), bad day indices and
-token ids outside vocab.txt (a truncated vocabulary).
+counts other than n_days/n_samples (a truncated file), bad day indices,
+token ids outside vocab.txt (a truncated vocabulary), non-finite stats and
+non-positive stds, naming the full path. read_json reads every JSON
+document; check_fields is the one type rule for its keys.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .text import (
     clean_text,
     encode_doc,
     label_sentiment,
+    read_text,
     utf8_errors,
 )
 
@@ -148,11 +151,14 @@ class WindowSample:
 
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string", type(None): "null"}
+               str: "a string", dict: "a json object", list[float]: "a list of numbers",
+               type(None): "null"}
 
 
 def accepts(hint, value) -> bool:
     """A JSON value fits a field annotation: an int is a float, a bool is no number."""
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(accepts(typing.get_args(hint)[0], v) for v in value)
     if typing.get_args(hint):  # X | None
         return any(accepts(h, value) for h in typing.get_args(hint))
     if isinstance(value, bool):
@@ -160,8 +166,59 @@ def accepts(hint, value) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def type_name(hint) -> str:
-    return " or ".join(_TYPE_NAMES[h] for h in typing.get_args(hint) or (hint,))
+def _type_name(hint) -> str:
+    members = () if typing.get_origin(hint) is list else typing.get_args(hint)
+    return " or ".join(_TYPE_NAMES[h] for h in members or (hint,))
+
+
+def check_fields(obj, hints: dict) -> None:
+    """DataValidationError unless obj is a JSON object whose every key is in
+    hints with a value that fits its hint (accepts); keys may be absent."""
+    if not isinstance(obj, dict):
+        raise DataValidationError("not a json object")
+    unknown = set(obj) - set(hints)
+    if unknown:
+        raise DataValidationError(f"unknown keys {sorted(unknown)}")
+    for key, value in obj.items():
+        if not accepts(hints[key], value):
+            raise DataValidationError(
+                f"{key} must be {_type_name(hints[key])}, got {json.dumps(value)}")
+
+
+def read_json(path: str | Path, hints: dict,
+              error: type[Exception] = DataValidationError) -> dict:
+    """The JSON object in path that check_fields accepts; any fault raises
+    error naming the full path."""
+    text = read_text(path, error)
+    try:
+        obj = json.loads(text)
+        check_fields(obj, hints)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: bad json ({exc.msg})") from None
+    except DataValidationError as exc:
+        raise error(f"{path}: {exc}") from None
+    return obj
+
+
+def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """parse() of each non-blank line; every error names the file and line."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataValidationError(f"file not found: {path}")
+    rows: list[T] = []
+    with utf8_errors(path), path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(parse(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise DataValidationError(f"{path}:{lineno}: bad json ({exc.msg})") from None
+            except KeyError as exc:
+                raise DataValidationError(f"{path}:{lineno}: missing key {exc}") from None
+            except (DataValidationError, ValueError, TypeError) as exc:
+                raise DataValidationError(f"{path}:{lineno}: {exc}") from None
+    return rows
 
 
 def load_market_csv(path: str | Path) -> list[MarketBar]:
@@ -212,33 +269,12 @@ def _check_sorted_unique(bars: Sequence[MarketBar]) -> None:
 
 def load_text_jsonl(path: str | Path) -> list[RawTextDoc]:
     """One JSON object per line: timestamp, text, source, optional label."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataValidationError(f"text jsonl not found: {path}")
     return read_jsonl(path, lambda obj: RawTextDoc(
         timestamp=_parse_timestamp(obj["timestamp"]),
         text=obj["text"],
         source=obj.get("source", ""),
         label=obj.get("label"),
     ))
-
-
-def read_jsonl(path: Path, parse: Callable[[dict], T]) -> list[T]:
-    """parse() of each non-blank line; every error names the file and line."""
-    rows: list[T] = []
-    with utf8_errors(path), path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(parse(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise DataValidationError(f"{path}:{lineno}: bad json ({exc.msg})") from None
-            except KeyError as exc:
-                raise DataValidationError(f"{path}:{lineno}: missing key {exc}") from None
-            except (DataValidationError, ValueError, TypeError) as exc:
-                raise DataValidationError(f"{path}:{lineno}: {exc}") from None
-    return rows
 
 
 def _parse_timestamp(value: str) -> dt.datetime:
@@ -374,6 +410,12 @@ class NormStats:
     means: tuple[float, float, float, float]
     stds: tuple[float, float, float, float]
 
+    def __post_init__(self) -> None:
+        for name, values, low, kind in (("means", self.means, -math.inf, "finite"),
+                                        ("stds", self.stds, 0.0, "finite positive")):
+            if len(values) != 4 or not all(low < v < math.inf for v in values):
+                raise DataValidationError(f"{name} must be 4 {kind} numbers, got {list(values)}")
+
     @classmethod
     def fit(cls, days: Sequence[AlignedDay]) -> "NormStats":
         if not days:
@@ -400,17 +442,6 @@ class NormStats:
 
     def to_dict(self) -> dict:
         return {"means": list(self.means), "stds": list(self.stds)}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "NormStats":
-        try:
-            means = tuple(float(v) for v in obj["means"])
-            stds = tuple(float(v) for v in obj["stds"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataValidationError(f"bad normalization stats: {exc}") from None
-        if len(means) != 4 or len(stds) != 4:
-            raise DataValidationError("normalization stats need 4 means and 4 stds")
-        return cls(means=means, stds=stds)
 
 
 # ---------------------------------------------------------------------------
@@ -581,44 +612,42 @@ def _window_from_obj(obj: dict, days: list[AlignedDay], window: int) -> WindowSa
     )
 
 
+# every key of norm_stats.json: format 1 had no format_version or n_days
+_META_FIELDS = {"means": list[float], "stds": list[float], "window": int,
+                "ratios": list[float], "format_version": int, "n_days": int, "n_samples": int}
+
+
 def load_prepared(in_dir: str | Path) -> PreparedDataset:
     """Reads save_prepared's directory; every window shares the loaded day objects."""
     root = Path(in_dir)
-    if not (root / "norm_stats.json").is_file():
-        raise DataValidationError(f"prepared dataset file missing: {root / 'norm_stats.json'}")
-    try:
-        with utf8_errors(root / "norm_stats.json"):
-            meta = json.loads((root / "norm_stats.json").read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataValidationError(f"norm_stats.json: bad json ({exc.msg})") from None
-    stats = NormStats.from_dict(meta)
+    meta_path = root / "norm_stats.json"
+    meta = read_json(meta_path, _META_FIELDS)
     version = meta.get("format_version", 1)
     if version != PREPARED_FORMAT_VERSION:
         raise DataValidationError(
-            f"prepared dataset format {version} is not supported, expected "
+            f"{meta_path}: prepared dataset format {version} is not supported, expected "
             f"{PREPARED_FORMAT_VERSION}; re-run `sentirisk prepare`"
         )
     try:
-        window = int(meta["window"])
-        ratios = tuple(float(r) for r in meta["ratios"])
-        n_days, n_samples = int(meta["n_days"]), int(meta["n_samples"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataValidationError(f"norm_stats.json: {exc}") from None
+        stats = NormStats(means=tuple(meta["means"]), stds=tuple(meta["stds"]))
+        window, ratios = meta["window"], tuple(meta["ratios"])
+        n_days, n_samples = meta["n_days"], meta["n_samples"]
+    except KeyError as exc:
+        raise DataValidationError(f"{meta_path}: missing key {exc}") from None
+    except DataValidationError as exc:
+        raise DataValidationError(f"{meta_path}: {exc}") from None
     if len(ratios) != 3:
-        raise DataValidationError(f"norm_stats.json: need 3 ratios, got {len(ratios)}")
-    for name in ("vocab.txt", "days.jsonl", "windows.jsonl"):
-        if not (root / name).is_file():
-            raise DataValidationError(f"prepared dataset file missing: {root / name}")
-    with utf8_errors(root / "vocab.txt"):
-        vocab = Vocabulary.from_lines((root / "vocab.txt").read_text(encoding="utf-8").splitlines())
+        raise DataValidationError(f"{meta_path}: need 3 ratios, got {len(ratios)}")
+    vocab = Vocabulary.from_lines(read_text(root / "vocab.txt").splitlines())
     days = read_jsonl(root / "days.jsonl", lambda obj: _day_from_obj(obj, vocab.size))
     if len(days) != n_days:
-        raise DataValidationError(f"days.jsonl: {len(days)} rows, norm_stats.json n_days {n_days}")
+        raise DataValidationError(f"{root / 'days.jsonl'}: {len(days)} rows, "
+                                  f"{meta_path} n_days {n_days}")
     samples = read_jsonl(root / "windows.jsonl",
                          lambda obj: _window_from_obj(obj, days, window))
     if len(samples) != n_samples:
-        raise DataValidationError(f"windows.jsonl: {len(samples)} rows, "
-                                  f"norm_stats.json n_samples {n_samples}")
+        raise DataValidationError(f"{root / 'windows.jsonl'}: {len(samples)} rows, "
+                                  f"{meta_path} n_samples {n_samples}")
     return PreparedDataset(
         vocab=vocab, samples=samples, stats=stats, window=window, ratios=ratios,
     )

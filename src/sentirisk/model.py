@@ -48,8 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import N_MARKET_FEATURES, AlignedDay, WindowSample, accepts, atomic_write, type_name
-from .errors import CheckpointError, ShapeError
+from .data import N_MARKET_FEATURES, AlignedDay, WindowSample, atomic_write, check_fields, read_json
+from .errors import CheckpointError, DataValidationError, ShapeError
 from .layers import (
     AttentionCache,
     AttentionParams,
@@ -82,7 +82,7 @@ from .layers import (
 )
 from .losses import cross_entropy_grad, mse_grad, softmax_rows
 from .matrix import Matrix, _sigmoid_array
-from .text import NUM_CLASSES, utf8_errors
+from .text import NUM_CLASSES
 
 CHECKPOINT_FORMAT_VERSION = 3
 
@@ -132,6 +132,8 @@ class ModelConfig:
             raise ShapeError(f"mse_weight must lie in [0, 1], got {self.mse_weight}")
         if self.attn_size is not None and self.attn_size < 1:
             raise ShapeError(f"attn_size must be positive, got {self.attn_size}")
+        if self.seed < 0:
+            raise ShapeError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def attention_size(self) -> int:
@@ -139,22 +141,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ModelConfig":
-        """A TypeError names an unknown key or a value that does not fit its
-        field as config files are checked (data.accepts); __post_init__ then
-        checks the ranges."""
-        if not isinstance(obj, dict):
-            raise TypeError(f"config must be a json object, got {json.dumps(obj)}")
-        hints = typing.get_type_hints(cls)
-        unknown = set(obj) - set(hints)
-        if unknown:
-            raise TypeError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in obj.items():
-            if not accepts(hints[key], value):
-                raise TypeError(f"{key} must be {type_name(hints[key])}, got {json.dumps(value)}")
-        return cls(**obj)
 
 
 @dataclass
@@ -880,41 +866,37 @@ def save_checkpoint(model: CnnGruModel, path: str | Path) -> None:
         fh.write(json.dumps(obj) + "\n")
 
 
+# the keys of a checkpoint; formats 1 and 2 had no "values"
+_CHECKPOINT_FIELDS = {"format_version": int, "arch": str, "config": dict, "tensors": dict,
+                      "values": str}
+
+
 def load_checkpoint(path: str | Path) -> CnnGruModel:
     """The model save_checkpoint wrote to path; every defect is a CheckpointError
-    naming its cause: the file, format version, arch, config, a tensor missing,
-    extra, misshapen or out of named_params order, a payload that is not base64
-    of exactly the index's float64 count, non-finite values, a nonzero pad row."""
-    path = Path(path)
-    if not path.is_file():
-        raise CheckpointError(f"checkpoint not found: {path}")
-    try:
-        with utf8_errors(path, CheckpointError):
-            obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc.msg}") from None
-    if not isinstance(obj, dict):
-        raise CheckpointError(f"checkpoint {path} is not a json object")
+    naming the full path and its cause: what data.read_json rejects, the format
+    version, a missing key, the arch, the config block, a tensor missing, extra,
+    misshapen or out of named_params order, a payload that is not base64 of
+    exactly the index's float64 count, non-finite values, a nonzero pad row."""
+    obj = read_json(path, _CHECKPOINT_FIELDS, CheckpointError)
     version = obj.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
-            f"unsupported checkpoint format_version {version!r}, "
+            f"checkpoint {path} has unsupported format_version {version!r}, "
             f"expected {CHECKPOINT_FORMAT_VERSION}"
         )
-    for key in ("arch", "config", "tensors", "values"):
+    for key in _CHECKPOINT_FIELDS:
         if key not in obj:
-            raise CheckpointError(f"checkpoint missing key {key!r}")
+            raise CheckpointError(f"checkpoint {path} missing key {key!r}")
     try:
         arch = ArchKind(obj["arch"])
     except ValueError:
-        raise CheckpointError(f"unknown arch {obj['arch']!r}") from None
-    try:
-        cfg = ModelConfig.from_dict(obj["config"])
-    except (TypeError, ShapeError) as exc:
+        raise CheckpointError(f"checkpoint {path}: unknown arch {obj['arch']!r}") from None
+    try:  # a missing vocab_size is a TypeError
+        check_fields(obj["config"], typing.get_type_hints(ModelConfig))
+        cfg = ModelConfig(**obj["config"])
+    except (DataValidationError, TypeError, ShapeError) as exc:
         raise CheckpointError(f"bad config block in {path}: {exc}") from None
     index = obj["tensors"]
-    if not isinstance(index, dict):
-        raise CheckpointError(f"checkpoint {path}: tensors must be a json object")
     model = build_model(cfg, arch)
     named = named_params(model)
     try:  # the index only has to match the model's layout
@@ -927,7 +909,7 @@ def load_checkpoint(path: str | Path) -> CnnGruModel:
             f"checkpoint {path}: tensors listed as {list(index)}, expected {list(named)}")
     try:
         raw = base64.b64decode(obj["values"], validate=True)
-    except (TypeError, ValueError):  # binascii.Error is a ValueError
+    except ValueError:  # binascii.Error
         raise CheckpointError(f"checkpoint {path}: values must be a base64 string") from None
     size = count_params(model)
     if len(raw) != 8 * size:

@@ -54,8 +54,8 @@ class Lexicon:
     @classmethod
     def from_files(cls, positive_path: str | Path, negative_path: str | Path) -> "Lexicon":
         return cls(
-            positive=_load_wordlist(Path(positive_path)),
-            negative=_load_wordlist(Path(negative_path)),
+            positive=_parse_wordlist(read_text(positive_path)),
+            negative=_parse_wordlist(read_text(negative_path)),
         )
 
     @classmethod
@@ -76,11 +76,13 @@ def utf8_errors(path: Path, error: type[Exception] = DataValidationError) -> Ite
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _load_wordlist(path: Path) -> frozenset[str]:
+def read_text(path: str | Path, error: type[Exception] = DataValidationError) -> str:
+    """The text of path; a missing file or one that is not UTF-8 raises error naming path."""
+    path = Path(path)
     if not path.is_file():
-        raise DataValidationError(f"lexicon file not found: {path}")
-    with utf8_errors(path):
-        return _parse_wordlist(path.read_text(encoding="utf-8"))
+        raise error(f"file not found: {path}")
+    with utf8_errors(path, error):
+        return path.read_text(encoding="utf-8")
 
 
 def _parse_wordlist(text: str) -> frozenset[str]:

@@ -81,6 +81,8 @@ class TrainConfig:
         if self.weight_decay > 0 and self.optimizer != "sgd":
             raise DataValidationError(
                 f"weight_decay {self.weight_decay} needs optimizer sgd, got {self.optimizer!r}")
+        if self.seed < 0:
+            raise DataValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 # windows per batched forward pass when scoring a whole split: about one

@@ -194,6 +194,9 @@ class TestAlertSerialization:
             ({"probs": [float("inf"), 0.0, 0.0]}, "probs must be finite"),
             ({"predicted_return": float("nan")}, "predicted_return must be finite"),
             ({"predicted_return": float("-inf")}, "predicted_return must be finite"),
+            ({"probs": ["0.2", "0.3", "0.5"]}, "probs must be a list of numbers"),
+            ({"probs": [True, False, False]}, "probs must be a list of numbers"),
+            ({"predicted_return": "0.1"}, "predicted_return must be a number"),
         ]:
             # json.dumps writes the non-finite floats as NaN and -Infinity
             path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **bad}) + "\n")

@@ -163,31 +163,6 @@ class TestPrepare:
 
 
 class TestConfigFile:
-    def test_unknown_key_exits_2(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"mystery_knob": 5}), encoding="utf-8")
-        rc = main(["prepare", "--data-dir", str(workspace["root"]), "--config", str(cfg)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "mystery_knob" in captured.err
-
-    def test_bad_json_exits_2(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "broken.json"
-        cfg.write_text("{", encoding="utf-8")
-        rc = main(["prepare", "--data-dir", str(workspace["root"]), "--config", str(cfg)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "bad json" in captured.err
-
-    def test_missing_config_file_exits_2(self, workspace, tmp_path, capsys):
-        rc = main([
-            "prepare", "--data-dir", str(workspace["root"]),
-            "--config", str(tmp_path / "nope.json"),
-        ])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "config file not found" in captured.err
-
     def test_explicit_window_mismatch_exits_2(self, workspace, tmp_path, capsys):
         cfg = write_config(tmp_path, {"window": 7})
         rc = main([
@@ -315,6 +290,26 @@ class TestSeedPrecedence:
         assert rc == 0
         assert out.read_bytes() == ref
 
+    @pytest.mark.parametrize("route, seed", [("flag", -1), ("config", -5), ("env", -3)])
+    def test_negative_seed_exits_2_naming_seed(self, workspace, tmp_path, monkeypatch,
+                                               capsys, route, seed):
+        # PCG64 takes no negative seed: each route ended in a ValueError traceback
+        cfg = write_config(tmp_path, {"epochs": 1, "seed": seed} if route == "config"
+                           else {"epochs": 1})
+        if route == "env":
+            monkeypatch.setenv("SENTI_RISK_SEED", str(seed))
+        flag = ["--seed", str(seed)] if route == "flag" else []
+        out = tmp_path / "m.ckpt.json"
+        capsys.readouterr()
+        rc = main(["train", "--data-dir", str(workspace["root"]), "--config", str(cfg),
+                   "--model-out", str(out), *flag])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"data error: seed must be non-negative, got {seed}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_non_integer_env_exits_1(self, workspace, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SENTI_RISK_SEED", "abc")
         rc = main([
@@ -441,15 +436,6 @@ class TestEvaluate:
         assert rc == 0
         assert json.loads(captured.out)["n"] == N_VAL
 
-    def test_missing_checkpoint_exits_2(self, workspace, tmp_path, capsys):
-        rc = main([
-            "evaluate", "--data-dir", str(workspace["root"]),
-            "--model-in", str(tmp_path / "ghost.ckpt.json"),
-        ])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "checkpoint not found" in captured.err
-
     def _rejected(self, workspace, path, capsys) -> str:
         """evaluate's stderr for checkpoint path, asserting a clean exit 2."""
         capsys.readouterr()
@@ -510,7 +496,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("edit, message", [
         ({"embed_dim": 4.0}, "embed_dim must be an integer, got 4.0"),
         ({"vocab_size": "20"}, 'vocab_size must be an integer, got "20"'),
-    ], ids=["float-embed_dim", "string-vocab_size"])
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+    ], ids=["float-embed_dim", "string-vocab_size", "negative-seed"])
     def test_mistyped_config_block_exits_2_naming_file_key_and_type(
             self, workspace, trained, tmp_path, capsys, edit, message):
         obj = json.loads(trained.read_text())
@@ -603,7 +590,7 @@ class TestCheckpointDatasetMismatch:
 def _cut_in_half(path):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
-    return f"{path.name}: "
+    return f"{path}: "
 
 
 def _cut_days(prep):
@@ -678,6 +665,92 @@ class TestDamagedPrepared:
         assert expected in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(window=str(m["window"])),
+         f'window must be an integer, got "{WINDOW}"'),
+        (lambda m: m.update(n_days=m["n_days"] + 0.7), "n_days must be an integer, got "),
+        (lambda m: m["means"].__setitem__(0, float("nan")),
+         "means must be 4 finite numbers, got [nan, "),
+        (lambda m: m["stds"].__setitem__(0, 0.0),
+         "stds must be 4 finite positive numbers, got [0.0, "),
+        (lambda m: m["stds"].__setitem__(1, -0.02), "stds must be 4 finite positive numbers"),
+    ], ids=["string-window", "float-n_days", "nan-mean", "zero-std", "negative-std"])
+    def test_bad_norm_stats_value_exits_2_naming_path_and_key(self, workspace, trained,
+                                                              tmp_path, capsys, edit, message):
+        # each was coerced with int()/float() or taken as is, and scored with exit 0
+        prep = tmp_path / "prepared"
+        prep.mkdir()
+        for src in (workspace["root"] / "prepared").iterdir():
+            (prep / src.name).write_bytes(src.read_bytes())
+        path = prep / "norm_stats.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        edit(meta)
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        out = tmp_path / "preds.csv"
+        capsys.readouterr()
+        rc = main(["predict", "--data-dir", str(prep), "--model-in", str(trained),
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"data error: {path}: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestJsonDocuments:
+    """The config file, the checkpoint and norm_stats.json are read by one reader:
+    each fault exits 2 naming the file's full path and the key at fault."""
+
+    MISTYPED = {"config": ("epochs", "ten", 'epochs must be an integer, got "ten"'),
+                "checkpoint": ("arch", 5, "arch must be a string, got 5"),
+                "norm_stats.json": ("window", 20.9, "window must be an integer, got 20.9")}
+
+    @pytest.mark.parametrize("fault", ["missing", "bad-json", "array", "unknown-key",
+                                       "mistyped-key"])
+    @pytest.mark.parametrize("document", ["config", "checkpoint", "norm_stats.json"])
+    def test_exits_2_naming_path_and_key(self, workspace, trained, tmp_path, capsys,
+                                         document, fault):
+        prep = tmp_path / "prepared"
+        prep.mkdir()
+        for src in (workspace["root"] / "prepared").iterdir():
+            (prep / src.name).write_bytes(src.read_bytes())
+        ckpt = tmp_path / "model.ckpt.json"
+        ckpt.write_bytes(trained.read_bytes())
+        cfg = write_config(tmp_path, {"epochs": 1})
+        path = {"config": cfg, "checkpoint": ckpt, "norm_stats.json": prep / "norm_stats.json"}[
+            document]
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        message = {"bad-json": "bad json (", "array": "not a json object",
+                   "unknown-key": "unknown keys ['mystery']"}.get(fault)
+        if fault == "missing":
+            path.unlink()
+        elif fault == "bad-json":
+            path.write_text("{", encoding="utf-8")
+        elif fault == "array":
+            path.write_text(json.dumps([obj]), encoding="utf-8")
+        else:
+            key, value, message = (("mystery", 1, message) if fault == "unknown-key"
+                                   else self.MISTYPED[document])
+            path.write_text(json.dumps({**obj, key: value}), encoding="utf-8")
+        out = tmp_path / "out.ckpt.json"
+        argv = (["train", "--data-dir", str(prep), "--config", str(cfg), "--model-out", str(out)]
+                if document == "config"
+                else ["evaluate", "--data-dir", str(prep), "--model-in", str(ckpt)])
+        capsys.readouterr()
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        if fault != "missing":
+            assert f"data error: {path}: {message}" in captured.err
+        elif document == "norm_stats.json":
+            assert f"data error: no prepared dataset under {prep}: no {path} or " in captured.err
+        else:
+            assert f"data error: file not found: {path}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestTruncatedVocab:
@@ -887,14 +960,19 @@ class TestAlert:
         captured = capsys.readouterr()
         assert rc == 2
 
-    @pytest.mark.parametrize("key,value", [
-        ("predicted_return", float("nan")),  # was a risk-1.0 alert printed as NaN
-        ("predicted_return", float("inf")),
-        ("probs", [float("nan"), 0.5, 0.5]),  # was exit 3 with no line number
-        ("probs", [0.0, float("inf"), 0.0]),
-    ], ids=["nan-return", "inf-return", "nan-prob", "inf-prob"])
-    def test_non_finite_prediction_exits_2_naming_the_line(self, tmp_path, capsys,
-                                                           key, value):
+    @pytest.mark.parametrize("key,value,message", [
+        ("predicted_return", float("nan"), "must be finite"),  # was a risk-1.0 alert as NaN
+        ("predicted_return", float("inf"), "must be finite"),
+        ("probs", [float("nan"), 0.5, 0.5], "must be finite"),  # was exit 3, no line number
+        ("probs", [0.0, float("inf"), 0.0], "must be finite"),
+        # the three below were taken as numbers, and alerts printed with exit 0
+        ("probs", ["0.2", "0.3", "0.5"], "must be a list of numbers"),
+        ("probs", [True, False, False], "must be a list of numbers"),
+        ("predicted_return", "0.1", "must be a number"),
+    ], ids=["nan-return", "inf-return", "nan-prob", "inf-prob", "string-probs", "bool-probs",
+            "string-return"])
+    def test_bad_prediction_exits_2_naming_the_line(self, tmp_path, capsys, key, value,
+                                                    message):
         rows = [dict(r) for r in PRED_ROWS]
         rows[1][key] = value
         path = tmp_path / "preds.jsonl"
@@ -903,7 +981,7 @@ class TestAlert:
         rc = main(["alert", "--predictions", str(path)])
         captured = capsys.readouterr()
         assert rc == 2
-        assert f"{path}:2: {key} must be finite" in captured.err
+        assert f"{path}:2: {key} {message}" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

@@ -326,14 +326,16 @@ class TestNormStats:
             z = stats.normalize_return(raw)
             assert abs(stats.denormalize_return(z) - raw) < 1e-12
 
-    def test_dict_round_trip(self):
-        stats = NormStats.fit(simple_days(10))
-        again = NormStats.from_dict(stats.to_dict())
-        assert again == stats
-
-    def test_bad_dict_rejected(self):
-        with pytest.raises(DataValidationError):
-            NormStats.from_dict({"means": [0, 0, 0, 0], "stds": [1, 1]})
+    @pytest.mark.parametrize("means, stds, message", [
+        ((0.0,) * 4, (1.0, 1.0), "stds must be 4 finite positive numbers"),
+        ((math.nan, 0.0, 0.0, 0.0), (1.0,) * 4, "means must be 4 finite numbers"),
+        ((0.0,) * 4, (0.0, 1.0, 1.0, 1.0), "stds must be 4 finite positive numbers"),
+        ((0.0,) * 4, (1.0, -0.02, 1.0, 1.0), "stds must be 4 finite positive numbers"),
+        ((0.0,) * 4, (1.0, 1.0, math.inf, 1.0), "stds must be 4 finite positive numbers"),
+    ], ids=["two-stds", "nan-mean", "zero-std", "negative-std", "inf-std"])
+    def test_bad_stats_rejected(self, means, stds, message):
+        with pytest.raises(DataValidationError, match=message):
+            NormStats(means=means, stds=stds)
 
 
 def build_corpus(n_days: int):

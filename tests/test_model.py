@@ -5,6 +5,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -172,6 +173,8 @@ class TestBuildModel:
             ModelConfig(vocab_size=12, embed_dim=0)
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=12, mse_weight=2.0)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            ModelConfig(vocab_size=12, seed=-1)
 
 
 class TestModelForward:
@@ -819,7 +822,7 @@ class TestCheckpoint:
         ({"attention_enabled": 1}, "attention_enabled must be true or false, got 1"),
         ({"seed": True}, "seed must be an integer, got true"),
         ({"mse_weight": None}, "mse_weight must be a number, got null"),
-        ({"mystery": 1}, r"unknown config keys: \['mystery'\]"),
+        ({"mystery": 1}, r"unknown keys \['mystery'\]"),
     ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else None)
     def test_mistyped_config_rejected_naming_file_key_and_type(self, tmp_path, config_edit,
                                                                message):
@@ -849,14 +852,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"{path.name}.*embedding row 0"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("values", [[0.0, 1.0], 5, None, "not base64!", "AAAA AAAA"],
-                             ids=["float-list", "number", "null", "bad-chars", "whitespace"])
-    def test_values_not_a_base64_string_rejected(self, tmp_path, values):
+    @pytest.mark.parametrize("values, message", [
+        ([0.0, 1.0], "values must be a string, got [0.0, 1.0]"),
+        (5, "values must be a string, got 5"),
+        (None, "values must be a string, got null"),
+        ("not base64!", "values must be a base64 string"),
+        ("AAAA AAAA", "values must be a base64 string"),
+    ], ids=["float-list", "number", "null", "bad-chars", "whitespace"])
+    def test_values_not_a_base64_string_rejected(self, tmp_path, values, message):
         path = self._saved(tmp_path)
         obj = json.loads(path.read_text())
         obj["values"] = values
         path.write_text(json.dumps(obj))
-        with pytest.raises(CheckpointError, match=f"{path.name}: values must be a base64 string"):
+        with pytest.raises(CheckpointError, match=f"{path.name}: {re.escape(message)}"):
             load_checkpoint(path)
 
     def test_missing_values_rejected(self, tmp_path):

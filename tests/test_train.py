@@ -193,7 +193,8 @@ class TestTrainLoop:
                     {"lr": 0.0}, {"lr": -1e-3}, {"lr": math.nan}, {"lr": math.inf},
                     {"optimizer": "sgd", "weight_decay": -1.0},
                     {"optimizer": "sgd", "weight_decay": math.nan},
-                    {"weight_decay": 0.1}):  # Adam has no decay term
+                    {"weight_decay": 0.1},  # Adam has no decay term
+                    {"seed": -1}):  # PCG64 takes no negative seed
             with pytest.raises(DataValidationError):
                 TrainConfig(**bad)
         assert TrainConfig(optimizer="sgd", weight_decay=0.01).weight_decay == 0.01
