@@ -259,8 +259,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     market = data_dir / "market.csv"
     texts = data_dir / "texts.jsonl"
     bars = data_mod.load_market_csv(market)
-    docs = data_mod.load_text_jsonl(texts) if texts.is_file() else []
-    if not texts.is_file():
+    # exists(), not is_file(): a texts.jsonl that is a pipe is read, not skipped
+    docs = data_mod.load_text_jsonl(texts) if texts.exists() else []
+    if not texts.exists():
         log.info("no %s; preparing a market-only dataset", texts)
     pcfg = build_config(data_mod.PrepareConfig, cfg)
     ds = data_mod.prepare_dataset(bars, docs, _lexicon(cfg), pcfg)

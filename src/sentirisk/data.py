@@ -44,8 +44,8 @@ from .text import (
     clean_text,
     encode_doc,
     label_sentiment,
+    open_text,
     read_text,
-    utf8_errors,
 )
 
 log = logging.getLogger(__name__)
@@ -72,6 +72,11 @@ class MarketBar:
     volume: float
 
     def __post_init__(self) -> None:
+        # every comparison below is False for NaN
+        for name in ("open", "high", "low", "close", "volume"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DataValidationError(f"{self.date}: {name} {value} is not finite")
         if self.low > min(self.open, self.close):
             raise DataValidationError(
                 f"{self.date}: low {self.low} exceeds min(open, close)"
@@ -203,10 +208,8 @@ def read_json(path: str | Path, hints: dict,
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     """parse() of each non-blank line; every error names the file and line."""
     path = Path(path)
-    if not path.is_file():
-        raise DataValidationError(f"file not found: {path}")
     rows: list[T] = []
-    with utf8_errors(path), path.open(encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -224,9 +227,8 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
 def load_market_csv(path: str | Path) -> list[MarketBar]:
     """Header must be exactly date,open,high,low,close,volume; dates ISO."""
     path = Path(path)
-    if not path.is_file():
-        raise DataValidationError(f"market csv not found: {path}")
-    with utf8_errors(path), path.open(newline="", encoding="utf-8-sig") as fh:
+    with open_text(path, missing="market csv not found", encoding="utf-8-sig",
+                   newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

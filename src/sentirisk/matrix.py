@@ -4,10 +4,11 @@ This is the validated numeric type of the model's named weights, day
 features, alert probabilities, and the per-window reference (layers.py,
 model.model_forward/model_backward). Training and all scoring run whole
 batches on raw ndarrays indexed out of a day table (model.table_forward).
-_sigmoid_array, the gate activation of both GRU paths, is branch-free and
-cannot overflow. Values live in a read-only float64 numpy array and every
-operation allocates a fresh output; only train() writes behind one, between
-batches, in the flat vector its model's weights view (model.with_flat_params).
+_sigmoid_array, the gate activation of the per-window GRU (layers.py), is
+branch-free and cannot overflow. Values live in a read-only float64 numpy
+array and every operation allocates a fresh output; only train() writes
+behind one, between batches, in the flat vector its model's weights view
+(model.with_flat_params).
 Matrix products are evaluated with a fixed row-major, left-to-right summation
 order (np.einsum), which makes the naive triple-loop oracle an exact match.
 

@@ -8,7 +8,8 @@ CnnGru and GruOnly run a GRU over the window and pool its hidden states with
 additive attention (or take the last hidden state); CnnOnly averages the day
 vectors directly. Two dense heads emit the scalar return prediction and the
 3-class sentiment logits. The conv filters are one (kernel_width * embed_dim,
-num_filters) tensor, conv/k, used as is by both paths below.
+num_filters) tensor, conv/k; the batched path below reads it regrouped as
+(embed_dim, kernel_width * num_filters).
 
 Two paths compute this network from the same parameters. table_forward and
 batch_backward run a whole batch of windows on raw ndarrays: the batched
@@ -18,13 +19,13 @@ model_backward run one window on Matrix values, layer by layer through
 layers.py: the per-window reference the batched core is tested against,
 which nothing else in the package calls. A DayTable holds the distinct days
 of a split as arrays, built and checked once per split; a batch is a list of
-window indices into it. Each distinct day text of the batch is encoded once,
-the convolution of its documents is one im2col matrix product per chunk of
-documents over the conv windows that start at or before the batch's last
-token (later windows see only padding and cannot win the max-pool), the GRU
+window indices into it. Each distinct day text of the batch is encoded once:
+one matrix product gives each distinct token its response to every filter
+at every window position, a window sums those of its tokens, and only the
+windows that start at or before the batch's last token run (later windows
+see only padding and cannot win the max-pool). The GRU runs time-major and
 takes its input projections for all steps in one product before the
-recurrence, and row gradients are scattered with one flat-index np.add.at
-each.
+recurrence. Row gradients are scattered with one flat-index np.add.at each.
 batch_forward(model, samples) builds a table of its samples and runs them
 all. Every reduction runs in a fixed order, so seeded reruns are bitwise
 identical.
@@ -81,7 +82,7 @@ from .layers import (
     relu_backward,
 )
 from .losses import cross_entropy_grad, mse_grad, softmax_rows
-from .matrix import Matrix, _sigmoid_array
+from .matrix import Matrix
 from .text import NUM_CLASSES
 
 CHECKPOINT_FORMAT_VERSION = 3
@@ -471,8 +472,9 @@ def model_backward(model: CnnGruModel, cache: ModelCache,
 # batched core: a whole mini-batch as raw ndarrays
 # ---------------------------------------------------------------------------
 
-# im2col values per chunk of documents (512 KB of float64): bounds the text
-# encoder's scratch arrays whatever the batch size
+# values of the (documents, windows, filters) pre-activations per chunk of
+# documents (512 KB of float64): bounds the text encoder's scratch arrays
+# whatever the batch size
 CHUNK_VALUES = 1 << 16
 
 
@@ -483,8 +485,8 @@ class BatchCache:
     Each distinct text of the batch is encoded once. day_index maps every
     (window, day) to its row of the text table; the table's last row, U, is
     the zero vector of the days without text. The conv path keeps only the
-    token ids and the max-pool winners of each document, and re-gathers the
-    embeddings in backward.
+    token ids and the max-pool winners of each document, and recomputes the
+    batch's token set in backward. Day vectors and GRU states are time-major.
     """
 
     day_index: np.ndarray  # (B, T)
@@ -495,8 +497,9 @@ class BatchCache:
     counts: np.ndarray  # (U,) documents or tokens per text row
     winners: np.ndarray | None  # conv: (N, F) max-pool time step per filter
     pooled: np.ndarray | None  # conv: (N, F) pooled ReLU outputs
-    x: np.ndarray  # (B, T, D) day vectors
-    gru: tuple[np.ndarray, ...] | None  # z, r, candidate, hidden; each (B, T, h)
+    x: np.ndarray  # (T, B, D) day vectors
+    # z and r (T, B, 2h), candidate (T, B, h), hidden (T + 1, B, h) from h_0 = 0
+    gru: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     attn: tuple[np.ndarray, np.ndarray] | None  # tanh(W_a h) (B, T, a), weights (B, T)
     ctx: np.ndarray  # (B, head_in)
     pred: np.ndarray  # (B,)
@@ -601,63 +604,105 @@ def _add_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     np.add.at(out.reshape(-1), flat.ravel(), values.ravel())
 
 
-def _conv_plan(model: CnnGruModel, ids: np.ndarray) -> tuple[np.ndarray, int]:
-    """(token positions of the conv windows to run (n_windows, width), documents per chunk).
+def _conv_plan(model: CnnGruModel, ids: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(token positions of the conv windows to run (n_windows, width), the
+    distinct token ids those windows read, ascending, each token id's row
+    among them, documents per chunk).
 
     Only the windows that start at or before the last non-pad column of ids
     run, and at least one. Every later window sees only the all-zero pad row,
     so its ReLU output is 0, which never beats an earlier window under
     max-over-time pooling (ties go to the earliest step): the pooled values,
-    winners and gradients are those of the full grid of windows. A chunk holds
-    as many documents as it would on the full grid, so the kernel gradient's
-    per-chunk sums, and with them its bits, do not depend on the trim.
+    winners and gradients are those of the full grid of windows. The pad id
+    is always one of the tokens, so the token set, and with it every bit of
+    the per-token projections, does not depend on the trim either.
     """
     cfg = model.cfg
     out_len = conv_output_length(cfg.max_doc_len, cfg.kernel_width, cfg.conv_stride)
     cols = np.flatnonzero(ids.any(axis=0))
     n_windows = min(out_len, int(cols[-1]) // cfg.conv_stride + 1) if cols.size else 1
     windows = (np.arange(n_windows) * cfg.conv_stride)[:, None] + np.arange(cfg.kernel_width)
-    return windows, max(1, CHUNK_VALUES // (out_len * cfg.kernel_width * cfg.embed_dim))
+    seen = np.zeros(cfg.vocab_size, dtype=bool)
+    seen[0] = True
+    seen[ids[:, windows.ravel()]] = True
+    tokens = np.flatnonzero(seen)
+    row = np.zeros(cfg.vocab_size, dtype=np.intp)
+    row[tokens] = np.arange(len(tokens))
+    return windows, tokens, row, max(1, CHUNK_VALUES // (n_windows * cfg.num_filters))
+
+
+def _regroup(kernel: np.ndarray, width: int) -> np.ndarray:
+    """A (width * E, F) kernel as (E, width * F): column k * F + f holds the
+    weights filter f gives the token at window position k."""
+    return kernel.reshape(width, -1, kernel.shape[1]).transpose(1, 0, 2).reshape(
+        -1, width * kernel.shape[1])
 
 
 def _conv_encode(model: CnnGruModel, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pooled, winners) of every document: embed, conv as one im2col GEMM per
-    chunk, ReLU, max-pool over time (ties go to the earliest step)."""
-    table = model.embedding.table.data
+    """(pooled, winners) of every document: conv, ReLU, max-pool over time
+    (ties go to the earliest step).
+
+    The conv is linear in the embedded tokens, so one product gives every
+    distinct token's response to each filter at each window position,
+    proj (U, width, F), and a window's pre-activation is the sum of width
+    gathered rows of it, added in position order. Activations are
+    window-major, so the pooling reduces over whole (documents, F) slabs.
+    """
+    width = model.cfg.kernel_width
     kernel = model.conv.kernel.data
-    windows, step = _conv_plan(model, ids)
+    windows, tokens, row, step = _conv_plan(model, ids)
+    proj = (model.embedding.table.data[tokens] @ _regroup(kernel, width)).reshape(
+        len(tokens), width, -1)
+    # window j weighs n_windows - j: the heaviest window at the max is the earliest
+    weight = np.arange(len(windows), 0, -1, dtype=np.min_scalar_type(len(windows)))
     pooled = np.empty((len(ids), kernel.shape[1]))
     winners = np.empty((len(ids), kernel.shape[1]), dtype=np.intp)
     for s in range(0, len(ids), step):
-        tok = ids[s : s + step][:, windows]  # (n, out_len, width)
-        n, out_len = tok.shape[:2]
-        act = np.maximum(table[tok].reshape(n * out_len, -1) @ kernel, 0.0)
-        act = act.reshape(n, out_len, -1)
-        win = np.argmax(act, axis=1)
-        winners[s : s + step] = win
-        pooled[s : s + step] = np.take_along_axis(act, win[:, None, :], axis=1)[:, 0]
+        tok = row[ids[s : s + step].T[windows]]  # (n_windows, width, n)
+        act = proj[tok[:, 0], 0]  # (n_windows, n, F)
+        for k in range(1, width):
+            act += proj[tok[:, k], k]
+        np.maximum(act, 0.0, out=act)
+        best = pooled[s : s + step] = act.max(axis=0)
+        # not below the max: the max itself, or every window when it is NaN
+        top = ~(act < best) * weight[:, None, None]
+        winners[s : s + step] = len(windows) - top.max(axis=0)
     return pooled, winners
 
 
 def _conv_backward(model: CnnGruModel, cache: BatchCache, d_pooled: np.ndarray,
                    d_embed: np.ndarray) -> np.ndarray:
-    """Kernel-matrix gradient; adds the embedding gradient into d_embed."""
-    table = model.embedding.table.data
-    windows, step = _conv_plan(model, cache.ids)
+    """Kernel-matrix gradient; adds the embedding gradient into d_embed.
+
+    Only each filter's winning window carries gradient, so it is scattered
+    straight into the gradient of proj, one add per (document, filter,
+    position); two products then take it back to the kernel and to the
+    embedding rows of the batch's tokens.
+    """
+    cfg = model.cfg
+    width = cfg.kernel_width
     kernel = model.conv.kernel.data
-    d_kernel = np.zeros_like(kernel)
+    n_filters = kernel.shape[1]
+    _, tokens, row, step = _conv_plan(model, cache.ids)
+    d_proj = np.zeros(len(tokens) * width * n_filters)
     # the ReLU passes gradient only where the winning pre-activation was positive
     g = d_pooled * (cache.pooled > 0.0)
+    filters = np.arange(n_filters)
     for s in range(0, len(cache.ids), step):
-        tok = cache.ids[s : s + step][:, windows]
-        n, out_len = tok.shape[:2]
-        d_act = np.zeros((n, out_len, kernel.shape[1]))
-        np.put_along_axis(d_act, cache.winners[s : s + step, None, :], g[s : s + step, None, :],
-                          axis=1)
-        d_act = d_act.reshape(n * out_len, -1)
-        d_kernel += table[tok].reshape(n * out_len, -1).T @ d_act
-        _add_rows(d_embed, tok, d_act @ kernel.T)
-    return d_kernel
+        ids = cache.ids[s : s + step]
+        # flat position in ids of each (document, filter)'s winning window
+        start = cache.winners[s : s + step] * cfg.conv_stride
+        start += (np.arange(len(ids)) * ids.shape[1])[:, None]
+        for k in range(width):
+            at = row[ids.reshape(-1)[start + k]]  # (n, F) rows of d_proj, position k
+            at *= width * n_filters
+            at += k * n_filters + filters
+            np.add.at(d_proj, at.ravel(), g[s : s + step].ravel())
+    d_proj = d_proj.reshape(len(tokens), width * n_filters)
+    d_embed[tokens] += d_proj @ _regroup(kernel, width).T
+    d_regrouped = model.embedding.table.data[tokens].T @ d_proj  # (E, width * F)
+    return d_regrouped.reshape(-1, width, n_filters).transpose(1, 0, 2).reshape(kernel.shape)
 
 
 def _gru_weights(gru: GRUParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -669,53 +714,93 @@ def _gru_weights(gru: GRUParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.concatenate([w_z[:, :h], w_r[:, :h]]), w[:, :h])
 
 
-def _gru_forward(gru: GRUParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(z, r, candidate, hidden), each (B, T, h).
+def _gru_forward(gru: GRUParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z and r (T, B, 2h), candidate (T, B, h), hidden (T + 1, B, h) whose
+    row 0 is h_0 = 0) of time-major day vectors x (T, B, d).
 
     The input-side products of every step come from one GEMM before the
-    recurrence; only the h-side products stay in the loop.
+    recurrence; only the h-side products stay in the loop, which writes each
+    step in place. The gates take sigmoid(a) = 0.5 + 0.5 tanh(a / 2), with the
+    exact halving folded into the z and r weights: three passes, and no
+    overflow for any a.
     """
     h = gru.hidden_size
-    b, t_len, d = x.shape
+    t_len, b, d = x.shape
     w_x, w_zr, w_hh = _gru_weights(gru)
-    x_proj = (x.reshape(b * t_len, d) @ w_x.T).reshape(b, t_len, 3 * h)
-    z, r, cand, hid = (np.empty((b, t_len, h)) for _ in range(4))
-    h_prev = np.zeros((b, h))
+    w_x[: 2 * h] *= 0.5
+    x_proj = (x.reshape(t_len * b, d) @ w_x.T).reshape(t_len, b, 3 * h)
+    w_zr_t = (0.5 * w_zr).T.copy()
+    w_hh_t = w_hh.T.copy()
+    zr = np.empty((t_len, b, 2 * h))
+    cand = np.empty((t_len, b, h))
+    hid = np.empty((t_len + 1, b, h))
+    hid[0] = 0.0
+    rh = np.empty((b, h))
     for t in range(t_len):
-        zr = _sigmoid_array(h_prev @ w_zr.T + x_proj[:, t, : 2 * h])
-        z[:, t], r[:, t] = zr[:, :h], zr[:, h:]
-        cand[:, t] = np.tanh((r[:, t] * h_prev) @ w_hh.T + x_proj[:, t, 2 * h :])
-        h_prev = hid[:, t] = (1.0 - z[:, t]) * h_prev + z[:, t] * cand[:, t]
-    return z, r, cand, hid
+        gates, c, h_prev, h_next = zr[t], cand[t], hid[t], hid[t + 1]
+        np.matmul(h_prev, w_zr_t, out=gates)
+        gates += x_proj[t, :, : 2 * h]
+        np.tanh(gates, out=gates)
+        gates *= 0.5
+        gates += 0.5
+        np.multiply(gates[:, h:], h_prev, out=rh)
+        np.matmul(rh, w_hh_t, out=c)
+        c += x_proj[t, :, 2 * h :]
+        np.tanh(c, out=c)
+        # h_t = (1 - z) h_{t-1} + z c, as h_{t-1} + z (c - h_{t-1})
+        np.subtract(c, h_prev, out=h_next)
+        h_next *= gates[:, :h]
+        h_next += h_prev
+    return zr, cand, hid
 
 
 def _gru_backward(gru: GRUParams, x: np.ndarray, states: tuple[np.ndarray, ...],
                   d_hid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(d_x, d_w_z, d_w_r, d_w); d_hid holds the gradient reaching each h_t
-    from outside the chain. Weight and input gradients come from GEMMs over
-    all steps after the loop."""
-    z, r, cand, hid = states
+    """(d_x (T, B, d), d_w_z, d_w_r, d_w); d_hid (T, B, h) holds the gradient
+    reaching each h_t from outside the chain.
+
+    The factors of each step that do not depend on the carried gradient are
+    computed for all steps before the loop, into the rows of d_pre that each
+    step then scales in place; weight and input gradients come from GEMMs
+    over all steps after it.
+    """
+    zr, cand, hid = states
     h = gru.hidden_size
-    b, t_len, d = x.shape
+    t_len, b, d = x.shape
     w_x, w_zr, w_hh = _gru_weights(gru)
-    h_prev = np.concatenate([np.zeros((b, 1, h)), hid[:, :-1]], axis=1)
-    d_pre = np.empty((b, t_len, 3 * h))  # pre-activation gradients of z, r, candidate
+    z, r, h_prev = zr[..., :h], zr[..., h:], hid[:-1]
+    keep = np.subtract(1.0, z)  # dh -> h_{t-1}, directly
+    d_pre = np.empty((t_len, b, 3 * h))  # pre-activation gradients of z, r, candidate
+    to_z, to_r, to_cand = d_pre[..., :h], d_pre[..., h : 2 * h], d_pre[..., 2 * h :]
+    np.subtract(cand, h_prev, out=to_z)  # times dh: (c - h_{t-1}) z (1 - z)
+    to_z *= z
+    to_z *= keep
+    np.subtract(1.0, r, out=to_r)  # times d(r h_{t-1}): h_{t-1} r (1 - r)
+    to_r *= r
+    to_r *= h_prev
+    np.multiply(cand, cand, out=to_cand)  # times dh: z (1 - c^2)
+    np.subtract(1.0, to_cand, out=to_cand)
+    to_cand *= z
+    dh, d_rh, back = np.empty((b, h)), np.empty((b, h)), np.empty((b, h))
     carry = np.zeros((b, h))
     for t in range(t_len - 1, -1, -1):
-        dh = carry + d_hid[:, t]
-        zt, rt, ct, hp = z[:, t], r[:, t], cand[:, t], h_prev[:, t]
-        d_c = dh * zt * (1.0 - ct * ct)
-        d_rh = d_c @ w_hh
-        d_pre[:, t, :h] = dh * (ct - hp) * zt * (1.0 - zt)
-        d_pre[:, t, h : 2 * h] = d_rh * hp * rt * (1.0 - rt)
-        d_pre[:, t, 2 * h :] = d_c
-        carry = dh * (1.0 - zt) + d_rh * rt + d_pre[:, t, : 2 * h] @ w_zr
-    flat = d_pre.reshape(b * t_len, 3 * h)
-    d_wx = flat.T @ x.reshape(b * t_len, d)
-    d_wzr = flat[:, : 2 * h].T @ h_prev.reshape(b * t_len, h)
-    d_whh = flat[:, 2 * h :].T @ (r * h_prev).reshape(b * t_len, h)
+        d_zr, d_c = d_pre[t, :, : 2 * h], d_pre[t, :, 2 * h :]
+        np.add(carry, d_hid[t], out=dh)
+        d_c *= dh
+        np.matmul(d_c, w_hh, out=d_rh)
+        d_zr[:, :h] *= dh
+        d_zr[:, h:] *= d_rh
+        np.multiply(dh, keep[t], out=carry)
+        d_rh *= r[t]
+        carry += d_rh
+        np.matmul(d_zr, w_zr, out=back)
+        carry += back
+    flat = d_pre.reshape(t_len * b, 3 * h)
+    d_wx = flat.T @ x.reshape(t_len * b, d)
+    d_wzr = flat[:, : 2 * h].T @ h_prev.reshape(t_len * b, h)
+    d_whh = flat[:, 2 * h :].T @ (r * h_prev).reshape(t_len * b, h)
     return (
-        (flat @ w_x).reshape(b, t_len, d),
+        (flat @ w_x).reshape(t_len, b, d),
         np.concatenate([d_wzr[:h], d_wx[:h]], axis=1),
         np.concatenate([d_wzr[h:], d_wx[h : 2 * h]], axis=1),
         np.concatenate([d_whh, d_wx[2 * h :]], axis=1),
@@ -766,18 +851,19 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray) -> Bat
     vecs = np.zeros((len(counts) + 1, _text_dim(model.cfg, model.arch)))
     _add_rows(vecs, seg, items)
     vecs[:-1] /= np.maximum(counts, 1)[:, None]
-    x = np.concatenate([vecs[day_index], feats], axis=2)
+    x = np.concatenate([vecs[day_index.T], feats.transpose(1, 0, 2)], axis=2)
 
     gru = attn = None
     if model.arch is ArchKind.CNN_ONLY:
-        ctx = x.mean(axis=1)
+        ctx = x.mean(axis=0)
     else:
         gru = _gru_forward(model.gru, x)
         if model.attention is not None:
-            acts, alpha, ctx = _attention_forward(model.attention, gru[3])
+            acts, alpha, ctx = _attention_forward(model.attention,
+                                                  gru[2][1:].transpose(1, 0, 2))
             attn = (acts, alpha)
         else:
-            ctx = gru[3][:, -1]
+            ctx = gru[2][-1]
     pred = (ctx @ model.head_reg.w.data.T + model.head_reg.b.data.T)[:, 0]
     logits = ctx @ model.head_cls.w.data.T + model.head_cls.b.data.T
     return BatchCache(day_index=day_index, ids=ids, seg=seg, counts=counts,
@@ -803,21 +889,22 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
     d_ctx = d_pred[:, None] @ model.head_reg.w.data + d_logits @ model.head_cls.w.data
 
     if model.arch is ArchKind.CNN_ONLY:
-        d_x = np.broadcast_to(d_ctx[:, None, :] / model.cfg.window, cache.x.shape)
+        d_x = np.broadcast_to(d_ctx / model.cfg.window, cache.x.shape)
     else:
-        hid = cache.gru[3]
+        hid = cache.gru[2][1:]
         if model.attention is not None:
             d_hid, grads["attn/w_a"], grads["attn/u"] = _attention_backward(
-                model.attention, hid, *cache.attn, d_ctx)
+                model.attention, hid.transpose(1, 0, 2), *cache.attn, d_ctx)
+            d_hid = d_hid.transpose(1, 0, 2)
         else:
             d_hid = np.zeros_like(hid)
-            d_hid[:, -1] = d_ctx
+            d_hid[-1] = d_ctx
         d_x, grads["gru/w_z"], grads["gru/w_r"], grads["gru/w"] = _gru_backward(
             model.gru, cache.x, cache.gru, d_hid)
 
     text_dim = _text_dim(model.cfg, model.arch)
     d_vecs = np.zeros((len(cache.counts) + 1, text_dim))
-    _add_rows(d_vecs, cache.day_index, d_x[:, :, :text_dim])
+    _add_rows(d_vecs, cache.day_index.T, d_x[:, :, :text_dim])
     d_items = d_vecs[cache.seg] / cache.counts[cache.seg][:, None]
     d_embed = np.zeros_like(model.embedding.table.data)
     if model.arch is ArchKind.GRU_ONLY:

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import DataValidationError
 
@@ -68,21 +68,29 @@ class Lexicon:
 
 
 @contextmanager
-def utf8_errors(path: Path, error: type[Exception] = DataValidationError) -> Iterator[None]:
-    """Text of path that is not UTF-8, read in the with-block, raises error naming path."""
+def open_text(path: Path, error: type[Exception] = DataValidationError,
+              missing: str = "file not found", encoding: str = "utf-8",
+              newline: str | None = None) -> Iterator[TextIO]:
+    """path opened for reading text. A missing path or a directory raises
+    error(f"{missing}: {path}"), and text read in the with-block that is not
+    UTF-8 raises error naming path. Pipes and other files that are not
+    regular files are read as they come."""
     try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+        fh = path.open(encoding=encoding, newline=newline)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise error(f"{missing}: {path}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def read_text(path: str | Path, error: type[Exception] = DataValidationError) -> str:
-    """The text of path; a missing file or one that is not UTF-8 raises error naming path."""
-    path = Path(path)
-    if not path.is_file():
-        raise error(f"file not found: {path}")
-    with utf8_errors(path, error):
-        return path.read_text(encoding="utf-8")
+    """The text of path; a missing file, a directory, or text that is not
+    UTF-8 raises error naming path."""
+    with open_text(Path(path), error) as fh:
+        return fh.read()
 
 
 def _parse_wordlist(text: str) -> frozenset[str]:

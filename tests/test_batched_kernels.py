@@ -1,0 +1,172 @@
+"""The batched core's conv and GRU kernels against their earlier formulation.
+
+batched_reference.py holds the im2col conv and the batch-major GRU that
+model.py computed before; the kernels in model.py sum the same terms in
+another order, so forward outputs and every gradient must agree to 1e-12
+relative, and max-pool winners must read the same tokens. Where the GRU's
+gates are saturated, the bound is 1e-12 of the larger of 1 and the tensor's
+largest value.
+"""
+
+import types
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import batched_reference as ref
+from sentirisk import model as model_mod
+from sentirisk.layers import GRUParams, conv1d_forward, embed_lookup, global_max_pool, init_gru
+from sentirisk.matrix import Matrix
+from sentirisk.model import ArchKind, ModelConfig, build_model
+
+TOL = 1e-12
+# the default chunk, and one that puts every document in a chunk of its own
+CHUNKS = [model_mod.CHUNK_VALUES, 1]
+
+
+def rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest deviation relative to the tensor's largest magnitude."""
+    scale = float(np.abs(want).max())
+    return float(np.abs(got - want).max()) / scale if scale else float(np.abs(got).max())
+
+
+@st.composite
+def conv_cases(draw, stride_vs_width):
+    """(model, ids): a small CNN model and padded documents for it.
+
+    Documents are ragged, some all pad, and drawn from a vocabulary of at
+    most 6 ids so that tokens, and whole windows, repeat.
+    """
+    if stride_vs_width == "<":
+        width = draw(st.integers(2, 4))
+        stride = draw(st.integers(1, width - 1))
+    else:
+        width = draw(st.integers(1, 4))
+        stride = width if stride_vs_width == "=" else width + draw(st.integers(1, 3))
+    max_doc_len = draw(st.integers(width, width + 3 * stride + 2))
+    cfg = ModelConfig(vocab_size=draw(st.integers(2, 6)), embed_dim=draw(st.integers(1, 5)),
+                      num_filters=draw(st.integers(1, 5)), kernel_width=width,
+                      conv_stride=stride, gru_hidden=2, window=2, max_doc_len=max_doc_len,
+                      seed=draw(st.integers(0, 2**16)))
+    lengths = draw(st.lists(st.integers(0, max_doc_len), min_size=1, max_size=8))
+    ids = np.zeros((len(lengths), max_doc_len), dtype=np.intp)
+    for i, n in enumerate(lengths):
+        ids[i, :n] = draw(st.lists(st.integers(1, cfg.vocab_size - 1), min_size=n, max_size=n))
+    return build_model(cfg, ArchKind.CNN_GRU), ids
+
+
+class TestConvKernels:
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("stride_vs_width", ["<", "=", ">"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_im2col(self, stride_vs_width, chunk, data):
+        model, ids = data.draw(conv_cases(stride_vs_width))
+        d_pooled = np.random.default_rng(len(ids)).standard_normal(
+            (len(ids), model.cfg.num_filters))
+        want_pooled, want_winners = ref.conv_encode(model, ids, chunk)
+        want_d_embed = np.zeros_like(model.embedding.table.data)
+        want_d_kernel = ref.conv_backward(model, ids, want_pooled, want_winners, d_pooled,
+                                          want_d_embed, chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_mod, "CHUNK_VALUES", chunk)
+            pooled, winners = model_mod._conv_encode(model, ids)
+            d_embed = np.zeros_like(model.embedding.table.data)
+            cache = types.SimpleNamespace(ids=ids, pooled=pooled, winners=winners)
+            d_kernel = model_mod._conv_backward(model, cache, d_pooled, d_embed)
+        # im2col can round two equal rows of its product apart, so where windows
+        # read the same tokens it may pick a later one; the pooled value and
+        # every gradient depend only on the tokens read
+        cfg = model.cfg
+        start = (winners * cfg.conv_stride, want_winners * cfg.conv_stride)
+        for k in range(cfg.kernel_width):
+            got_tok, want_tok = (np.take_along_axis(ids, pos + k, axis=1) for pos in start)
+            assert (got_tok == want_tok).all()
+        assert (winners <= want_winners).all()
+        assert rel_err(pooled, want_pooled) <= TOL
+        assert rel_err(d_kernel, want_d_kernel) <= TOL
+        assert rel_err(d_embed, want_d_embed) <= TOL
+
+    def test_windows_reading_the_same_tokens_tie_to_the_earliest(self):
+        # the case where im2col picked window 1: its product rounded the equal
+        # rows of windows 0 and 1 to values one ulp apart
+        cfg = ModelConfig(vocab_size=2, embed_dim=5, num_filters=1, kernel_width=4,
+                          conv_stride=4, gru_hidden=2, window=2, max_doc_len=12, seed=0)
+        model = build_model(cfg, ArchKind.CNN_GRU)
+        doc = [1] * 10
+        _, winners = model_mod._conv_encode(model, np.array([doc + [0, 0]]))
+        emb = embed_lookup(model.embedding, doc + [0, 0], cfg.max_doc_len)
+        relu = Matrix._wrap(np.maximum(conv1d_forward(model.conv, emb)[0].data, 0.0))
+        assert winners.tolist() == [global_max_pool(relu)[1]] == [[0]]
+
+    def test_all_pad_documents(self):
+        cfg = ModelConfig(vocab_size=5, embed_dim=3, num_filters=4, kernel_width=2,
+                          conv_stride=3, gru_hidden=2, window=2, max_doc_len=7, seed=1)
+        model = build_model(cfg, ArchKind.CNN_GRU)
+        ids = np.zeros((3, cfg.max_doc_len), dtype=np.intp)
+        pooled, winners = model_mod._conv_encode(model, ids)
+        assert not pooled.any() and not winners.any()
+        d_embed = np.zeros_like(model.embedding.table.data)
+        cache = types.SimpleNamespace(ids=ids, pooled=pooled, winners=winners)
+        d_kernel = model_mod._conv_backward(model, cache, np.ones_like(pooled), d_embed)
+        assert not d_kernel.any() and not d_embed.any()
+
+
+def scaled_gru(seed: int, hidden: int, input_size: int, scale: float) -> GRUParams:
+    gru = init_gru(np.random.default_rng(seed), hidden, input_size)
+    return GRUParams(*(Matrix._wrap(w.data * scale) for w in (gru.w_z, gru.w_r, gru.w)))
+
+
+def gru_case(b, t_len, d, h, scale, seed):
+    """(gru, x (T, B, d), d_hid (T, B, h)) with weights and inputs times scale."""
+    gru = scaled_gru(seed, h, d, scale)
+    rng = np.random.default_rng(seed + 1)
+    return gru, rng.standard_normal((t_len, b, d)) * scale, rng.standard_normal((t_len, b, h))
+
+
+def gru_pairs(gru, x, d_hid):
+    """(got, want) for z, r, candidate, hidden, d_x and the three weight gradients."""
+    h = gru.hidden_size
+    x_bm = np.ascontiguousarray(x.transpose(1, 0, 2))
+    zr, cand, hid = model_mod._gru_forward(gru, x)
+    assert hid.shape == (x.shape[0] + 1, x.shape[1], h) and not hid[0].any()
+    states = ref.gru_forward(gru, x_bm)
+    got = model_mod._gru_backward(gru, x, (zr, cand, hid), d_hid)
+    want = ref.gru_backward(gru, x_bm, states, np.ascontiguousarray(d_hid.transpose(1, 0, 2)))
+    return list(zip(
+        [zr[..., :h], zr[..., h:], cand, hid[1:], *got],
+        [*(s.transpose(1, 0, 2) for s in states), want[0].transpose(1, 0, 2), *want[1:]]))
+
+
+GRU_SHAPES = dict(b=st.integers(1, 6), t_len=st.integers(1, 7), d=st.integers(1, 6),
+                  h=st.integers(1, 5), seed=st.integers(0, 2**16))
+
+
+class TestGruKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(scale=st.sampled_from([0.1, 1.0]), **GRU_SHAPES)
+    @example(b=1, t_len=5, d=3, h=4, scale=1.0, seed=0)
+    @example(b=4, t_len=5, d=3, h=1, scale=1.0, seed=0)
+    def test_matches_batch_major(self, b, t_len, d, h, scale, seed):
+        for got, want in gru_pairs(*gru_case(b, t_len, d, h, scale, seed)):
+            assert got.shape == want.shape
+            assert rel_err(got, want) <= TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(scale=st.sampled_from([4.0, 30.0]), **GRU_SHAPES)
+    def test_saturated_gates_agree_to_the_rounding_of_one(self, b, t_len, d, h, scale, seed):
+        # 0.5 + 0.5 tanh(a / 2) is exact to the rounding of 1, not to a gate's
+        # own size: a gate of 2e-21 reads 0, where exp(a) / (1 + exp(a)) keeps
+        # it. When every gate of a small case is that far shut, a whole tensor
+        # is that small, so errors are measured against max(1, its largest value).
+        for got, want in gru_pairs(*gru_case(b, t_len, d, h, scale, seed)):
+            assert np.abs(got - want).max() <= TOL * max(1.0, np.abs(want).max())
+
+    def test_saturated_gates_stay_finite(self):
+        # sigmoid as 0.5 + 0.5 tanh(a / 2) cannot overflow, however large a is
+        gru, x, _ = gru_case(2, 4, 2, 3, 1e6, 0)
+        zr, cand, hid = model_mod._gru_forward(gru, x)
+        assert np.isfinite(zr).all() and np.isfinite(hid).all()
+        assert ((zr >= 0.0) & (zr <= 1.0)).all()

@@ -1,7 +1,8 @@
 """End-to-end CLI tests.
 
 Every test drives ``main(argv)`` in-process so exit codes, stdout contracts,
-and stderr diagnostics are asserted exactly as a shell user would see them.
+and stderr diagnostics are asserted exactly as a shell user would see them;
+the one that reads a config from a pipe runs ``python -m sentirisk.cli``.
 Fixture data comes from the synthetic generators; model dims are tiny so the
 train-dependent tests stay fast.
 """
@@ -11,7 +12,11 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +44,7 @@ from sentirisk.synthetic import (
     write_market_csv,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 N_BARS = 60
 WINDOW = 5
 N_SAMPLES = N_BARS - WINDOW
@@ -147,6 +153,55 @@ class TestPrepare:
         assert "data error:" in captured.err
         assert "market csv not found" in captured.err
 
+    @pytest.mark.parametrize("field, value", [("close", "nan"), ("volume", "inf")])
+    def test_non_finite_market_value_exits_2_naming_the_line(self, tmp_path, capsys,
+                                                              field, value):
+        market = tmp_path / "market.csv"
+        write_market_csv(make_demo_market(n_days=20, seed=1), market)
+        lines = market.read_text(encoding="utf-8").splitlines()
+        row = lines[4].split(",")
+        row[data_mod.MARKET_CSV_HEADER.index(field)] = value
+        lines[4] = ",".join(row)
+        market.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["prepare", "--data-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"{market}:5: " in captured.err
+        assert f"{field} {value} is not finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "prepared").exists()
+
+    def test_texts_from_a_pipe_are_read(self, tmp_path, capsys):
+        bars = make_demo_market(n_days=20, seed=1)
+        write_market_csv(bars, tmp_path / "market.csv")
+        docs = tmp_path / "docs.jsonl"
+        write_docs_jsonl(make_demo_docs(bars, seed=4), docs)
+        os.mkfifo(tmp_path / "texts.jsonl")
+        # opening a FIFO for writing blocks until prepare opens it for reading;
+        # a daemon, so a prepare that never reads it fails the test, not the run
+        writer = threading.Thread(
+            target=lambda: (tmp_path / "texts.jsonl").write_bytes(docs.read_bytes()),
+            daemon=True)
+        writer.start()
+        rc = main(["prepare", "--data-dir", str(tmp_path),
+                   "--config", str(write_config(tmp_path, {}))])
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        captured = capsys.readouterr()
+        assert rc == 0
+        n_docs = sum(1 for line in docs.read_text(encoding="utf-8").splitlines() if line)
+        assert f"(20 bars, {n_docs} docs," in captured.out
+
+    def test_texts_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        write_market_csv(make_demo_market(n_days=20, seed=1), tmp_path / "market.csv")
+        (tmp_path / "texts.jsonl").mkdir()
+        rc = main(["prepare", "--data-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"file not found: {tmp_path / 'texts.jsonl'}" in captured.err
+        assert not (tmp_path / "prepared").exists()
+
     @pytest.mark.parametrize("text", [5, ["stocks", "surge"]], ids=["int", "list"])
     def test_non_string_text_exits_2_naming_the_line(self, tmp_path, capsys, text):
         write_market_csv(make_demo_market(n_days=20, seed=1), tmp_path / "market.csv")
@@ -225,6 +280,26 @@ class TestConfigFile:
         assert list(overrides)[-1] in captured.err
         assert "Traceback" not in captured.err
         assert not (tmp_path / "m.ckpt.json").exists()
+
+    def test_config_read_from_a_pipe(self, workspace, tmp_path):
+        # /dev/stdin is the read end of a pipe here, not a regular file
+        out = tmp_path / "prep"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sentirisk.cli", "prepare", "--data-dir",
+             str(workspace["root"]), "--config", "/dev/stdin", "--out", str(out)],
+            input=json.dumps(TINY_CFG), capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert load_prepared(out).window == WINDOW  # the default window is 20
+
+    def test_config_that_is_a_directory_exits_2(self, workspace, tmp_path, capsys):
+        rc = main(_config_argv("prepare", workspace, tmp_path, tmp_path))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"data error: file not found: {tmp_path}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "prep").exists()
 
     def test_int_for_a_float_and_null_for_an_optional_accepted(self, workspace, tmp_path):
         cfg = write_config(tmp_path, {"epochs": 1, "mse_weight": 1, "attn_size": None})

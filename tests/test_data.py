@@ -90,6 +90,16 @@ class TestMarketBar:
             MarketBar(dt.date(2024, 1, 2), open=1.0, high=1.0, low=0.0, close=0.0,
                       volume=10)
 
+    @pytest.mark.parametrize("field, value", [
+        ("open", math.nan), ("high", math.inf), ("low", math.nan), ("close", -math.inf),
+        ("volume", math.nan), ("volume", math.inf),
+    ])
+    def test_non_finite_value_rejected(self, field, value):
+        # NaN fails every comparison, so the range checks alone let it through
+        values = dict(open=100.0, high=101.0, low=99.0, close=100.0, volume=10.0)
+        with pytest.raises(DataValidationError, match=f"{field} {value} is not finite"):
+            MarketBar(dt.date(2024, 1, 2), **{**values, field: value})
+
 
 class TestRawTextDoc:
     def test_empty_text_rejected(self):

@@ -414,13 +414,22 @@ def short_doc_windows(cfg: ModelConfig, lengths: list[int], seed: int) -> list[W
 
 
 def full_grid_encode(model, ids):
-    """Pooled ReLU outputs and winners over every conv window of max_doc_len."""
+    """Pooled ReLU outputs and winners over every conv window of max_doc_len,
+    in _conv_encode's arithmetic: per-token filter responses at each window
+    position, summed over a window's positions in order."""
     cfg = model.cfg
+    width, n_filters = cfg.kernel_width, cfg.num_filters
     out_len = (cfg.max_doc_len - cfg.kernel_width) // cfg.conv_stride + 1
-    windows = (np.arange(out_len) * cfg.conv_stride)[:, None] + np.arange(cfg.kernel_width)
-    tok = ids[:, windows]
-    act = np.maximum(model.embedding.table.data[tok].reshape(len(ids) * out_len, -1)
-                     @ model.conv.kernel.data, 0.0).reshape(len(ids), out_len, -1)
+    windows = (np.arange(out_len) * cfg.conv_stride)[:, None] + np.arange(width)
+    tokens, inverse = np.unique(np.append(ids[:, windows], 0), return_inverse=True)
+    tok = inverse[:-1].reshape(len(ids), out_len, width)
+    regrouped = model.conv.kernel.data.reshape(width, cfg.embed_dim, n_filters).transpose(
+        1, 0, 2).reshape(cfg.embed_dim, width * n_filters)
+    proj = (model.embedding.table.data[tokens] @ regrouped).reshape(len(tokens), width, -1)
+    act = proj[tok[..., 0], 0]
+    for k in range(1, width):
+        act = act + proj[tok[..., k], k]
+    act = np.maximum(act, 0.0)
     win = np.argmax(act, axis=1)
     return np.take_along_axis(act, win[:, None, :], axis=1)[:, 0], win
 
@@ -449,9 +458,9 @@ class TestBatchedCore:
 
     @pytest.mark.parametrize("arch", list(ArchKind))
     @pytest.mark.parametrize("attention", [True, False])
-    @pytest.mark.parametrize("chunk", [model_mod.CHUNK_VALUES, 120])
+    @pytest.mark.parametrize("chunk", [model_mod.CHUNK_VALUES, 27])
     def test_matches_summed_per_window_passes(self, arch, attention, chunk, monkeypatch):
-        # 120 values make chunks of three documents (36 im2col values each)
+        # 27 values make chunks of three documents (3 windows x 3 filters each)
         monkeypatch.setattr(model_mod, "CHUNK_VALUES", chunk)
         cfg = dataclasses.replace(BATCHED, attention_enabled=attention)
         self.check(build_model(cfg, arch), shared_day_windows(cfg, 11, seed=4))
@@ -476,7 +485,7 @@ class TestBatchedCore:
     ], ids=["stride 3, ends on a boundary", "stride 3, starts a window",
             "stride 2"])
     @pytest.mark.parametrize("arch", list(ArchKind))
-    @pytest.mark.parametrize("chunk", [model_mod.CHUNK_VALUES, 120])
+    @pytest.mark.parametrize("chunk", [model_mod.CHUNK_VALUES, 27])
     def test_short_documents_match_summed_per_window_passes(self, stride, lengths, kept,
                                                            arch, chunk, monkeypatch):
         monkeypatch.setattr(model_mod, "CHUNK_VALUES", chunk)
