@@ -6,32 +6,36 @@ encode docs, align docs onto trading days (roll-forward), build sliding-window
 samples, split chronologically, fit normalization statistics on the training
 span only, then normalize every day and target.
 
-A prepared directory (format 2) holds vocab.txt (line i is the token with id
-i+2); days.jsonl, one line per distinct day, each document's token ids as
-read (only the model pads and truncates them); windows.jsonl, one line per
-sample: its targets and the row indices of its days in days.jsonl; and
-norm_stats.json: stats, window, ratios, format_version, n_days, n_samples.
-load_prepared rejects any other format_version (none means format 1), row
-counts other than n_days/n_samples (a truncated file), bad day indices,
-token ids outside vocab.txt (a truncated vocabulary), non-finite stats and
-non-positive stds, naming the full path. read_json reads every JSON
-document; check_fields is the one type rule for its keys.
+A prepared directory (format 3) stores each fact once: vocab.txt (line i is
+the token with id i+2); days.jsonl, one line per input day in date order: date,
+raw, close, label and its documents' token ids as read (only the model pads
+them); windows.jsonl, one line per sample: start (its first day's row) and its
+targets; norm_stats.json: stats, window, ratios, format_version, n_days,
+n_samples. normalized_samples derives features, has_text, prev_close and the
+normalized return at prepare and at load alike. load_prepared rejects other
+format_versions, wrong row counts, dates out of order, a start outside
+days.jsonl, token ids outside vocab.txt and non-finite numbers, naming the
+full path. read_json reads every JSON document; check_fields is the one type
+rule for its keys and for every prepared row.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import json
 import logging
 import math
 import os
 import typing
 from bisect import bisect_left
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+
+import numpy as np
 
 from .errors import DataValidationError
 from .matrix import Matrix
@@ -53,7 +57,7 @@ log = logging.getLogger(__name__)
 MARKET_CSV_HEADER = ["date", "open", "high", "low", "close", "volume"]
 N_MARKET_FEATURES = 5  # logret, range, gap, log volume, has_text
 DEFAULT_RATIOS = (0.7, 0.15, 0.15)
-PREPARED_FORMAT_VERSION = 2
+PREPARED_FORMAT_VERSION = 3
 T = TypeVar("T")
 
 
@@ -157,18 +161,19 @@ class WindowSample:
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", dict: "a json object", list[float]: "a list of numbers",
-               type(None): "null"}
+               list[list[int]]: "a list of lists of integers", type(None): "null"}
 
 
-def accepts(hint, value) -> bool:
-    """A JSON value fits a field annotation: an int is a float, a bool is no number."""
+@functools.cache
+def _fits(hint) -> Callable[[object], bool]:
+    """Whether a JSON value fits a field annotation, built once per annotation.
+    json.loads makes values of exact types: an int is a float, a bool no number."""
+    args = typing.get_args(hint)
     if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(accepts(typing.get_args(hint)[0], v) for v in value)
-    if typing.get_args(hint):  # X | None
-        return any(accepts(h, value) for h in typing.get_args(hint))
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+        return lambda v, item=_fits(args[0]): type(v) is list and all(map(item, v))
+    if args:  # X | None
+        return lambda v, each=tuple(map(_fits, args)): any(f(v) for f in each)
+    return lambda v, kinds={int, float} if hint is float else {hint}: type(v) in kinds
 
 
 def _type_name(hint) -> str:
@@ -178,14 +183,13 @@ def _type_name(hint) -> str:
 
 def check_fields(obj, hints: dict) -> None:
     """DataValidationError unless obj is a JSON object whose every key is in
-    hints with a value that fits its hint (accepts); keys may be absent."""
+    hints with a value that fits its hint (_fits); keys may be absent."""
     if not isinstance(obj, dict):
         raise DataValidationError("not a json object")
-    unknown = set(obj) - set(hints)
-    if unknown:
-        raise DataValidationError(f"unknown keys {sorted(unknown)}")
+    if not obj.keys() <= hints.keys():
+        raise DataValidationError(f"unknown keys {sorted(set(obj) - set(hints))}")
     for key, value in obj.items():
-        if not accepts(hints[key], value):
+        if not _fits(hints[key])(value):
             raise DataValidationError(
                 f"{key} must be {_type_name(hints[key])}, got {json.dumps(value)}")
 
@@ -260,12 +264,11 @@ def load_market_csv(path: str | Path) -> list[MarketBar]:
     return bars
 
 
-def _check_sorted_unique(bars: Sequence[MarketBar]) -> None:
-    for i in range(1, len(bars)):
-        if bars[i].date <= bars[i - 1].date:
+def _check_sorted_unique(rows: Sequence[MarketBar | AlignedDay], where: str = "") -> None:
+    for i in range(1, len(rows)):
+        if rows[i].date <= rows[i - 1].date:
             raise DataValidationError(
-                f"bar dates must be strictly increasing: "
-                f"{bars[i - 1].date} then {bars[i].date}"
+                f"{where}dates must be strictly increasing: {rows[i - 1].date} then {rows[i].date}"
             )
 
 
@@ -431,10 +434,11 @@ class NormStats:
             stds.append(sd if sd > 1e-12 else 1.0)
         return cls(means=tuple(means), stds=tuple(stds))
 
-    def normalize_day(self, day: AlignedDay) -> Matrix:
-        vals = [(v - m) / s for v, m, s in zip(day.raw, self.means, self.stds)]
-        vals.append(1.0 if day.has_text else 0.0)
-        return Matrix(N_MARKET_FEATURES, 1, vals)
+    def normalize_days(self, days: Sequence[AlignedDay]) -> np.ndarray:
+        """(len(days), 5) features: the raw values z-scored, then has_text as 1.0
+        or 0.0; elementwise IEEE arithmetic, the bits a loop of floats gives."""
+        raw = np.array([d.raw for d in days], dtype=np.float64).reshape(len(days), 4)
+        return np.column_stack(((raw - self.means) / self.stds, [d.has_text for d in days]))
 
     def normalize_return(self, raw_logret: float) -> float:
         return (raw_logret - self.means[0]) / self.stds[0]
@@ -488,28 +492,30 @@ def prepare_dataset(bars: Sequence[MarketBar], raw_docs: Sequence[RawTextDoc],
         for doc, c in kept
     ]
     days_raw = align_days(bars, encoded)
-    raw_samples = make_windows(days_raw, window=cfg.window)
+    targets = [(t, s.target_date, s.target_class, s.target_return_raw, s.target_close)
+               for t, s in enumerate(make_windows(days_raw, window=cfg.window))]
 
-    n_train = len(split_chronological(raw_samples, cfg.ratios)[0])
+    n_train = len(split_chronological(targets, cfg.ratios)[0])
     if n_train == 0:
         raise DataValidationError("training split is empty; need more days")
     # every day a training sample touches (inputs and target)
-    train_span = days_raw[: n_train + cfg.window]
-    stats = NormStats.fit(train_span)
+    stats = NormStats.fit(days_raw[: n_train + cfg.window])
+    return PreparedDataset(vocab=vocab, stats=stats, window=cfg.window, ratios=cfg.ratios,
+                           samples=normalized_samples(stats, days_raw, cfg.window, targets))
 
-    days = [replace(d, features=stats.normalize_day(d)) for d in days_raw]
-    samples = [
-        replace(
-            s,
-            inputs=days[t : t + cfg.window],
-            target_return=stats.normalize_return(s.target_return_raw),
-        )
-        for t, s in enumerate(raw_samples)
-    ]
-    return PreparedDataset(
-        vocab=vocab, samples=samples, stats=stats,
-        window=cfg.window, ratios=cfg.ratios,
-    )
+
+def normalized_samples(stats: NormStats, days: Sequence[AlignedDay], window: int,
+                       targets: Iterable[tuple]) -> list[WindowSample]:
+    """The samples of prepare_dataset and load_prepared: days get features from
+    stats; target (start, date, class, raw return, close), a format-3 window row,
+    reads days[start : start + window] and gets prev_close and target_return."""
+    days = [replace(d, features=Matrix(N_MARKET_FEATURES, 1, f))
+            for d, f in zip(days, stats.normalize_days(days))]
+    return [WindowSample(inputs=days[t : t + window], target_date=date, target_class=cls,
+                         target_return_raw=ret, target_close=close,
+                         prev_close=days[t + window - 1].close,
+                         target_return=stats.normalize_return(ret))
+            for t, date, cls, ret, close in targets]
 
 
 # ---------------------------------------------------------------------------
@@ -533,42 +539,69 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def _stored_days(ds: PreparedDataset) -> tuple[list[AlignedDay], list[int]]:
+    """ds's input days in date order and each sample's start row; DataValidationError
+    for two different days with one date or a window not a run of consecutive days."""
+    by_date: dict[dt.date, AlignedDay] = {}
+    for d in {id(d): d for s in ds.samples for d in s.inputs}.values():
+        if (first := by_date.setdefault(d.date, d)) is not d and first != d:
+            raise DataValidationError(f"two different days dated {d.date}")
+    days = sorted(by_date.values(), key=lambda d: d.date)
+    row = {d.date: i for i, d in enumerate(days)}
+    starts = [row[s.inputs[0].date] for s in ds.samples]
+    for s, t in zip(ds.samples, starts):
+        if s.inputs != days[t : t + ds.window]:  # list == tries identity first
+            raise DataValidationError(f"window for {s.target_date} is not a run of "
+                                      f"{ds.window} consecutive days")
+    return days, starts
+
+
+def _check_derived(name: str, stored, derived, where: Callable[[int], str]) -> None:
+    """DataValidationError at where(i) for the first stored value of name that is
+    not, bit for bit, its derivation (one comparison when all are)."""
+    stored, derived = np.asarray(stored, np.float64), np.asarray(derived, np.float64)
+    if stored.tobytes() != derived.tobytes():
+        i = next(i for i, (a, b) in enumerate(zip(stored, derived)) if a.tobytes() != b.tobytes())
+        raise DataValidationError(f"{where(i)}: {name} {stored[i].tolist()} is not "
+                                  f"{derived[i].tolist()}, the value format 3 derives")
+
+
 def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
-    """Writes a prepared directory; each distinct day object (by identity) once."""
-    days = list({id(d): d for s in ds.samples for d in s.inputs}.values())
-    rows = {id(d): i for i, d in enumerate(days)}
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "vocab.txt").write_text(
-        "".join(line + "\n" for line in ds.vocab.to_lines()), encoding="utf-8"
-    )
+    """Writes format 3 through atomic_write, norm_stats.json last and no file before
+    all are written. DataValidationError, writing nothing, for what _stored_days
+    rejects or a stored copy other than normalized_samples derives."""
+    days, starts = _stored_days(ds)
+    day_at, window_at = (lambda i: f"day {days[i].date}",
+                         lambda i: f"window for {ds.samples[i].target_date}")
+    _check_derived("has_text", [d.has_text for d in days],
+                   [bool(d.token_seqs) for d in days], day_at)
+    _check_derived("features", [d.features.data.ravel() if d.features is not None
+                                else [math.nan] * N_MARKET_FEATURES for d in days],
+                   ds.stats.normalize_days(days), day_at)
+    _check_derived("target_return", [s.target_return for s in ds.samples],
+                   [ds.stats.normalize_return(s.target_return_raw) for s in ds.samples],
+                   window_at)
+    _check_derived("prev_close", [s.prev_close for s in ds.samples],
+                   [s.inputs[-1].close for s in ds.samples], window_at)
     meta = {**ds.stats.to_dict(), "window": ds.window, "ratios": list(ds.ratios),
             "format_version": PREPARED_FORMAT_VERSION, "n_days": len(days),
             "n_samples": len(ds.samples)}
-    (out / "norm_stats.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-    with (out / "days.jsonl").open("w", encoding="utf-8") as fh:
-        for d in days:
-            fh.write(json.dumps({
-                "date": d.date.isoformat(),
-                "raw": list(d.raw),
-                "features": [v for row in d.features.to_lists() for v in row]
-                if d.features is not None else None,
-                "token_seqs": d.token_seqs,
-                "label": CLASS_NAMES[d.label],
-                "has_text": d.has_text,
-                "close": d.close,
-            }) + "\n")
-    with (out / "windows.jsonl").open("w", encoding="utf-8") as fh:
-        for s in ds.samples:
-            fh.write(json.dumps({
-                "days": [rows[id(d)] for d in s.inputs],
-                "target_date": s.target_date.isoformat(),
-                "target_class": CLASS_NAMES[s.target_class],
-                "target_return": s.target_return,
-                "target_return_raw": s.target_return_raw,
-                "target_close": s.target_close,
-                "prev_close": s.prev_close,
-            }) + "\n")
+    files = {  # entered first, so ExitStack moves norm_stats.json into place last
+        "norm_stats.json": [json.dumps(meta, indent=2)],
+        "vocab.txt": ds.vocab.to_lines(),
+        "days.jsonl": [json.dumps({"date": d.date.isoformat(), "raw": list(d.raw),
+                                   "close": d.close, "label": CLASS_NAMES[d.label],
+                                   "token_seqs": d.token_seqs}) for d in days],
+        "windows.jsonl": [json.dumps({"start": t, "target_date": s.target_date.isoformat(),
+                                      "target_class": CLASS_NAMES[s.target_class],
+                                      "target_return_raw": s.target_return_raw,
+                                      "target_close": s.target_close})
+                          for t, s in zip(starts, ds.samples)]}
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    with ExitStack() as stack:
+        for name, lines in files.items():
+            stack.enter_context(atomic_write(Path(out_dir) / name)).writelines(
+                line + "\n" for line in lines)
 
 
 def _class_index(name: str) -> int:
@@ -577,41 +610,46 @@ def _class_index(name: str) -> int:
     return CLASS_INDEX[name]
 
 
+def _finite(obj: dict, key: str) -> float:
+    if not math.isfinite(obj[key]):
+        raise DataValidationError(f"{key} must be finite, got {json.dumps(obj[key])}")
+    return float(obj[key])
+
+
+_DAY_FIELDS = {"date": str, "raw": list[float], "close": float, "label": str,
+               "token_seqs": list[list[int]]}
+_WINDOW_FIELDS = {"start": int, "target_date": str, "target_class": str,
+                  "target_return_raw": float, "target_close": float}
+
+
 def _day_from_obj(obj: dict, vocab_size: int) -> AlignedDay:
-    """A day whose token ids all lie in [0, vocab_size)."""
-    token_seqs = [list(map(int, seq)) for seq in obj["token_seqs"]]
+    """A day with finite numbers whose token ids all lie in [0, vocab_size)."""
+    check_fields(obj, _DAY_FIELDS)
+    raw, token_seqs = obj["raw"], obj["token_seqs"]
+    if len(raw) != 4 or not all(map(math.isfinite, raw)):
+        raise DataValidationError(f"raw must be 4 finite numbers, got {json.dumps(raw)}")
     for seq in token_seqs:
         if seq and not 0 <= min(seq) <= max(seq) < vocab_size:
             bad = next(tok for tok in seq if not 0 <= tok < vocab_size)
             raise DataValidationError(f"token id {bad} out of range for vocab of {vocab_size}")
     return AlignedDay(
         date=dt.date.fromisoformat(obj["date"]),
-        raw=tuple(float(v) for v in obj["raw"]),
+        raw=tuple(map(float, raw)),
         token_seqs=token_seqs,
         label=_class_index(obj["label"]),
-        has_text=bool(obj["has_text"]),
-        close=float(obj["close"]),
-        features=Matrix(N_MARKET_FEATURES, 1, [float(v) for v in obj["features"]])
-        if obj["features"] is not None else None,
+        has_text=bool(token_seqs),  # prepare keeps only documents with tokens
+        close=_finite(obj, "close"),
     )
 
 
-def _window_from_obj(obj: dict, days: list[AlignedDay], window: int) -> WindowSample:
-    """A sample whose inputs are the shared day objects its indices name."""
-    index = obj["days"]
-    if len(index) != window or any(type(i) is not int or not 0 <= i < len(days)
-                                   for i in index):
-        raise DataValidationError(f"need {window} day indices in [0, {len(days)}), got {index}")
-    return WindowSample(
-        inputs=[days[i] for i in index],
-        target_date=dt.date.fromisoformat(obj["target_date"]),
-        target_class=_class_index(obj["target_class"]),
-        target_return_raw=float(obj["target_return_raw"]),
-        target_close=float(obj["target_close"]),
-        prev_close=float(obj["prev_close"]),
-        target_return=float(obj["target_return"])
-        if obj["target_return"] is not None else None,
-    )
+def _target_from_obj(obj: dict, last_start: int) -> tuple:
+    """A window row with finite numbers whose days lie in rows [0, last_start + window)."""
+    check_fields(obj, _WINDOW_FIELDS)
+    if not 0 <= obj["start"] <= last_start:
+        raise DataValidationError(f"start must lie in [0, {last_start}], got {obj['start']}")
+    return (obj["start"], dt.date.fromisoformat(obj["target_date"]),
+            _class_index(obj["target_class"]), _finite(obj, "target_return_raw"),
+            _finite(obj, "target_close"))
 
 
 # every key of norm_stats.json: format 1 had no format_version or n_days
@@ -638,18 +676,19 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
         raise DataValidationError(f"{meta_path}: missing key {exc}") from None
     except DataValidationError as exc:
         raise DataValidationError(f"{meta_path}: {exc}") from None
-    if len(ratios) != 3:
-        raise DataValidationError(f"{meta_path}: need 3 ratios, got {len(ratios)}")
+    if len(ratios) != 3 or window < 1:
+        raise DataValidationError(f"{meta_path}: need 3 ratios and a positive window")
     vocab = Vocabulary.from_lines(read_text(root / "vocab.txt").splitlines())
-    days = read_jsonl(root / "days.jsonl", lambda obj: _day_from_obj(obj, vocab.size))
+    days_path, windows_path = root / "days.jsonl", root / "windows.jsonl"
+    days = read_jsonl(days_path, lambda obj: _day_from_obj(obj, vocab.size))
     if len(days) != n_days:
-        raise DataValidationError(f"{root / 'days.jsonl'}: {len(days)} rows, "
-                                  f"{meta_path} n_days {n_days}")
-    samples = read_jsonl(root / "windows.jsonl",
-                         lambda obj: _window_from_obj(obj, days, window))
-    if len(samples) != n_samples:
-        raise DataValidationError(f"{root / 'windows.jsonl'}: {len(samples)} rows, "
+        raise DataValidationError(f"{days_path}: {len(days)} rows, {meta_path} n_days {n_days}")
+    _check_sorted_unique(days, f"{days_path}: ")
+    targets = read_jsonl(windows_path, lambda obj: _target_from_obj(obj, len(days) - window))
+    if len(targets) != n_samples:
+        raise DataValidationError(f"{windows_path}: {len(targets)} rows, "
                                   f"{meta_path} n_samples {n_samples}")
     return PreparedDataset(
-        vocab=vocab, samples=samples, stats=stats, window=window, ratios=ratios,
+        vocab=vocab, samples=normalized_samples(stats, days, window, targets), stats=stats,
+        window=window, ratios=ratios,
     )

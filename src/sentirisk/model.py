@@ -119,10 +119,13 @@ class ModelConfig:
             "gru_hidden": self.gru_hidden,
             "window": self.window,
             "max_doc_len": self.max_doc_len,
+            "attn_size": self.attention_size,
         }
         for name, v in counts.items():
             if v < 1:
                 raise ShapeError(f"{name} must be positive, got {v}")
+            if v >= 2**63:  # numpy sizes and indexes arrays with int64
+                raise ShapeError(f"{name} must be below 2**63, got {v}")
         if self.vocab_size < 2:
             raise ShapeError("vocab_size must cover the pad and unknown ids")
         if self.max_doc_len < self.kernel_width:
@@ -131,8 +134,6 @@ class ModelConfig:
             )
         if not 0.0 <= self.mse_weight <= 1.0:
             raise ShapeError(f"mse_weight must lie in [0, 1], got {self.mse_weight}")
-        if self.attn_size is not None and self.attn_size < 1:
-            raise ShapeError(f"attn_size must be positive, got {self.attn_size}")
         if self.seed < 0:
             raise ShapeError(f"seed must be non-negative, got {self.seed}")
 
@@ -165,24 +166,40 @@ def _text_dim(cfg: ModelConfig, arch: ArchKind) -> int:
     return cfg.embed_dim if arch is ArchKind.GRU_ONLY else cfg.num_filters
 
 
-def build_model(cfg: ModelConfig, arch: ArchKind) -> CnnGruModel:
-    """Deterministic seeded build; tensor init order is fixed."""
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    embedding = init_embedding(rng, cfg.vocab_size, cfg.embed_dim)
-    conv = None
+def param_shapes(cfg: ModelConfig, arch: ArchKind) -> dict[str, tuple[int, int]]:
+    """(rows, cols) of every tensor of the model cfg and arch describe, in
+    named_params order: what build_model draws and a checkpoint must list."""
+    day_dim = _text_dim(cfg, arch) + N_MARKET_FEATURES
+    head_in = day_dim if arch is ArchKind.CNN_ONLY else cfg.gru_hidden
+    shapes = {"embedding": (cfg.vocab_size, cfg.embed_dim)}
     if arch is not ArchKind.GRU_ONLY:
+        shapes["conv/k"] = (cfg.kernel_width * cfg.embed_dim, cfg.num_filters)
+    if arch is not ArchKind.CNN_ONLY:
+        shapes |= dict.fromkeys(("gru/w_z", "gru/w_r", "gru/w"),
+                                (cfg.gru_hidden, cfg.gru_hidden + day_dim))
+        if cfg.attention_enabled:
+            shapes |= {"attn/w_a": (cfg.attention_size, cfg.gru_hidden),
+                       "attn/u": (cfg.attention_size, 1)}
+    return shapes | {"head_reg/w": (1, head_in), "head_reg/b": (1, 1),
+                     "head_cls/w": (NUM_CLASSES, head_in), "head_cls/b": (NUM_CLASSES, 1)}
+
+
+def build_model(cfg: ModelConfig, arch: ArchKind) -> CnnGruModel:
+    """Deterministic seeded build of the tensors of param_shapes; init order is fixed."""
+    shapes = param_shapes(cfg, arch)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    embedding = init_embedding(rng, *shapes["embedding"])
+    conv = gru = attention = None
+    if "conv/k" in shapes:
         conv = init_conv(rng, cfg.num_filters, cfg.kernel_width, cfg.embed_dim,
                          cfg.conv_stride)
-    day_dim = _text_dim(cfg, arch) + N_MARKET_FEATURES
-    gru = None
-    attention = None
-    if arch is not ArchKind.CNN_ONLY:
-        gru = init_gru(rng, cfg.gru_hidden, day_dim)
-        if cfg.attention_enabled:
-            attention = init_attention(rng, cfg.attention_size, cfg.gru_hidden)
-    head_in = day_dim if arch is ArchKind.CNN_ONLY else cfg.gru_hidden
-    head_reg = init_dense(rng, 1, head_in)
-    head_cls = init_dense(rng, NUM_CLASSES, head_in)
+    if "gru/w" in shapes:
+        hidden, cols = shapes["gru/w"]
+        gru = init_gru(rng, hidden, cols - hidden)
+    if "attn/w_a" in shapes:
+        attention = init_attention(rng, *shapes["attn/w_a"])
+    head_reg = init_dense(rng, *shapes["head_reg/w"])
+    head_cls = init_dense(rng, *shapes["head_cls/w"])
     return CnnGruModel(
         cfg=cfg, arch=arch, embedding=embedding, conv=conv, gru=gru,
         attention=attention, head_reg=head_reg, head_cls=head_cls,
@@ -220,7 +237,8 @@ def named_params(model: CnnGruModel) -> dict[str, Matrix]:
 def set_named_params(model: CnnGruModel, params: dict[str, Matrix]) -> CnnGruModel:
     """model with its tensors replaced by params of the same names and shapes;
     each part runs its own checks again, the zero embedding pad row among them."""
-    _check_shapes(named_params(model), {name: t.shape for name, t in params.items()})
+    _check_shapes({name: t.shape for name, t in named_params(model).items()},
+                  {name: t.shape for name, t in params.items()})
     parts: dict[str, dict[str, Matrix]] = {}
     for name, part, slot in _PARAM_SLOTS:
         if name in params:
@@ -229,15 +247,16 @@ def set_named_params(model: CnnGruModel, params: dict[str, Matrix]) -> CnnGruMod
                              for part, tensors in parts.items()})
 
 
-def _check_shapes(expected: dict[str, Matrix], shapes: dict[str, tuple[int, int]]) -> None:
+def _check_shapes(expected: dict[str, tuple[int, int]],
+                  shapes: dict[str, tuple[int, int]]) -> None:
     """ShapeError naming the first missing, extra or wrong-shape tensor of shapes."""
     if set(shapes) != set(expected):
         missing = sorted(set(expected) - set(shapes))
         extra = sorted(set(shapes) - set(expected))
         raise ShapeError(f"parameter name mismatch: missing {missing}, extra {extra}")
-    for name, old in expected.items():
-        if shapes[name] != old.shape:
-            raise ShapeError(f"tensor {name} has shape {shapes[name]}, expected {old.shape}")
+    for name, want in expected.items():
+        if shapes[name] != want:
+            raise ShapeError(f"tensor {name} has shape {shapes[name]}, expected {want}")
 
 
 def flat_params(model: CnnGruModel) -> np.ndarray:
@@ -983,28 +1002,26 @@ def load_checkpoint(path: str | Path) -> CnnGruModel:
         cfg = ModelConfig(**obj["config"])
     except (DataValidationError, TypeError, ShapeError) as exc:
         raise CheckpointError(f"bad config block in {path}: {exc}") from None
-    index = obj["tensors"]
-    model = build_model(cfg, arch)
-    named = named_params(model)
-    try:  # the index only has to match the model's layout
-        _check_shapes(named, {name: tuple(shape) if isinstance(shape, list) else shape
-                              for name, shape in index.items()})
+    index, shapes = obj["tensors"], param_shapes(cfg, arch)
+    try:  # checked before build_model allocates what the config asks for
+        _check_shapes(shapes, {name: tuple(shape) if isinstance(shape, list) else shape
+                               for name, shape in index.items()})
     except ShapeError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None
-    if list(index) != list(named):  # same-shape tensors would swap silently
+    if list(index) != list(shapes):  # same-shape tensors would swap silently
         raise CheckpointError(
-            f"checkpoint {path}: tensors listed as {list(index)}, expected {list(named)}")
+            f"checkpoint {path}: tensors listed as {list(index)}, expected {list(shapes)}")
     try:
         raw = base64.b64decode(obj["values"], validate=True)
     except ValueError:  # binascii.Error
         raise CheckpointError(f"checkpoint {path}: values must be a base64 string") from None
-    size = count_params(model)
+    size = sum(rows * cols for rows, cols in shapes.values())
     if len(raw) != 8 * size:
         raise CheckpointError(f"checkpoint {path}: values hold {len(raw)} bytes, expected "
                               f"{8 * size} ({size} float64 values)")
     flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     try:  # the zero embedding pad row
-        model = with_flat_params(model, flat)
+        model = with_flat_params(build_model(cfg, arch), flat)
     except ShapeError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None
     _check_finite(model, flat, f"checkpoint {path}: ")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -572,7 +573,12 @@ class TestEvaluate:
         ({"embed_dim": 4.0}, "embed_dim must be an integer, got 4.0"),
         ({"vocab_size": "20"}, 'vocab_size must be an integer, got "20"'),
         ({"seed": -1}, "seed must be non-negative, got -1"),
-    ], ids=["float-embed_dim", "string-vocab_size", "negative-seed"])
+        *(({key: 10**20}, f"{key} must be below 2**63, got {10**20}")
+          for key in ("vocab_size", "embed_dim", "num_filters", "gru_hidden", "max_doc_len",
+                      "attn_size", "conv_stride")),
+    ], ids=["float-embed_dim", "string-vocab_size", "negative-seed", "huge-vocab_size",
+            "huge-embed_dim", "huge-num_filters", "huge-gru_hidden", "huge-max_doc_len",
+            "huge-attn_size", "huge-conv_stride"])
     def test_mistyped_config_block_exits_2_naming_file_key_and_type(
             self, workspace, trained, tmp_path, capsys, edit, message):
         obj = json.loads(trained.read_text())
@@ -677,13 +683,10 @@ def _cut_windows(prep):
 
 
 def _day_index_out_of_range(prep):
+    # a window's first day: its days are rows start .. start + WINDOW - 1
     n_days = json.loads((prep / "norm_stats.json").read_text(encoding="utf-8"))["n_days"]
-    rows = [json.loads(line) for line in
-            (prep / "windows.jsonl").read_text(encoding="utf-8").splitlines()]
-    rows[2]["days"][-1] = n_days
-    (prep / "windows.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows),
-                                        encoding="utf-8")
-    return "windows.jsonl:3: "
+    _rewrite_row(prep / "windows.jsonl", 3, "start", n_days - WINDOW + 1)
+    return f"windows.jsonl:3: start must lie in [0, {n_days - WINDOW}], got {n_days - WINDOW + 1}"
 
 
 def _format_1(prep):
@@ -694,23 +697,80 @@ def _format_1(prep):
     with (prep / "samples.jsonl").open("w", encoding="utf-8") as fh:
         for line in (prep / "windows.jsonl").read_text(encoding="utf-8").splitlines():
             row = json.loads(line)
-            row["days"] = [days[i] for i in row["days"]]
+            start = row.pop("start")
+            row["days"] = days[start : start + WINDOW]
             fh.write(json.dumps(row) + "\n")
     (prep / "days.jsonl").unlink()
     (prep / "windows.jsonl").unlink()
     meta = json.loads((prep / "norm_stats.json").read_text(encoding="utf-8"))
     del meta["format_version"], meta["n_days"]
     (prep / "norm_stats.json").write_text(json.dumps(meta), encoding="utf-8")
-    return ("prepared dataset format 1 is not supported, expected 2; "
+    return ("prepared dataset format 1 is not supported, expected 3; "
+            "re-run `sentirisk prepare`")
+
+
+def _format_2(prep):
+    # format 2 had the same files, with copies of derivable fields in their rows
+    _rewrite_row(prep / "days.jsonl", 1, "has_text", True)
+    meta = json.loads((prep / "norm_stats.json").read_text(encoding="utf-8"))
+    (prep / "norm_stats.json").write_text(json.dumps({**meta, "format_version": 2}),
+                                          encoding="utf-8")
+    return ("prepared dataset format 2 is not supported, expected 3; "
             "re-run `sentirisk prepare`")
 
 
 def _rewrite_row(path, lineno, key, value):
+    """Sets key of the row on line lineno; value may be a function of the old value."""
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     row = json.loads(lines[lineno - 1])
-    row[key] = value
+    row[key] = value(row[key]) if callable(value) else value
     lines[lineno - 1] = json.dumps(row) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
+
+
+def _swapped_days(prep):
+    path = prep / "days.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3], lines[4] = lines[4], lines[3]
+    path.write_text("".join(lines), encoding="utf-8")
+    later, earlier = (json.loads(line)["date"] for line in lines[3:5])
+    return f"days.jsonl: dates must be strictly increasing: {later} then {earlier}"
+
+
+def _leftover_has_text(prep):
+    # has_text: 0 on a day with text once made the model drop that day's text
+    _rewrite_row(prep / "days.jsonl", 4, "has_text", 0)
+    return "days.jsonl:4: unknown keys ['has_text']"
+
+
+def _leftover_features(prep):
+    _rewrite_row(prep / "days.jsonl", 2, "features", [True, 0.0, 0.0, 0.0, 1.0])
+    return "days.jsonl:2: unknown keys ['features']"
+
+
+def _boolean_raw(prep):
+    _rewrite_row(prep / "days.jsonl", 2, "raw", lambda raw: [True, *raw[1:]])
+    return "days.jsonl:2: raw must be a list of numbers, got [true, "
+
+
+def _nan_raw(prep):
+    _rewrite_row(prep / "days.jsonl", 2, "raw", lambda raw: [math.nan, *raw[1:]])
+    return "days.jsonl:2: raw must be 4 finite numbers, got [NaN, "
+
+
+def _infinite_close(prep):
+    _rewrite_row(prep / "days.jsonl", 3, "close", math.inf)
+    return "days.jsonl:3: close must be finite, got Infinity"
+
+
+def _nan_target_return_raw(prep):
+    _rewrite_row(prep / "windows.jsonl", 2, "target_return_raw", math.nan)
+    return "windows.jsonl:2: target_return_raw must be finite, got NaN"
+
+
+def _infinite_target_close(prep):
+    _rewrite_row(prep / "windows.jsonl", 4, "target_close", -math.inf)
+    return "windows.jsonl:4: target_close must be finite, got -Infinity"
 
 
 def _unknown_target_class(prep):
@@ -725,7 +785,11 @@ def _unknown_day_label(prep):
 
 class TestDamagedPrepared:
     @pytest.mark.parametrize("damage", [_cut_days, _cut_windows, _day_index_out_of_range,
-                                        _format_1, _unknown_target_class, _unknown_day_label],
+                                        _format_1, _unknown_target_class, _unknown_day_label,
+                                        _format_2, _swapped_days, _leftover_has_text,
+                                        _leftover_features, _boolean_raw, _nan_raw,
+                                        _infinite_close, _nan_target_return_raw,
+                                        _infinite_target_close],
                              ids=lambda f: f.__name__.lstrip("_"))
     def test_exits_2_naming_the_fault(self, workspace, trained, tmp_path, capsys, damage):
         prep = tmp_path / "prepared"

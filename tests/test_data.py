@@ -4,11 +4,14 @@ import datetime as dt
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sentirisk import data as data_mod
 from sentirisk.data import (
     AlignedDay,
     LabeledDoc,
@@ -325,10 +328,14 @@ class TestNormStats:
 
     def test_normalize_day_appends_text_indicator(self):
         days = simple_days(10)
+        days[1] = replace(days[1], token_seqs=[[2]], has_text=True)
         stats = NormStats.fit(days)
-        col = stats.normalize_day(days[0])
-        assert col.shape == (5, 1)
-        assert col.at(4, 0) == 0.0
+        features = stats.normalize_days(days)
+        assert features.shape == (10, 5)
+        assert features[:2, 4].tolist() == [0.0, 1.0]
+        for day, row in zip(days, features):  # the bits a loop of floats gives
+            loop = [(v - m) / s for v, m, s in zip(day.raw, stats.means, stats.stds)]
+            assert row[:4].tobytes() == np.array(loop).tobytes()
 
     def test_return_round_trip(self):
         stats = NormStats.fit(simple_days(10))
@@ -502,7 +509,7 @@ class TestPreparedRoundTrip:
         assert len({id(d) for s in again.samples for d in s.inputs}) == len(dates)
         meta = json.loads((out / "norm_stats.json").read_text(encoding="utf-8"))
         assert (meta["format_version"], meta["n_days"], meta["n_samples"]) == (
-            2, len(dates), len(ds.samples))
+            3, len(dates), len(ds.samples))
 
     def test_ablation_dataset_round_trip(self, tmp_path):
         # its target_class counts positive days over the window, so unlike
@@ -522,9 +529,100 @@ class TestPreparedRoundTrip:
                                                             ratios=(0.6, 0.2, 0.2)))
         copies = [replace(s, inputs=[replace(d) for d in s.inputs]) for s in ds.samples]
         save_prepared(replace(ds, samples=copies), tmp_path)
-        # copies are distinct objects, so each is stored: correct, only larger
-        assert len(read_lines(tmp_path / "days.jsonl")) == 5 * len(copies)
+        # equal copies of a day are one fact: one row per date
+        dates = [row["date"] for row in read_lines(tmp_path / "days.jsonl")]
+        assert dates == sorted({d.date.isoformat() for s in ds.samples for d in s.inputs})
         assert_same_samples(load_prepared(tmp_path).samples, ds.samples)
+
+    @pytest.mark.parametrize("source", ["demo", "ablation"])
+    def test_derived_fields_load_bit_for_bit(self, tmp_path, source):
+        if source == "demo":
+            ds = prepare_dataset(*build_corpus(40), PrepareConfig(window=5,
+                                                                 ratios=(0.6, 0.2, 0.2)))
+        else:  # identity statistics over the generator's normalized features
+            samples, vocab_size = make_ablation_dataset(n_days=60, seed=2)
+            ds = PreparedDataset(Vocabulary({f"tok{i}": i for i in range(2, vocab_size)}),
+                                 samples, NormStats(means=(0.0,) * 4, stds=(1.0,) * 4),
+                                 window=20, ratios=(0.7, 0.15, 0.15))
+        save_prepared(ds, tmp_path)
+        assert not {"features", "has_text"} & set(read_lines(tmp_path / "days.jsonl")[0])
+        assert not {"days", "target_return", "prev_close"} & set(
+            read_lines(tmp_path / "windows.jsonl")[0])
+        again = load_prepared(tmp_path)
+        for a, b in zip(again.samples, ds.samples):
+            assert np.array([a.target_return, a.prev_close]).tobytes() == np.array(
+                [b.target_return, b.prev_close]).tobytes()
+            for da, db in zip(a.inputs, b.inputs):
+                assert da.features.data.tobytes() == db.features.data.tobytes()
+                assert da.has_text is db.has_text
+
+    def refused(self, tmp_path, ds, message):
+        with pytest.raises(DataValidationError, match=message):
+            save_prepared(ds, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.fixture
+    def demo(self):
+        return prepare_dataset(*build_corpus(20), PrepareConfig(window=5,
+                                                               ratios=(0.6, 0.2, 0.2)))
+
+    def test_two_days_with_one_date_refused(self, tmp_path, demo):
+        first = demo.samples[0]
+        other = replace(first.inputs[1], close=first.inputs[1].close + 1.0)
+        samples = [replace(first, inputs=[first.inputs[0], other, *first.inputs[2:]]),
+                   *demo.samples[1:]]
+        self.refused(tmp_path, replace(demo, samples=samples),
+                     f"two different days dated {other.date}")
+
+    @pytest.mark.parametrize("inputs", [lambda days: days[4:6] + days[7:10],
+                                        lambda days: [days[5], days[4], *days[6:9]]],
+                             ids=["gap", "out-of-order"])
+    def test_window_not_a_run_of_consecutive_days_refused(self, tmp_path, demo, inputs):
+        days = [s.inputs[0] for s in demo.samples] + demo.samples[-1].inputs[1:]
+        s = demo.samples[4]
+        samples = [*demo.samples[:4], replace(s, inputs=inputs(days)), *demo.samples[5:]]
+        self.refused(tmp_path, replace(demo, samples=samples),
+                     f"window for {s.target_date} is not a run of 5 consecutive days")
+
+    @pytest.mark.parametrize("field", ["features", "has_text", "target_return", "prev_close"])
+    def test_stored_copy_other_than_its_derivation_refused(self, tmp_path, demo, field):
+        s = demo.samples[2]
+        day = s.inputs[0]
+        if field == "features":
+            edited = replace(day, features=day.features.with_value(0, 0, -day.features.at(0, 0)))
+        elif field == "has_text":
+            edited = replace(day, has_text=not day.has_text)
+        if field in ("features", "has_text"):
+            samples = [replace(w, inputs=[edited if d is day else d for d in w.inputs])
+                       for w in demo.samples]
+            where = f"day {day.date}: {field}"
+        else:
+            value = {"target_return": s.target_return, "prev_close": s.prev_close}[field]
+            samples = [*demo.samples[:2], replace(s, **{field: value + 1e-9}),
+                       *demo.samples[3:]]
+            where = f"window for {s.target_date}: {field}"
+        self.refused(tmp_path, replace(demo, samples=samples), where)
+
+    def test_failed_write_leaves_the_previous_directory(self, tmp_path, demo, monkeypatch):
+        out = tmp_path / "prepared"
+        save_prepared(demo, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real = data_mod.atomic_write
+
+        @contextmanager
+        def failing(path):
+            with real(path) as fh:
+                if Path(path).name == "windows.jsonl":
+                    raise OSError("disk full")
+                yield fh
+
+        monkeypatch.setattr(data_mod, "atomic_write", failing)
+        shorter = prepare_dataset(*build_corpus(15), PrepareConfig(window=5,
+                                                                  ratios=(0.6, 0.2, 0.2)))
+        with pytest.raises(OSError, match="disk full"):
+            save_prepared(shorter, out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert_same_samples(load_prepared(out).samples, demo.samples)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises((DataValidationError, OSError)):

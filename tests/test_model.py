@@ -41,6 +41,7 @@ from sentirisk.model import (
     model_backward,
     model_forward,
     named_params,
+    param_shapes,
     save_checkpoint,
     set_named_params,
     table_forward,
@@ -115,6 +116,13 @@ class TestBuildModel:
         pred, logits, _ = model_forward(model, sample)
         assert isinstance(pred, float)
         assert logits.shape == (3, 1)
+
+    @pytest.mark.parametrize("attention", [True, False], ids=["attention", "no-attention"])
+    @pytest.mark.parametrize("arch", list(ArchKind), ids=lambda a: a.value)
+    def test_param_shapes_are_the_built_tensors_in_order(self, arch, attention):
+        cfg = dataclasses.replace(TINY, attention_enabled=attention, attn_size=5)
+        built = [(name, t.shape) for name, t in named_params(build_model(cfg, arch)).items()]
+        assert list(param_shapes(cfg, arch).items()) == built
 
     def test_gru_only_has_zero_conv_parameters(self):
         model = build_model(TINY, ArchKind.GRU_ONLY)
@@ -706,6 +714,22 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt.json"
         save_checkpoint(model, path)
         return path
+
+    @pytest.mark.parametrize("edit, tensor", [({"vocab_size": 10**9}, "embedding"),
+                                              ({"embed_dim": 10**6}, "embedding"),
+                                              ({"attn_size": 10**7}, "attn/w_a")],
+                             ids=["vocab_size", "embed_dim", "attn_size"])
+    def test_config_checked_against_the_index_before_any_tensor_is_built(
+            self, tmp_path, monkeypatch, edit, tensor):
+        # each size asks for gigabytes; building first would fail this test at once
+        path = self._saved(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["config"].update(edit)
+        path.write_text(json.dumps(obj))
+        monkeypatch.setattr(model_mod, "build_model",
+                            lambda *args: pytest.fail("built before the index was checked"))
+        with pytest.raises(CheckpointError, match=f"{path.name}: tensor {tensor} has shape"):
+            load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         path = self._saved(tmp_path)
