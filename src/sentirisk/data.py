@@ -539,20 +539,35 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def _check_target_date(date: dt.date, dates: Sequence[dt.date], start: int,
+                       window: int) -> None:
+    """DataValidationError unless date, the target of the window of rows
+    [start, end) of dates, is after its last day and, where dates holds row
+    end, not after that day."""
+    end = start + window
+    if date <= dates[end - 1] or (end < len(dates) and date > dates[end]):
+        after = f" and not after {dates[end]}" if end < len(dates) else ""
+        raise DataValidationError(f"target_date {date} must be after the window's last day "
+                                  f"{dates[end - 1]}{after}")
+
+
 def _stored_days(ds: PreparedDataset) -> tuple[list[AlignedDay], list[int]]:
     """ds's input days in date order and each sample's start row; DataValidationError
-    for two different days with one date or a window not a run of consecutive days."""
+    for two different days with one date, a window not a run of consecutive days
+    or a target_date that _check_target_date rejects."""
     by_date: dict[dt.date, AlignedDay] = {}
     for d in {id(d): d for s in ds.samples for d in s.inputs}.values():
         if (first := by_date.setdefault(d.date, d)) is not d and first != d:
             raise DataValidationError(f"two different days dated {d.date}")
     days = sorted(by_date.values(), key=lambda d: d.date)
-    row = {d.date: i for i, d in enumerate(days)}
+    dates = [d.date for d in days]
+    row = {date: i for i, date in enumerate(dates)}
     starts = [row[s.inputs[0].date] for s in ds.samples]
     for s, t in zip(ds.samples, starts):
         if s.inputs != days[t : t + ds.window]:  # list == tries identity first
             raise DataValidationError(f"window for {s.target_date} is not a run of "
                                       f"{ds.window} consecutive days")
+        _check_target_date(s.target_date, dates, t, ds.window)
     return days, starts
 
 
@@ -642,13 +657,16 @@ def _day_from_obj(obj: dict, vocab_size: int) -> AlignedDay:
     )
 
 
-def _target_from_obj(obj: dict, last_start: int) -> tuple:
-    """A window row with finite numbers whose days lie in rows [0, last_start + window)."""
+def _target_from_obj(obj: dict, dates: Sequence[dt.date], window: int) -> tuple:
+    """A window row with finite numbers whose days are rows of dates and whose
+    target_date _check_target_date accepts."""
     check_fields(obj, _WINDOW_FIELDS)
-    if not 0 <= obj["start"] <= last_start:
-        raise DataValidationError(f"start must lie in [0, {last_start}], got {obj['start']}")
-    return (obj["start"], dt.date.fromisoformat(obj["target_date"]),
-            _class_index(obj["target_class"]), _finite(obj, "target_return_raw"),
+    start, last_start = obj["start"], len(dates) - window
+    if not 0 <= start <= last_start:
+        raise DataValidationError(f"start must lie in [0, {last_start}], got {start}")
+    date = dt.date.fromisoformat(obj["target_date"])
+    _check_target_date(date, dates, start, window)
+    return (start, date, _class_index(obj["target_class"]), _finite(obj, "target_return_raw"),
             _finite(obj, "target_close"))
 
 
@@ -684,7 +702,8 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
     if len(days) != n_days:
         raise DataValidationError(f"{days_path}: {len(days)} rows, {meta_path} n_days {n_days}")
     _check_sorted_unique(days, f"{days_path}: ")
-    targets = read_jsonl(windows_path, lambda obj: _target_from_obj(obj, len(days) - window))
+    dates = [d.date for d in days]
+    targets = read_jsonl(windows_path, lambda obj: _target_from_obj(obj, dates, window))
     if len(targets) != n_samples:
         raise DataValidationError(f"{windows_path}: {len(targets)} rows, "
                                   f"{meta_path} n_samples {n_samples}")

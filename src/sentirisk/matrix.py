@@ -6,9 +6,9 @@ model.model_forward/model_backward). Training and all scoring run whole
 batches on raw ndarrays indexed out of a day table (model.table_forward).
 _sigmoid_array, the gate activation of the per-window GRU (layers.py), is
 branch-free and cannot overflow. Values live in a read-only float64 numpy
-array and every operation allocates a fresh output; only train() writes
-behind one, between batches, in the flat vector its model's weights view
-(model.with_flat_params).
+array and every operation allocates a fresh output. A model's weights are
+read-only views of its one parameter vector (model.CnnGruModel); only
+train() writes behind them, between batches, in its own copy of that vector.
 Matrix products are evaluated with a fixed row-major, left-to-right summation
 order (np.einsum), which makes the naive triple-loop oracle an exact match.
 

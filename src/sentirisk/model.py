@@ -30,11 +30,15 @@ batch_forward(model, samples) builds a table of its samples and runs them
 all. Every reduction runs in a fixed order, so seeded reruns are bitwise
 identical.
 
+A model's weights are one float64 vector, params, laid out as param_shapes
+lists the tensors; build_model, load_checkpoint and train all build the
+model over such a vector, and batch_backward's gradients share its layout.
+
 A checkpoint (format 3) is one JSON object: format_version, arch, the config
-block, a "tensors" index of name -> [rows, cols] in named_params order, and
-"values", the base64 of flat_params as little-endian float64 bytes. The
-payload is the weights' raw bits, so a save/load round trip is bit-exact
-without printing or parsing a float.
+block, a "tensors" index of name -> [rows, cols] in param_shapes order, and
+"values", the base64 of params as little-endian float64 bytes. The payload
+is the weights' raw bits, so a save/load round trip is bit-exact without
+printing or parsing a float.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import base64
 import enum
 import json
 import typing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -145,16 +149,34 @@ class ModelConfig:
         return asdict(self)
 
 
-@dataclass
+@dataclass(eq=False)
 class CnnGruModel:
+    """The network of cfg and arch over params, one float64 vector laid out as
+    param_shapes lists the tensors. The six parts below are read-only views of
+    their spans of params, built here and nowhere else; a write to the vector
+    (train's optimizer) shows through them. Models compare by identity."""
+
     cfg: ModelConfig
     arch: ArchKind
-    embedding: EmbeddingTable
-    conv: Conv1DParams | None
-    gru: GRUParams | None
-    attention: AttentionParams | None
-    head_reg: DenseParams
-    head_cls: DenseParams
+    params: np.ndarray
+    embedding: EmbeddingTable = field(init=False)
+    conv: Conv1DParams | None = field(init=False)
+    gru: GRUParams | None = field(init=False)
+    attention: AttentionParams | None = field(init=False)
+    head_reg: DenseParams = field(init=False)
+    head_cls: DenseParams = field(init=False)
+
+    def __post_init__(self) -> None:
+        t = {name: Matrix._wrap(v) for name, v in param_views(self, self.params).items()}
+        self.params = self.params.view()
+        self.params.flags.writeable = False
+        self.embedding = EmbeddingTable(t["embedding"])  # checks the zero pad row
+        self.conv = (Conv1DParams(t["conv/k"], self.cfg.kernel_width, self.cfg.conv_stride)
+                     if "conv/k" in t else None)
+        self.gru = GRUParams(t["gru/w_z"], t["gru/w_r"], t["gru/w"]) if "gru/w" in t else None
+        self.attention = AttentionParams(t["attn/w_a"], t["attn/u"]) if "attn/u" in t else None
+        self.head_reg = DenseParams(t["head_reg/w"], t["head_reg/b"])
+        self.head_cls = DenseParams(t["head_cls/w"], t["head_cls/b"])
 
     @property
     def day_vec_size(self) -> int:
@@ -167,8 +189,8 @@ def _text_dim(cfg: ModelConfig, arch: ArchKind) -> int:
 
 
 def param_shapes(cfg: ModelConfig, arch: ArchKind) -> dict[str, tuple[int, int]]:
-    """(rows, cols) of every tensor of the model cfg and arch describe, in
-    named_params order: what build_model draws and a checkpoint must list."""
+    """(rows, cols) of every tensor of the model cfg and arch describe, in the
+    order of its params vector: what build_model draws and a checkpoint lists."""
     day_dim = _text_dim(cfg, arch) + N_MARKET_FEATURES
     head_in = day_dim if arch is ArchKind.CNN_ONLY else cfg.gru_hidden
     shapes = {"embedding": (cfg.vocab_size, cfg.embed_dim)}
@@ -184,101 +206,48 @@ def param_shapes(cfg: ModelConfig, arch: ArchKind) -> dict[str, tuple[int, int]]
                      "head_cls/w": (NUM_CLASSES, head_in), "head_cls/b": (NUM_CLASSES, 1)}
 
 
+def param_views(model: CnnGruModel, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Every tensor of model by name, as a (rows, cols) view of its span of
+    flat: a contiguous float64 vector laid out as model.params, such as the
+    parameters themselves or batch_backward's gradients."""
+    shapes = param_shapes(model.cfg, model.arch)
+    size = sum(rows * cols for rows, cols in shapes.values())
+    if flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
+        raise ShapeError(f"flat parameters must be a contiguous float64 vector of shape "
+                         f"({size},), got {flat.dtype} {flat.shape}")
+    views, at = {}, 0
+    for name, (rows, cols) in shapes.items():
+        views[name] = flat[at : at + rows * cols].reshape(rows, cols)
+        at += rows * cols
+    return views
+
+
 def build_model(cfg: ModelConfig, arch: ArchKind) -> CnnGruModel:
-    """Deterministic seeded build of the tensors of param_shapes; init order is fixed."""
+    """Deterministic seeded build: the tensors of param_shapes drawn in its
+    order from one PCG64 stream of cfg.seed, concatenated into params."""
     shapes = param_shapes(cfg, arch)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    embedding = init_embedding(rng, *shapes["embedding"])
-    conv = gru = attention = None
+    drawn = [init_embedding(rng, *shapes["embedding"]).table]
     if "conv/k" in shapes:
-        conv = init_conv(rng, cfg.num_filters, cfg.kernel_width, cfg.embed_dim,
-                         cfg.conv_stride)
+        drawn.append(init_conv(rng, cfg.num_filters, cfg.kernel_width, cfg.embed_dim,
+                               cfg.conv_stride).kernel)
     if "gru/w" in shapes:
         hidden, cols = shapes["gru/w"]
         gru = init_gru(rng, hidden, cols - hidden)
+        drawn += [gru.w_z, gru.w_r, gru.w]
     if "attn/w_a" in shapes:
         attention = init_attention(rng, *shapes["attn/w_a"])
-    head_reg = init_dense(rng, *shapes["head_reg/w"])
-    head_cls = init_dense(rng, *shapes["head_cls/w"])
-    return CnnGruModel(
-        cfg=cfg, arch=arch, embedding=embedding, conv=conv, gru=gru,
-        attention=attention, head_reg=head_reg, head_cls=head_cls,
-    )
-
-
-# ---------------------------------------------------------------------------
-# named parameter access
-# ---------------------------------------------------------------------------
-
-
-# (name, model field, container field) of every tensor, in named_params order:
-# the layout of checkpoints and of flat_params
-_PARAM_SLOTS = (
-    ("embedding", "embedding", "table"),
-    ("conv/k", "conv", "kernel"),
-    ("gru/w_z", "gru", "w_z"),
-    ("gru/w_r", "gru", "w_r"),
-    ("gru/w", "gru", "w"),
-    ("attn/w_a", "attention", "w_a"),
-    ("attn/u", "attention", "u"),
-    ("head_reg/w", "head_reg", "w"),
-    ("head_reg/b", "head_reg", "b"),
-    ("head_cls/w", "head_cls", "w"),
-    ("head_cls/b", "head_cls", "b"),
-)
+        drawn += [attention.w_a, attention.u]
+    for head in ("head_reg/w", "head_cls/w"):
+        dense = init_dense(rng, *shapes[head])
+        drawn += [dense.w, dense.b]
+    return CnnGruModel(cfg, arch, np.concatenate([t.data.ravel() for t in drawn]))
 
 
 def named_params(model: CnnGruModel) -> dict[str, Matrix]:
-    """Every tensor of model by name; an absent conv, gru or attention has none."""
-    return {name: getattr(getattr(model, part), slot) for name, part, slot in _PARAM_SLOTS
-            if getattr(model, part) is not None}
-
-
-def set_named_params(model: CnnGruModel, params: dict[str, Matrix]) -> CnnGruModel:
-    """model with its tensors replaced by params of the same names and shapes;
-    each part runs its own checks again, the zero embedding pad row among them."""
-    _check_shapes({name: t.shape for name, t in named_params(model).items()},
-                  {name: t.shape for name, t in params.items()})
-    parts: dict[str, dict[str, Matrix]] = {}
-    for name, part, slot in _PARAM_SLOTS:
-        if name in params:
-            parts.setdefault(part, {})[slot] = params[name]
-    return replace(model, **{part: replace(getattr(model, part), **tensors)
-                             for part, tensors in parts.items()})
-
-
-def _check_shapes(expected: dict[str, tuple[int, int]],
-                  shapes: dict[str, tuple[int, int]]) -> None:
-    """ShapeError naming the first missing, extra or wrong-shape tensor of shapes."""
-    if set(shapes) != set(expected):
-        missing = sorted(set(expected) - set(shapes))
-        extra = sorted(set(shapes) - set(expected))
-        raise ShapeError(f"parameter name mismatch: missing {missing}, extra {extra}")
-    for name, want in expected.items():
-        if shapes[name] != want:
-            raise ShapeError(f"tensor {name} has shape {shapes[name]}, expected {want}")
-
-
-def flat_params(model: CnnGruModel) -> np.ndarray:
-    """A fresh float64 vector of every named tensor, raveled, in named_params order."""
-    return np.concatenate([t.data.ravel() for t in named_params(model).values()])
-
-
-def with_flat_params(model: CnnGruModel, flat: np.ndarray) -> CnnGruModel:
-    """model with each named tensor a read-only view of its span of flat, laid
-    out as flat_params lays it out; writes to flat show through the views."""
-    named = named_params(model)
-    ends = np.cumsum([t.rows * t.cols for t in named.values()])
-    if flat.dtype != np.float64 or flat.shape != (ends[-1],):
-        raise ShapeError(f"flat parameters must be float64 of shape ({ends[-1]},), "
-                         f"got {flat.dtype} {flat.shape}")
-    return set_named_params(model, {
-        name: Matrix._wrap(span.reshape(t.shape))
-        for (name, t), span in zip(named.items(), np.split(flat, ends[:-1]))})
-
-
-def count_params(model: CnnGruModel) -> int:
-    return sum(t.rows * t.cols for t in named_params(model).values())
+    """Every tensor of model by name, in param_shapes order; an absent conv,
+    gru or attention has none."""
+    return {name: Matrix._wrap(v) for name, v in param_views(model, model.params).items()}
 
 
 def gru_param_count(hidden: int, input_size: int) -> int:
@@ -481,7 +450,7 @@ def model_backward(model: CnnGruModel, cache: ModelCache,
     if d_kernel is not None:
         grads["conv/k"] = Matrix._wrap(d_kernel)
 
-    expected = set(named_params(model))
+    expected = set(param_shapes(cfg, model.arch))
     if set(grads) != expected:
         raise ShapeError(f"gradient names {sorted(grads)} do not match {sorted(expected)}")
     return grads
@@ -509,8 +478,8 @@ class BatchCache:
     """
 
     day_index: np.ndarray  # (B, T)
-    # conv: (N, max_doc_len) padded documents, whose windows past the batch's
-    # last token are skipped; mean: (M,) non-pad tokens
+    # conv: (N, W) padded documents (DayTable.docs), whose windows past the
+    # batch's last token are skipped; mean: (M,) non-pad tokens
     ids: np.ndarray
     seg: np.ndarray  # (N,) or (M,): the text row of each document or token
     counts: np.ndarray  # (U,) documents or tokens per text row
@@ -537,8 +506,9 @@ class DayTable:
     windows: np.ndarray  # (n_windows, T) day rows
     features: np.ndarray  # (n_days, 5)
     text: np.ndarray  # (n_days,) text row, -1 for a day without text
-    # (n_docs, max_doc_len) padded token ids, grouped by text row; the conv
-    # skips the windows past a batch's last token
+    # (n_docs, W) padded token ids, grouped by text row: W holds every conv
+    # window that starts at or before the longest document's last token, the
+    # only windows _conv_plan can keep, and at most max_doc_len ids
     docs: np.ndarray
     doc_start: np.ndarray  # (n_texts + 1,) first document of each text row
 
@@ -574,7 +544,10 @@ def day_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
             key = tuple(tuple(seq[: cfg.max_doc_len]) for seq in day.token_seqs)
             text[row] = texts.setdefault(key, len(texts))
     counts = np.array([len(key) for key in texts], dtype=np.intp)
-    docs = np.zeros((int(counts.sum()), cfg.max_doc_len), dtype=np.intp)
+    longest = max((len(seq) for key in texts for seq in key), default=0)
+    width = min(cfg.max_doc_len, (max(longest, 1) - 1) // cfg.conv_stride * cfg.conv_stride
+                + cfg.kernel_width)
+    docs = np.zeros((int(counts.sum()), width), dtype=np.intp)
     for i, seq in enumerate(seq for key in texts for seq in key):
         docs[i, : len(seq)] = seq
     bad = docs[(docs < 0) | (docs >= cfg.vocab_size)]
@@ -724,18 +697,19 @@ def _conv_backward(model: CnnGruModel, cache: BatchCache, d_pooled: np.ndarray,
     return d_regrouped.reshape(-1, width, n_filters).transpose(1, 0, 2).reshape(kernel.shape)
 
 
-def _gru_weights(gru: GRUParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(input halves of W_z, W_r, W stacked (3h, d), h halves of W_z, W_r
-    stacked (2h, h), h half of W (h, h))."""
-    h = gru.hidden_size
-    w_z, w_r, w = gru.w_z.data, gru.w_r.data, gru.w.data
-    return (np.concatenate([w_z[:, h:], w_r[:, h:], w[:, h:]]),
-            np.concatenate([w_z[:, :h], w_r[:, :h]]), w[:, :h])
+def _gru_block(model: CnnGruModel, flat: np.ndarray) -> np.ndarray:
+    """W_z, W_r and W stacked (3h, h + d), as one view of flat, a vector laid
+    out as model.params, where param_shapes lists the three next to each other."""
+    shapes = param_shapes(model.cfg, model.arch)
+    before = list(shapes)[: list(shapes).index("gru/w_z")]
+    start = sum(shapes[name][0] * shapes[name][1] for name in before)
+    hidden, cols = shapes["gru/w_z"]
+    return flat[start : start + 3 * hidden * cols].reshape(3 * hidden, cols)
 
 
-def _gru_forward(gru: GRUParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gru_forward(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z and r (T, B, 2h), candidate (T, B, h), hidden (T + 1, B, h) whose
-    row 0 is h_0 = 0) of time-major day vectors x (T, B, d).
+    row 0 is h_0 = 0) of time-major day vectors x (T, B, d); w is _gru_block.
 
     The input-side products of every step come from one GEMM before the
     recurrence; only the h-side products stay in the loop, which writes each
@@ -743,13 +717,13 @@ def _gru_forward(gru: GRUParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     exact halving folded into the z and r weights: three passes, and no
     overflow for any a.
     """
-    h = gru.hidden_size
+    h = len(w) // 3
     t_len, b, d = x.shape
-    w_x, w_zr, w_hh = _gru_weights(gru)
+    w_x = w[:, h:].copy()  # the input halves of W_z, W_r and W
     w_x[: 2 * h] *= 0.5
     x_proj = (x.reshape(t_len * b, d) @ w_x.T).reshape(t_len, b, 3 * h)
-    w_zr_t = (0.5 * w_zr).T.copy()
-    w_hh_t = w_hh.T.copy()
+    w_zr_t = (0.5 * w[: 2 * h, :h]).T.copy()
+    w_hh_t = w[2 * h :, :h].T.copy()
     zr = np.empty((t_len, b, 2 * h))
     cand = np.empty((t_len, b, h))
     hid = np.empty((t_len + 1, b, h))
@@ -773,10 +747,11 @@ def _gru_forward(gru: GRUParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return zr, cand, hid
 
 
-def _gru_backward(gru: GRUParams, x: np.ndarray, states: tuple[np.ndarray, ...],
-                  d_hid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(d_x (T, B, d), d_w_z, d_w_r, d_w); d_hid (T, B, h) holds the gradient
-    reaching each h_t from outside the chain.
+def _gru_backward(w: np.ndarray, x: np.ndarray, states: tuple[np.ndarray, ...],
+                  d_hid: np.ndarray, d_w: np.ndarray) -> np.ndarray:
+    """d_x (T, B, d); writes the gradient of w (_gru_block) into d_w of its
+    shape. d_hid (T, B, h) holds the gradient reaching each h_t from outside
+    the chain.
 
     The factors of each step that do not depend on the carried gradient are
     computed for all steps before the loop, into the rows of d_pre that each
@@ -784,9 +759,9 @@ def _gru_backward(gru: GRUParams, x: np.ndarray, states: tuple[np.ndarray, ...],
     over all steps after it.
     """
     zr, cand, hid = states
-    h = gru.hidden_size
+    h = len(w) // 3
     t_len, b, d = x.shape
-    w_x, w_zr, w_hh = _gru_weights(gru)
+    w_x, w_zr, w_hh = w[:, h:], w[: 2 * h, :h], w[2 * h :, :h]
     z, r, h_prev = zr[..., :h], zr[..., h:], hid[:-1]
     keep = np.subtract(1.0, z)  # dh -> h_{t-1}, directly
     d_pre = np.empty((t_len, b, 3 * h))  # pre-activation gradients of z, r, candidate
@@ -815,15 +790,10 @@ def _gru_backward(gru: GRUParams, x: np.ndarray, states: tuple[np.ndarray, ...],
         np.matmul(d_zr, w_zr, out=back)
         carry += back
     flat = d_pre.reshape(t_len * b, 3 * h)
-    d_wx = flat.T @ x.reshape(t_len * b, d)
-    d_wzr = flat[:, : 2 * h].T @ h_prev.reshape(t_len * b, h)
-    d_whh = flat[:, 2 * h :].T @ (r * h_prev).reshape(t_len * b, h)
-    return (
-        (flat @ w_x).reshape(t_len, b, d),
-        np.concatenate([d_wzr[:h], d_wx[:h]], axis=1),
-        np.concatenate([d_wzr[h:], d_wx[h : 2 * h]], axis=1),
-        np.concatenate([d_whh, d_wx[2 * h :]], axis=1),
-    )
+    d_w[:, h:] = flat.T @ x.reshape(t_len * b, d)
+    d_w[: 2 * h, :h] = flat[:, : 2 * h].T @ h_prev.reshape(t_len * b, h)
+    d_w[2 * h :, :h] = flat[:, 2 * h :].T @ (r * h_prev).reshape(t_len * b, h)
+    return (flat @ w_x).reshape(t_len, b, d)
 
 
 def _attention_forward(attn: AttentionParams, hid: np.ndarray
@@ -876,7 +846,7 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray) -> Bat
     if model.arch is ArchKind.CNN_ONLY:
         ctx = x.mean(axis=0)
     else:
-        gru = _gru_forward(model.gru, x)
+        gru = _gru_forward(_gru_block(model, model.params), x)
         if model.attention is not None:
             acts, alpha, ctx = _attention_forward(model.attention,
                                                   gru[2][1:].transpose(1, 0, 2))
@@ -891,20 +861,20 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray) -> Bat
 
 
 def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.ndarray,
-                   target_classes: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of mse_weight*MSE + (1-mse_weight)*CE for every named tensor,
-    summed over the batch."""
+                   target_classes: np.ndarray) -> np.ndarray:
+    """Gradients of mse_weight*MSE + (1-mse_weight)*CE, summed over the batch,
+    as one vector laid out as model.params; each is written into its view."""
     lam = model.cfg.mse_weight
     d_pred = lam * 2.0 * (cache.pred - target_returns)
     d_logits = softmax_rows(cache.logits)
     d_logits[np.arange(len(d_logits)), target_classes] -= 1.0
     d_logits *= 1.0 - lam
-    grads: dict[str, np.ndarray] = {
-        "head_reg/w": d_pred[None, :] @ cache.ctx,
-        "head_reg/b": np.array([[d_pred.sum()]]),
-        "head_cls/w": d_logits.T @ cache.ctx,
-        "head_cls/b": d_logits.sum(axis=0)[:, None],
-    }
+    grads = np.zeros(len(model.params))
+    g = param_views(model, grads)
+    g["head_reg/w"][:] = d_pred[None, :] @ cache.ctx
+    g["head_reg/b"][:] = d_pred.sum()
+    g["head_cls/w"][:] = d_logits.T @ cache.ctx
+    g["head_cls/b"][:, 0] = d_logits.sum(axis=0)
     d_ctx = d_pred[:, None] @ model.head_reg.w.data + d_logits @ model.head_cls.w.data
 
     if model.arch is ArchKind.CNN_ONLY:
@@ -912,27 +882,26 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
     else:
         hid = cache.gru[2][1:]
         if model.attention is not None:
-            d_hid, grads["attn/w_a"], grads["attn/u"] = _attention_backward(
+            d_hid, g["attn/w_a"][:], g["attn/u"][:] = _attention_backward(
                 model.attention, hid.transpose(1, 0, 2), *cache.attn, d_ctx)
             d_hid = d_hid.transpose(1, 0, 2)
         else:
             d_hid = np.zeros_like(hid)
             d_hid[-1] = d_ctx
-        d_x, grads["gru/w_z"], grads["gru/w_r"], grads["gru/w"] = _gru_backward(
-            model.gru, cache.x, cache.gru, d_hid)
+        d_x = _gru_backward(_gru_block(model, model.params), cache.x, cache.gru, d_hid,
+                            _gru_block(model, grads))
 
     text_dim = _text_dim(model.cfg, model.arch)
     d_vecs = np.zeros((len(cache.counts) + 1, text_dim))
     _add_rows(d_vecs, cache.day_index.T, d_x[:, :, :text_dim])
     d_items = d_vecs[cache.seg] / cache.counts[cache.seg][:, None]
-    d_embed = np.zeros_like(model.embedding.table.data)
+    d_embed = g["embedding"]
     if model.arch is ArchKind.GRU_ONLY:
         _add_rows(d_embed, cache.ids, d_items)
     else:
-        grads["conv/k"] = _conv_backward(model, cache, d_items, d_embed)
+        g["conv/k"][:] = _conv_backward(model, cache, d_items, d_embed)
     d_embed[0, :] = 0.0  # pad row is frozen
-    grads["embedding"] = d_embed
-    return {name: grads[name] for name in named_params(model)}
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -940,10 +909,10 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(model: CnnGruModel, flat: np.ndarray, where: str = "") -> None:
+def _check_finite(model: CnnGruModel, where: str = "") -> None:
     """CheckpointError naming model's first tensor with a non-finite value;
-    flat is model's flat_params, so one isfinite pass clears the common case."""
-    if not np.isfinite(flat).all():
+    one isfinite pass over params clears the common case."""
+    if not np.isfinite(model.params).all():
         bad = next(name for name, t in named_params(model).items() if not np.isfinite(t.data).all())
         raise CheckpointError(f"{where}tensor {bad} contains non-finite values")
 
@@ -951,22 +920,21 @@ def _check_finite(model: CnnGruModel, flat: np.ndarray, where: str = "") -> None
 def save_checkpoint(model: CnnGruModel, path: str | Path) -> None:
     """Versioned JSON: arch, config block, tensor index and one binary payload.
 
-    Format 3: "tensors" maps each name to [rows, cols] in named_params order,
-    and "values" is the base64 of flat_params as little-endian float64 ("<f8")
+    Format 3: "tensors" maps each name to [rows, cols] in param_shapes order,
+    and "values" is the base64 of model.params as little-endian float64 ("<f8")
     bytes. The payload is the raw bits of every weight, so load_checkpoint
     gets back the same bits, -0.0 and subnormals included, with no float
     printing or parsing. Formats 1 and 2 (one JSON float list per tensor) are
     rejected on load; their models must be retrained.
     """
-    named = named_params(model)
-    flat = flat_params(model)
-    _check_finite(model, flat)
+    _check_finite(model)
     obj = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "arch": model.arch.value,
         "config": model.cfg.to_dict(),
-        "tensors": {name: [t.rows, t.cols] for name, t in named.items()},
-        "values": base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii"),
+        "tensors": {name: list(shape)
+                    for name, shape in param_shapes(model.cfg, model.arch).items()},
+        "values": base64.b64encode(model.params.astype("<f8").tobytes()).decode("ascii"),
     }
     with atomic_write(path) as fh:
         fh.write(json.dumps(obj) + "\n")
@@ -981,8 +949,9 @@ def load_checkpoint(path: str | Path) -> CnnGruModel:
     """The model save_checkpoint wrote to path; every defect is a CheckpointError
     naming the full path and its cause: what data.read_json rejects, the format
     version, a missing key, the arch, the config block, a tensor missing, extra,
-    misshapen or out of named_params order, a payload that is not base64 of
-    exactly the index's float64 count, non-finite values, a nonzero pad row."""
+    misshapen or out of param_shapes order, a payload that is not base64 of
+    exactly the index's float64 count, non-finite values, a nonzero pad row.
+    The model is built over the decoded payload; nothing is drawn."""
     obj = read_json(path, _CHECKPOINT_FIELDS, CheckpointError)
     version = obj.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
@@ -1002,12 +971,18 @@ def load_checkpoint(path: str | Path) -> CnnGruModel:
         cfg = ModelConfig(**obj["config"])
     except (DataValidationError, TypeError, ShapeError) as exc:
         raise CheckpointError(f"bad config block in {path}: {exc}") from None
-    index, shapes = obj["tensors"], param_shapes(cfg, arch)
-    try:  # checked before build_model allocates what the config asks for
-        _check_shapes(shapes, {name: tuple(shape) if isinstance(shape, list) else shape
-                               for name, shape in index.items()})
-    except ShapeError as exc:
-        raise CheckpointError(f"checkpoint {path}: {exc}") from None
+    # the index is checked before anything the config asks for is allocated
+    index = {name: tuple(shape) if isinstance(shape, list) else shape
+             for name, shape in obj["tensors"].items()}
+    shapes = param_shapes(cfg, arch)
+    if set(index) != set(shapes):
+        raise CheckpointError(f"checkpoint {path}: parameter name mismatch: missing "
+                              f"{sorted(set(shapes) - set(index))}, extra "
+                              f"{sorted(set(index) - set(shapes))}")
+    for name, want in shapes.items():
+        if index[name] != want:
+            raise CheckpointError(
+                f"checkpoint {path}: tensor {name} has shape {index[name]}, expected {want}")
     if list(index) != list(shapes):  # same-shape tensors would swap silently
         raise CheckpointError(
             f"checkpoint {path}: tensors listed as {list(index)}, expected {list(shapes)}")
@@ -1021,8 +996,8 @@ def load_checkpoint(path: str | Path) -> CnnGruModel:
                               f"{8 * size} ({size} float64 values)")
     flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     try:  # the zero embedding pad row
-        model = with_flat_params(build_model(cfg, arch), flat)
+        model = CnnGruModel(cfg, arch, flat)
     except ShapeError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None
-    _check_finite(model, flat, f"checkpoint {path}: ")
+    _check_finite(model, f"checkpoint {path}: ")
     return model

@@ -1,10 +1,10 @@
 """Parameter updates: plain SGD with optional L2 decay, and Adam.
 
-Optimizer.apply steps a model's parameters, one flat float64 vector laid out
-as model.flat_params, in place with a few whole-vector operations; Adam's
-moments are two more vectors of that layout. The learning rate and decay come
-from train.TrainConfig, which checks their ranges; Adam's betas and epsilon
-are the published defaults, fixed.
+Optimizer.apply steps a model's parameters, the float64 vector model.params,
+in place with a few whole-vector operations, given gradients in the same
+layout (model.batch_backward); Adam's moments are two more vectors of that
+layout. The learning rate and decay come from train.TrainConfig, which checks
+their ranges; Adam's betas and epsilon are the published defaults, fixed.
 """
 
 from __future__ import annotations

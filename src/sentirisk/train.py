@@ -7,12 +7,13 @@ model.DayTable each, and each mini-batch is a slice of the permutation run
 through model.table_forward/batch_backward as whole arrays. score_windows,
 behind evaluate, split_joint_loss, export_predictions and the CLI's alert,
 runs one table of a list of windows FORWARD_BLOCK windows at a time, as
-validation does. The optimizer steps a flat copy of the parameters
-(model.flat_params) in place, under a model built once over views of it, so
-the caller's model is never written. A batch with a non-finite loss aborts
-the run; early stopping watches the validation joint loss, and a copy of the
-vector at the best one is what the caller gets back. TrainConfig is the one
-place that checks the training settings, the optimizer's among them.
+validation does. The optimizer steps a copy of model.params in place, under
+a model built once over it, so the caller's model is never written; each
+batch's gradients come from batch_backward in the same layout. A batch with
+a non-finite loss aborts the run; early stopping watches the validation
+joint loss, and a model over a copy of the vector at the best one is what
+the caller gets back. TrainConfig is the one place that checks the training
+settings, the optimizer's among them.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ from .model import (
     batch_backward,
     build_model,
     day_table,
-    flat_params,
     table_forward,
-    with_flat_params,
 )
 from .optim import Optimizer
 from .text import NUM_CLASSES
@@ -134,7 +133,8 @@ def _joint_loss(model: CnnGruModel, pred: np.ndarray, logits: np.ndarray,
 def _batch_step(model: CnnGruModel, table: DayTable, index: np.ndarray,
                 returns: np.ndarray, classes: np.ndarray
                 ) -> tuple[float, float, np.ndarray]:
-    """(summed squared error, summed cross entropy, summed flat gradients) of a batch.
+    """(summed squared error, summed cross entropy, summed gradients laid out as
+    model.params) of a batch.
 
     Its own function so the batch's activations are freed before the next one.
     """
@@ -142,8 +142,7 @@ def _batch_step(model: CnnGruModel, table: DayTable, index: np.ndarray,
     returns, classes = returns[index], classes[index]
     sq_err = float(np.sum((cache.pred - returns) ** 2))
     ce = float(np.sum(batch_cross_entropy(cache.logits, classes)))
-    grads = batch_backward(model, cache, returns, classes).values()  # flat_params order
-    return sq_err, ce, np.concatenate([g.ravel() for g in grads])
+    return sq_err, ce, batch_backward(model, cache, returns, classes)
 
 
 def split_joint_loss(model: CnnGruModel, split: Sequence[WindowSample]) -> float:
@@ -163,8 +162,8 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
 
     opt = Optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    flat = flat_params(model)  # a copy: the caller's model is never written
-    model = with_flat_params(model, flat)
+    flat = model.params.copy()  # the caller's model is never written
+    model = CnnGruModel(model.cfg, model.arch, flat)
     best = flat.copy()
     best_val = math.inf
     bad_epochs = 0
@@ -218,7 +217,7 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
             if cfg.patience > 0 and bad_epochs >= cfg.patience:
                 break
 
-    return with_flat_params(model, best), history
+    return CnnGruModel(model.cfg, model.arch, best), history
 
 
 def save_history(history: Sequence[dict], path: str | Path) -> None:

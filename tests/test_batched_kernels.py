@@ -126,17 +126,24 @@ def gru_case(b, t_len, d, h, scale, seed):
     return gru, rng.standard_normal((t_len, b, d)) * scale, rng.standard_normal((t_len, b, h))
 
 
+def stacked(gru: GRUParams) -> np.ndarray:
+    """W_z, W_r and W stacked (3h, h + d), as the batched GRU reads them."""
+    return np.concatenate([gru.w_z.data, gru.w_r.data, gru.w.data])
+
+
 def gru_pairs(gru, x, d_hid):
     """(got, want) for z, r, candidate, hidden, d_x and the three weight gradients."""
     h = gru.hidden_size
     x_bm = np.ascontiguousarray(x.transpose(1, 0, 2))
-    zr, cand, hid = model_mod._gru_forward(gru, x)
+    w = stacked(gru)
+    zr, cand, hid = model_mod._gru_forward(w, x)
     assert hid.shape == (x.shape[0] + 1, x.shape[1], h) and not hid[0].any()
     states = ref.gru_forward(gru, x_bm)
-    got = model_mod._gru_backward(gru, x, (zr, cand, hid), d_hid)
+    d_w = np.full_like(w, np.nan)  # every entry must be written
+    d_x = model_mod._gru_backward(w, x, (zr, cand, hid), d_hid, d_w)
     want = ref.gru_backward(gru, x_bm, states, np.ascontiguousarray(d_hid.transpose(1, 0, 2)))
     return list(zip(
-        [zr[..., :h], zr[..., h:], cand, hid[1:], *got],
+        [zr[..., :h], zr[..., h:], cand, hid[1:], d_x, d_w[:h], d_w[h : 2 * h], d_w[2 * h :]],
         [*(s.transpose(1, 0, 2) for s in states), want[0].transpose(1, 0, 2), *want[1:]]))
 
 
@@ -167,6 +174,6 @@ class TestGruKernels:
     def test_saturated_gates_stay_finite(self):
         # sigmoid as 0.5 + 0.5 tanh(a / 2) cannot overflow, however large a is
         gru, x, _ = gru_case(2, 4, 2, 3, 1e6, 0)
-        zr, cand, hid = model_mod._gru_forward(gru, x)
+        zr, cand, hid = model_mod._gru_forward(stacked(gru), x)
         assert np.isfinite(zr).all() and np.isfinite(hid).all()
         assert ((zr >= 0.0) & (zr <= 1.0)).all()

@@ -778,6 +778,23 @@ def _unknown_target_class(prep):
     return "windows.jsonl:2: unknown class 'Positive'"
 
 
+def _target_date_in_the_window(prep, lineno=3, offset=-1):
+    # a target_date on the window's last day, or past the day after it, was
+    # loaded as is and written into predict's CSV and alert's rows
+    dates = [json.loads(line)["date"] for line in
+             (prep / "days.jsonl").read_text(encoding="utf-8").splitlines()]
+    start = json.loads((prep / "windows.jsonl").read_text(encoding="utf-8")
+                       .splitlines()[lineno - 1])["start"]
+    bad = dates[start + WINDOW + offset]
+    _rewrite_row(prep / "windows.jsonl", lineno, "target_date", bad)
+    return (f"windows.jsonl:{lineno}: target_date {bad} must be after the window's last day "
+            f"{dates[start + WINDOW - 1]} and not after {dates[start + WINDOW]}")
+
+
+def _target_date_past_the_next_day(prep):
+    return _target_date_in_the_window(prep, lineno=2, offset=1)
+
+
 def _unknown_day_label(prep):
     _rewrite_row(prep / "days.jsonl", 3, "label", "bogus")
     return "days.jsonl:3: unknown class 'bogus'"
@@ -789,7 +806,8 @@ class TestDamagedPrepared:
                                         _format_2, _swapped_days, _leftover_has_text,
                                         _leftover_features, _boolean_raw, _nan_raw,
                                         _infinite_close, _nan_target_return_raw,
-                                        _infinite_target_close],
+                                        _infinite_target_close, _target_date_in_the_window,
+                                        _target_date_past_the_next_day],
                              ids=lambda f: f.__name__.lstrip("_"))
     def test_exits_2_naming_the_fault(self, workspace, trained, tmp_path, capsys, damage):
         prep = tmp_path / "prepared"

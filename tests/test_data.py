@@ -584,6 +584,18 @@ class TestPreparedRoundTrip:
         self.refused(tmp_path, replace(demo, samples=samples),
                      f"window for {s.target_date} is not a run of 5 consecutive days")
 
+    @pytest.mark.parametrize("row", [None, 6, 8],
+                             ids=["before-every-day", "last-input-day", "past-the-next-day"])
+    def test_target_date_outside_its_slot_refused(self, tmp_path, demo, row):
+        days = [s.inputs[0] for s in demo.samples] + demo.samples[-1].inputs[1:]
+        s = demo.samples[2]  # rows 2..6; its target is row 7
+        assert s.target_date == days[7].date
+        date = dt.date(2000, 1, 1) if row is None else days[row].date
+        samples = [*demo.samples[:2], replace(s, target_date=date), *demo.samples[3:]]
+        self.refused(tmp_path, replace(demo, samples=samples),
+                     f"target_date {date} must be after the window's last day {days[6].date} "
+                     f"and not after {days[7].date}")
+
     @pytest.mark.parametrize("field", ["features", "has_text", "target_return", "prev_close"])
     def test_stored_copy_other_than_its_derivation_refused(self, tmp_path, demo, field):
         s = demo.samples[2]

@@ -26,26 +26,25 @@ from sentirisk.layers import (
     pad_or_truncate,
 )
 from sentirisk.matrix import Matrix
+from sentirisk import layers as layers_mod
 from sentirisk import model as model_mod
 from sentirisk.model import (
     ArchKind,
+    CnnGruModel,
     ModelConfig,
     batch_backward,
     batch_forward,
     build_model,
-    count_params,
     day_table,
-    flat_params,
     gru_param_count,
     load_checkpoint,
     model_backward,
     model_forward,
     named_params,
     param_shapes,
+    param_views,
     save_checkpoint,
-    set_named_params,
     table_forward,
-    with_flat_params,
 )
 
 RNG = np.random.Generator(np.random.PCG64(202))
@@ -189,13 +188,13 @@ class TestModelForward:
     def test_zero_parameters_output_head_biases(self):
         for arch in ArchKind:
             model = build_model(TINY, arch)
-            params = named_params(model)
             bias_reg = Matrix.column([0.7])
             bias_cls = Matrix.column([0.1, -0.2, 0.3])
-            zeroed = {n: Matrix.zeros(p.rows, p.cols) for n, p in params.items()}
-            zeroed["head_reg/b"] = bias_reg
-            zeroed["head_cls/b"] = bias_cls
-            model = set_named_params(model, zeroed)
+            zeroed = np.zeros_like(model.params)
+            views = param_views(model, zeroed)
+            views["head_reg/b"][:] = bias_reg.data
+            views["head_cls/b"][:] = bias_cls.data
+            model = CnnGruModel(TINY, arch, zeroed)
             pred, logits, _ = model_forward(model, make_sample(TINY, seed=5))
             assert pred == 0.7, arch
             assert logits == bias_cls, arch
@@ -427,6 +426,8 @@ def full_grid_encode(model, ids):
     position, summed over a window's positions in order."""
     cfg = model.cfg
     width, n_filters = cfg.kernel_width, cfg.num_filters
+    # the day table stores only the columns the kept windows read
+    ids = np.pad(ids, ((0, 0), (0, cfg.max_doc_len - ids.shape[1])))
     out_len = (cfg.max_doc_len - cfg.kernel_width) // cfg.conv_stride + 1
     windows = (np.arange(out_len) * cfg.conv_stride)[:, None] + np.arange(width)
     tokens, inverse = np.unique(np.append(ids[:, windows], 0), return_inverse=True)
@@ -456,9 +457,9 @@ class TestBatchedCore:
                                    sample.target_class)
             for name, g in grads.items():
                 want[name] += g.data
-        got = batch_backward(
+        got = param_views(model, batch_backward(
             model, cache, np.array([s.target_return for s in samples]),
-            np.array([s.target_class for s in samples]))
+            np.array([s.target_class for s in samples])))
         assert list(got) == list(want)
         for name in want:
             assert got[name].shape == want[name].shape, name
@@ -566,9 +567,29 @@ class TestDayTable:
         classes = np.array([samples[i].target_class for i in index])
         got_g = batch_backward(model, got, returns, classes)
         want_g = batch_backward(model, want, returns, classes)
-        assert list(got_g) == list(want_g)
-        for name in want_g:
-            assert got_g[name].tobytes() == want_g[name].tobytes(), name
+        assert got_g.shape == model.params.shape
+        assert got_g.tobytes() == want_g.tobytes()
+
+    @pytest.mark.parametrize("arch", list(ArchKind))
+    def test_documents_stored_only_as_wide_as_the_windows_kept(self, arch):
+        # the longest document has 9 ids, so the last window that can run
+        # starts at 6 and ends at 9, whatever max_doc_len is. Few documents:
+        # a table max_doc_len wide would take only a few MB.
+        samples = short_doc_windows(SHORT, [5, 7, 3, 9, 2, 8], seed=9)
+        returns = np.array([s.target_return for s in samples])
+        classes = np.array([s.target_class for s in samples])
+        outputs = []
+        for max_doc_len in (30, 10**5):
+            cfg = dataclasses.replace(SHORT, max_doc_len=max_doc_len)
+            table = day_table(cfg, samples)
+            assert table.docs.shape == (7, 9)
+            model = build_model(cfg, arch)
+            cache = table_forward(model, table, np.arange(len(samples)))
+            grads = batch_backward(model, cache, returns, classes)
+            outputs.append((cache.pred.tobytes(), cache.logits.tobytes(), grads.tobytes()))
+        assert outputs[0] == outputs[1]
+        textless = make_sample(TINY, seed=2, textless_days=range(TINY.window))
+        assert day_table(TINY, [textless]).docs.shape == (0, TINY.kernel_width)
 
     @pytest.mark.parametrize("damage, message", [
         (lambda days: days[1:], "sample has 3 days, model expects 4"),
@@ -636,11 +657,11 @@ class TestCountParams:
         for arch in ArchKind:
             model = build_model(TINY, arch)
             want = sum(p.rows * p.cols for p in named_params(model).values())
-            assert count_params(model) == want
+            assert model.params.size == want
 
     def test_arch_ordering(self):
-        full = count_params(build_model(TINY, ArchKind.CNN_GRU))
-        gru_only = count_params(build_model(TINY, ArchKind.GRU_ONLY))
+        full = build_model(TINY, ArchKind.CNN_GRU).params.size
+        gru_only = build_model(TINY, ArchKind.GRU_ONLY).params.size
         assert full > gru_only > 0
 
 
@@ -648,41 +669,44 @@ class TestFlatParams:
     def test_layout_is_named_order_raveled(self):
         for arch in ArchKind:
             model = build_model(TINY, arch)
-            flat = flat_params(model)
-            assert flat.dtype == np.float64 and flat.shape == (count_params(model),)
+            flat = model.params
+            size = sum(rows * cols for rows, cols in param_shapes(TINY, arch).values())
+            assert flat.dtype == np.float64 and flat.shape == (size,)
             want = np.concatenate([p.data.ravel() for p in named_params(model).values()])
             assert flat.tobytes() == want.tobytes(), arch
+            assert np.shares_memory(model.embedding.table.data, flat), arch
+            assert np.shares_memory(model.head_cls.b.data, flat), arch
             for p in named_params(model).values():
-                assert not np.shares_memory(flat, p.data)
+                assert np.shares_memory(flat, p.data)
 
     def test_views_round_trip_and_see_writes(self):
         model = build_model(TINY, ArchKind.CNN_GRU)
-        flat = flat_params(model)
-        viewed = with_flat_params(model, flat)
+        flat = model.params.copy()
+        viewed = CnnGruModel(TINY, ArchKind.CNN_GRU, flat)
         a, b = named_params(model), named_params(viewed)
         assert a.keys() == b.keys()
         for n in a:
             assert a[n] == b[n], n
             assert np.shares_memory(b[n].data, flat), n
             assert not b[n].data.flags.writeable, n
+        assert not viewed.params.flags.writeable and not model.params.flags.writeable
         flat[-1] += 1.0  # the last value is head_cls/b's last entry
         assert named_params(viewed)["head_cls/b"].data[-1, 0] == flat[-1]
+        assert viewed.head_cls.b.data[-1, 0] == flat[-1]
         assert named_params(model)["head_cls/b"].data[-1, 0] == flat[-1] - 1.0
 
     def test_wrong_length_or_dtype_rejected(self):
-        model = build_model(TINY, ArchKind.CNN_GRU)
-        flat = flat_params(model)
+        flat = build_model(TINY, ArchKind.CNN_GRU).params
         for bad in (flat[:-1], np.append(flat, 0.0), flat.astype(np.float32),
-                    flat.reshape(1, -1)):
+                    flat.reshape(1, -1), np.repeat(flat, 2)[::2]):
             with pytest.raises(ShapeError):
-                with_flat_params(model, bad)
+                CnnGruModel(TINY, ArchKind.CNN_GRU, bad)
 
     def test_nonzero_pad_row_rejected(self):
-        model = build_model(TINY, ArchKind.CNN_GRU)
-        flat = flat_params(model)
+        flat = build_model(TINY, ArchKind.CNN_GRU).params.copy()
         flat[0] = 0.5  # embedding comes first; its row 0 is the pad row
         with pytest.raises(ShapeError, match="pad token"):
-            with_flat_params(model, flat)
+            CnnGruModel(TINY, ArchKind.CNN_GRU, flat)
 
 
 class TestCheckpoint:
@@ -730,6 +754,17 @@ class TestCheckpoint:
                             lambda *args: pytest.fail("built before the index was checked"))
         with pytest.raises(CheckpointError, match=f"{path.name}: tensor {tensor} has shape"):
             load_checkpoint(path)
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        # the model is built over the decoded payload, not over a seeded build
+        path = self._saved(tmp_path)
+        want = load_checkpoint(path).params.tobytes()
+
+        def refuse(*args):
+            raise AssertionError("load_checkpoint drew or built a model")
+        monkeypatch.setattr(model_mod, "build_model", refuse)
+        monkeypatch.setattr(layers_mod, "uniform_init", refuse)
+        assert load_checkpoint(path).params.tobytes() == want
 
     def test_truncated_file_rejected(self, tmp_path):
         path = self._saved(tmp_path)
@@ -833,12 +868,12 @@ class TestCheckpoint:
     def test_non_finite_save_rejected_naming_the_first_tensor(self, tmp_path):
         model = build_model(TINY, ArchKind.CNN_GRU)
         spans = offsets(json.loads(self._saved(tmp_path).read_text()))
-        flat = flat_params(model)
+        flat = model.params.copy()
         flat[spans["gru/w"].start + 1] = float("nan")
         flat[-1] = float("inf")  # head_cls/b: a later tensor
         path = tmp_path / "bad.ckpt.json"
         with pytest.raises(CheckpointError, match="tensor gru/w contains non-finite values"):
-            save_checkpoint(with_flat_params(model, flat), path)
+            save_checkpoint(CnnGruModel(TINY, ArchKind.CNN_GRU, flat), path)
         assert not path.exists()
 
     def test_out_of_range_config_rejected_naming_file_and_key(self, tmp_path):
@@ -931,19 +966,19 @@ class TestCheckpoint:
         pad = TINY.embed_dim  # embedding row 0 must compare equal to zero
         values = data.draw(st.lists(
             st.one_of(st.sampled_from(edges), st.floats(allow_nan=False, allow_infinity=False)),
-            min_size=count_params(model) - pad, max_size=count_params(model) - pad))
+            min_size=model.params.size - pad, max_size=model.params.size - pad))
         zeros = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=pad, max_size=pad))
         flat = np.array(zeros + values, dtype=np.float64)
         path = tmp_path_factory.mktemp("edge") / "m.ckpt.json"
-        save_checkpoint(with_flat_params(model, flat), path)
-        assert flat_params(load_checkpoint(path)).tobytes() == flat.tobytes()
+        save_checkpoint(CnnGruModel(TINY, ArchKind.CNN_GRU, flat), path)
+        assert load_checkpoint(path).params.tobytes() == flat.tobytes()
 
     def test_golden_file_loads_to_pinned_parameters_and_resaves_byte_for_byte(self, tmp_path):
         """tests/fixtures/tiny.ckpt.json is save_checkpoint(build_model(TINY,
         ArchKind.CNN_GRU)); a change to the format must change this test too."""
         model = load_checkpoint(GOLDEN)
         assert model.cfg == TINY and model.arch is ArchKind.CNN_GRU
-        assert hashlib.sha256(flat_params(model).tobytes()).hexdigest() == GOLDEN_SHA256
+        assert hashlib.sha256(model.params.tobytes()).hexdigest() == GOLDEN_SHA256
         again = tmp_path / "again.ckpt.json"
         save_checkpoint(model, again)
         assert again.read_bytes() == GOLDEN.read_bytes()

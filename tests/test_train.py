@@ -13,11 +13,11 @@ from sentirisk.errors import DataValidationError, NumericError, TrainingDiverged
 from sentirisk.matrix import Matrix
 from sentirisk.model import (
     ArchKind,
+    CnnGruModel,
     ModelConfig,
     build_model,
     model_forward,
     named_params,
-    set_named_params,
 )
 from sentirisk.train import (
     FORWARD_BLOCK,
@@ -340,11 +340,8 @@ class TestExportPredictions:
 
     def test_zero_model_constant_return(self, tmp_path):
         samples = make_samples(TINY, 6)
-        model = build_model(TINY, ArchKind.CNN_GRU)
-        params = named_params(model)
-        model = set_named_params(
-            model, {n: Matrix.zeros(p.rows, p.cols) for n, p in params.items()}
-        )
+        model = CnnGruModel(TINY, ArchKind.CNN_GRU,
+                            np.zeros(build_model(TINY, ArchKind.CNN_GRU).params.size))
         path = tmp_path / "preds.csv"
         export_predictions(model, samples, self.stats(), path)
         rows = list(csv.reader(path.read_text().splitlines()))
