@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-from .data import check_fields, read_jsonl
+from .data import check_dates_increasing, check_fields, read_jsonl
 from .errors import DataValidationError
 from .matrix import Matrix
 from .text import CLASS_INDEX, CLASS_NAMES, NEGATIVE, NUM_CLASSES, POSITIVE
@@ -68,10 +68,7 @@ def risk_score(class_probs: Matrix, predicted_return: float) -> float:
             f"got {class_probs.rows}x{class_probs.cols}"
         )
     vals = class_probs.values
-    if min(vals) < -1e-12:
-        raise DataValidationError(f"negative probability in {vals}")
-    if abs(sum(vals) - 1.0) > 1e-9:
-        raise DataValidationError(f"probabilities sum to {sum(vals)}, expected 1")
+    _check_probs(vals)
     p_neg = vals[CLASS_INDEX["negative"]]
     if predicted_return >= 0:
         return p_neg
@@ -79,15 +76,23 @@ def risk_score(class_probs: Matrix, predicted_return: float) -> float:
     return min(1.0, p_neg + penalty)
 
 
+def _check_probs(probs: Sequence[float]) -> None:
+    """DataValidationError unless probs are NUM_CLASSES finite, non-negative
+    probabilities that sum to 1."""
+    if len(probs) != NUM_CLASSES:
+        raise DataValidationError(f"need {NUM_CLASSES} probabilities, got {len(probs)}")
+    if not all(map(math.isfinite, probs)):
+        raise DataValidationError(f"probs must be finite, got {probs}")
+    if min(probs) < -1e-12:
+        raise DataValidationError(f"negative probability in {probs}")
+    if abs(sum(probs) - 1.0) > 1e-9:
+        raise DataValidationError(f"probabilities sum to {sum(probs)}, expected 1")
+
+
 def detect_inflections(predictions: Sequence[DailyPrediction],
                        rules: AlertRuleConfig) -> list[Alert]:
     """One alert per (day, kind); output sorted chronologically."""
-    for i in range(1, len(predictions)):
-        if predictions[i].date <= predictions[i - 1].date:
-            raise DataValidationError(
-                f"predictions must be strictly chronological: "
-                f"{predictions[i - 1].date} then {predictions[i].date}"
-            )
+    check_dates_increasing(predictions)
     alerts: list[Alert] = []
     for i, p in enumerate(predictions):
         risk = risk_score(p.probs, p.predicted_return)
@@ -119,19 +124,19 @@ def load_predictions_jsonl(path: str | Path) -> list[DailyPrediction]:
     """Reads {date, probs: [3], predicted_return, optional predicted_class}.
 
     Without an explicit predicted_class the argmax of probs is used. A key
-    check_fields rejects, or a non-finite probability or predicted_return, is
-    rejected naming the line.
+    check_fields rejects, probs that risk_score would reject or a non-finite
+    predicted_return is rejected naming the line, and dates that do not
+    strictly increase naming the file.
     """
-    return read_jsonl(path, _prediction_from_obj)
+    preds = read_jsonl(path, _prediction_from_obj)
+    check_dates_increasing(preds, f"{path}: ")
+    return preds
 
 
 def _prediction_from_obj(obj: dict) -> DailyPrediction:
     check_fields(obj, _PREDICTION_FIELDS)
     probs = [float(v) for v in obj["probs"]]
-    if len(probs) != NUM_CLASSES:
-        raise DataValidationError(f"need {NUM_CLASSES} probabilities, got {len(probs)}")
-    if not all(math.isfinite(v) for v in probs):
-        raise DataValidationError(f"probs must be finite, got {probs}")
+    _check_probs(probs)
     predicted_return = float(obj["predicted_return"])
     if not math.isfinite(predicted_return):
         raise DataValidationError(f"predicted_return must be finite, got {predicted_return}")

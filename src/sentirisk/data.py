@@ -11,12 +11,13 @@ the token with id i+2); days.jsonl, one line per input day in date order: date,
 raw, close, label and its documents' token ids as read (only the model pads
 them); windows.jsonl, one line per sample: start (its first day's row) and its
 targets; norm_stats.json: stats, window, ratios, format_version, n_days,
-n_samples. normalized_samples derives features, has_text, prev_close and the
-normalized return at prepare and at load alike. load_prepared rejects other
-format_versions, wrong row counts, dates out of order, a start outside
-days.jsonl, token ids outside vocab.txt and non-finite numbers, naming the
-full path. read_json reads every JSON document; check_fields is the one type
-rule for its keys and for every prepared row.
+n_samples. normalized_samples derives the features and the normalized
+return at prepare and at load alike; has_text and prev_close are computed
+on read. load_prepared rejects other format_versions, wrong row counts,
+dates out of order, a start outside days.jsonl, token ids outside vocab.txt
+and non-finite numbers, naming the full path. read_json reads every JSON
+document; check_fields is the one type rule for its keys and for every
+prepared row.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 import numpy as np
 
 from .errors import DataValidationError
-from .matrix import Matrix
 from .text import (
     CLASS_INDEX,
     CLASS_NAMES,
@@ -126,17 +126,20 @@ class AlignedDay:
     """One trading day: market features plus that day's encoded documents.
 
     raw holds the unnormalized feature tuple (logret, range, gap, log volume);
-    features holds the normalized 5x1 column (the four z-scored values plus
-    the has_text indicator) once statistics exist.
+    features holds the normalized five (the four z-scored values plus the
+    has_text indicator) once statistics exist.
     """
 
     date: dt.date
     raw: tuple[float, float, float, float]
     token_seqs: list[list[int]]
     label: int
-    has_text: bool
     close: float
-    features: Matrix | None = None
+    features: tuple[float, ...] | None = None
+
+    @property
+    def has_text(self) -> bool:
+        return bool(self.token_seqs)
 
 
 @dataclass(frozen=True)
@@ -146,12 +149,15 @@ class WindowSample:
     target_class: int
     target_return_raw: float
     target_close: float
-    prev_close: float
     target_return: float | None = None  # normalized, set once stats exist
 
     def __post_init__(self) -> None:
         if not self.inputs:
             raise DataValidationError("window sample has no input days")
+
+    @property
+    def prev_close(self) -> float:
+        return self.inputs[-1].close
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +266,12 @@ def load_market_csv(path: str | Path) -> list[MarketBar]:
             except (ValueError, DataValidationError) as exc:
                 raise DataValidationError(f"{path}:{lineno}: {exc}") from None
             bars.append(bar)
-    _check_sorted_unique(bars)
+    check_dates_increasing(bars)
     return bars
 
 
-def _check_sorted_unique(rows: Sequence[MarketBar | AlignedDay], where: str = "") -> None:
+def check_dates_increasing(rows: Sequence, where: str = "") -> None:
+    """DataValidationError, prefixed by where, unless the rows' dates strictly increase."""
     for i in range(1, len(rows)):
         if rows[i].date <= rows[i - 1].date:
             raise DataValidationError(
@@ -304,7 +311,7 @@ def align_days(bars: Sequence[MarketBar], docs: Sequence[LabeledDoc]) -> list[Al
     """
     if not bars:
         raise DataValidationError("no market bars to align against")
-    _check_sorted_unique(bars)
+    check_dates_increasing(bars)
     dates = [b.date for b in bars]
     buckets: list[list[LabeledDoc]] = [[] for _ in bars]
     for doc in docs:
@@ -333,7 +340,6 @@ def align_days(bars: Sequence[MarketBar], docs: Sequence[LabeledDoc]) -> list[Al
                 raw=raw,
                 token_seqs=[d.token_ids for d in bucket],
                 label=_majority_label([d.label for d in bucket]),
-                has_text=bool(bucket),
                 close=bar.close,
             )
         )
@@ -375,7 +381,6 @@ def make_windows(days: Sequence[AlignedDay], window: int = 20) -> list[WindowSam
                 target_class=target.label,
                 target_return_raw=target.raw[0],
                 target_close=target.close,
-                prev_close=days[t + window - 1].close,
             )
         )
     return samples
@@ -508,12 +513,11 @@ def normalized_samples(stats: NormStats, days: Sequence[AlignedDay], window: int
                        targets: Iterable[tuple]) -> list[WindowSample]:
     """The samples of prepare_dataset and load_prepared: days get features from
     stats; target (start, date, class, raw return, close), a format-3 window row,
-    reads days[start : start + window] and gets prev_close and target_return."""
-    days = [replace(d, features=Matrix(N_MARKET_FEATURES, 1, f))
-            for d, f in zip(days, stats.normalize_days(days))]
+    reads days[start : start + window] and gets target_return."""
+    days = [replace(d, features=tuple(f))
+            for d, f in zip(days, stats.normalize_days(days).tolist())]
     return [WindowSample(inputs=days[t : t + window], target_date=date, target_class=cls,
                          target_return_raw=ret, target_close=close,
-                         prev_close=days[t + window - 1].close,
                          target_return=stats.normalize_return(ret))
             for t, date, cls, ret, close in targets]
 
@@ -586,18 +590,12 @@ def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
     all are written. DataValidationError, writing nothing, for what _stored_days
     rejects or a stored copy other than normalized_samples derives."""
     days, starts = _stored_days(ds)
-    day_at, window_at = (lambda i: f"day {days[i].date}",
-                         lambda i: f"window for {ds.samples[i].target_date}")
-    _check_derived("has_text", [d.has_text for d in days],
-                   [bool(d.token_seqs) for d in days], day_at)
-    _check_derived("features", [d.features.data.ravel() if d.features is not None
+    _check_derived("features", [d.features if d.features is not None
                                 else [math.nan] * N_MARKET_FEATURES for d in days],
-                   ds.stats.normalize_days(days), day_at)
+                   ds.stats.normalize_days(days), lambda i: f"day {days[i].date}")
     _check_derived("target_return", [s.target_return for s in ds.samples],
                    [ds.stats.normalize_return(s.target_return_raw) for s in ds.samples],
-                   window_at)
-    _check_derived("prev_close", [s.prev_close for s in ds.samples],
-                   [s.inputs[-1].close for s in ds.samples], window_at)
+                   lambda i: f"window for {ds.samples[i].target_date}")
     meta = {**ds.stats.to_dict(), "window": ds.window, "ratios": list(ds.ratios),
             "format_version": PREPARED_FORMAT_VERSION, "n_days": len(days),
             "n_samples": len(ds.samples)}
@@ -652,7 +650,6 @@ def _day_from_obj(obj: dict, vocab_size: int) -> AlignedDay:
         raw=tuple(map(float, raw)),
         token_seqs=token_seqs,
         label=_class_index(obj["label"]),
-        has_text=bool(token_seqs),  # prepare keeps only documents with tokens
         close=_finite(obj, "close"),
     )
 
@@ -701,7 +698,7 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
     days = read_jsonl(days_path, lambda obj: _day_from_obj(obj, vocab.size))
     if len(days) != n_days:
         raise DataValidationError(f"{days_path}: {len(days)} rows, {meta_path} n_days {n_days}")
-    _check_sorted_unique(days, f"{days_path}: ")
+    check_dates_increasing(days, f"{days_path}: ")
     dates = [d.date for d in days]
     targets = read_jsonl(windows_path, lambda obj: _target_from_obj(obj, dates, window))
     if len(targets) != n_samples:

@@ -1,14 +1,14 @@
 """Dense 64-bit matrix arithmetic, the sigmoid, and a finite-difference oracle.
 
-This is the validated numeric type of the model's named weights, day
-features, alert probabilities, and the per-window reference (layers.py,
-model.model_forward/model_backward). Training and all scoring run whole
-batches on raw ndarrays indexed out of a day table (model.table_forward).
+This is the validated numeric type of the per-window reference (layers.py,
+model.model_forward/model_backward and the model's six weight containers
+they read) and of alert probabilities. Training and all scoring run on raw
+ndarrays (model.table_forward over model.CnnGruModel.tensors).
 _sigmoid_array, the gate activation of the per-window GRU (layers.py), is
 branch-free and cannot overflow. Values live in a read-only float64 numpy
-array and every operation allocates a fresh output. A model's weights are
-read-only views of its one parameter vector (model.CnnGruModel); only
-train() writes behind them, between batches, in its own copy of that vector.
+array and every operation allocates a fresh output. A model's containers
+wrap read-only views of its one parameter vector; only train() writes
+behind them, between batches, in its own copy of that vector.
 Matrix products are evaluated with a fixed row-major, left-to-right summation
 order (np.einsum), which makes the naive triple-loop oracle an exact match.
 

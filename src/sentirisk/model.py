@@ -12,27 +12,29 @@ num_filters) tensor, conv/k; the batched path below reads it regrouped as
 (embed_dim, kernel_width * num_filters).
 
 Two paths compute this network from the same parameters. table_forward and
-batch_backward run a whole batch of windows on raw ndarrays: the batched
-core behind training, validation, evaluate, predict and alert
-(train.score_windows scores a list of windows). model_forward and
+batch_backward run a whole batch of windows on raw ndarrays, the model's
+tensors: the batched core behind training, validation, evaluate, predict
+and alert (train.score_windows scores a list of windows). model_forward and
 model_backward run one window on Matrix values, layer by layer through
 layers.py: the per-window reference the batched core is tested against,
-which nothing else in the package calls. A DayTable holds the distinct days
-of a split as arrays, built and checked once per split; a batch is a list of
-window indices into it. Each distinct day text of the batch is encoded once:
-one matrix product gives each distinct token its response to every filter
-at every window position, a window sums those of its tokens, and only the
-windows that start at or before the batch's last token run (later windows
-see only padding and cannot win the max-pool). The GRU runs time-major and
-takes its input projections for all steps in one product before the
-recurrence. Row gradients are scattered with one flat-index np.add.at each.
-batch_forward(model, samples) builds a table of its samples and runs them
-all. Every reduction runs in a fixed order, so seeded reruns are bitwise
-identical.
+which nothing else in the package calls, and the only reader of the model's
+six Matrix containers. A DayTable holds the distinct days of a split as
+arrays, built and checked once per split; a batch is a list of window
+indices into it. Each distinct day text of the batch is encoded once: one
+matrix product gives each distinct token its response to every filter at
+every window position, a window sums those of its tokens, and only the
+windows that start at or before the last token of the table's longest
+document run (later windows see only padding and cannot win the max-pool).
+The GRU runs time-major and takes its input projections for all steps in
+one product before the recurrence. Row gradients are scattered with one
+flat-index np.add.at each. batch_forward(model, samples) builds a table of
+its samples and runs them all. Every reduction runs in a fixed order, so
+seeded reruns are bitwise identical.
 
 A model's weights are one float64 vector, params, laid out as param_shapes
-lists the tensors; build_model, load_checkpoint and train all build the
-model over such a vector, and batch_backward's gradients share its layout.
+lists the tensors, and tensors names their read-only views of it;
+build_model, load_checkpoint and train all build the model over such a
+vector, and batch_backward's gradients share its layout.
 
 A checkpoint (format 3) is one JSON object: format_version, arch, the config
 block, a "tensors" index of name -> [rows, cols] in param_shapes order, and
@@ -46,6 +48,7 @@ from __future__ import annotations
 import base64
 import enum
 import json
+import math
 import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -152,13 +155,15 @@ class ModelConfig:
 @dataclass(eq=False)
 class CnnGruModel:
     """The network of cfg and arch over params, one float64 vector laid out as
-    param_shapes lists the tensors. The six parts below are read-only views of
-    their spans of params, built here and nowhere else; a write to the vector
-    (train's optimizer) shows through them. Models compare by identity."""
+    param_shapes lists the tensors. tensors (read by the batched core) and the
+    six parts below (the per-window reference's) are read-only views of it,
+    built here and nowhere else; a write to the vector (train's optimizer)
+    shows through them. Models compare by identity."""
 
     cfg: ModelConfig
     arch: ArchKind
     params: np.ndarray
+    tensors: dict[str, np.ndarray] = field(init=False)
     embedding: EmbeddingTable = field(init=False)
     conv: Conv1DParams | None = field(init=False)
     gru: GRUParams | None = field(init=False)
@@ -167,9 +172,10 @@ class CnnGruModel:
     head_cls: DenseParams = field(init=False)
 
     def __post_init__(self) -> None:
-        t = {name: Matrix._wrap(v) for name, v in param_views(self, self.params).items()}
         self.params = self.params.view()
         self.params.flags.writeable = False
+        self.tensors = param_views(self, self.params)
+        t = {name: Matrix._wrap(v) for name, v in self.tensors.items()}
         self.embedding = EmbeddingTable(t["embedding"])  # checks the zero pad row
         self.conv = (Conv1DParams(t["conv/k"], self.cfg.kernel_width, self.cfg.conv_stride)
                      if "conv/k" in t else None)
@@ -242,12 +248,6 @@ def build_model(cfg: ModelConfig, arch: ArchKind) -> CnnGruModel:
         dense = init_dense(rng, *shapes[head])
         drawn += [dense.w, dense.b]
     return CnnGruModel(cfg, arch, np.concatenate([t.data.ravel() for t in drawn]))
-
-
-def named_params(model: CnnGruModel) -> dict[str, Matrix]:
-    """Every tensor of model by name, in param_shapes order; an absent conv,
-    gru or attention has none."""
-    return {name: Matrix._wrap(v) for name, v in param_views(model, model.params).items()}
 
 
 def gru_param_count(hidden: int, input_size: int) -> int:
@@ -328,13 +328,12 @@ def _check_window(cfg: ModelConfig, sample: WindowSample) -> None:
 
 
 def _check_features(day: AlignedDay) -> None:
+    """ShapeError naming day unless it has N_MARKET_FEATURES finite features."""
     if day.features is None:
         raise ShapeError(f"day {day.date} has no normalized features")
-    if day.features.shape != (N_MARKET_FEATURES, 1):
-        raise ShapeError(
-            f"day {day.date} features shape {day.features.shape}, "
-            f"expected {(N_MARKET_FEATURES, 1)}"
-        )
+    if len(day.features) != N_MARKET_FEATURES or not all(map(math.isfinite, day.features)):
+        raise ShapeError(f"day {day.date} features {list(day.features)} are not "
+                         f"{N_MARKET_FEATURES} finite numbers")
 
 
 def model_forward(model: CnnGruModel, sample: WindowSample
@@ -346,7 +345,7 @@ def model_forward(model: CnnGruModel, sample: WindowSample
     day_vecs: list[Matrix] = []
     for day in sample.inputs:
         _check_features(day)
-        if day.has_text and day.token_seqs:
+        if day.token_seqs:
             if model.arch is ArchKind.GRU_ONLY:
                 text_vec, cache = _day_text_mean_embed(model, day.token_seqs)
             else:
@@ -354,7 +353,7 @@ def model_forward(model: CnnGruModel, sample: WindowSample
         else:
             text_vec, cache = Matrix.zeros(text_dim, 1), None
         day_text.append(cache)
-        day_vecs.append(text_vec.concat_rows(day.features))
+        day_vecs.append(Matrix._wrap(np.concatenate([text_vec.data[:, 0], day.features])[:, None]))
 
     gru_caches = None
     attn_cache = None
@@ -478,8 +477,7 @@ class BatchCache:
     """
 
     day_index: np.ndarray  # (B, T)
-    # conv: (N, W) padded documents (DayTable.docs), whose windows past the
-    # batch's last token are skipped; mean: (M,) non-pad tokens
+    # conv: (N, W) padded documents (DayTable.docs); mean: (M,) non-pad tokens
     ids: np.ndarray
     seg: np.ndarray  # (N,) or (M,): the text row of each document or token
     counts: np.ndarray  # (U,) documents or tokens per text row
@@ -508,7 +506,7 @@ class DayTable:
     text: np.ndarray  # (n_days,) text row, -1 for a day without text
     # (n_docs, W) padded token ids, grouped by text row: W holds every conv
     # window that starts at or before the longest document's last token, the
-    # only windows _conv_plan can keep, and at most max_doc_len ids
+    # windows _conv_plan runs, and at most max_doc_len ids
     docs: np.ndarray
     doc_start: np.ndarray  # (n_texts + 1,) first document of each text row
 
@@ -540,7 +538,7 @@ def day_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     text = np.full(len(days), -1, dtype=np.intp)
     for row, day in enumerate(days):
         _check_features(day)
-        if day.has_text and day.token_seqs:
+        if day.token_seqs:
             key = tuple(tuple(seq[: cfg.max_doc_len]) for seq in day.token_seqs)
             text[row] = texts.setdefault(key, len(texts))
     counts = np.array([len(key) for key in texts], dtype=np.intp)
@@ -553,7 +551,7 @@ def day_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     bad = docs[(docs < 0) | (docs >= cfg.vocab_size)]
     if bad.size:
         raise ShapeError(f"token id {bad[0]} out of range for vocab of {cfg.vocab_size}")
-    features = np.array([day.features.data[:, 0] for day in days]).reshape(-1, N_MARKET_FEATURES)
+    features = np.array([day.features for day in days]).reshape(-1, N_MARKET_FEATURES)
     return DayTable(windows=rows.reshape(len(samples), cfg.window), features=features,
                     text=text, docs=docs, doc_start=np.concatenate([[0], np.cumsum(counts)]))
 
@@ -602,18 +600,18 @@ def _conv_plan(model: CnnGruModel, ids: np.ndarray
     distinct token ids those windows read, ascending, each token id's row
     among them, documents per chunk).
 
-    Only the windows that start at or before the last non-pad column of ids
-    run, and at least one. Every later window sees only the all-zero pad row,
-    so its ReLU output is 0, which never beats an earlier window under
-    max-over-time pooling (ties go to the earliest step): the pooled values,
-    winners and gradients are those of the full grid of windows. The pad id
-    is always one of the tokens, so the token set, and with it every bit of
-    the per-token projections, does not depend on the trim either.
+    The windows are all that fit in the width of ids, which day_table sets
+    just wide enough for the table's longest document: those that start at
+    or before its last token, and at least one. Every later window of the
+    max_doc_len grid sees only the all-zero pad row, so its ReLU output is 0,
+    which never beats an earlier window under max-over-time pooling (ties go
+    to the earliest step): the pooled values, winners and gradients are
+    those of the full grid of windows. The pad id is always one of the
+    tokens, so the token set, and with it every bit of the per-token
+    projections, does not depend on the width either.
     """
     cfg = model.cfg
-    out_len = conv_output_length(cfg.max_doc_len, cfg.kernel_width, cfg.conv_stride)
-    cols = np.flatnonzero(ids.any(axis=0))
-    n_windows = min(out_len, int(cols[-1]) // cfg.conv_stride + 1) if cols.size else 1
+    n_windows = conv_output_length(ids.shape[1], cfg.kernel_width, cfg.conv_stride)
     windows = (np.arange(n_windows) * cfg.conv_stride)[:, None] + np.arange(cfg.kernel_width)
     seen = np.zeros(cfg.vocab_size, dtype=bool)
     seen[0] = True
@@ -642,9 +640,9 @@ def _conv_encode(model: CnnGruModel, ids: np.ndarray) -> tuple[np.ndarray, np.nd
     window-major, so the pooling reduces over whole (documents, F) slabs.
     """
     width = model.cfg.kernel_width
-    kernel = model.conv.kernel.data
+    kernel = model.tensors["conv/k"]
     windows, tokens, row, step = _conv_plan(model, ids)
-    proj = (model.embedding.table.data[tokens] @ _regroup(kernel, width)).reshape(
+    proj = (model.tensors["embedding"][tokens] @ _regroup(kernel, width)).reshape(
         len(tokens), width, -1)
     # window j weighs n_windows - j: the heaviest window at the max is the earliest
     weight = np.arange(len(windows), 0, -1, dtype=np.min_scalar_type(len(windows)))
@@ -674,7 +672,7 @@ def _conv_backward(model: CnnGruModel, cache: BatchCache, d_pooled: np.ndarray,
     """
     cfg = model.cfg
     width = cfg.kernel_width
-    kernel = model.conv.kernel.data
+    kernel = model.tensors["conv/k"]
     n_filters = kernel.shape[1]
     _, tokens, row, step = _conv_plan(model, cache.ids)
     d_proj = np.zeros(len(tokens) * width * n_filters)
@@ -693,7 +691,7 @@ def _conv_backward(model: CnnGruModel, cache: BatchCache, d_pooled: np.ndarray,
             np.add.at(d_proj, at.ravel(), g[s : s + step].ravel())
     d_proj = d_proj.reshape(len(tokens), width * n_filters)
     d_embed[tokens] += d_proj @ _regroup(kernel, width).T
-    d_regrouped = model.embedding.table.data[tokens].T @ d_proj  # (E, width * F)
+    d_regrouped = model.tensors["embedding"][tokens].T @ d_proj  # (E, width * F)
     return d_regrouped.reshape(-1, width, n_filters).transpose(1, 0, 2).reshape(kernel.shape)
 
 
@@ -796,27 +794,27 @@ def _gru_backward(w: np.ndarray, x: np.ndarray, states: tuple[np.ndarray, ...],
     return (flat @ w_x).reshape(t_len, b, d)
 
 
-def _attention_forward(attn: AttentionParams, hid: np.ndarray
+def _attention_forward(w_a: np.ndarray, u: np.ndarray, hid: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tanh(W_a h) (B, T, a), weights (B, T), context (B, h))."""
-    acts = np.tanh(hid @ attn.w_a.data.T)
-    scores = acts @ attn.u.data[:, 0]
+    """(tanh(W_a h) (B, T, a), weights (B, T), context (B, h)); u is (a, 1)."""
+    acts = np.tanh(hid @ w_a.T)
+    scores = acts @ u[:, 0]
     ex = np.exp(scores - scores.max(axis=1, keepdims=True))
     alpha = ex / ex.sum(axis=1, keepdims=True)
     return acts, alpha, np.einsum("bt,bth->bh", alpha, hid)
 
 
-def _attention_backward(attn: AttentionParams, hid: np.ndarray, acts: np.ndarray,
+def _attention_backward(w_a: np.ndarray, u: np.ndarray, hid: np.ndarray, acts: np.ndarray,
                         alpha: np.ndarray, d_ctx: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d_hid, d_w_a, d_u)."""
     d_alpha = np.einsum("bth,bh->bt", hid, d_ctx)
     d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=1, keepdims=True))
-    d_act = d_scores[:, :, None] * attn.u.data[:, 0] * (1.0 - acts * acts)
+    d_act = d_scores[:, :, None] * u[:, 0] * (1.0 - acts * acts)
     a, h = acts.shape[2], hid.shape[2]
     d_w_a = d_act.reshape(-1, a).T @ hid.reshape(-1, h)
     d_u = (acts.reshape(-1, a).T @ d_scores.reshape(-1))[:, None]
-    d_hid = alpha[:, :, None] * d_ctx[:, None, :] + d_act @ attn.w_a.data
+    d_hid = alpha[:, :, None] * d_ctx[:, None, :] + d_act @ w_a
     return d_hid, d_w_a, d_u
 
 
@@ -831,9 +829,10 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray) -> Bat
     if not len(index):
         raise ShapeError("a forward pass needs at least one window")
     day_index, feats, ids, seg, counts = _gather(model, table, index)
+    t = model.tensors
     winners = pooled = None
     if model.arch is ArchKind.GRU_ONLY:
-        items = model.embedding.table.data[ids]
+        items = t["embedding"][ids]
     else:
         pooled, winners = _conv_encode(model, ids)
         items = pooled
@@ -847,14 +846,14 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray) -> Bat
         ctx = x.mean(axis=0)
     else:
         gru = _gru_forward(_gru_block(model, model.params), x)
-        if model.attention is not None:
-            acts, alpha, ctx = _attention_forward(model.attention,
+        if model.cfg.attention_enabled:
+            acts, alpha, ctx = _attention_forward(t["attn/w_a"], t["attn/u"],
                                                   gru[2][1:].transpose(1, 0, 2))
             attn = (acts, alpha)
         else:
             ctx = gru[2][-1]
-    pred = (ctx @ model.head_reg.w.data.T + model.head_reg.b.data.T)[:, 0]
-    logits = ctx @ model.head_cls.w.data.T + model.head_cls.b.data.T
+    pred = (ctx @ t["head_reg/w"].T + t["head_reg/b"].T)[:, 0]
+    logits = ctx @ t["head_cls/w"].T + t["head_cls/b"].T
     return BatchCache(day_index=day_index, ids=ids, seg=seg, counts=counts,
                       winners=winners, pooled=pooled, x=x, gru=gru, attn=attn,
                       ctx=ctx, pred=pred, logits=logits)
@@ -875,15 +874,16 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
     g["head_reg/b"][:] = d_pred.sum()
     g["head_cls/w"][:] = d_logits.T @ cache.ctx
     g["head_cls/b"][:, 0] = d_logits.sum(axis=0)
-    d_ctx = d_pred[:, None] @ model.head_reg.w.data + d_logits @ model.head_cls.w.data
+    t = model.tensors
+    d_ctx = d_pred[:, None] @ t["head_reg/w"] + d_logits @ t["head_cls/w"]
 
     if model.arch is ArchKind.CNN_ONLY:
         d_x = np.broadcast_to(d_ctx / model.cfg.window, cache.x.shape)
     else:
         hid = cache.gru[2][1:]
-        if model.attention is not None:
+        if model.cfg.attention_enabled:
             d_hid, g["attn/w_a"][:], g["attn/u"][:] = _attention_backward(
-                model.attention, hid.transpose(1, 0, 2), *cache.attn, d_ctx)
+                t["attn/w_a"], t["attn/u"], hid.transpose(1, 0, 2), *cache.attn, d_ctx)
             d_hid = d_hid.transpose(1, 0, 2)
         else:
             d_hid = np.zeros_like(hid)
@@ -913,7 +913,7 @@ def _check_finite(model: CnnGruModel, where: str = "") -> None:
     """CheckpointError naming model's first tensor with a non-finite value;
     one isfinite pass over params clears the common case."""
     if not np.isfinite(model.params).all():
-        bad = next(name for name, t in named_params(model).items() if not np.isfinite(t.data).all())
+        bad = next(name for name, t in model.tensors.items() if not np.isfinite(t).all())
         raise CheckpointError(f"{where}tensor {bad} contains non-finite values")
 
 

@@ -30,7 +30,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import AlignedDay, MarketBar, N_MARKET_FEATURES, RawTextDoc, WindowSample
-from .matrix import Matrix
 from .text import NEGATIVE, NEUTRAL, POSITIVE
 
 # latent-state trigrams: cyclic permutations of token ids (alpha, beta, gamma)
@@ -89,15 +88,13 @@ def make_ablation_dataset(n_days: int = 620, seed: int = 7, window: int = 20,
             seqs.append(list(trigram) * 3 + [int(x) for x in noise])
         # market features carry no signal here by design: random values would
         # hand the model a memorization shortcut that masks the text mechanisms
-        feat_vals = [0.0] * (N_MARKET_FEATURES - 1) + [1.0]
         days.append(AlignedDay(
             date=start + dt.timedelta(days=t),
             raw=(0.0, 0.0, 0.0, 0.0),
             token_seqs=seqs,
             label=int(states[t]),
-            has_text=True,
             close=100.0,
-            features=Matrix(N_MARKET_FEATURES, 1, feat_vals),
+            features=(0.0,) * (N_MARKET_FEATURES - 1) + (1.0,),
         ))
 
     samples: list[WindowSample] = []
@@ -111,7 +108,6 @@ def make_ablation_dataset(n_days: int = 620, seed: int = 7, window: int = 20,
             target_class=_count_class(count),
             target_return_raw=float(ret),
             target_close=100.0,
-            prev_close=100.0,
             target_return=float(ret),
         ))
     return samples, ABLATION_VOCAB_SIZE

@@ -65,7 +65,6 @@ from sentirisk.model import (
     load_checkpoint,
     model_backward,
     model_forward,
-    named_params,
     param_views,
     save_checkpoint,
 )
@@ -134,13 +133,13 @@ def make_sample(cfg: ModelConfig, seed: int = 0, textless=()):
         feats = rng.standard_normal(4).tolist() + [1.0 if has_text else 0.0]
         days.append(AlignedDay(
             date=start + dt.timedelta(days=i), raw=(0.0, 0.0, 0.0, 0.0),
-            token_seqs=seqs, label=int(rng.integers(0, 3)), has_text=has_text,
-            close=100.0, features=Matrix(5, 1, feats),
+            token_seqs=seqs, label=int(rng.integers(0, 3)),
+            close=100.0, features=tuple(feats),
         ))
     return WindowSample(
         inputs=days, target_date=start + dt.timedelta(cfg.window),
         target_class=1, target_return_raw=0.3, target_close=100.0,
-        prev_close=100.0, target_return=0.3,
+        target_return=0.3,
     )
 
 
@@ -310,17 +309,17 @@ def test_c01_gradient_correctness_every_layer_and_full_model():
                       attention_enabled=True, seed=3)
     model = build_model(cfg, ArchKind.CNN_GRU)
     sample = make_sample(cfg, seed=5, textless=(1,))
-    params = named_params(model)
     _, _, cache = model_forward(model, sample)
     grads = model_backward(model, cache, sample.target_return, sample.target_class)
-    for name, tensor in params.items():
+    for name, tensor in model.tensors.items():
         def loss_at(m, name=name):
             flat = model.params.copy()
             param_views(model, flat)[name][:] = m.data
             return model_joint_loss(CnnGruModel(cfg, ArchKind.CNN_GRU, flat), sample)
         skip = (0,) if name == "embedding" else ()
         checks.append((f"model/{name}",
-                       fd_max_err(loss_at, tensor, grads[name], rng, skip_rows=skip)))
+                       fd_max_err(loss_at, Matrix._wrap(tensor), grads[name], rng,
+                                  skip_rows=skip)))
 
     elapsed = time.perf_counter() - t0
     worst_name, worst = max(checks, key=lambda c: c[1])
@@ -525,8 +524,7 @@ def test_c09_pipeline_exactness(demo_ds):
     # 25 days at window 20 gives exactly 5 samples
     start = dt.date(2023, 1, 2)
     days = [AlignedDay(date=start + dt.timedelta(i), raw=(0.0, 0.0, 0.0, 0.0),
-                       token_seqs=[], label=1, has_text=False,
-                       close=100.0 + i) for i in range(25)]
+                       token_seqs=[], label=1, close=100.0 + i) for i in range(25)]
     windows = make_windows(days, window=20)
     assert len(windows) == 5
 

@@ -1143,6 +1143,27 @@ class TestAlert:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("edit, where, message", [
+        (lambda rows: rows[1].update(probs=[0.2, 0.2, 0.1]), ":2",
+         "probabilities sum to 0.5"),
+        (lambda rows: rows[1].update(probs=[-0.5, 0.5, 1.0]), ":2", "negative probability"),
+        (lambda rows: rows.insert(0, rows.pop(1)), "",
+         "dates must be strictly increasing: 2023-01-03 then 2023-01-02"),
+    ], ids=["sum-not-1", "negative-prob", "out-of-order-dates"])
+    def test_bad_prediction_stream_exits_2_naming_the_path(self, tmp_path, capsys, edit,
+                                                           where, message):
+        # each once exited 2 naming neither the file nor the line
+        rows = [dict(r) for r in PRED_ROWS]
+        edit(rows)
+        path = tmp_path / "preds.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["alert", "--predictions", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{path}{where}: {message}" in captured.err
+        assert captured.out == ""
+
 class TestUsage:
     def test_no_subcommand_exits_1(self, capsys):
         rc = main([])

@@ -20,6 +20,7 @@ from sentirisk.data import (
     PrepareConfig,
     PreparedDataset,
     RawTextDoc,
+    WindowSample,
     align_days,
     load_market_csv,
     load_text_jsonl,
@@ -31,7 +32,7 @@ from sentirisk.data import (
 )
 from sentirisk.errors import DataValidationError
 from sentirisk.layers import pad_or_truncate
-from sentirisk.model import ArchKind, DayTable, ModelConfig, build_model, day_table, named_params
+from sentirisk.model import ArchKind, DayTable, ModelConfig, build_model, day_table
 from sentirisk.synthetic import make_ablation_dataset
 from sentirisk.text import Lexicon, Vocabulary
 from sentirisk.train import TrainConfig, score_windows, train
@@ -62,7 +63,6 @@ def simple_days(n: int, label: int = 1) -> list[AlignedDay]:
                 raw=(0.01 * i, 0.02, 0.001 * i, 13.0 + 0.1 * i),
                 token_seqs=[],
                 label=label,
-                has_text=False,
                 close=100.0 + i,
             )
         )
@@ -266,6 +266,18 @@ class TestMakeWindows:
         assert samples[0].inputs == days[:20]
         assert samples[0].prev_close == days[19].close
 
+    def test_has_text_and_prev_close_follow_their_sources(self):
+        # each is computed from the one stored fact, so no copy can disagree
+        days = simple_days(6)
+        [sample] = make_windows(days, window=5)
+        with_text = replace(days[4], token_seqs=[[2, 3]])
+        assert (days[4].has_text, with_text.has_text) == (False, True)
+        assert not replace(with_text, token_seqs=[]).has_text
+        moved = replace(sample, inputs=[*sample.inputs[:4], replace(days[4], close=123.0)])
+        assert (sample.prev_close, moved.prev_close) == (days[4].close, 123.0)
+        assert "has_text" not in {f.name for f in fields(AlignedDay)}
+        assert "prev_close" not in {f.name for f in fields(WindowSample)}
+
     def test_exact_window_length_rejected(self):
         with pytest.raises(DataValidationError):
             make_windows(simple_days(20), window=20)
@@ -328,7 +340,7 @@ class TestNormStats:
 
     def test_normalize_day_appends_text_indicator(self):
         days = simple_days(10)
-        days[1] = replace(days[1], token_seqs=[[2]], has_text=True)
+        days[1] = replace(days[1], token_seqs=[[2]])
         stats = NormStats.fit(days)
         features = stats.normalize_days(days)
         assert features.shape == (10, 5)
@@ -553,7 +565,7 @@ class TestPreparedRoundTrip:
             assert np.array([a.target_return, a.prev_close]).tobytes() == np.array(
                 [b.target_return, b.prev_close]).tobytes()
             for da, db in zip(a.inputs, b.inputs):
-                assert da.features.data.tobytes() == db.features.data.tobytes()
+                assert np.array(da.features).tobytes() == np.array(db.features).tobytes()
                 assert da.has_text is db.has_text
 
     def refused(self, tmp_path, ds, message):
@@ -596,23 +608,19 @@ class TestPreparedRoundTrip:
                      f"target_date {date} must be after the window's last day {days[6].date} "
                      f"and not after {days[7].date}")
 
-    @pytest.mark.parametrize("field", ["features", "has_text", "target_return", "prev_close"])
+    @pytest.mark.parametrize("field", ["features", "target_return"])
     def test_stored_copy_other_than_its_derivation_refused(self, tmp_path, demo, field):
         s = demo.samples[2]
         day = s.inputs[0]
         if field == "features":
-            edited = replace(day, features=day.features.with_value(0, 0, -day.features.at(0, 0)))
-        elif field == "has_text":
-            edited = replace(day, has_text=not day.has_text)
-        if field in ("features", "has_text"):
+            edited = replace(day, features=(-day.features[0], *day.features[1:]))
             samples = [replace(w, inputs=[edited if d is day else d for d in w.inputs])
                        for w in demo.samples]
-            where = f"day {day.date}: {field}"
+            where = f"day {day.date}: features"
         else:
-            value = {"target_return": s.target_return, "prev_close": s.prev_close}[field]
-            samples = [*demo.samples[:2], replace(s, **{field: value + 1e-9}),
+            samples = [*demo.samples[:2], replace(s, target_return=s.target_return + 1e-9),
                        *demo.samples[3:]]
-            where = f"window for {s.target_date}: {field}"
+            where = f"window for {s.target_date}: target_return"
         self.refused(tmp_path, replace(demo, samples=samples), where)
 
     def test_failed_write_leaves_the_previous_directory(self, tmp_path, demo, monkeypatch):
@@ -698,6 +706,5 @@ class TestDocumentLength:
             best_a, hist_a = train(ma, *a.splits()[:2], tcfg)
             best_b, hist_b = train(mb, *b.splits()[:2], tcfg)
             assert hist_a == hist_b
-            pb = named_params(best_b)
-            for name, p in named_params(best_a).items():
-                assert np.array_equal(p.data, pb[name].data), (arch, name)
+            for name, p in best_a.tensors.items():
+                assert np.array_equal(p, best_b.tensors[name]), (arch, name)

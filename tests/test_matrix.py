@@ -1,5 +1,8 @@
 """Matrix carrier, the sigmoid, softmax, and the finite-difference oracle."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,3 +230,25 @@ class TestFiniteDiff:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             finite_diff_grad(lambda m: m.data.sum(), Matrix.zeros(1, 1), h=0.0)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sentirisk"
+
+
+def imports_matrix(module: str) -> bool:
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if node.module in ("matrix", "sentirisk.matrix") or (
+                    node.module in (None, "sentirisk") and "matrix" in names):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name == "sentirisk.matrix" for a in node.names):
+                return True
+    return False
+
+
+def test_plain_value_modules_import_no_matrix():
+    # days carry plain floats and the batched core reads raw tensors
+    plain = ["data", "synthetic", "text", "train", "optim"]
+    assert [m for m in plain if imports_matrix(m)] == []

@@ -5,6 +5,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -40,7 +41,6 @@ from sentirisk.model import (
     load_checkpoint,
     model_backward,
     model_forward,
-    named_params,
     param_shapes,
     param_views,
     save_checkpoint,
@@ -92,9 +92,8 @@ def make_sample(cfg: ModelConfig, seed=0, textless_days=()) -> WindowSample:
             raw=(0.0, 0.0, 0.0, 0.0),
             token_seqs=seqs,
             label=int(rng.integers(0, 3)),
-            has_text=has_text,
             close=100.0,
-            features=Matrix._wrap(rng.standard_normal((5, 1))),
+            features=tuple(rng.standard_normal(5).tolist()),
         ))
     return WindowSample(
         inputs=days,
@@ -102,7 +101,6 @@ def make_sample(cfg: ModelConfig, seed=0, textless_days=()) -> WindowSample:
         target_class=int(rng.integers(0, 3)),
         target_return_raw=0.01,
         target_close=101.0,
-        prev_close=100.0,
         target_return=float(rng.standard_normal()),
     )
 
@@ -120,13 +118,13 @@ class TestBuildModel:
     @pytest.mark.parametrize("arch", list(ArchKind), ids=lambda a: a.value)
     def test_param_shapes_are_the_built_tensors_in_order(self, arch, attention):
         cfg = dataclasses.replace(TINY, attention_enabled=attention, attn_size=5)
-        built = [(name, t.shape) for name, t in named_params(build_model(cfg, arch)).items()]
+        built = [(name, t.shape) for name, t in build_model(cfg, arch).tensors.items()]
         assert list(param_shapes(cfg, arch).items()) == built
 
     def test_gru_only_has_zero_conv_parameters(self):
         model = build_model(TINY, ArchKind.GRU_ONLY)
         assert model.conv is None
-        assert not any(name.startswith("conv/") for name in named_params(model))
+        assert not any(name.startswith("conv/") for name in model.tensors)
 
     @pytest.mark.parametrize("cfg", [TINY, ModelConfig(vocab_size=50)], ids=["tiny", "default"])
     def test_conv_kernel_columns_are_the_sequential_filter_draws(self, cfg):
@@ -134,44 +132,44 @@ class TestBuildModel:
         # embedding, one (width, embed) draw per filter, then the GRU; seeded
         # builds and training runs stay bit-identical only while it holds
         model = build_model(cfg, ArchKind.CNN_GRU)
-        params = named_params(model)
+        params = model.tensors
         assert [n for n in params if n.startswith("conv/")] == ["conv/k"]
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         s_emb = np.sqrt(6.0 / (2 * cfg.embed_dim))
         rng.uniform(-s_emb, s_emb, size=(cfg.vocab_size, cfg.embed_dim))
         fan_in = cfg.kernel_width * cfg.embed_dim
         s = np.sqrt(6.0 / (fan_in + cfg.num_filters))
-        kernel = params["conv/k"].data
+        kernel = params["conv/k"]
         assert kernel.shape == (fan_in, cfg.num_filters)
         for f in range(cfg.num_filters):
             draw = rng.uniform(-s, s, size=(cfg.kernel_width, cfg.embed_dim))
             assert np.array_equal(kernel[:, f], draw.ravel()), f
         cols = cfg.gru_hidden + model.day_vec_size
         s_gru = np.sqrt(6.0 / (cols + cfg.gru_hidden))
-        assert np.array_equal(params["gru/w_z"].data,
+        assert np.array_equal(params["gru/w_z"],
                               rng.uniform(-s_gru, s_gru, size=(cfg.gru_hidden, cols)))
 
     def test_cnn_only_has_no_gru_tensors(self):
         model = build_model(TINY, ArchKind.CNN_ONLY)
         assert model.gru is None
         assert model.attention is None
-        assert not any(name.startswith(("gru/", "attn/")) for name in named_params(model))
+        assert not any(name.startswith(("gru/", "attn/")) for name in model.tensors)
 
     def test_same_seed_is_bitwise_identical(self):
-        a = named_params(build_model(TINY, ArchKind.CNN_GRU))
-        b = named_params(build_model(TINY, ArchKind.CNN_GRU))
+        a = build_model(TINY, ArchKind.CNN_GRU).tensors
+        b = build_model(TINY, ArchKind.CNN_GRU).tensors
         assert a.keys() == b.keys()
         for name in a:
-            assert a[name] == b[name], name
+            assert np.array_equal(a[name], b[name]), name
 
     def test_different_seed_differs(self):
         import dataclasses
-        a = named_params(build_model(TINY, ArchKind.CNN_GRU))
-        b = named_params(build_model(dataclasses.replace(TINY, seed=4), ArchKind.CNN_GRU))
-        assert any(a[n] != b[n] for n in a)
+        a = build_model(TINY, ArchKind.CNN_GRU).tensors
+        b = build_model(dataclasses.replace(TINY, seed=4), ArchKind.CNN_GRU).tensors
+        assert any(not np.array_equal(a[n], b[n]) for n in a)
 
     def test_param_ordering_is_stable(self):
-        names = list(named_params(build_model(TINY, ArchKind.CNN_GRU)))
+        names = list(build_model(TINY, ArchKind.CNN_GRU).tensors)
         assert names[0] == "embedding"
         assert names[-4:] == ["head_reg/w", "head_reg/b", "head_cls/w", "head_cls/b"]
 
@@ -202,31 +200,27 @@ class TestModelForward:
     def test_purity(self):
         model = build_model(TINY, ArchKind.CNN_GRU)
         sample = make_sample(TINY, seed=6)
-        before = {n: p for n, p in named_params(model).items()}
+        before = {n: p.copy() for n, p in model.tensors.items()}
         p1, l1, _ = model_forward(model, sample)
         p2, l2, _ = model_forward(model, sample)
         assert p1 == p2
         assert l1 == l2
-        after = named_params(model)
         for n in before:
-            assert before[n] == after[n]
+            assert np.array_equal(before[n], model.tensors[n])
 
     def test_textless_day_equals_empty_docs(self):
+        # a day without documents gets the zero text vector, as one whose only
+        # document is padding does
         model = build_model(TINY, ArchKind.CNN_GRU)
-        import dataclasses
         base = make_sample(TINY, seed=7)
-        flagged = dataclasses.replace(
-            base,
-            inputs=[dataclasses.replace(base.inputs[0], has_text=False)]
-            + base.inputs[1:],
-        )
-        emptied = dataclasses.replace(
-            base,
-            inputs=[dataclasses.replace(base.inputs[0], has_text=False,
-                                        token_seqs=[])]
-            + base.inputs[1:],
-        )
-        assert model_forward(model, flagged)[0] == model_forward(model, emptied)[0]
+
+        def first_day_reads(seqs):
+            day = dataclasses.replace(base.inputs[0], token_seqs=seqs)
+            return dataclasses.replace(base, inputs=[day] + base.inputs[1:])
+
+        emptied = first_day_reads([])
+        assert not emptied.inputs[0].has_text
+        assert model_forward(model, emptied)[0] == model_forward(model, first_day_reads([[0, 0]]))[0]
 
     def test_wrong_window_rejected(self):
         model = build_model(TINY, ArchKind.CNN_GRU)
@@ -271,7 +265,7 @@ def unrolled_forward(model, sample):
             else:
                 text = Matrix.zeros(cfg.embed_dim, 1)
         else:
-            if day.has_text and day.token_seqs:
+            if day.token_seqs:
                 acc = np.zeros((cfg.num_filters, 1))
                 for seq in day.token_seqs:
                     emb = embed_lookup(model.embedding,
@@ -283,7 +277,7 @@ def unrolled_forward(model, sample):
                 text = Matrix._wrap(acc / len(day.token_seqs))
             else:
                 text = Matrix.zeros(cfg.num_filters, 1)
-        day_vecs.append(text.concat_rows(day.features))
+        day_vecs.append(text.concat_rows(Matrix.column(day.features)))
 
     if model.arch is ArchKind.CNN_ONLY:
         acc = np.zeros_like(day_vecs[0].data)
@@ -311,7 +305,7 @@ class TestModelBackward:
             _, _, cache = model_forward(model, sample)
             grads = model_backward(model, cache, sample.target_return,
                                    sample.target_class)
-            assert grads.keys() == named_params(model).keys(), arch
+            assert grads.keys() == model.tensors.keys(), arch
 
     def test_pure_mse_zeroes_classification_head(self):
         import dataclasses
@@ -370,8 +364,8 @@ def shared_day_windows(cfg: ModelConfig, n_days: int, seed: int) -> list[WindowS
             seqs = [[0, 0]]
         days.append(AlignedDay(
             date=dt.date(2024, 1, 1) + dt.timedelta(days=t), raw=(0.0, 0.0, 0.0, 0.0),
-            token_seqs=seqs, label=0, has_text=has_text, close=100.0,
-            features=Matrix._wrap(rng.standard_normal((5, 1))),
+            token_seqs=seqs, label=0, close=100.0,
+            features=tuple(rng.standard_normal(5).tolist()),
         ))
     samples = []
     for start in range(n_days - cfg.window + 1):
@@ -382,8 +376,7 @@ def shared_day_windows(cfg: ModelConfig, n_days: int, seed: int) -> list[WindowS
         samples.append(WindowSample(
             inputs=inputs, target_date=inputs[-1].date + dt.timedelta(days=1),
             target_class=int(rng.integers(0, 3)), target_return_raw=0.01,
-            target_close=101.0, prev_close=100.0,
-            target_return=float(rng.standard_normal()),
+            target_close=101.0, target_return=float(rng.standard_normal()),
         ))
     return samples
 
@@ -409,14 +402,14 @@ def short_doc_windows(cfg: ModelConfig, lengths: list[int], seed: int) -> list[W
     texts = [[], [[0, 0]]] + [docs[i : i + 2] for i in range(0, len(docs), 2)]
     days = [AlignedDay(
         date=dt.date(2024, 1, 1) + dt.timedelta(days=t), raw=(0.0, 0.0, 0.0, 0.0),
-        token_seqs=seqs, label=0, has_text=t > 0, close=100.0,
-        features=Matrix._wrap(rng.standard_normal((5, 1))),
+        token_seqs=seqs, label=0, close=100.0,
+        features=tuple(rng.standard_normal(5).tolist()),
     ) for t, seqs in enumerate(texts)]
     return [WindowSample(
         inputs=days[start : start + cfg.window],
         target_date=days[start + cfg.window - 1].date + dt.timedelta(days=1),
         target_class=int(rng.integers(0, 3)), target_return_raw=0.01,
-        target_close=101.0, prev_close=100.0, target_return=float(rng.standard_normal()),
+        target_close=101.0, target_return=float(rng.standard_normal()),
     ) for start in range(len(days) - cfg.window + 1)]
 
 
@@ -448,7 +441,7 @@ class TestBatchedCore:
 
     def check(self, model, samples):
         cache = batch_forward(model, samples)
-        want = {name: np.zeros_like(p.data) for name, p in named_params(model).items()}
+        want = {name: np.zeros_like(p) for name, p in model.tensors.items()}
         for b, sample in enumerate(samples):
             pred, logits, per_cache = model_forward(model, sample)
             assert rel_err(cache.pred[b : b + 1], np.array([pred])) <= 1e-10
@@ -473,6 +466,27 @@ class TestBatchedCore:
         monkeypatch.setattr(model_mod, "CHUNK_VALUES", chunk)
         cfg = dataclasses.replace(BATCHED, attention_enabled=attention)
         self.check(build_model(cfg, arch), shared_day_windows(cfg, 11, seed=4))
+
+    @pytest.mark.parametrize("attention", [True, False], ids=["attention", "no-attention"])
+    @pytest.mark.parametrize("arch", list(ArchKind), ids=lambda a: a.value)
+    def test_reads_no_container(self, arch, attention):
+        # the batched core reads model.tensors; the six containers are the
+        # per-window reference's
+        cfg = dataclasses.replace(BATCHED, attention_enabled=attention)
+        samples = shared_day_windows(cfg, 11, seed=4)
+        table = day_table(cfg, samples)
+        returns = np.array([s.target_return for s in samples])
+        classes = np.array([s.target_class for s in samples])
+        outputs = []
+        for bare in (False, True):
+            model = build_model(cfg, arch)
+            if bare:
+                for part in ("embedding", "conv", "gru", "attention", "head_reg", "head_cls"):
+                    setattr(model, part, None)
+            cache = table_forward(model, table, np.arange(len(samples)))
+            grads = batch_backward(model, cache, returns, classes)
+            outputs.append((cache.pred.tobytes(), cache.logits.tobytes(), grads.tobytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("arch", list(ArchKind))
     def test_batch_of_one(self, arch):
@@ -545,7 +559,7 @@ class TestDayTable:
             assert list(row) == [rows[id(d)] for d in sample.inputs]
         for day in (d0, d1, d2, d3, twin, copy):
             assert (table.features[rows[id(day)]].tobytes()
-                    == day.features.data[:, 0].tobytes())
+                    == np.array(day.features).tobytes())
         # copy and twin share d0's text row; d1 has none
         assert list(table.text) == [0, -1, 1, 2, 0, 0]
         assert list(table.doc_start) == list(np.cumsum(
@@ -595,8 +609,7 @@ class TestDayTable:
         (lambda days: days[1:], "sample has 3 days, model expects 4"),
         (lambda days: days[:-1] + [dataclasses.replace(days[-1], features=None)],
          "has no normalized features"),
-        (lambda days: days[:-1] + [dataclasses.replace(days[-1], has_text=True,
-                                                       token_seqs=[[2, 15]])],
+        (lambda days: days[:-1] + [dataclasses.replace(days[-1], token_seqs=[[2, 15]])],
          "token id 15 out of range for vocab of 15"),
     ], ids=["short window", "missing features", "token id"])
     def test_bad_input_rejected_at_build(self, damage, message):
@@ -604,6 +617,20 @@ class TestDayTable:
         samples[2] = dataclasses.replace(samples[2], inputs=damage(samples[2].inputs))
         with pytest.raises(ShapeError, match=message):
             day_table(BATCHED, samples)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    @pytest.mark.parametrize("entry", ["day_table", "model_forward"])
+    def test_non_finite_feature_rejected_naming_the_day(self, value, entry):
+        samples = shared_day_windows(BATCHED, 6, seed=4)
+        day = samples[2].inputs[-1]
+        bad = dataclasses.replace(day, features=(*day.features[:3], value, day.features[4]))
+        samples[2] = dataclasses.replace(samples[2], inputs=samples[2].inputs[:-1] + [bad])
+        with pytest.raises(ShapeError, match=rf"day {day.date} features \[.*{value}.*\] "
+                                             "are not 5 finite numbers"):
+            if entry == "day_table":
+                day_table(BATCHED, samples)
+            else:
+                model_forward(build_model(BATCHED, ArchKind.CNN_GRU), samples[2])
 
 
 class TestAddRows:
@@ -649,14 +676,13 @@ class TestCountParams:
 
     def test_model_gru_tensors_sum_to_closed_form(self):
         model = build_model(TINY, ArchKind.CNN_GRU)
-        got = sum(p.rows * p.cols for n, p in named_params(model).items()
-                  if n.startswith("gru/"))
+        got = sum(p.size for n, p in model.tensors.items() if n.startswith("gru/"))
         assert got == gru_param_count(TINY.gru_hidden, model.day_vec_size)
 
     def test_count_matches_enumeration(self):
         for arch in ArchKind:
             model = build_model(TINY, arch)
-            want = sum(p.rows * p.cols for p in named_params(model).values())
+            want = sum(p.size for p in model.tensors.values())
             assert model.params.size == want
 
     def test_arch_ordering(self):
@@ -672,28 +698,28 @@ class TestFlatParams:
             flat = model.params
             size = sum(rows * cols for rows, cols in param_shapes(TINY, arch).values())
             assert flat.dtype == np.float64 and flat.shape == (size,)
-            want = np.concatenate([p.data.ravel() for p in named_params(model).values()])
+            want = np.concatenate([p.ravel() for p in model.tensors.values()])
             assert flat.tobytes() == want.tobytes(), arch
             assert np.shares_memory(model.embedding.table.data, flat), arch
             assert np.shares_memory(model.head_cls.b.data, flat), arch
-            for p in named_params(model).values():
-                assert np.shares_memory(flat, p.data)
+            for p in model.tensors.values():
+                assert np.shares_memory(flat, p)
 
     def test_views_round_trip_and_see_writes(self):
         model = build_model(TINY, ArchKind.CNN_GRU)
         flat = model.params.copy()
         viewed = CnnGruModel(TINY, ArchKind.CNN_GRU, flat)
-        a, b = named_params(model), named_params(viewed)
+        a, b = model.tensors, viewed.tensors
         assert a.keys() == b.keys()
         for n in a:
-            assert a[n] == b[n], n
-            assert np.shares_memory(b[n].data, flat), n
-            assert not b[n].data.flags.writeable, n
+            assert np.array_equal(a[n], b[n]), n
+            assert np.shares_memory(b[n], flat), n
+            assert not b[n].flags.writeable, n
         assert not viewed.params.flags.writeable and not model.params.flags.writeable
         flat[-1] += 1.0  # the last value is head_cls/b's last entry
-        assert named_params(viewed)["head_cls/b"].data[-1, 0] == flat[-1]
+        assert viewed.tensors["head_cls/b"][-1, 0] == flat[-1]
         assert viewed.head_cls.b.data[-1, 0] == flat[-1]
-        assert named_params(model)["head_cls/b"].data[-1, 0] == flat[-1] - 1.0
+        assert model.tensors["head_cls/b"][-1, 0] == flat[-1] - 1.0
 
     def test_wrong_length_or_dtype_rejected(self):
         flat = build_model(TINY, ArchKind.CNN_GRU).params
@@ -718,10 +744,10 @@ class TestCheckpoint:
             again = load_checkpoint(path)
             assert again.arch == model.arch
             assert again.cfg == model.cfg
-            a, b = named_params(model), named_params(again)
+            a, b = model.tensors, again.tensors
             assert a.keys() == b.keys()
             for n in a:
-                assert a[n] == b[n], n
+                assert np.array_equal(a[n], b[n]), n
 
     def test_round_trip_forward_identical(self, tmp_path):
         model = build_model(TINY, ArchKind.CNN_GRU)
@@ -988,6 +1014,6 @@ class TestCheckpoint:
         model = build_model(ModelConfig(vocab_size=400), ArchKind.CNN_GRU)
         path = tmp_path / "m.ckpt.json"
         save_checkpoint(model, path)
-        lists = json.dumps({name: {"rows": t.rows, "cols": t.cols, "values": t.to_lists()}
-                            for name, t in named_params(model).items()})
+        lists = json.dumps({name: {"rows": t.shape[0], "cols": t.shape[1], "values": t.tolist()}
+                            for name, t in model.tensors.items()})
         assert path.stat().st_size <= 0.55 * len(lists)

@@ -10,14 +10,12 @@ import pytest
 
 from sentirisk.data import AlignedDay, NormStats, WindowSample
 from sentirisk.errors import DataValidationError, NumericError, TrainingDivergedError
-from sentirisk.matrix import Matrix
 from sentirisk.model import (
     ArchKind,
     CnnGruModel,
     ModelConfig,
     build_model,
     model_forward,
-    named_params,
 )
 from sentirisk.train import (
     FORWARD_BLOCK,
@@ -53,9 +51,8 @@ def make_samples(cfg: ModelConfig, n: int, seed=0, const_return=None):
             raw=(0.0, 0.0, 0.0, 0.0),
             token_seqs=seqs,
             label=int(rng.integers(0, 3)),
-            has_text=True,
             close=100.0 + t,
-            features=Matrix._wrap(rng.standard_normal((5, 1))),
+            features=tuple(rng.standard_normal(5).tolist()),
         ))
     samples = []
     for t in range(n):
@@ -67,7 +64,6 @@ def make_samples(cfg: ModelConfig, n: int, seed=0, const_return=None):
             target_class=target.label,
             target_return_raw=0.0,
             target_close=target.close,
-            prev_close=days[t + cfg.window - 1].close,
             target_return=ret,
         ))
     return samples
@@ -91,9 +87,9 @@ class TestTrainLoop:
         m2, h2 = train(build_model(TINY, ArchKind.CNN_GRU), samples[:8],
                        samples[8:], cfg)
         assert h1 == h2
-        a, b = named_params(m1), named_params(m2)
+        a, b = m1.tensors, m2.tensors
         for name in a:
-            assert a[name] == b[name], name
+            assert np.array_equal(a[name], b[name]), name
 
     def test_repeat_runs_from_one_model_leave_it_unchanged(self):
         # train steps a private copy of the parameters, so one model object can
@@ -101,16 +97,16 @@ class TestTrainLoop:
         samples = make_samples(TINY, 10)
         cfg = TrainConfig(epochs=3, patience=0, batch_size=4, lr=1e-3, seed=5)
         model = build_model(TINY, ArchKind.CNN_GRU)
-        before = {n: p.data.tobytes() for n, p in named_params(model).items()}
+        before = {n: p.tobytes() for n, p in model.tensors.items()}
         m1, h1 = train(model, samples[:8], samples[8:], cfg)
         m2, h2 = train(model, samples[:8], samples[8:], cfg)
         assert h1 == h2
-        a, b = named_params(m1), named_params(m2)
-        for name, p in named_params(model).items():
-            assert p.data.tobytes() == before[name], name
-            assert a[name] == b[name], name
-            assert a[name] != p, name  # training moved every tensor
-            assert not np.shares_memory(a[name].data, b[name].data), name
+        a, b = m1.tensors, m2.tensors
+        for name, p in model.tensors.items():
+            assert p.tobytes() == before[name], name
+            assert np.array_equal(a[name], b[name]), name
+            assert not np.array_equal(a[name], p), name  # training moved every tensor
+            assert not np.shares_memory(a[name], b[name]), name
 
     def test_empty_split_rejected(self):
         samples = make_samples(TINY, 4)
