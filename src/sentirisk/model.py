@@ -26,10 +26,20 @@ every window position, a window sums those of its tokens, and only the
 windows that start at or before the last token of the table's longest
 document run (later windows see only padding and cannot win the max-pool).
 The GRU runs time-major and takes its input projections for all steps in
-one product before the recurrence. Row gradients are scattered with one
-flat-index np.add.at each. batch_forward(model, samples) builds a table of
-its samples and runs them all. Every reduction runs in a fixed order, so
+one product before the recurrence. Rows are summed by one np.bincount over
+flat indices each. batch_forward(model, samples) builds a table of its
+samples and runs them all. Every reduction runs in a fixed order, so
 seeded reruns are bitwise identical.
+
+A Workspace keeps the batched core's large arrays (day vectors, GRU
+projections and states, attention activations, GRU backward scratch and
+input gradients, the gradient vector) resident from one call to the next,
+so a training run does not hand them back to the allocator and fault them
+in again each batch. train owns one per run, and score_windows one per
+call; with none, table_forward and batch_backward allocate afresh.
+Aliasing rule: a BatchCache built with a workspace is valid until the next
+table_forward on that workspace, and a gradient vector batch_backward
+returns from one until the next batch_backward on it.
 
 A model's weights are one float64 vector, params, laid out as param_shapes
 lists the tensors, and tensors names their read-only views of it;
@@ -465,6 +475,32 @@ def model_backward(model: CnnGruModel, cache: ModelCache,
 CHUNK_VALUES = 1 << 16
 
 
+class Workspace:
+    """Named float64 scratch arrays that the batched core reuses across calls.
+
+    take(name, shape) returns a C-contiguous view of the first prod(shape)
+    values of one flat buffer per name, grown only when a larger shape is
+    asked for, so one buffer serves every batch width up to the largest
+    seen: full batches, a ragged last batch and validation blocks alike. A
+    view is uninitialized and is overwritten by the next take of its name.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or len(buf) < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+# a _conv_plan: (token positions of the conv windows to run, the distinct
+# token ids they read, each token id's row among them, documents per chunk)
+ConvPlan = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
 @dataclass
 class BatchCache:
     """What batch_backward needs from batch_forward, for B windows of T days.
@@ -472,8 +508,9 @@ class BatchCache:
     Each distinct text of the batch is encoded once. day_index maps every
     (window, day) to its row of the text table; the table's last row, U, is
     the zero vector of the days without text. The conv path keeps only the
-    token ids and the max-pool winners of each document, and recomputes the
-    batch's token set in backward. Day vectors and GRU states are time-major.
+    token ids, its plan and the max-pool winners of each document. Day
+    vectors and GRU states are time-major. Built with a Workspace, x, gru,
+    attn's activations and, without attention, ctx are views of it.
     """
 
     day_index: np.ndarray  # (B, T)
@@ -481,6 +518,7 @@ class BatchCache:
     ids: np.ndarray
     seg: np.ndarray  # (N,) or (M,): the text row of each document or token
     counts: np.ndarray  # (U,) documents or tokens per text row
+    plan: ConvPlan | None  # conv: _conv_plan of ids
     winners: np.ndarray | None  # conv: (N, F) max-pool time step per filter
     pooled: np.ndarray | None  # conv: (N, F) pooled ReLU outputs
     x: np.ndarray  # (T, B, D) day vectors
@@ -534,10 +572,17 @@ def day_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     first, rows = _by_first_appearance(np.fromiter(map(id, flat), dtype=np.uintp,
                                                    count=len(flat)))
     days = [flat[i] for i in first]
+    try:  # None, ragged or non-numeric features fail here or in the shape test
+        features = np.array([day.features for day in days], dtype=np.float64)
+        ok = features.shape == (len(days), N_MARKET_FEATURES) and np.isfinite(features).all()
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        for day in days:  # names the first bad day
+            _check_features(day)
     texts: dict[tuple[tuple[int, ...], ...], int] = {}
     text = np.full(len(days), -1, dtype=np.intp)
     for row, day in enumerate(days):
-        _check_features(day)
         if day.token_seqs:
             key = tuple(tuple(seq[: cfg.max_doc_len]) for seq in day.token_seqs)
             text[row] = texts.setdefault(key, len(texts))
@@ -551,8 +596,8 @@ def day_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     bad = docs[(docs < 0) | (docs >= cfg.vocab_size)]
     if bad.size:
         raise ShapeError(f"token id {bad[0]} out of range for vocab of {cfg.vocab_size}")
-    features = np.array([day.features for day in days]).reshape(-1, N_MARKET_FEATURES)
-    return DayTable(windows=rows.reshape(len(samples), cfg.window), features=features,
+    return DayTable(windows=rows.reshape(len(samples), cfg.window),
+                    features=features.reshape(-1, N_MARKET_FEATURES),
                     text=text, docs=docs, doc_start=np.concatenate([[0], np.cumsum(counts)]))
 
 
@@ -585,20 +630,23 @@ def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray
             np.bincount(seg, minlength=len(texts)))
 
 
-def _add_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """np.add.at(out, rows, values) for a C-contiguous 2-D out, as one 1-D
-    np.add.at on flat indices: numpy's 1-D fast path adds the same elements in
-    the same order, so the sums are the same bits, several times faster."""
-    width = out.shape[1]
+def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, width): the rows of values (..., width) summed by their row
+    in rows (of values' leading shape), as np.add.at into zeros would, but as
+    one np.bincount over flat indices, which adds the same elements in the
+    same order: the same bits, several times faster."""
+    width = values.shape[-1]
     flat = rows.reshape(-1, 1) * width + np.arange(width)
-    np.add.at(out.reshape(-1), flat.ravel(), values.ravel())
+    sums = np.bincount(flat.ravel(), weights=values.reshape(-1), minlength=n_rows * width)
+    # an empty index gives integer zeros, weights or not
+    return sums.astype(np.float64, copy=False).reshape(n_rows, width)
 
 
-def _conv_plan(model: CnnGruModel, ids: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _conv_plan(model: CnnGruModel, ids: np.ndarray) -> ConvPlan:
     """(token positions of the conv windows to run (n_windows, width), the
     distinct token ids those windows read, ascending, each token id's row
-    among them, documents per chunk).
+    among them, documents per chunk); table_forward makes it once per batch
+    and keeps it in the BatchCache for _conv_backward.
 
     The windows are all that fit in the width of ids, which day_table sets
     just wide enough for the table's longest document: those that start at
@@ -629,9 +677,10 @@ def _regroup(kernel: np.ndarray, width: int) -> np.ndarray:
         -1, width * kernel.shape[1])
 
 
-def _conv_encode(model: CnnGruModel, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _conv_encode(model: CnnGruModel, ids: np.ndarray, plan: ConvPlan
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """(pooled, winners) of every document: conv, ReLU, max-pool over time
-    (ties go to the earliest step).
+    (ties go to the earliest step); plan is _conv_plan(model, ids).
 
     The conv is linear in the embedded tokens, so one product gives every
     distinct token's response to each filter at each window position,
@@ -641,7 +690,7 @@ def _conv_encode(model: CnnGruModel, ids: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     width = model.cfg.kernel_width
     kernel = model.tensors["conv/k"]
-    windows, tokens, row, step = _conv_plan(model, ids)
+    windows, tokens, row, step = plan
     proj = (model.tensors["embedding"][tokens] @ _regroup(kernel, width)).reshape(
         len(tokens), width, -1)
     # window j weighs n_windows - j: the heaviest window at the max is the earliest
@@ -674,7 +723,7 @@ def _conv_backward(model: CnnGruModel, cache: BatchCache, d_pooled: np.ndarray,
     width = cfg.kernel_width
     kernel = model.tensors["conv/k"]
     n_filters = kernel.shape[1]
-    _, tokens, row, step = _conv_plan(model, cache.ids)
+    _, tokens, row, step = cache.plan
     d_proj = np.zeros(len(tokens) * width * n_filters)
     # the ReLU passes gradient only where the winning pre-activation was positive
     g = d_pooled * (cache.pooled > 0.0)
@@ -705,9 +754,11 @@ def _gru_block(model: CnnGruModel, flat: np.ndarray) -> np.ndarray:
     return flat[start : start + 3 * hidden * cols].reshape(3 * hidden, cols)
 
 
-def _gru_forward(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gru_forward(w: np.ndarray, x: np.ndarray, ws: Workspace
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z and r (T, B, 2h), candidate (T, B, h), hidden (T + 1, B, h) whose
     row 0 is h_0 = 0) of time-major day vectors x (T, B, d); w is _gru_block.
+    The states and the input projections are views of ws.
 
     The input-side products of every step come from one GEMM before the
     recurrence; only the h-side products stay in the loop, which writes each
@@ -719,12 +770,13 @@ def _gru_forward(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     t_len, b, d = x.shape
     w_x = w[:, h:].copy()  # the input halves of W_z, W_r and W
     w_x[: 2 * h] *= 0.5
-    x_proj = (x.reshape(t_len * b, d) @ w_x.T).reshape(t_len, b, 3 * h)
+    x_proj = ws.take("x_proj", (t_len, b, 3 * h))
+    np.matmul(x.reshape(t_len * b, d), w_x.T, out=x_proj.reshape(t_len * b, 3 * h))
     w_zr_t = (0.5 * w[: 2 * h, :h]).T.copy()
     w_hh_t = w[2 * h :, :h].T.copy()
-    zr = np.empty((t_len, b, 2 * h))
-    cand = np.empty((t_len, b, h))
-    hid = np.empty((t_len + 1, b, h))
+    zr = ws.take("zr", (t_len, b, 2 * h))
+    cand = ws.take("cand", (t_len, b, h))
+    hid = ws.take("hid", (t_len + 1, b, h))
     hid[0] = 0.0
     rh = np.empty((b, h))
     for t in range(t_len):
@@ -746,10 +798,11 @@ def _gru_forward(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _gru_backward(w: np.ndarray, x: np.ndarray, states: tuple[np.ndarray, ...],
-                  d_hid: np.ndarray, d_w: np.ndarray) -> np.ndarray:
-    """d_x (T, B, d); writes the gradient of w (_gru_block) into d_w of its
-    shape. d_hid (T, B, h) holds the gradient reaching each h_t from outside
-    the chain.
+                  d_hid: np.ndarray, d_w: np.ndarray, d_x: np.ndarray, ws: Workspace) -> None:
+    """Writes the gradient of w (_gru_block) into d_w of its shape, and that of
+    the first k columns of x (T, B, d) into d_x (T, B, k); the scratch arrays
+    are views of ws. d_hid (T, B, h) holds the gradient reaching each h_t
+    from outside the chain.
 
     The factors of each step that do not depend on the carried gradient are
     computed for all steps before the loop, into the rows of d_pre that each
@@ -759,10 +812,9 @@ def _gru_backward(w: np.ndarray, x: np.ndarray, states: tuple[np.ndarray, ...],
     zr, cand, hid = states
     h = len(w) // 3
     t_len, b, d = x.shape
-    w_x, w_zr, w_hh = w[:, h:], w[: 2 * h, :h], w[2 * h :, :h]
     z, r, h_prev = zr[..., :h], zr[..., h:], hid[:-1]
-    keep = np.subtract(1.0, z)  # dh -> h_{t-1}, directly
-    d_pre = np.empty((t_len, b, 3 * h))  # pre-activation gradients of z, r, candidate
+    keep = np.subtract(1.0, z, out=ws.take("keep", (t_len, b, h)))  # dh -> h_{t-1}, directly
+    d_pre = ws.take("d_pre", (t_len, b, 3 * h))  # pre-activation gradients of z, r, candidate
     to_z, to_r, to_cand = d_pre[..., :h], d_pre[..., h : 2 * h], d_pre[..., 2 * h :]
     np.subtract(cand, h_prev, out=to_z)  # times dh: (c - h_{t-1}) z (1 - z)
     to_z *= z
@@ -773,6 +825,7 @@ def _gru_backward(w: np.ndarray, x: np.ndarray, states: tuple[np.ndarray, ...],
     np.multiply(cand, cand, out=to_cand)  # times dh: z (1 - c^2)
     np.subtract(1.0, to_cand, out=to_cand)
     to_cand *= z
+    w_zr, w_hh = w[: 2 * h, :h], w[2 * h :, :h]
     dh, d_rh, back = np.empty((b, h)), np.empty((b, h)), np.empty((b, h))
     carry = np.zeros((b, h))
     for t in range(t_len - 1, -1, -1):
@@ -790,14 +843,19 @@ def _gru_backward(w: np.ndarray, x: np.ndarray, states: tuple[np.ndarray, ...],
     flat = d_pre.reshape(t_len * b, 3 * h)
     d_w[:, h:] = flat.T @ x.reshape(t_len * b, d)
     d_w[: 2 * h, :h] = flat[:, : 2 * h].T @ h_prev.reshape(t_len * b, h)
-    d_w[2 * h :, :h] = flat[:, 2 * h :].T @ (r * h_prev).reshape(t_len * b, h)
-    return (flat @ w_x).reshape(t_len, b, d)
+    np.multiply(r, h_prev, out=keep)
+    d_w[2 * h :, :h] = flat[:, 2 * h :].T @ keep.reshape(t_len * b, h)
+    k = d_x.shape[2]
+    np.matmul(flat, w[:, h : h + k], out=d_x.reshape(t_len * b, k))
 
 
-def _attention_forward(w_a: np.ndarray, u: np.ndarray, hid: np.ndarray
+def _attention_forward(w_a: np.ndarray, u: np.ndarray, hid: np.ndarray, ws: Workspace
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tanh(W_a h) (B, T, a), weights (B, T), context (B, h)); u is (a, 1)."""
-    acts = np.tanh(hid @ w_a.T)
+    """(tanh(W_a h) (B, T, a), a view of ws; weights (B, T); context (B, h))
+    of hidden states hid (B, T, h); u is (a, 1)."""
+    acts = ws.take("acts", (*hid.shape[:2], len(w_a)))
+    np.matmul(hid, w_a.T, out=acts)
+    np.tanh(acts, out=acts)
     scores = acts @ u[:, 0]
     ex = np.exp(scores - scores.max(axis=1, keepdims=True))
     alpha = ex / ex.sum(axis=1, keepdims=True)
@@ -824,51 +882,62 @@ def batch_forward(model: CnnGruModel, samples: Sequence[WindowSample]) -> BatchC
     return table_forward(model, day_table(model.cfg, samples), np.arange(len(samples)))
 
 
-def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray) -> BatchCache:
-    """One forward pass over the windows of table that index names, in its order."""
+def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray,
+                  ws: Workspace | None = None) -> BatchCache:
+    """One forward pass over the windows of table that index names, in its
+    order; its large arrays are views of ws, or fresh ones without it."""
     if not len(index):
         raise ShapeError("a forward pass needs at least one window")
+    if ws is None:
+        ws = Workspace()
     day_index, feats, ids, seg, counts = _gather(model, table, index)
     t = model.tensors
-    winners = pooled = None
+    plan = winners = pooled = None
     if model.arch is ArchKind.GRU_ONLY:
         items = t["embedding"][ids]
     else:
-        pooled, winners = _conv_encode(model, ids)
+        plan = _conv_plan(model, ids)
+        pooled, winners = _conv_encode(model, ids, plan)
         items = pooled
-    vecs = np.zeros((len(counts) + 1, _text_dim(model.cfg, model.arch)))
-    _add_rows(vecs, seg, items)
+    vecs = _row_sums(seg, items, len(counts) + 1)  # row U: the days without text
     vecs[:-1] /= np.maximum(counts, 1)[:, None]
-    x = np.concatenate([vecs[day_index.T], feats.transpose(1, 0, 2)], axis=2)
+    k = vecs.shape[1]
+    x = ws.take("x", (*day_index.T.shape, k + N_MARKET_FEATURES))
+    np.take(vecs, day_index.T, axis=0, out=x[..., :k], mode="clip")  # "raise" would buffer
+    x[..., k:] = feats.transpose(1, 0, 2)
 
     gru = attn = None
     if model.arch is ArchKind.CNN_ONLY:
         ctx = x.mean(axis=0)
     else:
-        gru = _gru_forward(_gru_block(model, model.params), x)
+        gru = _gru_forward(_gru_block(model, model.params), x, ws)
         if model.cfg.attention_enabled:
             acts, alpha, ctx = _attention_forward(t["attn/w_a"], t["attn/u"],
-                                                  gru[2][1:].transpose(1, 0, 2))
+                                                  gru[2][1:].transpose(1, 0, 2), ws)
             attn = (acts, alpha)
         else:
             ctx = gru[2][-1]
     pred = (ctx @ t["head_reg/w"].T + t["head_reg/b"].T)[:, 0]
     logits = ctx @ t["head_cls/w"].T + t["head_cls/b"].T
-    return BatchCache(day_index=day_index, ids=ids, seg=seg, counts=counts,
-                      winners=winners, pooled=pooled, x=x, gru=gru, attn=attn,
-                      ctx=ctx, pred=pred, logits=logits)
+    return BatchCache(day_index=day_index, ids=ids, seg=seg, counts=counts, plan=plan,
+                      winners=winners, pooled=pooled, x=x, gru=gru, attn=attn, ctx=ctx,
+                      pred=pred, logits=logits)
 
 
 def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.ndarray,
-                   target_classes: np.ndarray) -> np.ndarray:
+                   target_classes: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Gradients of mse_weight*MSE + (1-mse_weight)*CE, summed over the batch,
-    as one vector laid out as model.params; each is written into its view."""
+    as one vector laid out as model.params, each written into its view; the
+    vector and the scratch arrays are views of ws, or fresh ones without it."""
+    if ws is None:
+        ws = Workspace()
     lam = model.cfg.mse_weight
     d_pred = lam * 2.0 * (cache.pred - target_returns)
     d_logits = softmax_rows(cache.logits)
     d_logits[np.arange(len(d_logits)), target_classes] -= 1.0
     d_logits *= 1.0 - lam
-    grads = np.zeros(len(model.params))
+    grads = ws.take("grads", model.params.shape)
+    grads.fill(0.0)
     g = param_views(model, grads)
     g["head_reg/w"][:] = d_pred[None, :] @ cache.ctx
     g["head_reg/b"][:] = d_pred.sum()
@@ -877,8 +946,10 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
     t = model.tensors
     d_ctx = d_pred[:, None] @ t["head_reg/w"] + d_logits @ t["head_cls/w"]
 
+    t_len, b, _ = cache.x.shape
+    text_dim = _text_dim(model.cfg, model.arch)
     if model.arch is ArchKind.CNN_ONLY:
-        d_x = np.broadcast_to(d_ctx / model.cfg.window, cache.x.shape)
+        d_x = np.broadcast_to(d_ctx[:, :text_dim] / model.cfg.window, (t_len, b, text_dim))
     else:
         hid = cache.gru[2][1:]
         if model.cfg.attention_enabled:
@@ -888,16 +959,14 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
         else:
             d_hid = np.zeros_like(hid)
             d_hid[-1] = d_ctx
-        d_x = _gru_backward(_gru_block(model, model.params), cache.x, cache.gru, d_hid,
-                            _gru_block(model, grads))
-
-    text_dim = _text_dim(model.cfg, model.arch)
-    d_vecs = np.zeros((len(cache.counts) + 1, text_dim))
-    _add_rows(d_vecs, cache.day_index.T, d_x[:, :, :text_dim])
+        d_x = ws.take("d_x", (t_len, b, text_dim))  # only the text part has a use
+        _gru_backward(_gru_block(model, model.params), cache.x, cache.gru, d_hid,
+                      _gru_block(model, grads), d_x, ws)
+    d_vecs = _row_sums(cache.day_index.T, d_x, len(cache.counts) + 1)
     d_items = d_vecs[cache.seg] / cache.counts[cache.seg][:, None]
     d_embed = g["embedding"]
     if model.arch is ArchKind.GRU_ONLY:
-        _add_rows(d_embed, cache.ids, d_items)
+        d_embed[:] = _row_sums(cache.ids, d_items, len(d_embed))
     else:
         g["conv/k"][:] = _conv_backward(model, cache, d_items, d_embed)
     d_embed[0, :] = 0.0  # pad row is frozen
@@ -928,16 +997,20 @@ def save_checkpoint(model: CnnGruModel, path: str | Path) -> None:
     rejected on load; their models must be retrained.
     """
     _check_finite(model)
-    obj = {
+    head = json.dumps({
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "arch": model.arch.value,
         "config": model.cfg.to_dict(),
         "tensors": {name: list(shape)
                     for name, shape in param_shapes(model.cfg, model.arch).items()},
-        "values": base64.b64encode(model.params.astype("<f8").tobytes()).decode("ascii"),
-    }
+    })
+    values = base64.b64encode(model.params.astype("<f8").tobytes()).decode("ascii")
+    # json.dumps of the whole object, "values" last: base64 needs no escaping,
+    # so the payload is written as it is rather than run through the encoder
     with atomic_write(path) as fh:
-        fh.write(json.dumps(obj) + "\n")
+        fh.write(head[:-1] + ', "values": "')
+        fh.write(values)
+        fh.write('"}\n')
 
 
 # the keys of a checkpoint; formats 1 and 2 had no "values"

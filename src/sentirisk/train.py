@@ -7,10 +7,12 @@ model.DayTable each, and each mini-batch is a slice of the permutation run
 through model.table_forward/batch_backward as whole arrays. score_windows,
 behind evaluate, split_joint_loss, export_predictions and the CLI's alert,
 runs one table of a list of windows FORWARD_BLOCK windows at a time, as
-validation does. The optimizer steps a copy of model.params in place, under
-a model built once over it, so the caller's model is never written; each
-batch's gradients come from batch_backward in the same layout. A batch with
-a non-finite loss aborts the run; early stopping watches the validation
+validation does. A run owns one model.Workspace, which every batch and
+validation block reuses, and score_windows one per call; each is dropped
+when its call returns. The optimizer steps a copy of model.params in place,
+under a model built once over it, so the caller's model is never written;
+each batch's gradients come from batch_backward in the same layout. A batch
+with a non-finite loss aborts the run; early stopping watches the validation
 joint loss, and a model over a copy of the vector at the best one is what
 the caller gets back. TrainConfig is the one place that checks the training
 settings, the optimizer's among them.
@@ -36,6 +38,7 @@ from .model import (
     CnnGruModel,
     DayTable,
     ModelConfig,
+    Workspace,
     batch_backward,
     build_model,
     day_table,
@@ -104,22 +107,18 @@ def score_windows(model: CnnGruModel, windows: Sequence[WindowSample]
     table per call, run through the batched core FORWARD_BLOCK windows at a time."""
     if not windows:
         raise DataValidationError("cannot score an empty split")
-    return _split_outputs(model, day_table(model.cfg, windows))
+    return _split_outputs(model, day_table(model.cfg, windows), Workspace())
 
 
-def _split_outputs(model: CnnGruModel, table: DayTable) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions (n,) and logits (n, C) of every window of table, FORWARD_BLOCK at a time."""
-    n = len(table.windows)
-    outs = [_block_outputs(model, table, np.arange(i, min(i + FORWARD_BLOCK, n)))
-            for i in range(0, n, FORWARD_BLOCK)]
-    return np.concatenate([p for p, _ in outs]), np.concatenate([lg for _, lg in outs])
-
-
-def _block_outputs(model: CnnGruModel, table: DayTable, index: np.ndarray
+def _split_outputs(model: CnnGruModel, table: DayTable, ws: Workspace
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(pred, logits) of a block; its activations are freed on return."""
-    cache = table_forward(model, table, index)
-    return cache.pred, cache.logits
+    """Predictions (n,) and logits (n, C) of every window of table,
+    FORWARD_BLOCK at a time, each block's activations in ws."""
+    n = len(table.windows)
+    blocks = (table_forward(model, table, np.arange(i, min(i + FORWARD_BLOCK, n)), ws)
+              for i in range(0, n, FORWARD_BLOCK))
+    outs = [(cache.pred, cache.logits) for cache in blocks]
+    return np.concatenate([p for p, _ in outs]), np.concatenate([lg for _, lg in outs])
 
 
 def _joint_loss(model: CnnGruModel, pred: np.ndarray, logits: np.ndarray,
@@ -131,18 +130,18 @@ def _joint_loss(model: CnnGruModel, pred: np.ndarray, logits: np.ndarray,
 
 
 def _batch_step(model: CnnGruModel, table: DayTable, index: np.ndarray,
-                returns: np.ndarray, classes: np.ndarray
+                returns: np.ndarray, classes: np.ndarray, ws: Workspace
                 ) -> tuple[float, float, np.ndarray]:
     """(summed squared error, summed cross entropy, summed gradients laid out as
-    model.params) of a batch.
+    model.params, a view of ws) of a batch.
 
-    Its own function so the batch's activations are freed before the next one.
+    Its own function so the batch's arrays outside ws are freed before the next one.
     """
-    cache = table_forward(model, table, index)
+    cache = table_forward(model, table, index, ws)
     returns, classes = returns[index], classes[index]
     sq_err = float(np.sum((cache.pred - returns) ** 2))
     ce = float(np.sum(batch_cross_entropy(cache.logits, classes)))
-    return sq_err, ce, batch_backward(model, cache, returns, classes)
+    return sq_err, ce, batch_backward(model, cache, returns, classes, ws)
 
 
 def split_joint_loss(model: CnnGruModel, split: Sequence[WindowSample]) -> float:
@@ -174,13 +173,14 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
     table = day_table(model.cfg, train_split)
     val_returns, val_classes = _targets(val_split)
     val_table = day_table(model.cfg, val_split)
+    ws = Workspace()
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_mse = 0.0
         epoch_ce = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            sq_err, ce, grads = _batch_step(model, table, batch, returns, classes)
+            sq_err, ce, grads = _batch_step(model, table, batch, returns, classes, ws)
             if not (math.isfinite(sq_err) and math.isfinite(ce)):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size + 1}: "
@@ -188,12 +188,13 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
                 )
             epoch_mse += sq_err
             epoch_ce += ce
-            opt.apply(flat, grads / len(batch))
+            grads /= len(batch)
+            opt.apply(flat, grads)
 
         train_mse = epoch_mse / n
         train_ce = epoch_ce / n
         train_loss = joint_loss(train_mse, train_ce, model.cfg.mse_weight)
-        val_loss = _joint_loss(model, *_split_outputs(model, val_table), val_returns,
+        val_loss = _joint_loss(model, *_split_outputs(model, val_table, ws), val_returns,
                                val_classes)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingDivergedError(
@@ -210,7 +211,7 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
 
         if val_loss < best_val:
             best_val = val_loss
-            best = flat.copy()
+            best[:] = flat
             bad_epochs = 0
         else:
             bad_epochs += 1

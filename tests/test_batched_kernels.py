@@ -72,9 +72,10 @@ class TestConvKernels:
                                           want_d_embed, chunk)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model_mod, "CHUNK_VALUES", chunk)
-            pooled, winners = model_mod._conv_encode(model, ids)
+            plan = model_mod._conv_plan(model, ids)
+            pooled, winners = model_mod._conv_encode(model, ids, plan)
             d_embed = np.zeros_like(model.embedding.table.data)
-            cache = types.SimpleNamespace(ids=ids, pooled=pooled, winners=winners)
+            cache = types.SimpleNamespace(ids=ids, plan=plan, pooled=pooled, winners=winners)
             d_kernel = model_mod._conv_backward(model, cache, d_pooled, d_embed)
         # im2col can round two equal rows of its product apart, so where windows
         # read the same tokens it may pick a later one; the pooled value and
@@ -96,7 +97,8 @@ class TestConvKernels:
                           conv_stride=4, gru_hidden=2, window=2, max_doc_len=12, seed=0)
         model = build_model(cfg, ArchKind.CNN_GRU)
         doc = [1] * 10
-        _, winners = model_mod._conv_encode(model, np.array([doc + [0, 0]]))
+        ids = np.array([doc + [0, 0]])
+        _, winners = model_mod._conv_encode(model, ids, model_mod._conv_plan(model, ids))
         emb = embed_lookup(model.embedding, doc + [0, 0], cfg.max_doc_len)
         relu = Matrix._wrap(np.maximum(conv1d_forward(model.conv, emb)[0].data, 0.0))
         assert winners.tolist() == [global_max_pool(relu)[1]] == [[0]]
@@ -106,10 +108,11 @@ class TestConvKernels:
                           conv_stride=3, gru_hidden=2, window=2, max_doc_len=7, seed=1)
         model = build_model(cfg, ArchKind.CNN_GRU)
         ids = np.zeros((3, cfg.max_doc_len), dtype=np.intp)
-        pooled, winners = model_mod._conv_encode(model, ids)
+        plan = model_mod._conv_plan(model, ids)
+        pooled, winners = model_mod._conv_encode(model, ids, plan)
         assert not pooled.any() and not winners.any()
         d_embed = np.zeros_like(model.embedding.table.data)
-        cache = types.SimpleNamespace(ids=ids, pooled=pooled, winners=winners)
+        cache = types.SimpleNamespace(ids=ids, plan=plan, pooled=pooled, winners=winners)
         d_kernel = model_mod._conv_backward(model, cache, np.ones_like(pooled), d_embed)
         assert not d_kernel.any() and not d_embed.any()
 
@@ -136,11 +139,13 @@ def gru_pairs(gru, x, d_hid):
     h = gru.hidden_size
     x_bm = np.ascontiguousarray(x.transpose(1, 0, 2))
     w = stacked(gru)
-    zr, cand, hid = model_mod._gru_forward(w, x)
+    ws = model_mod.Workspace()
+    zr, cand, hid = model_mod._gru_forward(w, x, ws)
     assert hid.shape == (x.shape[0] + 1, x.shape[1], h) and not hid[0].any()
     states = ref.gru_forward(gru, x_bm)
     d_w = np.full_like(w, np.nan)  # every entry must be written
-    d_x = model_mod._gru_backward(w, x, (zr, cand, hid), d_hid, d_w)
+    d_x = np.full_like(x, np.nan)  # here every column is asked for
+    model_mod._gru_backward(w, x, (zr, cand, hid), d_hid, d_w, d_x, ws)
     want = ref.gru_backward(gru, x_bm, states, np.ascontiguousarray(d_hid.transpose(1, 0, 2)))
     return list(zip(
         [zr[..., :h], zr[..., h:], cand, hid[1:], d_x, d_w[:h], d_w[h : 2 * h], d_w[2 * h :]],
@@ -174,6 +179,6 @@ class TestGruKernels:
     def test_saturated_gates_stay_finite(self):
         # sigmoid as 0.5 + 0.5 tanh(a / 2) cannot overflow, however large a is
         gru, x, _ = gru_case(2, 4, 2, 3, 1e6, 0)
-        zr, cand, hid = model_mod._gru_forward(stacked(gru), x)
+        zr, cand, hid = model_mod._gru_forward(stacked(gru), x, model_mod.Workspace())
         assert np.isfinite(zr).all() and np.isfinite(hid).all()
         assert ((zr >= 0.0) & (zr <= 1.0)).all()

@@ -231,6 +231,21 @@ class TestAdam:
         assert got.tobytes() == want.tobytes()
         assert opt.t == 10
 
+    def test_reused_gradient_vector_matches_textbook_oracle(self):
+        # train hands apply one gradient vector, overwritten every batch; the
+        # update reads it, never keeps or writes it, and reuses its own scratch
+        lr = 1e-2
+        p = RNG.standard_normal(1000)
+        grads = [RNG.standard_normal(1000) * 10.0 ** RNG.integers(-6, 6) for _ in range(6)]
+        opt = Optimizer("adam", lr)
+        got, buf = p.copy(), np.empty(1000)
+        for t, g in enumerate(grads, start=1):
+            buf[:] = g
+            opt.apply(got, buf)
+            assert buf.tobytes() == g.tobytes()
+            want = textbook_adam(p, grads[:t], lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+            assert got.tobytes() == want.tobytes()
+
     def test_default_learning_rate(self):
         assert TrainConfig().optimizer == "adam"
         assert TrainConfig().lr == 1e-4

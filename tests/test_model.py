@@ -33,6 +33,7 @@ from sentirisk.model import (
     ArchKind,
     CnnGruModel,
     ModelConfig,
+    Workspace,
     batch_backward,
     batch_forward,
     build_model,
@@ -532,7 +533,7 @@ class TestBatchedCore:
         cfg = dataclasses.replace(SHORT, conv_stride=stride)
         model = build_model(cfg, ArchKind.CNN_GRU)
         ids = batch_forward(model, short_doc_windows(cfg, [1, 6, 2, 4, 3, 7], seed=8)).ids
-        pooled, winners = model_mod._conv_encode(model, ids)
+        pooled, winners = model_mod._conv_encode(model, ids, model_mod._conv_plan(model, ids))
         want_pooled, want_winners = full_grid_encode(model, ids)
         assert pooled.tobytes() == want_pooled.tobytes()
         assert winners.tobytes() == want_winners.tobytes()
@@ -633,30 +634,79 @@ class TestDayTable:
                 model_forward(build_model(BATCHED, ArchKind.CNN_GRU), samples[2])
 
 
-class TestAddRows:
-    """model._add_rows against np.add.at, bit for bit."""
+class TestWorkspace:
+    """table_forward and batch_backward on a reused Workspace."""
 
-    @pytest.mark.parametrize("rows, start", [
-        (np.tile([2, 0, 2, 2, 1, 0], 8), 0.0),
-        (np.array([3, 3, 1]), 1.0),
-        (np.array([], dtype=np.intp), 1.0),
-    ], ids=["repeated rows", "nonzero accumulator", "empty index"])
-    def test_equals_add_at(self, rows, start):
+    def run(self, model, table, samples, index, ws):
+        cache = table_forward(model, table, index, ws)
+        returns = np.array([samples[i].target_return for i in index])
+        classes = np.array([samples[i].target_class for i in index])
+        return cache, batch_backward(model, cache, returns, classes, ws)
+
+    def test_two_passes_share_the_states(self):
+        model = build_model(BATCHED, ArchKind.CNN_GRU)
+        samples = shared_day_windows(BATCHED, 11, seed=4)
+        table, ws = day_table(BATCHED, samples), Workspace()
+        first = table_forward(model, table, np.arange(6), ws)
+        second = table_forward(model, table, np.arange(6), ws)
+        assert np.shares_memory(first.gru[0], second.gru[0])
+
+    @pytest.mark.parametrize("attention", [True, False], ids=["attention", "no-attention"])
+    @pytest.mark.parametrize("arch", list(ArchKind), ids=lambda a: a.value)
+    def test_narrower_batch_reuses_the_buffers_bit_for_bit(self, arch, attention):
+        # a ragged last batch after a full one: views of the same buffers,
+        # and the same bits as a pass that allocates afresh
+        cfg = dataclasses.replace(BATCHED, attention_enabled=attention)
+        model = build_model(cfg, arch)
+        samples = shared_day_windows(cfg, 60, seed=4)
+        table, ws = day_table(cfg, samples), Workspace()
+        index = np.random.default_rng(0).permutation(len(samples))
+        full, full_grads = self.run(model, table, samples, index[:50], ws)
+        ragged, grads = self.run(model, table, samples, index[50:2:-1], ws)
+        assert len(ragged.pred) == 48
+        assert np.shares_memory(full.x, ragged.x) and np.shares_memory(full_grads, grads)
+        if full.gru is not None:
+            assert np.shares_memory(full.gru[0], ragged.gru[0])
+        fresh, fresh_grads = self.run(model, table, samples, index[50:2:-1], None)
+        assert ragged.pred.tobytes() == fresh.pred.tobytes()
+        assert ragged.logits.tobytes() == fresh.logits.tobytes()
+        assert grads.tobytes() == fresh_grads.tobytes()
+
+    @pytest.mark.parametrize("arch", list(ArchKind), ids=lambda a: a.value)
+    def test_no_workspace_never_aliases(self, arch):
+        model = build_model(BATCHED, arch)
+        samples = shared_day_windows(BATCHED, 11, seed=4)
+        table = day_table(BATCHED, samples)
+        (a, grads_a), (b, grads_b) = (self.run(model, table, samples, np.arange(6), None)
+                                      for _ in range(2))
+        assert not np.shares_memory(a.x, b.x)
+        assert not np.shares_memory(grads_a, grads_b)
+        if a.gru is not None:
+            assert not any(np.shares_memory(p, q) for p, q in zip(a.gru, b.gru))
+
+
+class TestRowSums:
+    """model._row_sums against np.add.at into zeros, bit for bit."""
+
+    @pytest.mark.parametrize("rows, n_rows", [
+        (np.tile([2, 0, 2, 2, 1, 0], 8), 4),
+        (np.array([3, 3, 1]), 4),
+        (np.array([], dtype=np.intp), 4),
+    ], ids=["repeated rows", "unused rows", "empty index"])
+    def test_equals_add_at(self, rows, n_rows):
         values = RNG.standard_normal((len(rows), 5)) * 10.0 ** RNG.integers(-8, 8, (len(rows), 1))
-        want = np.full((4, 5), start) + RNG.standard_normal((4, 5))
-        got = want.copy()
+        want = np.zeros((n_rows, 5))
         np.add.at(want, rows, values)
-        model_mod._add_rows(got, rows, values)
-        assert got.tobytes() == want.tobytes()
+        got = model_mod._row_sums(rows, values, n_rows)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     def test_non_contiguous_values(self):
-        # the day-vector gradient slice of batch_backward: d_x[:, :, :text_dim]
+        # values that are not contiguous, as the CNN's broadcast day-vector gradient is
         d_x = RNG.standard_normal((3, 4, 7))
         day_index = RNG.integers(0, 5, (3, 4))
-        want = RNG.standard_normal((5, 4))
-        got = want.copy()
+        want = np.zeros((5, 4))
         np.add.at(want, day_index.ravel(), d_x[:, :, :4].reshape(-1, 4))
-        model_mod._add_rows(got, day_index, d_x[:, :, :4])
+        got = model_mod._row_sums(day_index, d_x[:, :, :4], 5)
         assert got.tobytes() == want.tobytes()
 
 
@@ -748,6 +798,20 @@ class TestCheckpoint:
             assert a.keys() == b.keys()
             for n in a:
                 assert np.array_equal(a[n], b[n]), n
+
+    @pytest.mark.parametrize("arch", list(ArchKind), ids=lambda a: a.value)
+    def test_bytes_are_json_dumps_of_the_object(self, tmp_path, arch):
+        flat = build_model(TINY, arch).params.copy()
+        flat[TINY.vocab_size * TINY.embed_dim :] = RNG.standard_normal(
+            len(flat) - TINY.vocab_size * TINY.embed_dim) * 10.0 ** RNG.integers(-300, 300)
+        model = CnnGruModel(TINY, arch, flat)
+        path = tmp_path / "m.ckpt.json"
+        save_checkpoint(model, path)
+        obj = {"format_version": model_mod.CHECKPOINT_FORMAT_VERSION, "arch": arch.value,
+               "config": TINY.to_dict(),
+               "tensors": {n: list(s) for n, s in param_shapes(TINY, arch).items()}}
+        set_payload(obj, flat)
+        assert path.read_bytes() == (json.dumps(obj) + "\n").encode("utf-8")
 
     def test_round_trip_forward_identical(self, tmp_path):
         model = build_model(TINY, ArchKind.CNN_GRU)

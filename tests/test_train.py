@@ -1,6 +1,7 @@
 """Training loop, metrics, ablation table, prediction export."""
 
 import csv
+import dataclasses
 import datetime as dt
 import json
 import math
@@ -10,13 +11,18 @@ import pytest
 
 from sentirisk.data import AlignedDay, NormStats, WindowSample
 from sentirisk.errors import DataValidationError, NumericError, TrainingDivergedError
+from sentirisk.losses import batch_cross_entropy, joint_loss
 from sentirisk.model import (
     ArchKind,
     CnnGruModel,
     ModelConfig,
+    batch_backward,
     build_model,
+    day_table,
     model_forward,
+    table_forward,
 )
+from sentirisk.optim import Optimizer
 from sentirisk.train import (
     FORWARD_BLOCK,
     MetricsReport,
@@ -69,7 +75,62 @@ def make_samples(cfg: ModelConfig, n: int, seed=0, const_return=None):
     return samples
 
 
+def reference_train(model, train_split, val_split, cfg):
+    """train()'s loop without early stopping, written out over table_forward
+    and batch_backward with no workspace: every batch and validation block
+    gets fresh arrays. (best parameters, history)."""
+    opt = Optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    flat = model.params.copy()
+    model = CnnGruModel(model.cfg, model.arch, flat)
+    tables = day_table(model.cfg, train_split), day_table(model.cfg, val_split)
+    targets = [(np.array([s.target_return for s in split]),
+                np.array([s.target_class for s in split])) for split in (train_split, val_split)]
+    (returns, classes), (val_returns, val_classes) = targets
+    n, lam = len(train_split), model.cfg.mse_weight
+    best, best_val, history = flat.copy(), math.inf, []
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        sq_err = ce = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            cache = table_forward(model, tables[0], batch)
+            sq_err += float(np.sum((cache.pred - returns[batch]) ** 2))
+            ce += float(np.sum(batch_cross_entropy(cache.logits, classes[batch])))
+            grads = batch_backward(model, cache, returns[batch], classes[batch])
+            opt.apply(flat, grads / len(batch))
+        blocks = [table_forward(model, tables[1], np.arange(i, min(i + FORWARD_BLOCK,
+                                                                   len(val_split))))
+                  for i in range(0, len(val_split), FORWARD_BLOCK)]
+        pred = np.concatenate([c.pred for c in blocks])
+        logits = np.concatenate([c.logits for c in blocks])
+        val_loss = joint_loss(float(np.mean((pred - val_returns) ** 2)),
+                              float(np.mean(batch_cross_entropy(logits, val_classes))), lam)
+        history.append({"epoch": epoch, "train_loss": joint_loss(sq_err / n, ce / n, lam),
+                        "val_loss": val_loss, "train_mse": sq_err / n, "train_ce": ce / n})
+        if val_loss < best_val:
+            best, best_val = flat.copy(), val_loss
+    return best, history
+
+
 class TestTrainLoop:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("attention", [True, False], ids=["attention", "no-attention"])
+    @pytest.mark.parametrize("arch", list(ArchKind), ids=lambda a: a.value)
+    def test_workspace_run_equals_fresh_arrays_bit_for_bit(self, arch, attention, optimizer):
+        # ragged last batches, and more than one validation block
+        mcfg = dataclasses.replace(TINY, attention_enabled=attention)
+        samples = make_samples(mcfg, 40 + FORWARD_BLOCK + 6)
+        cfg = TrainConfig(epochs=3, patience=0, batch_size=13, lr=1e-2, optimizer=optimizer,
+                          weight_decay=0.01 if optimizer == "sgd" else 0.0, seed=2)
+        model = build_model(mcfg, arch)
+        got, history = train(model, samples[:40], samples[40:], cfg)
+        want, want_history = reference_train(model, samples[:40], samples[40:], cfg)
+        assert history == want_history
+        assert got.params.tobytes() == want.tobytes()
+        assert len({h["val_loss"] for h in history}) == 3  # every epoch moved the model
+
+
     def test_single_epoch_boundary(self):
         samples = make_samples(TINY, 8)
         model = build_model(TINY, ArchKind.CNN_GRU)
