@@ -31,12 +31,14 @@ flat indices each. batch_forward(model, samples) builds a table of its
 samples and runs them all. Every reduction runs in a fixed order, so
 seeded reruns are bitwise identical.
 
-A Workspace keeps the batched core's large arrays (day vectors, GRU
-projections and states, attention activations, GRU backward scratch and
-input gradients, the gradient vector) resident from one call to the next,
-so a training run does not hand them back to the allocator and fault them
-in again each batch. train owns one per run, and score_windows one per
-call; with none, table_forward and batch_backward allocate afresh.
+A Workspace keeps every batch-sized array of the batched core (day
+vectors, pooled conv outputs, GRU projections and states, attention
+activations, the kernels' scratch, input gradients, the gradient vector)
+resident from one call to the next, so a training run does not hand them
+back to the allocator and fault them in again each batch; arrays that are
+never alive at once share a buffer. train and score_windows borrow one from
+a process-wide pool of idle workspaces for the length of the call (see
+train.py); with none, table_forward and batch_backward allocate afresh.
 Aliasing rule: a BatchCache built with a workspace is valid until the next
 table_forward on that workspace, and a gradient vector batch_backward
 returns from one until the next batch_backward on it.
@@ -173,6 +175,8 @@ class CnnGruModel:
     cfg: ModelConfig
     arch: ArchKind
     params: np.ndarray
+    # each tensor's (span of params, (rows, cols)), in param_shapes order
+    layout: dict[str, tuple[slice, tuple[int, int]]] = field(init=False, repr=False)
     tensors: dict[str, np.ndarray] = field(init=False)
     embedding: EmbeddingTable = field(init=False)
     conv: Conv1DParams | None = field(init=False)
@@ -182,6 +186,10 @@ class CnnGruModel:
     head_cls: DenseParams = field(init=False)
 
     def __post_init__(self) -> None:
+        self.layout, at = {}, 0
+        for name, (rows, cols) in param_shapes(self.cfg, self.arch).items():
+            self.layout[name] = (slice(at, at + rows * cols), (rows, cols))
+            at += rows * cols
         self.params = self.params.view()
         self.params.flags.writeable = False
         self.tensors = param_views(self, self.params)
@@ -226,16 +234,11 @@ def param_views(model: CnnGruModel, flat: np.ndarray) -> dict[str, np.ndarray]:
     """Every tensor of model by name, as a (rows, cols) view of its span of
     flat: a contiguous float64 vector laid out as model.params, such as the
     parameters themselves or batch_backward's gradients."""
-    shapes = param_shapes(model.cfg, model.arch)
-    size = sum(rows * cols for rows, cols in shapes.values())
+    size = max(span.stop for span, _ in model.layout.values())
     if flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
         raise ShapeError(f"flat parameters must be a contiguous float64 vector of shape "
                          f"({size},), got {flat.dtype} {flat.shape}")
-    views, at = {}, 0
-    for name, (rows, cols) in shapes.items():
-        views[name] = flat[at : at + rows * cols].reshape(rows, cols)
-        at += rows * cols
-    return views
+    return {name: flat[span].reshape(shape) for name, (span, shape) in model.layout.items()}
 
 
 def build_model(cfg: ModelConfig, arch: ArchKind) -> CnnGruModel:
@@ -476,24 +479,33 @@ CHUNK_VALUES = 1 << 16
 
 
 class Workspace:
-    """Named float64 scratch arrays that the batched core reuses across calls.
+    """Named scratch arrays that the batched core reuses across calls.
 
-    take(name, shape) returns a C-contiguous view of the first prod(shape)
-    values of one flat buffer per name, grown only when a larger shape is
-    asked for, so one buffer serves every batch width up to the largest
-    seen: full batches, a ragged last batch and validation blocks alike. A
-    view is uninitialized and is overwritten by the next take of its name.
+    take(name, shape, dtype) returns a C-contiguous view of the front of one
+    flat buffer per name, grown only when more bytes are asked for, so one
+    buffer serves every batch width up to the largest seen: full batches, a
+    ragged last batch and validation blocks alike. A view is uninitialized
+    and is overwritten by the next take of its name.
+
+    Names whose arrays outlive the function that takes them hold one array
+    each: the BatchCache's x, items (pooled outputs, or GruOnly's token
+    embeddings), winners, zr, cand, hid and acts; batch_backward's grads,
+    d_hid, d_x and d_items; Adam's adam/m and adam/v. The names scratch0,
+    scratch1 and scratch2 are shared: a kernel takes them for arrays that
+    die before it returns, and never passes one to another kernel, so the
+    workspace holds one kernel's temporaries at a time, not their sum.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
         buf = self._buffers.get(name)
-        if buf is None or len(buf) < size:
-            buf = self._buffers[name] = np.empty(size)
-        return buf[:size].reshape(shape)
+        if buf is None or buf.nbytes < nbytes:
+            buf = self._buffers[name] = np.empty(-(-nbytes // 8))  # 8-byte aligned
+        return buf.view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
 
 # a _conv_plan: (token positions of the conv windows to run, the distinct
@@ -630,13 +642,16 @@ def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray
             np.bincount(seg, minlength=len(texts)))
 
 
-def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int, ws: Workspace
+              ) -> np.ndarray:
     """(n_rows, width): the rows of values (..., width) summed by their row
     in rows (of values' leading shape), as np.add.at into zeros would, but as
-    one np.bincount over flat indices, which adds the same elements in the
-    same order: the same bits, several times faster."""
+    one np.bincount over flat indices (in ws), which adds the same elements
+    in the same order: the same bits, several times faster."""
     width = values.shape[-1]
-    flat = rows.reshape(-1, 1) * width + np.arange(width)
+    flat = np.multiply(rows.reshape(-1, 1), width,
+                       out=ws.take("scratch0", (rows.size, width), np.intp))
+    flat += np.arange(width)
     sums = np.bincount(flat.ravel(), weights=values.reshape(-1), minlength=n_rows * width)
     # an empty index gives integer zeros, weights or not
     return sums.astype(np.float64, copy=False).reshape(n_rows, width)
@@ -677,33 +692,42 @@ def _regroup(kernel: np.ndarray, width: int) -> np.ndarray:
         -1, width * kernel.shape[1])
 
 
-def _conv_encode(model: CnnGruModel, ids: np.ndarray, plan: ConvPlan
+def _conv_encode(model: CnnGruModel, ids: np.ndarray, plan: ConvPlan, ws: Workspace
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(pooled, winners) of every document: conv, ReLU, max-pool over time
-    (ties go to the earliest step); plan is _conv_plan(model, ids).
+    """(pooled, winners) of every document, views of ws: conv, ReLU, max-pool
+    over time (ties go to the earliest step); plan is _conv_plan(model, ids).
 
     The conv is linear in the embedded tokens, so one product gives every
     distinct token's response to each filter at each window position,
-    proj (U, width, F), and a window's pre-activation is the sum of width
-    gathered rows of it, added in position order. Activations are
-    window-major, so the pooling reduces over whole (documents, F) slabs.
+    proj (U * width, F) with row u * width + k for token u at position k,
+    and a window's pre-activation is the sum of width gathered rows of it,
+    added in position order. Activations are window-major, so the pooling
+    reduces over whole (documents, F) slabs.
     """
     width = model.cfg.kernel_width
     kernel = model.tensors["conv/k"]
+    n_filters = kernel.shape[1]
     windows, tokens, row, step = plan
-    proj = (model.tensors["embedding"][tokens] @ _regroup(kernel, width)).reshape(
-        len(tokens), width, -1)
+    emb = np.take(model.tensors["embedding"], tokens, axis=0, mode="clip",
+                  out=ws.take("scratch1", (len(tokens), model.cfg.embed_dim)))
+    proj = np.matmul(emb, _regroup(kernel, width),
+                     out=ws.take("scratch2", (len(tokens), width * n_filters)))
+    proj = proj.reshape(len(tokens) * width, n_filters)
     # window j weighs n_windows - j: the heaviest window at the max is the earliest
     weight = np.arange(len(windows), 0, -1, dtype=np.min_scalar_type(len(windows)))
-    pooled = np.empty((len(ids), kernel.shape[1]))
-    winners = np.empty((len(ids), kernel.shape[1]), dtype=np.intp)
+    pooled = ws.take("items", (len(ids), n_filters))
+    winners = ws.take("winners", (len(ids), n_filters), np.intp)
     for s in range(0, len(ids), step):
         tok = row[ids[s : s + step].T[windows]]  # (n_windows, width, n)
-        act = proj[tok[:, 0], 0]  # (n_windows, n, F)
+        tok *= width
+        tok += np.arange(width)[:, None]  # proj's row of each token at its position
+        shape = (len(windows), tok.shape[2], n_filters)
+        act = np.take(proj, tok[:, 0], axis=0, mode="clip", out=ws.take("scratch0", shape))
+        term = ws.take("scratch1", shape)
         for k in range(1, width):
-            act += proj[tok[:, k], k]
+            act += np.take(proj, tok[:, k], axis=0, mode="clip", out=term)
         np.maximum(act, 0.0, out=act)
-        best = pooled[s : s + step] = act.max(axis=0)
+        best = np.max(act, axis=0, out=pooled[s : s + step])
         # not below the max: the max itself, or every window when it is NaN
         top = ~(act < best) * weight[:, None, None]
         winners[s : s + step] = len(windows) - top.max(axis=0)
@@ -711,8 +735,9 @@ def _conv_encode(model: CnnGruModel, ids: np.ndarray, plan: ConvPlan
 
 
 def _conv_backward(model: CnnGruModel, cache: BatchCache, d_pooled: np.ndarray,
-                   d_embed: np.ndarray) -> np.ndarray:
-    """Kernel-matrix gradient; adds the embedding gradient into d_embed.
+                   d_embed: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Kernel-matrix gradient; adds the embedding gradient into d_embed. The
+    scratch arrays are views of ws.
 
     Only each filter's winning window carries gradient, so it is scattered
     straight into the gradient of proj, one add per (document, filter,
@@ -724,9 +749,10 @@ def _conv_backward(model: CnnGruModel, cache: BatchCache, d_pooled: np.ndarray,
     kernel = model.tensors["conv/k"]
     n_filters = kernel.shape[1]
     _, tokens, row, step = cache.plan
-    d_proj = np.zeros(len(tokens) * width * n_filters)
+    d_proj = ws.take("scratch0", (len(tokens) * width * n_filters,))
+    d_proj.fill(0.0)
     # the ReLU passes gradient only where the winning pre-activation was positive
-    g = d_pooled * (cache.pooled > 0.0)
+    g = np.multiply(d_pooled, cache.pooled > 0.0, out=ws.take("scratch1", d_pooled.shape))
     filters = np.arange(n_filters)
     for s in range(0, len(cache.ids), step):
         ids = cache.ids[s : s + step]
@@ -739,19 +765,22 @@ def _conv_backward(model: CnnGruModel, cache: BatchCache, d_pooled: np.ndarray,
             at += k * n_filters + filters
             np.add.at(d_proj, at.ravel(), g[s : s + step].ravel())
     d_proj = d_proj.reshape(len(tokens), width * n_filters)
-    d_embed[tokens] += d_proj @ _regroup(kernel, width).T
-    d_regrouped = model.tensors["embedding"][tokens].T @ d_proj  # (E, width * F)
+    shape = (len(tokens), cfg.embed_dim)
+    d_rows = np.matmul(d_proj, _regroup(kernel, width).T, out=ws.take("scratch2", shape))
+    rows = np.take(d_embed, tokens, axis=0, mode="clip", out=ws.take("scratch1", shape))
+    rows += d_rows
+    d_embed[tokens] = rows
+    emb = np.take(model.tensors["embedding"], tokens, axis=0, mode="clip",
+                  out=ws.take("scratch1", shape))
+    d_regrouped = emb.T @ d_proj  # (E, width * F)
     return d_regrouped.reshape(-1, width, n_filters).transpose(1, 0, 2).reshape(kernel.shape)
 
 
 def _gru_block(model: CnnGruModel, flat: np.ndarray) -> np.ndarray:
     """W_z, W_r and W stacked (3h, h + d), as one view of flat, a vector laid
     out as model.params, where param_shapes lists the three next to each other."""
-    shapes = param_shapes(model.cfg, model.arch)
-    before = list(shapes)[: list(shapes).index("gru/w_z")]
-    start = sum(shapes[name][0] * shapes[name][1] for name in before)
-    hidden, cols = shapes["gru/w_z"]
-    return flat[start : start + 3 * hidden * cols].reshape(3 * hidden, cols)
+    span, (hidden, cols) = model.layout["gru/w_z"]
+    return flat[span.start : span.start + 3 * hidden * cols].reshape(3 * hidden, cols)
 
 
 def _gru_forward(w: np.ndarray, x: np.ndarray, ws: Workspace
@@ -770,7 +799,7 @@ def _gru_forward(w: np.ndarray, x: np.ndarray, ws: Workspace
     t_len, b, d = x.shape
     w_x = w[:, h:].copy()  # the input halves of W_z, W_r and W
     w_x[: 2 * h] *= 0.5
-    x_proj = ws.take("x_proj", (t_len, b, 3 * h))
+    x_proj = ws.take("scratch0", (t_len, b, 3 * h))
     np.matmul(x.reshape(t_len * b, d), w_x.T, out=x_proj.reshape(t_len * b, 3 * h))
     w_zr_t = (0.5 * w[: 2 * h, :h]).T.copy()
     w_hh_t = w[2 * h :, :h].T.copy()
@@ -813,8 +842,8 @@ def _gru_backward(w: np.ndarray, x: np.ndarray, states: tuple[np.ndarray, ...],
     h = len(w) // 3
     t_len, b, d = x.shape
     z, r, h_prev = zr[..., :h], zr[..., h:], hid[:-1]
-    keep = np.subtract(1.0, z, out=ws.take("keep", (t_len, b, h)))  # dh -> h_{t-1}, directly
-    d_pre = ws.take("d_pre", (t_len, b, 3 * h))  # pre-activation gradients of z, r, candidate
+    keep = np.subtract(1.0, z, out=ws.take("scratch1", (t_len, b, h)))  # dh -> h_{t-1}, directly
+    d_pre = ws.take("scratch0", (t_len, b, 3 * h))  # pre-activation gradients of z, r, candidate
     to_z, to_r, to_cand = d_pre[..., :h], d_pre[..., h : 2 * h], d_pre[..., 2 * h :]
     np.subtract(cand, h_prev, out=to_z)  # times dh: (c - h_{t-1}) z (1 - z)
     to_z *= z
@@ -863,16 +892,23 @@ def _attention_forward(w_a: np.ndarray, u: np.ndarray, hid: np.ndarray, ws: Work
 
 
 def _attention_backward(w_a: np.ndarray, u: np.ndarray, hid: np.ndarray, acts: np.ndarray,
-                        alpha: np.ndarray, d_ctx: np.ndarray
+                        alpha: np.ndarray, d_ctx: np.ndarray, ws: Workspace
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d_hid, d_w_a, d_u)."""
+    """(d_hid (B, T, h), a view of ws; d_w_a; d_u) of hidden states hid (B, T, h)."""
     d_alpha = np.einsum("bth,bh->bt", hid, d_ctx)
     d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=1, keepdims=True))
-    d_act = d_scores[:, :, None] * u[:, 0] * (1.0 - acts * acts)
+    # d_scores u (1 - acts^2), multiplied in that order
+    d_act = np.multiply(d_scores[:, :, None], u[:, 0], out=ws.take("scratch0", acts.shape))
+    slope = np.multiply(acts, acts, out=ws.take("scratch1", acts.shape))
+    np.subtract(1.0, slope, out=slope)
+    d_act *= slope
     a, h = acts.shape[2], hid.shape[2]
-    d_w_a = d_act.reshape(-1, a).T @ hid.reshape(-1, h)
+    rows = ws.take("scratch2", hid.shape)
+    rows[...] = hid  # the contiguous copy hid.reshape(-1, h) makes of a time-major view
+    d_w_a = d_act.reshape(-1, a).T @ rows.reshape(-1, h)
     d_u = (acts.reshape(-1, a).T @ d_scores.reshape(-1))[:, None]
-    d_hid = alpha[:, :, None] * d_ctx[:, None, :] + d_act @ w_a
+    d_hid = np.multiply(alpha[:, :, None], d_ctx[:, None, :], out=ws.take("d_hid", hid.shape))
+    d_hid += np.matmul(d_act, w_a, out=ws.take("scratch2", hid.shape))
     return d_hid, d_w_a, d_u
 
 
@@ -888,18 +924,18 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray,
     order; its large arrays are views of ws, or fresh ones without it."""
     if not len(index):
         raise ShapeError("a forward pass needs at least one window")
-    if ws is None:
-        ws = Workspace()
+    ws = Workspace() if ws is None else ws
     day_index, feats, ids, seg, counts = _gather(model, table, index)
     t = model.tensors
     plan = winners = pooled = None
     if model.arch is ArchKind.GRU_ONLY:
-        items = t["embedding"][ids]
+        items = np.take(t["embedding"], ids, axis=0, mode="clip",
+                        out=ws.take("items", (len(ids), model.cfg.embed_dim)))
     else:
         plan = _conv_plan(model, ids)
-        pooled, winners = _conv_encode(model, ids, plan)
+        pooled, winners = _conv_encode(model, ids, plan, ws)
         items = pooled
-    vecs = _row_sums(seg, items, len(counts) + 1)  # row U: the days without text
+    vecs = _row_sums(seg, items, len(counts) + 1, ws)  # row U: the days without text
     vecs[:-1] /= np.maximum(counts, 1)[:, None]
     k = vecs.shape[1]
     x = ws.take("x", (*day_index.T.shape, k + N_MARKET_FEATURES))
@@ -929,8 +965,7 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
     """Gradients of mse_weight*MSE + (1-mse_weight)*CE, summed over the batch,
     as one vector laid out as model.params, each written into its view; the
     vector and the scratch arrays are views of ws, or fresh ones without it."""
-    if ws is None:
-        ws = Workspace()
+    ws = Workspace() if ws is None else ws
     lam = model.cfg.mse_weight
     d_pred = lam * 2.0 * (cache.pred - target_returns)
     d_logits = softmax_rows(cache.logits)
@@ -954,21 +989,24 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
         hid = cache.gru[2][1:]
         if model.cfg.attention_enabled:
             d_hid, g["attn/w_a"][:], g["attn/u"][:] = _attention_backward(
-                t["attn/w_a"], t["attn/u"], hid.transpose(1, 0, 2), *cache.attn, d_ctx)
+                t["attn/w_a"], t["attn/u"], hid.transpose(1, 0, 2), *cache.attn, d_ctx, ws)
             d_hid = d_hid.transpose(1, 0, 2)
         else:
-            d_hid = np.zeros_like(hid)
+            d_hid = ws.take("d_hid", hid.shape)
+            d_hid.fill(0.0)
             d_hid[-1] = d_ctx
         d_x = ws.take("d_x", (t_len, b, text_dim))  # only the text part has a use
         _gru_backward(_gru_block(model, model.params), cache.x, cache.gru, d_hid,
                       _gru_block(model, grads), d_x, ws)
-    d_vecs = _row_sums(cache.day_index.T, d_x, len(cache.counts) + 1)
-    d_items = d_vecs[cache.seg] / cache.counts[cache.seg][:, None]
+    d_vecs = _row_sums(cache.day_index.T, d_x, len(cache.counts) + 1, ws)
+    d_items = np.take(d_vecs, cache.seg, axis=0, mode="clip",
+                      out=ws.take("d_items", (len(cache.seg), text_dim)))
+    d_items /= cache.counts[cache.seg][:, None]
     d_embed = g["embedding"]
     if model.arch is ArchKind.GRU_ONLY:
-        d_embed[:] = _row_sums(cache.ids, d_items, len(d_embed))
+        d_embed[:] = _row_sums(cache.ids, d_items, len(d_embed), ws)
     else:
-        g["conv/k"][:] = _conv_backward(model, cache, d_items, d_embed)
+        g["conv/k"][:] = _conv_backward(model, cache, d_items, d_embed, ws)
     d_embed[0, :] = 0.0  # pad row is frozen
     return grads
 
@@ -1001,8 +1039,7 @@ def save_checkpoint(model: CnnGruModel, path: str | Path) -> None:
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "arch": model.arch.value,
         "config": model.cfg.to_dict(),
-        "tensors": {name: list(shape)
-                    for name, shape in param_shapes(model.cfg, model.arch).items()},
+        "tensors": {name: list(shape) for name, (_, shape) in model.layout.items()},
     })
     values = base64.b64encode(model.params.astype("<f8").tobytes()).decode("ascii")
     # json.dumps of the whole object, "values" last: base64 needs no escaping,

@@ -3,10 +3,11 @@
 Optimizer.apply steps a model's parameters, the float64 vector model.params,
 in place with a few whole-vector operations, given gradients in the same
 layout (model.batch_backward); Adam's moments are two more vectors of that
-layout, and it works in two scratch vectors of it, made on its first step
-and reused by every later one. The learning rate and decay come from
-train.TrainConfig, which checks their ranges; Adam's betas and epsilon are
-the published defaults, fixed.
+layout, zeroed on its first step. The moments and the scratch vectors both
+rules work in are views of the optimizer's model.Workspace (train lends it
+the run's), so no step allocates a vector. The learning rate and decay come
+from train.TrainConfig, which checks their ranges; Adam's betas and epsilon
+are the published defaults, fixed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
+from .model import Workspace
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -29,11 +31,11 @@ class Optimizer:
     kind: str  # "sgd" | "adam"
     lr: float
     weight_decay: float = 0.0  # sgd only
-    # Adam's moments, scratch vectors and step count, created on the first step
+    # holds the vectors below and the scratch of each step; a new one by default
+    ws: Workspace = field(default_factory=Workspace, repr=False)
+    # Adam's moments and step count, created on the first step
     m: np.ndarray | None = field(init=False, default=None, repr=False)
     v: np.ndarray | None = field(init=False, default=None, repr=False)
-    scratch: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None,
-                                                          repr=False)
     t: int = field(init=False, default=0)
 
     def apply(self, params: np.ndarray, grads: np.ndarray) -> None:
@@ -42,16 +44,21 @@ class Optimizer:
         if params.ndim != 1 or params.shape != grads.shape:
             raise ShapeError(f"optimizer needs 1-D params and grads of one length, "
                              f"got {params.shape} and {grads.shape}")
-        if self.kind == "sgd":
-            params -= self.lr * (grads + self.weight_decay * params)
+        a = self.ws.take("scratch0", params.shape)
+        if self.kind == "sgd":  # products commute exactly
+            np.multiply(params, self.weight_decay, out=a)
+            np.add(grads, a, out=a)
+            a *= self.lr
+            params -= a
             return
         if self.m is None:
-            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
-            self.scratch = np.empty_like(params), np.empty_like(params)
+            self.m, self.v = (self.ws.take(name, params.shape) for name in ("adam/m", "adam/v"))
+            self.m.fill(0.0)
+            self.v.fill(0.0)
         elif self.m.shape != params.shape:
             raise ShapeError(f"adam state holds {self.m.size} values, params {params.size}")
         self.t += 1
-        a, b = self.scratch
+        b = self.ws.take("scratch1", params.shape)
         # each line keeps the textbook's operands and order: products commute exactly
         self.m *= ADAM_BETA1
         self.m += np.multiply(grads, 1.0 - ADAM_BETA1, out=a)  # (1 - beta1) g

@@ -7,26 +7,33 @@ model.DayTable each, and each mini-batch is a slice of the permutation run
 through model.table_forward/batch_backward as whole arrays. score_windows,
 behind evaluate, split_joint_loss, export_predictions and the CLI's alert,
 runs one table of a list of windows FORWARD_BLOCK windows at a time, as
-validation does. A run owns one model.Workspace, which every batch and
-validation block reuses, and score_windows one per call; each is dropped
-when its call returns. The optimizer steps a copy of model.params in place,
-under a model built once over it, so the caller's model is never written;
-each batch's gradients come from batch_backward in the same layout. A batch
-with a non-finite loss aborts the run; early stopping watches the validation
-joint loss, and a model over a copy of the vector at the best one is what
-the caller gets back. TrainConfig is the one place that checks the training
-settings, the optimizer's among them.
+validation does. Each train and score_windows call borrows a
+model.Workspace from a process-wide pool of idle ones, works in it for
+every batch, validation block and optimizer step, and gives it back when it
+returns. A workspace holds one batch's working set, and the pool as many
+workspaces as calls ever ran at once (in threads, or one inside another,
+each borrows its own), so a repeated call finds its memory mapped already.
+Nothing a call returns is a view of a pooled buffer. The optimizer steps a
+copy of model.params in place, under a model built once over it, so the
+caller's model is never written; each batch's gradients come from
+batch_backward in the same layout. A batch with a non-finite loss aborts
+the run; early stopping watches the validation joint loss, and a model over
+a copy of the vector at the best one is what the caller gets back.
+TrainConfig is the one place that checks the training settings, the
+optimizer's among them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -101,19 +108,38 @@ def _targets(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
             np.array([s.target_class for s in samples], dtype=np.intp))
 
 
+# the workspaces no call is using; see _borrowed_workspace
+_IDLE: list[Workspace] = []
+_IDLE_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _borrowed_workspace() -> Iterator[Workspace]:
+    """An idle workspace from the pool, or a new one when every pooled one is
+    in use; it goes back to the pool when the block exits, raised or not."""
+    with _IDLE_LOCK:
+        ws = _IDLE.pop() if _IDLE else Workspace()
+    try:
+        yield ws
+    finally:
+        with _IDLE_LOCK:
+            _IDLE.append(ws)
+
+
 def score_windows(model: CnnGruModel, windows: Sequence[WindowSample]
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Predicted normalized returns (n,) and logits (n, C) of windows: one day
     table per call, run through the batched core FORWARD_BLOCK windows at a time."""
     if not windows:
         raise DataValidationError("cannot score an empty split")
-    return _split_outputs(model, day_table(model.cfg, windows), Workspace())
+    with _borrowed_workspace() as ws:
+        return _split_outputs(model, day_table(model.cfg, windows), ws)
 
 
 def _split_outputs(model: CnnGruModel, table: DayTable, ws: Workspace
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions (n,) and logits (n, C) of every window of table,
-    FORWARD_BLOCK at a time, each block's activations in ws."""
+    """Predictions (n,) and logits (n, C) of every window of table, new
+    arrays, FORWARD_BLOCK windows at a time, each block's activations in ws."""
     n = len(table.windows)
     blocks = (table_forward(model, table, np.arange(i, min(i + FORWARD_BLOCK, n)), ws)
               for i in range(0, n, FORWARD_BLOCK))
@@ -159,7 +185,6 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
     if not val_split:
         raise DataValidationError("validation split is empty")
 
-    opt = Optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     flat = model.params.copy()  # the caller's model is never written
     model = CnnGruModel(model.cfg, model.arch, flat)
@@ -173,50 +198,52 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
     table = day_table(model.cfg, train_split)
     val_returns, val_classes = _targets(val_split)
     val_table = day_table(model.cfg, val_split)
-    ws = Workspace()
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        epoch_mse = 0.0
-        epoch_ce = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            sq_err, ce, grads = _batch_step(model, table, batch, returns, classes, ws)
-            if not (math.isfinite(sq_err) and math.isfinite(ce)):
+    # every batch's arrays and the optimizer's live in ws
+    with _borrowed_workspace() as ws:
+        opt = Optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay, ws)
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(n)
+            epoch_mse = 0.0
+            epoch_ce = 0.0
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                sq_err, ce, grads = _batch_step(model, table, batch, returns, classes, ws)
+                if not (math.isfinite(sq_err) and math.isfinite(ce)):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size + 1}: "
+                        f"squared error={sq_err}, cross entropy={ce}"
+                    )
+                epoch_mse += sq_err
+                epoch_ce += ce
+                grads /= len(batch)
+                opt.apply(flat, grads)
+
+            train_mse = epoch_mse / n
+            train_ce = epoch_ce / n
+            train_loss = joint_loss(train_mse, train_ce, model.cfg.mse_weight)
+            val_loss = _joint_loss(model, *_split_outputs(model, val_table, ws), val_returns,
+                                   val_classes)
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
                 raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size + 1}: "
-                    f"squared error={sq_err}, cross entropy={ce}"
+                    f"non-finite loss at epoch {epoch}: train={train_loss}, val={val_loss}"
                 )
-            epoch_mse += sq_err
-            epoch_ce += ce
-            grads /= len(batch)
-            opt.apply(flat, grads)
+            history.append({
+                "epoch": epoch,
+                "train_loss": train_loss,
+                "val_loss": val_loss,
+                "train_mse": train_mse,
+                "train_ce": train_ce,
+            })
+            log.info("epoch %d: train %.6f val %.6f", epoch, train_loss, val_loss)
 
-        train_mse = epoch_mse / n
-        train_ce = epoch_ce / n
-        train_loss = joint_loss(train_mse, train_ce, model.cfg.mse_weight)
-        val_loss = _joint_loss(model, *_split_outputs(model, val_table, ws), val_returns,
-                               val_classes)
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise TrainingDivergedError(
-                f"non-finite loss at epoch {epoch}: train={train_loss}, val={val_loss}"
-            )
-        history.append({
-            "epoch": epoch,
-            "train_loss": train_loss,
-            "val_loss": val_loss,
-            "train_mse": train_mse,
-            "train_ce": train_ce,
-        })
-        log.info("epoch %d: train %.6f val %.6f", epoch, train_loss, val_loss)
-
-        if val_loss < best_val:
-            best_val = val_loss
-            best[:] = flat
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if cfg.patience > 0 and bad_epochs >= cfg.patience:
-                break
+            if val_loss < best_val:
+                best_val = val_loss
+                best[:] = flat
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if cfg.patience > 0 and bad_epochs >= cfg.patience:
+                    break
 
     return CnnGruModel(model.cfg, model.arch, best), history
 

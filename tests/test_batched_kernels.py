@@ -2,10 +2,11 @@
 
 batched_reference.py holds the im2col conv and the batch-major GRU that
 model.py computed before; the kernels in model.py sum the same terms in
-another order, so forward outputs and every gradient must agree to 1e-12
-relative, and max-pool winners must read the same tokens. Where the GRU's
-gates are saturated, the bound is 1e-12 of the larger of 1 and the tensor's
-largest value.
+another order, so forward outputs and every gradient must agree to rounding,
+and max-pool winners must read the same tokens. A conv entry may differ by
+1e-12 of the sum of its terms' magnitudes (the bound on a computed sum does
+not shrink when the sum cancels); a GRU tensor by 1e-12 of its largest
+value, or where the gates are saturated, of the larger of 1 and that value.
 """
 
 import types
@@ -19,7 +20,7 @@ import batched_reference as ref
 from sentirisk import model as model_mod
 from sentirisk.layers import GRUParams, conv1d_forward, embed_lookup, global_max_pool, init_gru
 from sentirisk.matrix import Matrix
-from sentirisk.model import ArchKind, ModelConfig, build_model
+from sentirisk.model import ArchKind, CnnGruModel, ModelConfig, build_model
 
 TOL = 1e-12
 # the default chunk, and one that puts every document in a chunk of its own
@@ -57,38 +58,76 @@ def conv_cases(draw, stride_vs_width):
     return build_model(cfg, ArchKind.CNN_GRU), ids
 
 
+def term_magnitudes(model, ids, pooled, winners, d_pooled, chunk):
+    """(pooled, d_kernel, d_embed) summed over the magnitudes of their terms:
+    the |embedding| |kernel| products of each winning window, and the
+    backward sums of |gradient| times |embedding| or |kernel|. A computed
+    sum is within a small multiple of the rounding unit times this, whatever
+    the sum cancels to (Higham 2002, section 4.2)."""
+    cfg = model.cfg
+    mags = CnnGruModel(cfg, model.arch, np.abs(model.params))
+    emb = mags.tensors["embedding"]
+    kernel = mags.tensors["conv/k"].reshape(cfg.kernel_width, cfg.embed_dim, -1)
+    pooled_mag = sum(
+        np.einsum("nfe,ef->nf",
+                  emb[np.take_along_axis(ids, winners * cfg.conv_stride + k, axis=1)], kernel[k])
+        for k in range(cfg.kernel_width))
+    # the winners and the ReLU's gate stay those of the real pass
+    d_embed_mag = np.zeros_like(emb)
+    d_kernel_mag = ref.conv_backward(mags, ids, pooled, winners, np.abs(d_pooled), d_embed_mag,
+                                     chunk)
+    return pooled_mag, d_kernel_mag, d_embed_mag
+
+
+def check_matches_im2col(model, ids, chunk):
+    d_pooled = np.random.default_rng(len(ids)).standard_normal(
+        (len(ids), model.cfg.num_filters))
+    want_pooled, want_winners = ref.conv_encode(model, ids, chunk)
+    want_d_embed = np.zeros_like(model.embedding.table.data)
+    want_d_kernel = ref.conv_backward(model, ids, want_pooled, want_winners, d_pooled,
+                                      want_d_embed, chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "CHUNK_VALUES", chunk)
+        plan = model_mod._conv_plan(model, ids)
+        pooled, winners = model_mod._conv_encode(model, ids, plan, model_mod.Workspace())
+        d_embed = np.zeros_like(model.embedding.table.data)
+        cache = types.SimpleNamespace(ids=ids, plan=plan, pooled=pooled, winners=winners)
+        d_kernel = model_mod._conv_backward(model, cache, d_pooled, d_embed,
+                                            model_mod.Workspace())
+    # im2col can round two equal rows of its product apart, so where windows
+    # read the same tokens it may pick a later one; the pooled value and
+    # every gradient depend only on the tokens read
+    cfg = model.cfg
+    start = (winners * cfg.conv_stride, want_winners * cfg.conv_stride)
+    for k in range(cfg.kernel_width):
+        got_tok, want_tok = (np.take_along_axis(ids, pos + k, axis=1) for pos in start)
+        assert (got_tok == want_tok).all()
+    assert (winners <= want_winners).all()
+    mags = term_magnitudes(model, ids, want_pooled, want_winners, d_pooled, chunk)
+    for got, want, mag in zip((pooled, d_kernel, d_embed),
+                              (want_pooled, want_d_kernel, want_d_embed), mags):
+        assert (np.abs(got - want) <= TOL * mag).all()
+
+
 class TestConvKernels:
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("stride_vs_width", ["<", "=", ">"])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_im2col(self, stride_vs_width, chunk, data):
-        model, ids = data.draw(conv_cases(stride_vs_width))
-        d_pooled = np.random.default_rng(len(ids)).standard_normal(
-            (len(ids), model.cfg.num_filters))
-        want_pooled, want_winners = ref.conv_encode(model, ids, chunk)
-        want_d_embed = np.zeros_like(model.embedding.table.data)
-        want_d_kernel = ref.conv_backward(model, ids, want_pooled, want_winners, d_pooled,
-                                          want_d_embed, chunk)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model_mod, "CHUNK_VALUES", chunk)
-            plan = model_mod._conv_plan(model, ids)
-            pooled, winners = model_mod._conv_encode(model, ids, plan)
-            d_embed = np.zeros_like(model.embedding.table.data)
-            cache = types.SimpleNamespace(ids=ids, plan=plan, pooled=pooled, winners=winners)
-            d_kernel = model_mod._conv_backward(model, cache, d_pooled, d_embed)
-        # im2col can round two equal rows of its product apart, so where windows
-        # read the same tokens it may pick a later one; the pooled value and
-        # every gradient depend only on the tokens read
-        cfg = model.cfg
-        start = (winners * cfg.conv_stride, want_winners * cfg.conv_stride)
-        for k in range(cfg.kernel_width):
-            got_tok, want_tok = (np.take_along_axis(ids, pos + k, axis=1) for pos in start)
-            assert (got_tok == want_tok).all()
-        assert (winners <= want_winners).all()
-        assert rel_err(pooled, want_pooled) <= TOL
-        assert rel_err(d_kernel, want_d_kernel) <= TOL
-        assert rel_err(d_embed, want_d_embed) <= TOL
+        check_matches_im2col(*data.draw(conv_cases(stride_vs_width)), chunk)
+
+    @pytest.mark.parametrize("max_doc_len", [1, 2, 6])
+    def test_cancelling_embedding_gradient_matches_im2col(self, max_doc_len):
+        # drawn once by test_matches_im2col: d_embed's one nonzero entry is a
+        # sum of 5 terms that cancels to 7.6e-6, where an error taken relative
+        # to the result read 1.46e-11 on correct kernels
+        cfg = ModelConfig(vocab_size=4, embed_dim=1, num_filters=5, kernel_width=1,
+                          conv_stride=1, gru_hidden=2, window=2, max_doc_len=max_doc_len,
+                          seed=726)
+        ids = np.zeros((1, max_doc_len), dtype=np.intp)
+        ids[0, 0] = 1
+        check_matches_im2col(build_model(cfg, ArchKind.CNN_GRU), ids, model_mod.CHUNK_VALUES)
 
     def test_windows_reading_the_same_tokens_tie_to_the_earliest(self):
         # the case where im2col picked window 1: its product rounded the equal
@@ -98,7 +137,8 @@ class TestConvKernels:
         model = build_model(cfg, ArchKind.CNN_GRU)
         doc = [1] * 10
         ids = np.array([doc + [0, 0]])
-        _, winners = model_mod._conv_encode(model, ids, model_mod._conv_plan(model, ids))
+        _, winners = model_mod._conv_encode(model, ids, model_mod._conv_plan(model, ids),
+                                             model_mod.Workspace())
         emb = embed_lookup(model.embedding, doc + [0, 0], cfg.max_doc_len)
         relu = Matrix._wrap(np.maximum(conv1d_forward(model.conv, emb)[0].data, 0.0))
         assert winners.tolist() == [global_max_pool(relu)[1]] == [[0]]
@@ -109,11 +149,12 @@ class TestConvKernels:
         model = build_model(cfg, ArchKind.CNN_GRU)
         ids = np.zeros((3, cfg.max_doc_len), dtype=np.intp)
         plan = model_mod._conv_plan(model, ids)
-        pooled, winners = model_mod._conv_encode(model, ids, plan)
+        pooled, winners = model_mod._conv_encode(model, ids, plan, model_mod.Workspace())
         assert not pooled.any() and not winners.any()
         d_embed = np.zeros_like(model.embedding.table.data)
         cache = types.SimpleNamespace(ids=ids, plan=plan, pooled=pooled, winners=winners)
-        d_kernel = model_mod._conv_backward(model, cache, np.ones_like(pooled), d_embed)
+        d_kernel = model_mod._conv_backward(model, cache, np.ones_like(pooled), d_embed,
+                                            model_mod.Workspace())
         assert not d_kernel.any() and not d_embed.any()
 
 

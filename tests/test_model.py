@@ -8,6 +8,7 @@ import json
 import math
 import re
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from sentirisk.layers import (
 from sentirisk.matrix import Matrix
 from sentirisk import layers as layers_mod
 from sentirisk import model as model_mod
+from sentirisk.optim import Optimizer
 from sentirisk.model import (
     ArchKind,
     CnnGruModel,
@@ -533,7 +535,8 @@ class TestBatchedCore:
         cfg = dataclasses.replace(SHORT, conv_stride=stride)
         model = build_model(cfg, ArchKind.CNN_GRU)
         ids = batch_forward(model, short_doc_windows(cfg, [1, 6, 2, 4, 3, 7], seed=8)).ids
-        pooled, winners = model_mod._conv_encode(model, ids, model_mod._conv_plan(model, ids))
+        pooled, winners = model_mod._conv_encode(model, ids, model_mod._conv_plan(model, ids),
+                                                 Workspace())
         want_pooled, want_winners = full_grid_encode(model, ids)
         assert pooled.tobytes() == want_pooled.tobytes()
         assert winners.tobytes() == want_winners.tobytes()
@@ -634,6 +637,13 @@ class TestDayTable:
                 model_forward(build_model(BATCHED, ArchKind.CNN_GRU), samples[2])
 
 
+def stale(ws: Workspace) -> Workspace:
+    """ws with every buffer full of NaN, as an earlier, larger call may leave it."""
+    for buf in ws._buffers.values():
+        buf.fill(np.nan)
+    return ws
+
+
 class TestWorkspace:
     """table_forward and batch_backward on a reused Workspace."""
 
@@ -654,15 +664,15 @@ class TestWorkspace:
     @pytest.mark.parametrize("attention", [True, False], ids=["attention", "no-attention"])
     @pytest.mark.parametrize("arch", list(ArchKind), ids=lambda a: a.value)
     def test_narrower_batch_reuses_the_buffers_bit_for_bit(self, arch, attention):
-        # a ragged last batch after a full one: views of the same buffers,
-        # and the same bits as a pass that allocates afresh
+        # a ragged last batch after a full one, with stale buffers: views of
+        # the same buffers, and the same bits as a pass that allocates afresh
         cfg = dataclasses.replace(BATCHED, attention_enabled=attention)
         model = build_model(cfg, arch)
         samples = shared_day_windows(cfg, 60, seed=4)
         table, ws = day_table(cfg, samples), Workspace()
         index = np.random.default_rng(0).permutation(len(samples))
         full, full_grads = self.run(model, table, samples, index[:50], ws)
-        ragged, grads = self.run(model, table, samples, index[50:2:-1], ws)
+        ragged, grads = self.run(model, table, samples, index[50:2:-1], stale(ws))
         assert len(ragged.pred) == 48
         assert np.shares_memory(full.x, ragged.x) and np.shares_memory(full_grads, grads)
         if full.gru is not None:
@@ -685,6 +695,80 @@ class TestWorkspace:
             assert not any(np.shares_memory(p, q) for p, q in zip(a.gru, b.gru))
 
 
+def attention_backward_reference(w_a, u, hid, acts, alpha, d_ctx):
+    """(d_hid, d_w_a, d_u) as plain expressions on fresh arrays, in the
+    operation order _attention_backward keeps."""
+    d_alpha = np.einsum("bth,bh->bt", hid, d_ctx)
+    d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=1, keepdims=True))
+    d_act = d_scores[:, :, None] * u[:, 0] * (1.0 - acts * acts)
+    a, h = acts.shape[2], hid.shape[2]
+    return (alpha[:, :, None] * d_ctx[:, None, :] + d_act @ w_a,
+            d_act.reshape(-1, a).T @ hid.reshape(-1, h),
+            (acts.reshape(-1, a).T @ d_scores.reshape(-1))[:, None])
+
+
+class TestKernelWorkspaces:
+    """Each kernel that works in a workspace gives the same bits on a new one
+    and on one that an earlier, larger call left full of NaN."""
+
+    def workspace_after_a_larger_batch(self, model, table):
+        ws = Workspace()
+        cache = table_forward(model, table, np.arange(len(table.windows)), ws)
+        n = len(cache.pred)
+        batch_backward(model, cache, np.zeros(n), np.zeros(n, dtype=np.intp), ws)
+        return stale(ws)
+
+    @pytest.mark.parametrize("chunk", [model_mod.CHUNK_VALUES, 27])
+    def test_conv(self, chunk, monkeypatch):
+        monkeypatch.setattr(model_mod, "CHUNK_VALUES", chunk)
+        model = build_model(BATCHED, ArchKind.CNN_GRU)
+        table = day_table(BATCHED, shared_day_windows(BATCHED, 30, seed=4))
+        cache = table_forward(model, table, np.arange(5))
+        d_pooled = RNG.standard_normal(cache.pooled.shape)
+        d_embed_before = RNG.standard_normal(model.tensors["embedding"].shape)
+        outputs = []
+        for ws in (Workspace(), self.workspace_after_a_larger_batch(model, table)):
+            pooled, winners = model_mod._conv_encode(model, cache.ids, cache.plan, ws)
+            d_embed = d_embed_before.copy()  # the gradient is added into it
+            d_kernel = model_mod._conv_backward(model, types.SimpleNamespace(
+                ids=cache.ids, plan=cache.plan, pooled=pooled, winners=winners),
+                d_pooled, d_embed, ws)
+            outputs.append([pooled.tobytes(), winners.tobytes(), d_kernel.tobytes(),
+                            d_embed.tobytes()])
+        assert outputs[0] == outputs[1]
+
+    def test_attention_backward_equals_plain_expressions(self):
+        model = build_model(BATCHED, ArchKind.CNN_GRU)
+        table = day_table(BATCHED, shared_day_windows(BATCHED, 30, seed=4))
+        cache = table_forward(model, table, np.arange(5))
+        t = model.tensors
+        args = (t["attn/w_a"], t["attn/u"], cache.gru[2][1:].transpose(1, 0, 2), *cache.attn,
+                RNG.standard_normal(cache.ctx.shape))
+        want = [a.tobytes() for a in attention_backward_reference(*args)]
+        for ws in (Workspace(), self.workspace_after_a_larger_batch(model, table)):
+            assert [a.tobytes() for a in model_mod._attention_backward(*args, ws)] == want
+
+    def test_row_sums(self):
+        rows, values = np.tile([2, 0, 2, 1], 6), RNG.standard_normal((24, 5))
+        ws = Workspace()
+        model_mod._row_sums(np.arange(40) % 7, RNG.standard_normal((40, 5)), 7, ws)
+        got = model_mod._row_sums(rows, values, 4, stale(ws))
+        assert got.tobytes() == model_mod._row_sums(rows, values, 4, Workspace()).tobytes()
+
+    @pytest.mark.parametrize("kind, decay", [("adam", 0.0), ("sgd", 0.01)])
+    def test_optimizer(self, kind, decay):
+        ws = Workspace()
+        Optimizer(kind, 1e-2, decay, ws).apply(np.ones(40), np.ones(40))
+        stale(ws)
+        grads, steps = RNG.standard_normal((3, 24)), []
+        for opt in (Optimizer(kind, 1e-2, decay), Optimizer(kind, 1e-2, decay, ws)):
+            params = np.linspace(-1.0, 1.0, 24)
+            for g in grads:
+                opt.apply(params, g)
+            steps.append(params.tobytes())
+        assert steps[0] == steps[1]
+
+
 class TestRowSums:
     """model._row_sums against np.add.at into zeros, bit for bit."""
 
@@ -697,7 +781,7 @@ class TestRowSums:
         values = RNG.standard_normal((len(rows), 5)) * 10.0 ** RNG.integers(-8, 8, (len(rows), 1))
         want = np.zeros((n_rows, 5))
         np.add.at(want, rows, values)
-        got = model_mod._row_sums(rows, values, n_rows)
+        got = model_mod._row_sums(rows, values, n_rows, Workspace())
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     def test_non_contiguous_values(self):
@@ -706,7 +790,7 @@ class TestRowSums:
         day_index = RNG.integers(0, 5, (3, 4))
         want = np.zeros((5, 4))
         np.add.at(want, day_index.ravel(), d_x[:, :, :4].reshape(-1, 4))
-        got = model_mod._row_sums(day_index, d_x[:, :, :4], 5)
+        got = model_mod._row_sums(day_index, d_x[:, :, :4], 5, Workspace())
         assert got.tobytes() == want.tobytes()
 
 

@@ -5,17 +5,21 @@ import dataclasses
 import datetime as dt
 import json
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sentirisk.data import AlignedDay, NormStats, WindowSample
+from sentirisk import train as train_mod
+from sentirisk.data import AlignedDay, NormStats, PrepareConfig, WindowSample, prepare_dataset
 from sentirisk.errors import DataValidationError, NumericError, TrainingDivergedError
 from sentirisk.losses import batch_cross_entropy, joint_loss
 from sentirisk.model import (
     ArchKind,
     CnnGruModel,
     ModelConfig,
+    Workspace,
     batch_backward,
     build_model,
     day_table,
@@ -23,6 +27,8 @@ from sentirisk.model import (
     table_forward,
 )
 from sentirisk.optim import Optimizer
+from sentirisk.synthetic import make_demo_docs, make_demo_market
+from sentirisk.text import Lexicon
 from sentirisk.train import (
     FORWARD_BLOCK,
     MetricsReport,
@@ -255,6 +261,105 @@ class TestTrainLoop:
             with pytest.raises(DataValidationError):
                 TrainConfig(**bad)
         assert TrainConfig(optimizer="sgd", weight_decay=0.01).weight_decay == 0.01
+
+
+def pooled_buffers() -> list[np.ndarray]:
+    return [buf for ws in train_mod._IDLE for buf in ws._buffers.values()]
+
+
+class TestWorkspacePool:
+    """train and score_windows borrow their workspace from train's pool."""
+
+    CFG = TrainConfig(epochs=2, patience=0, batch_size=13, lr=1e-2, seed=2)
+
+    def test_successive_runs_reuse_the_buffers_and_return_none_of_them(self):
+        samples = make_samples(TINY, 40 + FORWARD_BLOCK + 6)
+        model = build_model(TINY, ArchKind.CNN_GRU)
+        first, _ = train(model, samples[:40], samples[40:], self.CFG)
+        ws = train_mod._IDLE[-1]  # the pool lends out its most recently returned one
+        buffers = dict(ws._buffers)
+        second, _ = train(model, samples[:40], samples[40:], self.CFG)
+        assert train_mod._IDLE[-1] is ws
+        assert ws._buffers == buffers  # the same array objects: nothing regrown
+        assert second.params.tobytes() == first.params.tobytes()
+        outputs = [first.params, second.params, *score_windows(second, samples),
+                   *score_windows(second, samples[:3])]
+        for out in outputs:
+            assert not any(np.shares_memory(out, buf) for buf in pooled_buffers())
+
+    def test_runs_at_once_in_threads_equal_runs_one_after_the_other(self, monkeypatch):
+        samples = make_samples(TINY, 40 + FORWARD_BLOCK + 6)
+        runs = {"cnn-gru": (ArchKind.CNN_GRU, "adam"), "gru": (ArchKind.GRU_ONLY, "sgd")}
+
+        def run(name):
+            arch, optimizer = runs[name]
+            cfg = dataclasses.replace(self.CFG, optimizer=optimizer)
+            return train(build_model(TINY, arch), samples[:40], samples[40:], cfg)
+
+        want = {name: run(name) for name in runs}
+        # each run waits after its first batch until the other has started:
+        # both hold a workspace at once
+        started = threading.Barrier(len(runs), timeout=60)
+        held, got = {}, {}
+        step = train_mod._batch_step
+
+        def first_batch_waits(model, table, index, returns, classes, ws):
+            out = step(model, table, index, returns, classes, ws)
+            if threading.current_thread().name not in held:
+                held[threading.current_thread().name] = ws
+                started.wait()
+            return out
+
+        def target(name):
+            got[name] = run(name)
+
+        monkeypatch.setattr(train_mod, "_batch_step", first_batch_waits)
+        threads = [threading.Thread(target=target, args=(name,), name=name) for name in runs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert held["cnn-gru"] is not held["gru"]
+        for name in runs:
+            (best, history), (want_best, want_history) = got[name], want[name]
+            assert history == want_history
+            assert best.params.tobytes() == want_best.params.tobytes()
+
+    def test_warm_demo_steps_allocate_a_fraction_of_fresh_ones(self):
+        # the default model on the README's 160-day demo: a warmed batch step
+        # and a repeated scoring call keep every batch-sized array in their
+        # workspace, so each peaks at under a third of the same call in a new
+        # workspace (what is left is index arrays, parameter-sized products
+        # and the (texts, F) sums np.bincount returns: about 1/8 and 1/5).
+        # Both sides run the same numpy calls, so the ratio does not depend
+        # on how much one numpy release allocates for them
+        bars = make_demo_market(n_days=160, seed=3)
+        ds = prepare_dataset(bars, make_demo_docs(bars, seed=4), Lexicon.bundled(),
+                             PrepareConfig())
+        train_split, val_split, _ = ds.splits()
+        model = build_model(ModelConfig(vocab_size=ds.vocab.size, seed=0), ArchKind.CNN_GRU)
+        table = day_table(model.cfg, train_split)
+        returns, classes = train_mod._targets(train_split)
+        ws, index = Workspace(), np.arange(50)
+
+        def peak_bytes(step):
+            tracemalloc.start()
+            try:
+                step()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def batch_step(ws):
+            return train_mod._batch_step(model, table, index, returns, classes, ws)
+
+        fresh_step = peak_bytes(lambda: batch_step(Workspace()))
+        warm_step = [peak_bytes(lambda: batch_step(ws)) for _ in range(2)][1]
+        fresh_score = peak_bytes(lambda: train_mod._split_outputs(
+            model, day_table(model.cfg, val_split), Workspace()))
+        warm_score = [peak_bytes(lambda: score_windows(model, val_split)) for _ in range(2)][1]
+        assert warm_step < fresh_step / 3, (warm_step, fresh_step)
+        assert warm_score < fresh_score / 3, (warm_score, fresh_score)
 
 
 class TestMetrics:
