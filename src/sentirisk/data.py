@@ -4,7 +4,8 @@ Pipeline order: load bars + raw docs, clean and label each doc (one that
 cleans to no tokens, such as a bare URL, is dropped), build the vocabulary,
 encode docs, align docs onto trading days (roll-forward), build sliding-window
 samples, split chronologically, fit normalization statistics on the training
-span only, then normalize every day and target.
+span only, then normalize every day and target. The splits are three
+immutable Splits; a PreparedDataset cuts its own once.
 
 A prepared directory (format 3) stores each fact once: vocab.txt (line i is
 the token with id i+2); days.jsonl, one line per input day in date order: date,
@@ -25,6 +26,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import functools
+import itertools
 import json
 import logging
 import math
@@ -386,8 +388,46 @@ def make_windows(days: Sequence[AlignedDay], window: int = 20) -> list[WindowSam
     return samples
 
 
-def split_chronological(samples: Sequence, ratios: tuple[float, float, float]
-                        ) -> tuple[list, list, list]:
+class Split(Sequence[T]):
+    """An immutable run of samples, as split_chronological cuts them.
+
+    It reads as a list does: len, iteration, indexing, == with a list, and
+    a slice or + with a split or a list on either side is a new list. It
+    cannot be appended to or assigned into, so what is derived from it holds
+    for its life: model.day_table keeps the split's DayTable for each text
+    configuration in tables, and every later call on the split reuses it.
+    """
+
+    __slots__ = ("_items", "tables")
+
+    def __init__(self, items: Iterable[T]) -> None:
+        self._items = tuple(items)
+        self.tables: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self) -> Iterator[T]:
+        return iter(self._items)
+
+    def __getitem__(self, index):
+        return list(self._items[index]) if isinstance(index, slice) else self._items[index]
+
+    def __add__(self, other):
+        return [*self._items, *other] if isinstance(other, (Split, list)) else NotImplemented
+
+    def __radd__(self, other):
+        return [*other, *self._items] if isinstance(other, list) else NotImplemented
+
+    def __eq__(self, other):  # defining it leaves a split unhashable, as a list is
+        return self._items == tuple(other) if isinstance(other, (Split, list)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Split({list(self._items)!r})"
+
+
+def split_chronological(samples: Sequence[T], ratios: tuple[float, float, float]
+                        ) -> tuple[Split[T], Split[T], Split[T]]:
     """Contiguous chronological partition by cumulative floor boundaries.
 
     Boundaries are floor(n*r_train) and floor(n*(r_train+r_val)); any
@@ -402,7 +442,7 @@ def split_chronological(samples: Sequence, ratios: tuple[float, float, float]
     n = len(samples)
     train_end = int(math.floor(n * r1))
     val_end = int(math.floor(n * (r1 + r2)))
-    return list(samples[:train_end]), list(samples[train_end:val_end]), list(samples[val_end:])
+    return Split(samples[:train_end]), Split(samples[train_end:val_end]), Split(samples[val_end:])
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +508,26 @@ class PrepareConfig:
     ratios: tuple[float, float, float] = DEFAULT_RATIOS
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparedDataset:
+    """A prepared dataset; frozen, its samples a tuple, so splits() cuts them
+    once and returns the same three Split objects, and the day tables they
+    keep, on every call."""
+
     vocab: Vocabulary
-    samples: list[WindowSample]
+    samples: tuple[WindowSample, ...]
     stats: NormStats
     window: int
     ratios: tuple[float, float, float]
 
-    def splits(self) -> tuple[list[WindowSample], list[WindowSample], list[WindowSample]]:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "samples", tuple(self.samples))
+
+    def splits(self) -> tuple[Split[WindowSample], Split[WindowSample], Split[WindowSample]]:
+        return self._splits
+
+    @functools.cached_property
+    def _splits(self) -> tuple[Split[WindowSample], Split[WindowSample], Split[WindowSample]]:
         return split_chronological(self.samples, self.ratios)
 
 
@@ -527,12 +578,18 @@ def normalized_samples(stats: NormStats, days: Sequence[AlignedDay], window: int
 # ---------------------------------------------------------------------------
 
 
+# numbers atomic_write's temp files, so no two calls of one process share one
+_TMP_IDS = itertools.count()
+
+
 @contextmanager
 def atomic_write(path: str | Path) -> Iterator[TextIO]:
-    """A temp text file beside path that os.replace moves over path when the
-    with-block completes; if anything raises, it is deleted and path is untouched."""
+    """A temp text file beside path, its own to this call (named by the pid
+    and a process-wide counter, so threads writing one path never share it),
+    that os.replace moves over path when the with-block completes; if
+    anything raises, it is deleted and path is untouched."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp")
     fh = tmp.open("w", encoding="utf-8", newline="")
     try:
         with fh:

@@ -19,9 +19,11 @@ model_backward run one window on Matrix values, layer by layer through
 layers.py: the per-window reference the batched core is tested against,
 which nothing else in the package calls, and the only reader of the model's
 six Matrix containers. A DayTable holds the distinct days of a split as
-arrays, built and checked once per split; a batch is a list of window
-indices into it. Each distinct day text of the batch is encoded once: one
-matrix product gives each distinct token its response to every filter at
+read-only arrays, built and checked once: a data.Split keeps its table for
+each text configuration, so every train, evaluate or score call on it after
+the first reuses the table; a batch is a list of window indices into it.
+Each distinct day text of the batch is encoded once: one matrix product
+gives each distinct token its response to every filter at
 every window position, a window sums those of its tokens, and only the
 windows that start at or before the last token of the table's longest
 document run (later windows see only padding and cannot win the max-pool).
@@ -68,7 +70,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import N_MARKET_FEATURES, AlignedDay, WindowSample, atomic_write, check_fields, read_json
+from .data import (
+    N_MARKET_FEATURES,
+    AlignedDay,
+    Split,
+    WindowSample,
+    atomic_write,
+    check_fields,
+    read_json,
+)
 from .errors import CheckpointError, DataValidationError, ShapeError
 from .layers import (
     AttentionCache,
@@ -544,7 +554,8 @@ class BatchCache:
 
 @dataclass(frozen=True)
 class DayTable:
-    """The distinct days of a list of windows, as arrays built and checked once.
+    """The distinct days of a list of windows, as read-only arrays built and
+    checked once.
 
     Days are rows by object identity; texts are rows by their truncated token
     ids, so copies of a day, or two dates with the same text, share one text
@@ -571,11 +582,36 @@ def _by_first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[by_first], rank[inverse]
 
 
+def _first_hits(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_by_first_appearance(values) for values in [0, n), without sorting:
+    np.minimum.at marks each value's first position among n slots."""
+    at = np.arange(len(values))
+    first_at = np.full(n, len(values), dtype=np.intp)
+    np.minimum.at(first_at, values, at)
+    first = np.flatnonzero(first_at[values] == at)
+    number = np.empty(n, dtype=np.intp)  # only the slots of values are read
+    number[values[first]] = np.arange(len(first))
+    return first, number[values]
+
+
 def day_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
+    """The table of samples. A Split keeps the table its first call builds
+    under each text configuration (the cfg fields _build_table reads) and
+    returns that table on later calls; any other sequence is built anew."""
+    if not isinstance(samples, Split):
+        return _build_table(cfg, samples)
+    key = (cfg.window, cfg.max_doc_len, cfg.kernel_width, cfg.conv_stride, cfg.vocab_size)
+    if (table := samples.tables.get(key)) is None:
+        table = samples.tables.setdefault(key, _build_table(cfg, samples))
+    return table
+
+
+def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     """Builds the table of samples; every window, feature and token-id check runs here.
 
     Day rows are numbered by first appearance, so the Python loop below runs
-    once per distinct day, not once per (window, day).
+    once per distinct day, not once per (window, day). The arrays are made
+    read-only, since a Split shares its table among calls.
     """
     for sample in samples:
         _check_window(cfg, sample)
@@ -608,9 +644,12 @@ def day_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     bad = docs[(docs < 0) | (docs >= cfg.vocab_size)]
     if bad.size:
         raise ShapeError(f"token id {bad[0]} out of range for vocab of {cfg.vocab_size}")
-    return DayTable(windows=rows.reshape(len(samples), cfg.window),
-                    features=features.reshape(-1, N_MARKET_FEATURES),
-                    text=text, docs=docs, doc_start=np.concatenate([[0], np.cumsum(counts)]))
+    table = DayTable(windows=rows.reshape(len(samples), cfg.window),
+                     features=features.reshape(-1, N_MARKET_FEATURES),
+                     text=text, docs=docs, doc_start=np.concatenate([[0], np.cumsum(counts)]))
+    for array in vars(table).values():
+        array.flags.writeable = False
+    return table
 
 
 def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray
@@ -625,7 +664,7 @@ def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray
     text_rows = table.text[day_rows].ravel()
     has_text = text_rows >= 0
     with_text = text_rows[has_text]
-    first, rank = _by_first_appearance(with_text)
+    first, rank = _first_hits(with_text, len(table.doc_start) - 1)
     day_index = np.full(text_rows.shape, len(first), dtype=np.intp)
     day_index[has_text] = rank
     texts = with_text[first]

@@ -2,12 +2,13 @@
 
 Training runs deterministic seeded epochs: a fresh permutation of the train
 split per epoch, batch-averaged gradients, one optimizer step per batch.
-The train and validation splits' days are gathered once per call into a
-model.DayTable each, and each mini-batch is a slice of the permutation run
-through model.table_forward/batch_backward as whole arrays. score_windows,
-behind evaluate, split_joint_loss, export_predictions and the CLI's alert,
-runs one table of a list of windows FORWARD_BLOCK windows at a time, as
-validation does. Each train and score_windows call borrows a
+The train and validation splits' days are gathered into a model.DayTable
+each (model.day_table: a data.Split keeps its table, so a later call on
+the same split reuses it), and each mini-batch is a slice of the
+permutation run through model.table_forward/batch_backward as whole
+arrays. score_windows, behind evaluate, split_joint_loss,
+export_predictions and the CLI's alert, runs one table of a list of
+windows FORWARD_BLOCK windows at a time, as validation does. Each train and score_windows call borrows a
 model.Workspace from a process-wide pool of idle ones, works in it for
 every batch, validation block and optimizer step, and gives it back when it
 returns. A workspace holds one batch's working set, and the pool as many
@@ -128,8 +129,9 @@ def _borrowed_workspace() -> Iterator[Workspace]:
 
 def score_windows(model: CnnGruModel, windows: Sequence[WindowSample]
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted normalized returns (n,) and logits (n, C) of windows: one day
-    table per call, run through the batched core FORWARD_BLOCK windows at a time."""
+    """Predicted normalized returns (n,) and logits (n, C) of windows: their
+    day table (a Split's kept one, or a list's built for this call), run
+    through the batched core FORWARD_BLOCK windows at a time."""
     if not windows:
         raise DataValidationError("cannot score an empty split")
     with _borrowed_workspace() as ws:

@@ -2,7 +2,8 @@
 
 Every test drives ``main(argv)`` in-process so exit codes, stdout contracts,
 and stderr diagnostics are asserted exactly as a shell user would see them;
-the one that reads a config from a pipe runs ``python -m sentirisk.cli``.
+the one that reads a config from a pipe and the BLAS thread tests run
+``python -m sentirisk.cli`` or ``python -c``.
 Fixture data comes from the synthetic generators; model dims are tiny so the
 train-dependent tests stay fast.
 """
@@ -479,6 +480,53 @@ class TestTrain:
         captured = capsys.readouterr()
         assert rc == 2
         assert "no prepared dataset" in captured.err
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(args, **blas_vars):
+    """sys.executable with args, sentirisk on its path, and of the BLAS thread
+    variables only those given."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, *args], env={**env, **blas_vars},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestBlasThreads:
+    """import sentirisk pins BLAS to one thread unless the user chose a count."""
+
+    SHOW = f"import os; print([os.environ.get(v) for v in {BLAS_VARS!r}])"
+
+    @pytest.mark.parametrize("first, blas_vars, want", [
+        ("import sentirisk", {}, ["1", "1", "1"]),
+        ("import sentirisk", {"OMP_NUM_THREADS": "2"}, [None, "2", None]),
+        ("import sentirisk", {"MKL_NUM_THREADS": ""}, [None, None, ""]),
+        ("import numpy, sentirisk", {}, [None, None, None]),
+    ], ids=["unset", "user-set", "user-set-empty", "numpy-first"])
+    def test_import_pins_only_unset_variables_before_numpy(self, first, blas_vars, want):
+        assert run_python(["-c", f"{first}; {self.SHOW}"], **blas_vars) == f"{want}\n"
+
+    def test_seeded_train_same_bytes_unset_and_pinned(self, tmp_path):
+        # the default model on a 60-day demo: on a multi-core machine, BLAS
+        # threads would sum its weight gradients in another order
+        bars = make_demo_market(n_days=60, seed=3)
+        write_market_csv(bars, tmp_path / "market.csv")
+        write_docs_jsonl(make_demo_docs(bars, seed=4), tmp_path / "texts.jsonl")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"epochs": 3}', encoding="utf-8")
+        assert main(["prepare", "--data-dir", str(tmp_path)]) == 0
+        outs = []
+        for name, blas_vars in (("unset", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+            ckpt = tmp_path / f"{name}.ckpt.json"
+            run_python(["-m", "sentirisk.cli", "train", "--data-dir", str(tmp_path),
+                        "--config", str(cfg), "--seed", "0", "--model-out", str(ckpt)],
+                       **blas_vars)
+            outs.append((ckpt.read_bytes(), (tmp_path / f"{name}.history.jsonl").read_bytes()))
+        assert outs[0] == outs[1]
 
 
 class TestEvaluate:

@@ -5,7 +5,7 @@ import json
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from sentirisk.data import (
     PrepareConfig,
     PreparedDataset,
     RawTextDoc,
+    Split,
     WindowSample,
     align_days,
     load_market_csv,
@@ -320,6 +321,27 @@ class TestSplitChronological:
         with pytest.raises(DataValidationError):
             split_chronological(list(range(10)), (0.5, 0.2, 0.2))
 
+    def test_splits_read_as_lists_do(self):
+        train, val, test = split_chronological(list(range(10)), (0.6, 0.2, 0.2))
+        assert all(type(part) is Split for part in (train, val, test))
+        assert (len(train), train[0], train[-1], list(val), 7 in val) == (6, 0, 5, [6, 7], True)
+        for joined, want in ((train + val, list(range(8))), (val + [10], [6, 7, 10]),
+                             ([-1] + val, [-1, 6, 7]), (train[1:3], [1, 2])):
+            assert type(joined) is list and joined == want
+        assert val == [6, 7] and [6, 7] == val and val != [6] and val != (6, 7)
+
+    def test_split_cannot_be_changed(self):
+        _, val, _ = split_chronological(list(range(10)), (0.6, 0.2, 0.2))
+        with pytest.raises(AttributeError):
+            val.append(10)
+        with pytest.raises(TypeError):
+            val[0] = 10
+        with pytest.raises(TypeError):
+            del val[0]
+        with pytest.raises(TypeError):
+            hash(val)
+        assert list(val) == [6, 7]
+
 
 class TestNormStats:
     def test_train_features_z_scored(self):
@@ -402,6 +424,24 @@ class TestPrepareDataset:
     def test_sample_count(self):
         ds = self.prepared()
         assert len(ds.samples) == 30 - 5
+
+    def test_splits_are_made_once_and_join_to_the_samples(self):
+        ds = self.prepared()
+        splits = ds.splits()
+        assert all(a is b for a, b in zip(ds.splits(), splits))
+        train, val, test = splits
+        assert type(train + val + test) is list
+        assert train + val + test == list(ds.samples)
+
+    def test_prepared_dataset_refuses_assignment(self):
+        ds = self.prepared()
+        assert type(ds.samples) is tuple
+        with pytest.raises(FrozenInstanceError):
+            ds.samples = list(ds.samples)
+        with pytest.raises(FrozenInstanceError):
+            ds.ratios = (0.8, 0.1, 0.1)
+        again = PreparedDataset(ds.vocab, list(ds.samples), ds.stats, ds.window, ds.ratios)
+        assert type(again.samples) is tuple and again == ds
 
     def test_split_sizes_and_order(self):
         ds = self.prepared()

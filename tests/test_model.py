@@ -8,6 +8,7 @@ import json
 import math
 import re
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentirisk.data import AlignedDay, WindowSample
+from sentirisk.data import AlignedDay, Split, WindowSample
 from sentirisk.errors import CheckpointError, ShapeError
 from sentirisk.layers import (
     attention_pool,
@@ -637,6 +638,73 @@ class TestDayTable:
                 model_forward(build_model(BATCHED, ArchKind.CNN_GRU), samples[2])
 
 
+class TestSplitTables:
+    """day_table keeps one table on each Split per text configuration."""
+
+    @pytest.mark.parametrize("values", [[], [3, 3, 3, 3], [4, 0, 2, 1, 3],
+                                        [2, 0, 2, 1, 0, 4, 1]],
+                             ids=["empty", "all-equal", "all-distinct", "mixed"])
+    def test_first_hits_number_as_by_first_appearance(self, values):
+        values = np.array(values, dtype=np.intp)
+        for got, want in zip(model_mod._first_hits(values, 5),
+                             model_mod._by_first_appearance(values)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=60))))
+    def test_first_hits_on_drawn_values(self, drawn):
+        n, values = drawn
+        values = np.array(values, dtype=np.intp)
+        for got, want in zip(model_mod._first_hits(values, n),
+                             model_mod._by_first_appearance(values)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_table_per_split_and_text_configuration(self):
+        samples = shared_day_windows(BATCHED, 11, seed=4)
+        split = Split(samples)
+        table = day_table(BATCHED, split)
+        # fields the table does not read share it; each text field gets its own
+        same = dataclasses.replace(BATCHED, embed_dim=7, gru_hidden=2, seed=9,
+                                   attention_enabled=False, mse_weight=0.1)
+        assert day_table(BATCHED, split) is table and day_table(same, split) is table
+        for change in ({"max_doc_len": 5}, {"kernel_width": 2}, {"conv_stride": 1},
+                       {"vocab_size": 16}):
+            other = day_table(dataclasses.replace(BATCHED, **change), split)
+            assert other is not table, change
+            assert day_table(dataclasses.replace(BATCHED, **change), split) is other
+        assert len(split.tables) == 5
+        short = day_table(dataclasses.replace(BATCHED, max_doc_len=5), split)
+        assert short.docs.shape[1] == 5 and table.docs.shape[1] == 8
+        # a list is built on every call, into the table the split keeps
+        fresh = day_table(BATCHED, samples)
+        assert fresh is not table and day_table(BATCHED, samples) is not fresh
+        for f in dataclasses.fields(table):
+            x, y = getattr(table, f.name), getattr(fresh, f.name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+
+    def test_checks_run_when_a_split_is_first_used(self):
+        samples = shared_day_windows(BATCHED, 6, seed=4)
+        samples[2] = dataclasses.replace(samples[2], inputs=samples[2].inputs[1:])
+        split = Split(samples)
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="sample has 3 days, model expects 4"):
+                day_table(BATCHED, split)
+        assert not split.tables
+
+    @pytest.mark.parametrize("kind", [list, Split])
+    def test_table_arrays_are_read_only(self, kind):
+        samples = kind(shared_day_windows(BATCHED, 11, seed=4))
+        table = day_table(BATCHED, samples)
+        for f in dataclasses.fields(table):
+            array = getattr(table, f.name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        model = build_model(BATCHED, ArchKind.CNN_GRU)
+        cache = table_forward(model, table, np.arange(3))
+        cache.day_index[...] = 0  # what a batch gathers from the table is its own
+
+
 def stale(ws: Workspace) -> Workspace:
     """ws with every buffer full of NaN, as an earlier, larger call may leave it."""
     for buf in ws._buffers.values():
@@ -896,6 +964,30 @@ class TestCheckpoint:
                "tensors": {n: list(s) for n, s in param_shapes(TINY, arch).items()}}
         set_payload(obj, flat)
         assert path.read_bytes() == (json.dumps(obj) + "\n").encode("utf-8")
+
+    def test_threads_saving_to_one_path_never_collide(self, tmp_path):
+        models = [build_model(TINY, ArchKind.CNN_GRU),
+                  build_model(dataclasses.replace(TINY, seed=4), ArchKind.CNN_GRU)]
+        path = tmp_path / "m.ckpt.json"
+        start, errors = threading.Barrier(len(models), timeout=60), []
+
+        def save_30(model):
+            start.wait()
+            try:
+                for _ in range(30):
+                    save_checkpoint(model, path)
+            except Exception as exc:  # each call must succeed
+                errors.append(exc)
+
+        threads = [threading.Thread(target=save_30, args=(m,)) for m in models]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert load_checkpoint(path).params.tobytes() in {m.params.tobytes() for m in models}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt.json"]
 
     def test_round_trip_forward_identical(self, tmp_path):
         model = build_model(TINY, ArchKind.CNN_GRU)

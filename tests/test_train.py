@@ -5,14 +5,23 @@ import dataclasses
 import datetime as dt
 import json
 import math
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from sentirisk import model as model_mod
 from sentirisk import train as train_mod
-from sentirisk.data import AlignedDay, NormStats, PrepareConfig, WindowSample, prepare_dataset
+from sentirisk.data import (
+    AlignedDay,
+    NormStats,
+    PrepareConfig,
+    WindowSample,
+    prepare_dataset,
+    split_chronological,
+)
 from sentirisk.errors import DataValidationError, NumericError, TrainingDivergedError
 from sentirisk.losses import batch_cross_entropy, joint_loss
 from sentirisk.model import (
@@ -360,6 +369,104 @@ class TestWorkspacePool:
         warm_score = [peak_bytes(lambda: score_windows(model, val_split)) for _ in range(2)][1]
         assert warm_step < fresh_step / 3, (warm_step, fresh_step)
         assert warm_score < fresh_score / 3, (warm_score, fresh_score)
+
+
+@pytest.fixture
+def builds(monkeypatch) -> list[int]:
+    """One entry per DayTable built from now on: the windows it was built of."""
+    made, build = [], model_mod._build_table
+
+    def counted(cfg, samples):
+        made.append(len(samples))
+        return build(cfg, samples)
+
+    monkeypatch.setattr(model_mod, "_build_table", counted)
+    return made
+
+
+class TestSplitTables:
+    """train, evaluate and score_windows reuse the table a Split keeps."""
+
+    CFG = TrainConfig(epochs=2, patience=0, batch_size=8, lr=1e-2, seed=2)
+
+    def splits(self, n=40):
+        return split_chronological(make_samples(TINY, n, seed=6), (0.6, 0.2, 0.2))
+
+    def test_one_build_per_split_across_calls(self, builds):
+        train_split, val_split, test_split = self.splits()
+        model = build_model(TINY, ArchKind.CNN_GRU)
+        first, history = train(model, train_split, val_split, self.CFG)
+        assert builds == [24, 8]
+        again, history_again = train(model, train_split, val_split, self.CFG)
+        evaluate(first, test_split)
+        evaluate(first, val_split)
+        score_windows(first, train_split)
+        split_joint_loss(again, test_split)
+        assert builds == [24, 8, 8]  # the test split's, once
+        assert again.params.tobytes() == first.params.tobytes() and history_again == history
+        # another max_doc_len reads the documents cut otherwise: a table of its own
+        short = build_model(dataclasses.replace(TINY, max_doc_len=2), ArchKind.CNN_GRU)
+        evaluate(short, test_split)
+        evaluate(short, test_split)
+        assert builds == [24, 8, 8, 8]
+        # a list is built on every call
+        score_windows(first, list(test_split))
+        score_windows(first, list(test_split))
+        assert builds == [24, 8, 8, 8, 8, 8]
+
+    def test_compare_ablations_builds_three_tables(self, builds):
+        compare_ablations(make_samples(TINY, 30, seed=6), TINY, self.CFG, ratios=(0.6, 0.2, 0.2))
+        assert builds == [18, 6, 6]
+
+    @pytest.mark.parametrize("arch", list(ArchKind), ids=lambda a: a.value)
+    def test_split_and_list_give_the_same_bytes(self, arch):
+        results = []
+        for kind in (list, lambda split: split):
+            train_split, val_split, test_split = map(kind, self.splits())
+            model = build_model(TINY, arch)
+            best, history = train(model, train_split, val_split, self.CFG)
+            again, _ = train(model, train_split, val_split, self.CFG)
+            assert again.params.tobytes() == best.params.tobytes()
+            pred, logits = score_windows(best, test_split)
+            results.append((best.params.tobytes(), history, evaluate(best, test_split),
+                            pred.tobytes(), logits.tobytes()))
+        assert results[0] == results[1]
+
+    def test_threads_training_on_one_split_equal_sequential_runs(self):
+        # more threads than the two cores CI has, switching often
+        samples = make_samples(TINY, 40, seed=6)
+        runs = {"cnn-gru": (ArchKind.CNN_GRU, "adam"), "gru": (ArchKind.GRU_ONLY, "sgd"),
+                "cnn": (ArchKind.CNN_ONLY, "adam")}
+
+        def run(name, train_split, val_split):
+            arch, optimizer = runs[name]
+            cfg = dataclasses.replace(self.CFG, optimizer=optimizer)
+            best, history = train(build_model(TINY, arch), train_split, val_split, cfg)
+            return best.params.tobytes(), history
+
+        train_split, val_split, _ = split_chronological(samples, (0.6, 0.2, 0.2))
+        want = {name: run(name, train_split, val_split) for name in runs}
+        # fresh splits: the threads may build their first tables at once
+        train_split, val_split, _ = split_chronological(samples, (0.6, 0.2, 0.2))
+        start, got = threading.Barrier(len(runs), timeout=60), {}
+
+        def target(name):
+            start.wait()
+            got[name] = run(name, train_split, val_split)
+
+        threads = [threading.Thread(target=target, args=(name,)) for name in runs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+        assert len(train_split.tables) == len(val_split.tables) == 1
 
 
 class TestMetrics:
