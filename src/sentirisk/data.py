@@ -129,15 +129,21 @@ class AlignedDay:
 
     raw holds the unnormalized feature tuple (logret, range, gap, log volume);
     features holds the normalized five (the four z-scored values plus the
-    has_text indicator) once statistics exist.
+    has_text indicator) once statistics exist. token_seqs and features, as a
+    WindowSample's inputs, are made tuples on construction: both are values.
     """
 
     date: dt.date
     raw: tuple[float, float, float, float]
-    token_seqs: list[list[int]]
+    token_seqs: tuple[tuple[int, ...], ...]
     label: int
     close: float
     features: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "token_seqs", tuple(map(tuple, self.token_seqs)))
+        if self.features is not None:
+            object.__setattr__(self, "features", tuple(self.features))
 
     @property
     def has_text(self) -> bool:
@@ -146,7 +152,7 @@ class AlignedDay:
 
 @dataclass(frozen=True)
 class WindowSample:
-    inputs: list[AlignedDay]
+    inputs: tuple[AlignedDay, ...]
     target_date: dt.date
     target_class: int
     target_return_raw: float
@@ -154,6 +160,7 @@ class WindowSample:
     target_return: float | None = None  # normalized, set once stats exist
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "inputs", tuple(self.inputs))
         if not self.inputs:
             raise DataValidationError("window sample has no input days")
 
@@ -327,25 +334,12 @@ def align_days(bars: Sequence[MarketBar], docs: Sequence[LabeledDoc]) -> list[Al
         buckets[idx].append(doc)
 
     days: list[AlignedDay] = []
-    prev_close: float | None = None
-    for bar, bucket in zip(bars, buckets):
-        logret = 0.0 if prev_close is None else math.log(bar.close / prev_close)
-        raw = (
-            logret,
-            (bar.high - bar.low) / bar.close,
-            (bar.close - bar.open) / bar.open,
-            math.log1p(bar.volume),
-        )
-        days.append(
-            AlignedDay(
-                date=bar.date,
-                raw=raw,
-                token_seqs=[d.token_ids for d in bucket],
-                label=_majority_label([d.label for d in bucket]),
-                close=bar.close,
-            )
-        )
-        prev_close = bar.close
+    for i, (bar, bucket) in enumerate(zip(bars, buckets)):
+        logret = math.log(bar.close / bars[i - 1].close) if i else 0.0
+        raw = (logret, (bar.high - bar.low) / bar.close, (bar.close - bar.open) / bar.open,
+               math.log1p(bar.volume))
+        days.append(AlignedDay(date=bar.date, raw=raw, token_seqs=[d.token_ids for d in bucket],
+                               label=_majority_label([d.label for d in bucket]), close=bar.close))
     return days
 
 
@@ -373,19 +367,10 @@ def make_windows(days: Sequence[AlignedDay], window: int = 20) -> list[WindowSam
         raise DataValidationError(
             f"need more than {window} days to form a window, got {len(days)}"
         )
-    samples: list[WindowSample] = []
-    for t in range(len(days) - window):
-        target = days[t + window]
-        samples.append(
-            WindowSample(
-                inputs=list(days[t : t + window]),
-                target_date=target.date,
-                target_class=target.label,
-                target_return_raw=target.raw[0],
-                target_close=target.close,
-            )
-        )
-    return samples
+    return [WindowSample(inputs=days[t : t + window], target_date=target.date,
+                         target_class=target.label, target_return_raw=target.raw[0],
+                         target_close=target.close)
+            for t, target in enumerate(days[window:])]
 
 
 class Split(Sequence[T]):
@@ -393,9 +378,10 @@ class Split(Sequence[T]):
 
     It reads as a list does: len, iteration, indexing, == with a list, and
     a slice or + with a split or a list on either side is a new list. It
-    cannot be appended to or assigned into, so what is derived from it holds
-    for its life: model.day_table keeps the split's DayTable for each text
-    configuration in tables, and every later call on the split reuses it.
+    cannot be appended to or assigned into, and its windows and their days
+    are values (tuples down to the token ids), so what is derived from it
+    holds for its life: model.day_table keeps the split's DayTable for each
+    text configuration in tables, and every later call on the split reuses it.
     """
 
     __slots__ = ("_items", "tables")
@@ -565,8 +551,8 @@ def normalized_samples(stats: NormStats, days: Sequence[AlignedDay], window: int
     """The samples of prepare_dataset and load_prepared: days get features from
     stats; target (start, date, class, raw return, close), a format-3 window row,
     reads days[start : start + window] and gets target_return."""
-    days = [replace(d, features=tuple(f))
-            for d, f in zip(days, stats.normalize_days(days).tolist())]
+    days = tuple(replace(d, features=f)
+                 for d, f in zip(days, stats.normalize_days(days).tolist()))
     return [WindowSample(inputs=days[t : t + window], target_date=date, target_class=cls,
                          target_return_raw=ret, target_close=close,
                          target_return=stats.normalize_return(ret))
@@ -612,7 +598,7 @@ def _check_target_date(date: dt.date, dates: Sequence[dt.date], start: int,
                                   f"{dates[end - 1]}{after}")
 
 
-def _stored_days(ds: PreparedDataset) -> tuple[list[AlignedDay], list[int]]:
+def _stored_days(ds: PreparedDataset) -> tuple[tuple[AlignedDay, ...], list[int]]:
     """ds's input days in date order and each sample's start row; DataValidationError
     for two different days with one date, a window not a run of consecutive days
     or a target_date that _check_target_date rejects."""
@@ -620,12 +606,12 @@ def _stored_days(ds: PreparedDataset) -> tuple[list[AlignedDay], list[int]]:
     for d in {id(d): d for s in ds.samples for d in s.inputs}.values():
         if (first := by_date.setdefault(d.date, d)) is not d and first != d:
             raise DataValidationError(f"two different days dated {d.date}")
-    days = sorted(by_date.values(), key=lambda d: d.date)
+    days = tuple(sorted(by_date.values(), key=lambda d: d.date))
     dates = [d.date for d in days]
     row = {date: i for i, date in enumerate(dates)}
     starts = [row[s.inputs[0].date] for s in ds.samples]
     for s, t in zip(ds.samples, starts):
-        if s.inputs != days[t : t + ds.window]:  # list == tries identity first
+        if s.inputs != days[t : t + ds.window]:  # tuple == tries identity first
             raise DataValidationError(f"window for {s.target_date} is not a run of "
                                       f"{ds.window} consecutive days")
         _check_target_date(s.target_date, dates, t, ds.window)

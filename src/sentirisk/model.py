@@ -572,19 +572,11 @@ class DayTable:
     doc_start: np.ndarray  # (n_texts + 1,) first document of each text row
 
 
-def _by_first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position of each distinct value's first appearance, in order of first
-    appearance; each value's number in that order)."""
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[by_first] = np.arange(len(first))
-    return first[by_first], rank[inverse]
-
-
 def _first_hits(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_by_first_appearance(values) for values in [0, n), without sorting:
-    np.minimum.at marks each value's first position among n slots."""
+    """(position of each distinct value's first appearance, in order of first
+    appearance; each value's number in that order) for values in [0, n),
+    without sorting: np.minimum.at marks each value's first position among n
+    slots."""
     at = np.arange(len(values))
     first_at = np.full(n, len(values), dtype=np.intp)
     np.minimum.at(first_at, values, at)
@@ -617,9 +609,9 @@ def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
         _check_window(cfg, sample)
     flat = [day for sample in samples for day in sample.inputs]
     # flat holds every day object, so no id is reused while this runs
-    first, rows = _by_first_appearance(np.fromiter(map(id, flat), dtype=np.uintp,
-                                                   count=len(flat)))
-    days = [flat[i] for i in first]
+    row_of: dict[int, int] = {}
+    rows = np.array([row_of.setdefault(id(day), len(row_of)) for day in flat], dtype=np.intp)
+    days = list({id(day): day for day in flat}.values())
     try:  # None, ragged or non-numeric features fail here or in the shape test
         features = np.array([day.features for day in days], dtype=np.float64)
         ok = features.shape == (len(days), N_MARKET_FEATURES) and np.isfinite(features).all()
@@ -632,7 +624,7 @@ def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     text = np.full(len(days), -1, dtype=np.intp)
     for row, day in enumerate(days):
         if day.token_seqs:
-            key = tuple(tuple(seq[: cfg.max_doc_len]) for seq in day.token_seqs)
+            key = tuple(seq[: cfg.max_doc_len] for seq in day.token_seqs)
             text[row] = texts.setdefault(key, len(texts))
     counts = np.array([len(key) for key in texts], dtype=np.intp)
     longest = max((len(seq) for key in texts for seq in key), default=0)

@@ -8,18 +8,19 @@ the same split reuses it), and each mini-batch is a slice of the
 permutation run through model.table_forward/batch_backward as whole
 arrays. score_windows, behind evaluate, split_joint_loss,
 export_predictions and the CLI's alert, runs one table of a list of
-windows FORWARD_BLOCK windows at a time, as validation does. Each train and score_windows call borrows a
-model.Workspace from a process-wide pool of idle ones, works in it for
-every batch, validation block and optimizer step, and gives it back when it
-returns. A workspace holds one batch's working set, and the pool as many
-workspaces as calls ever ran at once (in threads, or one inside another,
-each borrows its own), so a repeated call finds its memory mapped already.
-Nothing a call returns is a view of a pooled buffer. The optimizer steps a
-copy of model.params in place, under a model built once over it, so the
-caller's model is never written; each batch's gradients come from
-batch_backward in the same layout. A batch with a non-finite loss aborts
-the run; early stopping watches the validation joint loss, and a model over
-a copy of the vector at the best one is what the caller gets back.
+windows FORWARD_BLOCK windows at a time, as validation does. Each train and
+score_windows call borrows a model.Workspace from a process-wide pool of
+idle ones, works in it for every batch, validation block and optimizer
+step, and gives it back when it returns. A workspace holds one batch's
+working set, and the pool as many workspaces as calls ever ran at once (in
+threads, or one inside another, each borrows its own), so a repeated call
+finds its memory mapped already. Nothing a call returns is a view of a
+pooled buffer. The optimizer steps a copy of model.params in place, under a
+model built once over it, so the caller's model is never written; each
+batch's gradients come from batch_backward in the same layout. A batch with
+a non-finite loss aborts the run; early stopping watches the validation
+joint loss, and a model over a copy of the vector at the best one is what
+the caller gets back.
 TrainConfig is the one place that checks the training settings, the
 optimizer's among them.
 """
@@ -39,7 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .data import DEFAULT_RATIOS, NormStats, WindowSample, atomic_write, split_chronological
-from .errors import DataValidationError, ShapeError, TrainingDivergedError
+from .errors import DataValidationError, NumericError, ShapeError, TrainingDivergedError
 from .losses import batch_cross_entropy, joint_loss
 from .model import (
     ArchKind,
@@ -312,12 +313,17 @@ class MetricsReport:
 
 
 def evaluate(model: CnnGruModel, split: Sequence[WindowSample]) -> MetricsReport:
+    """The split's metrics; NumericError if regression_mse is not finite."""
     confusion = [[0] * NUM_CLASSES for _ in range(NUM_CLASSES)]
     returns, classes = _targets(split)
     pred, logits = score_windows(model, split)
     for true, guess in zip(classes, np.argmax(logits, axis=1)):
         confusion[true][guess] += 1
-    sq_err = float(np.sum((pred - returns) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+        sq_err = float(np.sum((pred - returns) ** 2))
+    if not math.isfinite(sq_err):
+        raise NumericError(f"regression_mse is {sq_err / len(split)}, not finite: the "
+                           f"model's predicted returns overflow")
     return MetricsReport.from_confusion(confusion, sq_err / len(split))
 
 
@@ -374,7 +380,8 @@ def export_predictions(model: CnnGruModel, split: Sequence[WindowSample],
                        stats: NormStats | None, path: str | Path) -> None:
     """CSV of date,true_close,pred_close with returns inverted to price levels.
 
-    pred_close = prev_close * exp(denormalized predicted log return).
+    pred_close = prev_close * exp(denormalized predicted log return); NumericError,
+    writing nothing, naming the first target date whose pred_close is not finite.
     """
     if stats is None:
         raise DataValidationError("prediction export needs normalization statistics")
@@ -384,7 +391,13 @@ def export_predictions(model: CnnGruModel, split: Sequence[WindowSample],
         writer.writerow(["date", "true_close", "pred_close"])
         for sample, pred_z in zip(split, pred.tolist()):
             raw = stats.denormalize_return(pred_z)
-            pred_close = sample.prev_close * math.exp(raw)
+            try:
+                pred_close = sample.prev_close * math.exp(raw)
+            except OverflowError:
+                pred_close = math.inf
+            if not math.isfinite(pred_close):
+                raise NumericError(f"predicted close for {sample.target_date} is not finite: "
+                                   f"predicted log return {raw!r}")
             writer.writerow([
                 sample.target_date.isoformat(),
                 repr(float(sample.target_close)),

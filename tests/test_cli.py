@@ -573,6 +573,27 @@ class TestEvaluate:
         assert captured.out == ""
         return captured.err
 
+    def test_overflowing_regression_mse_exits_3_naming_it(self, workspace, trained, tmp_path,
+                                                          capsys):
+        # a return of 1e300 squares past the largest float: a non-finite metric,
+        # not JSON's Infinity, and no numpy overflow warning on the way
+        ckpt = with_return_bias(trained, tmp_path / "huge.ckpt.json", 1e300)
+        capsys.readouterr()
+        rc = main(["evaluate", "--data-dir", str(workspace["root"]), "--model-in", str(ckpt)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "numeric/runtime error: regression_mse is inf, not finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_large_finite_regression_mse_is_reported(self, workspace, trained, tmp_path,
+                                                     capsys):
+        ckpt = with_return_bias(trained, tmp_path / "large.ckpt.json", 1e6)
+        capsys.readouterr()
+        rc = main(["evaluate", "--data-dir", str(workspace["root"]), "--model-in", str(ckpt)])
+        assert rc == 0
+        assert 1e11 < json.loads(capsys.readouterr().out)["regression_mse"] < math.inf
+
     def test_format_1_checkpoint_exits_2_naming_the_version(self, workspace, trained,
                                                             tmp_path, capsys):
         # format 1 held one (width, embed) tensor per filter, conv/k0, conv/k1, ...,
@@ -645,6 +666,18 @@ def format_2_tensors(obj: dict) -> dict:
         tensors[name] = {"rows": rows, "cols": cols, "values": values}
         at += rows * cols
     return tensors
+
+
+def with_return_bias(ckpt: Path, out: Path, value: float) -> Path:
+    """A copy of checkpoint ckpt at out whose return head's bias, head_reg/b, is value."""
+    obj = json.loads(ckpt.read_text())
+    flat = np.frombuffer(base64.b64decode(obj["values"]), dtype="<f8").copy()
+    sizes = {name: rows * cols for name, (rows, cols) in obj["tensors"].items()}
+    names = list(sizes)
+    flat[sum(sizes[n] for n in names[: names.index("head_reg/b")])] = value
+    obj["values"] = base64.b64encode(flat.tobytes()).decode("ascii")
+    out.write_text(json.dumps(obj), encoding="utf-8")
+    return out
 
 
 class TestNonUtf8Input:
@@ -1037,6 +1070,23 @@ class TestPredict:
         rows = out.read_text(encoding="utf-8").splitlines()
         assert rows[0] == "date,true_close,pred_close"
         assert len(rows) == 1 + N_TEST
+
+    @pytest.mark.parametrize("bias", [1e6, 1e300])
+    def test_overflowing_close_exits_3_naming_the_first_date(self, workspace, trained,
+                                                             tmp_path, capsys, bias):
+        # exp of the denormalized return overflows for every window of the split
+        ckpt = with_return_bias(trained, tmp_path / "huge.ckpt.json", bias)
+        out = tmp_path / "preds.csv"
+        capsys.readouterr()
+        rc = main(["predict", "--data-dir", str(workspace["root"]), "--model-in", str(ckpt),
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        first = load_prepared(workspace["root"] / "prepared").splits()[2][0].target_date
+        assert rc == 3
+        assert f"numeric/runtime error: predicted close for {first} is not finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_out_flag_exits_1(self, workspace, trained, capsys):
         rc = main([

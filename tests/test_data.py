@@ -202,8 +202,8 @@ class TestAlignDays:
         bars = [bar(fri), bar(mon)]
         sat_doc = self.doc(dt.datetime(2024, 1, 6, 14, 0))
         days = align_days(bars, [sat_doc])
-        assert days[0].token_seqs == []
-        assert days[1].token_seqs == [[2, 3]]
+        assert days[0].token_seqs == ()
+        assert days[1].token_seqs == ((2, 3),)
         assert days[1].has_text
 
     def test_majority_vote(self):
@@ -228,7 +228,7 @@ class TestAlignDays:
         late = self.doc(dt.datetime(2024, 1, 9))
         with caplog.at_level(logging.INFO, logger="sentirisk.data"):
             days = align_days(bars, [late])
-        assert days[0].token_seqs == []
+        assert days[0].token_seqs == ()
         assert any("dropping document" in r.message for r in caplog.records)
 
     def test_unsorted_bars_rejected(self):
@@ -264,7 +264,7 @@ class TestMakeWindows:
         samples = make_windows(days, window=20)
         assert len(samples) == 1
         assert samples[0].target_date == days[20].date
-        assert samples[0].inputs == days[:20]
+        assert samples[0].inputs == tuple(days[:20])
         assert samples[0].prev_close == days[19].close
 
     def test_has_text_and_prev_close_follow_their_sources(self):
@@ -509,7 +509,7 @@ class TestPrepareDataset:
         got = self.days_by_date(
             prepare_dataset(bars, docs + [self.url_post(day)], lex, self.CFG))[day]
         assert not got.has_text
-        assert got.token_seqs == []
+        assert got.token_seqs == ()
 
 
 def assert_same_samples(loaded, original):
@@ -630,7 +630,7 @@ class TestPreparedRoundTrip:
                                         lambda days: [days[5], days[4], *days[6:9]]],
                              ids=["gap", "out-of-order"])
     def test_window_not_a_run_of_consecutive_days_refused(self, tmp_path, demo, inputs):
-        days = [s.inputs[0] for s in demo.samples] + demo.samples[-1].inputs[1:]
+        days = [*(s.inputs[0] for s in demo.samples), *demo.samples[-1].inputs[1:]]
         s = demo.samples[4]
         samples = [*demo.samples[:4], replace(s, inputs=inputs(days)), *demo.samples[5:]]
         self.refused(tmp_path, replace(demo, samples=samples),
@@ -639,7 +639,7 @@ class TestPreparedRoundTrip:
     @pytest.mark.parametrize("row", [None, 6, 8],
                              ids=["before-every-day", "last-input-day", "past-the-next-day"])
     def test_target_date_outside_its_slot_refused(self, tmp_path, demo, row):
-        days = [s.inputs[0] for s in demo.samples] + demo.samples[-1].inputs[1:]
+        days = [*(s.inputs[0] for s in demo.samples), *demo.samples[-1].inputs[1:]]
         s = demo.samples[2]  # rows 2..6; its target is row 7
         assert s.target_date == days[7].date
         date = dt.date(2000, 1, 1) if row is None else days[row].date
@@ -748,3 +748,77 @@ class TestDocumentLength:
             assert hist_a == hist_b
             for name, p in best_a.tensors.items():
                 assert np.array_equal(p, best_b.tensors[name]), (arch, name)
+
+
+def assert_day_tuples(days):
+    """Each day's documents, their token ids and its features are tuples."""
+    for d in days:
+        assert type(d.token_seqs) is tuple and all(type(q) is tuple for q in d.token_seqs)
+        assert d.features is None or type(d.features) is tuple
+
+
+def assert_window_tuples(samples):
+    for s in samples:
+        assert type(s.inputs) is tuple
+        assert_day_tuples(s.inputs)
+
+
+class TestDaysAndWindowsAreValues:
+    """Every constructor makes a window's inputs and a day's documents and
+    features tuples, so nothing edits a day or window under a split's kept table."""
+
+    CFG = PrepareConfig(window=5, ratios=(0.6, 0.2, 0.2))
+
+    def test_align_days_and_make_windows(self):
+        bars, docs, _ = build_corpus(12)
+        days = align_days(bars, [LabeledDoc(d.timestamp, [2, 3, 4], 1) for d in docs])
+        assert any(d.token_seqs for d in days) and not all(d.token_seqs for d in days)
+        assert_day_tuples(days)
+        assert_window_tuples(make_windows(days, window=5))
+
+    def test_prepare_and_load(self, tmp_path):
+        ds = prepare_dataset(*build_corpus(20), self.CFG)
+        assert_window_tuples(ds.samples)
+        save_prepared(ds, tmp_path)
+        assert_window_tuples(load_prepared(tmp_path).samples)
+
+    def test_ablation_dataset(self):
+        assert_window_tuples(make_ablation_dataset(n_days=30)[0])
+
+    def test_built_from_lists(self):
+        seqs, features = [[2, 3], [4]], [0.1, 0.2, 0.3, 0.4, 1.0]
+        day = AlignedDay(date=dt.date(2024, 1, 2), raw=(0.0,) * 4, token_seqs=seqs, label=1,
+                         close=100.0, features=features)
+        window = WindowSample(inputs=[day], target_date=dt.date(2024, 1, 3), target_class=1,
+                              target_return_raw=0.0, target_close=100.0)
+        assert_window_tuples([window, replace(window, inputs=[replace(day, token_seqs=[[7]])])])
+        # the caller's lists are copied: editing them later leaves the day as it was
+        seqs[0].append(5)
+        features[0] = 9.0
+        assert day.token_seqs == ((2, 3), (4,)) and day.features == (0.1, 0.2, 0.3, 0.4, 1.0)
+
+    def test_a_used_split_cannot_be_edited_under_its_table(self, tmp_path):
+        save_prepared(prepare_dataset(*build_corpus(40), self.CFG), tmp_path)
+        ds = load_prepared(tmp_path)
+        test = ds.splits()[2]
+        model = build_model(tiny_model_config(ds.vocab.size, max_doc_len=8), ArchKind.CNN_GRU)
+        before = score_windows(model, test)
+        window = test[0]
+        other = replace(window.inputs[-1], features=(1.0, -1.0, 0.5, 2.0, 1.0))
+        with pytest.raises(TypeError):
+            window.inputs[-1] = other
+        day = next(d for d in window.inputs if d.token_seqs)
+        with pytest.raises(AttributeError):  # a tuple has no append
+            day.token_seqs[0].append(2)
+        with pytest.raises(TypeError):
+            day.token_seqs[0][0] = 2
+        with pytest.raises(TypeError):
+            day.features[0] = 0.0
+        for got, want in zip(score_windows(model, test), before):
+            assert got.tobytes() == want.tobytes()
+        # an edited copy is a new window: in a new split it scores as a fresh list does
+        edited = [replace(window, inputs=(*window.inputs[:-1], other)), *test[1:]]
+        got, fresh = score_windows(model, Split(edited)), score_windows(model, list(edited))
+        assert got[0][0] != before[0][0]
+        for x, y in zip(got, fresh):
+            assert x.tobytes() == y.tobytes()

@@ -220,7 +220,7 @@ class TestModelForward:
 
         def first_day_reads(seqs):
             day = dataclasses.replace(base.inputs[0], token_seqs=seqs)
-            return dataclasses.replace(base, inputs=[day] + base.inputs[1:])
+            return dataclasses.replace(base, inputs=(day, *base.inputs[1:]))
 
         emptied = first_day_reads([])
         assert not emptied.inputs[0].has_text
@@ -238,7 +238,7 @@ class TestModelForward:
         model = build_model(TINY, ArchKind.CNN_GRU)
         s = make_sample(TINY, seed=9)
         s = dataclasses.replace(
-            s, inputs=[dataclasses.replace(s.inputs[0], features=None)] + s.inputs[1:]
+            s, inputs=(dataclasses.replace(s.inputs[0], features=None), *s.inputs[1:])
         )
         with pytest.raises(ShapeError):
             model_forward(model, s)
@@ -571,7 +571,7 @@ class TestDayTable:
             [0] + [len(d.token_seqs) for d in (d0, d2, d3)]))
         for doc, seq in zip(table.docs[: len(d0.token_seqs)], d0.token_seqs):
             seq = seq[: BATCHED.max_doc_len]
-            assert list(doc) == seq + [0] * (BATCHED.max_doc_len - len(seq))
+            assert list(doc) == [*seq, *[0] * (BATCHED.max_doc_len - len(seq))]
 
     @pytest.mark.parametrize("arch", list(ArchKind))
     def test_table_rows_equal_batch_forward_bit_for_bit(self, arch):
@@ -612,9 +612,9 @@ class TestDayTable:
 
     @pytest.mark.parametrize("damage, message", [
         (lambda days: days[1:], "sample has 3 days, model expects 4"),
-        (lambda days: days[:-1] + [dataclasses.replace(days[-1], features=None)],
+        (lambda days: (*days[:-1], dataclasses.replace(days[-1], features=None)),
          "has no normalized features"),
-        (lambda days: days[:-1] + [dataclasses.replace(days[-1], token_seqs=[[2, 15]])],
+        (lambda days: (*days[:-1], dataclasses.replace(days[-1], token_seqs=[[2, 15]])),
          "token id 15 out of range for vocab of 15"),
     ], ids=["short window", "missing features", "token id"])
     def test_bad_input_rejected_at_build(self, damage, message):
@@ -629,13 +629,24 @@ class TestDayTable:
         samples = shared_day_windows(BATCHED, 6, seed=4)
         day = samples[2].inputs[-1]
         bad = dataclasses.replace(day, features=(*day.features[:3], value, day.features[4]))
-        samples[2] = dataclasses.replace(samples[2], inputs=samples[2].inputs[:-1] + [bad])
+        samples[2] = dataclasses.replace(samples[2], inputs=(*samples[2].inputs[:-1], bad))
         with pytest.raises(ShapeError, match=rf"day {day.date} features \[.*{value}.*\] "
                                              "are not 5 finite numbers"):
             if entry == "day_table":
                 day_table(BATCHED, samples)
             else:
                 model_forward(build_model(BATCHED, ArchKind.CNN_GRU), samples[2])
+
+
+def by_first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorting numbering _first_hits replaced, kept as its reference:
+    (position of each distinct value's first appearance, in order of first
+    appearance; each value's number in that order)."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[by_first] = np.arange(len(first))
+    return first[by_first], rank[inverse]
 
 
 class TestSplitTables:
@@ -646,8 +657,7 @@ class TestSplitTables:
                              ids=["empty", "all-equal", "all-distinct", "mixed"])
     def test_first_hits_number_as_by_first_appearance(self, values):
         values = np.array(values, dtype=np.intp)
-        for got, want in zip(model_mod._first_hits(values, 5),
-                             model_mod._by_first_appearance(values)):
+        for got, want in zip(model_mod._first_hits(values, 5), by_first_appearance(values)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -656,8 +666,7 @@ class TestSplitTables:
     def test_first_hits_on_drawn_values(self, drawn):
         n, values = drawn
         values = np.array(values, dtype=np.intp)
-        for got, want in zip(model_mod._first_hits(values, n),
-                             model_mod._by_first_appearance(values)):
+        for got, want in zip(model_mod._first_hits(values, n), by_first_appearance(values)):
             assert got.tobytes() == want.tobytes()
 
     def test_one_table_per_split_and_text_configuration(self):
