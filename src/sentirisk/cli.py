@@ -1,13 +1,15 @@
 """Command-line interface: prepare / train / evaluate / compare / predict / alert.
 
-Exit codes: 0 success, 1 usage error, 2 data validation error, 3 runtime or
-numeric failure. Long-running subcommands log progress to standard error;
-machine-readable results (metrics JSON, CSV, alert JSONL) go to standard
-output unless an output path is given. A failed run leaves a previous
-checkpoint, history, predict CSV or alert file as it was. evaluate, predict
-and alert load their inputs through one loader (a checkpoint whose vocab_size
-or window differs from the dataset's is a data error) and score the split
-with train.score_windows.
+Each subcommand's parser declares only the flags its code reads, plus
+--config, which every subcommand takes so that one config file serves the
+whole pipeline; any other flag, or a flag's prefix, is a usage error. Exit
+codes: 0 success, 1 usage error, 2 data validation error, 3 runtime or
+numeric failure. Progress goes to standard error; results (metrics JSON, CSV,
+alert JSONL) go to standard output unless an output path is given. A failed
+run leaves a previous checkpoint, history, predict CSV or alert file as it
+was. evaluate, predict and alert load their inputs through one loader (a
+checkpoint whose vocab_size or window differs from the dataset's is a data
+error) and score the split with train.score_windows.
 
 Configuration is a flat JSON object whose keys are the fields of ModelConfig,
 TrainConfig, PrepareConfig and AlertRuleConfig, which alone define each
@@ -15,9 +17,8 @@ setting's default, type and range. Three names differ: "attention" is
 attention_enabled, the three *_ratio keys are PrepareConfig.ratios, and the
 two lexicon_* paths are CLI-only. A key that several dataclasses share (seed,
 window) sets every one of them. data.read_json reads the file. A value of
-the wrong JSON type or out of range is a data error. Explicit CLI flags
-override the file. The environment variable SENTI_RISK_SEED overrides the
-seed when the --seed flag is absent.
+the wrong JSON type or out of range is a data error. Flags override the
+file; for train and compare, SENTI_RISK_SEED stands in for an absent --seed.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ ARCH_BY_FLAG = {
     "gru": ArchKind.GRU_ONLY,
     "cnn-gru": ArchKind.CNN_GRU,
 }
+
+SPLITS = ("train", "val", "test")
 
 CONFIG_CLASSES = (ModelConfig, train_mod.TrainConfig, data_mod.PrepareConfig,
                   alerts_mod.AlertRuleConfig)
@@ -81,7 +84,7 @@ CONFIG_DEFAULTS, _CONFIG_TYPES = _config_schema()
 
 
 class UsageError(Exception):
-    """Bad invocation detected after argparse (missing required flag, etc.)."""
+    """Bad invocation argparse cannot see: a bad SENTI_RISK_SEED, alert's flag mix."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,56 +95,65 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> _Parser:
-    parent = _Parser(add_help=False)
-    parent.add_argument("--config", metavar="PATH", help="JSON config file")
-    parent.add_argument("--seed", type=int, default=None, help="RNG seed")
-    parent.add_argument("--arch", choices=sorted(ARCH_BY_FLAG), default=None,
-                        help="architecture (default cnn-gru)")
-    parent.add_argument("--attention", choices=["on", "off"], default=None,
-                        help="attention pooling over GRU hidden states")
-    parent.add_argument("--model-in", metavar="PATH", help="checkpoint to load")
-    parent.add_argument("--model-out", metavar="PATH", help="checkpoint to write")
-    parent.add_argument("--data-dir", metavar="DIR",
-                        help="raw data dir (prepare) or prepared dataset dir")
+def _path(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
 
-    parser = _Parser(
-        prog="sentirisk",
-        description="Market-sentiment sequence learner with risk alerting.",
-    )
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="sentirisk",
+                     description="Market-sentiment sequence learner with risk alerting.")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("prepare", parents=[parent],
-                       help="ingest market.csv + texts.jsonl into a prepared dataset")
-    p.add_argument("--out", metavar="DIR", help="output dir (default DATA_DIR/prepared)")
-    p.set_defaults(func=cmd_prepare)
+    def command(name: str, func, help: str, required: bool = True) -> _Parser:
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--config", metavar="PATH", help="JSON config file")
+        p.add_argument("--data-dir", metavar="DIR", type=_path, required=required,
+                       help="raw data dir (prepare) or prepared dataset dir")
+        return p
 
-    p = sub.add_parser("train", parents=[parent], help="train a model")
+    def seed_and_attention(p: _Parser) -> None:
+        p.add_argument("--seed", type=int, help="RNG seed")
+        p.add_argument("--attention", choices=["on", "off"],
+                       help="attention pooling over GRU hidden states")
+
+    def scoring(p: _Parser, required: bool = True) -> None:
+        p.add_argument("--model-in", metavar="PATH", type=_path, required=required,
+                       help="checkpoint to load")
+        # alert's default is None: it refuses a --split given with --predictions
+        p.add_argument("--split", choices=SPLITS, default="test" if required else None,
+                       help="split to score (default test)")
+
+    p = command("prepare", cmd_prepare, "ingest market.csv + texts.jsonl into a prepared dataset")
+    p.add_argument("--out", metavar="DIR", help="output dir (default DATA_DIR/prepared)")
+
+    p = command("train", cmd_train, "train a model")
+    seed_and_attention(p)
+    p.add_argument("--arch", choices=sorted(ARCH_BY_FLAG), default="cnn-gru",
+                   help="architecture (default cnn-gru)")
+    p.add_argument("--model-out", metavar="PATH", type=_path, required=True,
+                   help="checkpoint to write")
     p.add_argument("--history-out", metavar="PATH",
                    help="epoch history JSONL (default derived from --model-out)")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[parent], help="metrics on one split")
-    p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p.set_defaults(func=cmd_evaluate)
+    p = command("evaluate", cmd_evaluate, "metrics on one split")
+    scoring(p)
 
-    p = sub.add_parser("compare", parents=[parent],
-                       help="train all three architectures and tabulate metrics")
+    p = command("compare", cmd_compare, "train all three architectures and tabulate metrics")
+    seed_and_attention(p)
     p.add_argument("--out", metavar="PATH", help="also write metrics JSON here")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("predict", parents=[parent],
-                       help="export date,true_close,pred_close CSV")
-    p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p.add_argument("--out", metavar="PATH", required=False, help="output CSV path")
-    p.set_defaults(func=cmd_predict)
+    p = command("predict", cmd_predict, "export date,true_close,pred_close CSV")
+    scoring(p)
+    p.add_argument("--out", metavar="PATH", type=_path, required=True, help="output CSV path")
 
-    p = sub.add_parser("alert", parents=[parent], help="emit risk-alert JSONL")
-    p.add_argument("--split", choices=["train", "val", "test"], default="test")
+    p = command("alert", cmd_alert, "emit risk-alert JSONL", required=False)
+    scoring(p, required=False)
     p.add_argument("--predictions", metavar="PATH",
                    help="precomputed prediction JSONL instead of a model run")
     p.add_argument("--out", metavar="PATH", help="output JSONL path (default stdout)")
-    p.set_defaults(func=cmd_alert)
 
     return parser
 
@@ -153,21 +165,17 @@ def build_parser() -> _Parser:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(CONFIG_DEFAULTS)
-    file_cfg: dict = {}
-    if getattr(args, "config", None):
-        file_cfg = data_mod.read_json(args.config, _CONFIG_TYPES)
-        cfg.update(file_cfg)
+    file_cfg = data_mod.read_json(args.config, _CONFIG_TYPES) if args.config else {}
+    cfg.update(file_cfg)
     cfg["_explicit"] = set(file_cfg)
-
+    env = os.environ.get("SENTI_RISK_SEED")
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    else:
-        env = os.environ.get("SENTI_RISK_SEED")
-        if env is not None:
-            try:
-                cfg["seed"] = int(env)
-            except ValueError:
-                raise UsageError(f"SENTI_RISK_SEED must be an integer, got {env!r}") from None
+    elif "seed" in args and env is not None:  # read only where --seed is taken
+        try:
+            cfg["seed"] = int(env)
+        except ValueError:
+            raise UsageError(f"SENTI_RISK_SEED must be an integer, got {env!r}") from None
     if getattr(args, "attention", None) is not None:
         cfg["attention"] = args.attention == "on"
     return cfg
@@ -196,17 +204,6 @@ def _model_config(cfg: dict, vocab_size: int, window: int) -> ModelConfig:
     return build_config(ModelConfig, cfg, vocab_size=vocab_size, window=window)
 
 
-def _arch(args: argparse.Namespace) -> ArchKind:
-    return ARCH_BY_FLAG[args.arch or "cnn-gru"]
-
-
-def _require(args: argparse.Namespace, flag: str) -> str:
-    value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-    if not value:
-        raise UsageError(f"{flag} is required for this command")
-    return value
-
-
 def _find_prepared(data_dir: str) -> Path:
     root = Path(data_dir)
     if (root / "norm_stats.json").is_file():
@@ -229,22 +226,21 @@ def _lexicon(cfg: dict) -> Lexicon:
     return Lexicon.from_files(pos, neg)
 
 
-def _load_for_scoring(args: argparse.Namespace
+def _load_for_scoring(args: argparse.Namespace, split_name: str
                       ) -> tuple[CnnGruModel, data_mod.PreparedDataset, list]:
-    """The --model-in checkpoint, checked against the prepared dataset, and its --split."""
-    prepared = _find_prepared(_require(args, "--data-dir"))
-    model_in = _require(args, "--model-in")
-    model = load_checkpoint(model_in)
+    """The --model-in checkpoint, checked against the prepared dataset, and one split."""
+    prepared = _find_prepared(args.data_dir)
+    model = load_checkpoint(args.model_in)
     ds = data_mod.load_prepared(prepared)
     for key, have, want in (("vocab_size", model.cfg.vocab_size, ds.vocab.size),
                             ("window", model.cfg.window, ds.window)):
         if have != want:
             raise DataValidationError(
-                f"checkpoint {model_in} has {key} {have}, "
+                f"checkpoint {args.model_in} has {key} {have}, "
                 f"but the prepared dataset {prepared} has {want}")
-    split = dict(zip(("train", "val", "test"), ds.splits()))[args.split]
+    split = dict(zip(SPLITS, ds.splits()))[split_name]
     if not split:
-        raise DataValidationError(f"{args.split} split is empty")
+        raise DataValidationError(f"{split_name} split is empty")
     return model, ds, split
 
 
@@ -255,7 +251,7 @@ def _load_for_scoring(args: argparse.Namespace
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    data_dir = Path(_require(args, "--data-dir"))
+    data_dir = Path(args.data_dir)
     market = data_dir / "market.csv"
     texts = data_dir / "texts.jsonl"
     bars = data_mod.load_market_csv(market)
@@ -274,11 +270,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    prepared = _find_prepared(_require(args, "--data-dir"))
-    model_out = Path(_require(args, "--model-out"))
+    prepared = _find_prepared(args.data_dir)
+    model_out = Path(args.model_out)
     ds = data_mod.load_prepared(prepared)
     mcfg = _model_config(cfg, ds.vocab.size, ds.window)
-    model = build_model(mcfg, _arch(args))
+    model = build_model(mcfg, ARCH_BY_FLAG[args.arch])
     train_s, val_s, _ = ds.splits()
     best, history = train_mod.train(model, train_s, val_s,
                                     build_config(train_mod.TrainConfig, cfg))
@@ -299,7 +295,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     resolve_config(args)
-    model, _, split = _load_for_scoring(args)
+    model, _, split = _load_for_scoring(args, args.split)
     report = train_mod.evaluate(model, split)
     print(json.dumps({"split": args.split, **report.to_dict()}, indent=2))
     return 0
@@ -307,8 +303,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    prepared = _find_prepared(_require(args, "--data-dir"))
-    ds = data_mod.load_prepared(prepared)
+    ds = data_mod.load_prepared(_find_prepared(args.data_dir))
     mcfg = _model_config(cfg, ds.vocab.size, ds.window)
     reports = train_mod.compare_ablations(ds.samples, mcfg,
                                           build_config(train_mod.TrainConfig, cfg),
@@ -323,20 +318,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     resolve_config(args)
-    out = _require(args, "--out")
-    model, ds, split = _load_for_scoring(args)
-    train_mod.export_predictions(model, split, ds.stats, out)
-    print(f"wrote {len(split)} predictions -> {out}")
+    model, ds, split = _load_for_scoring(args, args.split)
+    train_mod.export_predictions(model, split, ds.stats, args.out)
+    print(f"wrote {len(split)} predictions -> {args.out}")
     return 0
 
 
 def cmd_alert(args: argparse.Namespace) -> int:
+    inputs = {"--model-in": args.model_in, "--data-dir": args.data_dir, "--split": args.split}
+    if args.predictions and (given := [f for f, v in inputs.items() if v is not None]):
+        raise UsageError(f"--predictions takes no {', '.join(given)}")
+    missing = [f for f in ("--model-in", "--data-dir") if inputs[f] is None]
+    if not args.predictions and missing:
+        raise UsageError(f"without --predictions, alert needs {' and '.join(missing)}")
     cfg = resolve_config(args)
     rules = build_config(alerts_mod.AlertRuleConfig, cfg)
     if args.predictions:
         preds = alerts_mod.load_predictions_jsonl(args.predictions)
     else:
-        model, _, split = _load_for_scoring(args)
+        model, _, split = _load_for_scoring(args, args.split or "test")
         pred, logits = train_mod.score_windows(model, split)
         probs = softmax_rows(logits)
         # argmax breaks ties toward the first class

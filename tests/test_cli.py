@@ -10,6 +10,7 @@ train-dependent tests stay fast.
 
 from __future__ import annotations
 
+import argparse
 import base64
 import dataclasses
 import json
@@ -26,7 +27,7 @@ import pytest
 
 from sentirisk import data as data_mod
 from sentirisk.alerts import AlertRuleConfig
-from sentirisk.cli import CONFIG_DEFAULTS, build_config, main
+from sentirisk.cli import CONFIG_DEFAULTS, build_config, build_parser, main
 from sentirisk.data import PrepareConfig, load_prepared
 from sentirisk.matrix import softmax
 from sentirisk.model import (
@@ -398,6 +399,16 @@ class TestSeedPrecedence:
         assert rc == 1
         assert "SENTI_RISK_SEED" in captured.err
 
+    def test_env_unread_where_no_seed_is_taken(self, workspace, trained, monkeypatch, capsys):
+        # evaluate draws no random numbers: a bad SENTI_RISK_SEED once exited 1 here
+        argv = ["evaluate", "--data-dir", str(workspace["root"]), "--model-in", str(trained)]
+        capsys.readouterr()
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setenv("SENTI_RISK_SEED", "abc")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
 
 class TestTrain:
     def test_same_seed_bitwise_identical_artifacts(self, workspace, tmp_path):
@@ -470,7 +481,7 @@ class TestTrain:
         rc = main(["train", "--model-out", str(tmp_path / "m.ckpt.json")])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "--data-dir is required" in captured.err
+        assert "the following arguments are required: --data-dir" in captured.err
 
     def test_unprepared_dir_exits_2(self, tmp_path, capsys):
         rc = main([
@@ -1095,7 +1106,7 @@ class TestPredict:
         ])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "--out is required" in captured.err
+        assert "the following arguments are required: --out" in captured.err
 
     def test_unwritable_out_exits_3(self, workspace, trained, tmp_path, capsys):
         rc = main([
@@ -1192,9 +1203,10 @@ class TestAlert:
         cfg.write_text(json.dumps({"risk_threshold": 0.33}), encoding="utf-8")
         runs = []
         for source in (["--predictions", str(oracle)],
-                       ["--data-dir", str(workspace["root"]), "--model-in", str(trained)]):
+                       ["--data-dir", str(workspace["root"]), "--model-in", str(trained),
+                        "--split", "train"]):
             capsys.readouterr()
-            assert main(["alert", *source, "--split", "train", "--config", str(cfg)]) == 0
+            assert main(["alert", *source, "--config", str(cfg)]) == 0
             runs.append([json.loads(line) for line in capsys.readouterr().out.splitlines()])
         want, got = runs
         assert {"bearish_flip", "bullish_flip", "risk_threshold"} <= {a["kind"] for a in want}
@@ -1208,7 +1220,7 @@ class TestAlert:
         rc = main(["alert"])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "--data-dir is required" in captured.err
+        assert "without --predictions, alert needs --model-in and --data-dir" in captured.err
 
     def test_missing_predictions_file_exits_2(self, tmp_path, capsys):
         rc = main(["alert", "--predictions", str(tmp_path / "ghost.jsonl")])
@@ -1343,6 +1355,155 @@ class TestUsage:
         assert documented == CONFIG_DEFAULTS
         assert ({k: type(v) for k, v in documented.items()}
                 == {k: type(v) for k, v in CONFIG_DEFAULTS.items()})
+
+
+COMMANDS = ("prepare", "train", "evaluate", "compare", "predict", "alert")
+# the subcommands that take each flag, as the README's flag table marks them
+FLAG_TABLE = {
+    "--config": set(COMMANDS),
+    "--data-dir": set(COMMANDS),
+    "--seed": {"train", "compare"},
+    "--arch": {"train"},
+    "--attention": {"train", "compare"},
+    "--model-in": {"evaluate", "predict", "alert"},
+    "--model-out": {"train"},
+    "--history-out": {"train"},
+    "--split": {"evaluate", "predict", "alert"},
+    "--out": {"prepare", "compare", "predict", "alert"},
+    "--predictions": {"alert"},
+}
+REQUIRED = {"prepare": ["--data-dir"], "train": ["--data-dir", "--model-out"],
+            "evaluate": ["--data-dir", "--model-in"], "compare": ["--data-dir"],
+            "predict": ["--data-dir", "--model-in", "--out"], "alert": []}
+FLAG_VALUES = {"--seed": "3", "--arch": "gru", "--attention": "off", "--split": "val"}
+
+
+def declared_flags() -> dict[str, set[str]]:
+    """Each subcommand's long flags, read off build_parser()."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in p._actions for s in a.option_strings
+                   if s.startswith("--") and s != "--help"}
+            for name, p in sub.choices.items()}
+
+
+class TestFlags:
+    """Each subcommand takes only the flags it reads (and --config)."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("flag", FLAG_TABLE)
+    def test_flag_taken_exactly_where_the_table_marks_it(self, tmp_path, capsys, flag,
+                                                         command):
+        value = FLAG_VALUES.get(flag, str(tmp_path / "given"))
+        argv = [command, flag, value]
+        for required in REQUIRED[command]:
+            if required != flag:
+                argv += [required, str(tmp_path / required.lstrip("-"))]
+        if command in FLAG_TABLE[flag]:
+            args = build_parser().parse_args(argv)
+            assert str(getattr(args, flag.lstrip("-").replace("-", "_"))) == value
+        else:
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data-dir", "d", "--model-out", "m.ckpt.json", "--model", "x"],
+        ["evaluate", "--data-dir", "d", "--model-in", "m.ckpt.json", "--data", "x"],
+    ], ids=["train", "evaluate"])
+    def test_a_prefix_is_no_flag(self, capsys, argv):
+        # argparse's prefix matching read train --model as --model-out
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {argv[-2]} x" in capsys.readouterr().err
+
+    def test_thirty_flag_slots(self):
+        flags = declared_flags()
+        assert {c: {f for f in FLAG_TABLE if c in FLAG_TABLE[f]} for c in COMMANDS} == flags
+        assert sum(map(len, flags.values())) == 30
+
+    @pytest.mark.parametrize("extra", [
+        ["--arch", "gru"],
+        ["--attention", "off"],
+        ["--seed", "9"],
+        ["--model-out", "m.ckpt.json"],
+    ], ids=lambda v: v[0])
+    def test_evaluate_refuses_a_training_flag(self, workspace, trained, tmp_path,
+                                              monkeypatch, capsys, extra):
+        # each was accepted and ignored: the JSON matched a plain evaluate
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        rc = main(["evaluate", "--data-dir", str(workspace["root"]),
+                   "--model-in", str(trained), *extra])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"unrecognized arguments: {' '.join(extra)}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_refuses_model_in(self, workspace, trained, tmp_path, capsys):
+        # train once loaded nothing from --model-in and trained from scratch
+        out = tmp_path / "m.ckpt.json"
+        capsys.readouterr()
+        rc = main(["train", "--data-dir", str(workspace["root"]),
+                   "--config", str(workspace["config"]), "--model-out", str(out),
+                   "--model-in", str(trained)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"unrecognized arguments: --model-in {trained}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--model-in", "--data-dir", "--split"])
+    def test_alert_predictions_refuses_the_model_inputs(self, workspace, trained, tmp_path,
+                                                        capsys, flag):
+        value = {"--model-in": str(trained), "--data-dir": str(workspace["root"]),
+                 "--split": "train"}[flag]
+        out = tmp_path / "alerts.jsonl"
+        capsys.readouterr()
+        rc = main(["alert", "--predictions", str(write_predictions(tmp_path)),
+                   flag, value, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"error: --predictions takes no {flag}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given, missing", [
+        (["--model-in", "m.ckpt.json"], "--data-dir"),
+        (["--data-dir", "data"], "--model-in"),
+    ], ids=["no-data-dir", "no-model-in"])
+    def test_alert_model_run_needs_both_inputs(self, capsys, given, missing):
+        rc = main(["alert", *given])
+        assert rc == 1
+        assert f"error: without --predictions, alert needs {missing}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--data-dir"), ("train", "--model-out"),
+        ("predict", "--model-in"), ("predict", "--out"),
+    ])
+    def test_empty_required_path_exits_1(self, tmp_path, capsys, command, flag):
+        argv = [command, flag, ""]
+        for required in REQUIRED[command]:
+            if required != flag:
+                argv += [required, str(tmp_path / required.lstrip("-"))]
+        assert main(argv) == 1
+        assert f"argument {flag}: must not be empty" in capsys.readouterr().err
+
+    def test_readme_table_matches_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Flags\n", 1)[1].split("\n## ", 1)[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("| ")]
+        header, body = rows[0], rows[1:]
+        commands = [c.strip("`") for c in header[1:]]
+        documented = {c: set() for c in commands}
+        for cells in body:
+            for flag in re.findall(r"`(--[\w-]+)`", cells[0]):
+                for command, mark in zip(commands, cells[1:]):
+                    if mark.startswith("✓"):
+                        documented[command].add(flag)
+        assert documented == declared_flags()
 
 
 # a valid value other than the default for every config key
