@@ -27,7 +27,6 @@ from sentirisk.train import (
     TrainConfig,
     compare_ablations,
     render_comparison_table,
-    report_rows,
 )
 
 
@@ -58,7 +57,7 @@ def main() -> None:
                        seed=args.seed)
     reports = compare_ablations(samples, mcfg, tcfg)
 
-    print(render_comparison_table(report_rows(reports)))
+    print(render_comparison_table(reports))
     print(f"({len(samples)} samples, {time.perf_counter() - t0:.0f}s)")
     if args.out is not None:
         payload = {arch.value: rep.to_dict() for arch, rep in reports.items()}

@@ -2,14 +2,16 @@
 
 Each subcommand's parser declares only the flags its code reads, plus
 --config, which every subcommand takes so that one config file serves the
-whole pipeline; any other flag, or a flag's prefix, is a usage error. Exit
-codes: 0 success, 1 usage error, 2 data validation error, 3 runtime or
-numeric failure. Progress goes to standard error; results (metrics JSON, CSV,
-alert JSONL) go to standard output unless an output path is given. A failed
-run leaves a previous checkpoint, history, predict CSV or alert file as it
-was. evaluate, predict and alert load their inputs through one loader (a
-checkpoint whose vocab_size or window differs from the dataset's is a data
-error) and score the split with train.score_windows.
+whole pipeline. The parser that owns a usage error (no subcommand, an unknown
+flag or a prefix of one, a missing flag, alert's flag mix, a non-integer
+SENTI_RISK_SEED) prints its usage line and the error. Exit codes: 0 success,
+1 usage error, 2 data validation error, 3 runtime or numeric failure.
+Progress goes to standard error; results (metrics JSON, CSV, alert JSONL) go
+to standard output unless an output path is given. A failed run leaves a
+previous checkpoint, history, predict CSV or alert file as it was. evaluate,
+predict and alert load their inputs through one loader (a checkpoint whose
+vocab_size or window differs from the dataset's is a data error) and score
+the split with train.score_windows.
 
 Configuration is a flat JSON object whose keys are the fields of ModelConfig,
 TrainConfig, PrepareConfig and AlertRuleConfig, which alone define each
@@ -83,12 +85,15 @@ def _config_schema() -> tuple[dict, dict]:
 CONFIG_DEFAULTS, _CONFIG_TYPES = _config_schema()
 
 
-class UsageError(Exception):
-    """Bad invocation argparse cannot see: a bad SENTI_RISK_SEED, alert's flag mix."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; the contract here is 1."""
+    """Reports its usage errors, leftovers included, with exit code 1 (argparse's is 2)."""
+
+    def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
+        # else argparse hands a subcommand's leftovers up to the top-level parser
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -104,11 +109,11 @@ def _path(value: str) -> str:
 def build_parser() -> _Parser:
     parser = _Parser(prog="sentirisk",
                      description="Market-sentiment sequence learner with risk alerting.")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(required=True, parser_class=_Parser)
 
     def command(name: str, func, help: str, required: bool = True) -> _Parser:
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)  # the commands report usage errors through parser
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--data-dir", metavar="DIR", type=_path, required=required,
                        help="raw data dir (prepare) or prepared dataset dir")
@@ -119,12 +124,12 @@ def build_parser() -> _Parser:
         p.add_argument("--attention", choices=["on", "off"],
                        help="attention pooling over GRU hidden states")
 
-    def scoring(p: _Parser, required: bool = True) -> None:
-        p.add_argument("--model-in", metavar="PATH", type=_path, required=required,
-                       help="checkpoint to load")
-        # alert's default is None: it refuses a --split given with --predictions
-        p.add_argument("--split", choices=SPLITS, default="test" if required else None,
-                       help="split to score (default test)")
+    def scoring(p: _Parser, model_in) -> None:
+        # model_in is p, or alert's mutually exclusive group, whose flags are optional
+        model_in.add_argument("--model-in", metavar="PATH", type=_path,
+                              required=model_in is p, help="checkpoint to load")
+        # None, not test: alert refuses a --split given with --predictions
+        p.add_argument("--split", choices=SPLITS, help="split to score (default test)")
 
     p = command("prepare", cmd_prepare, "ingest market.csv + texts.jsonl into a prepared dataset")
     p.add_argument("--out", metavar="DIR", help="output dir (default DATA_DIR/prepared)")
@@ -139,20 +144,21 @@ def build_parser() -> _Parser:
                    help="epoch history JSONL (default derived from --model-out)")
 
     p = command("evaluate", cmd_evaluate, "metrics on one split")
-    scoring(p)
+    scoring(p, p)
 
     p = command("compare", cmd_compare, "train all three architectures and tabulate metrics")
     seed_and_attention(p)
     p.add_argument("--out", metavar="PATH", help="also write metrics JSON here")
 
     p = command("predict", cmd_predict, "export date,true_close,pred_close CSV")
-    scoring(p)
+    scoring(p, p)
     p.add_argument("--out", metavar="PATH", type=_path, required=True, help="output CSV path")
 
     p = command("alert", cmd_alert, "emit risk-alert JSONL", required=False)
-    scoring(p, required=False)
-    p.add_argument("--predictions", metavar="PATH",
-                   help="precomputed prediction JSONL instead of a model run")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--predictions", metavar="PATH",
+                        help="precomputed prediction JSONL instead of a model run")
+    scoring(p, source)
     p.add_argument("--out", metavar="PATH", help="output JSONL path (default stdout)")
 
     return parser
@@ -175,7 +181,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         try:
             cfg["seed"] = int(env)
         except ValueError:
-            raise UsageError(f"SENTI_RISK_SEED must be an integer, got {env!r}") from None
+            args.parser.error(f"SENTI_RISK_SEED must be an integer, got {env!r}")
     if getattr(args, "attention", None) is not None:
         cfg["attention"] = args.attention == "on"
     return cfg
@@ -226,9 +232,9 @@ def _lexicon(cfg: dict) -> Lexicon:
     return Lexicon.from_files(pos, neg)
 
 
-def _load_for_scoring(args: argparse.Namespace, split_name: str
+def _load_for_scoring(args: argparse.Namespace
                       ) -> tuple[CnnGruModel, data_mod.PreparedDataset, list]:
-    """The --model-in checkpoint, checked against the prepared dataset, and one split."""
+    """The --model-in checkpoint, checked against the prepared dataset, and --split's split."""
     prepared = _find_prepared(args.data_dir)
     model = load_checkpoint(args.model_in)
     ds = data_mod.load_prepared(prepared)
@@ -238,6 +244,7 @@ def _load_for_scoring(args: argparse.Namespace, split_name: str
             raise DataValidationError(
                 f"checkpoint {args.model_in} has {key} {have}, "
                 f"but the prepared dataset {prepared} has {want}")
+    split_name = args.split or "test"
     split = dict(zip(SPLITS, ds.splits()))[split_name]
     if not split:
         raise DataValidationError(f"{split_name} split is empty")
@@ -295,9 +302,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     resolve_config(args)
-    model, _, split = _load_for_scoring(args, args.split)
+    model, _, split = _load_for_scoring(args)
     report = train_mod.evaluate(model, split)
-    print(json.dumps({"split": args.split, **report.to_dict()}, indent=2))
+    print(json.dumps({"split": args.split or "test", **report.to_dict()}, indent=2))
     return 0
 
 
@@ -308,7 +315,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     reports = train_mod.compare_ablations(ds.samples, mcfg,
                                           build_config(train_mod.TrainConfig, cfg),
                                           ratios=ds.ratios)
-    print(train_mod.render_comparison_table(train_mod.report_rows(reports)))
+    print(train_mod.render_comparison_table(reports))
     if args.out:
         obj = {arch.value: r.to_dict() for arch, r in reports.items()}
         with data_mod.atomic_write(args.out) as fh:
@@ -318,25 +325,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     resolve_config(args)
-    model, ds, split = _load_for_scoring(args, args.split)
+    model, ds, split = _load_for_scoring(args)
     train_mod.export_predictions(model, split, ds.stats, args.out)
     print(f"wrote {len(split)} predictions -> {args.out}")
     return 0
 
 
 def cmd_alert(args: argparse.Namespace) -> int:
-    inputs = {"--model-in": args.model_in, "--data-dir": args.data_dir, "--split": args.split}
-    if args.predictions and (given := [f for f, v in inputs.items() if v is not None]):
-        raise UsageError(f"--predictions takes no {', '.join(given)}")
-    missing = [f for f in ("--model-in", "--data-dir") if inputs[f] is None]
-    if not args.predictions and missing:
-        raise UsageError(f"without --predictions, alert needs {' and '.join(missing)}")
+    # argparse lets exactly one of --model-in and --predictions through
+    model_inputs = {"--data-dir": args.data_dir, "--split": args.split}
+    if args.predictions and (given := [f for f, v in model_inputs.items() if v is not None]):
+        args.parser.error(f"--predictions takes no {', '.join(given)}")
+    if args.model_in and args.data_dir is None:
+        args.parser.error("--model-in needs --data-dir")
     cfg = resolve_config(args)
     rules = build_config(alerts_mod.AlertRuleConfig, cfg)
     if args.predictions:
         preds = alerts_mod.load_predictions_jsonl(args.predictions)
     else:
-        model, _, split = _load_for_scoring(args, args.split or "test")
+        model, _, split = _load_for_scoring(args)
         pred, logits = train_mod.score_windows(model, split)
         probs = softmax_rows(logits)
         # argmax breaks ties toward the first class
@@ -362,17 +369,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        print(f"{parser.prog}: error: a subcommand is required", file=sys.stderr)
-        return 1
-    try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 1
+    except SystemExit as exc:  # a usage error (1) or --help (0), reported by its parser
+        return int(exc.code) if exc.code is not None else 0
     except (DataValidationError, CheckpointError) as exc:
         print(f"{parser.prog}: data error: {exc}", file=sys.stderr)
         return 2

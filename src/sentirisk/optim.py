@@ -5,19 +5,24 @@ in place with a few whole-vector operations, given gradients in the same
 layout (model.batch_backward); Adam's moments are two more vectors of that
 layout, zeroed on its first step. The moments and the scratch vectors both
 rules work in are views of the optimizer's model.Workspace (train lends it
-the run's), so no step allocates a vector. The learning rate and decay come
-from train.TrainConfig, which checks their ranges; Adam's betas and epsilon
-are the published defaults, fixed.
+the run's), so no step allocates a vector. The rule, learning rate and
+decay are read off the optimizer's train.TrainConfig: TrainConfig is the
+one place that checks the training settings. Adam's betas and epsilon are
+the published defaults, fixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ShapeError
 from .model import Workspace
+
+if TYPE_CHECKING:  # train imports this module
+    from .train import TrainConfig
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -28,9 +33,7 @@ ADAM_EPS = 1e-8
 class Optimizer:
     """Applies one update rule to a flat parameter vector, in place."""
 
-    kind: str  # "sgd" | "adam"
-    lr: float
-    weight_decay: float = 0.0  # sgd only
+    cfg: TrainConfig  # its optimizer, lr and weight_decay (sgd only)
     # holds the vectors below and the scratch of each step; a new one by default
     ws: Workspace = field(default_factory=Workspace, repr=False)
     # Adam's moments and step count, created on the first step
@@ -45,10 +48,10 @@ class Optimizer:
             raise ShapeError(f"optimizer needs 1-D params and grads of one length, "
                              f"got {params.shape} and {grads.shape}")
         a = self.ws.take("scratch0", params.shape)
-        if self.kind == "sgd":  # products commute exactly
-            np.multiply(params, self.weight_decay, out=a)
+        if self.cfg.optimizer == "sgd":  # products commute exactly
+            np.multiply(params, self.cfg.weight_decay, out=a)
             np.add(grads, a, out=a)
-            a *= self.lr
+            a *= self.cfg.lr
             params -= a
             return
         if self.m is None:
@@ -69,6 +72,6 @@ class Optimizer:
         np.divide(self.v, 1.0 - ADAM_BETA2 ** self.t, out=b)  # v_hat
         np.sqrt(b, out=b)
         b += ADAM_EPS
-        a *= self.lr
+        a *= self.cfg.lr
         a /= b
         params -= a  # lr m_hat / (sqrt(v_hat) + eps)

@@ -132,11 +132,19 @@ def score_windows(model: CnnGruModel, windows: Sequence[WindowSample]
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Predicted normalized returns (n,) and logits (n, C) of windows: their
     day table (a Split's kept one, or a list's built for this call), run
-    through the batched core FORWARD_BLOCK windows at a time."""
+    through the batched core FORWARD_BLOCK windows at a time. NumericError
+    names the first target date whose return or logits are not finite."""
     if not windows:
         raise DataValidationError("cannot score an empty split")
-    with _borrowed_workspace() as ws:
-        return _split_outputs(model, day_table(model.cfg, windows), ws)
+    # an overflow is no warning here: it is the NumericError below
+    with _borrowed_workspace() as ws, np.errstate(over="ignore", invalid="ignore"):
+        pred, logits = _split_outputs(model, day_table(model.cfg, windows), ws)
+    finite = np.isfinite(pred) & np.isfinite(logits).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericError(f"model outputs for {windows[i].target_date} are not finite: "
+                           f"predicted return {float(pred[i])!r}, logits {logits[i].tolist()}")
+    return pred, logits
 
 
 def _split_outputs(model: CnnGruModel, table: DayTable, ws: Workspace
@@ -203,7 +211,7 @@ def train(model: CnnGruModel, train_split: Sequence[WindowSample],
     val_table = day_table(model.cfg, val_split)
     # every batch's arrays and the optimizer's live in ws
     with _borrowed_workspace() as ws:
-        opt = Optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay, ws)
+        opt = Optimizer(cfg, ws)
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n)
             epoch_mse = 0.0
@@ -347,28 +355,15 @@ def compare_ablations(samples: Sequence[WindowSample], mcfg: ModelConfig,
     return reports
 
 
-def render_comparison_table(rows: dict[ArchKind, tuple[float, float, float]]) -> str:
-    """Fixed Model/Ac/Rec/F1 layout; Ac and Rec as percentages, F1 plain.
-
-    rows maps each architecture to (accuracy, recall, f1) as fractions.
-    """
-    order = [ArchKind.CNN_ONLY, ArchKind.GRU_ONLY, ArchKind.CNN_GRU]
+def render_comparison_table(reports: dict[ArchKind, MetricsReport]) -> str:
+    """Fixed Model/Ac/Rec/F1 layout, a row per architecture reported in ARCH_DISPLAY's
+    order: accuracy and macro recall as percentages, macro F1 plain."""
     lines = [f"{'Model':<9}{'Ac':>8}{'Rec':>8}{'F1':>6}"]
-    for arch in order:
-        if arch not in rows:
-            continue
-        ac, rec, f1 = rows[arch]
-        lines.append(
-            f"{ARCH_DISPLAY[arch]:<9}{ac * 100:>7.2f}%{rec * 100:>7.2f}%{f1:>6.2f}"
-        )
+    for arch, name in ARCH_DISPLAY.items():
+        if (r := reports.get(arch)) is not None:
+            lines.append(f"{name:<9}{r.accuracy * 100:>7.2f}%"
+                         f"{r.macro_recall * 100:>7.2f}%{r.macro_f1:>6.2f}")
     return "\n".join(lines)
-
-
-def report_rows(reports: dict[ArchKind, MetricsReport]
-                ) -> dict[ArchKind, tuple[float, float, float]]:
-    return {
-        arch: (r.accuracy, r.macro_recall, r.macro_f1) for arch, r in reports.items()
-    }
 
 
 # ---------------------------------------------------------------------------

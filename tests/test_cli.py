@@ -2,8 +2,8 @@
 
 Every test drives ``main(argv)`` in-process so exit codes, stdout contracts,
 and stderr diagnostics are asserted exactly as a shell user would see them;
-the one that reads a config from a pipe and the BLAS thread tests run
-``python -m sentirisk.cli`` or ``python -c``.
+the one that reads a config from a pipe, the BLAS thread tests and one
+alert run under ``-W error`` run ``python -m sentirisk.cli`` or ``python -c``.
 Fixture data comes from the synthetic generators; model dims are tiny so the
 train-dependent tests stay fast.
 """
@@ -20,6 +20,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -397,7 +398,10 @@ class TestSeedPrecedence:
         ])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "SENTI_RISK_SEED" in captured.err
+        assert captured.err.startswith("usage: sentirisk train ")
+        assert ("sentirisk train: error: SENTI_RISK_SEED must be an integer, got 'abc'\n"
+                in captured.err)
+        assert captured.out == ""
 
     def test_env_unread_where_no_seed_is_taken(self, workspace, trained, monkeypatch, capsys):
         # evaluate draws no random numbers: a bad SENTI_RISK_SEED once exited 1 here
@@ -496,15 +500,15 @@ class TestTrain:
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_python(args, **blas_vars):
+def run_python(args, returncode=0, **blas_vars) -> subprocess.CompletedProcess:
     """sys.executable with args, sentirisk on its path, and of the BLAS thread
-    variables only those given."""
+    variables only those given; it must exit with returncode."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run([sys.executable, *args], env={**env, **blas_vars},
                           capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == returncode, proc.stderr
+    return proc
 
 
 class TestBlasThreads:
@@ -519,7 +523,7 @@ class TestBlasThreads:
         ("import numpy, sentirisk", {}, [None, None, None]),
     ], ids=["unset", "user-set", "user-set-empty", "numpy-first"])
     def test_import_pins_only_unset_variables_before_numpy(self, first, blas_vars, want):
-        assert run_python(["-c", f"{first}; {self.SHOW}"], **blas_vars) == f"{want}\n"
+        assert run_python(["-c", f"{first}; {self.SHOW}"], **blas_vars).stdout == f"{want}\n"
 
     def test_seeded_train_same_bytes_unset_and_pinned(self, tmp_path):
         # the default model on a 60-day demo: on a multi-core machine, BLAS
@@ -588,7 +592,7 @@ class TestEvaluate:
                                                           capsys):
         # a return of 1e300 squares past the largest float: a non-finite metric,
         # not JSON's Infinity, and no numpy overflow warning on the way
-        ckpt = with_return_bias(trained, tmp_path / "huge.ckpt.json", 1e300)
+        ckpt = with_return_head(trained, tmp_path / "huge.ckpt.json", 1e300)
         capsys.readouterr()
         rc = main(["evaluate", "--data-dir", str(workspace["root"]), "--model-in", str(ckpt)])
         captured = capsys.readouterr()
@@ -599,7 +603,7 @@ class TestEvaluate:
 
     def test_large_finite_regression_mse_is_reported(self, workspace, trained, tmp_path,
                                                      capsys):
-        ckpt = with_return_bias(trained, tmp_path / "large.ckpt.json", 1e6)
+        ckpt = with_return_head(trained, tmp_path / "large.ckpt.json", 1e6)
         capsys.readouterr()
         rc = main(["evaluate", "--data-dir", str(workspace["root"]), "--model-in", str(ckpt)])
         assert rc == 0
@@ -679,16 +683,63 @@ def format_2_tensors(obj: dict) -> dict:
     return tensors
 
 
-def with_return_bias(ckpt: Path, out: Path, value: float) -> Path:
-    """A copy of checkpoint ckpt at out whose return head's bias, head_reg/b, is value."""
+def with_return_head(ckpt: Path, out: Path, bias: float, weight: float | None = None
+                     ) -> Path:
+    """A copy of checkpoint ckpt at out whose return head's bias, head_reg/b, is
+    bias, and each of whose weights, head_reg/w, is weight if one is given."""
     obj = json.loads(ckpt.read_text())
     flat = np.frombuffer(base64.b64decode(obj["values"]), dtype="<f8").copy()
-    sizes = {name: rows * cols for name, (rows, cols) in obj["tensors"].items()}
-    names = list(sizes)
-    flat[sum(sizes[n] for n in names[: names.index("head_reg/b")])] = value
+    fills = {"head_reg/b": bias, **({} if weight is None else {"head_reg/w": weight})}
+    at = 0
+    for name, (rows, cols) in obj["tensors"].items():
+        if name in fills:
+            flat[at : at + rows * cols] = fills[name]
+        at += rows * cols
     obj["values"] = base64.b64encode(flat.tobytes()).decode("ascii")
     out.write_text(json.dumps(obj), encoding="utf-8")
     return out
+
+
+class TestNonFiniteOutputs:
+    """A checkpoint whose predicted returns overflow to -inf: every scoring
+    command exits 3 naming the first target date, writes nothing, and raises
+    no numpy warning on the way (alert once wrote -Infinity and exited 0)."""
+
+    def overflowing(self, trained: Path, tmp_path: Path) -> Path:
+        return with_return_head(trained, tmp_path / "overflow.ckpt.json", -1.7e308, -1.7e308)
+
+    def argv(self, command: str, workspace, ckpt: Path, out: Path) -> list[str]:
+        argv = [command, "--data-dir", str(workspace["root"]), "--model-in", str(ckpt),
+                "--split", "train"]
+        return argv if command == "evaluate" else [*argv, "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "alert"])
+    def test_exits_3_naming_the_first_date(self, workspace, trained, tmp_path, capsys,
+                                           command):
+        out = tmp_path / "out"
+        argv = self.argv(command, workspace, self.overflowing(trained, tmp_path), out)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under -W error
+            rc = main(argv)
+        captured = capsys.readouterr()
+        first = load_prepared(workspace["root"] / "prepared").splits()[0][0].target_date
+        assert rc == 3
+        assert (f"numeric/runtime error: model outputs for {first} are not finite: "
+                f"predicted return -inf, logits [") in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_alert_under_w_error(self, workspace, trained, tmp_path):
+        # the installed command as CI runs it: every warning an error
+        out = tmp_path / "alerts.jsonl"
+        argv = self.argv("alert", workspace, self.overflowing(trained, tmp_path), out)
+        proc = run_python(["-W", "error", "-m", "sentirisk.cli", *argv], returncode=3)
+        assert "numeric/runtime error: model outputs for " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
 
 
 class TestNonUtf8Input:
@@ -1086,7 +1137,7 @@ class TestPredict:
     def test_overflowing_close_exits_3_naming_the_first_date(self, workspace, trained,
                                                              tmp_path, capsys, bias):
         # exp of the denormalized return overflows for every window of the split
-        ckpt = with_return_bias(trained, tmp_path / "huge.ckpt.json", bias)
+        ckpt = with_return_head(trained, tmp_path / "huge.ckpt.json", bias)
         out = tmp_path / "preds.csv"
         capsys.readouterr()
         rc = main(["predict", "--data-dir", str(workspace["root"]), "--model-in", str(ckpt),
@@ -1220,7 +1271,9 @@ class TestAlert:
         rc = main(["alert"])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "without --predictions, alert needs --model-in and --data-dir" in captured.err
+        assert captured.err.startswith("usage: sentirisk alert ")
+        assert ("sentirisk alert: error: one of the arguments --predictions --model-in "
+                "is required\n") in captured.err
 
     def test_missing_predictions_file_exits_2(self, tmp_path, capsys):
         rc = main(["alert", "--predictions", str(tmp_path / "ghost.jsonl")])
@@ -1279,15 +1332,23 @@ class TestUsage:
         rc = main([])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "usage:" in captured.err
-        assert "a subcommand is required" in captured.err
+        assert captured.err.startswith("usage: sentirisk [-h] ")
+        assert ("sentirisk: error: the following arguments are required: "
+                "{prepare,train,evaluate,compare,predict,alert}\n") in captured.err
 
     def test_unknown_flag_exits_1(self, capsys):
         rc = main(["train", "--bogus"])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "usage:" in captured.err
-        assert "error:" in captured.err
+        assert captured.err.startswith("usage: sentirisk train ")
+        assert "sentirisk train: error:" in captured.err
+
+    def test_unknown_flag_before_the_subcommand_is_the_top_level_parsers(self, capsys):
+        rc = main(["--bogus", "train", "--data-dir", "d", "--model-out", "m.ckpt.json"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("usage: sentirisk [-h] ")
+        assert "sentirisk: error: unrecognized arguments: --bogus\n" in captured.err
 
     def test_unknown_subcommand_exits_1(self, capsys):
         rc = main(["frobnicate"])
@@ -1372,10 +1433,22 @@ FLAG_TABLE = {
     "--out": {"prepare", "compare", "predict", "alert"},
     "--predictions": {"alert"},
 }
-REQUIRED = {"prepare": ["--data-dir"], "train": ["--data-dir", "--model-out"],
-            "evaluate": ["--data-dir", "--model-in"], "compare": ["--data-dir"],
-            "predict": ["--data-dir", "--model-in", "--out"], "alert": []}
+# the flags each subcommand requires; alert requires one of its two sources
+REQUIRED = {"prepare": [("--data-dir",)], "train": [("--data-dir",), ("--model-out",)],
+            "evaluate": [("--data-dir",), ("--model-in",)], "compare": [("--data-dir",)],
+            "predict": [("--data-dir",), ("--model-in",), ("--out",)],
+            "alert": [("--model-in", "--predictions")]}
 FLAG_VALUES = {"--seed": "3", "--arch": "gru", "--attention": "off", "--split": "val"}
+
+
+def invocation(command: str, flag: str, value: str, tmp_path: Path) -> list[str]:
+    """command given flag value, and a path under tmp_path for each required
+    flag that flag does not stand for."""
+    argv = [command, flag, value]
+    for options in REQUIRED[command]:
+        if flag not in options:
+            argv += [options[0], str(tmp_path / options[0].lstrip("-"))]
+    return argv
 
 
 def declared_flags() -> dict[str, set[str]]:
@@ -1395,17 +1468,17 @@ class TestFlags:
     def test_flag_taken_exactly_where_the_table_marks_it(self, tmp_path, capsys, flag,
                                                          command):
         value = FLAG_VALUES.get(flag, str(tmp_path / "given"))
-        argv = [command, flag, value]
-        for required in REQUIRED[command]:
-            if required != flag:
-                argv += [required, str(tmp_path / required.lstrip("-"))]
+        argv = invocation(command, flag, value, tmp_path)
         if command in FLAG_TABLE[flag]:
             args = build_parser().parse_args(argv)
             assert str(getattr(args, flag.lstrip("-").replace("-", "_"))) == value
         else:
             capsys.readouterr()
             assert main(argv) == 1
-            assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            # the subcommand's parser reports it, not the top-level one
+            assert err.startswith(f"usage: sentirisk {command} ")
+            assert f"sentirisk {command}: error: unrecognized arguments: {flag} {value}\n" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
@@ -1450,7 +1523,9 @@ class TestFlags:
                    "--model-in", str(trained)])
         captured = capsys.readouterr()
         assert rc == 1
-        assert f"unrecognized arguments: --model-in {trained}" in captured.err
+        assert captured.err.startswith("usage: sentirisk train ")
+        assert (f"sentirisk train: error: unrecognized arguments: --model-in {trained}\n"
+                in captured.err)
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -1465,29 +1540,30 @@ class TestFlags:
                    flag, value, "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 1
-        assert f"error: --predictions takes no {flag}" in captured.err
+        assert captured.err.startswith("usage: sentirisk alert ")
+        message = ("argument --model-in: not allowed with argument --predictions"
+                   if flag == "--model-in" else f"--predictions takes no {flag}")
+        assert f"sentirisk alert: error: {message}\n" in captured.err
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("given, missing", [
-        (["--model-in", "m.ckpt.json"], "--data-dir"),
-        (["--data-dir", "data"], "--model-in"),
+    @pytest.mark.parametrize("given, message", [
+        (["--model-in", "m.ckpt.json"], "--model-in needs --data-dir"),
+        (["--data-dir", "data"], "one of the arguments --predictions --model-in is required"),
     ], ids=["no-data-dir", "no-model-in"])
-    def test_alert_model_run_needs_both_inputs(self, capsys, given, missing):
+    def test_alert_model_run_needs_both_inputs(self, capsys, given, message):
         rc = main(["alert", *given])
         assert rc == 1
-        assert f"error: without --predictions, alert needs {missing}\n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sentirisk alert ")
+        assert f"sentirisk alert: error: {message}\n" in err
 
     @pytest.mark.parametrize("command, flag", [
         ("train", "--data-dir"), ("train", "--model-out"),
         ("predict", "--model-in"), ("predict", "--out"),
     ])
     def test_empty_required_path_exits_1(self, tmp_path, capsys, command, flag):
-        argv = [command, flag, ""]
-        for required in REQUIRED[command]:
-            if required != flag:
-                argv += [required, str(tmp_path / required.lstrip("-"))]
-        assert main(argv) == 1
+        assert main(invocation(command, flag, "", tmp_path)) == 1
         assert f"argument {flag}: must not be empty" in capsys.readouterr().err
 
     def test_readme_table_matches_the_parser(self):

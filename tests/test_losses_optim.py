@@ -135,7 +135,8 @@ class TestJointLoss:
 def sgd(p, g, lr, weight_decay=0.0):
     """One SGD step on a copy of p; returns the stepped copy."""
     p = np.array(p, dtype=float)
-    Optimizer("sgd", lr, weight_decay).apply(p, np.array(g, dtype=float))
+    cfg = TrainConfig(optimizer="sgd", lr=lr, weight_decay=weight_decay)
+    Optimizer(cfg).apply(p, np.array(g, dtype=float))
     return p
 
 
@@ -153,15 +154,16 @@ class TestSGD:
     def test_steps_in_place(self):
         p = np.array([1.0, 2.0])
         before = p
-        Optimizer("sgd", 0.5).apply(p, np.array([1.0, 1.0]))
+        Optimizer(TrainConfig(optimizer="sgd", lr=0.5)).apply(p, np.array([1.0, 1.0]))
         assert p is before
         assert p.tolist() == [0.5, 1.5]
 
     def test_shape_mismatch_rejected(self):
+        opt = Optimizer(TrainConfig(optimizer="sgd", lr=0.1))
         with pytest.raises(ShapeError):
-            Optimizer("sgd", 0.1).apply(np.zeros(2), np.zeros(3))
+            opt.apply(np.zeros(2), np.zeros(3))
         with pytest.raises(ShapeError):  # a flat vector, not a tensor
-            Optimizer("sgd", 0.1).apply(np.zeros((2, 1)), np.zeros((2, 1)))
+            opt.apply(np.zeros((2, 1)), np.zeros((2, 1)))
 
     def test_nonpositive_alpha_rejected(self):
         # the learning rate is a training setting; TrainConfig checks its range
@@ -202,7 +204,7 @@ class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         lr = 1e-3
         for g in (0.01, 1.0, 250.0, -7.0):
-            opt = Optimizer("adam", lr)
+            opt = Optimizer(TrainConfig(optimizer="adam", lr=lr))
             p = np.array([0.5])
             opt.apply(p, np.array([g]))
             # m_hat/sqrt(v_hat) = sign(g) on the first step, up to eps
@@ -210,7 +212,7 @@ class TestAdam:
             assert opt.t == 1
 
     def test_zero_grad_never_moves(self):
-        opt = Optimizer("adam", 1e-4)
+        opt = Optimizer(TrainConfig(optimizer="adam", lr=1e-4))
         p = RNG.standard_normal(3)
         start = p.copy()
         for _ in range(5):
@@ -223,7 +225,7 @@ class TestAdam:
         lr = 3e-3
         p = RNG.standard_normal(4)
         grads = [RNG.standard_normal(4) for _ in range(10)]
-        opt = Optimizer("adam", lr)
+        opt = Optimizer(TrainConfig(optimizer="adam", lr=lr))
         got = p.copy()
         for g in grads:
             opt.apply(got, g)
@@ -237,7 +239,7 @@ class TestAdam:
         lr = 1e-2
         p = RNG.standard_normal(1000)
         grads = [RNG.standard_normal(1000) * 10.0 ** RNG.integers(-6, 6) for _ in range(6)]
-        opt = Optimizer("adam", lr)
+        opt = Optimizer(TrainConfig(optimizer="adam", lr=lr))
         got, buf = p.copy(), np.empty(1000)
         for t, g in enumerate(grads, start=1):
             buf[:] = g
@@ -252,16 +254,16 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            Optimizer("adam", 1e-4).apply(np.zeros(2), np.zeros(3))
+            Optimizer(TrainConfig(optimizer="adam", lr=1e-4)).apply(np.zeros(2), np.zeros(3))
 
     def test_params_of_another_length_rejected_after_first_step(self):
-        opt = Optimizer("adam", 1e-4)
+        opt = Optimizer(TrainConfig(optimizer="adam", lr=1e-4))
         opt.apply(np.zeros(2), np.ones(2))
         with pytest.raises(ShapeError):
             opt.apply(np.zeros(3), np.ones(3))
 
     def test_second_moment_stays_nonnegative(self):
-        opt = Optimizer("adam", 1e-4)
+        opt = Optimizer(TrainConfig(optimizer="adam", lr=1e-4))
         p = RNG.standard_normal(3)
         for _ in range(8):
             opt.apply(p, RNG.standard_normal(3) * 4.0)
@@ -270,11 +272,11 @@ class TestAdam:
 
 class TestOptimizerState:
     def test_no_state_before_first_step(self):
-        opt = Optimizer(kind="adam", lr=0.1)
+        opt = Optimizer(TrainConfig(optimizer="adam", lr=0.1))
         assert opt.m is None and opt.v is None and opt.t == 0
 
     def test_each_element_keeps_its_own_moments(self):
-        opt = Optimizer(kind="adam", lr=0.1)
+        opt = Optimizer(TrainConfig(optimizer="adam", lr=0.1))
         p = np.zeros(2)
         opt.apply(p, np.array([1.0, 0.0]))
         assert abs(p[0] + 0.1) < 1e-4  # moved by ~lr

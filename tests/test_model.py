@@ -32,6 +32,7 @@ from sentirisk.matrix import Matrix
 from sentirisk import layers as layers_mod
 from sentirisk import model as model_mod
 from sentirisk.optim import Optimizer
+from sentirisk.train import TrainConfig
 from sentirisk.model import (
     ArchKind,
     CnnGruModel,
@@ -834,11 +835,12 @@ class TestKernelWorkspaces:
 
     @pytest.mark.parametrize("kind, decay", [("adam", 0.0), ("sgd", 0.01)])
     def test_optimizer(self, kind, decay):
+        cfg = TrainConfig(optimizer=kind, lr=1e-2, weight_decay=decay)
         ws = Workspace()
-        Optimizer(kind, 1e-2, decay, ws).apply(np.ones(40), np.ones(40))
+        Optimizer(cfg, ws).apply(np.ones(40), np.ones(40))
         stale(ws)
         grads, steps = RNG.standard_normal((3, 24)), []
-        for opt in (Optimizer(kind, 1e-2, decay), Optimizer(kind, 1e-2, decay, ws)):
+        for opt in (Optimizer(cfg), Optimizer(cfg, ws)):
             params = np.linspace(-1.0, 1.0, 24)
             for g in grads:
                 opt.apply(params, g)

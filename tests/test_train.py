@@ -46,7 +46,6 @@ from sentirisk.train import (
     evaluate,
     export_predictions,
     render_comparison_table,
-    report_rows,
     save_history,
     score_windows,
     split_joint_loss,
@@ -94,7 +93,7 @@ def reference_train(model, train_split, val_split, cfg):
     """train()'s loop without early stopping, written out over table_forward
     and batch_backward with no workspace: every batch and validation block
     gets fresh arrays. (best parameters, history)."""
-    opt = Optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay)
+    opt = Optimizer(cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     flat = model.params.copy()
     model = CnnGruModel(model.cfg, model.arch, flat)
@@ -261,7 +260,9 @@ class TestTrainLoop:
         assert [p.name for p in tmp_path.iterdir()] == ["h.jsonl"]
 
     def test_invalid_config_rejected(self):
-        for bad in ({"batch_size": 0}, {"optimizer": "rmsprop"},
+        # an Optimizer reads its rule, rate and decay off a TrainConfig: as bare
+        # arguments, "SGD" ran Adam, and a negative lr stepped uphill
+        for bad in ({"batch_size": 0}, {"optimizer": "rmsprop"}, {"optimizer": "SGD"},
                     {"lr": 0.0}, {"lr": -1e-3}, {"lr": math.nan}, {"lr": math.inf},
                     {"optimizer": "sgd", "weight_decay": -1.0},
                     {"optimizer": "sgd", "weight_decay": math.nan},
@@ -570,24 +571,56 @@ class TestScoreWindows:
         assert np.abs(pred - want_pred).max() <= 1e-10 * np.abs(want_pred).max()
         assert np.abs(logits - want_logits).max() <= 1e-10 * np.abs(want_logits).max()
 
+    @pytest.mark.parametrize("bad", ["pred", "logit"])
+    def test_names_the_first_window_whose_outputs_are_not_finite(self, monkeypatch, bad):
+        samples = make_samples(TINY, 6, seed=5)
+        model = build_model(TINY, ArchKind.CNN_GRU)
+        pred, logits = score_windows(model, samples)
+        pred[4] = -math.inf
+        if bad == "logit":
+            logits[2, 1], pred[2] = math.nan, 0.25
+        else:
+            pred[2] = math.inf
+        monkeypatch.setattr(train_mod, "_split_outputs", lambda *_: (pred, logits))
+        with pytest.raises(NumericError, match=f"model outputs for {samples[2].target_date} "
+                                               f"are not finite: predicted return "):
+            score_windows(model, samples)
+
+
+def table_report(accuracy: float, recall: float, f1: float) -> MetricsReport:
+    """A report holding the three values the comparison table reads."""
+    return MetricsReport(accuracy=accuracy, macro_recall=recall, macro_precision=0.0,
+                         macro_f1=f1, regression_mse=0.0, confusion=((1,),), n=1)
+
 
 class TestComparisonTable:
-    ROWS = {
-        ArchKind.CNN_ONLY: (0.6259, 0.7589, 0.67),
-        ArchKind.GRU_ONLY: (0.6317, 0.7621, 0.69),
-        ArchKind.CNN_GRU: (0.8432, 0.8639, 0.87),
+    # the paper's published values, listed out of the table's row order
+    REPORTS = {
+        ArchKind.CNN_GRU: table_report(0.8432, 0.8639, 0.87),
+        ArchKind.CNN_ONLY: table_report(0.6259, 0.7589, 0.67),
+        ArchKind.GRU_ONLY: table_report(0.6317, 0.7621, 0.69),
     }
 
     def test_layout_and_published_values(self):
-        text = render_comparison_table(self.ROWS)
+        text = render_comparison_table(self.REPORTS)
         lines = text.splitlines()
         assert lines[0].split() == ["Model", "Ac", "Rec", "F1"]
         assert lines[1].split() == ["CNN", "62.59%", "75.89%", "0.67"]
         assert lines[2].split() == ["GRU", "63.17%", "76.21%", "0.69"]
         assert lines[3].split() == ["CNN+GRU", "84.32%", "86.39%", "0.87"]
 
+    def test_exact_bytes(self):
+        assert render_comparison_table(self.REPORTS) == (
+            "Model          Ac     Rec    F1\n"
+            "CNN        62.59%  75.89%  0.67\n"
+            "GRU        63.17%  76.21%  0.69\n"
+            "CNN+GRU    84.32%  86.39%  0.87")
+        assert render_comparison_table({ArchKind.CNN_GRU: table_report(0.5, 0.25, 0.1)}) == (
+            "Model          Ac     Rec    F1\n"
+            "CNN+GRU    50.00%  25.00%  0.10")
+
     def test_columns_align(self):
-        lines = render_comparison_table(self.ROWS).splitlines()
+        lines = render_comparison_table(self.REPORTS).splitlines()
         assert len({line.index("%") for line in lines[1:]}) == 1
         assert len({len(line) for line in lines[1:]}) == 1
 
@@ -598,8 +631,7 @@ class TestComparisonTable:
         r2 = compare_ablations(samples, TINY, tcfg, ratios=(0.6, 0.2, 0.2))
         assert set(r1) == {ArchKind.CNN_ONLY, ArchKind.GRU_ONLY, ArchKind.CNN_GRU}
         assert r1 == r2
-        rows = report_rows(r1)
-        rendered = render_comparison_table(rows)
+        rendered = render_comparison_table(r1)
         assert rendered.count("\n") == 3
 
 
