@@ -92,7 +92,7 @@ def _check_probs(probs: Sequence[float]) -> None:
 def detect_inflections(predictions: Sequence[DailyPrediction],
                        rules: AlertRuleConfig) -> list[Alert]:
     """One alert per (day, kind); output sorted chronologically."""
-    check_dates_increasing(predictions)
+    check_dates_increasing([p.date for p in predictions])
     alerts: list[Alert] = []
     for i, p in enumerate(predictions):
         risk = risk_score(p.probs, p.predicted_return)
@@ -129,7 +129,7 @@ def load_predictions_jsonl(path: str | Path) -> list[DailyPrediction]:
     strictly increase naming the file.
     """
     preds = read_jsonl(path, _prediction_from_obj)
-    check_dates_increasing(preds, f"{path}: ")
+    check_dates_increasing([p.date for p in preds], f"{path}: ")
     return preds
 
 

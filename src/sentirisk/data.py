@@ -17,8 +17,8 @@ return at prepare and at load alike; has_text and prev_close are computed
 on read. load_prepared rejects other format_versions, wrong row counts,
 dates out of order, a start outside days.jsonl, token ids outside vocab.txt
 and non-finite numbers, naming the full path. read_json reads every JSON
-document; check_fields is the one type rule for its keys and for every
-prepared row.
+document; check_fields is the one type rule for its keys, for every prepared
+row and for every texts.jsonl row.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ import math
 import os
 import typing
 from bisect import bisect_left
+from collections import Counter
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
@@ -46,12 +47,12 @@ from .text import (
     CLASS_NAMES,
     Lexicon,
     Vocabulary,
-    build_vocab,
     clean_text,
     encode_doc,
-    label_sentiment,
+    label_tokens,
     open_text,
     read_text,
+    vocab_from_counts,
 )
 
 log = logging.getLogger(__name__)
@@ -110,7 +111,8 @@ class RawTextDoc:
         if not isinstance(self.text, str) or not self.text:
             raise DataValidationError(f"document text must be a non-empty string, "
                                       f"got {self.text!r:.40}")
-        if self.label is not None and self.label not in CLASS_INDEX:
+        if self.label is not None and (type(self.label) is not str
+                                       or self.label not in CLASS_INDEX):
             raise DataValidationError(f"unknown label {self.label!r}")
 
 
@@ -179,16 +181,28 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                list[list[int]]: "a list of lists of integers", type(None): "null"}
 
 
+def _kinds(hint: type) -> frozenset[type]:
+    """The types of the JSON values that fit a scalar annotation."""
+    return frozenset({int, float} if hint is float else {hint})
+
+
 @functools.cache
 def _fits(hint) -> Callable[[object], bool]:
     """Whether a JSON value fits a field annotation, built once per annotation.
-    json.loads makes values of exact types: an int is a float, a bool no number."""
+    json.loads makes values of exact types: an int is a float, a bool no number.
+    A list of scalars is tested by the set of its items' types, in one pass;
+    object takes any value (a key whose loader checks it with its own message)."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is list:
+        if typing.get_origin(args[0]) is None:  # a list of scalars
+            return lambda v, kinds=_kinds(args[0]): (type(v) is list
+                                                     and set(map(type, v)) <= kinds)
         return lambda v, item=_fits(args[0]): type(v) is list and all(map(item, v))
     if args:  # X | None
         return lambda v, each=tuple(map(_fits, args)): any(f(v) for f in each)
-    return lambda v, kinds={int, float} if hint is float else {hint}: type(v) in kinds
+    if hint is object:
+        return lambda v: True
+    return lambda v, kinds=_kinds(hint): type(v) in kinds
 
 
 def _type_name(hint) -> str:
@@ -275,27 +289,32 @@ def load_market_csv(path: str | Path) -> list[MarketBar]:
             except (ValueError, DataValidationError) as exc:
                 raise DataValidationError(f"{path}:{lineno}: {exc}") from None
             bars.append(bar)
-    check_dates_increasing(bars)
+    check_dates_increasing([b.date for b in bars])
     return bars
 
 
-def check_dates_increasing(rows: Sequence, where: str = "") -> None:
-    """DataValidationError, prefixed by where, unless the rows' dates strictly increase."""
-    for i in range(1, len(rows)):
-        if rows[i].date <= rows[i - 1].date:
+def check_dates_increasing(dates: Sequence[dt.date], where: str = "") -> None:
+    """DataValidationError, prefixed by where, unless dates strictly increase."""
+    for i in range(1, len(dates)):
+        if dates[i] <= dates[i - 1]:
             raise DataValidationError(
-                f"{where}dates must be strictly increasing: {rows[i - 1].date} then {rows[i].date}"
+                f"{where}dates must be strictly increasing: {dates[i - 1]} then {dates[i]}"
             )
 
 
+# RawTextDoc and _parse_timestamp check timestamp, text and label, with their messages
+_DOC_FIELDS = {"timestamp": object, "text": object, "source": str, "label": object}
+
+
 def load_text_jsonl(path: str | Path) -> list[RawTextDoc]:
-    """One JSON object per line: timestamp, text, source, optional label."""
-    return read_jsonl(path, lambda obj: RawTextDoc(
-        timestamp=_parse_timestamp(obj["timestamp"]),
-        text=obj["text"],
-        source=obj.get("source", ""),
-        label=obj.get("label"),
-    ))
+    """One JSON object per line: timestamp, text, optional source and label."""
+    return read_jsonl(path, _doc_from_obj)
+
+
+def _doc_from_obj(obj) -> RawTextDoc:
+    check_fields(obj, _DOC_FIELDS)
+    return RawTextDoc(timestamp=_parse_timestamp(obj["timestamp"]), text=obj["text"],
+                      source=obj.get("source", ""), label=obj.get("label"))
 
 
 def _parse_timestamp(value: str) -> dt.datetime:
@@ -318,10 +337,16 @@ def align_days(bars: Sequence[MarketBar], docs: Sequence[LabeledDoc]) -> list[Al
     Docs dated after the last bar are dropped (logged). Day label is the
     majority vote over doc labels, any tie for the top count → neutral.
     """
+    return [AlignedDay(*row) for row in _day_rows(bars, docs)]
+
+
+def _day_rows(bars: Sequence[MarketBar], docs: Sequence[LabeledDoc]) -> list[tuple]:
+    """align_days' days as rows (date, raw, token_seqs, label, close): an
+    AlignedDay's fields but features, in its order."""
     if not bars:
         raise DataValidationError("no market bars to align against")
-    check_dates_increasing(bars)
     dates = [b.date for b in bars]
+    check_dates_increasing(dates)
     buckets: list[list[LabeledDoc]] = [[] for _ in bars]
     for doc in docs:
         idx = bisect_left(dates, doc.timestamp.date())
@@ -333,13 +358,13 @@ def align_days(bars: Sequence[MarketBar], docs: Sequence[LabeledDoc]) -> list[Al
             continue
         buckets[idx].append(doc)
 
-    days: list[AlignedDay] = []
+    days = []
     for i, (bar, bucket) in enumerate(zip(bars, buckets)):
         logret = math.log(bar.close / bars[i - 1].close) if i else 0.0
         raw = (logret, (bar.high - bar.low) / bar.close, (bar.close - bar.open) / bar.open,
                math.log1p(bar.volume))
-        days.append(AlignedDay(date=bar.date, raw=raw, token_seqs=[d.token_ids for d in bucket],
-                               label=_majority_label([d.label for d in bucket]), close=bar.close))
+        days.append((bar.date, raw, [d.token_ids for d in bucket],
+                     _majority_label([d.label for d in bucket]), bar.close))
     return days
 
 
@@ -361,16 +386,24 @@ def _majority_label(labels: Sequence[int]) -> int:
 
 def make_windows(days: Sequence[AlignedDay], window: int = 20) -> list[WindowSample]:
     """One sample per position t: inputs days[t, t+window), targets from t+window."""
+    rows = [(d.date, d.raw, d.token_seqs, d.label, d.close) for d in days]
+    return [WindowSample(inputs=days[t : t + window], target_date=date, target_class=cls,
+                         target_return_raw=ret, target_close=close)
+            for t, date, cls, ret, close in _window_targets(rows, window)]
+
+
+def _window_targets(rows: Sequence[tuple], window: int) -> list[tuple]:
+    """make_windows' samples of day rows (_day_rows) as format-3 window rows:
+    (start, target date, class, raw return, close), the target being row
+    start + window."""
     if window < 1:
         raise DataValidationError(f"window must be >= 1, got {window}")
-    if len(days) <= window:
+    if len(rows) <= window:
         raise DataValidationError(
-            f"need more than {window} days to form a window, got {len(days)}"
+            f"need more than {window} days to form a window, got {len(rows)}"
         )
-    return [WindowSample(inputs=days[t : t + window], target_date=target.date,
-                         target_class=target.label, target_return_raw=target.raw[0],
-                         target_close=target.close)
-            for t, target in enumerate(days[window:])]
+    return [(t, date, label, raw[0], close)
+            for t, (date, raw, _, label, close) in enumerate(rows[window:])]
 
 
 class Split(Sequence[T]):
@@ -453,10 +486,11 @@ class NormStats:
                 raise DataValidationError(f"{name} must be 4 {kind} numbers, got {list(values)}")
 
     @classmethod
-    def fit(cls, days: Sequence[AlignedDay]) -> "NormStats":
-        if not days:
+    def fit(cls, raws: Sequence[Sequence[float]]) -> "NormStats":
+        """The statistics of days' raw values."""
+        if not raws:
             raise DataValidationError("cannot fit normalization stats on zero days")
-        cols = list(zip(*(d.raw for d in days)))
+        cols = list(zip(*raws))
         means = tuple(sum(c) / len(c) for c in cols)
         stds = []
         for c, m in zip(cols, means):
@@ -465,11 +499,12 @@ class NormStats:
             stds.append(sd if sd > 1e-12 else 1.0)
         return cls(means=tuple(means), stds=tuple(stds))
 
-    def normalize_days(self, days: Sequence[AlignedDay]) -> np.ndarray:
-        """(len(days), 5) features: the raw values z-scored, then has_text as 1.0
-        or 0.0; elementwise IEEE arithmetic, the bits a loop of floats gives."""
-        raw = np.array([d.raw for d in days], dtype=np.float64).reshape(len(days), 4)
-        return np.column_stack(((raw - self.means) / self.stds, [d.has_text for d in days]))
+    def normalize_days(self, raws: Sequence[Sequence[float]],
+                       has_text: Sequence[bool]) -> np.ndarray:
+        """(len(raws), 5) features of days: the raw values z-scored, then has_text
+        as 1.0 or 0.0; elementwise IEEE arithmetic, the bits a loop of floats gives."""
+        raw = np.array(raws, dtype=np.float64).reshape(len(raws), 4)
+        return np.column_stack(((raw - self.means) / self.stds, has_text))
 
     def normalize_return(self, raw_logret: float) -> float:
         return (raw_logret - self.means[0]) / self.stds[0]
@@ -519,40 +554,45 @@ class PreparedDataset:
 
 def prepare_dataset(bars: Sequence[MarketBar], raw_docs: Sequence[RawTextDoc],
                     lexicon: Lexicon, cfg: PrepareConfig) -> PreparedDataset:
+    """A kept document's token list feeds the vocabulary counts and its lexicon
+    label; its ids re-split the cleaned text, so no token list outlives its
+    document's pass (holding them all until the vocabulary exists costs about
+    1 MB of peak memory on a 2,000-document corpus)."""
     # a doc that cleans to no tokens (a bare URL) would vote in its day's label
     kept = [(doc, c) for doc in raw_docs if (c := clean_text(doc.text))]
     if len(kept) < len(raw_docs):
         log.info("dropping %d documents with no tokens after cleaning",
                  len(raw_docs) - len(kept))
-    vocab = build_vocab([c for _, c in kept], min_freq=cfg.min_freq, max_size=cfg.max_vocab)
-    encoded = [
-        LabeledDoc(
-            timestamp=doc.timestamp,
-            token_ids=encode_doc(c, vocab),
-            label=CLASS_INDEX[label_sentiment(c, lexicon, presupplied=doc.label)],
-        )
-        for doc, c in kept
-    ]
-    days_raw = align_days(bars, encoded)
-    targets = [(t, s.target_date, s.target_class, s.target_return_raw, s.target_close)
-               for t, s in enumerate(make_windows(days_raw, window=cfg.window))]
+    counts: Counter[str] = Counter()
+    labels = []
+    for doc, cleaned in kept:
+        tokens = cleaned.split()
+        counts.update(tokens)
+        labels.append(CLASS_INDEX[label_tokens(tokens, lexicon, presupplied=doc.label)])
+    vocab = vocab_from_counts(counts, min_freq=cfg.min_freq, max_size=cfg.max_vocab)
+    encoded = [LabeledDoc(timestamp=doc.timestamp, token_ids=encode_doc(cleaned, vocab),
+                          label=label)
+               for (doc, cleaned), label in zip(kept, labels)]
+    days_raw = _day_rows(bars, encoded)
+    targets = _window_targets(days_raw, cfg.window)
 
     n_train = len(split_chronological(targets, cfg.ratios)[0])
     if n_train == 0:
         raise DataValidationError("training split is empty; need more days")
     # every day a training sample touches (inputs and target)
-    stats = NormStats.fit(days_raw[: n_train + cfg.window])
+    stats = NormStats.fit([r[1] for r in days_raw[: n_train + cfg.window]])
     return PreparedDataset(vocab=vocab, stats=stats, window=cfg.window, ratios=cfg.ratios,
                            samples=normalized_samples(stats, days_raw, cfg.window, targets))
 
 
-def normalized_samples(stats: NormStats, days: Sequence[AlignedDay], window: int,
+def normalized_samples(stats: NormStats, rows: Sequence[tuple], window: int,
                        targets: Iterable[tuple]) -> list[WindowSample]:
-    """The samples of prepare_dataset and load_prepared: days get features from
-    stats; target (start, date, class, raw return, close), a format-3 window row,
-    reads days[start : start + window] and gets target_return."""
-    days = tuple(replace(d, features=f)
-                 for d, f in zip(days, stats.normalize_days(days).tolist()))
+    """The samples of prepare_dataset and load_prepared: each day row (_day_rows)
+    is built once into its day with features from stats; target (start, date,
+    class, raw return, close), a format-3 window row, reads days[start : start +
+    window] and gets target_return."""
+    features = stats.normalize_days([r[1] for r in rows], [bool(r[2]) for r in rows])
+    days = tuple(AlignedDay(*row, features=f) for row, f in zip(rows, features.tolist()))
     return [WindowSample(inputs=days[t : t + window], target_date=date, target_class=cls,
                          target_return_raw=ret, target_close=close,
                          target_return=stats.normalize_return(ret))
@@ -635,24 +675,26 @@ def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
     days, starts = _stored_days(ds)
     _check_derived("features", [d.features if d.features is not None
                                 else [math.nan] * N_MARKET_FEATURES for d in days],
-                   ds.stats.normalize_days(days), lambda i: f"day {days[i].date}")
+                   ds.stats.normalize_days([d.raw for d in days], [d.has_text for d in days]),
+                   lambda i: f"day {days[i].date}")
     _check_derived("target_return", [s.target_return for s in ds.samples],
                    [ds.stats.normalize_return(s.target_return_raw) for s in ds.samples],
                    lambda i: f"window for {ds.samples[i].target_date}")
     meta = {**ds.stats.to_dict(), "window": ds.window, "ratios": list(ds.ratios),
             "format_version": PREPARED_FORMAT_VERSION, "n_days": len(days),
             "n_samples": len(ds.samples)}
-    files = {  # entered first, so ExitStack moves norm_stats.json into place last
+    files = {  # entered first, so ExitStack moves norm_stats.json into place last;
+        # the row files are generators, each row encoded as it is written
         "norm_stats.json": [json.dumps(meta, indent=2)],
         "vocab.txt": ds.vocab.to_lines(),
-        "days.jsonl": [json.dumps({"date": d.date.isoformat(), "raw": list(d.raw),
+        "days.jsonl": (json.dumps({"date": d.date.isoformat(), "raw": list(d.raw),
                                    "close": d.close, "label": CLASS_NAMES[d.label],
-                                   "token_seqs": d.token_seqs}) for d in days],
-        "windows.jsonl": [json.dumps({"start": t, "target_date": s.target_date.isoformat(),
+                                   "token_seqs": d.token_seqs}) for d in days),
+        "windows.jsonl": (json.dumps({"start": t, "target_date": s.target_date.isoformat(),
                                       "target_class": CLASS_NAMES[s.target_class],
                                       "target_return_raw": s.target_return_raw,
                                       "target_close": s.target_close})
-                          for t, s in zip(starts, ds.samples)]}
+                          for t, s in zip(starts, ds.samples))}
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         for name, lines in files.items():
@@ -678,26 +720,22 @@ _WINDOW_FIELDS = {"start": int, "target_date": str, "target_class": str,
                   "target_return_raw": float, "target_close": float}
 
 
-def _day_from_obj(obj: dict, vocab_size: int) -> AlignedDay:
-    """A day with finite numbers whose token ids all lie in [0, vocab_size)."""
+def _day_from_obj(obj, vocab_size: int) -> tuple:
+    """A day row (_day_rows) with finite numbers whose token ids all lie in
+    [0, vocab_size)."""
     check_fields(obj, _DAY_FIELDS)
     raw, token_seqs = obj["raw"], obj["token_seqs"]
     if len(raw) != 4 or not all(map(math.isfinite, raw)):
         raise DataValidationError(f"raw must be 4 finite numbers, got {json.dumps(raw)}")
-    for seq in token_seqs:
-        if seq and not 0 <= min(seq) <= max(seq) < vocab_size:
-            bad = next(tok for tok in seq if not 0 <= tok < vocab_size)
-            raise DataValidationError(f"token id {bad} out of range for vocab of {vocab_size}")
-    return AlignedDay(
-        date=dt.date.fromisoformat(obj["date"]),
-        raw=tuple(map(float, raw)),
-        token_seqs=token_seqs,
-        label=_class_index(obj["label"]),
-        close=_finite(obj, "close"),
-    )
+    tokens = list(itertools.chain.from_iterable(token_seqs))
+    if tokens and not 0 <= min(tokens) <= max(tokens) < vocab_size:
+        bad = next(tok for tok in tokens if not 0 <= tok < vocab_size)
+        raise DataValidationError(f"token id {bad} out of range for vocab of {vocab_size}")
+    return (dt.date.fromisoformat(obj["date"]), tuple(map(float, raw)),
+            tuple(map(tuple, token_seqs)), _class_index(obj["label"]), _finite(obj, "close"))
 
 
-def _target_from_obj(obj: dict, dates: Sequence[dt.date], window: int) -> tuple:
+def _target_from_obj(obj, dates: Sequence[dt.date], window: int) -> tuple:
     """A window row with finite numbers whose days are rows of dates and whose
     target_date _check_target_date accepts."""
     check_fields(obj, _WINDOW_FIELDS)
@@ -741,8 +779,8 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
     days = read_jsonl(days_path, lambda obj: _day_from_obj(obj, vocab.size))
     if len(days) != n_days:
         raise DataValidationError(f"{days_path}: {len(days)} rows, {meta_path} n_days {n_days}")
-    check_dates_increasing(days, f"{days_path}: ")
-    dates = [d.date for d in days]
+    dates = [d[0] for d in days]
+    check_dates_increasing(dates, f"{days_path}: ")
     targets = read_jsonl(windows_path, lambda obj: _target_from_obj(obj, dates, window))
     if len(targets) != n_samples:
         raise DataValidationError(f"{windows_path}: {len(targets)} rows, "

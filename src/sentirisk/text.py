@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import DataValidationError
 
@@ -30,7 +30,6 @@ NEGATIVE, NEUTRAL, POSITIVE = 0, 1, 2
 # scheme://... or www.-prefixed runs, consumed to the next whitespace
 _URL_RE = re.compile(r"[a-z][a-z0-9+.\-]*://\S+|\bwww\.\S+")
 _NON_ALPHABET_RE = re.compile(r"[^a-z0-9\s$]")
-_WS_RE = re.compile(r"\s+")
 
 
 def clean_text(raw: str) -> str:
@@ -40,10 +39,10 @@ def clean_text(raw: str) -> str:
     contains no characters a second pass could remove.
     """
     s = raw.lower()
-    s = _URL_RE.sub(" ", s)
+    if "://" in s or "www." in s:  # every _URL_RE match holds one
+        s = _URL_RE.sub(" ", s)
     s = _NON_ALPHABET_RE.sub("", s)
-    s = s.replace("$", "")
-    return _WS_RE.sub(" ", s).strip()
+    return " ".join(s.replace("$", "").split())  # split() and \s split at the same characters
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,18 @@ def label_sentiment(cleaned: str, lexicon: Lexicon,
 
     A pre-supplied label bypasses the lexicon entirely.
     """
+    return label_tokens(cleaned.split(), lexicon, presupplied)
+
+
+def label_tokens(tokens: Sequence[str], lexicon: Lexicon,
+                 presupplied: str | None = None) -> str:
+    """label_sentiment of the cleaned text whose split() is tokens."""
     if presupplied is not None:
         if presupplied not in CLASS_INDEX:
             raise DataValidationError(f"unknown sentiment label {presupplied!r}")
         return presupplied
     score = 0
-    for tok in cleaned.split():
+    for tok in tokens:
         if tok in lexicon.positive:
             score += 1
         if tok in lexicon.negative:
@@ -136,9 +141,6 @@ class Vocabulary:
         """Total id count including the reserved pad and unknown slots."""
         return len(self.token_to_id) + 2
 
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def to_lines(self) -> list[str]:
         """Line i holds the token with id i+2."""
         by_id = sorted(self.token_to_id.items(), key=lambda kv: kv[1])
@@ -160,13 +162,19 @@ class Vocabulary:
 def build_vocab(corpus: Iterable[str], min_freq: int = 1,
                 max_size: int = 20000) -> Vocabulary:
     """Frequency-desc then lexicographic-asc ranking, ids assigned from 2."""
+    counts: Counter[str] = Counter()
+    for doc in corpus:
+        counts.update(doc.split())
+    return vocab_from_counts(counts, min_freq, max_size)
+
+
+def vocab_from_counts(counts: Mapping[str, int], min_freq: int = 1,
+                      max_size: int = 20000) -> Vocabulary:
+    """build_vocab of the corpus whose token counts are counts."""
     if min_freq < 1:
         raise DataValidationError(f"min_freq must be >= 1, got {min_freq}")
     if max_size < 2:
         raise DataValidationError(f"max_size must be >= 2 (pad + unk), got {max_size}")
-    counts: Counter[str] = Counter()
-    for doc in corpus:
-        counts.update(doc.split())
     kept = [(tok, c) for tok, c in counts.items() if c >= min_freq]
     kept.sort(key=lambda tc: (-tc[1], tc[0]))
     kept = kept[: max_size - 2]
@@ -175,4 +183,5 @@ def build_vocab(corpus: Iterable[str], min_freq: int = 1,
 
 def encode_doc(cleaned: str, vocab: Vocabulary) -> list[int]:
     """Whitespace tokens → ids (unknown → 1), as read: only the model pads and truncates."""
-    return [vocab.id_for(tok) for tok in cleaned.split()]
+    get = vocab.token_to_id.get
+    return [get(tok, UNK_ID) for tok in cleaned.split()]

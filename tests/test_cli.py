@@ -220,6 +220,26 @@ class TestPrepare:
         assert "Traceback" not in captured.err
         assert not (tmp_path / "prepared").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ('["x"]', "not a json object"),
+        ('{"timestamp": "2020-01-06T10:00:00", "text": "stocks surge", "lable": "negative"}',
+         "unknown keys ['lable']"),
+        ('{"timestamp": "2020-01-06T10:00:00", "text": "stocks surge", "source": 5}',
+         "source must be a string, got 5"),
+    ], ids=["not-an-object", "unknown-key", "non-string-source"])
+    def test_malformed_row_exits_2_naming_the_line_and_key(self, tmp_path, capsys, line,
+                                                            message):
+        write_market_csv(make_demo_market(n_days=20, seed=1), tmp_path / "market.csv")
+        good = '{"timestamp": "2020-01-06T09:00:00", "text": "calm day", "source": "x"}'
+        (tmp_path / "texts.jsonl").write_text(f"{good}\n{line}\n", encoding="utf-8")
+        rc = main(["prepare", "--data-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"{tmp_path / 'texts.jsonl'}:2: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "prepared").exists()
+
 
 class TestConfigFile:
     def test_explicit_window_mismatch_exits_2(self, workspace, tmp_path, capsys):

@@ -4,6 +4,8 @@ import datetime as dt
 import json
 import logging
 import math
+import shutil
+import typing
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -192,6 +194,50 @@ class TestLoadTextJsonl:
         with pytest.raises(DataValidationError, match="missing key"):
             load_text_jsonl(p)
 
+    ROW = {"timestamp": "2024-01-02T09:30:00", "text": "stocks up", "source": "x",
+           "label": "positive"}
+    # what each one-field change of ROW gives: None loads, a string is the error
+    NOT_A_STRING = {
+        "timestamp": lambda v: f"timestamp must be a string, got {type(v).__name__}",
+        "text": lambda v: "document text must be a non-empty string",
+        "source": lambda v: f"source must be a string, got {json.dumps(v)}",
+        "label": lambda v: None if v is None else f"unknown label {v!r}",
+    }
+
+    @pytest.mark.parametrize("key", list(ROW))
+    @pytest.mark.parametrize("value", [True, 2.5, "1", None, ["positive"]],
+                             ids=["true", "float", "string", "null", "list"])
+    def test_one_field_changed(self, tmp_path, key, value):
+        expected = self.NOT_A_STRING[key](value)
+        if value == "1":
+            expected = {"timestamp": "Invalid isoformat string: '1'", "text": None,
+                        "source": None, "label": "unknown label '1'"}[key]
+        self.check(tmp_path, {**self.ROW, key: value}, expected)
+
+    @pytest.mark.parametrize("key", list(ROW))
+    def test_one_field_deleted(self, tmp_path, key):
+        row = {k: v for k, v in self.ROW.items() if k != key}
+        self.check(tmp_path, row, f"missing key '{key}'" if key in ("timestamp", "text")
+                   else None)
+
+    @pytest.mark.parametrize("row, expected", [
+        ({**ROW, "lable": "negative"}, "unknown keys ['lable']"),
+        (["x"], "not a json object"),
+        ("x", "not a json object"),
+    ], ids=["extra-key", "list", "string"])
+    def test_malformed_row(self, tmp_path, row, expected):
+        self.check(tmp_path, row, expected)
+
+    def check(self, tmp_path, row, expected):
+        p = tmp_path / "t.jsonl"
+        p.write_text(json.dumps(self.ROW) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+        if expected is None:
+            assert len(load_text_jsonl(p)) == 2
+        else:
+            with pytest.raises(DataValidationError) as exc:
+                load_text_jsonl(p)
+            assert str(exc.value).startswith(f"{p}:2: {expected}")
+
 
 class TestAlignDays:
     def doc(self, when: dt.datetime, label: int = 2) -> LabeledDoc:
@@ -346,7 +392,7 @@ class TestSplitChronological:
 class TestNormStats:
     def test_train_features_z_scored(self):
         days = simple_days(50)
-        stats = NormStats.fit(days)
+        stats = NormStats.fit([d.raw for d in days])
         for k in range(4):
             vals = [(d.raw[k] - stats.means[k]) / stats.stds[k] for d in days]
             mean = sum(vals) / len(vals)
@@ -356,15 +402,14 @@ class TestNormStats:
                 assert abs(var - 1.0) < 1e-9
 
     def test_constant_column_uses_unit_std(self):
-        days = simple_days(10)
-        stats = NormStats.fit(days)
+        stats = NormStats.fit([d.raw for d in simple_days(10)])
         assert stats.stds[1] == 1.0  # range feature is constant in simple_days
 
     def test_normalize_day_appends_text_indicator(self):
         days = simple_days(10)
         days[1] = replace(days[1], token_seqs=[[2]])
-        stats = NormStats.fit(days)
-        features = stats.normalize_days(days)
+        stats = NormStats.fit([d.raw for d in days])
+        features = stats.normalize_days([d.raw for d in days], [d.has_text for d in days])
         assert features.shape == (10, 5)
         assert features[:2, 4].tolist() == [0.0, 1.0]
         for day, row in zip(days, features):  # the bits a loop of floats gives
@@ -372,7 +417,7 @@ class TestNormStats:
             assert row[:4].tobytes() == np.array(loop).tobytes()
 
     def test_return_round_trip(self):
-        stats = NormStats.fit(simple_days(10))
+        stats = NormStats.fit([d.raw for d in simple_days(10)])
         for raw in (-0.05, 0.0, 0.031):
             z = stats.normalize_return(raw)
             assert abs(stats.denormalize_return(z) - raw) < 1e-12
@@ -463,7 +508,7 @@ class TestPrepareDataset:
         # reconstruct the chronological day list the samples were cut from
         days = list(ds.samples[0].inputs) + [s.inputs[-1] for s in ds.samples[1:]]
         span = days[: len(train) + ds.window]
-        assert NormStats.fit(span) == ds.stats
+        assert NormStats.fit([d.raw for d in span]) == ds.stats
 
     def test_normalized_returns_match_stats(self):
         ds = self.prepared()
@@ -687,6 +732,136 @@ class TestPreparedRoundTrip:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises((DataValidationError, OSError)):
             load_prepared(tmp_path / "nope")
+
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden_prepare"
+PREPARED_FILES = ("days.jsonl", "norm_stats.json", "vocab.txt", "windows.jsonl")
+
+
+def read_files(path: Path) -> dict[str, bytes]:
+    return {name: (path / name).read_bytes() for name in PREPARED_FILES}
+
+
+class TestGoldenPrepared:
+    """fixtures/golden_prepare holds a 30-day raw corpus (a URL, $TICKERs, a
+    timestamp in UTC and one with an offset, presupplied labels, two documents
+    with no tokens, weekend posts and one past the last bar) and the prepared
+    directory `sentirisk prepare` made of it before prepare and load were
+    rewritten to split each document once and check each row in one pass."""
+
+    def test_prepare_writes_the_golden_files(self, tmp_path):
+        from sentirisk.cli import main
+
+        assert main(["prepare", "--data-dir", str(GOLDEN / "raw"),
+                     "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(PREPARED_FILES)
+        assert read_files(tmp_path) == read_files(GOLDEN / "prepared")
+
+    def test_load_then_save_rewrites_the_golden_files(self, tmp_path):
+        save_prepared(load_prepared(GOLDEN / "prepared"), tmp_path)
+        assert read_files(tmp_path) == read_files(GOLDEN / "prepared")
+
+
+def fits_by_definition(hint, value) -> bool:
+    """check_fields' type rule, item by item: a list fits when each item does."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return type(value) is list and all(fits_by_definition(args[0], v) for v in value)
+    if args:
+        return any(fits_by_definition(h, value) for h in args)
+    return type(value) in ({int, float} if hint is float else {hint})
+
+
+class TestPreparedRowChecks:
+    """Each one-field change of a golden days.jsonl or windows.jsonl row gives
+    check_fields' message for its key, or a later check's, naming the line."""
+
+    VALUES = [True, 2.5, "1", None, [1]]
+    # the changes whose value fits the key's type: a later check speaks, or the row loads
+    PAST_THE_TYPES = {
+        ("date", "1"): "Invalid isoformat string: '1'",
+        ("raw", (1,)): "raw must be 4 finite numbers, got [1]",
+        ("close", 2.5): None,
+        ("label", "1"): "unknown class '1'",
+        ("target_date", "1"): "Invalid isoformat string: '1'",
+        ("target_class", "1"): "unknown class '1'",
+        ("target_return_raw", 2.5): None,
+        ("target_close", 2.5): None,
+    }
+
+    @pytest.mark.parametrize("hint", sorted({*data_mod._DAY_FIELDS.values(),
+                                             *data_mod._WINDOW_FIELDS.values(),
+                                             str | None}, key=str))
+    def test_fits_is_its_definition(self, hint):
+        values = [*self.VALUES, False, 2, -0.0, "", {}, [], [2.5], [True], [None], [[]],
+                  [[1, 2]], [[1, True]], [[1], 2], [[1.0]], [[1], [2.5]], ["a"]]
+        for v in values:
+            assert data_mod._fits(hint)(v) == fits_by_definition(hint, v), v
+
+    def load(self, tmp_path, name, lineno, change):
+        """load_prepared's error, without the path, or its samples, for the golden
+        directory with line lineno of name changed."""
+        prepared = tmp_path / "prepared"
+        shutil.copytree(GOLDEN / "prepared", prepared)
+        lines = (prepared / name).read_text(encoding="utf-8").splitlines()
+        lines[lineno - 1] = json.dumps(change(json.loads(lines[lineno - 1])))
+        (prepared / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            return load_prepared(prepared).samples
+        except DataValidationError as exc:
+            prefix = f"{prepared / name}:{lineno}: "
+            assert str(exc).startswith(prefix)
+            return str(exc).removeprefix(prefix)
+
+    @pytest.mark.parametrize("name, lineno, hints", [
+        ("days.jsonl", 2, data_mod._DAY_FIELDS), ("windows.jsonl", 3, data_mod._WINDOW_FIELDS)])
+    def test_each_key_set_to_each_kind_or_deleted(self, tmp_path, name, lineno, hints):
+        for key, hint in hints.items():
+            for value in self.VALUES:
+                got = self.load(tmp_path / f"{key}-{value}", name, lineno,
+                                lambda row: {**row, key: value})
+                frozen = tuple(value) if isinstance(value, list) else value
+                if fits_by_definition(hint, value):
+                    expected = self.PAST_THE_TYPES[key, frozen]
+                    assert got == expected if expected else isinstance(got, tuple)
+                else:
+                    assert got == (f"{key} must be {data_mod._type_name(hint)}, "
+                                   f"got {json.dumps(value)}")
+            got = self.load(tmp_path / f"{key}-deleted", name, lineno,
+                            lambda row: {k: v for k, v in row.items() if k != key})
+            assert got == f"missing key '{key}'"
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("days.jsonl", lambda row: {**row, "extra": 1}, "unknown keys ['extra']"),
+        ("windows.jsonl", lambda row: {**row, "extra": 1}, "unknown keys ['extra']"),
+        ("days.jsonl", lambda row: {**row, "token_seqs": [[True, 3]]},
+         "token_seqs must be a list of lists of integers, got [[true, 3]]"),
+        ("days.jsonl", lambda row: {**row, "token_seqs": [[2, 3.0]]},
+         "token_seqs must be a list of lists of integers, got [[2, 3.0]]"),
+        ("days.jsonl", lambda row: {**row, "token_seqs": [[2, 3], 4]},
+         "token_seqs must be a list of lists of integers, got [[2, 3], 4]"),
+        ("days.jsonl", lambda row: {**row, "raw": [*row["raw"][:3], False]},
+         "raw must be a list of numbers, got "),
+        ("days.jsonl", lambda row: list(row.values()), "not a json object"),
+        ("windows.jsonl", lambda row: "start", "not a json object"),
+    ], ids=["days-extra-key", "windows-extra-key", "bool-token", "float-token",
+            "int-in-token-seqs", "bool-raw", "days-list", "windows-string"])
+    def test_malformed_row(self, tmp_path, name, change, message):
+        assert self.load(tmp_path, name, 2, change).startswith(message)
+
+    def test_valid_edge_rows_load_exactly(self, tmp_path):
+        def day(case, change):
+            return self.load(tmp_path / case, "days.jsonl", 1, change)[0].inputs[0]
+
+        ints = day("ints", lambda row: {**row, "close": 102, "raw": [0, 1, -0.0, 13]})
+        assert (ints.close, ints.raw) == (102.0, (0.0, 1.0, -0.0, 13.0))
+        assert {type(v) for v in (ints.close, *ints.raw)} == {float}
+        assert math.copysign(1.0, ints.raw[2]) == -1.0
+        assert not day("no-documents", lambda row: {**row, "token_seqs": []}).has_text
+        target = self.load(tmp_path / "w", "windows.jsonl", 1, lambda row: {
+            **row, "target_close": 97, "target_return_raw": -0.0})[0]
+        assert type(target.target_close) is float and target.target_close == 97.0
+        assert math.copysign(1.0, target.target_return_raw) == -1.0
 
 
 def long_doc_corpus():

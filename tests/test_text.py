@@ -1,6 +1,7 @@
 """Text cleaning vs committed golden corpus; labeling, vocab, and encoding rules."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from sentirisk.text import (
     clean_text,
     encode_doc,
     label_sentiment,
+    label_tokens,
+    vocab_from_counts,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -67,6 +70,27 @@ class TestCleanText:
             s = "".join(pieces[int(i)] for i in rng.integers(0, len(pieces), size=n))
             once = clean_text(s)
             assert clean_text(once) == once
+
+    def test_whitespace_of_every_kind_collapses(self):
+        # \x1c-\x1f, U+0085, U+2028 and U+3000 are whitespace to str.split as to \s
+        assert clean_text("a\x1cb\x85c\u2028d\u3000e\u00a0f") == "a b c d e f"
+
+
+class TestTokenForms:
+    """The string forms are the token-list and count forms of the string's split()."""
+
+    def test_on_the_golden_corpus(self):
+        lex = Lexicon(positive=frozenset({"surge", "great", "up"}),
+                      negative=frozenset({"crash", "down"}))
+        cleaned = [clean_text(json.loads(line)) for line in
+                   (FIXTURES / "clean_inputs.jsonl").read_text(encoding="utf-8").splitlines()]
+        tokens = [c.split() for c in cleaned]
+        vocab = build_vocab(cleaned, min_freq=2, max_size=40)
+        counts = Counter(tok for t in tokens for tok in t)
+        assert vocab == vocab_from_counts(counts, min_freq=2, max_size=40)
+        for c, t in zip(cleaned, tokens):
+            assert label_sentiment(c, lex) == label_tokens(t, lex)
+            assert label_sentiment(c, lex, "negative") == label_tokens(t, lex, "negative")
 
 
 class TestLabelSentiment:
