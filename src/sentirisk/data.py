@@ -7,18 +7,22 @@ samples, split chronologically, fit normalization statistics on the training
 span only, then normalize every day and target. The splits are three
 immutable Splits; a PreparedDataset cuts its own once.
 
-A prepared directory (format 3) stores each fact once: vocab.txt (line i is
-the token with id i+2); days.jsonl, one line per input day in date order: date,
-raw, close, label and its documents' token ids as read (only the model pads
-them); windows.jsonl, one line per sample: start (its first day's row) and its
-targets; norm_stats.json: stats, window, ratios, format_version, n_days,
-n_samples. normalized_samples derives the features and the normalized
-return at prepare and at load alike; has_text and prev_close are computed
-on read. load_prepared rejects other format_versions, wrong row counts,
-dates out of order, a start outside days.jsonl, token ids outside vocab.txt
-and non-finite numbers, naming the full path. read_json reads every JSON
-document; check_fields is the one type rule for its keys, for every prepared
-row and for every texts.jsonl row.
+A prepared directory (format 4) stores each fact once: vocab.txt (line i is
+the token with id i+2); days.json, one JSON object of columns with one entry
+per input day in date order: date, raw, close, label and its documents' token
+ids as read (only the model pads them); windows.json, columns with one entry
+per sample: start (its first day's row) and its targets; norm_stats.json:
+stats, window, ratios, format_version, n_days, n_samples. Each file is one
+json.dumps and one json.loads. normalized_samples derives the features and
+the normalized return at prepare and at load alike; has_text and prev_close
+are computed on read. load_prepared checks each column whole, in the file's
+column order: other format_versions, a missing or unknown column, a column
+whose length is not n_days or n_samples, an entry of the wrong type, dates
+out of order, a start outside days.json, a target_date outside its slot,
+token ids outside vocab.txt and non-finite numbers are refused naming the
+full path, the column and the first bad row. read_json reads every JSON
+document; check_fields is the one type rule for its keys and for every
+texts.jsonl row, and _fits the one rule for a column's entries.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ log = logging.getLogger(__name__)
 MARKET_CSV_HEADER = ["date", "open", "high", "low", "close", "volume"]
 N_MARKET_FEATURES = 5  # logret, range, gap, log volume, has_text
 DEFAULT_RATIOS = (0.7, 0.15, 0.15)
-PREPARED_FORMAT_VERSION = 3
+PREPARED_FORMAT_VERSION = 4
 T = TypeVar("T")
 
 
@@ -79,11 +83,14 @@ class MarketBar:
     volume: float
 
     def __post_init__(self) -> None:
-        # every comparison below is False for NaN
-        for name in ("open", "high", "low", "close", "volume"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DataValidationError(f"{self.date}: {name} {value} is not finite")
+        # every comparison below is False for NaN. One check of the sum passes
+        # all five finite values; the loop names the field, and finds none when
+        # finite values only overflowed the sum
+        if not math.isfinite(self.open + self.high + self.low + self.close + self.volume):
+            for name in ("open", "high", "low", "close", "volume"):
+                value = getattr(self, name)
+                if not math.isfinite(value):
+                    raise DataValidationError(f"{self.date}: {name} {value} is not finite")
         if self.low > min(self.open, self.close):
             raise DataValidationError(
                 f"{self.date}: low {self.low} exceeds min(open, close)"
@@ -238,8 +245,27 @@ def read_json(path: str | Path, hints: dict,
     return obj
 
 
+_RAW_DECODE = json.JSONDecoder().raw_decode
+
+
+def _loads_line(line: str):
+    """json.loads(line), by one raw_decode where that gives its value: a value
+    at the line's start followed by nothing but JSON whitespace. Any other
+    line (leading space, a BOM, extra data, bad JSON) goes to json.loads, so
+    every value and every message is json.loads' own."""
+    try:
+        value, end = _RAW_DECODE(line)
+        if not line[end:].strip(" \t\n\r"):
+            return value
+    except ValueError:
+        pass
+    return json.loads(line)
+
+
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
-    """parse() of each non-blank line; every error names the file and line."""
+    """parse() of each non-blank line; every error names the file and line.
+    The file object splits the lines, at newlines only: str.splitlines would
+    also split at a U+2028 that a JSON string may hold raw."""
     path = Path(path)
     rows: list[T] = []
     with open_text(path) as fh:
@@ -247,7 +273,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
             if not line.strip():
                 continue
             try:
-                rows.append(parse(json.loads(line)))
+                rows.append(parse(_loads_line(line)))
             except json.JSONDecodeError as exc:
                 raise DataValidationError(f"{path}:{lineno}: bad json ({exc.msg})") from None
             except KeyError as exc:
@@ -393,9 +419,9 @@ def make_windows(days: Sequence[AlignedDay], window: int = 20) -> list[WindowSam
 
 
 def _window_targets(rows: Sequence[tuple], window: int) -> list[tuple]:
-    """make_windows' samples of day rows (_day_rows) as format-3 window rows:
-    (start, target date, class, raw return, close), the target being row
-    start + window."""
+    """make_windows' samples of day rows (_day_rows) as window rows: (start,
+    target date, class, raw return, close), the target being row start +
+    window."""
     if window < 1:
         raise DataValidationError(f"window must be >= 1, got {window}")
     if len(rows) <= window:
@@ -589,7 +615,7 @@ def normalized_samples(stats: NormStats, rows: Sequence[tuple], window: int,
                        targets: Iterable[tuple]) -> list[WindowSample]:
     """The samples of prepare_dataset and load_prepared: each day row (_day_rows)
     is built once into its day with features from stats; target (start, date,
-    class, raw return, close), a format-3 window row, reads days[start : start +
+    class, raw return, close), a window row, reads days[start : start +
     window] and gets target_return."""
     features = stats.normalize_days([r[1] for r in rows], [bool(r[2]) for r in rows])
     days = tuple(AlignedDay(*row, features=f) for row, f in zip(rows, features.tolist()))
@@ -665,13 +691,14 @@ def _check_derived(name: str, stored, derived, where: Callable[[int], str]) -> N
     if stored.tobytes() != derived.tobytes():
         i = next(i for i, (a, b) in enumerate(zip(stored, derived)) if a.tobytes() != b.tobytes())
         raise DataValidationError(f"{where(i)}: {name} {stored[i].tolist()} is not "
-                                  f"{derived[i].tolist()}, the value format 3 derives")
+                                  f"{derived[i].tolist()}, the value loading derives")
 
 
 def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
-    """Writes format 3 through atomic_write, norm_stats.json last and no file before
-    all are written. DataValidationError, writing nothing, for what _stored_days
-    rejects or a stored copy other than normalized_samples derives."""
+    """Writes format 4, each file one json.dumps, through atomic_write:
+    norm_stats.json last and no file before all are written. DataValidationError,
+    writing nothing, for what _stored_days rejects or a stored copy other than
+    normalized_samples derives."""
     days, starts = _stored_days(ds)
     _check_derived("features", [d.features if d.features is not None
                                 else [math.nan] * N_MARKET_FEATURES for d in days],
@@ -683,18 +710,19 @@ def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
     meta = {**ds.stats.to_dict(), "window": ds.window, "ratios": list(ds.ratios),
             "format_version": PREPARED_FORMAT_VERSION, "n_days": len(days),
             "n_samples": len(ds.samples)}
-    files = {  # entered first, so ExitStack moves norm_stats.json into place last;
-        # the row files are generators, each row encoded as it is written
+    files = {  # entered first, so ExitStack moves norm_stats.json into place last
         "norm_stats.json": [json.dumps(meta, indent=2)],
         "vocab.txt": ds.vocab.to_lines(),
-        "days.jsonl": (json.dumps({"date": d.date.isoformat(), "raw": list(d.raw),
-                                   "close": d.close, "label": CLASS_NAMES[d.label],
-                                   "token_seqs": d.token_seqs}) for d in days),
-        "windows.jsonl": (json.dumps({"start": t, "target_date": s.target_date.isoformat(),
-                                      "target_class": CLASS_NAMES[s.target_class],
-                                      "target_return_raw": s.target_return_raw,
-                                      "target_close": s.target_close})
-                          for t, s in zip(starts, ds.samples))}
+        "days.json": [json.dumps({"date": [d.date.isoformat() for d in days],
+                                  "raw": [d.raw for d in days],
+                                  "close": [d.close for d in days],
+                                  "label": [CLASS_NAMES[d.label] for d in days],
+                                  "token_seqs": [d.token_seqs for d in days]})],
+        "windows.json": [json.dumps({
+            "start": starts, "target_date": [s.target_date.isoformat() for s in ds.samples],
+            "target_class": [CLASS_NAMES[s.target_class] for s in ds.samples],
+            "target_return_raw": [s.target_return_raw for s in ds.samples],
+            "target_close": [s.target_close for s in ds.samples]})]}
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         for name, lines in files.items():
@@ -702,50 +730,113 @@ def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
                 line + "\n" for line in lines)
 
 
-def _class_index(name: str) -> int:
-    if name not in CLASS_INDEX:
-        raise DataValidationError(f"unknown class {name!r}")
-    return CLASS_INDEX[name]
+# each column's entry type, a format-3 row's field type
+_DAY_COLUMNS = {"date": str, "raw": list[float], "close": float, "label": str,
+                "token_seqs": list[list[int]]}
+_WINDOW_COLUMNS = {"start": int, "target_date": str, "target_class": str,
+                   "target_return_raw": float, "target_close": float}
 
 
-def _finite(obj: dict, key: str) -> float:
-    if not math.isfinite(obj[key]):
-        raise DataValidationError(f"{key} must be finite, got {json.dumps(obj[key])}")
-    return float(obj[key])
+def _columns(path: Path, hints: dict, n: int, count: str
+             ) -> Callable[[str, Callable[[list], list]], list]:
+    """column(name, convert): column name of the JSON object in path, whose
+    keys must be exactly those of hints, as convert returns it. The column
+    must be a list of n entries (count says whose n) that fit its hint
+    (_fits). convert raises DataValidationError describing the first bad
+    entry, judging each entry alone or against earlier rows, so a column's
+    first bad row ends its shortest failing prefix, which a bisection finds
+    only once the whole column has failed. Every fault raises naming path,
+    the column and that 0-based row."""
+    cols = read_json(path, dict.fromkeys(hints, object))
+
+    def checked(entries: list, hint, convert: Callable[[list], list]) -> list:
+        if not _fits(list[hint])(entries):
+            bad = next(v for v in entries if not _fits(hint)(v))
+            raise DataValidationError(f"must be {_type_name(hint)}, got {json.dumps(bad)}")
+        return convert(entries)
+
+    def column(name: str, convert: Callable[[list], list]) -> list:
+        if name not in cols:
+            raise DataValidationError(f"{path}: missing column {name!r}")
+        values, hint = cols[name], hints[name]
+        if type(values) is not list:
+            raise DataValidationError(
+                f"{path}: {name} must be a list, got {_TYPE_NAMES[type(values)]}")
+        if len(values) != n:
+            raise DataValidationError(f"{path}: {name} has {len(values)} entries, {count}")
+        try:
+            return checked(values, hint, convert)
+        except DataValidationError as exc:
+            fault = exc
+        good, bad = 0, n  # values[:good] passes; values[:bad] fails, with fault
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                checked(values[:mid], hint, convert)
+                good = mid
+            except DataValidationError as exc:
+                bad, fault = mid, exc
+        raise DataValidationError(f"{path}: {name}[{bad - 1}]: {fault}") from None
+
+    return column
 
 
-_DAY_FIELDS = {"date": str, "raw": list[float], "close": float, "label": str,
-               "token_seqs": list[list[int]]}
-_WINDOW_FIELDS = {"start": int, "target_date": str, "target_class": str,
-                  "target_return_raw": float, "target_close": float}
+def _iso_dates(entries: list) -> list[dt.date]:
+    try:
+        return list(map(dt.date.fromisoformat, entries))
+    except ValueError as exc:
+        raise DataValidationError(str(exc)) from None
 
 
-def _day_from_obj(obj, vocab_size: int) -> tuple:
-    """A day row (_day_rows) with finite numbers whose token ids all lie in
-    [0, vocab_size)."""
-    check_fields(obj, _DAY_FIELDS)
-    raw, token_seqs = obj["raw"], obj["token_seqs"]
-    if len(raw) != 4 or not all(map(math.isfinite, raw)):
-        raise DataValidationError(f"raw must be 4 finite numbers, got {json.dumps(raw)}")
-    tokens = list(itertools.chain.from_iterable(token_seqs))
-    if tokens and not 0 <= min(tokens) <= max(tokens) < vocab_size:
-        bad = next(tok for tok in tokens if not 0 <= tok < vocab_size)
-        raise DataValidationError(f"token id {bad} out of range for vocab of {vocab_size}")
-    return (dt.date.fromisoformat(obj["date"]), tuple(map(float, raw)),
-            tuple(map(tuple, token_seqs)), _class_index(obj["label"]), _finite(obj, "close"))
+def _increasing_dates(entries: list) -> list[dt.date]:
+    dates = _iso_dates(entries)
+    check_dates_increasing(dates)
+    return dates
 
 
-def _target_from_obj(obj, dates: Sequence[dt.date], window: int) -> tuple:
-    """A window row with finite numbers whose days are rows of dates and whose
-    target_date _check_target_date accepts."""
-    check_fields(obj, _WINDOW_FIELDS)
-    start, last_start = obj["start"], len(dates) - window
-    if not 0 <= start <= last_start:
-        raise DataValidationError(f"start must lie in [0, {last_start}], got {start}")
-    date = dt.date.fromisoformat(obj["target_date"])
-    _check_target_date(date, dates, start, window)
-    return (start, date, _class_index(obj["target_class"]), _finite(obj, "target_return_raw"),
-            _finite(obj, "target_close"))
+def _raws(entries: list) -> list[tuple[float, ...]]:
+    if not (set(map(len, entries)) <= {4}
+            and all(map(math.isfinite, itertools.chain.from_iterable(entries)))):
+        bad = next(r for r in entries if len(r) != 4 or not all(map(math.isfinite, r)))
+        raise DataValidationError(f"must be 4 finite numbers, got {json.dumps(bad)}")
+    return [tuple(map(float, r)) for r in entries]
+
+
+def _finite(entries: list) -> list[float]:
+    if not all(map(math.isfinite, entries)):
+        bad = next(v for v in entries if not math.isfinite(v))
+        raise DataValidationError(f"must be finite, got {json.dumps(bad)}")
+    return list(map(float, entries))
+
+
+def _classes(entries: list) -> list[int]:
+    try:
+        return list(map(CLASS_INDEX.__getitem__, entries))
+    except KeyError as exc:
+        raise DataValidationError(f"unknown class {exc.args[0]!r}") from None
+
+
+def _token_ids_below(size: int, entries: list) -> list:
+    tokens = list(itertools.chain.from_iterable(itertools.chain.from_iterable(entries)))
+    if tokens and not 0 <= min(tokens) <= max(tokens) < size:
+        bad = next(tok for tok in tokens if not 0 <= tok < size)
+        raise DataValidationError(f"token id {bad} out of range for vocab of {size}")
+    return entries
+
+
+def _starts_within(last: int, entries: list) -> list[int]:
+    if entries and not 0 <= min(entries) <= max(entries) <= last:
+        bad = next(t for t in entries if not 0 <= t <= last)
+        raise DataValidationError(f"must lie in [0, {last}], got {bad}")
+    return entries
+
+
+def _target_dates(starts: Sequence[int], dates: Sequence[dt.date], window: int,
+                  entries: list) -> list[dt.date]:
+    targets = _iso_dates(entries)
+    for date, start in zip(targets, starts):
+        _check_target_date(date, dates, start, window)
+    return targets
 
 
 # every key of norm_stats.json: format 1 had no format_version or n_days
@@ -775,16 +866,18 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
     if len(ratios) != 3 or window < 1:
         raise DataValidationError(f"{meta_path}: need 3 ratios and a positive window")
     vocab = Vocabulary.from_lines(read_text(root / "vocab.txt").splitlines())
-    days_path, windows_path = root / "days.jsonl", root / "windows.jsonl"
-    days = read_jsonl(days_path, lambda obj: _day_from_obj(obj, vocab.size))
-    if len(days) != n_days:
-        raise DataValidationError(f"{days_path}: {len(days)} rows, {meta_path} n_days {n_days}")
-    dates = [d[0] for d in days]
-    check_dates_increasing(dates, f"{days_path}: ")
-    targets = read_jsonl(windows_path, lambda obj: _target_from_obj(obj, dates, window))
-    if len(targets) != n_samples:
-        raise DataValidationError(f"{windows_path}: {len(targets)} rows, "
-                                  f"{meta_path} n_samples {n_samples}")
+    column = _columns(root / "days.json", _DAY_COLUMNS, n_days, f"{meta_path} n_days {n_days}")
+    dates = column("date", _increasing_dates)
+    raws, closes = column("raw", _raws), column("close", _finite)
+    labels = column("label", _classes)
+    token_seqs = column("token_seqs", functools.partial(_token_ids_below, vocab.size))
+    column = _columns(root / "windows.json", _WINDOW_COLUMNS, n_samples,
+                      f"{meta_path} n_samples {n_samples}")
+    starts = column("start", functools.partial(_starts_within, n_days - window))
+    target_dates = column("target_date", functools.partial(_target_dates, starts, dates, window))
+    targets = zip(starts, target_dates, column("target_class", _classes),
+                  column("target_return_raw", _finite), column("target_close", _finite))
+    days = list(zip(dates, raws, token_seqs, labels, closes))
     return PreparedDataset(
         vocab=vocab, samples=normalized_samples(stats, days, window, targets), stats=stats,
         window=window, ratios=ratios,

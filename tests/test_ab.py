@@ -1,6 +1,8 @@
 """scripts/ab.py's summary of alternating benchmark pairs, on fixed inputs."""
 
 import importlib.util
+import statistics
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,7 +53,8 @@ def test_summary_rows():
 def test_render_marks_what_is_worse():
     text = ab.render(ab.summarize(PAIRS, END_TO_END))
     lines = text.splitlines()
-    assert lines[0].split() == ["metric", "base", "base", "IQR", "change", "%", "wins"]
+    assert lines[0].split() == ["metric", "base", "base", "IQR", "change", "%", "ratio", "95%",
+                                "CI", "wins"]
     assert lines[1].split()[0] == "setup_s" and "3/4" in lines[1]
     assert not lines[1].endswith("worse") and lines[3].endswith("worse")
 
@@ -59,3 +62,37 @@ def test_render_marks_what_is_worse():
 def test_one_pair_has_no_spread():
     [row] = ab.summarize(PAIRS[:1], END_TO_END[:1])
     assert row["base_q"] == (0.120, 0.120) and row["wins"] == 1
+
+
+def test_ratio_interval_repeats_and_holds_the_ratio_of_medians():
+    base = [0.120, 0.124, 0.130, 0.122, 0.127, 0.119, 0.125]
+    change = [0.100, 0.098, 0.131, 0.099, 0.104, 0.101, 0.097]
+    lo, hi = ab.ratio_interval(base, change)
+    assert (lo, hi) == ab.ratio_interval(base, change)  # a fixed RNG seed
+    point = statistics.median(change) / statistics.median(base)
+    assert lo <= point <= hi < 1.0
+    assert (lo, hi) == pytest.approx((0.784, 0.8416667))
+
+
+def test_ratio_interval_of_a_constant_ratio_is_that_ratio():
+    base = [1.0, 2.0, 4.0, 8.0, 3.0]
+    assert ab.ratio_interval(base, [0.5 * b for b in base]) == (0.5, 0.5)
+
+
+def test_ratio_interval_of_a_zero_base_is_nan():
+    lo, hi = ab.ratio_interval([0.0, 1.0], [1.0, 1.0])
+    assert lo != lo and hi != hi
+
+
+def test_summary_rows_carry_the_interval():
+    rows = {r["metric"]: r for r in ab.summarize(PAIRS, END_TO_END)}
+    base = [b["metrics"]["setup_s"]["value"] for b, _ in PAIRS]
+    change = [c["metrics"]["setup_s"]["value"] for _, c in PAIRS]
+    assert rows["setup_s"]["ratio_ci"] == ab.ratio_interval(base, change)
+
+
+def test_run_once_passes_the_seed(tmp_path):
+    echo = [sys.executable, "-c",
+            "import json, sys; print(json.dumps({'argv': sys.argv[1:]}))"]
+    argv = ab.run_once(echo, tmp_path, "score", 3, 0.5)["argv"]
+    assert argv == ["--workload", "score", "--seed", "3", "--seconds", "0.5", "--trace", "0"]

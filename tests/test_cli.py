@@ -17,6 +17,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -136,7 +137,7 @@ class TestPrepare:
         assert ds.vocab.size == int(m.group(4))
 
     def test_default_out_is_data_dir_prepared(self, workspace):
-        for name in ("vocab.txt", "days.jsonl", "windows.jsonl", "norm_stats.json"):
+        for name in ("vocab.txt", "days.json", "windows.json", "norm_stats.json"):
             assert (workspace["root"] / "prepared" / name).is_file()
 
     def test_market_only_dataset(self, tmp_path, capsys):
@@ -766,7 +767,7 @@ class TestNonUtf8Input:
     """One byte that is not UTF-8, appended to any input file, is a data error naming it."""
 
     @pytest.mark.parametrize("name", ["market.csv", "texts.jsonl", "config", "lexicon",
-                                      "vocab.txt", "days.jsonl", "norm_stats.json",
+                                      "vocab.txt", "days.json", "norm_stats.json",
                                       "checkpoint"])
     def test_exits_2_naming_the_file(self, workspace, trained, tmp_path, capsys, name):
         raw, prep = tmp_path / "raw", tmp_path / "prepared"
@@ -832,141 +833,180 @@ class TestCheckpointDatasetMismatch:
 
 
 def _cut_in_half(path):
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
-    return f"{path}: "
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+    return f"{path}: bad json ("
 
 
 def _cut_days(prep):
-    return _cut_in_half(prep / "days.jsonl")
+    return _cut_in_half(prep / "days.json")
 
 
 def _cut_windows(prep):
-    return _cut_in_half(prep / "windows.jsonl")
+    return _cut_in_half(prep / "windows.json")
 
 
 def _day_index_out_of_range(prep):
     # a window's first day: its days are rows start .. start + WINDOW - 1
     n_days = json.loads((prep / "norm_stats.json").read_text(encoding="utf-8"))["n_days"]
-    _rewrite_row(prep / "windows.jsonl", 3, "start", n_days - WINDOW + 1)
-    return f"windows.jsonl:3: start must lie in [0, {n_days - WINDOW}], got {n_days - WINDOW + 1}"
+    _rewrite_entry(prep / "windows.json", "start", 2, n_days - WINDOW + 1)
+    return f"windows.json: start[2]: must lie in [0, {n_days - WINDOW}], got {n_days - WINDOW + 1}"
+
+
+def _columns(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _edit_columns(path, edit):
+    cols = _columns(path)
+    edit(cols)
+    path.write_text(json.dumps(cols), encoding="utf-8")
+
+
+def _rows(path):
+    """The entries of the columns in path as format 3 stored them: one object per row."""
+    cols = _columns(path)
+    return [dict(zip(cols, entry)) for entry in zip(*cols.values())]
+
+
+def _older_format(prep, version, files):
+    """prep in format version: days.json and windows.json replaced by files, each
+    a list of rows written one JSON object per line."""
+    (prep / "days.json").unlink()
+    (prep / "windows.json").unlink()
+    for name, rows in files.items():
+        (prep / name).write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    meta = json.loads((prep / "norm_stats.json").read_text(encoding="utf-8"))
+    meta["format_version"] = version
+    if version == 1:  # its norm_stats.json had no format_version or n_days
+        del meta["format_version"], meta["n_days"]
+    (prep / "norm_stats.json").write_text(json.dumps(meta), encoding="utf-8")
+    return (f"prepared dataset format {version} is not supported, expected 4; "
+            "re-run `sentirisk prepare`")
 
 
 def _format_1(prep):
-    # format 1 spelled every window's days out in samples.jsonl, and its
-    # norm_stats.json had no format_version or n_days
-    days = [json.loads(line) for line in
-            (prep / "days.jsonl").read_text(encoding="utf-8").splitlines()]
-    with (prep / "samples.jsonl").open("w", encoding="utf-8") as fh:
-        for line in (prep / "windows.jsonl").read_text(encoding="utf-8").splitlines():
-            row = json.loads(line)
-            start = row.pop("start")
-            row["days"] = days[start : start + WINDOW]
-            fh.write(json.dumps(row) + "\n")
-    (prep / "days.jsonl").unlink()
-    (prep / "windows.jsonl").unlink()
-    meta = json.loads((prep / "norm_stats.json").read_text(encoding="utf-8"))
-    del meta["format_version"], meta["n_days"]
-    (prep / "norm_stats.json").write_text(json.dumps(meta), encoding="utf-8")
-    return ("prepared dataset format 1 is not supported, expected 3; "
-            "re-run `sentirisk prepare`")
+    # format 1 spelled every window's days out in samples.jsonl
+    days, windows = _rows(prep / "days.json"), _rows(prep / "windows.json")
+    for row in windows:
+        start = row.pop("start")
+        row["days"] = days[start : start + WINDOW]
+    return _older_format(prep, 1, {"samples.jsonl": windows})
 
 
 def _format_2(prep):
-    # format 2 had the same files, with copies of derivable fields in their rows
-    _rewrite_row(prep / "days.jsonl", 1, "has_text", True)
-    meta = json.loads((prep / "norm_stats.json").read_text(encoding="utf-8"))
-    (prep / "norm_stats.json").write_text(json.dumps({**meta, "format_version": 2}),
-                                          encoding="utf-8")
-    return ("prepared dataset format 2 is not supported, expected 3; "
-            "re-run `sentirisk prepare`")
+    # format 2 had format 3's files, with copies of derivable fields in their rows
+    days = [{**row, "has_text": bool(row["token_seqs"])} for row in _rows(prep / "days.json")]
+    return _older_format(prep, 2, {"days.jsonl": days,
+                                   "windows.jsonl": _rows(prep / "windows.json")})
 
 
-def _rewrite_row(path, lineno, key, value):
-    """Sets key of the row on line lineno; value may be a function of the old value."""
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    row = json.loads(lines[lineno - 1])
-    row[key] = value(row[key]) if callable(value) else value
-    lines[lineno - 1] = json.dumps(row) + "\n"
-    path.write_text("".join(lines), encoding="utf-8")
+def _format_3(prep):
+    # format 3 stored one JSON object per day and per window, one line each
+    return _older_format(prep, 3, {"days.jsonl": _rows(prep / "days.json"),
+                                   "windows.jsonl": _rows(prep / "windows.json")})
+
+
+def _rewrite_entry(path, column, row, value):
+    """Sets entry row of column in the columns file path; value may be a function
+    of the old entry."""
+    def rewrite(cols):
+        old = cols[column][row]
+        cols[column][row] = value(old) if callable(value) else value
+
+    _edit_columns(path, rewrite)
 
 
 def _swapped_days(prep):
-    path = prep / "days.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[3], lines[4] = lines[4], lines[3]
-    path.write_text("".join(lines), encoding="utf-8")
-    later, earlier = (json.loads(line)["date"] for line in lines[3:5])
-    return f"days.jsonl: dates must be strictly increasing: {later} then {earlier}"
+    def swap(cols):
+        for entries in cols.values():
+            entries[3], entries[4] = entries[4], entries[3]
+
+    _edit_columns(prep / "days.json", swap)
+    later, earlier = _columns(prep / "days.json")["date"][3:5]
+    return f"days.json: date[4]: dates must be strictly increasing: {later} then {earlier}"
 
 
 def _leftover_has_text(prep):
     # has_text: 0 on a day with text once made the model drop that day's text
-    _rewrite_row(prep / "days.jsonl", 4, "has_text", 0)
-    return "days.jsonl:4: unknown keys ['has_text']"
+    _edit_columns(prep / "days.json", lambda cols: cols.update(has_text=[0] * len(cols["date"])))
+    return f"{prep / 'days.json'}: unknown keys ['has_text']"
 
 
 def _leftover_features(prep):
-    _rewrite_row(prep / "days.jsonl", 2, "features", [True, 0.0, 0.0, 0.0, 1.0])
-    return "days.jsonl:2: unknown keys ['features']"
+    _edit_columns(prep / "days.json",
+                  lambda cols: cols.update(features=[[0.0] * 5 for _ in cols["date"]]))
+    return f"{prep / 'days.json'}: unknown keys ['features']"
+
+
+def _missing_close(prep):
+    _edit_columns(prep / "days.json", lambda cols: cols.pop("close"))
+    return f"{prep / 'days.json'}: missing column 'close'"
+
+
+def _short_label(prep):
+    # a column one entry short, as a row count off by one was in format 3
+    _edit_columns(prep / "days.json", lambda cols: cols["label"].pop())
+    n_days = len(_columns(prep / "days.json")["date"])
+    return (f"{prep / 'days.json'}: label has {n_days - 1} entries, "
+            f"{prep / 'norm_stats.json'} n_days {n_days}")
 
 
 def _boolean_raw(prep):
-    _rewrite_row(prep / "days.jsonl", 2, "raw", lambda raw: [True, *raw[1:]])
-    return "days.jsonl:2: raw must be a list of numbers, got [true, "
+    _rewrite_entry(prep / "days.json", "raw", 1, lambda raw: [True, *raw[1:]])
+    return "days.json: raw[1]: must be a list of numbers, got [true, "
 
 
 def _nan_raw(prep):
-    _rewrite_row(prep / "days.jsonl", 2, "raw", lambda raw: [math.nan, *raw[1:]])
-    return "days.jsonl:2: raw must be 4 finite numbers, got [NaN, "
+    _rewrite_entry(prep / "days.json", "raw", 1, lambda raw: [math.nan, *raw[1:]])
+    return "days.json: raw[1]: must be 4 finite numbers, got [NaN, "
 
 
 def _infinite_close(prep):
-    _rewrite_row(prep / "days.jsonl", 3, "close", math.inf)
-    return "days.jsonl:3: close must be finite, got Infinity"
+    _rewrite_entry(prep / "days.json", "close", 2, math.inf)
+    return "days.json: close[2]: must be finite, got Infinity"
 
 
 def _nan_target_return_raw(prep):
-    _rewrite_row(prep / "windows.jsonl", 2, "target_return_raw", math.nan)
-    return "windows.jsonl:2: target_return_raw must be finite, got NaN"
+    _rewrite_entry(prep / "windows.json", "target_return_raw", 1, math.nan)
+    return "windows.json: target_return_raw[1]: must be finite, got NaN"
 
 
 def _infinite_target_close(prep):
-    _rewrite_row(prep / "windows.jsonl", 4, "target_close", -math.inf)
-    return "windows.jsonl:4: target_close must be finite, got -Infinity"
+    _rewrite_entry(prep / "windows.json", "target_close", 3, -math.inf)
+    return "windows.json: target_close[3]: must be finite, got -Infinity"
 
 
 def _unknown_target_class(prep):
-    _rewrite_row(prep / "windows.jsonl", 2, "target_class", "Positive")
-    return "windows.jsonl:2: unknown class 'Positive'"
+    _rewrite_entry(prep / "windows.json", "target_class", 1, "Positive")
+    return "windows.json: target_class[1]: unknown class 'Positive'"
 
 
-def _target_date_in_the_window(prep, lineno=3, offset=-1):
+def _target_date_in_the_window(prep, row=2, offset=-1):
     # a target_date on the window's last day, or past the day after it, was
     # loaded as is and written into predict's CSV and alert's rows
-    dates = [json.loads(line)["date"] for line in
-             (prep / "days.jsonl").read_text(encoding="utf-8").splitlines()]
-    start = json.loads((prep / "windows.jsonl").read_text(encoding="utf-8")
-                       .splitlines()[lineno - 1])["start"]
+    dates = _columns(prep / "days.json")["date"]
+    start = _columns(prep / "windows.json")["start"][row]
     bad = dates[start + WINDOW + offset]
-    _rewrite_row(prep / "windows.jsonl", lineno, "target_date", bad)
-    return (f"windows.jsonl:{lineno}: target_date {bad} must be after the window's last day "
-            f"{dates[start + WINDOW - 1]} and not after {dates[start + WINDOW]}")
+    _rewrite_entry(prep / "windows.json", "target_date", row, bad)
+    return (f"windows.json: target_date[{row}]: target_date {bad} must be after the window's "
+            f"last day {dates[start + WINDOW - 1]} and not after {dates[start + WINDOW]}")
 
 
 def _target_date_past_the_next_day(prep):
-    return _target_date_in_the_window(prep, lineno=2, offset=1)
+    return _target_date_in_the_window(prep, row=1, offset=1)
 
 
 def _unknown_day_label(prep):
-    _rewrite_row(prep / "days.jsonl", 3, "label", "bogus")
-    return "days.jsonl:3: unknown class 'bogus'"
+    _rewrite_entry(prep / "days.json", "label", 2, "bogus")
+    return "days.json: label[2]: unknown class 'bogus'"
 
 
 class TestDamagedPrepared:
     @pytest.mark.parametrize("damage", [_cut_days, _cut_windows, _day_index_out_of_range,
                                         _format_1, _unknown_target_class, _unknown_day_label,
-                                        _format_2, _swapped_days, _leftover_has_text,
+                                        _format_2, _format_3, _swapped_days,
+                                        _leftover_has_text, _missing_close, _short_label,
                                         _leftover_features, _boolean_raw, _nan_raw,
                                         _infinite_close, _nan_target_return_raw,
                                         _infinite_target_close, _target_date_in_the_window,
@@ -985,6 +1025,20 @@ class TestDamagedPrepared:
         assert expected in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_committed_format_3_directory_exits_2_on_train(self, tmp_path, capsys):
+        # the golden fixture is a directory an earlier release prepared
+        shutil.copytree(Path(__file__).parent / "fixtures" / "golden_prepare" / "prepared",
+                        tmp_path / "prepared")
+        ckpt = tmp_path / "model.ckpt.json"
+        capsys.readouterr()
+        rc = main(["train", "--data-dir", str(tmp_path), "--model-out", str(ckpt)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert ("prepared dataset format 3 is not supported, expected 4; "
+                "re-run `sentirisk prepare`") in captured.err
+        assert "Traceback" not in captured.err
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.update(window=str(m["window"])),
@@ -1090,7 +1144,8 @@ class TestTruncatedVocab:
         rc = main([command, "--data-dir", str(tmp_path), *args])
         captured = capsys.readouterr()
         assert rc == 2
-        assert re.search(r"days\.jsonl:\d+: token id \d+ out of range for vocab of 5",
+        assert re.search(r"days\.json: token_seqs\[\d+\]: token id \d+ out of range for "
+                         r"vocab of 5",
                          captured.err)
         assert "Traceback" not in captured.err
         assert captured.out == ""

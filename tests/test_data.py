@@ -4,7 +4,7 @@ import datetime as dt
 import json
 import logging
 import math
-import shutil
+import tempfile
 import typing
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, fields, replace
@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentirisk import data as data_mod
 from sentirisk.data import (
@@ -105,6 +107,11 @@ class TestMarketBar:
         values = dict(open=100.0, high=101.0, low=99.0, close=100.0, volume=10.0)
         with pytest.raises(DataValidationError, match=f"{field} {value} is not finite"):
             MarketBar(dt.date(2024, 1, 2), **{**values, field: value})
+
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        bar = MarketBar(dt.date(2024, 1, 2), open=1e308, high=1.7e308, low=0.9e308,
+                        close=1.5e308, volume=1.7e308)
+        assert math.isinf(bar.open + bar.high + bar.low + bar.close + bar.volume)
 
 
 class TestRawTextDoc:
@@ -237,6 +244,55 @@ class TestLoadTextJsonl:
             with pytest.raises(DataValidationError) as exc:
                 load_text_jsonl(p)
             assert str(exc.value).startswith(f"{p}:2: {expected}")
+
+
+class TestReadJsonl:
+    """read_jsonl decodes a line as json.loads does: each line below gives the
+    row, or the message, that json.loads on the line as the file yields it gives."""
+
+    LINES = {
+        "plain": '{"a": [1, 2.5, "x"]}',
+        "leading-and-trailing-spaces": '  {"a": 1}  ',
+        "crlf": '{"a": 1}\r\n',
+        "blank": "",
+        "whitespace-only": " \t ",
+        "two-objects": "{} {}",
+        "trailing-junk": "{}x",
+        "trailing-form-feed": "{}\x0c",  # whitespace to str.strip, not to JSON
+        "bom": "\ufeff{}",
+        "nan": '{"a": NaN}',
+        "raw-u2028-in-a-string": '{"a": "x\u2028y"}',
+        "cut-off-object": '{"a": [1, 2',
+    }
+
+    @staticmethod
+    def by_json_loads(path):
+        """The rows, or the message, of read_jsonl written with json.loads per line."""
+        rows = []
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rows.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    return f"{path}:{lineno}: bad json ({exc.msg})"
+        return rows
+
+    @pytest.mark.parametrize("name", list(LINES))
+    def test_same_row_or_message_as_json_loads(self, tmp_path, name):
+        line = self.LINES[name]
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(('{"first": true}\n' + line + ("" if line.endswith("\n") else "\n"))
+                         .encode("utf-8"))
+        expected = self.by_json_loads(path)
+        try:
+            got = data_mod.read_jsonl(path, lambda obj: obj)
+        except DataValidationError as exc:
+            got = str(exc)
+        assert repr(got) == repr(expected)  # repr: a NaN equals itself
+        if name == "raw-u2028-in-a-string":
+            assert got[1] == {"a": "x\u2028y"}
 
 
 class TestAlignDays:
@@ -577,8 +633,8 @@ def assert_same_samples(loaded, original):
             assert da.features == db.features
 
 
-def read_lines(path):
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+def read_columns(path):
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 class TestPreparedRoundTrip:
@@ -589,7 +645,7 @@ class TestPreparedRoundTrip:
         out = tmp_path / "prepared"
         save_prepared(ds, out)
         assert sorted(p.name for p in out.iterdir()) == [
-            "days.jsonl", "norm_stats.json", "vocab.txt", "windows.jsonl",
+            "days.json", "norm_stats.json", "vocab.txt", "windows.json",
         ]
 
         again = load_prepared(out)
@@ -601,12 +657,12 @@ class TestPreparedRoundTrip:
 
         # each day is stored once and loaded once, shared by every window holding it
         dates = {d.date for s in ds.samples for d in s.inputs}
-        stored = [row["date"] for row in read_lines(out / "days.jsonl")]
+        stored = read_columns(out / "days.json")["date"]
         assert sorted(stored) == sorted(d.isoformat() for d in dates)
         assert len({id(d) for s in again.samples for d in s.inputs}) == len(dates)
         meta = json.loads((out / "norm_stats.json").read_text(encoding="utf-8"))
         assert (meta["format_version"], meta["n_days"], meta["n_samples"]) == (
-            3, len(dates), len(ds.samples))
+            4, len(dates), len(ds.samples))
 
     def test_ablation_dataset_round_trip(self, tmp_path):
         # its target_class counts positive days over the window, so unlike
@@ -618,7 +674,7 @@ class TestPreparedRoundTrip:
         save_prepared(ds, tmp_path)
         again = load_prepared(tmp_path)
         assert_same_samples(again.samples, samples)
-        assert len(read_lines(tmp_path / "days.jsonl")) == 60 - 1  # last day is only a target
+        assert len(read_columns(tmp_path / "days.json")["date"]) == 60 - 1  # last: a target only
 
     def test_windows_holding_copies_of_days_round_trip(self, tmp_path):
         bars, docs, lex = build_corpus(20)
@@ -626,8 +682,8 @@ class TestPreparedRoundTrip:
                                                             ratios=(0.6, 0.2, 0.2)))
         copies = [replace(s, inputs=[replace(d) for d in s.inputs]) for s in ds.samples]
         save_prepared(replace(ds, samples=copies), tmp_path)
-        # equal copies of a day are one fact: one row per date
-        dates = [row["date"] for row in read_lines(tmp_path / "days.jsonl")]
+        # equal copies of a day are one fact: one entry per date
+        dates = read_columns(tmp_path / "days.json")["date"]
         assert dates == sorted({d.date.isoformat() for s in ds.samples for d in s.inputs})
         assert_same_samples(load_prepared(tmp_path).samples, ds.samples)
 
@@ -642,9 +698,9 @@ class TestPreparedRoundTrip:
                                  samples, NormStats(means=(0.0,) * 4, stds=(1.0,) * 4),
                                  window=20, ratios=(0.7, 0.15, 0.15))
         save_prepared(ds, tmp_path)
-        assert not {"features", "has_text"} & set(read_lines(tmp_path / "days.jsonl")[0])
+        assert not {"features", "has_text"} & set(read_columns(tmp_path / "days.json"))
         assert not {"days", "target_return", "prev_close"} & set(
-            read_lines(tmp_path / "windows.jsonl")[0])
+            read_columns(tmp_path / "windows.json"))
         again = load_prepared(tmp_path)
         for a, b in zip(again.samples, ds.samples):
             assert np.array([a.target_return, a.prev_close]).tobytes() == np.array(
@@ -717,7 +773,7 @@ class TestPreparedRoundTrip:
         @contextmanager
         def failing(path):
             with real(path) as fh:
-                if Path(path).name == "windows.jsonl":
+                if Path(path).name == "windows.json":
                     raise OSError("disk full")
                 yield fh
 
@@ -735,31 +791,105 @@ class TestPreparedRoundTrip:
 
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_prepare"
-PREPARED_FILES = ("days.jsonl", "norm_stats.json", "vocab.txt", "windows.jsonl")
+PREPARED_FILES = ("days.json", "norm_stats.json", "vocab.txt", "windows.json")
 
 
 def read_files(path: Path) -> dict[str, bytes]:
     return {name: (path / name).read_bytes() for name in PREPARED_FILES}
 
 
+def golden_format_4() -> dict[str, bytes]:
+    """The golden format-3 directory's facts in format 4: each days.jsonl and
+    windows.jsonl row's fields as entries of their columns, re-encoded by
+    json.dumps, which writes every float by its shortest round-trip repr, so
+    equal bytes mean the same facts bit for bit."""
+    prepared = GOLDEN / "prepared"
+    files = {}
+    for name in ("days", "windows"):
+        rows = [json.loads(line) for line in
+                (prepared / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()]
+        files[f"{name}.json"] = (json.dumps({key: [row[key] for row in rows]
+                                             for key in rows[0]}) + "\n").encode()
+    meta = (prepared / "norm_stats.json").read_bytes()
+    assert meta.count(b'"format_version": 3,') == 1
+    files["norm_stats.json"] = meta.replace(b'"format_version": 3,', b'"format_version": 4,')
+    files["vocab.txt"] = (prepared / "vocab.txt").read_bytes()
+    return files
+
+
+def write_golden_format_4(out: Path) -> Path:
+    out.mkdir(parents=True)
+    for name, content in golden_format_4().items():
+        (out / name).write_bytes(content)
+    return out
+
+
 class TestGoldenPrepared:
     """fixtures/golden_prepare holds a 30-day raw corpus (a URL, $TICKERs, a
     timestamp in UTC and one with an offset, presupplied labels, two documents
-    with no tokens, weekend posts and one past the last bar) and the prepared
+    with no tokens, weekend posts and one past the last bar) and the format-3
     directory `sentirisk prepare` made of it before prepare and load were
-    rewritten to split each document once and check each row in one pass."""
+    rewritten to split each document once and check each row in one pass. Its
+    rows are the reference for the facts format 4 stores as columns."""
 
-    def test_prepare_writes_the_golden_files(self, tmp_path):
+    def test_prepare_writes_the_golden_facts(self, tmp_path):
         from sentirisk.cli import main
 
         assert main(["prepare", "--data-dir", str(GOLDEN / "raw"),
                      "--out", str(tmp_path)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(PREPARED_FILES)
-        assert read_files(tmp_path) == read_files(GOLDEN / "prepared")
+        assert read_files(tmp_path) == golden_format_4()
 
     def test_load_then_save_rewrites_the_golden_files(self, tmp_path):
-        save_prepared(load_prepared(GOLDEN / "prepared"), tmp_path)
-        assert read_files(tmp_path) == read_files(GOLDEN / "prepared")
+        golden = write_golden_format_4(tmp_path / "golden")
+        save_prepared(load_prepared(golden), tmp_path / "again")
+        assert read_files(tmp_path / "again") == read_files(golden)
+
+    def test_format_3_directory_is_refused(self):
+        with pytest.raises(DataValidationError,
+                           match=r"format 3 is not supported, expected 4; re-run `sentirisk "
+                                 r"prepare`"):
+            load_prepared(GOLDEN / "prepared")
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308]
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def prepared_datasets(draw) -> PreparedDataset:
+    """A dataset whose days may have no documents (all of them, when market_only
+    is drawn) or one-token documents, whose raw values and targets include -0.0,
+    subnormals and 1e308, and that may hold a single window."""
+    window, n_windows = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    vocab_size = draw(st.integers(2, 6))
+    docs = st.lists(st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=3),
+                    max_size=0 if draw(st.booleans()) else 2)
+    date = dt.date(2020, 1, 1)
+    rows = []
+    for _ in range(window + n_windows):
+        date += dt.timedelta(days=draw(st.integers(1, 4)))
+        rows.append((date, tuple(draw(st.lists(finite_floats, min_size=4, max_size=4))),
+                     draw(docs), draw(st.integers(0, 2)), draw(finite_floats)))
+    targets = [(t, rows[t + window][0], draw(st.integers(0, 2)), draw(finite_floats),
+                draw(finite_floats)) for t in range(n_windows)]
+    stats = NormStats(means=(0.0,) * 4, stds=(1.0,) * 4)  # no overflow at 1e308
+    return PreparedDataset(Vocabulary({f"t{i}": i for i in range(2, vocab_size)}),
+                           data_mod.normalized_samples(stats, rows, window, targets), stats,
+                           window=window, ratios=(0.7, 0.15, 0.15))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prepared_datasets())
+def test_save_load_save_writes_the_same_bytes(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        save_prepared(ds, first)
+        again = load_prepared(first)
+        save_prepared(again, second)
+        assert read_files(second) == read_files(first)
+        assert_same_samples(again.samples, ds.samples)
 
 
 def fits_by_definition(hint, value) -> bool:
@@ -772,15 +902,26 @@ def fits_by_definition(hint, value) -> bool:
     return type(value) in ({int, float} if hint is float else {hint})
 
 
-class TestPreparedRowChecks:
-    """Each one-field change of a golden days.jsonl or windows.jsonl row gives
-    check_fields' message for its key, or a later check's, naming the line."""
+def with_entries(*edits):
+    """A change of a columns object that sets entry row of column key to value, or
+    to value(old entry) when value is a function, for each (key, row, value)."""
+    def change(cols):
+        for key, row, value in edits:
+            cols[key][row] = value(cols[key][row]) if callable(value) else value
+        return cols
+    return change
+
+
+class TestPreparedColumnChecks:
+    """Each one-entry change of a column of the golden days.json or windows.json
+    gives _fits' message for its column, or a later check's, naming the path,
+    the column and the 0-based row; a deleted column is named too."""
 
     VALUES = [True, 2.5, "1", None, [1]]
-    # the changes whose value fits the key's type: a later check speaks, or the row loads
+    # the changes whose value fits the column's type: a later check speaks, or it loads
     PAST_THE_TYPES = {
         ("date", "1"): "Invalid isoformat string: '1'",
-        ("raw", (1,)): "raw must be 4 finite numbers, got [1]",
+        ("raw", (1,)): "must be 4 finite numbers, got [1]",
         ("close", 2.5): None,
         ("label", "1"): "unknown class '1'",
         ("target_date", "1"): "Invalid isoformat string: '1'",
@@ -788,78 +929,112 @@ class TestPreparedRowChecks:
         ("target_return_raw", 2.5): None,
         ("target_close", 2.5): None,
     }
+    COLUMNS = {**data_mod._DAY_COLUMNS, **data_mod._WINDOW_COLUMNS}
 
-    @pytest.mark.parametrize("hint", sorted({*data_mod._DAY_FIELDS.values(),
-                                             *data_mod._WINDOW_FIELDS.values(),
+    @pytest.mark.parametrize("hint", sorted({*COLUMNS.values(),
+                                             *(list[h] for h in COLUMNS.values()),
                                              str | None}, key=str))
     def test_fits_is_its_definition(self, hint):
         values = [*self.VALUES, False, 2, -0.0, "", {}, [], [2.5], [True], [None], [[]],
-                  [[1, 2]], [[1, True]], [[1], 2], [[1.0]], [[1], [2.5]], ["a"]]
+                  [[1, 2]], [[1, True]], [[1], 2], [[1.0]], [[1], [2.5]], ["a"],
+                  [[[1]], [[2, 3], []]], [[[1]], [[2, True]]], [[[1]], [2]], [[[1]], 2],
+                  [[1.5, 2], [0.0]], [[1.5], 2.0]]
         for v in values:
             assert data_mod._fits(hint)(v) == fits_by_definition(hint, v), v
 
-    def load(self, tmp_path, name, lineno, change):
+    def load(self, tmp_path, name, change):
         """load_prepared's error, without the path, or its samples, for the golden
-        directory with line lineno of name changed."""
-        prepared = tmp_path / "prepared"
-        shutil.copytree(GOLDEN / "prepared", prepared)
-        lines = (prepared / name).read_text(encoding="utf-8").splitlines()
-        lines[lineno - 1] = json.dumps(change(json.loads(lines[lineno - 1])))
-        (prepared / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        directory (format 4) whose name holds change() of its columns."""
+        prepared = write_golden_format_4(tmp_path / "prepared")
+        cols = json.loads((prepared / name).read_text(encoding="utf-8"))
+        (prepared / name).write_text(json.dumps(change(cols)), encoding="utf-8")
         try:
             return load_prepared(prepared).samples
         except DataValidationError as exc:
-            prefix = f"{prepared / name}:{lineno}: "
+            prefix = f"{prepared / name}: "
             assert str(exc).startswith(prefix)
             return str(exc).removeprefix(prefix)
 
-    @pytest.mark.parametrize("name, lineno, hints", [
-        ("days.jsonl", 2, data_mod._DAY_FIELDS), ("windows.jsonl", 3, data_mod._WINDOW_FIELDS)])
-    def test_each_key_set_to_each_kind_or_deleted(self, tmp_path, name, lineno, hints):
+    @pytest.mark.parametrize("name, row, hints", [
+        ("days.json", 1, data_mod._DAY_COLUMNS), ("windows.json", 2, data_mod._WINDOW_COLUMNS)])
+    def test_each_entry_set_to_each_kind_or_column_deleted(self, tmp_path, name, row, hints):
         for key, hint in hints.items():
             for value in self.VALUES:
-                got = self.load(tmp_path / f"{key}-{value}", name, lineno,
-                                lambda row: {**row, key: value})
+                got = self.load(tmp_path / f"{key}-{value}", name,
+                                with_entries((key, row, value)))
                 frozen = tuple(value) if isinstance(value, list) else value
                 if fits_by_definition(hint, value):
                     expected = self.PAST_THE_TYPES[key, frozen]
-                    assert got == expected if expected else isinstance(got, tuple)
+                    assert (got == f"{key}[{row}]: {expected}" if expected
+                            else isinstance(got, tuple))
                 else:
-                    assert got == (f"{key} must be {data_mod._type_name(hint)}, "
+                    assert got == (f"{key}[{row}]: must be {data_mod._type_name(hint)}, "
                                    f"got {json.dumps(value)}")
-            got = self.load(tmp_path / f"{key}-deleted", name, lineno,
-                            lambda row: {k: v for k, v in row.items() if k != key})
-            assert got == f"missing key '{key}'"
+            got = self.load(tmp_path / f"{key}-deleted", name,
+                            lambda cols: {k: v for k, v in cols.items() if k != key})
+            assert got == f"missing column {key!r}"
 
     @pytest.mark.parametrize("name, change, message", [
-        ("days.jsonl", lambda row: {**row, "extra": 1}, "unknown keys ['extra']"),
-        ("windows.jsonl", lambda row: {**row, "extra": 1}, "unknown keys ['extra']"),
-        ("days.jsonl", lambda row: {**row, "token_seqs": [[True, 3]]},
-         "token_seqs must be a list of lists of integers, got [[true, 3]]"),
-        ("days.jsonl", lambda row: {**row, "token_seqs": [[2, 3.0]]},
-         "token_seqs must be a list of lists of integers, got [[2, 3.0]]"),
-        ("days.jsonl", lambda row: {**row, "token_seqs": [[2, 3], 4]},
-         "token_seqs must be a list of lists of integers, got [[2, 3], 4]"),
-        ("days.jsonl", lambda row: {**row, "raw": [*row["raw"][:3], False]},
-         "raw must be a list of numbers, got "),
-        ("days.jsonl", lambda row: list(row.values()), "not a json object"),
-        ("windows.jsonl", lambda row: "start", "not a json object"),
-    ], ids=["days-extra-key", "windows-extra-key", "bool-token", "float-token",
-            "int-in-token-seqs", "bool-raw", "days-list", "windows-string"])
-    def test_malformed_row(self, tmp_path, name, change, message):
-        assert self.load(tmp_path, name, 2, change).startswith(message)
+        ("days.json", lambda cols: {**cols, "extra": [1] * len(cols["date"])},
+         "unknown keys ['extra']"),
+        ("windows.json", lambda cols: {**cols, "extra": []}, "unknown keys ['extra']"),
+        ("days.json", with_entries(("token_seqs", 1, [[True, 3]])),
+         "token_seqs[1]: must be a list of lists of integers, got [[true, 3]]"),
+        ("days.json", with_entries(("token_seqs", 1, [[2, 3.0]])),
+         "token_seqs[1]: must be a list of lists of integers, got [[2, 3.0]]"),
+        ("days.json", with_entries(("token_seqs", 1, [[2, 3], 4])),
+         "token_seqs[1]: must be a list of lists of integers, got [[2, 3], 4]"),
+        ("days.json", with_entries(("raw", 1, lambda raw: [*raw[:3], False])),
+         "raw[1]: must be a list of numbers, got ["),
+        ("days.json", with_entries(("raw", 1, [0.5, 0.25, 2.0])),
+         "raw[1]: must be 4 finite numbers, got [0.5, 0.25, 2.0]"),
+        ("days.json", with_entries(("token_seqs", 1, [[2, 109]])),  # vocab.txt: 107 tokens
+         "token_seqs[1]: token id 109 out of range for vocab of 109"),
+        ("days.json", lambda cols: list(cols.values()), "not a json object"),
+        ("windows.json", lambda cols: "start", "not a json object"),
+        ("days.json", lambda cols: {**cols, "close": {"0": 100.0}},
+         "close must be a list, got a json object"),
+        ("windows.json", lambda cols: {**cols, "start": None}, "start must be a list, got null"),
+    ], ids=["days-extra-column", "windows-extra-column", "bool-token", "float-token",
+            "int-in-token-seqs", "bool-raw", "three-raw-values", "token-id-past-vocab",
+            "days-list", "windows-string", "object-column", "null-column"])
+    def test_malformed_entry_or_column(self, tmp_path, name, change, message):
+        assert self.load(tmp_path, name, change).startswith(message)
 
-    def test_valid_edge_rows_load_exactly(self, tmp_path):
-        def day(case, change):
-            return self.load(tmp_path / case, "days.jsonl", 1, change)[0].inputs[0]
+    @pytest.mark.parametrize("name, change, message", [
+        # several faults in one column: its first bad row, whatever the faults' kinds
+        ("days.json", with_entries(("raw", 5, [True, 0.0, 0.0, 0.0]),
+                                   ("raw", 2, [math.nan, 0.0, 0.0, 0.0])),
+         "raw[2]: must be 4 finite numbers, got [NaN, 0.0, 0.0, 0.0]"),
+        ("days.json", with_entries(("date", 6, "soon"), ("date", 3, "2022-01-04")),
+         "date[3]: dates must be strictly increasing: 2022-01-05 then 2022-01-04"),
+        ("days.json", with_entries(("close", 2, "100"), ("close", 1, math.inf)),
+         "close[1]: must be finite, got Infinity"),
+        # faults in several columns: the first column in the file's order
+        ("days.json", with_entries(("token_seqs", 0, [[99999]]), ("label", 4, "bogus")),
+         "label[4]: unknown class 'bogus'"),
+        ("days.json", lambda cols: with_entries(("token_seqs", 0, [[99999]]))(
+            {**cols, "label": cols["label"][:-1]}),
+         "label has 28 entries, "),
+        ("windows.json", with_entries(("target_close", 0, math.nan), ("start", 7, 99)),
+         "start[7]: must lie in [0, 9], got 99"),
+    ], ids=["raw-value-before-type", "date-order-before-format", "close-value-before-type",
+            "label-before-token_seqs", "label-length-before-token_seqs", "start-before-close"])
+    def test_first_column_then_first_row(self, tmp_path, name, change, message):
+        assert self.load(tmp_path, name, change).startswith(message)
 
-        ints = day("ints", lambda row: {**row, "close": 102, "raw": [0, 1, -0.0, 13]})
+    def test_valid_edge_entries_load_exactly(self, tmp_path):
+        def day(case, *edits):
+            return self.load(tmp_path / case, "days.json", with_entries(*edits))[0].inputs[0]
+
+        ints = day("ints", ("close", 0, 102), ("raw", 0, [0, 1, -0.0, 13]))
         assert (ints.close, ints.raw) == (102.0, (0.0, 1.0, -0.0, 13.0))
         assert {type(v) for v in (ints.close, *ints.raw)} == {float}
         assert math.copysign(1.0, ints.raw[2]) == -1.0
-        assert not day("no-documents", lambda row: {**row, "token_seqs": []}).has_text
-        target = self.load(tmp_path / "w", "windows.jsonl", 1, lambda row: {
-            **row, "target_close": 97, "target_return_raw": -0.0})[0]
+        assert not day("no-documents", ("token_seqs", 0, [])).has_text
+        assert day("last-token-id", ("token_seqs", 0, [[0, 108]])).token_seqs == ((0, 108),)
+        target = self.load(tmp_path / "w", "windows.json", with_entries(
+            ("target_close", 0, 97), ("target_return_raw", 0, -0.0)))[0]
         assert type(target.target_close) is float and target.target_close == 97.0
         assert math.copysign(1.0, target.target_return_raw) == -1.0
 
@@ -886,7 +1061,8 @@ class TestDocumentLength:
     def test_prepare_keeps_every_id_of_a_long_document(self, tmp_path):
         ds = prepare_dataset(*long_doc_corpus(), self.CFG)
         save_prepared(ds, tmp_path)
-        stored = [seq for row in read_lines(tmp_path / "days.jsonl") for seq in row["token_seqs"]]
+        stored = [seq for seqs in read_columns(tmp_path / "days.json")["token_seqs"]
+                  for seq in seqs]
         assert max(len(seq) for seq in stored) == 40
         assert all(tok != 0 for seq in stored for tok in seq)
 
@@ -900,11 +1076,10 @@ class TestDocumentLength:
         save_prepared(ds, tmp_path / "as_read")
         padded = tmp_path / "padded"
         save_prepared(ds, padded)
-        rows = read_lines(padded / "days.jsonl")
-        for row in rows:
-            row["token_seqs"] = [pad_or_truncate(seq, 30) for seq in row["token_seqs"]]
-        (padded / "days.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows),
-                                           encoding="utf-8")
+        cols = read_columns(padded / "days.json")
+        cols["token_seqs"] = [[pad_or_truncate(seq, 30) for seq in seqs]
+                              for seqs in cols["token_seqs"]]
+        (padded / "days.json").write_text(json.dumps(cols), encoding="utf-8")
         a, b = load_prepared(tmp_path / "as_read"), load_prepared(padded)
         assert a.samples[6].inputs[-1].token_seqs != b.samples[6].inputs[-1].token_seqs  # day 10
 
