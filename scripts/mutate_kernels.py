@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Mutation check of the batched kernels: every listed mutant must fail the kernel tests.
+
+    python3 scripts/mutate_kernels.py
+
+Each mutant is one source edit of a kernel in src/sentirisk: a dropped term,
+a swapped gate, an off-by-one winner. For each, the script copies src/ and
+tests/ into a temporary directory, applies the edit there (the checkout is
+never written) and runs the kernel tests on the copy: test_batched_kernels.py,
+test_losses_optim.py and test_model.py's TestBatchedCore, stopping at the
+first failure. A mutant is killed when that run fails. The unmutated copy
+runs first and must pass, or no kill means anything.
+
+An edit's old text must occur exactly once in its file, so a refactor that
+moves or rewrites the code makes the script fail instead of silently
+skipping the mutant: update the entry with the code. A kernel change adds a
+mutant for each new code path.
+
+Exit status: 0 when every mutant is killed, 1 when one survives, an edit
+does not apply or the unmutated tests fail.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ["tests/test_batched_kernels.py", "tests/test_losses_optim.py",
+         "tests/test_model.py::TestBatchedCore"]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+
+
+MUTANTS = [
+    Mutant("GRU: a feature-column weight gradient dropped", "src/sentirisk/model.py",
+           "    d_w[2 * h :, h + k :] = flat_c.T @ flat_feats\n", ""),
+    Mutant("GRU: row U (days without text) left out of the text-row sums",
+           "src/sentirisk/model.py",
+           "_row_sums(day_index, d_zr, len(vecs), ws)",
+           "_row_sums(day_index, d_zr, len(vecs) - 1, ws)"),
+    Mutant("GRU: W_text transposed in the input projection", "src/sentirisk/model.py",
+           "np.take(vecs @ w_x[:, :k].T, day_index,",
+           "np.take(vecs @ w_x[:, :k], day_index,"),
+    Mutant("GRU: z and r swapped in the pre-loop factors", "src/sentirisk/model.py",
+           "    np.subtract(cand, h_prev, out=d_zr[..., :h])\n    d_zr[..., h:] = h_prev\n",
+           "    np.subtract(cand, h_prev, out=d_zr[..., h:])\n    d_zr[..., :h] = h_prev\n"),
+    Mutant("GRU: the gates' (1 - g) factor missing", "src/sentirisk/model.py",
+           "    d_zr *= keep\n", ""),
+    Mutant("conv: a dropped scatter term in _conv_backward", "src/sentirisk/model.py",
+           "        for k in range(width):\n            at = row[",
+           "        for k in range(1, width):\n            at = row["),
+    Mutant("conv: max-pool winners off by one", "src/sentirisk/model.py",
+           "winners[s : s + step] = len(windows) - top.max(axis=0)",
+           "winners[s : s + step] = len(windows) + 1 - top.max(axis=0)"),
+    Mutant("embedding: the pad row's gradient not zeroed", "src/sentirisk/model.py",
+           "d_items, d_embed, ws)\n    d_embed[0, :] = 0.0  # pad row is frozen\n",
+           "d_items, d_embed, ws)\n"),
+    Mutant("Adam: the first moment's bias correction skipped", "src/sentirisk/optim.py",
+           "np.divide(self.m, 1.0 - ADAM_BETA1 ** self.t, out=a)",
+           "np.divide(self.m, 1.0, out=a)"),
+]
+
+
+def mutated(mutant: Mutant, root: Path) -> str:
+    """The source of mutant's file under root with its edit applied;
+    ValueError unless its old text occurs exactly once there."""
+    source = (root / mutant.path).read_text(encoding="utf-8")
+    if (n := source.count(mutant.old)) != 1:
+        raise ValueError(f"{mutant.name}: its old text occurs {n} times in {mutant.path}, "
+                         "not once")
+    return source.replace(mutant.old, mutant.new)
+
+
+def copy_tree(dest: Path) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def tests_pass(where: Path) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS],
+        cwd=where, env=env, capture_output=True, text=True, check=False)
+    return proc.returncode == 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    try:  # every edit applies before any test runs
+        sources = [mutated(mutant, ROOT) for mutant in MUTANTS]
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
+        clean, work = Path(tmp) / "clean", Path(tmp) / "mutant"
+        copy_tree(clean)
+        if not tests_pass(clean):
+            print("the unmutated kernel tests fail", file=sys.stderr)
+            return 1
+        for mutant, source in zip(MUTANTS, sources):
+            shutil.copytree(clean, work)
+            (work / mutant.path).write_text(source, encoding="utf-8")
+            killed = not tests_pass(work)
+            shutil.rmtree(work)
+            print(f"{'killed  ' if killed else 'SURVIVED'}  {mutant.name}", flush=True)
+            if not killed:
+                survivors.append(mutant.name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

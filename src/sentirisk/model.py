@@ -27,14 +27,16 @@ gives each distinct token its response to every filter at
 every window position, a window sums those of its tokens, and only the
 windows that start at or before the last token of the table's longest
 document run (later windows see only padding and cannot win the max-pool).
-The GRU runs time-major and takes its input projections for all steps in
-one product before the recurrence. Rows are summed by one np.bincount over
-flat indices each. batch_forward(model, samples) builds a table of its
+The GRU runs time-major and takes its input projections for all steps
+before the recurrence, the text side's over the batch's distinct texts
+only; its backward pass sums the gate gradients into those text rows before
+the text side's products. Rows are summed by one np.bincount over flat
+indices each. batch_forward(model, samples) builds a table of its
 samples and runs them all. Every reduction runs in a fixed order, so
 seeded reruns are bitwise identical.
 
-A Workspace keeps every batch-sized array of the batched core (day
-vectors, pooled conv outputs, GRU projections and states, attention
+A Workspace keeps every batch-sized array of the batched core (market
+features, pooled conv outputs, GRU projections and states, attention
 activations, the kernels' scratch, input gradients, the gradient vector)
 resident from one call to the next, so a training run does not hand them
 back to the allocator and fault them in again each batch; arrays that are
@@ -498,9 +500,9 @@ class Workspace:
     and is overwritten by the next take of its name.
 
     Names whose arrays outlive the function that takes them hold one array
-    each: the BatchCache's x, items (pooled outputs, or GruOnly's token
+    each: the BatchCache's feats, items (pooled outputs, or GruOnly's token
     embeddings), winners, zr, cand, hid and acts; batch_backward's grads,
-    d_hid, d_x and d_items; Adam's adam/m and adam/v. The names scratch0,
+    d_hid and d_items; Adam's adam/m and adam/v. The names scratch0,
     scratch1 and scratch2 are shared: a kernel takes them for arrays that
     die before it returns, and never passes one to another kernel, so the
     workspace holds one kernel's temporaries at a time, not their sum.
@@ -528,11 +530,12 @@ class BatchCache:
     """What batch_backward needs from batch_forward, for B windows of T days.
 
     Each distinct text of the batch is encoded once. day_index maps every
-    (window, day) to its row of the text table; the table's last row, U, is
-    the zero vector of the days without text. The conv path keeps only the
-    token ids, its plan and the max-pool winners of each document. Day
-    vectors and GRU states are time-major. Built with a Workspace, x, gru,
-    attn's activations and, without attention, ctx are views of it.
+    (window, day) to its row of the text table vecs, whose last row, U, is
+    the zero vector of the days without text; nothing joins a day's text
+    row to its features. The conv path keeps only the token ids, its plan
+    and the max-pool winners of each document. Features and GRU states are
+    time-major. Built with a Workspace, feats, gru, attn's activations and,
+    without attention, ctx are views of it.
     """
 
     day_index: np.ndarray  # (B, T)
@@ -543,7 +546,8 @@ class BatchCache:
     plan: ConvPlan | None  # conv: _conv_plan of ids
     winners: np.ndarray | None  # conv: (N, F) max-pool time step per filter
     pooled: np.ndarray | None  # conv: (N, F) pooled ReLU outputs
-    x: np.ndarray  # (T, B, D) day vectors
+    vecs: np.ndarray  # (U + 1, k) text vectors; row U is zero
+    feats: np.ndarray  # (T, B, 5) market features
     # z and r (T, B, 2h), candidate (T, B, h), hidden (T + 1, B, h) from h_0 = 0
     gru: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     attn: tuple[np.ndarray, np.ndarray] | None  # tanh(W_a h) (B, T, a), weights (B, T)
@@ -644,9 +648,10 @@ def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     return table
 
 
-def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray
+def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray, ws: Workspace
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(day_index, features (B, T, 5), ids, seg, counts) of the windows index names.
+    """(day_index (B, T), time-major features (T, B, 5) in ws, ids, seg,
+    counts) of the windows index names.
 
     The batch's text rows are numbered in order of first appearance; the
     conv path gets their padded documents, the mean path the non-pad tokens
@@ -669,7 +674,9 @@ def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray
         keep = ids != 0
         seg = np.repeat(seg, keep.sum(axis=1))
         ids = ids[keep]
-    return (day_index.reshape(day_rows.shape), table.features[day_rows], ids, seg,
+    feats = np.take(table.features, day_rows.T, axis=0, mode="clip",
+                    out=ws.take("feats", (*day_rows.T.shape, N_MARKET_FEATURES)))
+    return (day_index.reshape(day_rows.shape), feats, ids, seg,
             np.bincount(seg, minlength=len(texts)))
 
 
@@ -814,24 +821,29 @@ def _gru_block(model: CnnGruModel, flat: np.ndarray) -> np.ndarray:
     return flat[span.start : span.start + 3 * hidden * cols].reshape(3 * hidden, cols)
 
 
-def _gru_forward(w: np.ndarray, x: np.ndarray, ws: Workspace
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gru_forward(w: np.ndarray, vecs: np.ndarray, day_index: np.ndarray, feats: np.ndarray,
+                 ws: Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z and r (T, B, 2h), candidate (T, B, h), hidden (T + 1, B, h) whose
-    row 0 is h_0 = 0) of time-major day vectors x (T, B, d); w is _gru_block.
-    The states and the input projections are views of ws.
+    row 0 is h_0 = 0) of the day vectors [vecs[day_index], feats]: text rows
+    vecs (U + 1, k), time-major day_index (T, B) and features feats (T, B, f);
+    w is _gru_block. The states and the input projections are views of ws.
 
-    The input-side products of every step come from one GEMM before the
-    recurrence; only the h-side products stay in the loop, which writes each
-    step in place. The gates take sigmoid(a) = 0.5 + 0.5 tanh(a / 2), with the
-    exact halving folded into the z and r weights: three passes, and no
-    overflow for any a.
+    The input-side products of every step come before the recurrence, the
+    text columns' over the U + 1 text rows, gathered to each (window, day);
+    only the h-side products stay in the loop, which writes each step in
+    place. The gates take sigmoid(a) = 0.5 + 0.5 tanh(a / 2), with the exact
+    halving folded into the z and r weights: three passes, and no overflow
+    for any a.
     """
     h = len(w) // 3
-    t_len, b, d = x.shape
+    t_len, b = day_index.shape
+    k = vecs.shape[1]
     w_x = w[:, h:].copy()  # the input halves of W_z, W_r and W
     w_x[: 2 * h] *= 0.5
     x_proj = ws.take("scratch0", (t_len, b, 3 * h))
-    np.matmul(x.reshape(t_len * b, d), w_x.T, out=x_proj.reshape(t_len * b, 3 * h))
+    np.matmul(feats.reshape(t_len * b, -1), w_x[:, k:].T, out=x_proj.reshape(t_len * b, 3 * h))
+    x_proj += np.take(vecs @ w_x[:, :k].T, day_index, axis=0, mode="clip",
+                      out=ws.take("scratch1", x_proj.shape))
     w_zr_t = (0.5 * w[: 2 * h, :h]).T.copy()
     w_hh_t = w[2 * h :, :h].T.copy()
     zr = ws.take("zr", (t_len, b, 2 * h))
@@ -857,56 +869,62 @@ def _gru_forward(w: np.ndarray, x: np.ndarray, ws: Workspace
     return zr, cand, hid
 
 
-def _gru_backward(w: np.ndarray, x: np.ndarray, states: tuple[np.ndarray, ...],
-                  d_hid: np.ndarray, d_w: np.ndarray, d_x: np.ndarray, ws: Workspace) -> None:
-    """Writes the gradient of w (_gru_block) into d_w of its shape, and that of
-    the first k columns of x (T, B, d) into d_x (T, B, k); the scratch arrays
-    are views of ws. d_hid (T, B, h) holds the gradient reaching each h_t
-    from outside the chain.
+def _gru_backward(w: np.ndarray, vecs: np.ndarray, day_index: np.ndarray, feats: np.ndarray,
+                  states: tuple[np.ndarray, ...], d_hid: np.ndarray, d_w: np.ndarray,
+                  ws: Workspace) -> np.ndarray:
+    """Writes the gradient of w (_gru_block) into d_w of its shape and returns
+    that of the text rows vecs (U + 1, k); vecs, day_index and feats are as
+    _gru_forward takes them. The scratch arrays are views of ws. d_hid
+    (T, B, h) holds the gradient reaching each h_t from outside the chain.
 
     The factors of each step that do not depend on the carried gradient are
-    computed for all steps before the loop, into the rows of d_pre that each
-    step then scales in place; weight and input gradients come from GEMMs
-    over all steps after it.
+    computed for all steps before the loop, into the contiguous z|r and
+    candidate pre-activation gradients that each step then scales in place.
+    After it, GEMMs over all T * B steps give the h-side and feature columns
+    of d_w; the text side's products run over the U + 1 text rows, into
+    which those gradients are summed first.
     """
     zr, cand, hid = states
     h = len(w) // 3
-    t_len, b, d = x.shape
+    t_len, b = day_index.shape
+    k = vecs.shape[1]
     z, r, h_prev = zr[..., :h], zr[..., h:], hid[:-1]
-    keep = np.subtract(1.0, z, out=ws.take("scratch1", (t_len, b, h)))  # dh -> h_{t-1}, directly
-    d_pre = ws.take("scratch0", (t_len, b, 3 * h))  # pre-activation gradients of z, r, candidate
-    to_z, to_r, to_cand = d_pre[..., :h], d_pre[..., h : 2 * h], d_pre[..., 2 * h :]
-    np.subtract(cand, h_prev, out=to_z)  # times dh: (c - h_{t-1}) z (1 - z)
-    to_z *= z
-    to_z *= keep
-    np.subtract(1.0, r, out=to_r)  # times d(r h_{t-1}): h_{t-1} r (1 - r)
-    to_r *= r
-    to_r *= h_prev
-    np.multiply(cand, cand, out=to_cand)  # times dh: z (1 - c^2)
-    np.subtract(1.0, to_cand, out=to_cand)
-    to_cand *= z
+    keep = np.subtract(1.0, zr, out=ws.take("scratch0", zr.shape))  # 1 - z: dh -> h_{t-1}
+    # times dh: (c - h_{t-1}) z (1 - z); times d(r h_{t-1}): h_{t-1} r (1 - r)
+    d_zr = ws.take("scratch1", zr.shape)
+    np.subtract(cand, h_prev, out=d_zr[..., :h])
+    d_zr[..., h:] = h_prev
+    d_zr *= zr
+    d_zr *= keep
+    d_c = np.multiply(cand, cand, out=ws.take("scratch2", cand.shape))  # times dh: z (1 - c^2)
+    np.subtract(1.0, d_c, out=d_c)
+    d_c *= z
     w_zr, w_hh = w[: 2 * h, :h], w[2 * h :, :h]
     dh, d_rh, back = np.empty((b, h)), np.empty((b, h)), np.empty((b, h))
     carry = np.zeros((b, h))
     for t in range(t_len - 1, -1, -1):
-        d_zr, d_c = d_pre[t, :, : 2 * h], d_pre[t, :, 2 * h :]
         np.add(carry, d_hid[t], out=dh)
-        d_c *= dh
-        np.matmul(d_c, w_hh, out=d_rh)
-        d_zr[:, :h] *= dh
-        d_zr[:, h:] *= d_rh
-        np.multiply(dh, keep[t], out=carry)
+        d_c[t] *= dh
+        np.matmul(d_c[t], w_hh, out=d_rh)
+        d_zr[t, :, :h] *= dh
+        d_zr[t, :, h:] *= d_rh
+        np.multiply(dh, keep[t, :, :h], out=carry)
         d_rh *= r[t]
         carry += d_rh
-        np.matmul(d_zr, w_zr, out=back)
+        np.matmul(d_zr[t], w_zr, out=back)
         carry += back
-    flat = d_pre.reshape(t_len * b, 3 * h)
-    d_w[:, h:] = flat.T @ x.reshape(t_len * b, d)
-    d_w[: 2 * h, :h] = flat[:, : 2 * h].T @ h_prev.reshape(t_len * b, h)
-    np.multiply(r, h_prev, out=keep)
-    d_w[2 * h :, :h] = flat[:, 2 * h :].T @ keep.reshape(t_len * b, h)
-    k = d_x.shape[2]
-    np.matmul(flat, w[:, h : h + k], out=d_x.reshape(t_len * b, k))
+    rows = t_len * b
+    flat_zr, flat_c = d_zr.reshape(rows, 2 * h), d_c.reshape(rows, h)
+    flat_feats = feats.reshape(rows, -1)
+    d_w[: 2 * h, h + k :] = flat_zr.T @ flat_feats
+    d_w[2 * h :, h + k :] = flat_c.T @ flat_feats
+    d_w[: 2 * h, :h] = flat_zr.T @ h_prev.reshape(rows, h)
+    rh = np.multiply(r, h_prev, out=ws.take("scratch0", cand.shape))
+    d_w[2 * h :, :h] = flat_c.T @ rh.reshape(rows, h)
+    sums = np.concatenate([_row_sums(day_index, d_zr, len(vecs), ws),
+                           _row_sums(day_index, d_c, len(vecs), ws)], axis=1)  # (U + 1, 3h)
+    d_w[:, h : h + k] = sums.T @ vecs
+    return sums @ w[:, h : h + k]
 
 
 def _attention_forward(w_a: np.ndarray, u: np.ndarray, hid: np.ndarray, ws: Workspace
@@ -956,7 +974,7 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray,
     if not len(index):
         raise ShapeError("a forward pass needs at least one window")
     ws = Workspace() if ws is None else ws
-    day_index, feats, ids, seg, counts = _gather(model, table, index)
+    day_index, feats, ids, seg, counts = _gather(model, table, index, ws)
     t = model.tensors
     plan = winners = pooled = None
     if model.arch is ArchKind.GRU_ONLY:
@@ -968,16 +986,14 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray,
         items = pooled
     vecs = _row_sums(seg, items, len(counts) + 1, ws)  # row U: the days without text
     vecs[:-1] /= np.maximum(counts, 1)[:, None]
-    k = vecs.shape[1]
-    x = ws.take("x", (*day_index.T.shape, k + N_MARKET_FEATURES))
-    np.take(vecs, day_index.T, axis=0, out=x[..., :k], mode="clip")  # "raise" would buffer
-    x[..., k:] = feats.transpose(1, 0, 2)
 
     gru = attn = None
     if model.arch is ArchKind.CNN_ONLY:
-        ctx = x.mean(axis=0)
+        text = np.take(vecs, day_index.T, axis=0, mode="clip",  # "raise" would buffer
+                       out=ws.take("scratch0", (*day_index.T.shape, vecs.shape[1])))
+        ctx = np.concatenate([text.mean(axis=0), feats.mean(axis=0)], axis=1)
     else:
-        gru = _gru_forward(_gru_block(model, model.params), x, ws)
+        gru = _gru_forward(_gru_block(model, model.params), vecs, day_index.T, feats, ws)
         if model.cfg.attention_enabled:
             acts, alpha, ctx = _attention_forward(t["attn/w_a"], t["attn/u"],
                                                   gru[2][1:].transpose(1, 0, 2), ws)
@@ -987,8 +1003,8 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray,
     pred = (ctx @ t["head_reg/w"].T + t["head_reg/b"].T)[:, 0]
     logits = ctx @ t["head_cls/w"].T + t["head_cls/b"].T
     return BatchCache(day_index=day_index, ids=ids, seg=seg, counts=counts, plan=plan,
-                      winners=winners, pooled=pooled, x=x, gru=gru, attn=attn, ctx=ctx,
-                      pred=pred, logits=logits)
+                      winners=winners, pooled=pooled, vecs=vecs, feats=feats, gru=gru,
+                      attn=attn, ctx=ctx, pred=pred, logits=logits)
 
 
 def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.ndarray,
@@ -1012,10 +1028,11 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
     t = model.tensors
     d_ctx = d_pred[:, None] @ t["head_reg/w"] + d_logits @ t["head_cls/w"]
 
-    t_len, b, _ = cache.x.shape
     text_dim = _text_dim(model.cfg, model.arch)
     if model.arch is ArchKind.CNN_ONLY:
-        d_x = np.broadcast_to(d_ctx[:, :text_dim] / model.cfg.window, (t_len, b, text_dim))
+        d_text = np.broadcast_to(d_ctx[:, :text_dim] / model.cfg.window,
+                                 (*cache.day_index.T.shape, text_dim))
+        d_vecs = _row_sums(cache.day_index.T, d_text, len(cache.vecs), ws)
     else:
         hid = cache.gru[2][1:]
         if model.cfg.attention_enabled:
@@ -1026,10 +1043,8 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
             d_hid = ws.take("d_hid", hid.shape)
             d_hid.fill(0.0)
             d_hid[-1] = d_ctx
-        d_x = ws.take("d_x", (t_len, b, text_dim))  # only the text part has a use
-        _gru_backward(_gru_block(model, model.params), cache.x, cache.gru, d_hid,
-                      _gru_block(model, grads), d_x, ws)
-    d_vecs = _row_sums(cache.day_index.T, d_x, len(cache.counts) + 1, ws)
+        d_vecs = _gru_backward(_gru_block(model, model.params), cache.vecs, cache.day_index.T,
+                               cache.feats, cache.gru, d_hid, _gru_block(model, grads), ws)
     d_items = np.take(d_vecs, cache.seg, axis=0, mode="clip",
                       out=ws.take("d_items", (len(cache.seg), text_dim)))
     d_items /= cache.counts[cache.seg][:, None]

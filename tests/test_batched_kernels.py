@@ -3,10 +3,13 @@
 batched_reference.py holds the im2col conv and the batch-major GRU that
 model.py computed before; the kernels in model.py sum the same terms in
 another order, so forward outputs and every gradient must agree to rounding,
-and max-pool winners must read the same tokens. A conv entry may differ by
-1e-12 of the sum of its terms' magnitudes (the bound on a computed sum does
-not shrink when the sum cancels); a GRU tensor by 1e-12 of its largest
-value, or where the gates are saturated, of the larger of 1 and that value.
+and max-pool winners must read the same tokens. The GRU kernels take the
+batch's text rows and market features apart; the reference takes the day
+vectors they make, and its input gradient is summed into the text rows. A
+conv entry may differ by 1e-12 of the sum of its terms' magnitudes (the
+bound on a computed sum does not shrink when the sum cancels); a GRU tensor
+by 1e-12 of its largest value, or where the gates are saturated, of the
+larger of 1 and that value.
 """
 
 import types
@@ -163,11 +166,18 @@ def scaled_gru(seed: int, hidden: int, input_size: int, scale: float) -> GRUPara
     return GRUParams(*(Matrix._wrap(w.data * scale) for w in (gru.w_z, gru.w_r, gru.w)))
 
 
-def gru_case(b, t_len, d, h, scale, seed):
-    """(gru, x (T, B, d), d_hid (T, B, h)) with weights and inputs times scale."""
-    gru = scaled_gru(seed, h, d, scale)
+def gru_case(b, t_len, k, f, u, h, scale, seed):
+    """(gru, vecs (U + 1, k) whose row U is zero, day_index (B, T) into them,
+    feats (T, B, f), d_hid (T, B, h)) with weights and inputs times scale.
+    Days draw their text rows at random, so windows share rows, and row U
+    stands for the days without text."""
+    gru = scaled_gru(seed, h, k + f, scale)
     rng = np.random.default_rng(seed + 1)
-    return gru, rng.standard_normal((t_len, b, d)) * scale, rng.standard_normal((t_len, b, h))
+    vecs = rng.standard_normal((u + 1, k)) * scale
+    vecs[u] = 0.0
+    day_index = rng.integers(0, u + 1, (b, t_len))
+    feats = rng.standard_normal((t_len, b, f)) * scale
+    return gru, vecs, day_index, feats, rng.standard_normal((t_len, b, h))
 
 
 def stacked(gru: GRUParams) -> np.ndarray:
@@ -175,51 +185,62 @@ def stacked(gru: GRUParams) -> np.ndarray:
     return np.concatenate([gru.w_z.data, gru.w_r.data, gru.w.data])
 
 
-def gru_pairs(gru, x, d_hid):
-    """(got, want) for z, r, candidate, hidden, d_x and the three weight gradients."""
-    h = gru.hidden_size
-    x_bm = np.ascontiguousarray(x.transpose(1, 0, 2))
+def gru_pairs(gru, vecs, day_index, feats, d_hid):
+    """(got, want) for z, r, candidate, hidden, d_vecs and the three weight
+    gradients. The kernels get day_index time-major, as table_forward passes
+    it; the reference reads the day vectors [vecs[day_index], feats] batch-
+    major, and its d_x's text columns are summed into their text rows."""
+    h, k = gru.hidden_size, vecs.shape[1]
+    x_bm = np.concatenate([vecs[day_index], feats.transpose(1, 0, 2)], axis=2)
     w = stacked(gru)
     ws = model_mod.Workspace()
-    zr, cand, hid = model_mod._gru_forward(w, x, ws)
-    assert hid.shape == (x.shape[0] + 1, x.shape[1], h) and not hid[0].any()
+    zr, cand, hid = model_mod._gru_forward(w, vecs, day_index.T, feats, ws)
+    assert hid.shape == (len(feats) + 1, len(day_index), h) and not hid[0].any()
     states = ref.gru_forward(gru, x_bm)
     d_w = np.full_like(w, np.nan)  # every entry must be written
-    d_x = np.full_like(x, np.nan)  # here every column is asked for
-    model_mod._gru_backward(w, x, (zr, cand, hid), d_hid, d_w, d_x, ws)
+    d_vecs = model_mod._gru_backward(w, vecs, day_index.T, feats, (zr, cand, hid), d_hid, d_w,
+                                     ws)
     want = ref.gru_backward(gru, x_bm, states, np.ascontiguousarray(d_hid.transpose(1, 0, 2)))
+    want_d_vecs = np.zeros_like(vecs)  # row U too: the kernel returns every row
+    ref.add_rows(want_d_vecs, day_index, want[0][..., :k])
     return list(zip(
-        [zr[..., :h], zr[..., h:], cand, hid[1:], d_x, d_w[:h], d_w[h : 2 * h], d_w[2 * h :]],
-        [*(s.transpose(1, 0, 2) for s in states), want[0].transpose(1, 0, 2), *want[1:]]))
+        [zr[..., :h], zr[..., h:], cand, hid[1:], d_vecs, d_w[:h], d_w[h : 2 * h], d_w[2 * h :]],
+        [*(s.transpose(1, 0, 2) for s in states), want_d_vecs, *want[1:]]))
 
 
-GRU_SHAPES = dict(b=st.integers(1, 6), t_len=st.integers(1, 7), d=st.integers(1, 6),
-                  h=st.integers(1, 5), seed=st.integers(0, 2**16))
+# k text columns and f feature columns; u text rows besides the zero row U
+GRU_SHAPES = dict(b=st.integers(1, 6), t_len=st.integers(1, 7), k=st.integers(1, 4),
+                  f=st.integers(1, 3), u=st.integers(0, 5), h=st.integers(1, 5),
+                  seed=st.integers(0, 2**16))
 
 
 class TestGruKernels:
     @settings(max_examples=80, deadline=None)
     @given(scale=st.sampled_from([0.1, 1.0]), **GRU_SHAPES)
-    @example(b=1, t_len=5, d=3, h=4, scale=1.0, seed=0)
-    @example(b=4, t_len=5, d=3, h=1, scale=1.0, seed=0)
-    def test_matches_batch_major(self, b, t_len, d, h, scale, seed):
-        for got, want in gru_pairs(*gru_case(b, t_len, d, h, scale, seed)):
+    @example(b=1, t_len=5, k=2, f=1, u=3, h=4, scale=1.0, seed=0)
+    @example(b=4, t_len=5, k=1, f=2, u=3, h=1, scale=1.0, seed=0)
+    @example(b=6, t_len=7, k=3, f=2, u=1, h=3, scale=1.0, seed=1)  # one text row, shared
+    @example(b=3, t_len=4, k=2, f=2, u=0, h=2, scale=1.0, seed=2)  # no day has text
+    def test_matches_batch_major(self, b, t_len, k, f, u, h, scale, seed):
+        for got, want in gru_pairs(*gru_case(b, t_len, k, f, u, h, scale, seed)):
             assert got.shape == want.shape
             assert rel_err(got, want) <= TOL
 
     @settings(max_examples=40, deadline=None)
     @given(scale=st.sampled_from([4.0, 30.0]), **GRU_SHAPES)
-    def test_saturated_gates_agree_to_the_rounding_of_one(self, b, t_len, d, h, scale, seed):
+    def test_saturated_gates_agree_to_the_rounding_of_one(self, b, t_len, k, f, u, h, scale,
+                                                          seed):
         # 0.5 + 0.5 tanh(a / 2) is exact to the rounding of 1, not to a gate's
         # own size: a gate of 2e-21 reads 0, where exp(a) / (1 + exp(a)) keeps
         # it. When every gate of a small case is that far shut, a whole tensor
         # is that small, so errors are measured against max(1, its largest value).
-        for got, want in gru_pairs(*gru_case(b, t_len, d, h, scale, seed)):
+        for got, want in gru_pairs(*gru_case(b, t_len, k, f, u, h, scale, seed)):
             assert np.abs(got - want).max() <= TOL * max(1.0, np.abs(want).max())
 
     def test_saturated_gates_stay_finite(self):
         # sigmoid as 0.5 + 0.5 tanh(a / 2) cannot overflow, however large a is
-        gru, x, _ = gru_case(2, 4, 2, 3, 1e6, 0)
-        zr, cand, hid = model_mod._gru_forward(stacked(gru), x, model_mod.Workspace())
+        gru, vecs, day_index, feats, _ = gru_case(2, 4, 1, 1, 2, 3, 1e6, 0)
+        zr, cand, hid = model_mod._gru_forward(stacked(gru), vecs, day_index.T, feats,
+                                               model_mod.Workspace())
         assert np.isfinite(zr).all() and np.isfinite(hid).all()
         assert ((zr >= 0.0) & (zr <= 1.0)).all()

@@ -581,7 +581,8 @@ class TestDayTable:
         index = np.array([3, 0, 5])
         got = table_forward(model, day_table(BATCHED, samples), index)
         want = batch_forward(model, [samples[i] for i in index])
-        for name in ("day_index", "ids", "seg", "counts", "x", "ctx", "pred", "logits"):
+        for name in ("day_index", "ids", "seg", "counts", "vecs", "feats", "ctx", "pred",
+                     "logits"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         returns = np.array([samples[i].target_return for i in index])
         classes = np.array([samples[i].target_class for i in index])
@@ -752,7 +753,8 @@ class TestWorkspace:
         full, full_grads = self.run(model, table, samples, index[:50], ws)
         ragged, grads = self.run(model, table, samples, index[50:2:-1], stale(ws))
         assert len(ragged.pred) == 48
-        assert np.shares_memory(full.x, ragged.x) and np.shares_memory(full_grads, grads)
+        assert np.shares_memory(full.feats, ragged.feats)
+        assert np.shares_memory(full_grads, grads)
         if full.gru is not None:
             assert np.shares_memory(full.gru[0], ragged.gru[0])
         fresh, fresh_grads = self.run(model, table, samples, index[50:2:-1], None)
@@ -767,7 +769,7 @@ class TestWorkspace:
         table = day_table(BATCHED, samples)
         (a, grads_a), (b, grads_b) = (self.run(model, table, samples, np.arange(6), None)
                                       for _ in range(2))
-        assert not np.shares_memory(a.x, b.x)
+        assert not np.shares_memory(a.feats, b.feats)
         assert not np.shares_memory(grads_a, grads_b)
         if a.gru is not None:
             assert not any(np.shares_memory(p, q) for p, q in zip(a.gru, b.gru))
