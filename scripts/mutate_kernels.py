@@ -45,7 +45,8 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("GRU: a feature-column weight gradient dropped", "src/sentirisk/model.py",
-           "    d_w[2 * h :, h + k :] = flat_c.T @ flat_feats\n", ""),
+           "    d_w[2 * h :, h + k :] = np.matmul(d_c.transpose(0, 2, 1), feats).sum(axis=0)\n",
+           ""),
     Mutant("GRU: row U (days without text) left out of the text-row sums",
            "src/sentirisk/model.py",
            "_row_sums(day_index, d_zr, len(vecs), ws)",
@@ -58,6 +59,14 @@ MUTANTS = [
            "    np.subtract(cand, h_prev, out=d_zr[..., h:])\n    d_zr[..., :h] = h_prev\n"),
     Mutant("GRU: the gates' (1 - g) factor missing", "src/sentirisk/model.py",
            "    d_zr *= keep\n", ""),
+    Mutant("attention: softmax normalized over the batch axis", "src/sentirisk/model.py",
+           "alpha = ex / ex.sum(axis=0, keepdims=True)",
+           "alpha = ex / ex.sum(axis=1, keepdims=True)"),
+    Mutant("attention: the tanh slope (1 - acts^2) dropped", "src/sentirisk/model.py",
+           "    d_act *= slope\n", ""),
+    Mutant("attention: d_w_a taken from acts instead of d_act", "src/sentirisk/model.py",
+           "d_w_a = np.matmul(d_act.transpose(0, 2, 1), hid)",
+           "d_w_a = np.matmul(acts.transpose(0, 2, 1), hid)"),
     Mutant("conv: a dropped scatter term in _conv_backward", "src/sentirisk/model.py",
            "        for k in range(width):\n            at = row[",
            "        for k in range(1, width):\n            at = row["),

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from sentirisk.model import ModelConfig
-from sentirisk.synthetic import ABLATION_MAX_DOC_LEN, make_ablation_dataset
+from sentirisk.synthetic import ABLATION_MODEL, make_ablation_dataset
 from sentirisk.train import (
     TrainConfig,
     compare_ablations,
@@ -47,11 +47,8 @@ def main() -> None:
     t0 = time.perf_counter()
     samples, vocab = make_ablation_dataset(
         n_days=args.days, seed=args.data_seed, window=args.window)
-    mcfg = ModelConfig(
-        vocab_size=vocab, embed_dim=8, num_filters=8, kernel_width=3,
-        conv_stride=3, gru_hidden=16, window=args.window,
-        max_doc_len=ABLATION_MAX_DOC_LEN, attention_enabled=True,
-        seed=args.seed)
+    mcfg = ModelConfig(vocab_size=vocab, window=args.window, seed=args.seed,
+                       **ABLATION_MODEL)
     tcfg = TrainConfig(lr=args.lr, batch_size=16, epochs=args.epochs,
                        patience=args.patience, optimizer="adam",
                        seed=args.seed)

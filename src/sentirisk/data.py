@@ -859,12 +859,13 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
         stats = NormStats(means=tuple(meta["means"]), stds=tuple(meta["stds"]))
         window, ratios = meta["window"], tuple(meta["ratios"])
         n_days, n_samples = meta["n_days"], meta["n_samples"]
+        if len(ratios) != 3 or window < 1:
+            raise DataValidationError("need 3 ratios and a positive window")
+        split_chronological((), ratios)  # the ratios the splits will be cut by
     except KeyError as exc:
         raise DataValidationError(f"{meta_path}: missing key {exc}") from None
     except DataValidationError as exc:
         raise DataValidationError(f"{meta_path}: {exc}") from None
-    if len(ratios) != 3 or window < 1:
-        raise DataValidationError(f"{meta_path}: need 3 ratios and a positive window")
     vocab = Vocabulary.from_lines(read_text(root / "vocab.txt").splitlines())
     column = _columns(root / "days.json", _DAY_COLUMNS, n_days, f"{meta_path} n_days {n_days}")
     dates = column("date", _increasing_dates)

@@ -27,7 +27,10 @@ gives each distinct token its response to every filter at
 every window position, a window sums those of its tokens, and only the
 windows that start at or before the last token of the table's longest
 document run (later windows see only padding and cannot win the max-pool).
-The GRU runs time-major and takes its input projections for all steps
+Every per-(window, day) array is time-major, (T, B, ...). The GRU's h-side
+and feature-column weight gradients and attention's W_a gradient are sums
+over the T steps of one product per step, in step order; attention's u
+gradient is one product over all T * B cells. The GRU takes its input projections for all steps
 before the recurrence, the text side's over the batch's distinct texts
 only; its backward pass sums the gate gradients into those text rows before
 the text side's products. Rows are summed by one np.bincount over flat
@@ -533,12 +536,12 @@ class BatchCache:
     (window, day) to its row of the text table vecs, whose last row, U, is
     the zero vector of the days without text; nothing joins a day's text
     row to its features. The conv path keeps only the token ids, its plan
-    and the max-pool winners of each document. Features and GRU states are
-    time-major. Built with a Workspace, feats, gru, attn's activations and,
-    without attention, ctx are views of it.
+    and the max-pool winners of each document. Every per-(window, day)
+    array is time-major. Built with a Workspace, feats, gru, attn's
+    activations and, without attention, ctx are views of it.
     """
 
-    day_index: np.ndarray  # (B, T)
+    day_index: np.ndarray  # (T, B)
     # conv: (N, W) padded documents (DayTable.docs); mean: (M,) non-pad tokens
     ids: np.ndarray
     seg: np.ndarray  # (N,) or (M,): the text row of each document or token
@@ -550,7 +553,7 @@ class BatchCache:
     feats: np.ndarray  # (T, B, 5) market features
     # z and r (T, B, 2h), candidate (T, B, h), hidden (T + 1, B, h) from h_0 = 0
     gru: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    attn: tuple[np.ndarray, np.ndarray] | None  # tanh(W_a h) (B, T, a), weights (B, T)
+    attn: tuple[np.ndarray, np.ndarray] | None  # tanh(W_a h) (T, B, a), weights (T, B)
     ctx: np.ndarray  # (B, head_in)
     pred: np.ndarray  # (B,)
     logits: np.ndarray  # (B, C)
@@ -650,12 +653,12 @@ def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
 
 def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray, ws: Workspace
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(day_index (B, T), time-major features (T, B, 5) in ws, ids, seg,
-    counts) of the windows index names.
+    """(day_index (T, B), features (T, B, 5) in ws, ids, seg, counts) of
+    the windows index names.
 
-    The batch's text rows are numbered in order of first appearance; the
-    conv path gets their padded documents, the mean path the non-pad tokens
-    of those documents in row-major order.
+    The batch's text rows are numbered in order of first appearance, window
+    by window; the conv path gets their padded documents, the mean path the
+    non-pad tokens of those documents in row-major order.
     """
     day_rows = table.windows[index]
     text_rows = table.text[day_rows].ravel()
@@ -676,7 +679,7 @@ def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray, ws: Workspac
         ids = ids[keep]
     feats = np.take(table.features, day_rows.T, axis=0, mode="clip",
                     out=ws.take("feats", (*day_rows.T.shape, N_MARKET_FEATURES)))
-    return (day_index.reshape(day_rows.shape), feats, ids, seg,
+    return (day_index.reshape(day_rows.shape).T, feats, ids, seg,
             np.bincount(seg, minlength=len(texts)))
 
 
@@ -880,9 +883,9 @@ def _gru_backward(w: np.ndarray, vecs: np.ndarray, day_index: np.ndarray, feats:
     The factors of each step that do not depend on the carried gradient are
     computed for all steps before the loop, into the contiguous z|r and
     candidate pre-activation gradients that each step then scales in place.
-    After it, GEMMs over all T * B steps give the h-side and feature columns
-    of d_w; the text side's products run over the U + 1 text rows, into
-    which those gradients are summed first.
+    After it, the h-side and feature columns of d_w are sums over the T
+    steps of one product per step; the text side's products run over the
+    U + 1 text rows, into which those gradients are summed first.
     """
     zr, cand, hid = states
     h = len(w) // 3
@@ -913,14 +916,11 @@ def _gru_backward(w: np.ndarray, vecs: np.ndarray, day_index: np.ndarray, feats:
         carry += d_rh
         np.matmul(d_zr[t], w_zr, out=back)
         carry += back
-    rows = t_len * b
-    flat_zr, flat_c = d_zr.reshape(rows, 2 * h), d_c.reshape(rows, h)
-    flat_feats = feats.reshape(rows, -1)
-    d_w[: 2 * h, h + k :] = flat_zr.T @ flat_feats
-    d_w[2 * h :, h + k :] = flat_c.T @ flat_feats
-    d_w[: 2 * h, :h] = flat_zr.T @ h_prev.reshape(rows, h)
+    d_w[: 2 * h, h + k :] = np.matmul(d_zr.transpose(0, 2, 1), feats).sum(axis=0)
+    d_w[2 * h :, h + k :] = np.matmul(d_c.transpose(0, 2, 1), feats).sum(axis=0)
+    d_w[: 2 * h, :h] = np.matmul(d_zr.transpose(0, 2, 1), h_prev).sum(axis=0)
     rh = np.multiply(r, h_prev, out=ws.take("scratch0", cand.shape))
-    d_w[2 * h :, :h] = flat_c.T @ rh.reshape(rows, h)
+    d_w[2 * h :, :h] = np.matmul(d_c.transpose(0, 2, 1), rh).sum(axis=0)
     sums = np.concatenate([_row_sums(day_index, d_zr, len(vecs), ws),
                            _row_sums(day_index, d_c, len(vecs), ws)], axis=1)  # (U + 1, 3h)
     d_w[:, h : h + k] = sums.T @ vecs
@@ -929,34 +929,31 @@ def _gru_backward(w: np.ndarray, vecs: np.ndarray, day_index: np.ndarray, feats:
 
 def _attention_forward(w_a: np.ndarray, u: np.ndarray, hid: np.ndarray, ws: Workspace
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tanh(W_a h) (B, T, a), a view of ws; weights (B, T); context (B, h))
-    of hidden states hid (B, T, h); u is (a, 1)."""
+    """(tanh(W_a h) (T, B, a), a view of ws; weights (T, B), a softmax over
+    the T steps; context (B, h)) of hidden states hid (T, B, h); u is (a, 1)."""
     acts = ws.take("acts", (*hid.shape[:2], len(w_a)))
     np.matmul(hid, w_a.T, out=acts)
     np.tanh(acts, out=acts)
     scores = acts @ u[:, 0]
-    ex = np.exp(scores - scores.max(axis=1, keepdims=True))
-    alpha = ex / ex.sum(axis=1, keepdims=True)
-    return acts, alpha, np.einsum("bt,bth->bh", alpha, hid)
+    ex = np.exp(scores - scores.max(axis=0, keepdims=True))
+    alpha = ex / ex.sum(axis=0, keepdims=True)
+    return acts, alpha, np.einsum("tb,tbh->bh", alpha, hid)
 
 
 def _attention_backward(w_a: np.ndarray, u: np.ndarray, hid: np.ndarray, acts: np.ndarray,
                         alpha: np.ndarray, d_ctx: np.ndarray, ws: Workspace
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d_hid (B, T, h), a view of ws; d_w_a; d_u) of hidden states hid (B, T, h)."""
-    d_alpha = np.einsum("bth,bh->bt", hid, d_ctx)
-    d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=1, keepdims=True))
+    """(d_hid (T, B, h), a view of ws; d_w_a; d_u) of hidden states hid (T, B, h)."""
+    d_alpha = np.einsum("tbh,bh->tb", hid, d_ctx)
+    d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=0, keepdims=True))
     # d_scores u (1 - acts^2), multiplied in that order
     d_act = np.multiply(d_scores[:, :, None], u[:, 0], out=ws.take("scratch0", acts.shape))
     slope = np.multiply(acts, acts, out=ws.take("scratch1", acts.shape))
     np.subtract(1.0, slope, out=slope)
     d_act *= slope
-    a, h = acts.shape[2], hid.shape[2]
-    rows = ws.take("scratch2", hid.shape)
-    rows[...] = hid  # the contiguous copy hid.reshape(-1, h) makes of a time-major view
-    d_w_a = d_act.reshape(-1, a).T @ rows.reshape(-1, h)
-    d_u = (acts.reshape(-1, a).T @ d_scores.reshape(-1))[:, None]
-    d_hid = np.multiply(alpha[:, :, None], d_ctx[:, None, :], out=ws.take("d_hid", hid.shape))
+    d_w_a = np.matmul(d_act.transpose(0, 2, 1), hid).sum(axis=0)
+    d_u = (acts.reshape(-1, len(w_a)).T @ d_scores.reshape(-1))[:, None]
+    d_hid = np.multiply(alpha[:, :, None], d_ctx, out=ws.take("d_hid", hid.shape))
     d_hid += np.matmul(d_act, w_a, out=ws.take("scratch2", hid.shape))
     return d_hid, d_w_a, d_u
 
@@ -989,14 +986,13 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray,
 
     gru = attn = None
     if model.arch is ArchKind.CNN_ONLY:
-        text = np.take(vecs, day_index.T, axis=0, mode="clip",  # "raise" would buffer
-                       out=ws.take("scratch0", (*day_index.T.shape, vecs.shape[1])))
+        text = np.take(vecs, day_index, axis=0, mode="clip",  # "raise" would buffer
+                       out=ws.take("scratch0", (*day_index.shape, vecs.shape[1])))
         ctx = np.concatenate([text.mean(axis=0), feats.mean(axis=0)], axis=1)
     else:
-        gru = _gru_forward(_gru_block(model, model.params), vecs, day_index.T, feats, ws)
+        gru = _gru_forward(_gru_block(model, model.params), vecs, day_index, feats, ws)
         if model.cfg.attention_enabled:
-            acts, alpha, ctx = _attention_forward(t["attn/w_a"], t["attn/u"],
-                                                  gru[2][1:].transpose(1, 0, 2), ws)
+            acts, alpha, ctx = _attention_forward(t["attn/w_a"], t["attn/u"], gru[2][1:], ws)
             attn = (acts, alpha)
         else:
             ctx = gru[2][-1]
@@ -1031,19 +1027,18 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
     text_dim = _text_dim(model.cfg, model.arch)
     if model.arch is ArchKind.CNN_ONLY:
         d_text = np.broadcast_to(d_ctx[:, :text_dim] / model.cfg.window,
-                                 (*cache.day_index.T.shape, text_dim))
-        d_vecs = _row_sums(cache.day_index.T, d_text, len(cache.vecs), ws)
+                                 (*cache.day_index.shape, text_dim))
+        d_vecs = _row_sums(cache.day_index, d_text, len(cache.vecs), ws)
     else:
         hid = cache.gru[2][1:]
         if model.cfg.attention_enabled:
             d_hid, g["attn/w_a"][:], g["attn/u"][:] = _attention_backward(
-                t["attn/w_a"], t["attn/u"], hid.transpose(1, 0, 2), *cache.attn, d_ctx, ws)
-            d_hid = d_hid.transpose(1, 0, 2)
+                t["attn/w_a"], t["attn/u"], hid, *cache.attn, d_ctx, ws)
         else:
             d_hid = ws.take("d_hid", hid.shape)
             d_hid.fill(0.0)
             d_hid[-1] = d_ctx
-        d_vecs = _gru_backward(_gru_block(model, model.params), cache.vecs, cache.day_index.T,
+        d_vecs = _gru_backward(_gru_block(model, model.params), cache.vecs, cache.day_index,
                                cache.feats, cache.gru, d_hid, _gru_block(model, grads), ws)
     d_items = np.take(d_vecs, cache.seg, axis=0, mode="clip",
                       out=ws.take("d_items", (len(cache.seg), text_dim)))

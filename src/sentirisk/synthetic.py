@@ -38,6 +38,9 @@ ABLATION_TRIGRAMS = ((2, 3, 4), (3, 4, 2), (4, 2, 3))
 ABLATION_NOISE_IDS = tuple(range(5, 15))
 ABLATION_VOCAB_SIZE = 15
 ABLATION_MAX_DOC_LEN = 12
+# acceptance 4's model: its ModelConfig fields besides vocab_size, window and seed
+ABLATION_MODEL = {"embed_dim": 8, "num_filters": 8, "kernel_width": 3, "conv_stride": 3,
+                  "gru_hidden": 16, "max_doc_len": ABLATION_MAX_DOC_LEN}
 
 # sticky regimes concentrate window counts near 0 and 20, so the class
 # boundaries below land in thin regions of the count distribution; that keeps

@@ -69,7 +69,7 @@ from sentirisk.model import (
     save_checkpoint,
 )
 from sentirisk.synthetic import (
-    ABLATION_MAX_DOC_LEN,
+    ABLATION_MODEL,
     make_ablation_dataset,
     make_demo_docs,
     make_demo_market,
@@ -381,9 +381,7 @@ def test_c03_parameter_count_law():
 # marginals across the chronological splits, and the sticky regimes put the
 # count thresholds in thin regions of the count distribution
 C4_DATA_SEED = 15
-C4_MCFG = dict(embed_dim=8, num_filters=8, kernel_width=3, conv_stride=3,
-               gru_hidden=16, window=20, max_doc_len=ABLATION_MAX_DOC_LEN,
-               attention_enabled=True, seed=0)
+C4_MCFG = dict(ABLATION_MODEL, window=20, attention_enabled=True, seed=0)
 C4_TCFG = TrainConfig(lr=5e-3, batch_size=16, epochs=80, patience=20,
                       optimizer="adam", seed=0)
 

@@ -167,7 +167,7 @@ def scaled_gru(seed: int, hidden: int, input_size: int, scale: float) -> GRUPara
 
 
 def gru_case(b, t_len, k, f, u, h, scale, seed):
-    """(gru, vecs (U + 1, k) whose row U is zero, day_index (B, T) into them,
+    """(gru, vecs (U + 1, k) whose row U is zero, day_index (T, B) into them,
     feats (T, B, f), d_hid (T, B, h)) with weights and inputs times scale.
     Days draw their text rows at random, so windows share rows, and row U
     stands for the days without text."""
@@ -175,7 +175,7 @@ def gru_case(b, t_len, k, f, u, h, scale, seed):
     rng = np.random.default_rng(seed + 1)
     vecs = rng.standard_normal((u + 1, k)) * scale
     vecs[u] = 0.0
-    day_index = rng.integers(0, u + 1, (b, t_len))
+    day_index = rng.integers(0, u + 1, (b, t_len)).T
     feats = rng.standard_normal((t_len, b, f)) * scale
     return gru, vecs, day_index, feats, rng.standard_normal((t_len, b, h))
 
@@ -187,22 +187,22 @@ def stacked(gru: GRUParams) -> np.ndarray:
 
 def gru_pairs(gru, vecs, day_index, feats, d_hid):
     """(got, want) for z, r, candidate, hidden, d_vecs and the three weight
-    gradients. The kernels get day_index time-major, as table_forward passes
-    it; the reference reads the day vectors [vecs[day_index], feats] batch-
-    major, and its d_x's text columns are summed into their text rows."""
+    gradients. The kernels take their inputs time-major, as table_forward
+    passes them; the reference reads the day vectors [vecs[day_index], feats]
+    batch-major, and its d_x's text columns are summed into their text rows."""
     h, k = gru.hidden_size, vecs.shape[1]
-    x_bm = np.concatenate([vecs[day_index], feats.transpose(1, 0, 2)], axis=2)
+    x_bm = np.concatenate([vecs[day_index.T], feats.transpose(1, 0, 2)], axis=2)
     w = stacked(gru)
     ws = model_mod.Workspace()
-    zr, cand, hid = model_mod._gru_forward(w, vecs, day_index.T, feats, ws)
-    assert hid.shape == (len(feats) + 1, len(day_index), h) and not hid[0].any()
+    zr, cand, hid = model_mod._gru_forward(w, vecs, day_index, feats, ws)
+    assert hid.shape == (len(feats) + 1, day_index.shape[1], h) and not hid[0].any()
     states = ref.gru_forward(gru, x_bm)
     d_w = np.full_like(w, np.nan)  # every entry must be written
-    d_vecs = model_mod._gru_backward(w, vecs, day_index.T, feats, (zr, cand, hid), d_hid, d_w,
+    d_vecs = model_mod._gru_backward(w, vecs, day_index, feats, (zr, cand, hid), d_hid, d_w,
                                      ws)
     want = ref.gru_backward(gru, x_bm, states, np.ascontiguousarray(d_hid.transpose(1, 0, 2)))
     want_d_vecs = np.zeros_like(vecs)  # row U too: the kernel returns every row
-    ref.add_rows(want_d_vecs, day_index, want[0][..., :k])
+    ref.add_rows(want_d_vecs, day_index.T, want[0][..., :k])
     return list(zip(
         [zr[..., :h], zr[..., h:], cand, hid[1:], d_vecs, d_w[:h], d_w[h : 2 * h], d_w[2 * h :]],
         [*(s.transpose(1, 0, 2) for s in states), want_d_vecs, *want[1:]]))
@@ -240,7 +240,7 @@ class TestGruKernels:
     def test_saturated_gates_stay_finite(self):
         # sigmoid as 0.5 + 0.5 tanh(a / 2) cannot overflow, however large a is
         gru, vecs, day_index, feats, _ = gru_case(2, 4, 1, 1, 2, 3, 1e6, 0)
-        zr, cand, hid = model_mod._gru_forward(stacked(gru), vecs, day_index.T, feats,
+        zr, cand, hid = model_mod._gru_forward(stacked(gru), vecs, day_index, feats,
                                                model_mod.Workspace())
         assert np.isfinite(zr).all() and np.isfinite(hid).all()
         assert ((zr >= 0.0) & (zr <= 1.0)).all()

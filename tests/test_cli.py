@@ -1040,6 +1040,29 @@ class TestDamagedPrepared:
         assert "Traceback" not in captured.err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("ratios, message", [
+        ([0.7, 0.3, 0.0], "split ratios must all be positive and finite, got (0.7, 0.3, 0.0)"),
+        ([0.5, 0.3, 0.3], "split ratios must sum to 1, got (0.5, 0.3, 0.3)"),
+    ], ids=["zero-ratio", "sum-above-1"])
+    def test_bad_split_ratios_exit_2_on_train_naming_the_file(self, workspace, tmp_path,
+                                                              capsys, ratios, message):
+        # split_chronological refused them at train time, without the file's name
+        prep = tmp_path / "prepared"
+        shutil.copytree(workspace["root"] / "prepared", prep)
+        path = prep / "norm_stats.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta["ratios"] = ratios
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        ckpt = tmp_path / "model.ckpt.json"
+        capsys.readouterr()
+        rc = main(["train", "--data-dir", str(tmp_path), "--config", str(workspace["config"]),
+                   "--model-out", str(ckpt)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"data error: {path}: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.update(window=str(m["window"])),
          f'window must be an integer, got "{WINDOW}"'),

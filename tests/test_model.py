@@ -497,6 +497,35 @@ class TestBatchedCore:
     def test_batch_of_one(self, arch):
         self.check(build_model(BATCHED, arch), shared_day_windows(BATCHED, 4, seed=5))
 
+    @pytest.mark.parametrize("attention", [True, False], ids=["attention", "no-attention"])
+    @pytest.mark.parametrize("arch", list(ArchKind), ids=lambda a: a.value)
+    def test_per_cell_arrays_are_time_major(self, arch, attention):
+        # T 4, B 6, h 5 and a 7: no axis can stand in for another
+        cfg = dataclasses.replace(BATCHED, attention_enabled=attention, attn_size=7)
+        table = day_table(cfg, shared_day_windows(cfg, 11, seed=4))
+        index = np.array([7, 0, 3, 5, 1, 6])
+        cache = table_forward(build_model(cfg, arch), table, index)
+        t_len, b, h = cfg.window, len(index), cfg.gru_hidden
+        days = table.windows[index].T  # (T, B) day rows
+        assert cache.day_index.shape == (t_len, b)
+        # one batch row per table text row, and row U for the days without text
+        texts = table.text[days]
+        pairs = set(zip(texts.ravel(), cache.day_index.ravel()))
+        assert len(pairs) == len(set(texts.ravel())) == len(set(cache.day_index.ravel()))
+        assert ((cache.day_index == len(cache.vecs) - 1) == (texts < 0)).all()
+        assert cache.feats.tobytes() == table.features[days].tobytes()
+        if arch is ArchKind.CNN_ONLY:
+            assert cache.gru is None and cache.attn is None
+            return
+        assert [s.shape for s in cache.gru] == [(t_len, b, 2 * h), (t_len, b, h),
+                                                (t_len + 1, b, h)]
+        if attention:
+            acts, alpha = cache.attn
+            assert acts.shape == (t_len, b, 7) and alpha.shape == (t_len, b)
+            np.testing.assert_allclose(alpha.sum(axis=0), 1.0)
+        else:
+            assert cache.attn is None
+
     def test_shared_days_are_encoded_once(self):
         samples = shared_day_windows(BATCHED, 11, seed=4)
         cache = batch_forward(build_model(BATCHED, ArchKind.CNN_GRU), samples)
@@ -777,14 +806,16 @@ class TestWorkspace:
 
 def attention_backward_reference(w_a, u, hid, acts, alpha, d_ctx):
     """(d_hid, d_w_a, d_u) as plain expressions on fresh arrays, in the
-    operation order _attention_backward keeps."""
-    d_alpha = np.einsum("bth,bh->bt", hid, d_ctx)
-    d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=1, keepdims=True))
+    operation order _attention_backward keeps: time-major hid (T, B, h),
+    acts (T, B, a) and alpha (T, B), and d_w_a summed step by step."""
+    d_alpha = np.einsum("tbh,bh->tb", hid, d_ctx)
+    d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=0, keepdims=True))
     d_act = d_scores[:, :, None] * u[:, 0] * (1.0 - acts * acts)
-    a, h = acts.shape[2], hid.shape[2]
-    return (alpha[:, :, None] * d_ctx[:, None, :] + d_act @ w_a,
-            d_act.reshape(-1, a).T @ hid.reshape(-1, h),
-            (acts.reshape(-1, a).T @ d_scores.reshape(-1))[:, None])
+    d_w_a = d_act[0].T @ hid[0]
+    for t in range(1, len(hid)):
+        d_w_a = d_w_a + d_act[t].T @ hid[t]
+    return (alpha[:, :, None] * d_ctx + d_act @ w_a, d_w_a,
+            (acts.reshape(-1, acts.shape[2]).T @ d_scores.reshape(-1))[:, None])
 
 
 class TestKernelWorkspaces:
@@ -822,7 +853,7 @@ class TestKernelWorkspaces:
         table = day_table(BATCHED, shared_day_windows(BATCHED, 30, seed=4))
         cache = table_forward(model, table, np.arange(5))
         t = model.tensors
-        args = (t["attn/w_a"], t["attn/u"], cache.gru[2][1:].transpose(1, 0, 2), *cache.attn,
+        args = (t["attn/w_a"], t["attn/u"], cache.gru[2][1:], *cache.attn,
                 RNG.standard_normal(cache.ctx.shape))
         want = [a.tobytes() for a in attention_backward_reference(*args)]
         for ws in (Workspace(), self.workspace_after_a_larger_batch(model, table)):
