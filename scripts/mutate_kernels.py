@@ -79,6 +79,25 @@ MUTANTS = [
     Mutant("Adam: the first moment's bias correction skipped", "src/sentirisk/optim.py",
            "np.divide(self.m, 1.0 - ADAM_BETA1 ** self.t, out=a)",
            "np.divide(self.m, 1.0, out=a)"),
+    Mutant("SGD: the weight decay term dropped", "src/sentirisk/optim.py",
+           "np.multiply(params, self.cfg.weight_decay, out=a)",
+           "np.multiply(params, 0.0, out=a)"),
+    Mutant("row sums: every column of a row added into its first", "src/sentirisk/model.py",
+           "    flat += np.arange(width)\n", ""),
+    Mutant("gather: text rows numbered from 1, the last one onto the textless row",
+           "src/sentirisk/model.py",
+           "number[values[first]] = np.arange(len(first))",
+           "number[values[first]] = np.arange(1, len(first) + 1)"),
+    Mutant("GRU-only: pad tokens counted in a text's mean embedding", "src/sentirisk/model.py",
+           "keep = ids != 0", "keep = ids >= 0"),
+    Mutant("conv: the trim keeps one window too few", "src/sentirisk/model.py",
+           "n_windows = conv_output_length(ids.shape[1], cfg.kernel_width, cfg.conv_stride)",
+           "n_windows = max(1, conv_output_length(ids.shape[1], cfg.kernel_width, "
+           "cfg.conv_stride) - 1)"),
+    Mutant("day table: no room for a window that starts at the longest document's last token",
+           "src/sentirisk/model.py",
+           "max(longest, (max(longest, 1) - 1) // cfg.conv_stride",
+           "max(longest, (max(longest, 2) - 2) // cfg.conv_stride"),
 ]
 
 

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from sentirisk.model import ModelConfig
-from sentirisk.synthetic import ABLATION_MODEL, make_ablation_dataset
+from sentirisk.synthetic import ABLATION_MODEL, ABLATION_TRAIN, make_ablation_dataset
 from sentirisk.train import (
     TrainConfig,
     compare_ablations,
@@ -35,9 +35,9 @@ def main() -> None:
     ap.add_argument("--days", type=int, default=620)
     ap.add_argument("--data-seed", type=int, default=15)
     ap.add_argument("--window", type=int, default=20)
-    ap.add_argument("--epochs", type=int, default=80)
-    ap.add_argument("--patience", type=int, default=20)
-    ap.add_argument("--lr", type=float, default=5e-3)
+    ap.add_argument("--epochs", type=int, default=ABLATION_TRAIN["epochs"])
+    ap.add_argument("--patience", type=int, default=ABLATION_TRAIN["patience"])
+    ap.add_argument("--lr", type=float, default=ABLATION_TRAIN["lr"])
     ap.add_argument("--seed", type=int, default=0,
                     help="model init and shuffle seed (default: 0)")
     ap.add_argument("--out", type=Path, default=None,
@@ -49,9 +49,8 @@ def main() -> None:
         n_days=args.days, seed=args.data_seed, window=args.window)
     mcfg = ModelConfig(vocab_size=vocab, window=args.window, seed=args.seed,
                        **ABLATION_MODEL)
-    tcfg = TrainConfig(lr=args.lr, batch_size=16, epochs=args.epochs,
-                       patience=args.patience, optimizer="adam",
-                       seed=args.seed)
+    tcfg = TrainConfig(**dict(ABLATION_TRAIN, lr=args.lr, epochs=args.epochs,
+                              patience=args.patience), seed=args.seed)
     reports = compare_ablations(samples, mcfg, tcfg)
 
     print(render_comparison_table(reports))

@@ -1,7 +1,7 @@
 """sentirisk: market-sentiment sequence learning with risk alerting.
 
-A self-contained CNN + GRU implementation (manual backpropagation on a dense
-float64 matrix core) that ingests market bars and raw text, labels sentiment
+A self-contained CNN + GRU implementation (manual backpropagation on batched
+float64 numpy arrays) that ingests market bars and raw text, labels sentiment
 with a lexicon, trains a joint regression/classification model over 20-day
 windows, compares ablations, and emits risk alerts on sentiment inflections.
 """
@@ -24,7 +24,6 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .matrix import Matrix, finite_diff_grad, matmul, softmax
 from .model import ArchKind, CnnGruModel, ModelConfig, build_model, load_checkpoint, save_checkpoint
 # NB: the train() entry point is deliberately not re-exported here; a bare
 # `train` attribute would shadow the sentirisk.train submodule.
@@ -37,7 +36,6 @@ __all__ = [
     "CheckpointError",
     "CnnGruModel",
     "DataValidationError",
-    "Matrix",
     "MetricsReport",
     "ModelConfig",
     "NumericError",
@@ -47,10 +45,7 @@ __all__ = [
     "build_model",
     "compare_ablations",
     "evaluate",
-    "finite_diff_grad",
     "load_checkpoint",
-    "matmul",
     "save_checkpoint",
-    "softmax",
     "__version__",
 ]

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
+import numpy as np
+
 from .data import check_dates_increasing, check_fields, read_jsonl
 from .errors import DataValidationError
-from .matrix import Matrix
 from .text import CLASS_INDEX, CLASS_NAMES, NEGATIVE, NUM_CLASSES, POSITIVE
 
 
@@ -36,8 +37,11 @@ class AlertRuleConfig:
 class DailyPrediction:
     date: dt.date
     predicted_class: int
-    probs: Matrix  # 3x1, (negative, neutral, positive)
+    probs: tuple[float, ...]  # (negative, neutral, positive)
     predicted_return: float
+
+    def __post_init__(self) -> None:  # a row, a list, or a Matrix until ROADMAP 1c is done
+        object.__setattr__(self, "probs", tuple(np.asarray(self.probs, float).ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -60,16 +64,10 @@ class Alert:
         }
 
 
-def risk_score(class_probs: Matrix, predicted_return: float) -> float:
+def risk_score(class_probs: Sequence[float], predicted_return: float) -> float:
     """p(negative), plus half the clamped predicted loss when return < 0."""
-    if class_probs.shape != (NUM_CLASSES, 1):
-        raise DataValidationError(
-            f"class probabilities must be {NUM_CLASSES}x1, "
-            f"got {class_probs.rows}x{class_probs.cols}"
-        )
-    vals = class_probs.values
-    _check_probs(vals)
-    p_neg = vals[CLASS_INDEX["negative"]]
+    _check_probs(class_probs)
+    p_neg = class_probs[CLASS_INDEX["negative"]]
     if predicted_return >= 0:
         return p_neg
     penalty = 0.5 * min(max(-predicted_return, 0.0), 1.0)
@@ -96,7 +94,7 @@ def detect_inflections(predictions: Sequence[DailyPrediction],
     alerts: list[Alert] = []
     for i, p in enumerate(predictions):
         risk = risk_score(p.probs, p.predicted_return)
-        confidence = p.probs.at(p.predicted_class, 0)
+        confidence = p.probs[p.predicted_class]
         if i > 0:
             prev = predictions[i - 1].predicted_class
             if prev == POSITIVE and p.predicted_class == NEGATIVE:
@@ -150,6 +148,6 @@ def _prediction_from_obj(obj: dict) -> DailyPrediction:
     return DailyPrediction(
         date=dt.date.fromisoformat(obj["date"]),
         predicted_class=cls,
-        probs=Matrix(NUM_CLASSES, 1, probs),
+        probs=probs,
         predicted_return=predicted_return,
     )

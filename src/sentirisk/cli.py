@@ -40,7 +40,6 @@ from . import data as data_mod
 from . import train as train_mod
 from .errors import CheckpointError, DataValidationError, NumericError, ShapeError
 from .losses import softmax_rows
-from .matrix import Matrix
 from .model import ArchKind, CnnGruModel, ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .text import Lexicon
 
@@ -347,7 +346,7 @@ def cmd_alert(args: argparse.Namespace) -> int:
         pred, logits = train_mod.score_windows(model, split)
         probs = softmax_rows(logits)
         # argmax breaks ties toward the first class
-        preds = [alerts_mod.DailyPrediction(s.target_date, int(c), Matrix.column(p), r)
+        preds = [alerts_mod.DailyPrediction(s.target_date, int(c), p, r)
                  for s, c, p, r in zip(split, probs.argmax(axis=1), probs, pred.tolist())]
     found = alerts_mod.detect_inflections(preds, rules)
     if args.out:

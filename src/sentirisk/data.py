@@ -150,6 +150,8 @@ class AlignedDay:
     features: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not 0 <= self.label < len(CLASS_NAMES):
+            raise DataValidationError(f"day {self.date}: label {self.label} is not a class index")
         object.__setattr__(self, "token_seqs", tuple(map(tuple, self.token_seqs)))
         if self.features is not None:
             object.__setattr__(self, "features", tuple(self.features))
@@ -172,6 +174,9 @@ class WindowSample:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         if not self.inputs:
             raise DataValidationError("window sample has no input days")
+        if not 0 <= self.target_class < len(CLASS_NAMES):
+            raise DataValidationError(f"window for {self.target_date}: target_class "
+                                      f"{self.target_class} is not a class index")
 
     @property
     def prev_close(self) -> float:

@@ -1,9 +1,9 @@
 """Dense 64-bit matrix arithmetic, the sigmoid, and a finite-difference oracle.
 
 This is the validated numeric type of the per-window reference (layers.py,
-model.model_forward/model_backward and the model's six weight containers
-they read) and of alert probabilities. Training and all scoring run on raw
-ndarrays (model.table_forward over model.CnnGruModel.tensors).
+model.model_forward/model_backward, their six weight containers and the
+per-sample losses); sentirisk does not re-export its names. Training, scoring
+and alert records run on ndarrays (model.table_forward over model.tensors).
 _sigmoid_array, the gate activation of the per-window GRU (layers.py), is
 branch-free and cannot overflow. Values live in a read-only float64 numpy
 array and every operation allocates a fresh output. A model's containers
@@ -116,6 +116,10 @@ class Matrix:
         if self.shape != (1, 1):
             raise ShapeError(f"item() needs a 1x1 matrix, got {self.rows}x{self.cols}")
         return float(self.data[0, 0])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # alerts.DailyPrediction's Matrix case; both go with ROADMAP item 1c
+        return np.array(self.data, dtype=dtype, copy=copy)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Matrix({self.rows}x{self.cols}, {self.data.ravel()[:6]}...)"

@@ -572,9 +572,9 @@ class DayTable:
     windows: np.ndarray  # (n_windows, T) day rows
     features: np.ndarray  # (n_days, 5)
     text: np.ndarray  # (n_days,) text row, -1 for a day without text
-    # (n_docs, W) padded token ids, grouped by text row: W holds every conv
-    # window that starts at or before the longest document's last token, the
-    # windows _conv_plan runs, and at most max_doc_len ids
+    # (n_docs, W) padded token ids, grouped by text row: W holds the longest
+    # document and every conv window that starts at or before its last token,
+    # the windows _conv_plan runs, and at most max_doc_len ids
     docs: np.ndarray
     doc_start: np.ndarray  # (n_texts + 1,) first document of each text row
 
@@ -635,8 +635,8 @@ def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
             text[row] = texts.setdefault(key, len(texts))
     counts = np.array([len(key) for key in texts], dtype=np.intp)
     longest = max((len(seq) for key in texts for seq in key), default=0)
-    width = min(cfg.max_doc_len, (max(longest, 1) - 1) // cfg.conv_stride * cfg.conv_stride
-                + cfg.kernel_width)
+    width = min(cfg.max_doc_len, max(longest, (max(longest, 1) - 1) // cfg.conv_stride
+                                     * cfg.conv_stride + cfg.kernel_width))
     docs = np.zeros((int(counts.sum()), width), dtype=np.intp)
     for i, seq in enumerate(seq for key in texts for seq in key):
         docs[i, : len(seq)] = seq

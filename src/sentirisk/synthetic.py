@@ -38,9 +38,10 @@ ABLATION_TRIGRAMS = ((2, 3, 4), (3, 4, 2), (4, 2, 3))
 ABLATION_NOISE_IDS = tuple(range(5, 15))
 ABLATION_VOCAB_SIZE = 15
 ABLATION_MAX_DOC_LEN = 12
-# acceptance 4's model: its ModelConfig fields besides vocab_size, window and seed
+# acceptance 4's model and training run: their fields besides vocab_size, window, seed
 ABLATION_MODEL = {"embed_dim": 8, "num_filters": 8, "kernel_width": 3, "conv_stride": 3,
                   "gru_hidden": 16, "max_doc_len": ABLATION_MAX_DOC_LEN}
+ABLATION_TRAIN = {"lr": 5e-3, "batch_size": 16, "epochs": 80, "patience": 20, "optimizer": "adam"}
 
 # sticky regimes concentrate window counts near 0 and 20, so the class
 # boundaries below land in thin regions of the count distribution; that keeps

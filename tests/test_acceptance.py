@@ -54,29 +54,30 @@ from sentirisk.layers import (
     max_pool_backward,
     relu_backward,
 )
-from sentirisk.losses import cross_entropy, mse
+from sentirisk.losses import batch_cross_entropy
 from sentirisk.matrix import Matrix
 from sentirisk.model import (
     ArchKind,
     CnnGruModel,
     ModelConfig,
+    batch_backward,
+    batch_forward,
     build_model,
     gru_param_count,
     load_checkpoint,
-    model_backward,
-    model_forward,
     param_views,
     save_checkpoint,
 )
 from sentirisk.synthetic import (
     ABLATION_MODEL,
+    ABLATION_TRAIN,
     make_ablation_dataset,
     make_demo_docs,
     make_demo_market,
     make_sinusoid_market,
 )
 from sentirisk.text import Lexicon, clean_text
-from sentirisk.train import MetricsReport, TrainConfig, compare_ablations, train
+from sentirisk.train import MetricsReport, TrainConfig, compare_ablations, score_windows, train
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -143,12 +144,13 @@ def make_sample(cfg: ModelConfig, seed: int = 0, textless=()):
     )
 
 
-def model_joint_loss(model, sample) -> float:
-    pred, logits, _ = model_forward(model, sample)
+def batch_joint_loss(model, sample) -> float:
+    """The joint loss of the batched core's outputs for a batch of one."""
+    cache = batch_forward(model, [sample])
     lam = model.cfg.mse_weight
-    target = Matrix(1, 1, [sample.target_return])
-    return (lam * mse(Matrix(1, 1, [pred]), target)
-            + (1.0 - lam) * cross_entropy(logits, sample.target_class))
+    return float(lam * (cache.pred[0] - sample.target_return) ** 2
+                 + (1.0 - lam) * batch_cross_entropy(cache.logits,
+                                                     np.array([sample.target_class]))[0])
 
 
 @pytest.fixture(scope="module")
@@ -307,19 +309,21 @@ def test_c01_gradient_correctness_every_layer_and_full_model():
     cfg = ModelConfig(vocab_size=12, embed_dim=3, num_filters=2, kernel_width=2,
                       conv_stride=1, gru_hidden=2, window=3, max_doc_len=4,
                       attention_enabled=True, seed=3)
+    # the production core: batch_forward/batch_backward on a batch of one
     model = build_model(cfg, ArchKind.CNN_GRU)
     sample = make_sample(cfg, seed=5, textless=(1,))
-    _, _, cache = model_forward(model, sample)
-    grads = model_backward(model, cache, sample.target_return, sample.target_class)
+    grads = param_views(model, batch_backward(
+        model, batch_forward(model, [sample]), np.array([sample.target_return]),
+        np.array([sample.target_class])))
     for name, tensor in model.tensors.items():
         def loss_at(m, name=name):
             flat = model.params.copy()
             param_views(model, flat)[name][:] = m.data
-            return model_joint_loss(CnnGruModel(cfg, ArchKind.CNN_GRU, flat), sample)
+            return batch_joint_loss(CnnGruModel(cfg, ArchKind.CNN_GRU, flat), sample)
         skip = (0,) if name == "embedding" else ()
         checks.append((f"model/{name}",
-                       fd_max_err(loss_at, Matrix._wrap(tensor), grads[name], rng,
-                                  skip_rows=skip)))
+                       fd_max_err(loss_at, Matrix._wrap(tensor), Matrix._wrap(grads[name]),
+                                  rng, skip_rows=skip)))
 
     elapsed = time.perf_counter() - t0
     worst_name, worst = max(checks, key=lambda c: c[1])
@@ -382,8 +386,7 @@ def test_c03_parameter_count_law():
 # count thresholds in thin regions of the count distribution
 C4_DATA_SEED = 15
 C4_MCFG = dict(ABLATION_MODEL, window=20, attention_enabled=True, seed=0)
-C4_TCFG = TrainConfig(lr=5e-3, batch_size=16, epochs=80, patience=20,
-                      optimizer="adam", seed=0)
+C4_TCFG = TrainConfig(**ABLATION_TRAIN, seed=0)
 
 
 def test_c04_synthetic_ablation_ordering():
@@ -419,8 +422,8 @@ def test_c05_sinusoid_beats_persistence():
     best, _ = train(build_model(mcfg, ArchKind.CNN_GRU), train_s, val_s, tcfg)
 
     model_se = pers_se = 0.0
-    for s in test_s:
-        pred, _, _ = model_forward(best, s)
+    preds, _ = score_windows(best, test_s)
+    for s, pred in zip(test_s, preds.tolist()):
         pred_close = s.prev_close * math.exp(ds.stats.denormalize_return(pred))
         model_se += (pred_close - s.target_close) ** 2
         pers_se += (s.prev_close - s.target_close) ** 2
@@ -501,11 +504,9 @@ def test_c08_determinism_and_checkpoint_persistence(demo_ds, tmp_path):
     assert runs[0][1] == runs[1][1]  # bitwise-equal checkpoint bytes
 
     reloaded = load_checkpoint(tmp_path / "a.ckpt.json")
-    for s in demo_ds.samples:
-        p1, l1, _ = model_forward(runs[0][2], s)
-        p2, l2, _ = model_forward(reloaded, s)
-        assert p1 == p2
-        assert np.array_equal(l1.data, l2.data)
+    for got, want in zip(score_windows(reloaded, demo_ds.samples),
+                         score_windows(runs[0][2], demo_ds.samples)):
+        assert got.tobytes() == want.tobytes()
     verdict(8, "seeded reruns and checkpoint round trips are bitwise equal", True,
             f"{len(runs[0][0])} epochs x2 runs, {len(demo_ds.samples)} forwards")
 

@@ -21,8 +21,8 @@ from sentirisk.matrix import Matrix
 RNG = np.random.Generator(np.random.PCG64(55))
 
 
-def probs(neg, neu, pos) -> Matrix:
-    return Matrix.column([neg, neu, pos])
+def probs(neg, neu, pos) -> tuple[float, float, float]:
+    return (neg, neu, pos)
 
 
 def day(i: int) -> dt.date:
@@ -59,7 +59,7 @@ class TestRiskScore:
 
     def test_malformed_probs_rejected(self):
         with pytest.raises(DataValidationError):
-            risk_score(Matrix.column([0.5, 0.5]), 0.0)
+            risk_score((0.5, 0.5), 0.0)
         with pytest.raises(DataValidationError):
             risk_score(probs(0.5, 0.4, 0.4), 0.0)  # sums to 1.3
         with pytest.raises(DataValidationError):
@@ -82,6 +82,29 @@ class TestRiskScore:
 
             # pushing the return further down never lowers risk
             assert risk_score(vec, ret - 0.5) >= base - 1e-12
+
+
+class TestRecord:
+    # cmd_alert passes a row of softmax_rows' array, load_predictions_jsonl a
+    # list, perfbench a matrix.Matrix column
+    @pytest.mark.parametrize("given", [
+        lambda p: np.array([[0.0, 0.0, 0.0], p])[1],
+        list,
+        Matrix.column,
+    ], ids=["array row", "list", "Matrix"])
+    def test_probs_become_a_tuple_of_floats(self, given):
+        rows = [[0.1, 0.2, 0.7], [0.6, 0.3, 0.1], [0.8, 0.15, 0.05], [0.2, 0.6, 0.2]]
+        preds = [DailyPrediction(day(i), int(np.argmax(p)), given(p), -0.3 * i)
+                 for i, p in enumerate(rows)]
+        want = [pred(i, int(np.argmax(p)), p=p, ret=-0.3 * i) for i, p in enumerate(rows)]
+        for got in preds:
+            assert type(got.probs) is tuple and len(got.probs) == 3
+            assert all(type(v) is float for v in got.probs)
+        assert preds == want
+        rules = AlertRuleConfig(risk_threshold=0.7)
+        assert detect_inflections(preds, rules) == detect_inflections(want, rules)
+        assert [a.kind for a in detect_inflections(preds, rules)] == [
+            "bearish_flip", "risk_threshold", "risk_threshold"]
 
 
 class TestDetectInflections:

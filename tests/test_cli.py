@@ -502,6 +502,20 @@ class TestTrain:
         assert "Traceback" not in captured.err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("arch", ["cnn-gru", "gru"])
+    def test_kernel_narrower_than_its_stride_trains(self, workspace, tmp_path, capsys, arch):
+        # windows start at 0, 3 and 6 and end by 8: a 9-token document ends past them
+        cfg = write_config(tmp_path, {"epochs": 1, "kernel_width": 2, "conv_stride": 3,
+                                      "max_doc_len": 9})
+        ckpt = tmp_path / "m.ckpt.json"
+        capsys.readouterr()
+        rc = main(["train", "--data-dir", str(workspace["root"]), "--config", str(cfg),
+                   "--model-out", str(ckpt), "--arch", arch, "--seed", "0"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert f"trained {arch} for 1 epochs" in captured.out
+        assert load_checkpoint(ckpt).cfg.max_doc_len == 9
+
     def test_missing_data_dir_flag_exits_1(self, tmp_path, capsys):
         rc = main(["train", "--model-out", str(tmp_path / "m.ckpt.json")])
         captured = capsys.readouterr()

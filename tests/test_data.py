@@ -764,6 +764,25 @@ class TestPreparedRoundTrip:
             where = f"window for {s.target_date}: target_return"
         self.refused(tmp_path, replace(demo, samples=samples), where)
 
+    @pytest.mark.parametrize("cls", [-1, 3])
+    @pytest.mark.parametrize("field", ["label", "target_class"])
+    def test_class_outside_the_three_refused_where_built(self, tmp_path, demo, field, cls):
+        # CLASS_NAMES[-1] would store a -1 as "positive", and a 3 as nothing
+        s = demo.samples[2]
+        day = s.inputs[0]
+
+        def edited():
+            if field == "label":
+                return [replace(w, inputs=[replace(d, label=cls) if d is day else d
+                                           for d in w.inputs]) for w in demo.samples]
+            return [*demo.samples[:2], replace(s, target_class=cls), *demo.samples[3:]]
+
+        where = (f"day {day.date}: label {cls}" if field == "label"
+                 else f"window for {s.target_date}: target_class {cls}")
+        with pytest.raises(DataValidationError, match=f"{where} is not a class index"):
+            save_prepared(replace(demo, samples=edited()), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_failed_write_leaves_the_previous_directory(self, tmp_path, demo, monkeypatch):
         out = tmp_path / "prepared"
         save_prepared(demo, out)

@@ -554,6 +554,20 @@ class TestBatchedCore:
             cache = batch_forward(model, samples)
             assert len(model_mod._conv_plan(model, cache.ids)[0]) == kept
 
+    # the longest document (of 1 to 13 tokens, cut at max_doc_len) ends past
+    # the last window that starts in it where kernel_width < conv_stride
+    @pytest.mark.parametrize("width, stride, max_doc_len", [
+        (2, 3, 9), (1, 4, 11), (2, 5, 20), (3, 3, 20), (3, 1, 20), (3, 2, 20),
+    ])
+    @pytest.mark.parametrize("arch", list(ArchKind))
+    def test_documents_of_every_length_match_summed_per_window_passes(
+            self, width, stride, max_doc_len, arch):
+        cfg = dataclasses.replace(SHORT, kernel_width=width, conv_stride=stride,
+                                  max_doc_len=max_doc_len)
+        samples = short_doc_windows(cfg, [7, 1, 13, 4, 10, 2, 12, 5, 9, 3, 11, 6, 8], seed=10)
+        assert day_table(cfg, samples).docs.shape[1] >= min(13, max_doc_len)
+        self.check(build_model(cfg, arch), samples)
+
     def test_all_pad_batch_runs_one_window(self):
         cfg = dataclasses.replace(SHORT, window=2)
         samples = short_doc_windows(cfg, [], seed=7)  # a textless day, an all-pad day
