@@ -12,10 +12,13 @@ pair, so drift in the host's speed falls on both sides alike. It prints,
 for each end-to-end metric of BENCHMARK.json, the base and change medians,
 the base's interquartile range, the change in percent, a bootstrap 95%
 interval of the ratio of the medians (change / base), the number of pairs
-the change won, and ``worse`` where the change's median is worse than the
-base's by more than the metric's bound. The exit code is 1 if any run is
-not ``correct`` or has failed operations, 0 otherwise. The temporary
-directory is removed on exit.
+the change won, ``worse`` where the change's median is worse than the
+base's by more than the metric's bound, and ``noisy`` where the base's
+interquartile range is wider than a third of that bound (relative to the
+base median): such a metric's runs spread too widely for one A/B to settle
+a change near its bound, so repeat it before believing it. The exit code
+is 1 if any run is not ``correct`` or has failed operations, 0 otherwise.
+The temporary directory is removed on exit.
 """
 
 from __future__ import annotations
@@ -80,8 +83,9 @@ def ratio_interval(base: list[float], change: list[float]) -> tuple[float, float
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict]:
     """One row per end-to-end metric present in every run: base and change
     medians, base quartiles, the change's percent, the bootstrap interval of
-    the ratio of medians, the pairs it won and whether its median is worse
-    than the base's by more than the bound."""
+    the ratio of medians, the pairs it won, whether its median is worse
+    than the base's by more than the bound, and whether the base's
+    interquartile range is wider than a third of the bound."""
     rows = []
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -92,12 +96,14 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
         base_med, change_med = statistics.median(base), statistics.median(change)
         ratio = change_med / base_med if base_med else float("nan")
         worse = ratio - 1.0 if lower else 1.0 - ratio
+        q1, q3 = _quartiles(base)
         rows.append({
             "metric": name, "unit": spec["unit"], "base": base_med, "change": change_med,
-            "base_q": _quartiles(base), "pct": 100.0 * (ratio - 1.0),
+            "base_q": (q1, q3), "pct": 100.0 * (ratio - 1.0),
             "ratio_ci": ratio_interval(base, change),
             "wins": sum((c < b) if lower else (c > b) for b, c in zip(base, change)),
             "pairs": len(pairs), "worse": worse > spec["bound"],
+            "noisy": q3 - q1 > spec["bound"] / 3.0 * abs(base_med),
         })
     return rows
 
@@ -110,7 +116,8 @@ def render(rows: list[dict]) -> str:
         lo, hi = r["ratio_ci"]
         out.append(f"{r['metric']:<22} {r['base']:>11.5g} [{q1:>10.5g}, {q3:>10.5g}] "
                    f"{r['change']:>11.5g} {r['pct']:>+7.1f}% [{lo:>6.4f}, {hi:>6.4f}] "
-                   f"{r['wins']:>3}/{r['pairs']:<2}" + ("  worse" if r["worse"] else ""))
+                   f"{r['wins']:>3}/{r['pairs']:<2}" + ("  worse" if r["worse"] else "")
+                   + ("  noisy" if r["noisy"] else ""))
     return "\n".join(out)
 
 

@@ -49,11 +49,12 @@ MUTANTS = [
            ""),
     Mutant("GRU: row U (days without text) left out of the text-row sums",
            "src/sentirisk/model.py",
-           "_row_sums(day_index, d_zr, len(vecs), ws)",
-           "_row_sums(day_index, d_zr, len(vecs) - 1, ws)"),
+           "    d_w[:, h : h + k] = sums.T @ vecs\n",
+           "    sums[-1] = 0.0\n    d_w[:, h : h + k] = sums.T @ vecs\n"),
+    # W_text (3h, k) read as if stored (k, 3h): every shape holds
     Mutant("GRU: W_text transposed in the input projection", "src/sentirisk/model.py",
            "np.take(vecs @ w_x[:, :k].T, day_index,",
-           "np.take(vecs @ w_x[:, :k], day_index,"),
+           "np.take(vecs @ w_x[:, :k].reshape(k, -1), day_index,"),
     Mutant("GRU: z and r swapped in the pre-loop factors", "src/sentirisk/model.py",
            "    np.subtract(cand, h_prev, out=d_zr[..., :h])\n    d_zr[..., h:] = h_prev\n",
            "    np.subtract(cand, h_prev, out=d_zr[..., h:])\n    d_zr[..., :h] = h_prev\n"),
@@ -89,7 +90,18 @@ MUTANTS = [
            "number[values[first]] = np.arange(len(first))",
            "number[values[first]] = np.arange(1, len(first) + 1)"),
     Mutant("GRU-only: pad tokens counted in a text's mean embedding", "src/sentirisk/model.py",
-           "keep = ids != 0", "keep = ids >= 0"),
+           "counts[s : s + n_rows] = rows[:, 1:].sum(axis=1)",
+           "counts[s : s + n_rows] = rows.sum(axis=1)"),
+    Mutant("GRU-only: the embedding gradient not divided by the token counts",
+           "src/sentirisk/model.py",
+           "d_vecs = d_vecs[:-1] / np.maximum(cache.counts, 1)[:, None]",
+           "d_vecs = d_vecs[:-1]"),
+    Mutant("GRU-only: every chunk's text vectors written from the first row",
+           "src/sentirisk/model.py",
+           "out=vecs[start : start + len(rows)])", "out=vecs[: len(rows)])"),
+    Mutant("GRU-only: every chunk's embedding gradient read from the first row",
+           "src/sentirisk/model.py",
+           "rows.T @ d_vecs[start : start + len(rows)]", "rows.T @ d_vecs[: len(rows)]"),
     Mutant("conv: the trim keeps one window too few", "src/sentirisk/model.py",
            "n_windows = conv_output_length(ids.shape[1], cfg.kernel_width, cfg.conv_stride)",
            "n_windows = max(1, conv_output_length(ids.shape[1], cfg.kernel_width, "

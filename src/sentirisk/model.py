@@ -27,6 +27,11 @@ gives each distinct token its response to every filter at
 every window position, a window sums those of its tokens, and only the
 windows that start at or before the last token of the table's longest
 document run (later windows see only padding and cannot win the max-pool).
+GruOnly's mean embedding keeps no row per token: one bincount per chunk
+of text rows tallies how many times each token id occurs in each, the text
+vectors are that tally times those ids' embedding rows, over each row's
+token count, and the embedding gradient is the transposed tally times the
+text rows' gradients over the same counts.
 Every per-(window, day) array is time-major, (T, B, ...). The GRU's h-side
 and feature-column weight gradients and attention's W_a gradient are sums
 over the T steps of one product per step, in step order; attention's u
@@ -503,12 +508,12 @@ class Workspace:
     and is overwritten by the next take of its name.
 
     Names whose arrays outlive the function that takes them hold one array
-    each: the BatchCache's feats, items (pooled outputs, or GruOnly's token
-    embeddings), winners, zr, cand, hid and acts; batch_backward's grads,
-    d_hid and d_items; Adam's adam/m and adam/v. The names scratch0,
-    scratch1 and scratch2 are shared: a kernel takes them for arrays that
-    die before it returns, and never passes one to another kernel, so the
-    workspace holds one kernel's temporaries at a time, not their sum.
+    each: the BatchCache's feats, items (pooled outputs), winners, zr, cand,
+    hid and acts; batch_backward's grads, d_hid and d_items; Adam's adam/m
+    and adam/v. The names scratch0, scratch1 and scratch2 are shared: a
+    kernel takes them for arrays that die before it returns, and never
+    passes one to another kernel, so the workspace holds one kernel's
+    temporaries at a time, not their sum.
     """
 
     def __init__(self) -> None:
@@ -526,6 +531,10 @@ class Workspace:
 # a _conv_plan: (token positions of the conv windows to run, the distinct
 # token ids they read, each token id's row among them, documents per chunk)
 ConvPlan = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+# a _tally: for each chunk of text rows, (its first row, the distinct non-pad
+# token ids of its documents, ascending, and (rows, ids) float64 counts of
+# each id in each row)
+Tally = list[tuple[int, np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -536,17 +545,18 @@ class BatchCache:
     (window, day) to its row of the text table vecs, whose last row, U, is
     the zero vector of the days without text; nothing joins a day's text
     row to its features. The conv path keeps only the token ids, its plan
-    and the max-pool winners of each document. Every per-(window, day)
-    array is time-major. Built with a Workspace, feats, gru, attn's
+    and the max-pool winners of each document; the mean path keeps its
+    tally, the count of each token id in each text row. Every per-(window,
+    day) array is time-major. Built with a Workspace, feats, gru, attn's
     activations and, without attention, ctx are views of it.
     """
 
     day_index: np.ndarray  # (T, B)
-    # conv: (N, W) padded documents (DayTable.docs); mean: (M,) non-pad tokens
-    ids: np.ndarray
-    seg: np.ndarray  # (N,) or (M,): the text row of each document or token
-    counts: np.ndarray  # (U,) documents or tokens per text row
+    ids: np.ndarray  # (N, W) padded documents (DayTable.docs)
+    seg: np.ndarray  # (N,) the text row of each document
+    counts: np.ndarray  # (U,) conv: documents per text row; mean: non-pad tokens
     plan: ConvPlan | None  # conv: _conv_plan of ids
+    tally: Tally | None  # mean: _tally of ids
     winners: np.ndarray | None  # conv: (N, F) max-pool time step per filter
     pooled: np.ndarray | None  # conv: (N, F) pooled ReLU outputs
     vecs: np.ndarray  # (U + 1, k) text vectors; row U is zero
@@ -651,14 +661,14 @@ def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     return table
 
 
-def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray, ws: Workspace
+def _gather(table: DayTable, index: np.ndarray, ws: Workspace
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(day_index (T, B), features (T, B, 5) in ws, ids, seg, counts) of
     the windows index names.
 
     The batch's text rows are numbered in order of first appearance, window
-    by window; the conv path gets their padded documents, the mean path the
-    non-pad tokens of those documents in row-major order.
+    by window; ids holds their padded documents, grouped by text row, seg
+    each document's text row and counts the documents of each text row.
     """
     day_rows = table.windows[index]
     text_rows = table.text[day_rows].ravel()
@@ -673,14 +683,9 @@ def _gather(model: CnnGruModel, table: DayTable, index: np.ndarray, ws: Workspac
     doc_rows = np.repeat(starts - np.cumsum(n_docs) + n_docs, n_docs) + np.arange(n_docs.sum())
     ids = table.docs[doc_rows]
     seg = np.repeat(np.arange(len(texts)), n_docs)
-    if model.arch is ArchKind.GRU_ONLY:
-        keep = ids != 0
-        seg = np.repeat(seg, keep.sum(axis=1))
-        ids = ids[keep]
     feats = np.take(table.features, day_rows.T, axis=0, mode="clip",
                     out=ws.take("feats", (*day_rows.T.shape, N_MARKET_FEATURES)))
-    return (day_index.reshape(day_rows.shape).T, feats, ids, seg,
-            np.bincount(seg, minlength=len(texts)))
+    return day_index.reshape(day_rows.shape).T, feats, ids, seg, n_docs
 
 
 def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int, ws: Workspace
@@ -696,6 +701,37 @@ def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int, ws: Workspace
     sums = np.bincount(flat.ravel(), weights=values.reshape(-1), minlength=n_rows * width)
     # an empty index gives integer zeros, weights or not
     return sums.astype(np.float64, copy=False).reshape(n_rows, width)
+
+
+def _tally(model: CnnGruModel, ids: np.ndarray, seg: np.ndarray, n_docs: np.ndarray
+           ) -> tuple[Tally, np.ndarray]:
+    """(tally, counts) of the padded documents ids (N, W) of text rows seg
+    (N,), n_docs (U,) documents each: the chunks of a _tally, and each text
+    row's number of non-pad tokens. One bincount per chunk counts every id,
+    the pad's in column 0, which the tally drops. A chunk takes at most
+    CHUNK_VALUES // vocab_size text rows, so its counts hold at most
+    CHUNK_VALUES values whatever the batch size or vocabulary, and it has a
+    column only for the ids its rows hold.
+    """
+    vocab = model.cfg.vocab_size
+    step = max(1, CHUNK_VALUES // vocab)
+    first_doc = np.concatenate([[0], np.cumsum(n_docs)])
+    col = np.empty(vocab, dtype=np.intp)  # only the slots of a chunk's ids are read
+    tally, counts = [], np.empty(len(n_docs), dtype=np.intp)
+    for s in range(0, len(n_docs), step):
+        n_rows = min(step, len(n_docs) - s)
+        docs = slice(first_doc[s], first_doc[s + n_rows])
+        seen = np.zeros(vocab, dtype=bool)
+        seen[ids[docs]] = True
+        seen[0] = True  # column 0: the pad
+        tokens = np.flatnonzero(seen)
+        col[tokens] = np.arange(len(tokens))
+        cells = col[ids[docs]]
+        cells += ((seg[docs] - s) * len(tokens))[:, None]
+        rows = np.bincount(cells.ravel(), minlength=n_rows * len(tokens)).reshape(n_rows, -1)
+        counts[s : s + n_rows] = rows[:, 1:].sum(axis=1)
+        tally.append((s, tokens[1:], rows[:, 1:].astype(np.float64)))
+    return tally, counts
 
 
 def _conv_plan(model: CnnGruModel, ids: np.ndarray) -> ConvPlan:
@@ -971,17 +1007,18 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray,
     if not len(index):
         raise ShapeError("a forward pass needs at least one window")
     ws = Workspace() if ws is None else ws
-    day_index, feats, ids, seg, counts = _gather(model, table, index, ws)
+    day_index, feats, ids, seg, counts = _gather(table, index, ws)
     t = model.tensors
-    plan = winners = pooled = None
+    plan = tally = winners = pooled = None
     if model.arch is ArchKind.GRU_ONLY:
-        items = np.take(t["embedding"], ids, axis=0, mode="clip",
-                        out=ws.take("items", (len(ids), model.cfg.embed_dim)))
+        tally, counts = _tally(model, ids, seg, counts)
+        vecs = np.zeros((len(counts) + 1, model.cfg.embed_dim))  # row U: the days without text
+        for start, tokens, rows in tally:
+            np.matmul(rows, t["embedding"][tokens], out=vecs[start : start + len(rows)])
     else:
         plan = _conv_plan(model, ids)
         pooled, winners = _conv_encode(model, ids, plan, ws)
-        items = pooled
-    vecs = _row_sums(seg, items, len(counts) + 1, ws)  # row U: the days without text
+        vecs = _row_sums(seg, pooled, len(counts) + 1, ws)  # row U: the days without text
     vecs[:-1] /= np.maximum(counts, 1)[:, None]
 
     gru = attn = None
@@ -999,8 +1036,8 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray,
     pred = (ctx @ t["head_reg/w"].T + t["head_reg/b"].T)[:, 0]
     logits = ctx @ t["head_cls/w"].T + t["head_cls/b"].T
     return BatchCache(day_index=day_index, ids=ids, seg=seg, counts=counts, plan=plan,
-                      winners=winners, pooled=pooled, vecs=vecs, feats=feats, gru=gru,
-                      attn=attn, ctx=ctx, pred=pred, logits=logits)
+                      tally=tally, winners=winners, pooled=pooled, vecs=vecs, feats=feats,
+                      gru=gru, attn=attn, ctx=ctx, pred=pred, logits=logits)
 
 
 def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.ndarray,
@@ -1040,13 +1077,15 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
             d_hid[-1] = d_ctx
         d_vecs = _gru_backward(_gru_block(model, model.params), cache.vecs, cache.day_index,
                                cache.feats, cache.gru, d_hid, _gru_block(model, grads), ws)
-    d_items = np.take(d_vecs, cache.seg, axis=0, mode="clip",
-                      out=ws.take("d_items", (len(cache.seg), text_dim)))
-    d_items /= cache.counts[cache.seg][:, None]
     d_embed = g["embedding"]
     if model.arch is ArchKind.GRU_ONLY:
-        d_embed[:] = _row_sums(cache.ids, d_items, len(d_embed), ws)
+        d_vecs = d_vecs[:-1] / np.maximum(cache.counts, 1)[:, None]
+        for start, tokens, rows in cache.tally:
+            d_embed[tokens] += rows.T @ d_vecs[start : start + len(rows)]
     else:
+        d_items = np.take(d_vecs, cache.seg, axis=0, mode="clip",
+                          out=ws.take("d_items", (len(cache.seg), text_dim)))
+        d_items /= cache.counts[cache.seg][:, None]
         g["conv/k"][:] = _conv_backward(model, cache, d_items, d_embed, ws)
     d_embed[0, :] = 0.0  # pad row is frozen
     return grads

@@ -59,6 +59,20 @@ def test_render_marks_what_is_worse():
     assert not lines[1].endswith("worse") and lines[3].endswith("worse")
 
 
+def test_a_base_spread_wider_than_a_third_of_the_bound_is_noisy():
+    # setup_s: IQR 0.04 about a median of 0.12, past 0.25 / 3 of it (0.01);
+    # peak_rss_mb: IQR 1.5 about 56.75, within 0.1 / 3 of it (1.89)
+    pairs = [(run(setup, 200.0, rss), run(setup, 200.0, rss))
+             for setup, rss in [(0.10, 56.0), (0.14, 57.5), (0.10, 56.0), (0.14, 57.5)]]
+    rows = ab.summarize(pairs, END_TO_END)
+    assert [(r["metric"], r["noisy"]) for r in rows] == [
+        ("setup_s", True), ("score_windows_per_s", False), ("peak_rss_mb", False)]
+    lines = ab.render(rows).splitlines()
+    assert lines[1].endswith("noisy") and not lines[1].endswith("worse  noisy")
+    assert not any(line.endswith("noisy") for line in lines[2:])
+    assert not any(r["noisy"] for r in ab.summarize(PAIRS, END_TO_END))
+
+
 def test_one_pair_has_no_spread():
     [row] = ab.summarize(PAIRS[:1], END_TO_END[:1])
     assert row["base_q"] == (0.120, 0.120) and row["wins"] == 1

@@ -1,4 +1,4 @@
-"""The batched core's conv and GRU kernels against their earlier formulation.
+"""The batched core's text encoders and GRU kernels against plain references.
 
 batched_reference.py holds the im2col conv and the batch-major GRU that
 model.py computed before; the kernels in model.py sum the same terms in
@@ -9,9 +9,11 @@ vectors they make, and its input gradient is summed into the text rows. A
 conv entry may differ by 1e-12 of the sum of its terms' magnitudes (the
 bound on a computed sum does not shrink when the sum cancels); a GRU tensor
 by 1e-12 of its largest value, or where the gates are saturated, of the
-larger of 1 and that value.
+larger of 1 and that value. GruOnly's mean embedding and its gradient are
+checked against loops over each day's tokens, to 1e-12 of their largest value.
 """
 
+import datetime as dt
 import types
 
 import numpy as np
@@ -21,9 +23,19 @@ from hypothesis import strategies as st
 
 import batched_reference as ref
 from sentirisk import model as model_mod
+from sentirisk.data import AlignedDay, WindowSample
 from sentirisk.layers import GRUParams, conv1d_forward, embed_lookup, global_max_pool, init_gru
 from sentirisk.matrix import Matrix
-from sentirisk.model import ArchKind, CnnGruModel, ModelConfig, build_model
+from sentirisk.model import (
+    ArchKind,
+    CnnGruModel,
+    ModelConfig,
+    batch_backward,
+    build_model,
+    day_table,
+    param_views,
+    table_forward,
+)
 
 TOL = 1e-12
 # the default chunk, and one that puts every document in a chunk of its own
@@ -244,3 +256,62 @@ class TestGruKernels:
                                                model_mod.Workspace())
         assert np.isfinite(zr).all() and np.isfinite(hid).all()
         assert ((zr >= 0.0) & (zr <= 1.0)).all()
+
+
+MEAN = ModelConfig(vocab_size=9, embed_dim=3, gru_hidden=2, window=3, max_doc_len=5, seed=3)
+# each day's documents: an all-pad document, repeated tokens and a pad inside
+# a document, no text, a document cut at max_doc_len, the second day's text
+# on another date, and a day of several short documents
+MEAN_TEXTS = [[[0, 0]], [[4, 4, 4, 2], [4, 0, 7]], [], [[1, 2, 3, 5, 6, 8, 8]],
+              [[4, 4, 4, 2], [4, 0, 7]], [[8], [0], [3, 3]]]
+
+
+def mean_windows() -> list[WindowSample]:
+    days = [AlignedDay(date=dt.date(2024, 1, 1) + dt.timedelta(days=t), raw=(0.0,) * 4,
+                       token_seqs=seqs, label=0, close=100.0, features=(0.1 * t,) * 5)
+            for t, seqs in enumerate(MEAN_TEXTS)]
+    return [WindowSample(inputs=days[i : i + MEAN.window], target_date=days[-1].date,
+                         target_class=i % 3, target_return_raw=0.0, target_close=100.0,
+                         target_return=0.5 - i)
+            for i in range(len(days) - MEAN.window + 1)]
+
+
+def day_tokens(day: AlignedDay) -> list[int]:
+    """The non-pad token ids a day's text vector averages."""
+    return [tok for seq in day.token_seqs for tok in seq[: MEAN.max_doc_len] if tok]
+
+
+class TestMeanEmbedding:
+    """GruOnly's text vectors and embedding gradient, against loops over tokens."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)  # 1: one text row per chunk
+    def test_matches_per_token_loops(self, chunk, monkeypatch):
+        monkeypatch.setattr(model_mod, "CHUNK_VALUES", chunk)
+        model = build_model(MEAN, ArchKind.GRU_ONLY)
+        samples = mean_windows()
+        cache = table_forward(model, day_table(MEAN, samples), np.arange(len(samples)))
+        assert len(cache.vecs) == 5  # four texts, one on two dates, and row U
+        emb = model.tensors["embedding"]
+        # each cell's text vector: the mean of its day's non-pad embedding rows
+        want = np.zeros((MEAN.window, len(samples), MEAN.embed_dim))
+        tokens_of_row = {}
+        for b, sample in enumerate(samples):
+            for t, day in enumerate(sample.inputs):
+                tokens = day_tokens(day)
+                for tok in tokens:
+                    want[t, b] += emb[tok]
+                want[t, b] /= max(len(tokens), 1)
+                tokens_of_row[int(cache.day_index[t, b])] = tokens
+        assert rel_err(cache.vecs[cache.day_index], want) <= TOL
+
+        # the embedding gradient: each occurrence of a token in a text row
+        # adds that row's gradient over the row's token count
+        d_vecs = np.random.default_rng(0).standard_normal(cache.vecs.shape)
+        monkeypatch.setattr(model_mod, "_gru_backward", lambda *args: d_vecs)
+        grads = batch_backward(model, cache, np.zeros(len(samples)),
+                               np.zeros(len(samples), dtype=np.intp))
+        want_d_embed = np.zeros_like(emb)
+        for row, tokens in tokens_of_row.items():
+            for tok in tokens:
+                want_d_embed[tok] += d_vecs[row] / len(tokens)
+        assert rel_err(param_views(model, grads)["embedding"], want_d_embed) <= TOL
