@@ -45,19 +45,28 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("GRU: a feature-column weight gradient dropped", "src/sentirisk/model.py",
-           "    d_w[2 * h :, h + k :] = np.matmul(d_c.transpose(0, 2, 1), feats).sum(axis=0)\n",
-           ""),
+           "    d_w[:, h + k :] = np.matmul(d_pre, feats).sum(axis=0)\n",
+           "    d_w[:, h + k :] = np.matmul(d_pre, feats).sum(axis=0)\n"
+           "    d_w[2 * h :, h + k :] = 0.0\n"),
     Mutant("GRU: row U (days without text) left out of the text-row sums",
            "src/sentirisk/model.py",
-           "    d_w[:, h : h + k] = sums.T @ vecs\n",
-           "    sums[-1] = 0.0\n    d_w[:, h : h + k] = sums.T @ vecs\n"),
+           "    d_w[:, h : h + k] = sums @ vecs\n",
+           "    sums[:, -1] = 0.0\n    d_w[:, h : h + k] = sums @ vecs\n"),
     # W_text (3h, k) read as if stored (k, 3h): every shape holds
     Mutant("GRU: W_text transposed in the input projection", "src/sentirisk/model.py",
            "np.take(vecs @ w_x[:, :k].T, day_index,",
            "np.take(vecs @ w_x[:, :k].reshape(k, -1), day_index,"),
     Mutant("GRU: z and r swapped in the pre-loop factors", "src/sentirisk/model.py",
-           "    np.subtract(cand, h_prev, out=d_zr[..., :h])\n    d_zr[..., h:] = h_prev\n",
-           "    np.subtract(cand, h_prev, out=d_zr[..., h:])\n    d_zr[..., :h] = h_prev\n"),
+           "    np.subtract(cand, h_prev, out=d_pre[:, :h])\n    d_pre[:, h : 2 * h] = h_prev\n",
+           "    np.subtract(cand, h_prev, out=d_pre[:, h : 2 * h])\n    d_pre[:, :h] = h_prev\n"),
+    Mutant("GRU: the r half of [1 - z | r] left as 1 - r", "src/sentirisk/model.py",
+           "    keep[:, h:] = zr[:, h:]", "    pass"),
+    Mutant("GRU: the halves of [dh | d(r h)] swapped", "src/sentirisk/model.py",
+           "out=pair[:h])\n        d_c[t] *= pair[:h]\n        np.dot(w_hh_t, d_c[t], out=pair[h:])",
+           "out=pair[h:])\n        d_c[t] *= pair[h:]\n        np.dot(w_hh_t, d_c[t], out=pair[:h])"),
+    Mutant("GRU: the t = 0 stop before d_zr[0] is scaled", "src/sentirisk/model.py",
+           "        d_zr[t] *= pair\n        if t == 0:\n            break\n",
+           "        if t == 0:\n            break\n        d_zr[t] *= pair\n"),
     Mutant("GRU: the gates' (1 - g) factor missing", "src/sentirisk/model.py",
            "    d_zr *= keep\n", ""),
     Mutant("attention: softmax normalized over the batch axis", "src/sentirisk/model.py",
@@ -66,8 +75,8 @@ MUTANTS = [
     Mutant("attention: the tanh slope (1 - acts^2) dropped", "src/sentirisk/model.py",
            "    d_act *= slope\n", ""),
     Mutant("attention: d_w_a taken from acts instead of d_act", "src/sentirisk/model.py",
-           "d_w_a = np.matmul(d_act.transpose(0, 2, 1), hid)",
-           "d_w_a = np.matmul(acts.transpose(0, 2, 1), hid)"),
+           "d_w_a = np.matmul(d_act, hid.transpose(0, 2, 1))",
+           "d_w_a = np.matmul(acts, hid.transpose(0, 2, 1))"),
     Mutant("conv: a dropped scatter term in _conv_backward", "src/sentirisk/model.py",
            "        for k in range(width):\n            at = row[",
            "        for k in range(1, width):\n            at = row["),

@@ -32,13 +32,19 @@ of text rows tallies how many times each token id occurs in each, the text
 vectors are that tally times those ids' embedding rows, over each row's
 token count, and the embedding gradient is the transposed tally times the
 text rows' gradients over the same counts.
-Every per-(window, day) array is time-major, (T, B, ...). The GRU's h-side
-and feature-column weight gradients and attention's W_a gradient are sums
-over the T steps of one product per step, in step order; attention's u
-gradient is one product over all T * B cells. The GRU takes its input projections for all steps
-before the recurrence, the text side's over the batch's distinct texts
-only; its backward pass sums the gate gradients into those text rows before
-the text side's products. Rows are summed by one np.bincount over flat
+Every per-(window, day) array is time-major, with time the leading axis.
+day_index (T, B) and the market features (T, B, 5) are batch-major within
+a step; the recurrent half is feature-major, (T, features, B): the GRU's
+input projections, gates, candidates and hidden states, attention's
+activations and the hidden-state gradient, so each step's slice is one
+contiguous (features, B) block and the step products put the weights on
+the left (W h). The heads read the context as a (B, h) view. The GRU's
+h-side and feature-column weight gradients and attention's W_a and u
+gradients are sums over the T steps of one product per step, in step
+order. The GRU takes its input projections for all steps before the
+recurrence, the text side's over the batch's distinct texts only; its
+backward pass sums the gate gradients into those text rows before the text
+side's products. Rows are summed by one np.bincount over flat
 indices each. batch_forward(model, samples) builds a table of its
 samples and runs them all. Every reduction runs in a fixed order, so
 seeded reruns are bitwise identical.
@@ -547,7 +553,8 @@ class BatchCache:
     row to its features. The conv path keeps only the token ids, its plan
     and the max-pool winners of each document; the mean path keeps its
     tally, the count of each token id in each text row. Every per-(window,
-    day) array is time-major. Built with a Workspace, feats, gru, attn's
+    day) array is time-major; gru and attn's activations are feature-major
+    within each step. Built with a Workspace, feats, gru, attn's
     activations and, without attention, ctx are views of it.
     """
 
@@ -561,10 +568,10 @@ class BatchCache:
     pooled: np.ndarray | None  # conv: (N, F) pooled ReLU outputs
     vecs: np.ndarray  # (U + 1, k) text vectors; row U is zero
     feats: np.ndarray  # (T, B, 5) market features
-    # z and r (T, B, 2h), candidate (T, B, h), hidden (T + 1, B, h) from h_0 = 0
+    # z and r (T, 2h, B), candidate (T, h, B), hidden (T + 1, h, B) from h_0 = 0
     gru: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    attn: tuple[np.ndarray, np.ndarray] | None  # tanh(W_a h) (T, B, a), weights (T, B)
-    ctx: np.ndarray  # (B, head_in)
+    attn: tuple[np.ndarray, np.ndarray] | None  # tanh(W_a h) (T, a, B), weights (T, B)
+    ctx: np.ndarray  # (B, head_in); without attention a view of the last (h, B) state
     pred: np.ndarray  # (B,)
     logits: np.ndarray  # (B, C)
 
@@ -862,10 +869,11 @@ def _gru_block(model: CnnGruModel, flat: np.ndarray) -> np.ndarray:
 
 def _gru_forward(w: np.ndarray, vecs: np.ndarray, day_index: np.ndarray, feats: np.ndarray,
                  ws: Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z and r (T, B, 2h), candidate (T, B, h), hidden (T + 1, B, h) whose
-    row 0 is h_0 = 0) of the day vectors [vecs[day_index], feats]: text rows
-    vecs (U + 1, k), time-major day_index (T, B) and features feats (T, B, f);
-    w is _gru_block. The states and the input projections are views of ws.
+    """(z and r (T, 2h, B), candidate (T, h, B), hidden (T + 1, h, B) whose
+    step 0 is h_0 = 0) of the day vectors [vecs[day_index], feats]: text rows
+    vecs (U + 1, k), day_index (T, B) and features feats (T, B, f); w is
+    _gru_block. The states and the input projections are views of ws, each
+    step's slice one contiguous (features, B) block.
 
     The input-side products of every step come before the recurrence, the
     text columns' over the U + 1 text rows, gathered to each (window, day);
@@ -879,31 +887,31 @@ def _gru_forward(w: np.ndarray, vecs: np.ndarray, day_index: np.ndarray, feats: 
     k = vecs.shape[1]
     w_x = w[:, h:].copy()  # the input halves of W_z, W_r and W
     w_x[: 2 * h] *= 0.5
-    x_proj = ws.take("scratch0", (t_len, b, 3 * h))
-    np.matmul(feats.reshape(t_len * b, -1), w_x[:, k:].T, out=x_proj.reshape(t_len * b, 3 * h))
-    x_proj += np.take(vecs @ w_x[:, :k].T, day_index, axis=0, mode="clip",
-                      out=ws.take("scratch1", x_proj.shape))
-    w_zr_t = (0.5 * w[: 2 * h, :h]).T.copy()
-    w_hh_t = w[2 * h :, :h].T.copy()
-    zr = ws.take("zr", (t_len, b, 2 * h))
-    cand = ws.take("cand", (t_len, b, h))
-    hid = ws.take("hid", (t_len + 1, b, h))
+    x_proj = np.matmul(w_x[:, k:], feats.transpose(0, 2, 1),
+                       out=ws.take("scratch0", (t_len, 3 * h, b)))
+    text = np.take(vecs @ w_x[:, :k].T, day_index, axis=0, mode="clip",
+                   out=ws.take("scratch1", (t_len, b, 3 * h)))
+    x_proj += text.transpose(0, 2, 1)
+    w_zr = 0.5 * w[: 2 * h, :h]
+    w_hh = w[2 * h :, :h].copy()
+    zr = ws.take("zr", (t_len, 2 * h, b))
+    cand = ws.take("cand", (t_len, h, b))
+    hid = ws.take("hid", (t_len + 1, h, b))
     hid[0] = 0.0
-    rh = np.empty((b, h))
-    for t in range(t_len):
-        gates, c, h_prev, h_next = zr[t], cand[t], hid[t], hid[t + 1]
-        np.matmul(h_prev, w_zr_t, out=gates)
-        gates += x_proj[t, :, : 2 * h]
+    rh = np.empty((h, b))
+    for gates, c, h_prev, h_next, x in zip(zr, cand, hid[:-1], hid[1:], x_proj):
+        np.dot(w_zr, h_prev, out=gates)
+        gates += x[: 2 * h]
         np.tanh(gates, out=gates)
         gates *= 0.5
         gates += 0.5
-        np.multiply(gates[:, h:], h_prev, out=rh)
-        np.matmul(rh, w_hh_t, out=c)
-        c += x_proj[t, :, 2 * h :]
+        np.multiply(gates[h:], h_prev, out=rh)
+        np.dot(w_hh, rh, out=c)
+        c += x[2 * h :]
         np.tanh(c, out=c)
         # h_t = (1 - z) h_{t-1} + z c, as h_{t-1} + z (c - h_{t-1})
         np.subtract(c, h_prev, out=h_next)
-        h_next *= gates[:, :h]
+        h_next *= gates[:h]
         h_next += h_prev
     return zr, cand, hid
 
@@ -913,84 +921,93 @@ def _gru_backward(w: np.ndarray, vecs: np.ndarray, day_index: np.ndarray, feats:
                   ws: Workspace) -> np.ndarray:
     """Writes the gradient of w (_gru_block) into d_w of its shape and returns
     that of the text rows vecs (U + 1, k); vecs, day_index and feats are as
-    _gru_forward takes them. The scratch arrays are views of ws. d_hid
-    (T, B, h) holds the gradient reaching each h_t from outside the chain.
+    _gru_forward takes them, states as it returns them. The scratch arrays
+    are views of ws. d_hid (T, h, B) holds the gradient reaching each h_t
+    from outside the chain.
 
     The factors of each step that do not depend on the carried gradient are
-    computed for all steps before the loop, into the contiguous z|r and
-    candidate pre-activation gradients that each step then scales in place.
-    After it, the h-side and feature columns of d_w are sums over the T
-    steps of one product per step; the text side's products run over the
-    U + 1 text rows, into which those gradients are summed first.
+    computed for all steps before the loop, into the z|r|candidate
+    pre-activation gradient (T, 3h, B) that each step then scales in place.
+    A step holds [dh | d(r h_{t-1})] as one (2h, B) block, which scales z|r
+    in one call and, times [1 - z | r] and summed by halves, carries dh to
+    h_{t-1}; step 0 stops before the carry, since nothing reads h_0's
+    gradient. After the loop, each weight gradient of the h-side and feature
+    columns is a sum over the T steps of one product per step; the text
+    side's products run over the U + 1 text rows, into which one np.bincount
+    sums the gate gradients, each row's in (t, b) order.
     """
     zr, cand, hid = states
     h = len(w) // 3
     t_len, b = day_index.shape
-    k = vecs.shape[1]
-    z, r, h_prev = zr[..., :h], zr[..., h:], hid[:-1]
-    keep = np.subtract(1.0, zr, out=ws.take("scratch0", zr.shape))  # 1 - z: dh -> h_{t-1}
+    n_rows, k = vecs.shape
+    h_prev = hid[:-1]
+    d_pre = ws.take("scratch1", (t_len, 3 * h, b))
+    d_zr, d_c = d_pre[:, : 2 * h], d_pre[:, 2 * h :]
+    keep = np.subtract(1.0, zr, out=ws.take("scratch0", zr.shape))
     # times dh: (c - h_{t-1}) z (1 - z); times d(r h_{t-1}): h_{t-1} r (1 - r)
-    d_zr = ws.take("scratch1", zr.shape)
-    np.subtract(cand, h_prev, out=d_zr[..., :h])
-    d_zr[..., h:] = h_prev
+    np.subtract(cand, h_prev, out=d_pre[:, :h])
+    d_pre[:, h : 2 * h] = h_prev
     d_zr *= zr
     d_zr *= keep
-    d_c = np.multiply(cand, cand, out=ws.take("scratch2", cand.shape))  # times dh: z (1 - c^2)
+    keep[:, h:] = zr[:, h:]  # [1 - z | r]: [dh | d(r h_{t-1})] -> h_{t-1}
+    np.multiply(cand, cand, out=d_c)  # times dh: z (1 - c^2)
     np.subtract(1.0, d_c, out=d_c)
-    d_c *= z
-    w_zr, w_hh = w[: 2 * h, :h], w[2 * h :, :h]
-    dh, d_rh, back = np.empty((b, h)), np.empty((b, h)), np.empty((b, h))
-    carry = np.zeros((b, h))
+    d_c *= zr[:, :h]
+    w_zr_t, w_hh_t = w[: 2 * h, :h].T.copy(), w[2 * h :, :h].T.copy()
+    pair, back = np.empty((2 * h, b)), np.empty((h, b))
+    carry = np.zeros((h, b))
     for t in range(t_len - 1, -1, -1):
-        np.add(carry, d_hid[t], out=dh)
-        d_c[t] *= dh
-        np.matmul(d_c[t], w_hh, out=d_rh)
-        d_zr[t, :, :h] *= dh
-        d_zr[t, :, h:] *= d_rh
-        np.multiply(dh, keep[t, :, :h], out=carry)
-        d_rh *= r[t]
-        carry += d_rh
-        np.matmul(d_zr[t], w_zr, out=back)
+        np.add(carry, d_hid[t], out=pair[:h])
+        d_c[t] *= pair[:h]
+        np.dot(w_hh_t, d_c[t], out=pair[h:])
+        d_zr[t] *= pair
+        if t == 0:
+            break
+        pair *= keep[t]
+        np.add(pair[:h], pair[h:], out=carry)
+        np.dot(w_zr_t, d_zr[t], out=back)
         carry += back
-    d_w[: 2 * h, h + k :] = np.matmul(d_zr.transpose(0, 2, 1), feats).sum(axis=0)
-    d_w[2 * h :, h + k :] = np.matmul(d_c.transpose(0, 2, 1), feats).sum(axis=0)
-    d_w[: 2 * h, :h] = np.matmul(d_zr.transpose(0, 2, 1), h_prev).sum(axis=0)
-    rh = np.multiply(r, h_prev, out=ws.take("scratch0", cand.shape))
-    d_w[2 * h :, :h] = np.matmul(d_c.transpose(0, 2, 1), rh).sum(axis=0)
-    sums = np.concatenate([_row_sums(day_index, d_zr, len(vecs), ws),
-                           _row_sums(day_index, d_c, len(vecs), ws)], axis=1)  # (U + 1, 3h)
-    d_w[:, h : h + k] = sums.T @ vecs
-    return sums @ w[:, h : h + k]
+    d_w[:, h + k :] = np.matmul(d_pre, feats).sum(axis=0)
+    d_w[: 2 * h, :h] = np.matmul(d_zr, h_prev.transpose(0, 2, 1)).sum(axis=0)
+    rh = np.multiply(zr[:, h:], h_prev, out=ws.take("scratch0", cand.shape))
+    d_w[2 * h :, :h] = np.matmul(d_c, rh.transpose(0, 2, 1)).sum(axis=0)
+    # flat index feature * (U + 1) + text row of every (t, feature, b)
+    at = np.add(day_index[:, None, :], (np.arange(3 * h) * n_rows)[:, None],
+                out=ws.take("scratch0", d_pre.shape, np.intp))
+    sums = np.bincount(at.ravel(), weights=d_pre.ravel(), minlength=3 * h * n_rows)
+    sums = sums.reshape(3 * h, n_rows)  # (3h, U + 1)
+    d_w[:, h : h + k] = sums @ vecs
+    return sums.T @ w[:, h : h + k]
 
 
 def _attention_forward(w_a: np.ndarray, u: np.ndarray, hid: np.ndarray, ws: Workspace
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tanh(W_a h) (T, B, a), a view of ws; weights (T, B), a softmax over
-    the T steps; context (B, h)) of hidden states hid (T, B, h); u is (a, 1)."""
-    acts = ws.take("acts", (*hid.shape[:2], len(w_a)))
-    np.matmul(hid, w_a.T, out=acts)
+    """(tanh(W_a h) (T, a, B), a view of ws; weights (T, B), a softmax over
+    the T steps; context (B, h)) of hidden states hid (T, h, B); u is (a, 1)."""
+    acts = np.matmul(w_a, hid, out=ws.take("acts", (len(hid), len(w_a), hid.shape[2])))
     np.tanh(acts, out=acts)
-    scores = acts @ u[:, 0]
+    scores = np.matmul(u[:, 0], acts)
     ex = np.exp(scores - scores.max(axis=0, keepdims=True))
     alpha = ex / ex.sum(axis=0, keepdims=True)
-    return acts, alpha, np.einsum("tb,tbh->bh", alpha, hid)
+    return acts, alpha, np.einsum("tb,thb->bh", alpha, hid)
 
 
 def _attention_backward(w_a: np.ndarray, u: np.ndarray, hid: np.ndarray, acts: np.ndarray,
                         alpha: np.ndarray, d_ctx: np.ndarray, ws: Workspace
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d_hid (T, B, h), a view of ws; d_w_a; d_u) of hidden states hid (T, B, h)."""
-    d_alpha = np.einsum("tbh,bh->tb", hid, d_ctx)
+    """(d_hid (T, h, B), a view of ws; d_w_a; d_u) of hidden states hid
+    (T, h, B) and context gradient d_ctx (B, h)."""
+    d_alpha = np.einsum("thb,bh->tb", hid, d_ctx)
     d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=0, keepdims=True))
     # d_scores u (1 - acts^2), multiplied in that order
-    d_act = np.multiply(d_scores[:, :, None], u[:, 0], out=ws.take("scratch0", acts.shape))
+    d_act = np.multiply(d_scores[:, None, :], u, out=ws.take("scratch0", acts.shape))
     slope = np.multiply(acts, acts, out=ws.take("scratch1", acts.shape))
     np.subtract(1.0, slope, out=slope)
     d_act *= slope
-    d_w_a = np.matmul(d_act.transpose(0, 2, 1), hid).sum(axis=0)
-    d_u = (acts.reshape(-1, len(w_a)).T @ d_scores.reshape(-1))[:, None]
-    d_hid = np.multiply(alpha[:, :, None], d_ctx, out=ws.take("d_hid", hid.shape))
-    d_hid += np.matmul(d_act, w_a, out=ws.take("scratch2", hid.shape))
+    d_w_a = np.matmul(d_act, hid.transpose(0, 2, 1)).sum(axis=0)
+    d_u = np.matmul(acts, d_scores[:, :, None]).sum(axis=0)
+    d_hid = np.multiply(alpha[:, None, :], d_ctx.T, out=ws.take("d_hid", hid.shape))
+    d_hid += np.matmul(w_a.T, d_act, out=ws.take("scratch2", hid.shape))
     return d_hid, d_w_a, d_u
 
 
@@ -1032,7 +1049,7 @@ def table_forward(model: CnnGruModel, table: DayTable, index: np.ndarray,
             acts, alpha, ctx = _attention_forward(t["attn/w_a"], t["attn/u"], gru[2][1:], ws)
             attn = (acts, alpha)
         else:
-            ctx = gru[2][-1]
+            ctx = gru[2][-1].T
     pred = (ctx @ t["head_reg/w"].T + t["head_reg/b"].T)[:, 0]
     logits = ctx @ t["head_cls/w"].T + t["head_cls/b"].T
     return BatchCache(day_index=day_index, ids=ids, seg=seg, counts=counts, plan=plan,
@@ -1074,7 +1091,7 @@ def batch_backward(model: CnnGruModel, cache: BatchCache, target_returns: np.nda
         else:
             d_hid = ws.take("d_hid", hid.shape)
             d_hid.fill(0.0)
-            d_hid[-1] = d_ctx
+            d_hid[-1] = d_ctx.T
         d_vecs = _gru_backward(_gru_block(model, model.params), cache.vecs, cache.day_index,
                                cache.feats, cache.gru, d_hid, _gru_block(model, grads), ws)
     d_embed = g["embedding"]

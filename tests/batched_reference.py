@@ -4,7 +4,7 @@ The conv is one im2col matrix product per chunk of documents, with a dense
 max-pool gradient scattered back through the same windows; the GRU keeps
 its states batch-major, (B, T, h), and applies the logistic sigmoid
 directly. model.py computes the same functions in another order (per-token
-filter projections; a time-major recurrence with the tanh form of the
+filter projections; a feature-major recurrence with the tanh form of the
 sigmoid), so the two agree to rounding, not bit for bit.
 """
 

@@ -180,7 +180,7 @@ def scaled_gru(seed: int, hidden: int, input_size: int, scale: float) -> GRUPara
 
 def gru_case(b, t_len, k, f, u, h, scale, seed):
     """(gru, vecs (U + 1, k) whose row U is zero, day_index (T, B) into them,
-    feats (T, B, f), d_hid (T, B, h)) with weights and inputs times scale.
+    feats (T, B, f), d_hid (T, h, B)) with weights and inputs times scale.
     Days draw their text rows at random, so windows share rows, and row U
     stands for the days without text."""
     gru = scaled_gru(seed, h, k + f, scale)
@@ -189,7 +189,8 @@ def gru_case(b, t_len, k, f, u, h, scale, seed):
     vecs[u] = 0.0
     day_index = rng.integers(0, u + 1, (b, t_len)).T
     feats = rng.standard_normal((t_len, b, f)) * scale
-    return gru, vecs, day_index, feats, rng.standard_normal((t_len, b, h))
+    d_hid = rng.standard_normal((t_len, b, h)).transpose(0, 2, 1).copy()
+    return gru, vecs, day_index, feats, d_hid
 
 
 def stacked(gru: GRUParams) -> np.ndarray:
@@ -199,25 +200,28 @@ def stacked(gru: GRUParams) -> np.ndarray:
 
 def gru_pairs(gru, vecs, day_index, feats, d_hid):
     """(got, want) for z, r, candidate, hidden, d_vecs and the three weight
-    gradients. The kernels take their inputs time-major, as table_forward
-    passes them; the reference reads the day vectors [vecs[day_index], feats]
-    batch-major, and its d_x's text columns are summed into their text rows."""
+    gradients. The kernels take their inputs as table_forward passes them and
+    keep their states (T, features, B), transposed here to the reference's
+    batch-major (B, T, features); the reference reads the day vectors
+    [vecs[day_index], feats] batch-major, and its d_x's text columns are
+    summed into their text rows."""
     h, k = gru.hidden_size, vecs.shape[1]
     x_bm = np.concatenate([vecs[day_index.T], feats.transpose(1, 0, 2)], axis=2)
     w = stacked(gru)
     ws = model_mod.Workspace()
     zr, cand, hid = model_mod._gru_forward(w, vecs, day_index, feats, ws)
-    assert hid.shape == (len(feats) + 1, day_index.shape[1], h) and not hid[0].any()
+    assert hid.shape == (len(feats) + 1, h, day_index.shape[1]) and not hid[0].any()
     states = ref.gru_forward(gru, x_bm)
     d_w = np.full_like(w, np.nan)  # every entry must be written
     d_vecs = model_mod._gru_backward(w, vecs, day_index, feats, (zr, cand, hid), d_hid, d_w,
                                      ws)
-    want = ref.gru_backward(gru, x_bm, states, np.ascontiguousarray(d_hid.transpose(1, 0, 2)))
+    want = ref.gru_backward(gru, x_bm, states, np.ascontiguousarray(d_hid.transpose(2, 0, 1)))
     want_d_vecs = np.zeros_like(vecs)  # row U too: the kernel returns every row
     ref.add_rows(want_d_vecs, day_index.T, want[0][..., :k])
     return list(zip(
-        [zr[..., :h], zr[..., h:], cand, hid[1:], d_vecs, d_w[:h], d_w[h : 2 * h], d_w[2 * h :]],
-        [*(s.transpose(1, 0, 2) for s in states), want_d_vecs, *want[1:]]))
+        [*(s.transpose(2, 0, 1) for s in (zr[:, :h], zr[:, h:], cand, hid[1:])), d_vecs,
+         d_w[:h], d_w[h : 2 * h], d_w[2 * h :]],
+        [*states, want_d_vecs, *want[1:]]))
 
 
 # k text columns and f feature columns; u text rows besides the zero row U

@@ -517,14 +517,22 @@ class TestBatchedCore:
         if arch is ArchKind.CNN_ONLY:
             assert cache.gru is None and cache.attn is None
             return
-        assert [s.shape for s in cache.gru] == [(t_len, b, 2 * h), (t_len, b, h),
-                                                (t_len + 1, b, h)]
+        # feature-major within each step: every step's slice is one
+        # contiguous (features, B) block
+        zr, cand, hid = cache.gru
+        assert [s.shape for s in cache.gru] == [(t_len, 2 * h, b), (t_len, h, b),
+                                                (t_len + 1, h, b)]
+        steps = [*zr, *cand, *hid]
         if attention:
             acts, alpha = cache.attn
-            assert acts.shape == (t_len, b, 7) and alpha.shape == (t_len, b)
+            assert acts.shape == (t_len, 7, b) and alpha.shape == (t_len, b)
             np.testing.assert_allclose(alpha.sum(axis=0), 1.0)
+            steps += list(acts)
         else:
             assert cache.attn is None
+            assert np.shares_memory(cache.ctx, hid) and (cache.ctx == hid[-1].T).all()
+        assert all(step.flags.c_contiguous for step in steps)
+        assert cache.ctx.shape == (b, h)
 
     def test_shared_days_are_encoded_once(self):
         samples = shared_day_windows(BATCHED, 11, seed=4)
@@ -820,16 +828,16 @@ class TestWorkspace:
 
 def attention_backward_reference(w_a, u, hid, acts, alpha, d_ctx):
     """(d_hid, d_w_a, d_u) as plain expressions on fresh arrays, in the
-    operation order _attention_backward keeps: time-major hid (T, B, h),
-    acts (T, B, a) and alpha (T, B), and d_w_a summed step by step."""
-    d_alpha = np.einsum("tbh,bh->tb", hid, d_ctx)
+    operation order _attention_backward keeps: hid (T, h, B), acts (T, a, B)
+    and alpha (T, B), and d_w_a and d_u summed step by step."""
+    d_alpha = np.einsum("thb,bh->tb", hid, d_ctx)
     d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=0, keepdims=True))
-    d_act = d_scores[:, :, None] * u[:, 0] * (1.0 - acts * acts)
-    d_w_a = d_act[0].T @ hid[0]
+    d_act = d_scores[:, None, :] * u * (1.0 - acts * acts)
+    d_w_a, d_u = d_act[0] @ hid[0].T, acts[0] @ d_scores[0][:, None]
     for t in range(1, len(hid)):
-        d_w_a = d_w_a + d_act[t].T @ hid[t]
-    return (alpha[:, :, None] * d_ctx + d_act @ w_a, d_w_a,
-            (acts.reshape(-1, acts.shape[2]).T @ d_scores.reshape(-1))[:, None])
+        d_w_a = d_w_a + d_act[t] @ hid[t].T
+        d_u = d_u + acts[t] @ d_scores[t][:, None]
+    return alpha[:, None, :] * d_ctx.T + w_a.T @ d_act, d_w_a, d_u
 
 
 class TestKernelWorkspaces:
