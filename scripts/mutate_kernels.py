@@ -111,6 +111,13 @@ MUTANTS = [
     Mutant("GRU-only: every chunk's embedding gradient read from the first row",
            "src/sentirisk/model.py",
            "rows.T @ d_vecs[start : start + len(rows)]", "rows.T @ d_vecs[: len(rows)]"),
+    Mutant("GRU-only: chunks sized by the vocabulary, not by the batch's ids",
+           "src/sentirisk/model.py",
+           "step = max(1, CHUNK_VALUES // len(batch_ids))",
+           "step = max(1, CHUNK_VALUES // len(seen))"),
+    Mutant("GRU-only: every chunk given a column for each of the batch's ids",
+           "src/sentirisk/model.py",
+           "        if n_rows < len(n_docs):", "        if False:"),
     Mutant("conv: the trim keeps one window too few", "src/sentirisk/model.py",
            "n_windows = conv_output_length(ids.shape[1], cfg.kernel_width, cfg.conv_stride)",
            "n_windows = max(1, conv_output_length(ids.shape[1], cfg.kernel_width, "

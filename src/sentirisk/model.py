@@ -714,24 +714,29 @@ def _tally(model: CnnGruModel, ids: np.ndarray, seg: np.ndarray, n_docs: np.ndar
            ) -> tuple[Tally, np.ndarray]:
     """(tally, counts) of the padded documents ids (N, W) of text rows seg
     (N,), n_docs (U,) documents each: the chunks of a _tally, and each text
-    row's number of non-pad tokens. One bincount per chunk counts every id,
-    the pad's in column 0, which the tally drops. A chunk takes at most
-    CHUNK_VALUES // vocab_size text rows, so its counts hold at most
-    CHUNK_VALUES values whatever the batch size or vocabulary, and it has a
-    column only for the ids its rows hold.
+    row's number of non-pad tokens. One pass over the vocabulary finds the
+    batch's distinct ids; a chunk of several takes its own by sorting its
+    documents' ids. One bincount per chunk counts every id, the pad's in
+    column 0, which the tally drops. A chunk takes at most CHUNK_VALUES //
+    (the batch's distinct ids, the pad included) text rows, so its counts
+    hold at most CHUNK_VALUES values whatever the batch size or vocabulary,
+    and it has a column only for the ids its rows hold.
     """
-    vocab = model.cfg.vocab_size
-    step = max(1, CHUNK_VALUES // vocab)
+    seen = np.zeros(model.cfg.vocab_size, dtype=bool)
+    seen[ids] = True
+    seen[0] = True  # column 0: the pad
+    batch_ids = np.flatnonzero(seen)
+    step = max(1, CHUNK_VALUES // len(batch_ids))
     first_doc = np.concatenate([[0], np.cumsum(n_docs)])
-    col = np.empty(vocab, dtype=np.intp)  # only the slots of a chunk's ids are read
+    col = np.empty(len(seen), dtype=np.intp)  # only the slots of a chunk's ids are read
     tally, counts = [], np.empty(len(n_docs), dtype=np.intp)
     for s in range(0, len(n_docs), step):
         n_rows = min(step, len(n_docs) - s)
         docs = slice(first_doc[s], first_doc[s + n_rows])
-        seen = np.zeros(vocab, dtype=bool)
-        seen[ids[docs]] = True
-        seen[0] = True  # column 0: the pad
-        tokens = np.flatnonzero(seen)
+        tokens = batch_ids
+        if n_rows < len(n_docs):  # one of several chunks: the ids it holds, ascending
+            held = np.sort(np.append(ids[docs], 0))
+            tokens = held[np.append(True, held[1:] != held[:-1])]
         col[tokens] = np.arange(len(tokens))
         cells = col[ids[docs]]
         cells += ((seg[docs] - s) * len(tokens))[:, None]

@@ -13,6 +13,7 @@ larger of 1 and that value. GruOnly's mean embedding and its gradient are
 checked against loops over each day's tokens, to 1e-12 of their largest value.
 """
 
+import dataclasses
 import datetime as dt
 import types
 
@@ -24,7 +25,14 @@ from hypothesis import strategies as st
 import batched_reference as ref
 from sentirisk import model as model_mod
 from sentirisk.data import AlignedDay, WindowSample
-from sentirisk.layers import GRUParams, conv1d_forward, embed_lookup, global_max_pool, init_gru
+from sentirisk.layers import (
+    GRUParams,
+    conv1d_forward,
+    conv_output_length,
+    embed_lookup,
+    global_max_pool,
+    init_gru,
+)
 from sentirisk.matrix import Matrix
 from sentirisk.model import (
     ArchKind,
@@ -270,19 +278,54 @@ MEAN_TEXTS = [[[0, 0]], [[4, 4, 4, 2], [4, 0, 7]], [], [[1, 2, 3, 5, 6, 8, 8]],
               [[4, 4, 4, 2], [4, 0, 7]], [[8], [0], [3, 3]]]
 
 
-def mean_windows() -> list[WindowSample]:
+def text_windows(cfg: ModelConfig, texts: list) -> list[WindowSample]:
+    """Every window of cfg.window consecutive days, day t holding the
+    documents texts[t]."""
     days = [AlignedDay(date=dt.date(2024, 1, 1) + dt.timedelta(days=t), raw=(0.0,) * 4,
                        token_seqs=seqs, label=0, close=100.0, features=(0.1 * t,) * 5)
-            for t, seqs in enumerate(MEAN_TEXTS)]
-    return [WindowSample(inputs=days[i : i + MEAN.window], target_date=days[-1].date,
+            for t, seqs in enumerate(texts)]
+    return [WindowSample(inputs=days[i : i + cfg.window], target_date=days[-1].date,
                          target_class=i % 3, target_return_raw=0.0, target_close=100.0,
                          target_return=0.5 - i)
-            for i in range(len(days) - MEAN.window + 1)]
+            for i in range(len(days) - cfg.window + 1)]
 
 
-def day_tokens(day: AlignedDay) -> list[int]:
+def day_tokens(cfg: ModelConfig, day: AlignedDay) -> list[int]:
     """The non-pad token ids a day's text vector averages."""
-    return [tok for seq in day.token_seqs for tok in seq[: MEAN.max_doc_len] if tok]
+    return [tok for seq in day.token_seqs for tok in seq[: cfg.max_doc_len] if tok]
+
+
+def check_mean_embedding(cfg: ModelConfig, texts: list, monkeypatch):
+    """Asserts GruOnly's text vectors and embedding gradient on the windows
+    of texts against loops over each day's tokens; returns the cache."""
+    model = build_model(cfg, ArchKind.GRU_ONLY)
+    samples = text_windows(cfg, texts)
+    cache = table_forward(model, day_table(cfg, samples), np.arange(len(samples)))
+    emb = model.tensors["embedding"]
+    # each cell's text vector: the mean of its day's non-pad embedding rows
+    want = np.zeros((cfg.window, len(samples), cfg.embed_dim))
+    tokens_of_row = {}
+    for b, sample in enumerate(samples):
+        for t, day in enumerate(sample.inputs):
+            tokens = day_tokens(cfg, day)
+            for tok in tokens:
+                want[t, b] += emb[tok]
+            want[t, b] /= max(len(tokens), 1)
+            tokens_of_row[int(cache.day_index[t, b])] = tokens
+    assert rel_err(cache.vecs[cache.day_index], want) <= TOL
+
+    # the embedding gradient: each occurrence of a token in a text row
+    # adds that row's gradient over the row's token count
+    d_vecs = np.random.default_rng(0).standard_normal(cache.vecs.shape)
+    monkeypatch.setattr(model_mod, "_gru_backward", lambda *args: d_vecs)
+    grads = batch_backward(model, cache, np.zeros(len(samples)),
+                           np.zeros(len(samples), dtype=np.intp))
+    want_d_embed = np.zeros_like(emb)
+    for row, tokens in tokens_of_row.items():
+        for tok in tokens:
+            want_d_embed[tok] += d_vecs[row] / len(tokens)
+    assert rel_err(param_views(model, grads)["embedding"], want_d_embed) <= TOL
+    return cache
 
 
 class TestMeanEmbedding:
@@ -291,31 +334,73 @@ class TestMeanEmbedding:
     @pytest.mark.parametrize("chunk", CHUNKS)  # 1: one text row per chunk
     def test_matches_per_token_loops(self, chunk, monkeypatch):
         monkeypatch.setattr(model_mod, "CHUNK_VALUES", chunk)
-        model = build_model(MEAN, ArchKind.GRU_ONLY)
-        samples = mean_windows()
-        cache = table_forward(model, day_table(MEAN, samples), np.arange(len(samples)))
+        cache = check_mean_embedding(MEAN, MEAN_TEXTS, monkeypatch)
         assert len(cache.vecs) == 5  # four texts, one on two dates, and row U
-        emb = model.tensors["embedding"]
-        # each cell's text vector: the mean of its day's non-pad embedding rows
-        want = np.zeros((MEAN.window, len(samples), MEAN.embed_dim))
-        tokens_of_row = {}
-        for b, sample in enumerate(samples):
-            for t, day in enumerate(sample.inputs):
-                tokens = day_tokens(day)
-                for tok in tokens:
-                    want[t, b] += emb[tok]
-                want[t, b] /= max(len(tokens), 1)
-                tokens_of_row[int(cache.day_index[t, b])] = tokens
-        assert rel_err(cache.vecs[cache.day_index], want) <= TOL
 
-        # the embedding gradient: each occurrence of a token in a text row
-        # adds that row's gradient over the row's token count
-        d_vecs = np.random.default_rng(0).standard_normal(cache.vecs.shape)
-        monkeypatch.setattr(model_mod, "_gru_backward", lambda *args: d_vecs)
-        grads = batch_backward(model, cache, np.zeros(len(samples)),
-                               np.zeros(len(samples), dtype=np.intp))
-        want_d_embed = np.zeros_like(emb)
-        for row, tokens in tokens_of_row.items():
-            for tok in tokens:
-                want_d_embed[tok] += d_vecs[row] / len(tokens)
-        assert rel_err(param_views(model, grads)["embedding"], want_d_embed) <= TOL
+    def test_large_vocabulary_in_chunks_of_the_batch_ids(self, monkeypatch):
+        # a 20,000-id vocabulary (the default max_vocab) whose batch holds 12
+        # ids: chunks are sized by the batch's 13 distinct ids, pad included,
+        # not by the vocabulary, so 30 values make chunks of two text rows
+        monkeypatch.setattr(model_mod, "CHUNK_VALUES", 30)
+        cfg = dataclasses.replace(MEAN, vocab_size=20_000)
+        rng = np.random.default_rng(7)
+        pool = rng.choice(np.arange(1, cfg.vocab_size), 12, replace=False)
+        texts = [[[int(tok) for tok in rng.choice(pool, n)] + [0] * pad
+                  for n, pad in zip(rng.integers(1, 8, n_docs), rng.integers(0, 2, n_docs))]
+                 for n_docs in rng.integers(0, 4, 9)]
+        cache = check_mean_embedding(cfg, texts, monkeypatch)
+        assert [len(rows) for _, _, rows in cache.tally] == [2, 2, 2, 2, 1]  # 9 text rows
+        for start, tokens, rows in cache.tally:
+            # a column for each non-pad id the chunk's rows hold, ascending
+            held = cache.ids[(cache.seg >= start) & (cache.seg < start + len(rows))]
+            assert tokens.tolist() == sorted(set(held[held > 0].tolist()))
+            assert rows.size <= 30
+
+
+class TestPadRowGradient:
+    """The pad row of the embedding gets no gradient, however much of a
+    batch is padding."""
+
+    @pytest.mark.parametrize("arch", [ArchKind.CNN_ONLY, ArchKind.CNN_GRU])
+    def test_is_zero_for_padded_documents(self, arch):
+        cfg = ModelConfig(vocab_size=6, embed_dim=3, num_filters=4, kernel_width=3,
+                          conv_stride=2, gru_hidden=2, window=2, max_doc_len=6, seed=5)
+        # one-token documents, all-pad documents and a pad between tokens
+        texts = [[[3]], [[0, 0, 0]], [[5], [0]], [[2, 0, 0, 4]], [[1, 0]]]
+        model = build_model(cfg, arch)
+        samples = text_windows(cfg, texts)
+        cache = table_forward(model, day_table(cfg, samples), np.arange(len(samples)))
+        # every winning window reads padding, so the conv sends the pad row
+        # gradient, which batch_backward must then drop
+        d_embed = np.zeros_like(model.tensors["embedding"])
+        model_mod._conv_backward(model, cache, np.ones_like(cache.pooled), d_embed,
+                                 model_mod.Workspace())
+        assert d_embed[0].all()
+        grads = param_views(model, batch_backward(
+            model, cache, np.zeros(len(samples)), np.zeros(len(samples), dtype=np.intp)))
+        assert not grads["embedding"][0].any() and grads["embedding"][1:].any()
+
+
+class TestDayTableWidth:
+    """A day table holds its longest document, within max_doc_len, and is
+    wide enough for exactly the conv windows that read one of its tokens."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_matches_a_count_of_the_windows_that_read_a_token(self, width, stride):
+        # every document length up to past max_doc_len, so the longest
+        # document ends at every residue of the stride
+        for max_doc_len in range(width, width + 3 * stride + 2):
+            cfg = ModelConfig(vocab_size=2, embed_dim=1, num_filters=1, kernel_width=width,
+                              conv_stride=stride, gru_hidden=1, window=1,
+                              max_doc_len=max_doc_len)
+            grid = conv_output_length(max_doc_len, width, stride)
+            for length in range(max_doc_len + 3):
+                table = model_mod._build_table(cfg, text_windows(cfg, [[[1] * length]]))
+                kept = min(length, max_doc_len)
+                reading = sum(j * stride < kept for j in range(grid))
+                got = table.docs.shape[1]
+                assert kept <= got <= max_doc_len, (max_doc_len, length)
+                # _conv_plan runs every window that fits, and at least one
+                assert conv_output_length(got, width, stride) == max(1, reading), (
+                    max_doc_len, length)
