@@ -511,8 +511,7 @@ class Workspace:
     flat buffer per name, grown only when more bytes are asked for, so one
     buffer serves every batch width up to the largest seen: full batches, a
     ragged last batch and validation blocks alike. A view is uninitialized
-    and is overwritten by the next take of its name; a take that repeats its
-    name's last shape and dtype returns the last view itself.
+    and is overwritten by the next take of its name.
 
     Names whose arrays outlive the function that takes them hold one array
     each: the BatchCache's feats, items (pooled outputs), winners, zr, cand,
@@ -525,19 +524,14 @@ class Workspace:
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
-        self._views: dict[str, np.ndarray] = {}  # each name's last view
 
     def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        view = self._views.get(name)
-        if view is not None and view.shape == shape and view.dtype == dtype:
-            return view
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
         buf = self._buffers.get(name)
         if buf is None or buf.nbytes < nbytes:
             buf = self._buffers[name] = np.empty(-(-nbytes // 8))  # 8-byte aligned
-        view = self._views[name] = buf.view(np.uint8)[:nbytes].view(dtype).reshape(shape)
-        return view
+        return buf.view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
 
 # a _conv_plan: (token positions of the conv windows to run, the distinct
