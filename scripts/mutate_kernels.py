@@ -6,10 +6,12 @@
 Each mutant is one source edit of a kernel in src/sentirisk: a dropped term,
 a swapped gate, an off-by-one winner. For each, the script copies src/ and
 tests/ into a temporary directory, applies the edit there (the checkout is
-never written) and runs the kernel tests on the copy: test_batched_kernels.py,
-test_losses_optim.py and test_model.py's TestBatchedCore, stopping at the
-first failure. A mutant is killed when that run fails. The unmutated copy
-runs first and must pass, or no kill means anything.
+never written) and runs the kernel tests on the copy, stopping at the first
+failure: test_batched_kernels.py, test_losses_optim.py, and of
+test_model.py TestRowSums, the attention kernels' value tests in
+TestKernelWorkspaces and TestBatchedCore (the per-window oracle's check,
+kept until the oracle goes). A mutant is killed when that run fails. The
+unmutated copy runs first and must pass, or no kill means anything.
 
 An edit's old text must occur exactly once in its file, so a refactor that
 moves or rewrites the code makes the script fail instead of silently
@@ -33,6 +35,10 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ["tests/test_batched_kernels.py", "tests/test_losses_optim.py",
+         "tests/test_model.py::TestRowSums",
+         "tests/test_model.py::TestKernelWorkspaces::test_attention_forward_equals_plain_loops",
+         "tests/test_model.py::TestKernelWorkspaces::"
+         "test_attention_backward_equals_plain_expressions",
          "tests/test_model.py::TestBatchedCore"]
 
 

@@ -4,6 +4,7 @@ A bearish_flip fires when the predicted class moves positive → negative on
 consecutive days (bullish_flip is the mirror); a risk_threshold alert fires
 on any day whose risk score reaches the configured threshold. Within one
 day, flip alerts precede threshold alerts; the stream stays chronological.
+A DailyPrediction is checked once, by its constructor, and trusted after.
 """
 
 from __future__ import annotations
@@ -41,7 +42,23 @@ class DailyPrediction:
     predicted_return: float
 
     def __post_init__(self) -> None:  # a row, a list, or a Matrix until ROADMAP 1c is done
-        object.__setattr__(self, "probs", tuple(np.asarray(self.probs, float).ravel().tolist()))
+        probs = tuple(np.asarray(self.probs, float).ravel().tolist())
+        object.__setattr__(self, "probs", probs)
+        if len(probs) != NUM_CLASSES:
+            fault = f"need {NUM_CLASSES} probabilities, got {len(probs)}"
+        elif not all(map(math.isfinite, probs)):
+            fault = f"probs must be finite, got {list(probs)}"
+        elif min(probs) < -1e-12:
+            fault = f"negative probability in {list(probs)}"
+        elif abs(sum(probs) - 1.0) > 1e-9:
+            fault = f"probabilities sum to {sum(probs)}, expected 1"
+        elif not math.isfinite(self.predicted_return):
+            fault = f"predicted_return must be finite, got {self.predicted_return}"
+        elif not 0 <= self.predicted_class < NUM_CLASSES:
+            fault = f"predicted_class {self.predicted_class} is not a class index"
+        else:
+            return
+        raise DataValidationError(f"{self.date}: {fault}")
 
 
 @dataclass(frozen=True)
@@ -66,25 +83,11 @@ class Alert:
 
 def risk_score(class_probs: Sequence[float], predicted_return: float) -> float:
     """p(negative), plus half the clamped predicted loss when return < 0."""
-    _check_probs(class_probs)
     p_neg = class_probs[CLASS_INDEX["negative"]]
     if predicted_return >= 0:
         return p_neg
     penalty = 0.5 * min(max(-predicted_return, 0.0), 1.0)
     return min(1.0, p_neg + penalty)
-
-
-def _check_probs(probs: Sequence[float]) -> None:
-    """DataValidationError unless probs are NUM_CLASSES finite, non-negative
-    probabilities that sum to 1."""
-    if len(probs) != NUM_CLASSES:
-        raise DataValidationError(f"need {NUM_CLASSES} probabilities, got {len(probs)}")
-    if not all(map(math.isfinite, probs)):
-        raise DataValidationError(f"probs must be finite, got {probs}")
-    if min(probs) < -1e-12:
-        raise DataValidationError(f"negative probability in {probs}")
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise DataValidationError(f"probabilities sum to {sum(probs)}, expected 1")
 
 
 def detect_inflections(predictions: Sequence[DailyPrediction],
@@ -122,9 +125,9 @@ def load_predictions_jsonl(path: str | Path) -> list[DailyPrediction]:
     """Reads {date, probs: [3], predicted_return, optional predicted_class}.
 
     Without an explicit predicted_class the argmax of probs is used. A key
-    check_fields rejects, probs that risk_score would reject or a non-finite
-    predicted_return is rejected naming the line, and dates that do not
-    strictly increase naming the file.
+    check_fields rejects, an unknown class name or a prediction
+    DailyPrediction refuses is rejected naming the line, and dates that do
+    not strictly increase naming the file.
     """
     preds = read_jsonl(path, _prediction_from_obj)
     check_dates_increasing([p.date for p in preds], f"{path}: ")
@@ -133,21 +136,13 @@ def load_predictions_jsonl(path: str | Path) -> list[DailyPrediction]:
 
 def _prediction_from_obj(obj: dict) -> DailyPrediction:
     check_fields(obj, _PREDICTION_FIELDS)
-    probs = [float(v) for v in obj["probs"]]
-    _check_probs(probs)
-    predicted_return = float(obj["predicted_return"])
-    if not math.isfinite(predicted_return):
-        raise DataValidationError(f"predicted_return must be finite, got {predicted_return}")
+    probs = obj["probs"]  # DailyPrediction makes them floats
     if "predicted_class" in obj:
         name = obj["predicted_class"]
         if name not in CLASS_INDEX:
             raise DataValidationError(f"unknown predicted_class {name!r}")
         cls = CLASS_INDEX[name]
-    else:
-        cls = max(range(NUM_CLASSES), key=lambda i: probs[i])
-    return DailyPrediction(
-        date=dt.date.fromisoformat(obj["date"]),
-        predicted_class=cls,
-        probs=probs,
-        predicted_return=predicted_return,
-    )
+    else:  # the first of equal probabilities; DailyPrediction checks their count
+        cls = max(range(len(probs)), key=probs.__getitem__, default=0)
+    return DailyPrediction(date=dt.date.fromisoformat(obj["date"]), predicted_class=cls,
+                           probs=probs, predicted_return=float(obj["predicted_return"]))

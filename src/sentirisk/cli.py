@@ -8,7 +8,8 @@ SENTI_RISK_SEED) prints its usage line and the error. Exit codes: 0 success,
 1 usage error, 2 data validation error, 3 runtime or numeric failure.
 Progress goes to standard error; results (metrics JSON, CSV, alert JSONL) go
 to standard output unless an output path is given. A failed run leaves a
-previous checkpoint, history, predict CSV or alert file as it was. evaluate,
+previous checkpoint, history, predict CSV or alert file as it was; train and
+compare check that their output directories exist before any work. evaluate,
 predict and alert load their inputs through one loader (a checkpoint whose
 vocab_size or window differs from the dataset's is a data error) and score
 the split with train.score_windows.
@@ -220,6 +221,13 @@ def _find_prepared(data_dir: str) -> Path:
         f"{root / 'prepared' / 'norm_stats.json'} (run `sentirisk prepare`)")
 
 
+def _check_out_dirs(*paths: str | None) -> None:
+    """FileNotFoundError naming the first given path whose directory is missing."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def _lexicon(cfg: dict) -> Lexicon:
     pos, neg = cfg["lexicon_positive"], cfg["lexicon_negative"]
     if (pos is None) != (neg is None):
@@ -276,6 +284,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    _check_out_dirs(args.model_out, args.history_out)
     prepared = _find_prepared(args.data_dir)
     model_out = Path(args.model_out)
     ds = data_mod.load_prepared(prepared)
@@ -309,6 +318,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    _check_out_dirs(args.out)
     ds = data_mod.load_prepared(_find_prepared(args.data_dir))
     mcfg = _model_config(cfg, ds.vocab.size, ds.window)
     reports = train_mod.compare_ablations(ds.samples, mcfg,

@@ -4,8 +4,9 @@ Pipeline order: load bars + raw docs, clean and label each doc (one that
 cleans to no tokens, such as a bare URL, is dropped), build the vocabulary,
 encode docs, align docs onto trading days (roll-forward), build sliding-window
 samples, split chronologically, fit normalization statistics on the training
-span only, then normalize every day and target. The splits are three
-immutable Splits; a PreparedDataset cuts its own once.
+span only, then build each day and window whole, normalized. Each record is
+checked once, by its constructor, and trusted by what reads it. The splits
+are three immutable Splits; a PreparedDataset cuts its own once.
 
 A prepared directory (format 4) stores each fact once: vocab.txt (line i is
 the token with id i+2); days.json, one JSON object of columns with one entry
@@ -138,8 +139,9 @@ class AlignedDay:
 
     raw holds the unnormalized feature tuple (logret, range, gap, log volume);
     features holds the normalized five (the four z-scored values plus the
-    has_text indicator) once statistics exist. token_seqs and features, as a
-    WindowSample's inputs, are made tuples on construction: both are values.
+    has_text indicator). Construction makes both tuples, as it does token_seqs,
+    and refuses a label or features that are not a class index and five finite
+    numbers with a DataValidationError naming the date.
     """
 
     date: dt.date
@@ -147,14 +149,19 @@ class AlignedDay:
     token_seqs: tuple[tuple[int, ...], ...]
     label: int
     close: float
-    features: tuple[float, ...] | None = None
+    features: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not 0 <= self.label < len(CLASS_NAMES):
             raise DataValidationError(f"day {self.date}: label {self.label} is not a class index")
         object.__setattr__(self, "token_seqs", tuple(map(tuple, self.token_seqs)))
-        if self.features is not None:
-            object.__setattr__(self, "features", tuple(self.features))
+        features = tuple(self.features)
+        object.__setattr__(self, "features", features)
+        # one check of the sum passes five finite values, as MarketBar's does
+        if len(features) != N_MARKET_FEATURES or (not math.isfinite(sum(features))
+                                                  and not all(map(math.isfinite, features))):
+            raise DataValidationError(f"day {self.date}: features {list(features)} are not "
+                                      f"{N_MARKET_FEATURES} finite numbers")
 
     @property
     def has_text(self) -> bool:
@@ -168,7 +175,7 @@ class WindowSample:
     target_class: int
     target_return_raw: float
     target_close: float
-    target_return: float | None = None  # normalized, set once stats exist
+    target_return: float  # normalized
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", tuple(self.inputs))
@@ -362,18 +369,14 @@ def _parse_timestamp(value: str) -> dt.datetime:
 # ---------------------------------------------------------------------------
 
 
-def align_days(bars: Sequence[MarketBar], docs: Sequence[LabeledDoc]) -> list[AlignedDay]:
-    """Attach each doc to the first trading date >= its calendar date.
+def _day_rows(bars: Sequence[MarketBar], docs: Sequence[LabeledDoc]) -> list[tuple]:
+    """One row (date, raw, token_seqs, label, close) per bar, an AlignedDay's
+    fields but features, in its order: each doc is attached to the first
+    trading date >= its calendar date.
 
     Docs dated after the last bar are dropped (logged). Day label is the
     majority vote over doc labels, any tie for the top count → neutral.
     """
-    return [AlignedDay(*row) for row in _day_rows(bars, docs)]
-
-
-def _day_rows(bars: Sequence[MarketBar], docs: Sequence[LabeledDoc]) -> list[tuple]:
-    """align_days' days as rows (date, raw, token_seqs, label, close): an
-    AlignedDay's fields but features, in its order."""
     if not bars:
         raise DataValidationError("no market bars to align against")
     dates = [b.date for b in bars]
@@ -415,18 +418,10 @@ def _majority_label(labels: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def make_windows(days: Sequence[AlignedDay], window: int = 20) -> list[WindowSample]:
-    """One sample per position t: inputs days[t, t+window), targets from t+window."""
-    rows = [(d.date, d.raw, d.token_seqs, d.label, d.close) for d in days]
-    return [WindowSample(inputs=days[t : t + window], target_date=date, target_class=cls,
-                         target_return_raw=ret, target_close=close)
-            for t, date, cls, ret, close in _window_targets(rows, window)]
-
-
 def _window_targets(rows: Sequence[tuple], window: int) -> list[tuple]:
-    """make_windows' samples of day rows (_day_rows) as window rows: (start,
-    target date, class, raw return, close), the target being row start +
-    window."""
+    """One window row (start, target date, class, raw return, close) per
+    position start of day rows (_day_rows): inputs rows [start, start +
+    window), targets from row start + window."""
     if window < 1:
         raise DataValidationError(f"window must be >= 1, got {window}")
     if len(rows) <= window:
@@ -535,7 +530,8 @@ class NormStats:
         """(len(raws), 5) features of days: the raw values z-scored, then has_text
         as 1.0 or 0.0; elementwise IEEE arithmetic, the bits a loop of floats gives."""
         raw = np.array(raws, dtype=np.float64).reshape(len(raws), 4)
-        return np.column_stack(((raw - self.means) / self.stds, has_text))
+        with np.errstate(over="ignore"):  # the AlignedDay built of an inf refuses it
+            return np.column_stack(((raw - self.means) / self.stds, has_text))
 
     def normalize_return(self, raw_logret: float) -> float:
         return (raw_logret - self.means[0]) / self.stds[0]
@@ -644,10 +640,14 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     """A temp text file beside path, its own to this call (named by the pid
     and a process-wide counter, so threads writing one path never share it),
     that os.replace moves over path when the with-block completes; if
-    anything raises, it is deleted and path is untouched."""
+    anything raises, it is deleted and path is untouched. An OSError opening
+    it names path."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp")
-    fh = tmp.open("w", encoding="utf-8", newline="")
+    try:
+        fh = tmp.open("w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
             yield fh
@@ -705,8 +705,7 @@ def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
     writing nothing, for what _stored_days rejects or a stored copy other than
     normalized_samples derives."""
     days, starts = _stored_days(ds)
-    _check_derived("features", [d.features if d.features is not None
-                                else [math.nan] * N_MARKET_FEATURES for d in days],
+    _check_derived("features", [d.features for d in days],
                    ds.stats.normalize_days([d.raw for d in days], [d.has_text for d in days]),
                    lambda i: f"day {days[i].date}")
     _check_derived("target_return", [s.target_return for s in ds.samples],
@@ -884,7 +883,9 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
     targets = zip(starts, target_dates, column("target_class", _classes),
                   column("target_return_raw", _finite), column("target_close", _finite))
     days = list(zip(dates, raws, token_seqs, labels, closes))
-    return PreparedDataset(
-        vocab=vocab, samples=normalized_samples(stats, days, window, targets), stats=stats,
-        window=window, ratios=ratios,
-    )
+    try:  # stats that overflow a day's features
+        samples = normalized_samples(stats, days, window, targets)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{meta_path}: {exc}") from None
+    return PreparedDataset(vocab=vocab, samples=samples, stats=stats, window=window,
+                           ratios=ratios)

@@ -19,9 +19,11 @@ model_backward run one window on Matrix values, layer by layer through
 layers.py: the per-window reference the batched core is tested against,
 which nothing else in the package calls, and the only reader of the model's
 six Matrix containers. A DayTable holds the distinct days of a split as
-read-only arrays, built and checked once: a data.Split keeps its table for
-each text configuration, so every train, evaluate or score call on it after
-the first reuses the table; a batch is a list of window indices into it.
+read-only arrays, built once with the checks the model's config sets (window
+length, token ids; a day checks its features when built): a data.Split
+keeps its table for each text configuration, so every train, evaluate or
+score call on it after the first reuses the table; a batch is a list of
+window indices into it.
 Each distinct day text of the batch is encoded once: one matrix product
 gives each distinct token its response to every filter at
 every window position, a window sums those of its tokens, and only the
@@ -88,7 +90,6 @@ import numpy as np
 
 from .data import (
     N_MARKET_FEATURES,
-    AlignedDay,
     Split,
     WindowSample,
     atomic_write,
@@ -228,10 +229,6 @@ class CnnGruModel:
         self.head_reg = DenseParams(t["head_reg/w"], t["head_reg/b"])
         self.head_cls = DenseParams(t["head_cls/w"], t["head_cls/b"])
 
-    @property
-    def day_vec_size(self) -> int:
-        return _text_dim(self.cfg, self.arch) + N_MARKET_FEATURES
-
 
 def _text_dim(cfg: ModelConfig, arch: ArchKind) -> int:
     """Size of a day's text vector: mean embedding (GruOnly) or pooled filters."""
@@ -287,11 +284,6 @@ def build_model(cfg: ModelConfig, arch: ArchKind) -> CnnGruModel:
         dense = init_dense(rng, *shapes[head])
         drawn += [dense.w, dense.b]
     return CnnGruModel(cfg, arch, np.concatenate([t.data.ravel() for t in drawn]))
-
-
-def gru_param_count(hidden: int, input_size: int) -> int:
-    """Closed form 3*h*(h+d); a same-shape LSTM would hold 4*h*(h+d)."""
-    return 3 * hidden * (hidden + input_size)
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +358,6 @@ def _check_window(cfg: ModelConfig, sample: WindowSample) -> None:
         )
 
 
-def _check_features(day: AlignedDay) -> None:
-    """ShapeError naming day unless it has N_MARKET_FEATURES finite features."""
-    if day.features is None:
-        raise ShapeError(f"day {day.date} has no normalized features")
-    if len(day.features) != N_MARKET_FEATURES or not all(map(math.isfinite, day.features)):
-        raise ShapeError(f"day {day.date} features {list(day.features)} are not "
-                         f"{N_MARKET_FEATURES} finite numbers")
-
-
 def model_forward(model: CnnGruModel, sample: WindowSample
                   ) -> tuple[float, Matrix, ModelCache]:
     cfg = model.cfg
@@ -383,7 +366,6 @@ def model_forward(model: CnnGruModel, sample: WindowSample
     day_text: list[DayTextCache | None] = []
     day_vecs: list[Matrix] = []
     for day in sample.inputs:
-        _check_features(day)
         if day.token_seqs:
             if model.arch is ArchKind.GRU_ONLY:
                 text_vec, cache = _day_text_mean_embed(model, day.token_seqs)
@@ -623,7 +605,7 @@ def day_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
 
 
 def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
-    """Builds the table of samples; every window, feature and token-id check runs here.
+    """Builds the table of samples; every window-length and token-id check runs here.
 
     Day rows are numbered by first appearance, so the Python loop below runs
     once per distinct day, not once per (window, day). The arrays are made
@@ -636,14 +618,7 @@ def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     row_of: dict[int, int] = {}
     rows = np.array([row_of.setdefault(id(day), len(row_of)) for day in flat], dtype=np.intp)
     days = list({id(day): day for day in flat}.values())
-    try:  # None, ragged or non-numeric features fail here or in the shape test
-        features = np.array([day.features for day in days], dtype=np.float64)
-        ok = features.shape == (len(days), N_MARKET_FEATURES) and np.isfinite(features).all()
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        for day in days:  # names the first bad day
-            _check_features(day)
+    features = np.array([day.features for day in days], dtype=np.float64)
     texts: dict[tuple[tuple[int, ...], ...], int] = {}
     text = np.full(len(days), -1, dtype=np.intp)
     for row, day in enumerate(days):

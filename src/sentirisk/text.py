@@ -96,21 +96,15 @@ def _parse_wordlist(text: str) -> frozenset[str]:
     return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
 
 
-def label_sentiment(cleaned: str, lexicon: Lexicon,
-                    presupplied: str | None = None) -> str:
-    """(#positive tokens - #negative tokens) > 0 → positive, < 0 → negative.
-
-    A pre-supplied label bypasses the lexicon entirely.
-    """
-    return label_tokens(cleaned.split(), lexicon, presupplied)
-
-
 def label_tokens(tokens: Sequence[str], lexicon: Lexicon,
                  presupplied: str | None = None) -> str:
-    """label_sentiment of the cleaned text whose split() is tokens."""
+    """A cleaned text's split() labeled: (#positive - #negative tokens) > 0 →
+    positive, < 0 → negative, else neutral.
+
+    A pre-supplied label (a RawTextDoc's, checked when it was built) bypasses
+    the lexicon entirely.
+    """
     if presupplied is not None:
-        if presupplied not in CLASS_INDEX:
-            raise DataValidationError(f"unknown sentiment label {presupplied!r}")
         return presupplied
     score = 0
     for tok in tokens:

@@ -103,9 +103,6 @@ FORWARD_BLOCK = 64
 
 def _targets(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
     """(normalized target returns, target classes) of a batch."""
-    for s in samples:
-        if s.target_return is None:
-            raise DataValidationError(f"sample {s.target_date} has no normalized target")
     return (np.array([s.target_return for s in samples]),
             np.array([s.target_class for s in samples], dtype=np.intp))
 
@@ -372,14 +369,12 @@ def render_comparison_table(reports: dict[ArchKind, MetricsReport]) -> str:
 
 
 def export_predictions(model: CnnGruModel, split: Sequence[WindowSample],
-                       stats: NormStats | None, path: str | Path) -> None:
+                       stats: NormStats, path: str | Path) -> None:
     """CSV of date,true_close,pred_close with returns inverted to price levels.
 
     pred_close = prev_close * exp(denormalized predicted log return); NumericError,
     writing nothing, naming the first target date whose pred_close is not finite.
     """
-    if stats is None:
-        raise DataValidationError("prediction export needs normalization statistics")
     pred, _ = score_windows(model, split)
     with atomic_write(path) as fh:
         writer = csv.writer(fh)

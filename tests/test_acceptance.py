@@ -25,7 +25,7 @@ from sentirisk.data import (
     AlignedDay,
     PrepareConfig,
     WindowSample,
-    make_windows,
+    _window_targets,
     prepare_dataset,
 )
 from sentirisk.layers import (
@@ -63,7 +63,6 @@ from sentirisk.model import (
     batch_backward,
     batch_forward,
     build_model,
-    gru_param_count,
     load_checkpoint,
     param_views,
     save_checkpoint,
@@ -374,7 +373,6 @@ def test_c03_parameter_count_law():
         params = init_gru(rng, hidden=h, input_size=d)
         counted = params.w_z.data.size + params.w_r.data.size + params.w.data.size
         assert counted == 3 * h * (h + d)
-        assert counted == gru_param_count(h, d)
         lstm = 4 * h * (h + d)
         assert counted * 4 == lstm * 3  # exactly 3/4 of the same-shape LSTM
     verdict(3, "GRU parameter law 3h(h+d) and 3/4 LSTM ratio", True,
@@ -522,9 +520,9 @@ def test_c09_pipeline_exactness(demo_ds):
 
     # 25 days at window 20 gives exactly 5 samples
     start = dt.date(2023, 1, 2)
-    days = [AlignedDay(date=start + dt.timedelta(i), raw=(0.0, 0.0, 0.0, 0.0),
-                       token_seqs=[], label=1, close=100.0 + i) for i in range(25)]
-    windows = make_windows(days, window=20)
+    rows = [(start + dt.timedelta(i), (0.0, 0.0, 0.0, 0.0), [], 1, 100.0 + i)
+            for i in range(25)]
+    windows = _window_targets(rows, window=20)
     assert len(windows) == 5
 
     # chronological splits admit zero leakage by date

@@ -57,14 +57,6 @@ class TestRiskScore:
         below = risk_score(probs(0.2, 0.4, 0.4), -3.0)
         assert lo == below == 0.2 + 0.5
 
-    def test_malformed_probs_rejected(self):
-        with pytest.raises(DataValidationError):
-            risk_score((0.5, 0.5), 0.0)
-        with pytest.raises(DataValidationError):
-            risk_score(probs(0.5, 0.4, 0.4), 0.0)  # sums to 1.3
-        with pytest.raises(DataValidationError):
-            risk_score(probs(-0.1, 0.6, 0.5), 0.0)
-
     def test_monotone_in_negative_probability_and_drawdown(self):
         for _ in range(10_000):
             p_neg = float(RNG.uniform(0.0, 1.0))
@@ -105,6 +97,26 @@ class TestRecord:
         assert detect_inflections(preds, rules) == detect_inflections(want, rules)
         assert [a.kind for a in detect_inflections(preds, rules)] == [
             "bearish_flip", "risk_threshold", "risk_threshold"]
+
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"probs": (0.5, 0.5)}, "need 3 probabilities, got 2"),
+        ({"probs": probs(0.5, 0.4, 0.4)}, "probabilities sum to 1.3"),
+        ({"probs": probs(-0.1, 0.6, 0.5)}, "negative probability in [-0.1, 0.6, 0.5]"),
+        ({"probs": probs(float("nan"), 0.5, 0.5)}, "probs must be finite, got [nan, 0.5, 0.5]"),
+        ({"predicted_return": float("nan")}, "predicted_return must be finite, got nan"),
+        ({"predicted_return": -float("inf")}, "predicted_return must be finite, got -inf"),
+        ({"predicted_class": 3}, "predicted_class 3 is not a class index"),
+        ({"predicted_class": -1}, "predicted_class -1 is not a class index"),
+    ], ids=["two-probs", "sum-1.3", "negative-prob", "nan-prob", "nan-return", "-inf-return",
+            "class-3", "class-minus-1"])
+    def test_malformed_prediction_refused_naming_the_date(self, fields, message):
+        # risk_score and detect_inflections read only predictions built whole
+        given = {"date": day(2), "predicted_class": 1, "probs": probs(0.2, 0.5, 0.3),
+                 "predicted_return": 0.0, **fields}
+        with pytest.raises(DataValidationError) as info:
+            DailyPrediction(**given)
+        assert str(info.value).startswith(f"{day(2)}: {message}")
 
 
 class TestDetectInflections:
@@ -211,12 +223,13 @@ class TestAlertSerialization:
     def test_load_rejects_bad_probs(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         good = {"date": "2024-03-01", "probs": [0.2, 0.3, 0.5], "predicted_return": 0.1}
-        for bad, message in [
-            ({"probs": [0.5, 0.5]}, "need 3 probabilities"),
-            ({"probs": [float("nan"), 0.5, 0.5]}, "probs must be finite"),
-            ({"probs": [float("inf"), 0.0, 0.0]}, "probs must be finite"),
-            ({"predicted_return": float("nan")}, "predicted_return must be finite"),
-            ({"predicted_return": float("-inf")}, "predicted_return must be finite"),
+        for bad, message in [  # DailyPrediction's messages name the date
+            ({"probs": [0.5, 0.5]}, "2024-03-01: need 3 probabilities"),
+            ({"probs": [float("nan"), 0.5, 0.5]}, "2024-03-01: probs must be finite"),
+            ({"probs": [float("inf"), 0.0, 0.0]}, "2024-03-01: probs must be finite"),
+            ({"predicted_return": float("nan")}, "2024-03-01: predicted_return must be finite"),
+            ({"predicted_return": float("-inf")},
+             "2024-03-01: predicted_return must be finite"),
             ({"probs": ["0.2", "0.3", "0.5"]}, "probs must be a list of numbers"),
             ({"probs": [True, False, False]}, "probs must be a list of numbers"),
             ({"predicted_return": "0.1"}, "predicted_return must be a number"),

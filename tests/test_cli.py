@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from sentirisk import data as data_mod
+from sentirisk import train as train_mod
 from sentirisk.alerts import AlertRuleConfig
 from sentirisk.cli import CONFIG_DEFAULTS, build_config, build_parser, main
 from sentirisk.data import PrepareConfig, load_prepared
@@ -515,6 +516,24 @@ class TestTrain:
         assert rc == 0, captured.err
         assert f"trained {arch} for 1 epochs" in captured.out
         assert load_checkpoint(ckpt).cfg.max_doc_len == 9
+
+    @pytest.mark.parametrize("flag", ["--model-out", "--history-out"])
+    def test_missing_output_directory_exits_3_before_any_epoch(self, workspace, tmp_path,
+                                                               capsys, monkeypatch, flag):
+        # it once trained every epoch, then named a temp file beside the path
+        runs = []
+        monkeypatch.setattr(train_mod, "train", lambda *args: runs.append(args))
+        missing = tmp_path / "nodir" / "m.out"
+        paths = {"--model-out": str(tmp_path / "m.ckpt.json"), flag: str(missing)}
+        capsys.readouterr()
+        rc = main(["train", "--data-dir", str(workspace["root"]),
+                   "--config", str(workspace["config"]), *(x for kv in paths.items() for x in kv)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert (f"i/o error: cannot write {missing}: no directory {missing.parent}\n"
+                in captured.err)
+        assert runs == [] and "epoch" not in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_data_dir_flag_exits_1(self, tmp_path, capsys):
         rc = main(["train", "--model-out", str(tmp_path / "m.ckpt.json")])
@@ -1209,6 +1228,20 @@ class TestCompare:
         for report in obj.values():
             assert 0.0 <= report["accuracy"] <= 1.0
 
+    def test_missing_out_directory_exits_3_before_any_training(self, workspace, tmp_path,
+                                                                capsys, monkeypatch):
+        # it once trained all three archs, then named a temp file beside the path
+        runs = []
+        monkeypatch.setattr(train_mod, "train", lambda *args: runs.append(args))
+        out = tmp_path / "nodir" / "metrics.json"
+        capsys.readouterr()
+        rc = main(["compare", "--data-dir", str(workspace["root"]),
+                   "--config", str(workspace["config"]), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"i/o error: cannot write {out}: no directory {out.parent}\n" in captured.err
+        assert runs == [] and captured.out == ""
+
     def test_failed_write_leaves_the_previous_out_file(self, workspace, tmp_path, capsys,
                                                        monkeypatch):
         cfg = write_config(tmp_path, {"epochs": 1})
@@ -1392,6 +1425,7 @@ class TestAlert:
         captured = capsys.readouterr()
         assert rc == 2
 
+    # DailyPrediction refuses a non-finite value naming the row's date too
     @pytest.mark.parametrize("key,value,message", [
         ("predicted_return", float("nan"), "must be finite"),  # was a risk-1.0 alert as NaN
         ("predicted_return", float("inf"), "must be finite"),
@@ -1405,6 +1439,7 @@ class TestAlert:
             "string-return"])
     def test_bad_prediction_exits_2_naming_the_line(self, tmp_path, capsys, key, value,
                                                     message):
+        dated = "2023-01-03: " if message == "must be finite" else ""
         rows = [dict(r) for r in PRED_ROWS]
         rows[1][key] = value
         path = tmp_path / "preds.jsonl"
@@ -1413,15 +1448,16 @@ class TestAlert:
         rc = main(["alert", "--predictions", str(path)])
         captured = capsys.readouterr()
         assert rc == 2
-        assert f"{path}:2: {key} {message}" in captured.err
+        assert f"{path}:2: {dated}{key} {message}" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
 
     @pytest.mark.parametrize("edit, where, message", [
-        (lambda rows: rows[1].update(probs=[0.2, 0.2, 0.1]), ":2",
+        (lambda rows: rows[1].update(probs=[0.2, 0.2, 0.1]), ":2: 2023-01-03",
          "probabilities sum to 0.5"),
-        (lambda rows: rows[1].update(probs=[-0.5, 0.5, 1.0]), ":2", "negative probability"),
+        (lambda rows: rows[1].update(probs=[-0.5, 0.5, 1.0]), ":2: 2023-01-03",
+         "negative probability"),
         (lambda rows: rows.insert(0, rows.pop(1)), "",
          "dates must be strictly increasing: 2023-01-03 then 2023-01-02"),
     ], ids=["sum-not-1", "negative-prob", "out-of-order-dates"])

@@ -26,11 +26,12 @@ from sentirisk.data import (
     RawTextDoc,
     Split,
     WindowSample,
-    align_days,
+    _day_rows,
+    _window_targets,
     load_market_csv,
     load_text_jsonl,
     load_prepared,
-    make_windows,
+    normalized_samples,
     prepare_dataset,
     save_prepared,
     split_chronological,
@@ -59,19 +60,18 @@ def weekdays(start: dt.date, n: int) -> list[dt.date]:
     return out
 
 
-def simple_days(n: int, label: int = 1) -> list[AlignedDay]:
-    days = []
-    for i, d in enumerate(weekdays(dt.date(2024, 1, 2), n)):
-        days.append(
-            AlignedDay(
-                date=d,
-                raw=(0.01 * i, 0.02, 0.001 * i, 13.0 + 0.1 * i),
-                token_seqs=[],
-                label=label,
-                close=100.0 + i,
-            )
-        )
-    return days
+def simple_rows(n: int, label: int = 1) -> list[tuple]:
+    """n textless day rows (date, raw, token_seqs, label, close), as _day_rows
+    gives them."""
+    return [(d, (0.01 * i, 0.02, 0.001 * i, 13.0 + 0.1 * i), [], label, 100.0 + i)
+            for i, d in enumerate(weekdays(dt.date(2024, 1, 2), n))]
+
+
+def windows_of(rows: list[tuple], window: int) -> list[WindowSample]:
+    """The samples prepare_dataset builds of day rows, with statistics fitted
+    on every row."""
+    stats = NormStats.fit([r[1] for r in rows])
+    return normalized_samples(stats, rows, window, _window_targets(rows, window))
 
 
 class TestMarketBar:
@@ -295,7 +295,7 @@ class TestReadJsonl:
             assert got[1] == {"a": "x\u2028y"}
 
 
-class TestAlignDays:
+class TestDayRows:
     def doc(self, when: dt.datetime, label: int = 2) -> LabeledDoc:
         return LabeledDoc(timestamp=when, token_ids=[2, 3], label=label)
 
@@ -303,95 +303,91 @@ class TestAlignDays:
         fri, mon = dt.date(2024, 1, 5), dt.date(2024, 1, 8)
         bars = [bar(fri), bar(mon)]
         sat_doc = self.doc(dt.datetime(2024, 1, 6, 14, 0))
-        days = align_days(bars, [sat_doc])
-        assert days[0].token_seqs == ()
-        assert days[1].token_seqs == ((2, 3),)
-        assert days[1].has_text
+        rows = _day_rows(bars, [sat_doc])
+        assert [(r[0], r[2]) for r in rows] == [(fri, []), (mon, [[2, 3]])]
 
     def test_majority_vote(self):
         d = dt.date(2024, 1, 2)
         docs = [self.doc(dt.datetime(2024, 1, 2), label=lab) for lab in (2, 2, 0)]
-        days = align_days([bar(d)], docs)
-        assert days[0].label == 2
+        [(_, _, _, label, _)] = _day_rows([bar(d)], docs)
+        assert label == 2
 
     def test_tie_vote_is_neutral(self):
         d = dt.date(2024, 1, 2)
         docs = [self.doc(dt.datetime(2024, 1, 2), label=lab) for lab in (2, 0)]
-        days = align_days([bar(d)], docs)
-        assert days[0].label == 1
+        [(_, _, _, label, _)] = _day_rows([bar(d)], docs)
+        assert label == 1
 
     def test_day_without_docs_is_neutral_no_text(self):
-        days = align_days([bar(dt.date(2024, 1, 2))], [])
-        assert days[0].label == 1
-        assert not days[0].has_text
+        [(_, _, seqs, label, _)] = _day_rows([bar(dt.date(2024, 1, 2))], [])
+        assert label == 1
+        assert seqs == []
 
     def test_doc_after_last_bar_dropped_with_log(self, caplog):
         bars = [bar(dt.date(2024, 1, 2))]
         late = self.doc(dt.datetime(2024, 1, 9))
         with caplog.at_level(logging.INFO, logger="sentirisk.data"):
-            days = align_days(bars, [late])
-        assert days[0].token_seqs == ()
+            [(_, _, seqs, _, _)] = _day_rows(bars, [late])
+        assert seqs == []
         assert any("dropping document" in r.message for r in caplog.records)
 
     def test_unsorted_bars_rejected(self):
         bars = [bar(dt.date(2024, 1, 3)), bar(dt.date(2024, 1, 2))]
         with pytest.raises(DataValidationError):
-            align_days(bars, [])
+            _day_rows(bars, [])
 
     def test_duplicate_bar_dates_rejected(self):
         bars = [bar(dt.date(2024, 1, 2)), bar(dt.date(2024, 1, 2))]
         with pytest.raises(DataValidationError):
-            align_days(bars, [])
+            _day_rows(bars, [])
 
     def test_raw_features(self):
         d1, d2 = dt.date(2024, 1, 2), dt.date(2024, 1, 3)
         b1 = MarketBar(d1, open=100, high=110, low=95, close=105, volume=999)
         b2 = MarketBar(d2, open=105, high=112, low=104, close=110, volume=500)
-        days = align_days([b1, b2], [])
-        logret, rng, gap, vol = days[0].raw
+        rows = _day_rows([b1, b2], [])
+        logret, rng, gap, vol = rows[0][1]
         assert logret == 0.0  # first day has no previous close
         assert abs(rng - (110 - 95) / 105) < 1e-15
         assert abs(gap - (105 - 100) / 100) < 1e-15
         assert abs(vol - math.log1p(999)) < 1e-15
-        assert abs(days[1].raw[0] - math.log(110 / 105)) < 1e-15
+        assert abs(rows[1][1][0] - math.log(110 / 105)) < 1e-15
 
 
-class TestMakeWindows:
+class TestWindowTargets:
     def test_count_rule(self):
-        samples = make_windows(simple_days(25), window=20)
-        assert len(samples) == 5
+        assert len(_window_targets(simple_rows(25), window=20)) == 5
 
     def test_boundary_single_sample(self):
-        days = simple_days(21)
-        samples = make_windows(days, window=20)
-        assert len(samples) == 1
-        assert samples[0].target_date == days[20].date
-        assert samples[0].inputs == tuple(days[:20])
-        assert samples[0].prev_close == days[19].close
+        rows = simple_rows(21)
+        assert [t[:2] for t in _window_targets(rows, window=20)] == [(0, rows[20][0])]
+        [sample] = windows_of(rows, window=20)
+        assert sample.target_date == rows[20][0]
+        assert [d.date for d in sample.inputs] == [r[0] for r in rows[:20]]
+        assert sample.prev_close == rows[19][4]
 
     def test_has_text_and_prev_close_follow_their_sources(self):
         # each is computed from the one stored fact, so no copy can disagree
-        days = simple_days(6)
-        [sample] = make_windows(days, window=5)
-        with_text = replace(days[4], token_seqs=[[2, 3]])
-        assert (days[4].has_text, with_text.has_text) == (False, True)
+        [sample] = windows_of(simple_rows(6), window=5)
+        day = sample.inputs[4]
+        with_text = replace(day, token_seqs=[[2, 3]])
+        assert (day.has_text, with_text.has_text) == (False, True)
         assert not replace(with_text, token_seqs=[]).has_text
-        moved = replace(sample, inputs=[*sample.inputs[:4], replace(days[4], close=123.0)])
-        assert (sample.prev_close, moved.prev_close) == (days[4].close, 123.0)
+        moved = replace(sample, inputs=[*sample.inputs[:4], replace(day, close=123.0)])
+        assert (sample.prev_close, moved.prev_close) == (day.close, 123.0)
         assert "has_text" not in {f.name for f in fields(AlignedDay)}
         assert "prev_close" not in {f.name for f in fields(WindowSample)}
 
     def test_exact_window_length_rejected(self):
         with pytest.raises(DataValidationError):
-            make_windows(simple_days(20), window=20)
+            _window_targets(simple_rows(20), window=20)
 
     def test_targets_come_from_next_day(self):
-        days = simple_days(8)
-        samples = make_windows(days, window=5)
-        for t, s in enumerate(samples):
-            assert s.target_date == days[t + 5].date
-            assert s.target_return_raw == days[t + 5].raw[0]
-            assert s.target_class == days[t + 5].label
+        rows = simple_rows(8)
+        for t, (start, date, cls, ret, close) in enumerate(_window_targets(rows, window=5)):
+            assert start == t
+            assert (date, ret, cls, close) == (rows[t + 5][0], rows[t + 5][1][0],
+                                               rows[t + 5][3], rows[t + 5][4])
 
 
 class TestSplitChronological:
@@ -447,10 +443,10 @@ class TestSplitChronological:
 
 class TestNormStats:
     def test_train_features_z_scored(self):
-        days = simple_days(50)
-        stats = NormStats.fit([d.raw for d in days])
+        raws = [r[1] for r in simple_rows(50)]
+        stats = NormStats.fit(raws)
         for k in range(4):
-            vals = [(d.raw[k] - stats.means[k]) / stats.stds[k] for d in days]
+            vals = [(raw[k] - stats.means[k]) / stats.stds[k] for raw in raws]
             mean = sum(vals) / len(vals)
             var = sum(v * v for v in vals) / len(vals)
             assert abs(mean) < 1e-9
@@ -458,22 +454,21 @@ class TestNormStats:
                 assert abs(var - 1.0) < 1e-9
 
     def test_constant_column_uses_unit_std(self):
-        stats = NormStats.fit([d.raw for d in simple_days(10)])
-        assert stats.stds[1] == 1.0  # range feature is constant in simple_days
+        stats = NormStats.fit([r[1] for r in simple_rows(10)])
+        assert stats.stds[1] == 1.0  # range feature is constant in simple_rows
 
     def test_normalize_day_appends_text_indicator(self):
-        days = simple_days(10)
-        days[1] = replace(days[1], token_seqs=[[2]])
-        stats = NormStats.fit([d.raw for d in days])
-        features = stats.normalize_days([d.raw for d in days], [d.has_text for d in days])
+        raws = [r[1] for r in simple_rows(10)]
+        stats = NormStats.fit(raws)
+        features = stats.normalize_days(raws, [i == 1 for i in range(10)])
         assert features.shape == (10, 5)
         assert features[:2, 4].tolist() == [0.0, 1.0]
-        for day, row in zip(days, features):  # the bits a loop of floats gives
-            loop = [(v - m) / s for v, m, s in zip(day.raw, stats.means, stats.stds)]
+        for raw, row in zip(raws, features):  # the bits a loop of floats gives
+            loop = [(v - m) / s for v, m, s in zip(raw, stats.means, stats.stds)]
             assert row[:4].tobytes() == np.array(loop).tobytes()
 
     def test_return_round_trip(self):
-        stats = NormStats.fit([d.raw for d in simple_days(10)])
+        stats = NormStats.fit([r[1] for r in simple_rows(10)])
         for raw in (-0.05, 0.0, 0.031):
             z = stats.normalize_return(raw)
             assert abs(stats.denormalize_return(z) - raw) < 1e-12
@@ -804,6 +799,14 @@ class TestPreparedRoundTrip:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert_same_samples(load_prepared(out).samples, demo.samples)
 
+    def test_write_into_a_missing_directory_names_the_target(self, tmp_path):
+        target = tmp_path / "nodir" / "m.ckpt.json"
+        with pytest.raises(FileNotFoundError) as info:
+            with data_mod.atomic_write(target) as fh:
+                fh.write("never written")
+        assert info.value.filename == str(target)
+        assert ".tmp" not in str(info.value)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises((DataValidationError, OSError)):
             load_prepared(tmp_path / "nope")
@@ -1123,7 +1126,7 @@ def assert_day_tuples(days):
     """Each day's documents, their token ids and its features are tuples."""
     for d in days:
         assert type(d.token_seqs) is tuple and all(type(q) is tuple for q in d.token_seqs)
-        assert d.features is None or type(d.features) is tuple
+        assert type(d.features) is tuple
 
 
 def assert_window_tuples(samples):
@@ -1138,12 +1141,14 @@ class TestDaysAndWindowsAreValues:
 
     CFG = PrepareConfig(window=5, ratios=(0.6, 0.2, 0.2))
 
-    def test_align_days_and_make_windows(self):
+    def test_built_from_day_rows(self):
+        # _day_rows holds each day's documents as lists
         bars, docs, _ = build_corpus(12)
-        days = align_days(bars, [LabeledDoc(d.timestamp, [2, 3, 4], 1) for d in docs])
-        assert any(d.token_seqs for d in days) and not all(d.token_seqs for d in days)
-        assert_day_tuples(days)
-        assert_window_tuples(make_windows(days, window=5))
+        rows = _day_rows(bars, [LabeledDoc(d.timestamp, [2, 3, 4], 1) for d in docs])
+        assert any(r[2] for r in rows) and not all(r[2] for r in rows)
+        samples = windows_of(rows, window=5)
+        assert any(d.token_seqs for d in samples[0].inputs)
+        assert_window_tuples(samples)
 
     def test_prepare_and_load(self, tmp_path):
         ds = prepare_dataset(*build_corpus(20), self.CFG)
@@ -1159,7 +1164,7 @@ class TestDaysAndWindowsAreValues:
         day = AlignedDay(date=dt.date(2024, 1, 2), raw=(0.0,) * 4, token_seqs=seqs, label=1,
                          close=100.0, features=features)
         window = WindowSample(inputs=[day], target_date=dt.date(2024, 1, 3), target_class=1,
-                              target_return_raw=0.0, target_close=100.0)
+                              target_return_raw=0.0, target_close=100.0, target_return=0.0)
         assert_window_tuples([window, replace(window, inputs=[replace(day, token_seqs=[[7]])])])
         # the caller's lists are copied: editing them later leaves the day as it was
         seqs[0].append(5)
@@ -1191,3 +1196,46 @@ class TestDaysAndWindowsAreValues:
         assert got[0][0] != before[0][0]
         for x, y in zip(got, fresh):
             assert x.tobytes() == y.tobytes()
+
+
+class TestRecordsAreWhole:
+    """A day has its features and a window its normalized target from
+    construction on, and a day's constructor refuses features that are not 5
+    finite numbers, naming its date: no reader checks them again."""
+
+    DAY = {"date": dt.date(2024, 1, 2), "raw": (0.0,) * 4, "token_seqs": [], "label": 1,
+           "close": 100.0}
+
+    def test_day_without_features_and_window_without_target_not_built(self):
+        with pytest.raises(TypeError, match="features"):
+            AlignedDay(**self.DAY)
+        day = AlignedDay(**self.DAY, features=(0.0,) * 5)
+        with pytest.raises(TypeError, match="target_return"):
+            WindowSample(inputs=[day], target_date=dt.date(2024, 1, 3), target_class=1,
+                         target_return_raw=0.0, target_close=100.0)
+
+    @pytest.mark.parametrize("features", [
+        (0.1, 0.2, 0.3, 1.0), (0.0,) * 6, (0.1, math.nan, 0.0, 0.0, 1.0),
+        (0.1, 0.0, -math.inf, 0.0, 1.0), (math.inf, -math.inf, 0.0, 0.0, 0.0),
+    ], ids=["four", "six", "nan", "-inf", "inf-and-minus-inf"])
+    def test_bad_features_refused_naming_the_date(self, features):
+        with pytest.raises(DataValidationError, match=r"^day 2024-01-02: features \[.*\] are "
+                                                      r"not 5 finite numbers$"):
+            AlignedDay(**self.DAY, features=features)
+
+    def test_finite_features_whose_sum_overflows_accepted(self):
+        # the sum of finite values may overflow; the check then looks at each one
+        day = AlignedDay(**self.DAY, features=[1e308, 1e308, -0.0, 5e-324, 1.0])
+        assert day.features == (1e308, 1e308, -0.0, 5e-324, 1.0)
+
+    def test_stats_that_overflow_a_feature_refused_at_load_naming_the_file(self, tmp_path):
+        # a std of 1e-320 sends a z-scored log return to +-inf
+        save_prepared(prepare_dataset(*build_corpus(20), PrepareConfig(window=5)), tmp_path)
+        path = tmp_path / "norm_stats.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta["stds"][0] = 1e-320
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(DataValidationError) as info:
+            load_prepared(tmp_path)
+        assert str(info.value).startswith(f"{path}: day 2024-01-02: features [")
+        assert "inf" in str(info.value)

@@ -1,6 +1,7 @@
 """Model assembly: shapes, determinism, composition oracle, batched core, checkpoints."""
 
 import base64
+import contextlib
 import dataclasses
 import datetime as dt
 import hashlib
@@ -42,7 +43,6 @@ from sentirisk.model import (
     batch_forward,
     build_model,
     day_table,
-    gru_param_count,
     load_checkpoint,
     model_backward,
     model_forward,
@@ -149,7 +149,7 @@ class TestBuildModel:
         for f in range(cfg.num_filters):
             draw = rng.uniform(-s, s, size=(cfg.kernel_width, cfg.embed_dim))
             assert np.array_equal(kernel[:, f], draw.ravel()), f
-        cols = cfg.gru_hidden + model.day_vec_size
+        _, cols = param_shapes(cfg, ArchKind.CNN_GRU)["gru/w_z"]
         s_gru = np.sqrt(6.0 / (cols + cfg.gru_hidden))
         assert np.array_equal(params["gru/w_z"],
                               rng.uniform(-s_gru, s_gru, size=(cfg.gru_hidden, cols)))
@@ -233,16 +233,6 @@ class TestModelForward:
         cfg4 = dataclasses.replace(TINY, window=4)
         with pytest.raises(ShapeError):
             model_forward(model, make_sample(cfg4, seed=8))
-
-    def test_missing_features_rejected(self):
-        import dataclasses
-        model = build_model(TINY, ArchKind.CNN_GRU)
-        s = make_sample(TINY, seed=9)
-        s = dataclasses.replace(
-            s, inputs=(dataclasses.replace(s.inputs[0], features=None), *s.inputs[1:])
-        )
-        with pytest.raises(ShapeError):
-            model_forward(model, s)
 
     def test_matches_unrolled_recomputation(self):
         sample = make_sample(TINY, seed=10, textless_days=(1,))
@@ -665,30 +655,14 @@ class TestDayTable:
 
     @pytest.mark.parametrize("damage, message", [
         (lambda days: days[1:], "sample has 3 days, model expects 4"),
-        (lambda days: (*days[:-1], dataclasses.replace(days[-1], features=None)),
-         "has no normalized features"),
         (lambda days: (*days[:-1], dataclasses.replace(days[-1], token_seqs=[[2, 15]])),
          "token id 15 out of range for vocab of 15"),
-    ], ids=["short window", "missing features", "token id"])
+    ], ids=["short window", "token id"])
     def test_bad_input_rejected_at_build(self, damage, message):
         samples = shared_day_windows(BATCHED, 6, seed=4)
         samples[2] = dataclasses.replace(samples[2], inputs=damage(samples[2].inputs))
         with pytest.raises(ShapeError, match=message):
             day_table(BATCHED, samples)
-
-    @pytest.mark.parametrize("value", [math.nan, -math.inf])
-    @pytest.mark.parametrize("entry", ["day_table", "model_forward"])
-    def test_non_finite_feature_rejected_naming_the_day(self, value, entry):
-        samples = shared_day_windows(BATCHED, 6, seed=4)
-        day = samples[2].inputs[-1]
-        bad = dataclasses.replace(day, features=(*day.features[:3], value, day.features[4]))
-        samples[2] = dataclasses.replace(samples[2], inputs=(*samples[2].inputs[:-1], bad))
-        with pytest.raises(ShapeError, match=rf"day {day.date} features \[.*{value}.*\] "
-                                             "are not 5 finite numbers"):
-            if entry == "day_table":
-                day_table(BATCHED, samples)
-            else:
-                model_forward(build_model(BATCHED, ArchKind.CNN_GRU), samples[2])
 
 
 def by_first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -744,6 +718,37 @@ class TestSplitTables:
         for f in dataclasses.fields(table):
             x, y = getattr(table, f.name), getattr(fresh, f.name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+
+    # a value other than BATCHED's for every ModelConfig field; a field added to
+    # ModelConfig without one fails the test below
+    CHANGED = {"vocab_size": 16, "embed_dim": 7, "num_filters": 5, "kernel_width": 2,
+               "conv_stride": 1, "gru_hidden": 2, "window": 5, "max_doc_len": 5,
+               "attention_enabled": False, "attn_size": 3, "mse_weight": 0.1, "seed": 9}
+    # the fields _build_table reads, which key a split's kept tables
+    KEY = {"window", "max_doc_len", "kernel_width", "conv_stride", "vocab_size"}
+
+    def test_kept_table_is_the_one_each_config_builds(self, monkeypatch):
+        split = Split(shared_day_windows(BATCHED, 11, seed=4))
+        table = day_table(BATCHED, split)
+        builds = []
+        build = model_mod._build_table
+        monkeypatch.setattr(model_mod, "_build_table",
+                            lambda cfg, samples: builds.append(cfg) or build(cfg, samples))
+        for f in dataclasses.fields(ModelConfig):
+            assert getattr(BATCHED, f.name) != self.CHANGED[f.name], f.name
+            changed = dataclasses.replace(BATCHED, **{f.name: self.CHANGED[f.name]})
+            if f.name in self.KEY:  # a new table; the window's, of 5 days, fails its check
+                with contextlib.suppress(ShapeError):
+                    assert day_table(changed, split) is not table, f.name
+                assert builds[-1] == changed, f.name
+                continue
+            assert day_table(changed, split) is table, f.name
+            fresh = build(changed, split)
+            for array in dataclasses.fields(table):
+                x, y = getattr(table, array.name), getattr(fresh, array.name)
+                assert x.dtype == y.dtype and x.shape == y.shape, (f.name, array.name)
+                assert x.tobytes() == y.tobytes(), (f.name, array.name)
+        assert len(builds) == len(self.KEY)
 
     def test_checks_run_when_a_split_is_first_used(self):
         samples = shared_day_windows(BATCHED, 6, seed=4)
@@ -870,6 +875,27 @@ class TestKernelWorkspaces:
                             d_embed.tobytes()])
         assert outputs[0] == outputs[1]
 
+    def test_attention_forward_equals_plain_loops(self):
+        # weights a softmax over the T steps of u . tanh(W_a h_t), context sum_t a_t h_t
+        model = build_model(BATCHED, ArchKind.CNN_GRU)
+        table = day_table(BATCHED, shared_day_windows(BATCHED, 30, seed=4))
+        hid = table_forward(model, table, np.arange(5)).gru[2][1:]  # (T, h, B)
+        w_a, u = model.tensors["attn/w_a"], model.tensors["attn/u"][:, 0]
+        n_steps, hidden, batch = hid.shape
+        alpha, ctx = np.zeros((n_steps, batch)), np.zeros((batch, hidden))
+        for b in range(batch):
+            scores = [float(u @ np.tanh(w_a @ hid[t, :, b])) for t in range(n_steps)]
+            top = max(scores)
+            total = sum(math.exp(v - top) for v in scores)
+            for t in range(n_steps):
+                alpha[t, b] = math.exp(scores[t] - top) / total
+                ctx[b] += alpha[t, b] * hid[t, :, b]
+        for ws in (Workspace(), self.workspace_after_a_larger_batch(model, table)):
+            acts, got_alpha, got_ctx = model_mod._attention_forward(w_a, u[:, None], hid, ws)
+            assert acts.shape == (n_steps, len(w_a), batch)
+            np.testing.assert_allclose(got_alpha, alpha, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got_ctx, ctx, rtol=1e-12, atol=1e-15)
+
     def test_attention_backward_equals_plain_expressions(self):
         model = build_model(BATCHED, ArchKind.CNN_GRU)
         table = day_table(BATCHED, shared_day_windows(BATCHED, 30, seed=4))
@@ -928,24 +954,37 @@ class TestRowSums:
         assert got.tobytes() == want.tobytes()
 
 
+def gru_weights(cfg: ModelConfig) -> int:
+    """The number of GRU weights param_shapes gives a CNN+GRU model of cfg."""
+    return sum(rows * cols for name, (rows, cols) in param_shapes(cfg, ArchKind.CNN_GRU).items()
+               if name.startswith("gru/"))
+
+
 class TestCountParams:
+    """A GRU of h units over d inputs holds 3h(h + d) weights: d is a day
+    vector, the pooled filters and the 5 market features."""
+
     def test_gru_closed_form_defaults(self):
-        assert gru_param_count(32, 64) == 9216
+        assert gru_weights(ModelConfig(vocab_size=50)) == 3 * 32 * (32 + 64 + 5) == 9696
 
     def test_gru_closed_form_minimal(self):
-        assert gru_param_count(1, 1) == 6
+        cfg = ModelConfig(vocab_size=2, embed_dim=1, num_filters=1, kernel_width=1,
+                          conv_stride=1, gru_hidden=1, max_doc_len=1)
+        assert gru_weights(cfg) == 3 * 1 * (1 + 1 + 5)
 
     def test_lstm_ratio(self):
         for _ in range(20):
             h = int(RNG.integers(1, 200))
             d = int(RNG.integers(1, 200))
-            lstm = 4 * h * (h + d)
-            assert gru_param_count(h, d) * 4 == lstm * 3
+            lstm = 4 * h * (h + d + 5)
+            cfg = ModelConfig(vocab_size=2, num_filters=d, gru_hidden=h)
+            assert gru_weights(cfg) * 4 == lstm * 3
 
     def test_model_gru_tensors_sum_to_closed_form(self):
         model = build_model(TINY, ArchKind.CNN_GRU)
         got = sum(p.size for n, p in model.tensors.items() if n.startswith("gru/"))
-        assert got == gru_param_count(TINY.gru_hidden, model.day_vec_size)
+        h = TINY.gru_hidden
+        assert got == gru_weights(TINY) == 3 * h * (h + TINY.num_filters + 5)
 
     def test_count_matches_enumeration(self):
         for arch in ArchKind:

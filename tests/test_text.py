@@ -19,7 +19,6 @@ from sentirisk.text import (
     build_vocab,
     clean_text,
     encode_doc,
-    label_sentiment,
     label_tokens,
     vocab_from_counts,
 )
@@ -77,7 +76,8 @@ class TestCleanText:
 
 
 class TestTokenForms:
-    """The string forms are the token-list and count forms of the string's split()."""
+    """build_vocab is vocab_from_counts of the strings' split(), and label_tokens
+    labels a split by the lexicon rule."""
 
     def test_on_the_golden_corpus(self):
         lex = Lexicon(positive=frozenset({"surge", "great", "up"}),
@@ -88,30 +88,34 @@ class TestTokenForms:
         vocab = build_vocab(cleaned, min_freq=2, max_size=40)
         counts = Counter(tok for t in tokens for tok in t)
         assert vocab == vocab_from_counts(counts, min_freq=2, max_size=40)
-        for c, t in zip(cleaned, tokens):
-            assert label_sentiment(c, lex) == label_tokens(t, lex)
-            assert label_sentiment(c, lex, "negative") == label_tokens(t, lex, "negative")
+        for t in tokens:  # the sign of (#positive - #negative), counted here
+            score = sum(tok in lex.positive for tok in t) - sum(tok in lex.negative for tok in t)
+            want = "positive" if score > 0 else "negative" if score < 0 else "neutral"
+            assert label_tokens(t, lex) == want
+            assert label_tokens(t, lex, "negative") == "negative"
 
 
-class TestLabelSentiment:
+class TestLabelTokens:
+    """label_tokens of a cleaned text's split(), as prepare_dataset calls it."""
+
     def lexicon(self):
         return Lexicon(positive=frozenset({"great", "strong", "good"}),
                        negative=frozenset({"bad", "weak"}))
 
     def test_positive_score(self):
-        assert label_sentiment("great rally strong", self.lexicon()) == "positive"
+        assert label_tokens("great rally strong".split(), self.lexicon()) == "positive"
 
     def test_empty_is_neutral(self):
-        assert label_sentiment("", self.lexicon()) == "neutral"
+        assert label_tokens("".split(), self.lexicon()) == "neutral"
 
     def test_tie_is_neutral(self):
-        assert label_sentiment("good bad", self.lexicon()) == "neutral"
+        assert label_tokens("good bad".split(), self.lexicon()) == "neutral"
 
     def test_negative_score(self):
-        assert label_sentiment("bad weak bad", self.lexicon()) == "negative"
+        assert label_tokens("bad weak bad".split(), self.lexicon()) == "negative"
 
     def test_presupplied_label_bypasses_lexicon(self):
-        got = label_sentiment("bad weak", self.lexicon(), presupplied="positive")
+        got = label_tokens("bad weak".split(), self.lexicon(), presupplied="positive")
         assert got == "positive"
 
     def test_bundled_lexicon_loads(self):

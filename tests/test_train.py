@@ -668,9 +668,3 @@ class TestExportPredictions:
         path = tmp_path / "preds.csv"
         export_predictions(model, samples, self.stats(), path)
         assert len(path.read_text().splitlines()) == 10
-
-    def test_missing_stats_rejected(self, tmp_path):
-        samples = make_samples(TINY, 3)
-        model = build_model(TINY, ArchKind.CNN_GRU)
-        with pytest.raises(DataValidationError):
-            export_predictions(model, samples, None, tmp_path / "p.csv")
