@@ -10,7 +10,9 @@ never written) and runs the kernel tests on the copy, stopping at the first
 failure: test_batched_kernels.py, test_losses_optim.py, and of
 test_model.py TestRowSums, the attention kernels' value tests in
 TestKernelWorkspaces and TestBatchedCore (the per-window oracle's check,
-kept until the oracle goes). A mutant is killed when that run fails. The
+kept until the oracle goes), and test_columns.py's TestColumnTables (a
+prepared dataset's column-built day tables against the tables of its window
+objects). A mutant is killed when that run fails. The
 unmutated copy runs first and must pass, or no kill means anything.
 
 An edit's old text must occur exactly once in its file, so a refactor that
@@ -39,7 +41,8 @@ TESTS = ["tests/test_batched_kernels.py", "tests/test_losses_optim.py",
          "tests/test_model.py::TestKernelWorkspaces::test_attention_forward_equals_plain_loops",
          "tests/test_model.py::TestKernelWorkspaces::"
          "test_attention_backward_equals_plain_expressions",
-         "tests/test_model.py::TestBatchedCore"]
+         "tests/test_model.py::TestBatchedCore",
+         "tests/test_columns.py::TestColumnTables"]
 
 
 class Mutant(NamedTuple):
@@ -132,6 +135,13 @@ MUTANTS = [
            "src/sentirisk/model.py",
            "max(longest, (max(longest, 1) - 1) // cfg.conv_stride",
            "max(longest, (max(longest, 2) - 2) // cfg.conv_stride"),
+    Mutant("column table: a window's day rows shifted by one", "src/sentirisk/model.py",
+           "flat = (starts[:, None] + np.arange(cfg.window)).ravel()",
+           "flat = (starts[:, None] + np.arange(1, cfg.window + 1)).ravel()"),
+    Mutant("column table: texts keyed by their untruncated ids", "src/sentirisk/model.py",
+           "key = tuple(seq[: cfg.max_doc_len] for seq in seqs)", "key = seqs"),
+    Mutant("column table: features read from the previous day's row", "src/sentirisk/model.py",
+           "ds.features[days],", "ds.features[days - 1],"),
 ]
 
 

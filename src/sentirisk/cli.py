@@ -8,11 +8,11 @@ SENTI_RISK_SEED) prints its usage line and the error. Exit codes: 0 success,
 1 usage error, 2 data validation error, 3 runtime or numeric failure.
 Progress goes to standard error; results (metrics JSON, CSV, alert JSONL) go
 to standard output unless an output path is given. A failed run leaves a
-previous checkpoint, history, predict CSV or alert file as it was; train and
-compare check that their output directories exist before any work. evaluate,
-predict and alert load their inputs through one loader (a checkpoint whose
-vocab_size or window differs from the dataset's is a data error) and score
-the split with train.score_windows.
+previous checkpoint, history, predict CSV or alert file as it was; train,
+compare, predict and alert check that their output directories exist before
+any work. evaluate, predict and alert load their inputs through one loader
+(a checkpoint whose vocab_size or window differs from the dataset's is a
+data error) and score the split with train.score_windows.
 
 Configuration is a flat JSON object whose keys are the fields of ModelConfig,
 TrainConfig, PrepareConfig and AlertRuleConfig, which alone define each
@@ -277,7 +277,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     ds = data_mod.prepare_dataset(bars, docs, _lexicon(cfg), pcfg)
     out = Path(args.out) if args.out else data_dir / "prepared"
     data_mod.save_prepared(ds, out)
-    print(f"prepared {len(ds.samples)} samples "
+    print(f"prepared {len(ds.windows.start)} samples "
           f"({len(bars)} bars, {len(docs)} docs, vocab {ds.vocab.size}) -> {out}")
     return 0
 
@@ -334,6 +334,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     resolve_config(args)
+    _check_out_dirs(args.out)
     model, ds, split = _load_for_scoring(args)
     train_mod.export_predictions(model, split, ds.stats, args.out)
     print(f"wrote {len(split)} predictions -> {args.out}")
@@ -348,6 +349,7 @@ def cmd_alert(args: argparse.Namespace) -> int:
     if args.model_in and args.data_dir is None:
         args.parser.error("--model-in needs --data-dir")
     cfg = resolve_config(args)
+    _check_out_dirs(args.out)
     rules = build_config(alerts_mod.AlertRuleConfig, cfg)
     if args.predictions:
         preds = alerts_mod.load_predictions_jsonl(args.predictions)

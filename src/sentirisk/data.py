@@ -3,27 +3,27 @@
 Pipeline order: load bars + raw docs, clean and label each doc (one that
 cleans to no tokens, such as a bare URL, is dropped), build the vocabulary,
 encode docs, align docs onto trading days (roll-forward), build sliding-window
-samples, split chronologically, fit normalization statistics on the training
-span only, then build each day and window whole, normalized. Each record is
-checked once, by its constructor, and trusted by what reads it. The splits
-are three immutable Splits; a PreparedDataset cuts its own once.
+targets, split chronologically, fit normalization statistics on the training
+span only. A PreparedDataset holds the result as columns, DayColumns and
+WindowColumns, from prepare to the day table: prepare_dataset and
+load_prepared build no AlignedDay or WindowSample, and the window objects
+(ds.samples, or a split iterated) are built from the columns on first use.
+Each record is checked once, by its constructor, and trusted by what reads it.
 
 A prepared directory (format 4) stores each fact once: vocab.txt (line i is
-the token with id i+2); days.json, one JSON object of columns with one entry
-per input day in date order: date, raw, close, label and its documents' token
-ids as read (only the model pads them); windows.json, columns with one entry
-per sample: start (its first day's row) and its targets; norm_stats.json:
-stats, window, ratios, format_version, n_days, n_samples. Each file is one
-json.dumps and one json.loads. normalized_samples derives the features and
-the normalized return at prepare and at load alike; has_text and prev_close
-are computed on read. load_prepared checks each column whole, in the file's
-column order: other format_versions, a missing or unknown column, a column
-whose length is not n_days or n_samples, an entry of the wrong type, dates
-out of order, a start outside days.json, a target_date outside its slot,
-token ids outside vocab.txt and non-finite numbers are refused naming the
-full path, the column and the first bad row. read_json reads every JSON
-document; check_fields is the one type rule for its keys and for every
-texts.jsonl row, and _fits the one rule for a column's entries.
+the token with id i+2); days.json and windows.json, each one JSON object of
+the dataset's columns (token ids as read: only the model pads them);
+norm_stats.json: stats, window, ratios, format_version, n_days, n_samples.
+Each file is one json.dumps and one json.loads. The normalized features and
+returns, has_text and prev_close are derived on read. load_prepared checks
+each column whole, in the file's column order: other format_versions, a
+missing or unknown column, a column whose length is not n_days or n_samples,
+an entry of the wrong type, dates out of order, a start outside days.json, a
+target_date outside its slot, token ids outside vocab.txt and non-finite
+numbers are refused naming the full path, the column and the first bad row.
+read_json reads every JSON document; check_fields is the one type rule for
+its keys and for every texts.jsonl row, and _fits the one rule for a
+column's entries.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ import itertools
 import json
 import logging
 import math
+import operator
 import os
 import typing
 from bisect import bisect_left
 from collections import Counter
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
@@ -433,7 +434,8 @@ def _window_targets(rows: Sequence[tuple], window: int) -> list[tuple]:
 
 
 class Split(Sequence[T]):
-    """An immutable run of samples, as split_chronological cuts them.
+    """An immutable run of windows, as split_chronological or a PreparedDataset
+    cuts them.
 
     It reads as a list does: len, iteration, indexing, == with a list, and
     a slice or + with a split or a list on either side is a new list. It
@@ -441,39 +443,55 @@ class Split(Sequence[T]):
     are values (tuples down to the token ids), so what is derived from it
     holds for its life: model.day_table keeps the split's DayTable for each
     text configuration in tables, and every later call on the split reuses it.
+    A dataset's split is its range window_rows of the dataset's windows, which
+    model.day_table and train read as columns; it takes its slice of
+    dataset.samples only when it is iterated or indexed.
     """
 
-    __slots__ = ("_items", "tables")
+    __slots__ = ("_items", "dataset", "window_rows", "tables")
 
-    def __init__(self, items: Iterable[T]) -> None:
-        self._items = tuple(items)
+    def __init__(self, items: Iterable[T], dataset: PreparedDataset | None = None) -> None:
+        # a dataset's split is given the range of its window rows as items
+        self.dataset = dataset
+        self._items = None if dataset is not None else tuple(items)
+        self.window_rows = items if dataset is not None else range(len(self._items))
         self.tables: dict = {}
 
+    def _windows(self) -> tuple:
+        if self._items is None:
+            self._items = self.dataset.samples[self.window_rows.start : self.window_rows.stop]
+        return self._items
+
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.window_rows)
 
     def __iter__(self) -> Iterator[T]:
-        return iter(self._items)
+        return iter(self._windows())
 
     def __getitem__(self, index):
-        return list(self._items[index]) if isinstance(index, slice) else self._items[index]
+        items = self._windows()
+        return list(items[index]) if isinstance(index, slice) else items[index]
 
     def __add__(self, other):
-        return [*self._items, *other] if isinstance(other, (Split, list)) else NotImplemented
+        return [*self, *other] if isinstance(other, (Split, list)) else NotImplemented
 
     def __radd__(self, other):
-        return [*other, *self._items] if isinstance(other, list) else NotImplemented
+        return [*other, *self] if isinstance(other, list) else NotImplemented
 
     def __eq__(self, other):  # defining it leaves a split unhashable, as a list is
-        return self._items == tuple(other) if isinstance(other, (Split, list)) else NotImplemented
+        if not isinstance(other, (Split, list)):
+            return NotImplemented
+        return self._windows() == tuple(other)
 
     def __repr__(self) -> str:
-        return f"Split({list(self._items)!r})"
+        return f"Split({list(self)!r})"
 
 
-def split_chronological(samples: Sequence[T], ratios: tuple[float, float, float]
+def split_chronological(samples: Sequence[T], ratios: tuple[float, float, float],
+                        dataset: PreparedDataset | None = None
                         ) -> tuple[Split[T], Split[T], Split[T]]:
-    """Contiguous chronological partition by cumulative floor boundaries.
+    """Contiguous chronological partition by cumulative floor boundaries; of
+    dataset, samples is the range of its window rows.
 
     Boundaries are floor(n*r_train) and floor(n*(r_train+r_val)); any
     fractional remainder therefore lands in the trailing (test) cut of the
@@ -487,7 +505,8 @@ def split_chronological(samples: Sequence[T], ratios: tuple[float, float, float]
     n = len(samples)
     train_end = int(math.floor(n * r1))
     val_end = int(math.floor(n * (r1 + r2)))
-    return Split(samples[:train_end]), Split(samples[train_end:val_end]), Split(samples[val_end:])
+    return (Split(samples[:train_end], dataset), Split(samples[train_end:val_end], dataset),
+            Split(samples[val_end:], dataset))
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +549,12 @@ class NormStats:
         """(len(raws), 5) features of days: the raw values z-scored, then has_text
         as 1.0 or 0.0; elementwise IEEE arithmetic, the bits a loop of floats gives."""
         raw = np.array(raws, dtype=np.float64).reshape(len(raws), 4)
-        with np.errstate(over="ignore"):  # the AlignedDay built of an inf refuses it
+        with np.errstate(over="ignore"):  # PreparedDataset.of_columns refuses an inf
             return np.column_stack(((raw - self.means) / self.stds, has_text))
 
-    def normalize_return(self, raw_logret: float) -> float:
+    def normalize_return(self, raw_logret):
+        """The z-scored log return of a float, or elementwise of an array (the
+        same IEEE arithmetic, so the same bits)."""
         return (raw_logret - self.means[0]) / self.stds[0]
 
     def denormalize_return(self, z: float) -> float:
@@ -556,27 +577,137 @@ class PrepareConfig:
     ratios: tuple[float, float, float] = DEFAULT_RATIOS
 
 
-@dataclass(frozen=True)
-class PreparedDataset:
-    """A prepared dataset; frozen, its samples a tuple, so splits() cuts them
-    once and returns the same three Split objects, and the day tables they
-    keep, on every call."""
+_CLASS_INDICES = frozenset(range(len(CLASS_NAMES)))
 
-    vocab: Vocabulary
-    samples: tuple[WindowSample, ...]
-    stats: NormStats
-    window: int
-    ratios: tuple[float, float, float]
+
+def _check_classes(classes: tuple, where: Callable[[int], str], name: str) -> None:
+    """DataValidationError at where(i) for the first of classes that is not a class index."""
+    if not _CLASS_INDICES.issuperset(classes):
+        i = next(i for i, c in enumerate(classes) if c not in _CLASS_INDICES)
+        raise DataValidationError(f"{where(i)}: {name} {classes[i]} is not a class index")
+
+
+@dataclass(frozen=True)
+class DayColumns:
+    """A dataset's input days in date order, entry i of each column being day
+    row i's: an AlignedDay's fields but features. Construction makes each
+    column a tuple, raw and token_seqs down to the numbers, and refuses a
+    label that is not a class index naming the date, as AlignedDay does."""
+
+    date: tuple[dt.date, ...]
+    raw: tuple[tuple[float, float, float, float], ...]
+    token_seqs: tuple[tuple[tuple[int, ...], ...], ...]
+    label: tuple[int, ...]
+    close: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
+        for f in fields(self):
+            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
+        object.__setattr__(self, "raw", tuple(map(tuple, self.raw)))
+        object.__setattr__(self, "token_seqs",
+                           tuple(tuple(map(tuple, seqs)) for seqs in self.token_seqs))
+        _check_classes(self.label, lambda i: f"day {self.date[i]}", "label")
+
+
+@dataclass(frozen=True)
+class WindowColumns:
+    """A dataset's windows: start, the day row of a window's first day, then a
+    WindowSample's targets but target_return. Construction makes each column
+    a tuple and refuses a target_class that is not a class index naming the
+    target date, as WindowSample does."""
+
+    start: tuple[int, ...]
+    target_date: tuple[dt.date, ...]
+    target_class: tuple[int, ...]
+    target_return_raw: tuple[float, ...]
+    target_close: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
+        _check_classes(self.target_class, lambda i: f"window for {self.target_date[i]}",
+                       "target_class")
+
+
+# what two equal datasets share: the derived arrays follow from these
+_FACTS = operator.attrgetter("vocab", "stats", "window", "ratios", "days", "windows")
+
+
+class PreparedDataset:
+    """A prepared dataset: vocab, stats, window, ratios, its days and windows
+    as columns, and the read-only arrays derived from those with stats:
+    features (n_days, 5) and target_return (n_windows,), both normalized.
+    samples, the windows as WindowSample objects sharing their days'
+    AlignedDays, is built from the columns on first use (or is the objects a
+    dataset was built of). A dataset is frozen, and splits() returns the same
+    three Splits, and the day tables they keep, on every call. Two datasets
+    are equal when all but the derived arrays are.
+    """
+
+    def __init__(self, vocab: Vocabulary, samples: Iterable[WindowSample], stats: NormStats,
+                 window: int, ratios: tuple[float, float, float]) -> None:
+        """The dataset of samples, its columns derived from them; DataValidationError
+        for what _stored_days refuses or a stored copy other than of_columns derives."""
+        samples = tuple(samples)
+        days, starts = _stored_days(samples, window)
+        ds = PreparedDataset.of_columns(
+            vocab, stats, window, ratios,
+            DayColumns(*([getattr(d, f.name) for d in days] for f in fields(DayColumns))),
+            WindowColumns(starts, *([getattr(s, f.name) for s in samples]
+                                    for f in fields(WindowColumns)[1:])))
+        _check_derived("features", [d.features for d in days], ds.features,
+                       lambda i: f"day {days[i].date}")
+        _check_derived("target_return", [s.target_return for s in samples], ds.target_return,
+                       lambda i: f"window for {samples[i].target_date}")
+        vars(self).update(vars(ds), samples=samples)
+
+    @classmethod
+    def of_columns(cls, vocab: Vocabulary, stats: NormStats, window: int,
+                   ratios: tuple[float, float, float], days: DayColumns,
+                   windows: WindowColumns) -> PreparedDataset:
+        """The dataset of columns, as prepare_dataset and load_prepared build it;
+        DataValidationError naming the first day whose features are not 5 finite
+        numbers (stats that overflow)."""
+        features = stats.normalize_days(days.raw, [bool(seqs) for seqs in days.token_seqs])
+        finite = np.isfinite(features).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DataValidationError(f"day {days.date[i]}: features {features[i].tolist()} are "
+                                      f"not {N_MARKET_FEATURES} finite numbers")
+        with np.errstate(over="ignore"):  # a window's target_return may be infinite
+            target_return = stats.normalize_return(
+                np.array(windows.target_return_raw, dtype=np.float64))
+        features.flags.writeable = target_return.flags.writeable = False
+        ds = cls.__new__(cls)
+        vars(ds).update(vocab=vocab, stats=stats, window=window, ratios=ratios, days=days,
+                        windows=windows, features=features, target_return=target_return)
+        return ds
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, PreparedDataset):
+            return NotImplemented
+        return _FACTS(self) == _FACTS(other)
+
+    @functools.cached_property
+    def samples(self) -> tuple[WindowSample, ...]:
+        """The windows as objects, built from the columns on first use: one
+        AlignedDay per day row, shared by every window that holds it."""
+        d, w = self.days, self.windows
+        days = tuple(map(AlignedDay, d.date, d.raw, d.token_seqs, d.label, d.close,
+                         self.features.tolist()))
+        return tuple(map(WindowSample, (days[t : t + self.window] for t in w.start),
+                         w.target_date, w.target_class, w.target_return_raw, w.target_close,
+                         self.target_return.tolist()))
 
     def splits(self) -> tuple[Split[WindowSample], Split[WindowSample], Split[WindowSample]]:
         return self._splits
 
     @functools.cached_property
     def _splits(self) -> tuple[Split[WindowSample], Split[WindowSample], Split[WindowSample]]:
-        return split_chronological(self.samples, self.ratios)
+        return split_chronological(range(len(self.windows.start)), self.ratios, self)
 
 
 def prepare_dataset(bars: Sequence[MarketBar], raw_docs: Sequence[RawTextDoc],
@@ -608,22 +739,10 @@ def prepare_dataset(bars: Sequence[MarketBar], raw_docs: Sequence[RawTextDoc],
         raise DataValidationError("training split is empty; need more days")
     # every day a training sample touches (inputs and target)
     stats = NormStats.fit([r[1] for r in days_raw[: n_train + cfg.window]])
-    return PreparedDataset(vocab=vocab, stats=stats, window=cfg.window, ratios=cfg.ratios,
-                           samples=normalized_samples(stats, days_raw, cfg.window, targets))
-
-
-def normalized_samples(stats: NormStats, rows: Sequence[tuple], window: int,
-                       targets: Iterable[tuple]) -> list[WindowSample]:
-    """The samples of prepare_dataset and load_prepared: each day row (_day_rows)
-    is built once into its day with features from stats; target (start, date,
-    class, raw return, close), a window row, reads days[start : start +
-    window] and gets target_return."""
-    features = stats.normalize_days([r[1] for r in rows], [bool(r[2]) for r in rows])
-    days = tuple(AlignedDay(*row, features=f) for row, f in zip(rows, features.tolist()))
-    return [WindowSample(inputs=days[t : t + window], target_date=date, target_class=cls,
-                         target_return_raw=ret, target_close=close,
-                         target_return=stats.normalize_return(ret))
-            for t, date, cls, ret, close in targets]
+    # the last day is a target only: no window's input, it is not stored
+    return PreparedDataset.of_columns(vocab, stats, cfg.window, cfg.ratios,
+                                      DayColumns(*zip(*days_raw[:-1])),
+                                      WindowColumns(*zip(*targets)))
 
 
 # ---------------------------------------------------------------------------
@@ -669,23 +788,24 @@ def _check_target_date(date: dt.date, dates: Sequence[dt.date], start: int,
                                   f"{dates[end - 1]}{after}")
 
 
-def _stored_days(ds: PreparedDataset) -> tuple[tuple[AlignedDay, ...], list[int]]:
-    """ds's input days in date order and each sample's start row; DataValidationError
-    for two different days with one date, a window not a run of consecutive days
-    or a target_date that _check_target_date rejects."""
+def _stored_days(samples: Sequence[WindowSample], window: int
+                 ) -> tuple[tuple[AlignedDay, ...], list[int]]:
+    """The input days of samples in date order and each sample's start row;
+    DataValidationError for two different days with one date, a window not a
+    run of consecutive days or a target_date that _check_target_date rejects."""
     by_date: dict[dt.date, AlignedDay] = {}
-    for d in {id(d): d for s in ds.samples for d in s.inputs}.values():
+    for d in {id(d): d for s in samples for d in s.inputs}.values():
         if (first := by_date.setdefault(d.date, d)) is not d and first != d:
             raise DataValidationError(f"two different days dated {d.date}")
     days = tuple(sorted(by_date.values(), key=lambda d: d.date))
     dates = [d.date for d in days]
     row = {date: i for i, date in enumerate(dates)}
-    starts = [row[s.inputs[0].date] for s in ds.samples]
-    for s, t in zip(ds.samples, starts):
-        if s.inputs != days[t : t + ds.window]:  # tuple == tries identity first
+    starts = [row[s.inputs[0].date] for s in samples]
+    for s, t in zip(samples, starts):
+        if s.inputs != days[t : t + window]:  # tuple == tries identity first
             raise DataValidationError(f"window for {s.target_date} is not a run of "
-                                      f"{ds.window} consecutive days")
-        _check_target_date(s.target_date, dates, t, ds.window)
+                                      f"{window} consecutive days")
+        _check_target_date(s.target_date, dates, t, window)
     return days, starts
 
 
@@ -700,33 +820,25 @@ def _check_derived(name: str, stored, derived, where: Callable[[int], str]) -> N
 
 
 def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
-    """Writes format 4, each file one json.dumps, through atomic_write:
-    norm_stats.json last and no file before all are written. DataValidationError,
-    writing nothing, for what _stored_days rejects or a stored copy other than
-    normalized_samples derives."""
-    days, starts = _stored_days(ds)
-    _check_derived("features", [d.features for d in days],
-                   ds.stats.normalize_days([d.raw for d in days], [d.has_text for d in days]),
-                   lambda i: f"day {days[i].date}")
-    _check_derived("target_return", [s.target_return for s in ds.samples],
-                   [ds.stats.normalize_return(s.target_return_raw) for s in ds.samples],
-                   lambda i: f"window for {ds.samples[i].target_date}")
+    """Writes format 4, ds's columns as they are, each file one json.dumps,
+    through atomic_write: norm_stats.json last and no file before all are
+    written."""
+    days, windows = ds.days, ds.windows
     meta = {**ds.stats.to_dict(), "window": ds.window, "ratios": list(ds.ratios),
-            "format_version": PREPARED_FORMAT_VERSION, "n_days": len(days),
-            "n_samples": len(ds.samples)}
+            "format_version": PREPARED_FORMAT_VERSION, "n_days": len(days.date),
+            "n_samples": len(windows.start)}
     files = {  # entered first, so ExitStack moves norm_stats.json into place last
         "norm_stats.json": [json.dumps(meta, indent=2)],
         "vocab.txt": ds.vocab.to_lines(),
-        "days.json": [json.dumps({"date": [d.date.isoformat() for d in days],
-                                  "raw": [d.raw for d in days],
-                                  "close": [d.close for d in days],
-                                  "label": [CLASS_NAMES[d.label] for d in days],
-                                  "token_seqs": [d.token_seqs for d in days]})],
+        "days.json": [json.dumps({"date": [d.isoformat() for d in days.date],
+                                  "raw": days.raw, "close": days.close,
+                                  "label": [CLASS_NAMES[c] for c in days.label],
+                                  "token_seqs": days.token_seqs})],
         "windows.json": [json.dumps({
-            "start": starts, "target_date": [s.target_date.isoformat() for s in ds.samples],
-            "target_class": [CLASS_NAMES[s.target_class] for s in ds.samples],
-            "target_return_raw": [s.target_return_raw for s in ds.samples],
-            "target_close": [s.target_close for s in ds.samples]})]}
+            "start": windows.start, "target_date": [d.isoformat() for d in windows.target_date],
+            "target_class": [CLASS_NAMES[c] for c in windows.target_class],
+            "target_return_raw": windows.target_return_raw,
+            "target_close": windows.target_close})]}
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         for name, lines in files.items():
@@ -849,7 +961,7 @@ _META_FIELDS = {"means": list[float], "stds": list[float], "window": int,
 
 
 def load_prepared(in_dir: str | Path) -> PreparedDataset:
-    """Reads save_prepared's directory; every window shares the loaded day objects."""
+    """The dataset of save_prepared's directory, built of its columns."""
     root = Path(in_dir)
     meta_path = root / "norm_stats.json"
     meta = read_json(meta_path, _META_FIELDS)
@@ -880,12 +992,10 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
                       f"{meta_path} n_samples {n_samples}")
     starts = column("start", functools.partial(_starts_within, n_days - window))
     target_dates = column("target_date", functools.partial(_target_dates, starts, dates, window))
-    targets = zip(starts, target_dates, column("target_class", _classes),
-                  column("target_return_raw", _finite), column("target_close", _finite))
-    days = list(zip(dates, raws, token_seqs, labels, closes))
+    windows = WindowColumns(starts, target_dates, column("target_class", _classes),
+                            column("target_return_raw", _finite), column("target_close", _finite))
+    days = DayColumns(dates, raws, token_seqs, labels, closes)
     try:  # stats that overflow a day's features
-        samples = normalized_samples(stats, days, window, targets)
+        return PreparedDataset.of_columns(vocab, stats, window, ratios, days, windows)
     except DataValidationError as exc:
         raise DataValidationError(f"{meta_path}: {exc}") from None
-    return PreparedDataset(vocab=vocab, samples=samples, stats=stats, window=window,
-                           ratios=ratios)

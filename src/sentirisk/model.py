@@ -20,10 +20,11 @@ layers.py: the per-window reference the batched core is tested against,
 which nothing else in the package calls, and the only reader of the model's
 six Matrix containers. A DayTable holds the distinct days of a split as
 read-only arrays, built once with the checks the model's config sets (window
-length, token ids; a day checks its features when built): a data.Split
-keeps its table for each text configuration, so every train, evaluate or
-score call on it after the first reuses the table; a batch is a list of
-window indices into it.
+length, token ids): a prepared dataset's split builds it from the dataset's
+columns, with no window object, and any other list of windows from its
+objects, through the same constructor. A data.Split keeps its table for each
+text configuration, so every train, evaluate or score call on it after the
+first reuses the table; a batch is a list of window indices into it.
 Each distinct day text of the batch is encoded once: one matrix product
 gives each distinct token its response to every filter at
 every window position, a window sums those of its tokens, and only the
@@ -563,9 +564,11 @@ class DayTable:
     """The distinct days of a list of windows, as read-only arrays built and
     checked once.
 
-    Days are rows by object identity; texts are rows by their truncated token
-    ids, so copies of a day, or two dates with the same text, share one text
-    row. A batch is a list of window indices into the table.
+    Days are rows numbered by first appearance: a prepared dataset's day rows
+    (day_table of its split), or day objects by identity (_build_table). Texts
+    are rows by their truncated token ids, so copies of a day, or two dates
+    with the same text, share one text row. A batch is a list of window
+    indices into the table.
     """
 
     windows: np.ndarray  # (n_windows, T) day rows
@@ -594,23 +597,40 @@ def _first_hits(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def day_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     """The table of samples. A Split keeps the table its first call builds
-    under each text configuration (the cfg fields _build_table reads) and
-    returns that table on later calls; any other sequence is built anew."""
+    under each text configuration (the cfg fields _table reads) and returns
+    that table on later calls; a prepared dataset's split builds it from the
+    dataset's columns (_split_table), any other sequence from its window
+    objects (_build_table), anew on every call."""
     if not isinstance(samples, Split):
         return _build_table(cfg, samples)
     key = (cfg.window, cfg.max_doc_len, cfg.kernel_width, cfg.conv_stride, cfg.vocab_size)
     if (table := samples.tables.get(key)) is None:
-        table = samples.tables.setdefault(key, _build_table(cfg, samples))
+        build = _build_table if samples.dataset is None else _split_table
+        table = samples.tables.setdefault(key, build(cfg, samples))
     return table
 
 
-def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
-    """Builds the table of samples; every window-length and token-id check runs here.
+def _split_table(cfg: ModelConfig, split: Split) -> DayTable:
+    """The table of a prepared dataset's split, read off the dataset's columns:
+    window i's days are rows start_i + arange(T) of its days, renumbered by
+    first appearance, so the table is _build_table's of the same windows,
+    whose days are shared objects, one per row."""
+    ds, rows = split.dataset, split.window_rows
+    if ds.window != cfg.window:
+        raise ShapeError(f"sample has {ds.window} days, model expects {cfg.window}")
+    starts = np.array(ds.windows.start[rows.start : rows.stop], dtype=np.intp)
+    flat = (starts[:, None] + np.arange(cfg.window)).ravel()
+    first, number = _first_hits(flat, len(ds.days.date))
+    days = flat[first]
+    return _table(cfg, number.reshape(len(starts), cfg.window), ds.features[days],
+                  [ds.days.token_seqs[day] for day in days])
 
-    Day rows are numbered by first appearance, so the Python loop below runs
-    once per distinct day, not once per (window, day). The arrays are made
-    read-only, since a Split shares its table among calls.
-    """
+
+def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
+    """The table of window objects: days are rows by object identity, so
+    copies of a day are rows of their own. Rows are numbered by first
+    appearance, so the Python loop below runs once per distinct day, not
+    once per (window, day)."""
     for sample in samples:
         _check_window(cfg, sample)
     flat = [day for sample in samples for day in sample.inputs]
@@ -619,11 +639,21 @@ def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     rows = np.array([row_of.setdefault(id(day), len(row_of)) for day in flat], dtype=np.intp)
     days = list({id(day): day for day in flat}.values())
     features = np.array([day.features for day in days], dtype=np.float64)
+    return _table(cfg, rows.reshape(len(samples), cfg.window),
+                  features.reshape(-1, N_MARKET_FEATURES), [day.token_seqs for day in days])
+
+
+def _table(cfg: ModelConfig, windows: np.ndarray, features: np.ndarray,
+           token_seqs: Sequence[tuple[tuple[int, ...], ...]]) -> DayTable:
+    """The DayTable of windows (n_windows, T), rows into features (n_days, 5)
+    and token_seqs, each day's documents; the token-id check runs here.
+    Texts are rows by their truncated token ids, numbered in day order. The
+    arrays are made read-only, since a Split shares its table among calls."""
     texts: dict[tuple[tuple[int, ...], ...], int] = {}
-    text = np.full(len(days), -1, dtype=np.intp)
-    for row, day in enumerate(days):
-        if day.token_seqs:
-            key = tuple(seq[: cfg.max_doc_len] for seq in day.token_seqs)
+    text = np.full(len(token_seqs), -1, dtype=np.intp)
+    for row, seqs in enumerate(token_seqs):
+        if seqs:
+            key = tuple(seq[: cfg.max_doc_len] for seq in seqs)
             text[row] = texts.setdefault(key, len(texts))
     counts = np.array([len(key) for key in texts], dtype=np.intp)
     longest = max((len(seq) for key in texts for seq in key), default=0)
@@ -635,9 +665,8 @@ def _build_table(cfg: ModelConfig, samples: Sequence[WindowSample]) -> DayTable:
     bad = docs[(docs < 0) | (docs >= cfg.vocab_size)]
     if bad.size:
         raise ShapeError(f"token id {bad[0]} out of range for vocab of {cfg.vocab_size}")
-    table = DayTable(windows=rows.reshape(len(samples), cfg.window),
-                     features=features.reshape(-1, N_MARKET_FEATURES),
-                     text=text, docs=docs, doc_start=np.concatenate([[0], np.cumsum(counts)]))
+    table = DayTable(windows=windows, features=features, text=text, docs=docs,
+                     doc_start=np.concatenate([[0], np.cumsum(counts)]))
     for array in vars(table).values():
         array.flags.writeable = False
     return table
@@ -1121,13 +1150,15 @@ def save_checkpoint(model: CnnGruModel, path: str | Path) -> None:
         "config": model.cfg.to_dict(),
         "tensors": {name: list(shape) for name, (_, shape) in model.layout.items()},
     })
-    values = base64.b64encode(model.params.astype("<f8").tobytes()).decode("ascii")
+    # the weights' own buffer, copied only on a big-endian host
+    values = base64.b64encode(model.params.astype("<f8", copy=False))
     # json.dumps of the whole object, "values" last: base64 needs no escaping,
-    # so the payload is written as it is rather than run through the encoder
+    # so its ASCII bytes go to the file as they are, past the text layer
     with atomic_write(path) as fh:
         fh.write(head[:-1] + ', "values": "')
-        fh.write(values)
-        fh.write('"}\n')
+        fh.flush()
+        fh.buffer.write(values)
+        fh.buffer.write(b'"}\n')
 
 
 # the keys of a checkpoint; formats 1 and 2 had no "values"

@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .data import DEFAULT_RATIOS, NormStats, WindowSample, atomic_write, split_chronological
+from .data import DEFAULT_RATIOS, NormStats, Split, WindowSample, atomic_write, split_chronological
 from .errors import DataValidationError, NumericError, ShapeError, TrainingDivergedError
 from .losses import batch_cross_entropy, joint_loss
 from .model import (
@@ -102,7 +102,12 @@ FORWARD_BLOCK = 64
 
 
 def _targets(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
-    """(normalized target returns, target classes) of a batch."""
+    """(normalized target returns, target classes) of a batch: a prepared
+    dataset's split reads its rows of the dataset's columns."""
+    if isinstance(samples, Split) and samples.dataset is not None:
+        ds, rows = samples.dataset, samples.window_rows
+        return (ds.target_return[rows.start : rows.stop],
+                np.array(ds.windows.target_class[rows.start : rows.stop], dtype=np.intp))
     return (np.array([s.target_return for s in samples]),
             np.array([s.target_class for s in samples], dtype=np.intp))
 

@@ -27,6 +27,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sentirisk import alerts as alerts_mod
+from sentirisk import cli as cli_mod
 from sentirisk import data as data_mod
 from sentirisk import train as train_mod
 from sentirisk.alerts import AlertRuleConfig
@@ -1313,6 +1315,36 @@ class TestPredict:
         captured = capsys.readouterr()
         assert rc == 3
         assert "i/o error:" in captured.err
+
+
+class TestOutDirectoryCheckedFirst:
+    """predict and alert check that --out's directory exists before they load
+    a checkpoint, a dataset or predictions, or score a window."""
+
+    @pytest.fixture
+    def nothing_read(self, monkeypatch):
+        def called(*args, **kwargs):
+            pytest.fail("read or scored before --out's directory was checked")
+
+        for owner, name in ((cli_mod, "load_checkpoint"), (data_mod, "load_prepared"),
+                            (train_mod, "score_windows"),
+                            (alerts_mod, "load_predictions_jsonl")):
+            monkeypatch.setattr(owner, name, called)
+
+    @pytest.mark.parametrize("form", ["predict", "alert --model-in", "alert --predictions"])
+    def test_missing_directory_exits_3_naming_the_path(self, workspace, trained, tmp_path,
+                                                       capsys, nothing_read, form):
+        out = tmp_path / "no_such_dir" / "out.txt"
+        model_in = ["--data-dir", str(workspace["root"]), "--model-in", str(trained)]
+        argv = {"predict": ["predict", *model_in],
+                "alert --model-in": ["alert", *model_in],
+                "alert --predictions": ["alert", "--predictions",
+                                        str(write_predictions(tmp_path))]}[form]
+        rc = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"i/o error: cannot write {out}: no directory {out.parent}" in captured.err
+        assert captured.out == ""
 
 
 PRED_ROWS = [

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from sentirisk import data as data_mod
 from sentirisk.data import (
+    DEFAULT_RATIOS,
     AlignedDay,
+    DayColumns,
     LabeledDoc,
     MarketBar,
     NormStats,
@@ -25,13 +27,13 @@ from sentirisk.data import (
     PreparedDataset,
     RawTextDoc,
     Split,
+    WindowColumns,
     WindowSample,
     _day_rows,
     _window_targets,
     load_market_csv,
     load_text_jsonl,
     load_prepared,
-    normalized_samples,
     prepare_dataset,
     save_prepared,
     split_chronological,
@@ -67,11 +69,25 @@ def simple_rows(n: int, label: int = 1) -> list[tuple]:
             for i, d in enumerate(weekdays(dt.date(2024, 1, 2), n))]
 
 
-def windows_of(rows: list[tuple], window: int) -> list[WindowSample]:
+def dataset_of_rows(stats: NormStats, rows: list[tuple], window: int, targets: list[tuple],
+                    vocab: Vocabulary = Vocabulary({})) -> PreparedDataset:
+    """The dataset of day rows (_day_rows) and window rows (_window_targets),
+    built of their columns as prepare_dataset builds it: the last row is a
+    target only, and not stored."""
+    return PreparedDataset.of_columns(vocab, stats, window, DEFAULT_RATIOS,
+                                      DayColumns(*zip(*rows[:-1])), WindowColumns(*zip(*targets)))
+
+
+def windows_of(rows: list[tuple], window: int) -> tuple[WindowSample, ...]:
     """The samples prepare_dataset builds of day rows, with statistics fitted
     on every row."""
     stats = NormStats.fit([r[1] for r in rows])
-    return normalized_samples(stats, rows, window, _window_targets(rows, window))
+    return dataset_of_rows(stats, rows, window, _window_targets(rows, window)).samples
+
+
+def with_samples(ds: PreparedDataset, samples) -> PreparedDataset:
+    """ds's vocabulary, stats, window and ratios over other window objects."""
+    return PreparedDataset(ds.vocab, samples, ds.stats, ds.window, ds.ratios)
 
 
 class TestMarketBar:
@@ -676,7 +692,7 @@ class TestPreparedRoundTrip:
         ds = prepare_dataset(bars, docs, lex, PrepareConfig(window=5,
                                                             ratios=(0.6, 0.2, 0.2)))
         copies = [replace(s, inputs=[replace(d) for d in s.inputs]) for s in ds.samples]
-        save_prepared(replace(ds, samples=copies), tmp_path)
+        save_prepared(with_samples(ds, copies), tmp_path)
         # equal copies of a day are one fact: one entry per date
         dates = read_columns(tmp_path / "days.json")["date"]
         assert dates == sorted({d.date.isoformat() for s in ds.samples for d in s.inputs})
@@ -704,9 +720,10 @@ class TestPreparedRoundTrip:
                 assert np.array(da.features).tobytes() == np.array(db.features).tobytes()
                 assert da.has_text is db.has_text
 
-    def refused(self, tmp_path, ds, message):
+    def refused(self, tmp_path, ds, samples, message):
+        # the dataset refuses the windows it is built of, before anything is written
         with pytest.raises(DataValidationError, match=message):
-            save_prepared(ds, tmp_path / "out")
+            save_prepared(with_samples(ds, samples), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     @pytest.fixture
@@ -719,7 +736,7 @@ class TestPreparedRoundTrip:
         other = replace(first.inputs[1], close=first.inputs[1].close + 1.0)
         samples = [replace(first, inputs=[first.inputs[0], other, *first.inputs[2:]]),
                    *demo.samples[1:]]
-        self.refused(tmp_path, replace(demo, samples=samples),
+        self.refused(tmp_path, demo, samples,
                      f"two different days dated {other.date}")
 
     @pytest.mark.parametrize("inputs", [lambda days: days[4:6] + days[7:10],
@@ -729,7 +746,7 @@ class TestPreparedRoundTrip:
         days = [*(s.inputs[0] for s in demo.samples), *demo.samples[-1].inputs[1:]]
         s = demo.samples[4]
         samples = [*demo.samples[:4], replace(s, inputs=inputs(days)), *demo.samples[5:]]
-        self.refused(tmp_path, replace(demo, samples=samples),
+        self.refused(tmp_path, demo, samples,
                      f"window for {s.target_date} is not a run of 5 consecutive days")
 
     @pytest.mark.parametrize("row", [None, 6, 8],
@@ -740,7 +757,7 @@ class TestPreparedRoundTrip:
         assert s.target_date == days[7].date
         date = dt.date(2000, 1, 1) if row is None else days[row].date
         samples = [*demo.samples[:2], replace(s, target_date=date), *demo.samples[3:]]
-        self.refused(tmp_path, replace(demo, samples=samples),
+        self.refused(tmp_path, demo, samples,
                      f"target_date {date} must be after the window's last day {days[6].date} "
                      f"and not after {days[7].date}")
 
@@ -757,7 +774,7 @@ class TestPreparedRoundTrip:
             samples = [*demo.samples[:2], replace(s, target_return=s.target_return + 1e-9),
                        *demo.samples[3:]]
             where = f"window for {s.target_date}: target_return"
-        self.refused(tmp_path, replace(demo, samples=samples), where)
+        self.refused(tmp_path, demo, samples, where)
 
     @pytest.mark.parametrize("cls", [-1, 3])
     @pytest.mark.parametrize("field", ["label", "target_class"])
@@ -775,7 +792,7 @@ class TestPreparedRoundTrip:
         where = (f"day {day.date}: label {cls}" if field == "label"
                  else f"window for {s.target_date}: target_class {cls}")
         with pytest.raises(DataValidationError, match=f"{where} is not a class index"):
-            save_prepared(replace(demo, samples=edited()), tmp_path / "out")
+            save_prepared(with_samples(demo, edited()), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_failed_write_leaves_the_previous_directory(self, tmp_path, demo, monkeypatch):
@@ -897,9 +914,8 @@ def prepared_datasets(draw) -> PreparedDataset:
     targets = [(t, rows[t + window][0], draw(st.integers(0, 2)), draw(finite_floats),
                 draw(finite_floats)) for t in range(n_windows)]
     stats = NormStats(means=(0.0,) * 4, stds=(1.0,) * 4)  # no overflow at 1e308
-    return PreparedDataset(Vocabulary({f"t{i}": i for i in range(2, vocab_size)}),
-                           data_mod.normalized_samples(stats, rows, window, targets), stats,
-                           window=window, ratios=(0.7, 0.15, 0.15))
+    return dataset_of_rows(stats, rows, window, targets,
+                           Vocabulary({f"t{i}": i for i in range(2, vocab_size)}))
 
 
 @settings(max_examples=60, deadline=None)
