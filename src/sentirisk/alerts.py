@@ -4,7 +4,8 @@ A bearish_flip fires when the predicted class moves positive → negative on
 consecutive days (bullish_flip is the mirror); a risk_threshold alert fires
 on any day whose risk score reaches the configured threshold. Within one
 day, flip alerts precede threshold alerts; the stream stays chronological.
-A DailyPrediction is checked once, by its constructor, and trusted after.
+A DailyPrediction is checked once, by its constructor, and trusted after;
+so are a stream's dates, by Predictions.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .data import check_dates_increasing, check_fields, read_jsonl
 from .errors import DataValidationError
+from .ingest import check_dates_increasing, check_fields, read_jsonl
 from .text import CLASS_INDEX, CLASS_NAMES, NEGATIVE, NUM_CLASSES, POSITIVE
 
 
@@ -90,10 +91,23 @@ def risk_score(class_probs: Sequence[float], predicted_return: float) -> float:
     return min(1.0, p_neg + penalty)
 
 
+class Predictions(tuple):
+    """DailyPredictions whose dates strictly increase, checked once, when
+    built (a DataValidationError prefixed by where), and trusted after."""
+
+    def __new__(cls, predictions: Iterable[DailyPrediction], where: str = "") -> Predictions:
+        self = super().__new__(cls, predictions)
+        check_dates_increasing([p.date for p in self], where)
+        return self
+
+
 def detect_inflections(predictions: Sequence[DailyPrediction],
                        rules: AlertRuleConfig) -> list[Alert]:
-    """One alert per (day, kind); output sorted chronologically."""
-    check_dates_increasing([p.date for p in predictions])
+    """One alert per (day, kind); output sorted chronologically. Dates that
+    do not strictly increase are refused, unless predictions is Predictions
+    (checked already)."""
+    if not isinstance(predictions, Predictions):
+        predictions = Predictions(predictions)
     alerts: list[Alert] = []
     for i, p in enumerate(predictions):
         risk = risk_score(p.probs, p.predicted_return)
@@ -121,7 +135,7 @@ _PREDICTION_FIELDS = {"date": str, "probs": list[float], "predicted_return": flo
                       "predicted_class": str}
 
 
-def load_predictions_jsonl(path: str | Path) -> list[DailyPrediction]:
+def load_predictions_jsonl(path: str | Path) -> Predictions:
     """Reads {date, probs: [3], predicted_return, optional predicted_class}.
 
     Without an explicit predicted_class the argmax of probs is used. A key
@@ -129,9 +143,7 @@ def load_predictions_jsonl(path: str | Path) -> list[DailyPrediction]:
     DailyPrediction refuses is rejected naming the line, and dates that do
     not strictly increase naming the file.
     """
-    preds = read_jsonl(path, _prediction_from_obj)
-    check_dates_increasing([p.date for p in preds], f"{path}: ")
-    return preds
+    return Predictions(read_jsonl(path, _prediction_from_obj), f"{path}: ")
 
 
 def _prediction_from_obj(obj: dict) -> DailyPrediction:

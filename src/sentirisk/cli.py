@@ -19,7 +19,7 @@ TrainConfig, PrepareConfig and AlertRuleConfig, which alone define each
 setting's default, type and range. Three names differ: "attention" is
 attention_enabled, the three *_ratio keys are PrepareConfig.ratios, and the
 two lexicon_* paths are CLI-only. A key that several dataclasses share (seed,
-window) sets every one of them. data.read_json reads the file. A value of
+window) sets every one of them. ingest.read_json reads the file. A value of
 the wrong JSON type or out of range is a data error. Flags override the
 file; for train and compare, SENTI_RISK_SEED stands in for an absent --seed.
 """
@@ -38,6 +38,7 @@ from typing import Sequence
 
 from . import alerts as alerts_mod
 from . import data as data_mod
+from . import ingest
 from . import train as train_mod
 from .errors import CheckpointError, DataValidationError, NumericError, ShapeError
 from .losses import softmax_rows
@@ -171,7 +172,7 @@ def build_parser() -> _Parser:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(CONFIG_DEFAULTS)
-    file_cfg = data_mod.read_json(args.config, _CONFIG_TYPES) if args.config else {}
+    file_cfg = ingest.read_json(args.config, _CONFIG_TYPES) if args.config else {}
     cfg.update(file_cfg)
     cfg["_explicit"] = set(file_cfg)
     env = os.environ.get("SENTI_RISK_SEED")
@@ -268,9 +269,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     data_dir = Path(args.data_dir)
     market = data_dir / "market.csv"
     texts = data_dir / "texts.jsonl"
-    bars = data_mod.load_market_csv(market)
+    bars = ingest.load_market_csv(market)
     # exists(), not is_file(): a texts.jsonl that is a pipe is read, not skipped
-    docs = data_mod.load_text_jsonl(texts) if texts.exists() else []
+    docs = ingest.load_text_jsonl(texts) if texts.exists() else []
     if not texts.exists():
         log.info("no %s; preparing a market-only dataset", texts)
     pcfg = build_config(data_mod.PrepareConfig, cfg)
@@ -321,9 +322,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _check_out_dirs(args.out)
     ds = data_mod.load_prepared(_find_prepared(args.data_dir))
     mcfg = _model_config(cfg, ds.vocab.size, ds.window)
-    reports = train_mod.compare_ablations(ds.samples, mcfg,
-                                          build_config(train_mod.TrainConfig, cfg),
-                                          ratios=ds.ratios)
+    reports = train_mod.compare_ablations(ds.splits(), mcfg,
+                                          build_config(train_mod.TrainConfig, cfg))
     print(train_mod.render_comparison_table(reports))
     if args.out:
         obj = {arch.value: r.to_dict() for arch, r in reports.items()}
@@ -358,8 +358,9 @@ def cmd_alert(args: argparse.Namespace) -> int:
         pred, logits = train_mod.score_windows(model, split)
         probs = softmax_rows(logits)
         # argmax breaks ties toward the first class
-        preds = [alerts_mod.DailyPrediction(s.target_date, int(c), p, r)
-                 for s, c, p, r in zip(split, probs.argmax(axis=1), probs, pred.tolist())]
+        dates = train_mod.target_columns(split)[0]
+        preds = [alerts_mod.DailyPrediction(d, int(c), p, r)
+                 for d, c, p, r in zip(dates, probs.argmax(axis=1), probs, pred.tolist())]
     found = alerts_mod.detect_inflections(preds, rules)
     if args.out:
         with data_mod.atomic_write(args.out) as fh:

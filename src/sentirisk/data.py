@@ -1,10 +1,11 @@
-"""Market/text ingestion, day alignment, windowing, splits, normalization.
+"""Day alignment, windowing, splits, normalization, the prepared dataset.
 
-Pipeline order: load bars + raw docs, clean and label each doc (one that
-cleans to no tokens, such as a bare URL, is dropped), build the vocabulary,
-encode docs, align docs onto trading days (roll-forward), build sliding-window
-targets, split chronologically, fit normalization statistics on the training
-span only. A PreparedDataset holds the result as columns, DayColumns and
+Pipeline order: load bars + raw docs as columns (ingest.MarketColumns,
+ingest.TextColumns), tokenize each doc once (one with no tokens, such as a
+bare URL, is dropped), count the vocabulary, label and encode the docs,
+align them onto trading days (roll-forward), build sliding-window targets,
+split chronologically, fit normalization statistics on the training span
+only. A PreparedDataset holds the result as columns, DayColumns and
 WindowColumns, from prepare to the day table: prepare_dataset and
 load_prepared build no AlignedDay or WindowSample, and the window objects
 (ds.samples, or a split iterated) are built from the columns on first use.
@@ -20,15 +21,12 @@ each column whole, in the file's column order: other format_versions, a
 missing or unknown column, a column whose length is not n_days or n_samples,
 an entry of the wrong type, dates out of order, a start outside days.json, a
 target_date outside its slot, token ids outside vocab.txt and non-finite
-numbers are refused naming the full path, the column and the first bad row.
-read_json reads every JSON document; check_fields is the one type rule for
-its keys and for every texts.jsonl row, and _fits the one rule for a
-column's entries.
+numbers are refused naming the full path, the column and the first bad row
+(_fits is the one rule for a column's entries).
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import functools
 import itertools
@@ -37,8 +35,7 @@ import logging
 import math
 import operator
 import os
-import typing
-from bisect import bisect_left
+import sys
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import FrozenInstanceError, dataclass, fields
@@ -48,22 +45,34 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 import numpy as np
 
 from .errors import DataValidationError
+from .ingest import (  # the loaders too: perfbench calls them as data.*
+    _TYPE_NAMES,
+    MarketBar,
+    MarketColumns,
+    RawTextDoc,
+    TextColumns,
+    _as_columns,
+    _fits,
+    _type_name,
+    check_dates_increasing,
+    load_market_csv,
+    load_text_jsonl,
+    read_json,
+)
 from .text import (
     CLASS_INDEX,
     CLASS_NAMES,
+    UNK_ID,
     Lexicon,
     Vocabulary,
-    clean_text,
-    encode_doc,
-    label_tokens,
-    open_text,
     read_text,
+    score_label,
+    tokenize,
     vocab_from_counts,
 )
 
 log = logging.getLogger(__name__)
 
-MARKET_CSV_HEADER = ["date", "open", "high", "low", "close", "volume"]
 N_MARKET_FEATURES = 5  # logret, range, gap, log volume, has_text
 DEFAULT_RATIOS = (0.7, 0.15, 0.15)
 PREPARED_FORMAT_VERSION = 4
@@ -71,67 +80,8 @@ T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
-# raw records
+# days and windows
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MarketBar:
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-    def __post_init__(self) -> None:
-        # every comparison below is False for NaN. One check of the sum passes
-        # all five finite values; the loop names the field, and finds none when
-        # finite values only overflowed the sum
-        if not math.isfinite(self.open + self.high + self.low + self.close + self.volume):
-            for name in ("open", "high", "low", "close", "volume"):
-                value = getattr(self, name)
-                if not math.isfinite(value):
-                    raise DataValidationError(f"{self.date}: {name} {value} is not finite")
-        if self.low > min(self.open, self.close):
-            raise DataValidationError(
-                f"{self.date}: low {self.low} exceeds min(open, close)"
-            )
-        if self.high < max(self.open, self.close):
-            raise DataValidationError(
-                f"{self.date}: high {self.high} is below max(open, close)"
-            )
-        if self.low > self.high:
-            raise DataValidationError(f"{self.date}: low {self.low} exceeds high {self.high}")
-        if self.volume < 0:
-            raise DataValidationError(f"{self.date}: negative volume {self.volume}")
-        if min(self.open, self.high, self.low, self.close) <= 0:
-            raise DataValidationError(f"{self.date}: nonpositive price")
-
-
-@dataclass(frozen=True)
-class RawTextDoc:
-    timestamp: dt.datetime
-    text: str
-    source: str
-    label: str | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.text, str) or not self.text:
-            raise DataValidationError(f"document text must be a non-empty string, "
-                                      f"got {self.text!r:.40}")
-        if self.label is not None and (type(self.label) is not str
-                                       or self.label not in CLASS_INDEX):
-            raise DataValidationError(f"unknown label {self.label!r}")
-
-
-@dataclass(frozen=True)
-class LabeledDoc:
-    """A cleaned, labeled, encoded document ready for alignment."""
-
-    timestamp: dt.datetime
-    token_ids: list[int]
-    label: int  # class index
 
 
 @dataclass(frozen=True)
@@ -192,226 +142,48 @@ class WindowSample:
 
 
 # ---------------------------------------------------------------------------
-# file loading
-# ---------------------------------------------------------------------------
-
-
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string", dict: "a json object", list[float]: "a list of numbers",
-               list[list[int]]: "a list of lists of integers", type(None): "null"}
-
-
-def _kinds(hint: type) -> frozenset[type]:
-    """The types of the JSON values that fit a scalar annotation."""
-    return frozenset({int, float} if hint is float else {hint})
-
-
-@functools.cache
-def _fits(hint) -> Callable[[object], bool]:
-    """Whether a JSON value fits a field annotation, built once per annotation.
-    json.loads makes values of exact types: an int is a float, a bool no number.
-    A list of scalars is tested by the set of its items' types, in one pass;
-    object takes any value (a key whose loader checks it with its own message)."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is list:
-        if typing.get_origin(args[0]) is None:  # a list of scalars
-            return lambda v, kinds=_kinds(args[0]): (type(v) is list
-                                                     and set(map(type, v)) <= kinds)
-        return lambda v, item=_fits(args[0]): type(v) is list and all(map(item, v))
-    if args:  # X | None
-        return lambda v, each=tuple(map(_fits, args)): any(f(v) for f in each)
-    if hint is object:
-        return lambda v: True
-    return lambda v, kinds=_kinds(hint): type(v) in kinds
-
-
-def _type_name(hint) -> str:
-    members = () if typing.get_origin(hint) is list else typing.get_args(hint)
-    return " or ".join(_TYPE_NAMES[h] for h in members or (hint,))
-
-
-def check_fields(obj, hints: dict) -> None:
-    """DataValidationError unless obj is a JSON object whose every key is in
-    hints with a value that fits its hint (_fits); keys may be absent."""
-    if not isinstance(obj, dict):
-        raise DataValidationError("not a json object")
-    if not obj.keys() <= hints.keys():
-        raise DataValidationError(f"unknown keys {sorted(set(obj) - set(hints))}")
-    for key, value in obj.items():
-        if not _fits(hints[key])(value):
-            raise DataValidationError(
-                f"{key} must be {_type_name(hints[key])}, got {json.dumps(value)}")
-
-
-def read_json(path: str | Path, hints: dict,
-              error: type[Exception] = DataValidationError) -> dict:
-    """The JSON object in path that check_fields accepts; any fault raises
-    error naming the full path."""
-    text = read_text(path, error)
-    try:
-        obj = json.loads(text)
-        check_fields(obj, hints)
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}: bad json ({exc.msg})") from None
-    except DataValidationError as exc:
-        raise error(f"{path}: {exc}") from None
-    return obj
-
-
-_RAW_DECODE = json.JSONDecoder().raw_decode
-
-
-def _loads_line(line: str):
-    """json.loads(line), by one raw_decode where that gives its value: a value
-    at the line's start followed by nothing but JSON whitespace. Any other
-    line (leading space, a BOM, extra data, bad JSON) goes to json.loads, so
-    every value and every message is json.loads' own."""
-    try:
-        value, end = _RAW_DECODE(line)
-        if not line[end:].strip(" \t\n\r"):
-            return value
-    except ValueError:
-        pass
-    return json.loads(line)
-
-
-def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
-    """parse() of each non-blank line; every error names the file and line.
-    The file object splits the lines, at newlines only: str.splitlines would
-    also split at a U+2028 that a JSON string may hold raw."""
-    path = Path(path)
-    rows: list[T] = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(parse(_loads_line(line)))
-            except json.JSONDecodeError as exc:
-                raise DataValidationError(f"{path}:{lineno}: bad json ({exc.msg})") from None
-            except KeyError as exc:
-                raise DataValidationError(f"{path}:{lineno}: missing key {exc}") from None
-            except (DataValidationError, ValueError, TypeError) as exc:
-                raise DataValidationError(f"{path}:{lineno}: {exc}") from None
-    return rows
-
-
-def load_market_csv(path: str | Path) -> list[MarketBar]:
-    """Header must be exactly date,open,high,low,close,volume; dates ISO."""
-    path = Path(path)
-    with open_text(path, missing="market csv not found", encoding="utf-8-sig",
-                   newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty market csv") from None
-        if header != MARKET_CSV_HEADER:
-            raise DataValidationError(
-                f"{path}: bad header {header!r}, expected {MARKET_CSV_HEADER!r}"
-            )
-        bars: list[MarketBar] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise DataValidationError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-            try:
-                bar = MarketBar(
-                    date=dt.date.fromisoformat(row[0]),
-                    open=float(row[1]),
-                    high=float(row[2]),
-                    low=float(row[3]),
-                    close=float(row[4]),
-                    volume=float(row[5]),
-                )
-            except (ValueError, DataValidationError) as exc:
-                raise DataValidationError(f"{path}:{lineno}: {exc}") from None
-            bars.append(bar)
-    check_dates_increasing([b.date for b in bars])
-    return bars
-
-
-def check_dates_increasing(dates: Sequence[dt.date], where: str = "") -> None:
-    """DataValidationError, prefixed by where, unless dates strictly increase."""
-    for i in range(1, len(dates)):
-        if dates[i] <= dates[i - 1]:
-            raise DataValidationError(
-                f"{where}dates must be strictly increasing: {dates[i - 1]} then {dates[i]}"
-            )
-
-
-# RawTextDoc and _parse_timestamp check timestamp, text and label, with their messages
-_DOC_FIELDS = {"timestamp": object, "text": object, "source": str, "label": object}
-
-
-def load_text_jsonl(path: str | Path) -> list[RawTextDoc]:
-    """One JSON object per line: timestamp, text, optional source and label."""
-    return read_jsonl(path, _doc_from_obj)
-
-
-def _doc_from_obj(obj) -> RawTextDoc:
-    check_fields(obj, _DOC_FIELDS)
-    return RawTextDoc(timestamp=_parse_timestamp(obj["timestamp"]), text=obj["text"],
-                      source=obj.get("source", ""), label=obj.get("label"))
-
-
-def _parse_timestamp(value: str) -> dt.datetime:
-    if not isinstance(value, str):
-        raise DataValidationError(f"timestamp must be a string, got {type(value).__name__}")
-    ts = dt.datetime.fromisoformat(value.replace("Z", "+00:00"))
-    if ts.tzinfo is not None:
-        ts = ts.astimezone(dt.timezone.utc).replace(tzinfo=None)
-    return ts
-
-
-# ---------------------------------------------------------------------------
 # alignment
 # ---------------------------------------------------------------------------
 
 
-def _day_rows(bars: Sequence[MarketBar], docs: Sequence[LabeledDoc]) -> list[tuple]:
+def _day_rows(bars: MarketColumns, timestamps: Sequence[dt.datetime],
+              token_ids: Sequence[tuple[int, ...]], labels: Sequence[int]) -> list[tuple]:
     """One row (date, raw, token_seqs, label, close) per bar, an AlignedDay's
-    fields but features, in its order: each doc is attached to the first
-    trading date >= its calendar date.
+    fields but features, in its order: document i (timestamps[i],
+    token_ids[i], class labels[i]) is attached to the first trading date >=
+    its calendar date.
 
     Docs dated after the last bar are dropped (logged). Day label is the
     majority vote over doc labels, any tie for the top count → neutral.
+    Raw values are math.log/math.log1p of each bar's floats.
     """
-    if not bars:
+    dates = bars.date
+    n = len(dates)
+    if not n:
         raise DataValidationError("no market bars to align against")
-    dates = [b.date for b in bars]
-    check_dates_increasing(dates)
-    buckets: list[list[LabeledDoc]] = [[] for _ in bars]
-    for doc in docs:
-        idx = bisect_left(dates, doc.timestamp.date())
-        if idx == len(dates):
-            log.info(
-                "dropping document at %s: after last trading day %s",
-                doc.timestamp.isoformat(), dates[-1].isoformat(),
-            )
-            continue
-        buckets[idx].append(doc)
-
-    days = []
-    for i, (bar, bucket) in enumerate(zip(bars, buckets)):
-        logret = math.log(bar.close / bars[i - 1].close) if i else 0.0
-        raw = (logret, (bar.high - bar.low) / bar.close, (bar.close - bar.open) / bar.open,
-               math.log1p(bar.volume))
-        days.append((bar.date, raw, [d.token_ids for d in bucket],
-                     _majority_label([d.label for d in bucket]), bar.close))
-    return days
+    rows = np.searchsorted(_ordinals(dates), _ordinals(timestamps))  # bisect_left
+    seqs: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]  # row n: after the last bar
+    for row, ids in zip(rows.tolist(), token_ids):
+        seqs[row].append(ids)
+    for when in itertools.compress(timestamps, rows == n):
+        log.info("dropping document at %s: after last trading day %s",
+                 when.isoformat(), dates[-1].isoformat())
+    votes = np.bincount(rows * len(CLASS_NAMES) + np.asarray(labels, dtype=np.intp),
+                        minlength=(n + 1) * len(CLASS_NAMES)).reshape(n + 1, -1)[:n]
+    ties = (votes == votes.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    day_labels = np.where(ties, CLASS_INDEX["neutral"], votes.argmax(axis=1)).tolist()
+    div, sub = operator.truediv, operator.sub
+    close = bars.close
+    raw = zip([0.0, *map(math.log, map(div, close[1:], close[:-1]))],
+              map(div, map(sub, bars.high, bars.low), close),
+              map(div, map(sub, close, bars.open), bars.open),
+              map(math.log1p, bars.volume))
+    return list(zip(dates, raw, map(tuple, seqs), day_labels, close))
 
 
-def _majority_label(labels: Sequence[int]) -> int:
-    if not labels:
-        return CLASS_INDEX["neutral"]
-    counts = [0, 0, 0]
-    for lab in labels:
-        counts[lab] += 1
-    top = max(counts)
-    winners = [i for i, c in enumerate(counts) if c == top]
-    return winners[0] if len(winners) == 1 else CLASS_INDEX["neutral"]
+def _ordinals(days: Sequence[dt.date]) -> np.ndarray:
+    """The proleptic ordinals of days' (or datetimes') calendar dates."""
+    return np.fromiter(map(dt.date.toordinal, days), dtype=np.int64, count=len(days))
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +359,18 @@ def _check_classes(classes: tuple, where: Callable[[int], str], name: str) -> No
         raise DataValidationError(f"{where(i)}: {name} {classes[i]} is not a class index")
 
 
+def _all_tuples(items: Iterable) -> bool:
+    return set(map(type, items)) <= {tuple}
+
+
 @dataclass(frozen=True)
 class DayColumns:
     """A dataset's input days in date order, entry i of each column being day
     row i's: an AlignedDay's fields but features. Construction makes each
-    column a tuple, raw and token_seqs down to the numbers, and refuses a
-    label that is not a class index naming the date, as AlignedDay does."""
+    column a tuple, raw and token_seqs down to the numbers (copying no level
+    that is all tuples already, as prepare_dataset and load_prepared give
+    them), and refuses a label that is not a class index naming the date, as
+    AlignedDay does."""
 
     date: tuple[dt.date, ...]
     raw: tuple[tuple[float, float, float, float], ...]
@@ -603,9 +381,12 @@ class DayColumns:
     def __post_init__(self) -> None:
         for f in fields(self):
             object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
-        object.__setattr__(self, "raw", tuple(map(tuple, self.raw)))
-        object.__setattr__(self, "token_seqs",
-                           tuple(tuple(map(tuple, seqs)) for seqs in self.token_seqs))
+        if not _all_tuples(self.raw):
+            object.__setattr__(self, "raw", tuple(map(tuple, self.raw)))
+        if not (_all_tuples(self.token_seqs)
+                and _all_tuples(itertools.chain.from_iterable(self.token_seqs))):
+            object.__setattr__(self, "token_seqs",
+                               tuple(tuple(map(tuple, seqs)) for seqs in self.token_seqs))
         _check_classes(self.label, lambda i: f"day {self.date[i]}", "label")
 
 
@@ -710,28 +491,36 @@ class PreparedDataset:
         return split_chronological(range(len(self.windows.start)), self.ratios, self)
 
 
-def prepare_dataset(bars: Sequence[MarketBar], raw_docs: Sequence[RawTextDoc],
+def prepare_dataset(bars: MarketColumns | Sequence[MarketBar],
+                    raw_docs: TextColumns | Sequence[RawTextDoc],
                     lexicon: Lexicon, cfg: PrepareConfig) -> PreparedDataset:
-    """A kept document's token list feeds the vocabulary counts and its lexicon
-    label; its ids re-split the cleaned text, so no token list outlives its
-    document's pass (holding them all until the vocabulary exists costs about
-    1 MB of peak memory on a 2,000-document corpus)."""
-    # a doc that cleans to no tokens (a bare URL) would vote in its day's label
-    kept = [(doc, c) for doc in raw_docs if (c := clean_text(doc.text))]
-    if len(kept) < len(raw_docs):
+    """The dataset of a market and its documents, given as the loaders'
+    columns or as records, which become columns first.
+
+    Each document is tokenized once (text.tokenize); one that gives no
+    tokens (a bare URL) is dropped, and the count logged, for it would vote
+    in its day's label. The vocabulary counts the kept token lists; a
+    document's label is its presupplied one, else score_label of the sum of
+    its tokens' lexicon scores (one score per distinct token); its ids map
+    each token through the vocabulary. Each token string is interned, so the
+    token lists, held until the vocabulary exists, share one string per
+    distinct token."""
+    bars, docs = _as_columns(MarketColumns, bars), _as_columns(TextColumns, raw_docs)
+    tokens = [list(map(sys.intern, tokenize(text))) for text in docs.text]
+    if not all(tokens):
         log.info("dropping %d documents with no tokens after cleaning",
-                 len(raw_docs) - len(kept))
-    counts: Counter[str] = Counter()
-    labels = []
-    for doc, cleaned in kept:
-        tokens = cleaned.split()
-        counts.update(tokens)
-        labels.append(CLASS_INDEX[label_tokens(tokens, lexicon, presupplied=doc.label)])
+                 len(tokens) - sum(map(bool, tokens)))
+    timestamps = list(itertools.compress(docs.timestamp, tokens))
+    given = list(itertools.compress(docs.label, tokens))
+    tokens = list(filter(None, tokens))
+    counts = Counter(itertools.chain.from_iterable(tokens))
     vocab = vocab_from_counts(counts, min_freq=cfg.min_freq, max_size=cfg.max_vocab)
-    encoded = [LabeledDoc(timestamp=doc.timestamp, token_ids=encode_doc(cleaned, vocab),
-                          label=label)
-               for (doc, cleaned), label in zip(kept, labels)]
-    days_raw = _day_rows(bars, encoded)
+    score = {tok: lexicon.score(tok) for tok in counts}.__getitem__
+    labels = [CLASS_INDEX[label if label is not None else score_label(sum(map(score, toks)))]
+              for toks, label in zip(tokens, given)]
+    get = vocab.token_to_id.get
+    ids = {tok: get(tok, UNK_ID) for tok in counts}.__getitem__
+    days_raw = _day_rows(bars, timestamps, [tuple(map(ids, toks)) for toks in tokens], labels)
     targets = _window_targets(days_raw, cfg.window)
 
     n_train = len(split_chronological(targets, cfg.ratios)[0])
@@ -854,24 +643,19 @@ _WINDOW_COLUMNS = {"start": int, "target_date": str, "target_class": str,
 
 
 def _columns(path: Path, hints: dict, n: int, count: str
-             ) -> Callable[[str, Callable[[list], list]], list]:
-    """column(name, convert): column name of the JSON object in path, whose
-    keys must be exactly those of hints, as convert returns it. The column
-    must be a list of n entries (count says whose n) that fit its hint
-    (_fits). convert raises DataValidationError describing the first bad
-    entry, judging each entry alone or against earlier rows, so a column's
-    first bad row ends its shortest failing prefix, which a bisection finds
-    only once the whole column has failed. Every fault raises naming path,
-    the column and that 0-based row."""
+             ) -> Callable[..., list]:
+    """column(name, convert, checks_types=False): column name of the JSON
+    object in path, whose keys must be exactly those of hints, as convert
+    returns it. The column must be a list of n entries (count says whose n)
+    that fit its hint (_fits; checks_types says convert tests that itself,
+    with the same message). convert raises DataValidationError describing
+    the first bad entry, judging each entry alone or against earlier rows, so
+    a column's first bad row ends its shortest failing prefix, which a
+    bisection finds only once the whole column has failed. Every fault
+    raises naming path, the column and that 0-based row."""
     cols = read_json(path, dict.fromkeys(hints, object))
 
-    def checked(entries: list, hint, convert: Callable[[list], list]) -> list:
-        if not _fits(list[hint])(entries):
-            bad = next(v for v in entries if not _fits(hint)(v))
-            raise DataValidationError(f"must be {_type_name(hint)}, got {json.dumps(bad)}")
-        return convert(entries)
-
-    def column(name: str, convert: Callable[[list], list]) -> list:
+    def column(name: str, convert: Callable[[list], list], checks_types: bool = False) -> list:
         if name not in cols:
             raise DataValidationError(f"{path}: missing column {name!r}")
         values, hint = cols[name], hints[name]
@@ -880,15 +664,22 @@ def _columns(path: Path, hints: dict, n: int, count: str
                 f"{path}: {name} must be a list, got {_TYPE_NAMES[type(values)]}")
         if len(values) != n:
             raise DataValidationError(f"{path}: {name} has {len(values)} entries, {count}")
+
+        def checked(entries: list) -> list:
+            if not checks_types and not _fits(list[hint])(entries):
+                bad = next(v for v in entries if not _fits(hint)(v))
+                raise DataValidationError(f"must be {_type_name(hint)}, got {json.dumps(bad)}")
+            return convert(entries)
+
         try:
-            return checked(values, hint, convert)
+            return checked(values)
         except DataValidationError as exc:
             fault = exc
         good, bad = 0, n  # values[:good] passes; values[:bad] fails, with fault
         while bad - good > 1:
             mid = (good + bad) // 2
             try:
-                checked(values[:mid], hint, convert)
+                checked(values[:mid])
                 good = mid
             except DataValidationError as exc:
                 bad, fault = mid, exc
@@ -932,12 +723,21 @@ def _classes(entries: list) -> list[int]:
         raise DataValidationError(f"unknown class {exc.args[0]!r}") from None
 
 
-def _token_ids_below(size: int, entries: list) -> list:
-    tokens = list(itertools.chain.from_iterable(itertools.chain.from_iterable(entries)))
+def _token_seqs(size: int, entries: list) -> list[tuple[tuple[int, ...], ...]]:
+    """entries as tuples, each a list of lists of token ids below size: the
+    type check, the id-range check and the conversion in one function, each
+    level of lists flattened once."""
+    nested = _fits(list[list])
+    seqs = list(itertools.chain.from_iterable(entries)) if nested(entries) else None
+    tokens = list(itertools.chain.from_iterable(seqs)) if nested(seqs) else None
+    if not _fits(list[int])(tokens):
+        hint = _DAY_COLUMNS["token_seqs"]
+        bad = next(e for e in entries if not _fits(hint)(e))
+        raise DataValidationError(f"must be {_type_name(hint)}, got {json.dumps(bad)}")
     if tokens and not 0 <= min(tokens) <= max(tokens) < size:
         bad = next(tok for tok in tokens if not 0 <= tok < size)
         raise DataValidationError(f"token id {bad} out of range for vocab of {size}")
-    return entries
+    return [tuple(map(tuple, e)) for e in entries]
 
 
 def _starts_within(last: int, entries: list) -> list[int]:
@@ -987,7 +787,8 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
     dates = column("date", _increasing_dates)
     raws, closes = column("raw", _raws), column("close", _finite)
     labels = column("label", _classes)
-    token_seqs = column("token_seqs", functools.partial(_token_ids_below, vocab.size))
+    token_seqs = column("token_seqs", functools.partial(_token_seqs, vocab.size),
+                        checks_types=True)
     column = _columns(root / "windows.json", _WINDOW_COLUMNS, n_samples,
                       f"{meta_path} n_samples {n_samples}")
     starts = column("start", functools.partial(_starts_within, n_days - window))

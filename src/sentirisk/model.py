@@ -89,15 +89,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import (
-    N_MARKET_FEATURES,
-    Split,
-    WindowSample,
-    atomic_write,
-    check_fields,
-    read_json,
-)
+from .data import N_MARKET_FEATURES, Split, WindowSample, atomic_write
 from .errors import CheckpointError, DataValidationError, ShapeError
+from .ingest import check_fields, read_json
 from .layers import (
     AttentionCache,
     AttentionParams,
@@ -1168,7 +1162,7 @@ _CHECKPOINT_FIELDS = {"format_version": int, "arch": str, "config": dict, "tenso
 
 def load_checkpoint(path: str | Path) -> CnnGruModel:
     """The model save_checkpoint wrote to path; every defect is a CheckpointError
-    naming the full path and its cause: what data.read_json rejects, the format
+    naming the full path and its cause: what ingest.read_json rejects, the format
     version, a missing key, the arch, the config block, a tensor missing, extra,
     misshapen or out of param_shapes order, a payload that is not base64 of
     exactly the index's float64 count, non-finite values, a nonzero pad row.

@@ -29,7 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import AlignedDay, MarketBar, N_MARKET_FEATURES, RawTextDoc, WindowSample
+from .data import AlignedDay, N_MARKET_FEATURES, WindowSample
+from .ingest import MarketBar, RawTextDoc
 from .text import NEGATIVE, NEUTRAL, POSITIVE
 
 # latent-state trigrams: cyclic permutations of token ids (alpha, beta, gamma)

@@ -1,9 +1,9 @@
 """Text cleaning, lexicon sentiment labeling, vocabulary building, encoding.
 
-Cleaning normalizes raw social/news text into a lowercase [a-z0-9 space]
-alphabet; labeling scores cleaned tokens against positive/negative word
-lists; the vocabulary assigns dense ids with 0 reserved for padding and 1
-for unknown tokens.
+Tokenizing normalizes raw social/news text into lowercase [a-z0-9] tokens
+(clean_text joins them with spaces); labeling scores tokens against
+positive/negative word lists; the vocabulary assigns dense ids with 0
+reserved for padding and 1 for unknown tokens.
 """
 
 from __future__ import annotations
@@ -32,17 +32,23 @@ _URL_RE = re.compile(r"[a-z][a-z0-9+.\-]*://\S+|\bwww\.\S+")
 _NON_ALPHABET_RE = re.compile(r"[^a-z0-9\s$]")
 
 
-def clean_text(raw: str) -> str:
-    """Lowercase, strip URLs, keep only [a-z0-9 space $], drop '$', collapse.
-
-    '$TICKER' therefore normalizes to 'ticker'. Idempotent: a cleaned string
-    contains no characters a second pass could remove.
-    """
+def tokenize(raw: str) -> list[str]:
+    """The tokens of raw: lowercased, URLs stripped, only [a-z0-9 space $]
+    kept, '$' dropped, split at whitespace ('$TICKER' therefore gives
+    'ticker'). clean_text joins them; prepare_dataset reads them."""
     s = raw.lower()
     if "://" in s or "www." in s:  # every _URL_RE match holds one
         s = _URL_RE.sub(" ", s)
-    s = _NON_ALPHABET_RE.sub("", s)
-    return " ".join(s.replace("$", "").split())  # split() and \s split at the same characters
+    # split() and \s split at the same characters
+    return _NON_ALPHABET_RE.sub("", s).replace("$", "").split()
+
+
+def clean_text(raw: str) -> str:
+    """raw's tokens (tokenize) joined by single spaces.
+
+    Idempotent: a cleaned string contains no characters a second pass could remove.
+    """
+    return " ".join(tokenize(raw))
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,10 @@ class Lexicon:
             positive=_parse_wordlist((pkg / "positive.txt").read_text(encoding="utf-8")),
             negative=_parse_wordlist((pkg / "negative.txt").read_text(encoding="utf-8")),
         )
+
+    def score(self, token: str) -> int:
+        """+1 for a positive token, -1 for a negative one, else 0 (both: 0)."""
+        return (token in self.positive) - (token in self.negative)
 
 
 @contextmanager
@@ -98,20 +108,20 @@ def _parse_wordlist(text: str) -> frozenset[str]:
 
 def label_tokens(tokens: Sequence[str], lexicon: Lexicon,
                  presupplied: str | None = None) -> str:
-    """A cleaned text's split() labeled: (#positive - #negative tokens) > 0 →
-    positive, < 0 → negative, else neutral.
+    """A cleaned text's split() labeled by score_label of the sum of its
+    tokens' lexicon scores.
 
     A pre-supplied label (a RawTextDoc's, checked when it was built) bypasses
     the lexicon entirely.
     """
     if presupplied is not None:
         return presupplied
-    score = 0
-    for tok in tokens:
-        if tok in lexicon.positive:
-            score += 1
-        if tok in lexicon.negative:
-            score -= 1
+    return score_label(sum(map(lexicon.score, tokens)))
+
+
+def score_label(score: int) -> str:
+    """The label of a text's (#positive - #negative tokens) score: > 0 →
+    positive, < 0 → negative, else neutral."""
     if score > 0:
         return "positive"
     if score < 0:

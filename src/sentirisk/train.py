@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import datetime as dt
 import json
 import logging
 import math
@@ -110,6 +111,20 @@ def _targets(samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
                 np.array(ds.windows.target_class[rows.start : rows.stop], dtype=np.intp))
     return (np.array([s.target_return for s in samples]),
             np.array([s.target_class for s in samples], dtype=np.intp))
+
+
+def target_columns(windows: Sequence[WindowSample]
+                   ) -> tuple[Sequence[dt.date], Sequence[float], Sequence[float]]:
+    """(target dates, target closes, previous closes) of windows, a window's
+    previous close being its last input day's: a prepared dataset's split
+    reads its rows of the dataset's columns, building no window object."""
+    if isinstance(windows, Split) and windows.dataset is not None:
+        ds, rows = windows.dataset, slice(windows.window_rows.start, windows.window_rows.stop)
+        last = ds.window - 1
+        return (ds.windows.target_date[rows], ds.windows.target_close[rows],
+                [ds.days.close[t + last] for t in ds.windows.start[rows]])
+    return ([s.target_date for s in windows], [s.target_close for s in windows],
+            [s.prev_close for s in windows])
 
 
 # the workspaces no call is using; see _borrowed_workspace
@@ -342,12 +357,17 @@ def evaluate(model: CnnGruModel, split: Sequence[WindowSample]) -> MetricsReport
 # ---------------------------------------------------------------------------
 
 
-def compare_ablations(samples: Sequence[WindowSample], mcfg: ModelConfig,
-                      tcfg: TrainConfig,
+def compare_ablations(samples: Sequence[WindowSample] | tuple[Split, Split, Split],
+                      mcfg: ModelConfig, tcfg: TrainConfig,
                       ratios: tuple[float, float, float] = DEFAULT_RATIOS,
                       ) -> dict[ArchKind, MetricsReport]:
-    """Trains all three architectures under identical seeds/splits/budgets."""
-    train_split, val_split, test_split = split_chronological(samples, ratios)
+    """Trains all three architectures under identical seeds/splits/budgets:
+    on windows cut chronologically by ratios, or on three splits as they are
+    (a PreparedDataset's splits(), which read its columns)."""
+    if len(samples) == 3 and all(isinstance(s, Split) for s in samples):
+        train_split, val_split, test_split = samples
+    else:
+        train_split, val_split, test_split = split_chronological(samples, ratios)
     reports: dict[ArchKind, MetricsReport] = {}
     for arch in (ArchKind.CNN_ONLY, ArchKind.GRU_ONLY, ArchKind.CNN_GRU):
         log.info("training %s", arch.value)
@@ -384,17 +404,13 @@ def export_predictions(model: CnnGruModel, split: Sequence[WindowSample],
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "true_close", "pred_close"])
-        for sample, pred_z in zip(split, pred.tolist()):
+        for date, close, prev_close, pred_z in zip(*target_columns(split), pred.tolist()):
             raw = stats.denormalize_return(pred_z)
             try:
-                pred_close = sample.prev_close * math.exp(raw)
+                pred_close = prev_close * math.exp(raw)
             except OverflowError:
                 pred_close = math.inf
             if not math.isfinite(pred_close):
-                raise NumericError(f"predicted close for {sample.target_date} is not finite: "
+                raise NumericError(f"predicted close for {date} is not finite: "
                                    f"predicted log return {raw!r}")
-            writer.writerow([
-                sample.target_date.isoformat(),
-                repr(float(sample.target_close)),
-                repr(float(pred_close)),
-            ])
+            writer.writerow([date.isoformat(), repr(float(close)), repr(float(pred_close))])

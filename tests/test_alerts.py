@@ -3,10 +3,12 @@
 import datetime as dt
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sentirisk import alerts as alerts_mod
 from sentirisk.alerts import (
     AlertRuleConfig,
     DailyPrediction,
@@ -15,8 +17,11 @@ from sentirisk.alerts import (
     risk_score,
     write_alerts_jsonl,
 )
+from sentirisk.cli import main
 from sentirisk.errors import DataValidationError
 from sentirisk.matrix import Matrix
+
+STREAM = Path(__file__).parent / "fixtures" / "alert_stream.jsonl"
 
 RNG = np.random.Generator(np.random.PCG64(55))
 
@@ -238,3 +243,31 @@ class TestAlertSerialization:
             path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **bad}) + "\n")
             with pytest.raises(DataValidationError, match=f":2: {message}"):
                 load_predictions_jsonl(path)
+
+
+class TestDatesCheckedOnce:
+    """A prediction stream's dates are checked once, whoever reads it."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch) -> list:
+        calls: list = []
+        check = alerts_mod.check_dates_increasing
+
+        def counted(*args):
+            calls.append(args)
+            check(*args)
+
+        monkeypatch.setattr(alerts_mod, "check_dates_increasing", counted)
+        return calls
+
+    def test_alert_predictions(self, checks, capsys):
+        assert main(["alert", "--predictions", str(STREAM)]) == 0
+        assert len(checks) == 1 and capsys.readouterr().out
+
+    def test_load_then_detect(self, checks):
+        detect_inflections(load_predictions_jsonl(STREAM), AlertRuleConfig())
+        assert len(checks) == 1
+
+    def test_a_list_is_checked_by_detect_inflections(self, checks):
+        detect_inflections(list(load_predictions_jsonl(STREAM)), AlertRuleConfig())
+        assert len(checks) == 2

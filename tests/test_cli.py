@@ -30,6 +30,7 @@ import pytest
 from sentirisk import alerts as alerts_mod
 from sentirisk import cli as cli_mod
 from sentirisk import data as data_mod
+from sentirisk import ingest
 from sentirisk import train as train_mod
 from sentirisk.alerts import AlertRuleConfig
 from sentirisk.cli import CONFIG_DEFAULTS, build_config, build_parser, main
@@ -168,7 +169,7 @@ class TestPrepare:
         write_market_csv(make_demo_market(n_days=20, seed=1), market)
         lines = market.read_text(encoding="utf-8").splitlines()
         row = lines[4].split(",")
-        row[data_mod.MARKET_CSV_HEADER.index(field)] = value
+        row[ingest.MARKET_CSV_HEADER.index(field)] = value
         lines[4] = ",".join(row)
         market.write_text("\n".join(lines) + "\n", encoding="utf-8")
         rc = main(["prepare", "--data-dir", str(tmp_path)])

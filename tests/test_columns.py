@@ -31,6 +31,7 @@ from sentirisk.data import (
     prepare_dataset,
     save_prepared,
 )
+from sentirisk.ingest import MarketBar, RawTextDoc
 from sentirisk.model import ArchKind, DayTable, ModelConfig, build_model, day_table
 from sentirisk.synthetic import (
     make_ablation_dataset,
@@ -40,7 +41,15 @@ from sentirisk.synthetic import (
     write_market_csv,
 )
 from sentirisk.text import Lexicon, Vocabulary
-from sentirisk.train import TrainConfig, evaluate, score_windows, train
+from sentirisk.train import (
+    TrainConfig,
+    compare_ablations,
+    evaluate,
+    export_predictions,
+    score_windows,
+    target_columns,
+    train,
+)
 
 # the text configurations a table is built under: the defaults, documents
 # longer than max_doc_len, and conv windows that skip tokens
@@ -93,17 +102,22 @@ class TestColumnTables:
         assert len(set(map(tuple, datasets["demo"].features.tolist()))) > 1
 
 
-@pytest.fixture
-def built(monkeypatch) -> Counter:
-    """The AlignedDay and WindowSample objects built from now on, by class name."""
+def count_built(monkeypatch, *classes) -> Counter:
+    """The objects of classes built from now on, by class name."""
     counts: Counter = Counter()
-    for cls in (AlignedDay, WindowSample):
+    for cls in classes:
         def counted(self, check=cls.__post_init__, name=cls.__name__):
             counts[name] += 1
             check(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
     return counts
+
+
+@pytest.fixture
+def built(monkeypatch) -> Counter:
+    """The AlignedDay and WindowSample objects built from now on, by class name."""
+    return count_built(monkeypatch, AlignedDay, WindowSample)
 
 
 def demo_inputs(root) -> None:
@@ -140,6 +154,28 @@ class TestNoObjectsBuilt:
         for argv in (["prepare"], ["train", "--seed", "0", "--model-out", ckpt],
                      ["evaluate", "--model-in", ckpt]):
             assert main([*argv, "--data-dir", str(tmp_path), "--config", str(config)]) == 0
+        assert not built
+
+    def test_cli_prepare_builds_no_record(self, tmp_path, monkeypatch, capsys):
+        demo_inputs(tmp_path)
+        records = count_built(monkeypatch, MarketBar, RawTextDoc)
+        assert main(["prepare", "--data-dir", str(tmp_path)]) == 0
+        assert not records
+
+    def test_cli_predict_alert_and_compare(self, tmp_path, monkeypatch, capsys):
+        demo_inputs(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text('{"window": 5, "epochs": 1, "embed_dim": 4, "num_filters": 3, '
+                          '"gru_hidden": 3}', encoding="utf-8")
+        ckpt = str(tmp_path / "m.ckpt.json")
+        common = ["--data-dir", str(tmp_path), "--config", str(config)]
+        for argv in (["prepare"], ["train", "--seed", "0", "--model-out", ckpt]):
+            assert main([*argv, *common]) == 0
+        built = count_built(monkeypatch, AlignedDay, WindowSample)
+        for argv in (["predict", "--model-in", ckpt, "--out", str(tmp_path / "p.csv")],
+                     ["alert", "--model-in", ckpt, "--split", "val"],
+                     ["compare", "--seed", "0"]):
+            assert main([*argv, *common]) == 0
         assert not built
 
     def test_first_samples_access_builds_each_day_and_window_once(self, tmp_path, built):
@@ -181,3 +217,33 @@ class TestColumnChecks:
                           [100.0, 101.0])
         assert days.raw == ((0.0,) * 4,) * 2 and days.token_seqs == (((2, 3), (4,)), ())
         assert all(type(getattr(days, f.name)) is tuple for f in fields(DayColumns))
+
+
+class TestColumnReadersMatchTheObjects:
+    """predict's and compare's column paths give what the window objects give."""
+
+    @pytest.fixture(scope="class")
+    def demo(self, tmp_path_factory):
+        bars = make_demo_market(n_days=60, seed=3)
+        path = tmp_path_factory.mktemp("demo")
+        save_prepared(prepare_dataset(bars, make_demo_docs(bars, seed=4), Lexicon.bundled(),
+                                      PrepareConfig(window=5)), path)
+        ds = load_prepared(path)
+        return ds, build_model(ModelConfig(vocab_size=ds.vocab.size, window=5, **TINY),
+                               ArchKind.CNN_GRU)
+
+    def test_target_columns_and_predictions_csv(self, demo, tmp_path):
+        ds, model = demo
+        for split in ds.splits():
+            assert list(map(list, target_columns(split))) == list(target_columns(list(split)))
+        test = ds.splits()[2]
+        export_predictions(model, test, ds.stats, tmp_path / "columns.csv")
+        export_predictions(model, list(test), ds.stats, tmp_path / "objects.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "objects.csv").read_bytes()
+
+    def test_compare_on_the_dataset_splits(self, demo):
+        ds, _ = demo
+        mcfg = ModelConfig(vocab_size=ds.vocab.size, window=5, **TINY)
+        tcfg = TrainConfig(epochs=1, batch_size=8)
+        assert (compare_ablations(ds.splits(), mcfg, tcfg)
+                == compare_ablations(list(ds.samples), mcfg, tcfg, ratios=ds.ratios))

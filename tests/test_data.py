@@ -1,5 +1,6 @@
 """Ingestion, alignment, windowing, splits, and normalization contracts."""
 
+import bisect
 import datetime as dt
 import json
 import logging
@@ -16,29 +17,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentirisk import data as data_mod
+from sentirisk import ingest
 from sentirisk.data import (
     DEFAULT_RATIOS,
     AlignedDay,
     DayColumns,
-    LabeledDoc,
-    MarketBar,
     NormStats,
     PrepareConfig,
     PreparedDataset,
-    RawTextDoc,
     Split,
     WindowColumns,
     WindowSample,
     _day_rows,
     _window_targets,
-    load_market_csv,
-    load_text_jsonl,
     load_prepared,
     prepare_dataset,
     save_prepared,
     split_chronological,
 )
 from sentirisk.errors import DataValidationError
+from sentirisk.ingest import (
+    MarketBar,
+    MarketColumns,
+    RawTextDoc,
+    load_market_csv,
+    load_text_jsonl,
+)
 from sentirisk.layers import pad_or_truncate
 from sentirisk.model import ArchKind, DayTable, ModelConfig, build_model, day_table
 from sentirisk.synthetic import make_ablation_dataset
@@ -50,6 +54,17 @@ def bar(day: dt.date, close: float = 100.0, volume: float = 1e6) -> MarketBar:
     lo = min(close, 100.0) - 1.0
     hi = max(close, 100.0) + 1.0
     return MarketBar(date=day, open=100.0, high=hi, low=lo, close=close, volume=volume)
+
+
+def columns(bars: list[MarketBar]) -> MarketColumns:
+    """bars as prepare_dataset reads them."""
+    return ingest._as_columns(MarketColumns, bars)
+
+
+def day_rows(bars: list[MarketBar], docs: list[tuple]) -> list[tuple]:
+    """_day_rows of bars and documents given as (timestamp, token ids, class)."""
+    timestamps, token_ids, labels = map(list, zip(*docs)) if docs else ([], [], [])
+    return _day_rows(columns(bars), timestamps, token_ids, labels)
 
 
 def weekdays(start: dt.date, n: int) -> list[dt.date]:
@@ -154,8 +169,8 @@ class TestLoadMarketCsv:
         p.write_text(self.HEADER + "2024-01-02,100,101,99,100.5,12000\n")
         bars = load_market_csv(p)
         assert len(bars) == 1
-        assert bars[0].date == dt.date(2024, 1, 2)
-        assert bars[0].close == 100.5
+        assert bars.date == (dt.date(2024, 1, 2),)
+        assert bars.close == (100.5,)
 
     def test_utf8_bom_tolerated(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -200,10 +215,10 @@ class TestLoadTextJsonl:
         )
         docs = load_text_jsonl(p)
         assert len(docs) == 2
-        assert docs[0].timestamp == dt.datetime(2024, 1, 2, 9, 30)
+        assert docs.timestamp[0] == dt.datetime(2024, 1, 2, 9, 30)
         # +01:00 offset converts to 23:00 UTC the previous day
-        assert docs[1].timestamp == dt.datetime(2024, 1, 2, 23, 0)
-        assert docs[1].label == "positive"
+        assert docs.timestamp[1] == dt.datetime(2024, 1, 2, 23, 0)
+        assert docs.label == (None, "positive")
 
     def test_bad_json_rejected_with_line_number(self, tmp_path):
         p = tmp_path / "t.jsonl"
@@ -303,7 +318,7 @@ class TestReadJsonl:
                          .encode("utf-8"))
         expected = self.by_json_loads(path)
         try:
-            got = data_mod.read_jsonl(path, lambda obj: obj)
+            got = ingest.read_jsonl(path, lambda obj: obj)
         except DataValidationError as exc:
             got = str(exc)
         assert repr(got) == repr(expected)  # repr: a NaN equals itself
@@ -312,56 +327,75 @@ class TestReadJsonl:
 
 
 class TestDayRows:
-    def doc(self, when: dt.datetime, label: int = 2) -> LabeledDoc:
-        return LabeledDoc(timestamp=when, token_ids=[2, 3], label=label)
+    def doc(self, when: dt.datetime, label: int = 2) -> tuple:
+        """A document as day_rows takes it: (timestamp, token ids, class)."""
+        return when, (2, 3), label
 
     def test_weekend_doc_rolls_forward_to_monday(self):
         fri, mon = dt.date(2024, 1, 5), dt.date(2024, 1, 8)
         bars = [bar(fri), bar(mon)]
         sat_doc = self.doc(dt.datetime(2024, 1, 6, 14, 0))
-        rows = _day_rows(bars, [sat_doc])
-        assert [(r[0], r[2]) for r in rows] == [(fri, []), (mon, [[2, 3]])]
+        rows = day_rows(bars, [sat_doc])
+        assert [(r[0], r[2]) for r in rows] == [(fri, ()), (mon, ((2, 3),))]
 
     def test_majority_vote(self):
         d = dt.date(2024, 1, 2)
         docs = [self.doc(dt.datetime(2024, 1, 2), label=lab) for lab in (2, 2, 0)]
-        [(_, _, _, label, _)] = _day_rows([bar(d)], docs)
+        [(_, _, _, label, _)] = day_rows([bar(d)], docs)
         assert label == 2
 
     def test_tie_vote_is_neutral(self):
         d = dt.date(2024, 1, 2)
         docs = [self.doc(dt.datetime(2024, 1, 2), label=lab) for lab in (2, 0)]
-        [(_, _, _, label, _)] = _day_rows([bar(d)], docs)
+        [(_, _, _, label, _)] = day_rows([bar(d)], docs)
         assert label == 1
 
     def test_day_without_docs_is_neutral_no_text(self):
-        [(_, _, seqs, label, _)] = _day_rows([bar(dt.date(2024, 1, 2))], [])
+        [(_, _, seqs, label, _)] = day_rows([bar(dt.date(2024, 1, 2))], [])
         assert label == 1
-        assert seqs == []
+        assert seqs == ()
 
     def test_doc_after_last_bar_dropped_with_log(self, caplog):
         bars = [bar(dt.date(2024, 1, 2))]
         late = self.doc(dt.datetime(2024, 1, 9))
         with caplog.at_level(logging.INFO, logger="sentirisk.data"):
-            [(_, _, seqs, _, _)] = _day_rows(bars, [late])
-        assert seqs == []
+            [(_, _, seqs, _, _)] = day_rows(bars, [late])
+        assert seqs == ()
         assert any("dropping document" in r.message for r in caplog.records)
 
     def test_unsorted_bars_rejected(self):
         bars = [bar(dt.date(2024, 1, 3)), bar(dt.date(2024, 1, 2))]
         with pytest.raises(DataValidationError):
-            _day_rows(bars, [])
+            day_rows(bars, [])
 
     def test_duplicate_bar_dates_rejected(self):
         bars = [bar(dt.date(2024, 1, 2)), bar(dt.date(2024, 1, 2))]
         with pytest.raises(DataValidationError):
-            _day_rows(bars, [])
+            day_rows(bars, [])
+
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 23), st.integers(0, 2)),
+                    max_size=30))
+    def test_same_rows_as_a_loop_over_the_documents(self, docs):
+        # bars on weekdays from 2024-01-02; documents up to a week past the last bar
+        bars = [bar(d) for d in weekdays(dt.date(2024, 1, 2), 4)]
+        dates = [b.date for b in bars]
+        triples = [(dt.datetime(2024, 1, 2, hour) + dt.timedelta(days=day), (day, hour), label)
+                   for day, hour, label in docs]
+        seqs, votes = [[] for _ in bars], [[0, 0, 0] for _ in bars]
+        for when, ids, label in triples:  # the reference: one bisect per document
+            if (row := bisect.bisect_left(dates, when.date())) < len(bars):
+                seqs[row].append(ids)
+                votes[row][label] += 1
+        want = [(c.index(max(c)) if c.count(max(c)) == 1 else 1) for c in votes]
+        rows = day_rows(bars, triples)
+        assert [r[2] for r in rows] == list(map(tuple, seqs))
+        assert [r[3] for r in rows] == want
 
     def test_raw_features(self):
         d1, d2 = dt.date(2024, 1, 2), dt.date(2024, 1, 3)
         b1 = MarketBar(d1, open=100, high=110, low=95, close=105, volume=999)
         b2 = MarketBar(d2, open=105, high=112, low=104, close=110, volume=500)
-        rows = _day_rows([b1, b2], [])
+        rows = day_rows([b1, b2], [])
         logret, rng, gap, vol = rows[0][1]
         assert logret == 0.0  # first day has no previous close
         assert abs(rng - (110 - 95) / 105) < 1e-15
@@ -978,7 +1012,7 @@ class TestPreparedColumnChecks:
                   [[[1]], [[2, 3], []]], [[[1]], [[2, True]]], [[[1]], [2]], [[[1]], 2],
                   [[1.5, 2], [0.0]], [[1.5], 2.0]]
         for v in values:
-            assert data_mod._fits(hint)(v) == fits_by_definition(hint, v), v
+            assert ingest._fits(hint)(v) == fits_by_definition(hint, v), v
 
     def load(self, tmp_path, name, change):
         """load_prepared's error, without the path, or its samples, for the golden
@@ -1006,7 +1040,7 @@ class TestPreparedColumnChecks:
                     assert (got == f"{key}[{row}]: {expected}" if expected
                             else isinstance(got, tuple))
                 else:
-                    assert got == (f"{key}[{row}]: must be {data_mod._type_name(hint)}, "
+                    assert got == (f"{key}[{row}]: must be {ingest._type_name(hint)}, "
                                    f"got {json.dumps(value)}")
             got = self.load(tmp_path / f"{key}-deleted", name,
                             lambda cols: {k: v for k, v in cols.items() if k != key})
@@ -1158,9 +1192,9 @@ class TestDaysAndWindowsAreValues:
     CFG = PrepareConfig(window=5, ratios=(0.6, 0.2, 0.2))
 
     def test_built_from_day_rows(self):
-        # _day_rows holds each day's documents as lists
+        # _day_rows holds each day's documents as given: here lists
         bars, docs, _ = build_corpus(12)
-        rows = _day_rows(bars, [LabeledDoc(d.timestamp, [2, 3, 4], 1) for d in docs])
+        rows = day_rows(bars, [(d.timestamp, [2, 3, 4], 1) for d in docs])
         assert any(r[2] for r in rows) and not all(r[2] for r in rows)
         samples = windows_of(rows, window=5)
         assert any(d.token_seqs for d in samples[0].inputs)
