@@ -2,10 +2,13 @@
 """A/B the benchmark: a base revision against the working tree, in alternating pairs.
 
     python3 scripts/ab.py --base HEAD~1 --workload score --pairs 10 --seconds 16 --seed 0
+    python3 scripts/ab.py --base 51cd671 --change 5862fba --workload demo-train
 
-Extracts REV's committed files (``git archive``) into a temporary directory
-and runs the benchmark command of BENCHMARK.json (``perfbench/run.py``) on
-the base and on the working tree in turn, every run at one seed (the
+Extracts REV's committed files (``git archive``, scripts/archive.py) into a
+temporary directory and runs the benchmark command of BENCHMARK.json
+(``perfbench/run.py``) on the base and on the working tree in turn (or on
+the revision --change names, extracted the same way, to compare two past
+revisions), every run at one seed (the
 reference seed 0 unless --seed says otherwise: a claim should also hold on
 a seed not used while writing the change), with the order flipped each
 pair, so drift in the host's speed falls on both sides alike. It prints,
@@ -34,7 +37,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from archive import ROOT, extract_revision
+
 BOOTSTRAP_DRAWS = 2000
 BOOTSTRAP_SEED = 0  # fixed, so the printed interval repeats for the same runs
 
@@ -125,6 +129,8 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--change", metavar="REV",
+                    help="git revision to measure (default: the working tree)")
     ap.add_argument("--workload", required=True,
                     choices=[w["name"] for w in bench["workloads"]])
     ap.add_argument("--pairs", type=int, default=10)
@@ -139,13 +145,11 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     pairs: list[tuple[dict, dict]] = []
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        base_dir = Path(tmp) / "base"
-        base_dir.mkdir()
-        archive = subprocess.run(["git", "archive", "--format=tar", args.base], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base_dir)], input=archive, check=True)
+        base_dir = extract_revision(args.base, Path(tmp) / "base")
+        change_dir = (ROOT if args.change is None
+                      else extract_revision(args.change, Path(tmp) / "change"))
         for i in range(args.pairs):
-            order = [("base", base_dir), ("change", ROOT)]
+            order = [("base", base_dir), ("change", change_dir)]
             if i % 2:
                 order.reverse()
             runs = {side: run_once(bench["command"], where, args.workload, args.seed,
@@ -156,8 +160,8 @@ def main(argv: list[str] | None = None) -> int:
                   + ", ".join(f"{side} correct={runs[side]['correct']} "
                               f"failed={runs[side]['failed']}" for side, _ in order),
                   file=sys.stderr)
-    print(f"{args.workload}: base {args.base} vs working tree, {args.pairs} pairs, "
-          f"seed {args.seed}, {args.seconds:g} s per run")
+    print(f"{args.workload}: base {args.base} vs {args.change or 'working tree'}, "
+          f"{args.pairs} pairs, seed {args.seed}, {args.seconds:g} s per run")
     print(render(summarize(pairs, bench["end_to_end"])))
     bad = sum(not run["correct"] or run["failed"] != 0 for pair in pairs for run in pair)
     if bad:

@@ -15,9 +15,11 @@ A prepared directory (format 4) stores each fact once: vocab.txt (line i is
 the token with id i+2); days.json and windows.json, each one JSON object of
 the dataset's columns (token ids as read: only the model pads them);
 norm_stats.json: stats, window, ratios, format_version, n_days, n_samples.
-Each file is one json.dumps and one json.loads. The normalized features and
-returns, has_text and prev_close are derived on read. load_prepared checks
-each column whole, in the file's column order: other format_versions, a
+Each file is one json.dumps and one json.loads; the two column files are
+compact, with no space after a separator, and spaced ones load the same.
+The normalized features and returns, has_text and prev_close are derived
+on read. load_prepared checks each column whole, in a fixed number of
+Python calls, in the file's column order: other format_versions, a
 missing or unknown column, a column whose length is not n_days or n_samples,
 an entry of the wrong type, dates out of order, a start outside days.json, a
 target_date outside its slot, token ids outside vocab.txt and non-finite
@@ -565,23 +567,29 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def _check_target_date(date: dt.date, dates: Sequence[dt.date], start: int,
-                       window: int) -> None:
-    """DataValidationError unless date, the target of the window of rows
-    [start, end) of dates, is after its last day and, where dates holds row
-    end, not after that day."""
-    end = start + window
-    if date <= dates[end - 1] or (end < len(dates) and date > dates[end]):
+def _check_target_dates(targets: Sequence[dt.date], dates: Sequence[dt.date],
+                        starts: Sequence[int], window: int) -> None:
+    """DataValidationError for the first of targets, each the target of the
+    window of rows [start, end) of dates for its row of starts (zipped to
+    targets' length), that is not after the window's last day or, where
+    dates holds row end, is after that day; by date ordinals, all at once."""
+    ends = np.array(starts[: len(targets)], dtype=np.intp) + window
+    days = np.append(_ordinals(dates), np.iinfo(np.int64).max)  # no day after the last
+    ordinals = _ordinals(targets)
+    bad = (ordinals <= days[ends - 1]) | (ordinals > days[ends])
+    if bad.any():
+        i = int(np.argmax(bad))
+        end = int(ends[i])
         after = f" and not after {dates[end]}" if end < len(dates) else ""
-        raise DataValidationError(f"target_date {date} must be after the window's last day "
-                                  f"{dates[end - 1]}{after}")
+        raise DataValidationError(f"target_date {targets[i]} must be after the window's "
+                                  f"last day {dates[end - 1]}{after}")
 
 
 def _stored_days(samples: Sequence[WindowSample], window: int
                  ) -> tuple[tuple[AlignedDay, ...], list[int]]:
     """The input days of samples in date order and each sample's start row;
     DataValidationError for two different days with one date, a window not a
-    run of consecutive days or a target_date that _check_target_date rejects."""
+    run of consecutive days or a target_date that _check_target_dates rejects."""
     by_date: dict[dt.date, AlignedDay] = {}
     for d in {id(d): d for s in samples for d in s.inputs}.values():
         if (first := by_date.setdefault(d.date, d)) is not d and first != d:
@@ -594,7 +602,7 @@ def _stored_days(samples: Sequence[WindowSample], window: int
         if s.inputs != days[t : t + window]:  # tuple == tries identity first
             raise DataValidationError(f"window for {s.target_date} is not a run of "
                                       f"{window} consecutive days")
-        _check_target_date(s.target_date, dates, t, window)
+    _check_target_dates([s.target_date for s in samples], dates, starts, window)
     return days, starts
 
 
@@ -609,21 +617,22 @@ def _check_derived(name: str, stored, derived, where: Callable[[int], str]) -> N
 
 
 def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
-    """Writes format 4, ds's columns as they are, each file one json.dumps,
-    through atomic_write: norm_stats.json last and no file before all are
-    written."""
+    """Writes format 4, ds's columns as they are, each file one json.dumps
+    (the two column files compact, with no space after a separator), through
+    atomic_write: norm_stats.json last and no file before all are written."""
     days, windows = ds.days, ds.windows
     meta = {**ds.stats.to_dict(), "window": ds.window, "ratios": list(ds.ratios),
             "format_version": PREPARED_FORMAT_VERSION, "n_days": len(days.date),
             "n_samples": len(windows.start)}
+    compact = functools.partial(json.dumps, separators=(",", ":"))
     files = {  # entered first, so ExitStack moves norm_stats.json into place last
         "norm_stats.json": [json.dumps(meta, indent=2)],
         "vocab.txt": ds.vocab.to_lines(),
-        "days.json": [json.dumps({"date": [d.isoformat() for d in days.date],
-                                  "raw": days.raw, "close": days.close,
-                                  "label": [CLASS_NAMES[c] for c in days.label],
-                                  "token_seqs": days.token_seqs})],
-        "windows.json": [json.dumps({
+        "days.json": [compact({"date": [d.isoformat() for d in days.date],
+                               "raw": days.raw, "close": days.close,
+                               "label": [CLASS_NAMES[c] for c in days.label],
+                               "token_seqs": days.token_seqs})],
+        "windows.json": [compact({
             "start": windows.start, "target_date": [d.isoformat() for d in windows.target_date],
             "target_class": [CLASS_NAMES[c] for c in windows.target_class],
             "target_return_raw": windows.target_return_raw,
@@ -632,7 +641,7 @@ def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
     with ExitStack() as stack:
         for name, lines in files.items():
             stack.enter_context(atomic_write(Path(out_dir) / name)).writelines(
-                line + "\n" for line in lines)
+                map("{}\n".format, lines))
 
 
 # each column's entry type, a format-3 row's field type
@@ -750,8 +759,7 @@ def _starts_within(last: int, entries: list) -> list[int]:
 def _target_dates(starts: Sequence[int], dates: Sequence[dt.date], window: int,
                   entries: list) -> list[dt.date]:
     targets = _iso_dates(entries)
-    for date, start in zip(targets, starts):
-        _check_target_date(date, dates, start, window)
+    _check_target_dates(targets, dates, starts, window)
     return targets
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import functools
+import itertools
 import json
 import math
 import operator
@@ -188,19 +189,34 @@ def _kinds(hint: type) -> frozenset[type]:
 def _fits(hint) -> Callable[[object], bool]:
     """Whether a JSON value fits a field annotation, built once per annotation.
     json.loads makes values of exact types: an int is a float, a bool no number.
-    A list of scalars is tested by the set of its items' types, in one pass;
-    object takes any value (a key whose loader checks it with its own message)."""
+    A list of (lists of) scalars is tested by the set of its items' types at
+    each level, in one Python call (_nested_fits); object takes any value (a
+    key whose loader checks it with its own message)."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is list:
-        if typing.get_origin(args[0]) is None:  # a list of scalars
-            return lambda v, kinds=_kinds(args[0]): (type(v) is list
-                                                     and set(map(type, v)) <= kinds)
+        depth, leaf = 0, args[0]
+        while typing.get_origin(leaf) is list:
+            depth, leaf = depth + 1, typing.get_args(leaf)[0]
+        if typing.get_origin(leaf) is None:  # lists of scalars, depth levels down
+            return functools.partial(_nested_fits, depth, _kinds(leaf))
         return lambda v, item=_fits(args[0]): type(v) is list and all(map(item, v))
     if args:  # X | None
         return lambda v, each=tuple(map(_fits, args)): any(f(v) for f in each)
     if hint is object:
         return lambda v: True
     return lambda v, kinds=_kinds(hint): type(v) in kinds
+
+
+def _nested_fits(depth: int, kinds: frozenset[type], v) -> bool:
+    """Whether v is a list whose items, depth levels of lists down, are all of
+    kinds: each level's types are one set, and the next level one flattening."""
+    if type(v) is not list:
+        return False
+    for _ in range(depth):
+        if not set(map(type, v)) <= {list}:
+            return False
+        v = list(itertools.chain.from_iterable(v))
+    return set(map(type, v)) <= kinds
 
 
 def _type_name(hint) -> str:

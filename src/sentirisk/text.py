@@ -147,8 +147,7 @@ class Vocabulary:
 
     def to_lines(self) -> list[str]:
         """Line i holds the token with id i+2."""
-        by_id = sorted(self.token_to_id.items(), key=lambda kv: kv[1])
-        return [tok for tok, _ in by_id]
+        return sorted(self.token_to_id, key=self.token_to_id.__getitem__)
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Vocabulary":

@@ -159,7 +159,7 @@ def score_windows(model: CnnGruModel, windows: Sequence[WindowSample]
     finite = np.isfinite(pred) & np.isfinite(logits).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise NumericError(f"model outputs for {windows[i].target_date} are not finite: "
+        raise NumericError(f"model outputs for {target_columns(windows)[0][i]} are not finite: "
                            f"predicted return {float(pred[i])!r}, logits {logits[i].tolist()}")
     return pred, logits
 

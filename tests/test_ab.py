@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ab.py"
+sys.path.insert(0, str(SCRIPT.parent))  # ab.py imports scripts/archive.py, as a run does
 spec = importlib.util.spec_from_file_location("ab", SCRIPT)
 ab = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab)

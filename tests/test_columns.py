@@ -17,7 +17,7 @@ import pytest
 
 from sentirisk import model as model_mod
 from sentirisk.cli import main
-from sentirisk.errors import DataValidationError
+from sentirisk.errors import DataValidationError, NumericError
 from sentirisk.data import (
     DEFAULT_RATIOS,
     AlignedDay,
@@ -32,7 +32,16 @@ from sentirisk.data import (
     save_prepared,
 )
 from sentirisk.ingest import MarketBar, RawTextDoc
-from sentirisk.model import ArchKind, DayTable, ModelConfig, build_model, day_table
+from sentirisk.model import (
+    ArchKind,
+    CnnGruModel,
+    DayTable,
+    ModelConfig,
+    build_model,
+    day_table,
+    load_checkpoint,
+    save_checkpoint,
+)
 from sentirisk.synthetic import (
     make_ablation_dataset,
     make_demo_docs,
@@ -127,6 +136,20 @@ def demo_inputs(root) -> None:
     write_docs_jsonl(make_demo_docs(bars, seed=4), root / "texts.jsonl")
 
 
+def trained_demo(root) -> tuple[list[str], str]:
+    """The 60-day demo prepared in root and a seeded one-epoch tiny model
+    trained on it by the CLI: the flags naming them, and the checkpoint."""
+    demo_inputs(root)
+    config = root / "config.json"
+    config.write_text('{"window": 5, "epochs": 1, "embed_dim": 4, "num_filters": 3, '
+                      '"gru_hidden": 3}', encoding="utf-8")
+    ckpt = str(root / "m.ckpt.json")
+    common = ["--data-dir", str(root), "--config", str(config)]
+    for argv in (["prepare"], ["train", "--seed", "0", "--model-out", ckpt]):
+        assert main([*argv, *common]) == 0
+    return common, ckpt
+
+
 TINY = {"embed_dim": 4, "num_filters": 3, "kernel_width": 2, "conv_stride": 1,
         "gru_hidden": 3, "max_doc_len": 6}
 
@@ -163,19 +186,32 @@ class TestNoObjectsBuilt:
         assert not records
 
     def test_cli_predict_alert_and_compare(self, tmp_path, monkeypatch, capsys):
-        demo_inputs(tmp_path)
-        config = tmp_path / "config.json"
-        config.write_text('{"window": 5, "epochs": 1, "embed_dim": 4, "num_filters": 3, '
-                          '"gru_hidden": 3}', encoding="utf-8")
-        ckpt = str(tmp_path / "m.ckpt.json")
-        common = ["--data-dir", str(tmp_path), "--config", str(config)]
-        for argv in (["prepare"], ["train", "--seed", "0", "--model-out", ckpt]):
-            assert main([*argv, *common]) == 0
+        common, ckpt = trained_demo(tmp_path)
         built = count_built(monkeypatch, AlignedDay, WindowSample)
         for argv in (["predict", "--model-in", ckpt, "--out", str(tmp_path / "p.csv")],
                      ["alert", "--model-in", ckpt, "--split", "val"],
                      ["compare", "--seed", "0"]):
             assert main([*argv, *common]) == 0
+        assert not built
+
+    def test_cli_non_finite_outputs_are_named_by_the_columns(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a return head of 1.7e308 overflows some window's predicted return
+        common, ckpt = trained_demo(tmp_path)
+        trained = load_checkpoint(ckpt)
+        params = trained.params.copy()
+        for name in ("head_reg/w", "head_reg/b"):
+            params[trained.layout[name][0]] = 1.7e308
+        save_checkpoint(CnnGruModel(trained.cfg, trained.arch, params), ckpt)
+        # the message scoring the train split's window objects gives
+        with pytest.raises(NumericError, match="^model outputs for .* are not finite: ") as raised:
+            score_windows(load_checkpoint(ckpt),
+                          list(load_prepared(tmp_path / "prepared").splits()[0]))
+        built = count_built(monkeypatch, AlignedDay, WindowSample)
+        for command in ("evaluate", "alert"):
+            capsys.readouterr()
+            assert main([command, "--model-in", ckpt, "--split", "train", *common]) == 3
+            assert capsys.readouterr().err.endswith(f"numeric/runtime error: {raised.value}\n")
         assert not built
 
     def test_first_samples_access_builds_each_day_and_window_once(self, tmp_path, built):

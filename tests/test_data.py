@@ -2,9 +2,11 @@
 
 import bisect
 import datetime as dt
+import gc
 import json
 import logging
 import math
+import sys
 import tempfile
 import typing
 from contextlib import contextmanager
@@ -45,7 +47,7 @@ from sentirisk.ingest import (
 )
 from sentirisk.layers import pad_or_truncate
 from sentirisk.model import ArchKind, DayTable, ModelConfig, build_model, day_table
-from sentirisk.synthetic import make_ablation_dataset
+from sentirisk.synthetic import make_ablation_dataset, make_demo_docs, make_demo_market
 from sentirisk.text import Lexicon, Vocabulary
 from sentirisk.train import TrainConfig, score_windows, train
 
@@ -874,15 +876,16 @@ def read_files(path: Path) -> dict[str, bytes]:
 def golden_format_4() -> dict[str, bytes]:
     """The golden format-3 directory's facts in format 4: each days.jsonl and
     windows.jsonl row's fields as entries of their columns, re-encoded by
-    json.dumps, which writes every float by its shortest round-trip repr, so
-    equal bytes mean the same facts bit for bit."""
+    json.dumps with compact separators, which writes every float by its
+    shortest round-trip repr, so equal bytes mean the same facts bit for bit."""
     prepared = GOLDEN / "prepared"
     files = {}
     for name in ("days", "windows"):
         rows = [json.loads(line) for line in
                 (prepared / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()]
         files[f"{name}.json"] = (json.dumps({key: [row[key] for row in rows]
-                                             for key in rows[0]}) + "\n").encode()
+                                             for key in rows[0]},
+                                            separators=(",", ":")) + "\n").encode()
     meta = (prepared / "norm_stats.json").read_bytes()
     assert meta.count(b'"format_version": 3,') == 1
     files["norm_stats.json"] = meta.replace(b'"format_version": 3,', b'"format_version": 4,')
@@ -962,6 +965,81 @@ def test_save_load_save_writes_the_same_bytes(ds):
         save_prepared(again, second)
         assert read_files(second) == read_files(first)
         assert_same_samples(again.samples, ds.samples)
+        # column files with the default separators, a space after each "," and
+        # ":", as earlier versions wrote them, load to the same dataset
+        spaced, third = Path(tmp) / "spaced", Path(tmp) / "third"
+        spaced.mkdir()
+        for name in PREPARED_FILES:
+            content = (first / name).read_bytes()
+            if name in ("days.json", "windows.json"):
+                content = (json.dumps(json.loads(content)) + "\n").encode()
+            (spaced / name).write_bytes(content)
+        assert read_files(spaced) != read_files(first)
+        from_spaced = load_prepared(spaced)
+        assert from_spaced == again
+        save_prepared(from_spaced, third)
+        assert read_files(third) == read_files(first)
+
+
+def python_calls(fn, *args) -> tuple[int, int]:
+    """The Python function calls fn(*args) makes, fn's own included, and how
+    many of them are of functions defined in sentirisk: the "call" events of
+    sys.setprofile, which counts no call of a C function. The collector is
+    off meanwhile, so no gc.callbacks entry (hypothesis installs one) is
+    counted."""
+    package = str(Path(data_mod.__file__).parent)
+    calls = own = 0
+
+    def count(frame, event, arg):
+        nonlocal calls, own
+        if event == "call":
+            calls += 1
+            own += frame.f_code.co_filename.startswith(package)
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return calls, own
+
+
+class TestFixedCalls:
+    """save_prepared writes and load_prepared checks each column whole, in
+    passes that run in C: the Python calls they make, sentirisk's and the
+    libraries', do not grow with the days (the 60- and 600-day demos, and
+    the score workload's 1,020 days)."""
+
+    DAYS = (60, 600, 1020)
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory) -> dict[int, tuple[PreparedDataset, Path]]:
+        out = {}
+        for n_days in self.DAYS:
+            bars = make_demo_market(n_days=n_days, seed=3)
+            ds = prepare_dataset(bars, make_demo_docs(bars, seed=4), Lexicon.bundled(),
+                                 PrepareConfig())
+            path = tmp_path_factory.mktemp(f"demo-{n_days}")
+            save_prepared(ds, path)
+            out[n_days] = ds, path
+        load_prepared(path)  # the first load fills _fits' cache
+        return out
+
+    def test_load_prepared(self, saved):
+        calls = {n: python_calls(load_prepared, path) for n, (_, path) in saved.items()}
+        assert calls[60] == calls[600] == calls[1020], calls
+        assert calls[1020][1] <= 300, calls  # sentirisk's own, whatever the libraries make
+
+    def test_save_prepared(self, saved, tmp_path):
+        calls = {n: python_calls(save_prepared, ds, tmp_path / str(n))
+                 for n, (ds, _) in saved.items()}
+        assert calls[60] == calls[600] == calls[1020], calls
+        assert all(read_files(tmp_path / str(n)) == read_files(path)
+                   for n, (_, path) in saved.items())
 
 
 def fits_by_definition(hint, value) -> bool:
@@ -1026,6 +1104,23 @@ class TestPreparedColumnChecks:
             prefix = f"{prepared / name}: "
             assert str(exc).startswith(prefix)
             return str(exc).removeprefix(prefix)
+
+    def test_target_dates_are_checked_whole_and_refused_at_the_first_bad_row(self, tmp_path):
+        # the golden windows start at rows 0..9 of 29 days, 20 days each: the
+        # last window ends at the last stored day, so only a lower bound holds
+        days = json.loads(golden_format_4()["days.json"])["date"]
+        assert self.load(tmp_path / "future", "windows.json",
+                         with_entries(("target_date", 9, "2030-01-01")))[-1].target_date == (
+            dt.date(2030, 1, 1))
+        assert self.load(tmp_path / "last", "windows.json",
+                         with_entries(("target_date", 9, days[28]))) == (
+            f"target_date[9]: target_date {days[28]} must be after the window's last day "
+            f"{days[28]}")
+        assert self.load(tmp_path / "two", "windows.json",
+                         with_entries(("target_date", 7, days[29 - 3]),
+                                      ("target_date", 3, days[24]))) == (
+            f"target_date[3]: target_date {days[24]} must be after the window's last day "
+            f"{days[22]} and not after {days[23]}")
 
     @pytest.mark.parametrize("name, row, hints", [
         ("days.json", 1, data_mod._DAY_COLUMNS), ("windows.json", 2, data_mod._WINDOW_COLUMNS)])
