@@ -1,14 +1,15 @@
 """Day alignment, windowing, splits, normalization, the prepared dataset.
 
 Pipeline order: load bars + raw docs as columns (ingest.MarketColumns,
-ingest.TextColumns), tokenize each doc once (one with no tokens, such as a
-bare URL, is dropped), count the vocabulary, label and encode the docs,
-align them onto trading days (roll-forward), build sliding-window targets,
-split chronologically, fit normalization statistics on the training span
-only. A PreparedDataset holds the result as columns, DayColumns and
-WindowColumns, from prepare to the day table: prepare_dataset and
-load_prepared build no AlignedDay or WindowSample, and the window objects
-(ds.samples, or a split iterated) are built from the columns on first use.
+ingest.TextColumns), tokenize each distinct text once (a doc with no tokens,
+such as a bare URL, is dropped), count the vocabulary, label and encode each
+distinct text once, align the docs onto trading days (roll-forward), build
+sliding-window targets, split chronologically, fit normalization statistics
+on the training span only. A PreparedDataset holds the result as columns,
+DayColumns and WindowColumns, from prepare to the day table:
+prepare_dataset and load_prepared build no AlignedDay or WindowSample, and
+the window objects (ds.samples, or a split iterated) are built from the
+columns on first use.
 Each record is checked once, by its constructor, and trusted by what reads it.
 
 A prepared directory (format 4) stores each fact once: vocab.txt (line i is
@@ -499,30 +500,35 @@ def prepare_dataset(bars: MarketColumns | Sequence[MarketBar],
     """The dataset of a market and its documents, given as the loaders'
     columns or as records, which become columns first.
 
-    Each document is tokenized once (text.tokenize); one that gives no
-    tokens (a bare URL) is dropped, and the count logged, for it would vote
-    in its day's label. The vocabulary counts the kept token lists; a
-    document's label is its presupplied one, else score_label of the sum of
-    its tokens' lexicon scores (one score per distinct token); its ids map
-    each token through the vocabulary. Each token string is interned, so the
-    token lists, held until the vocabulary exists, share one string per
-    distinct token."""
+    Each distinct text is tokenized once (text.tokenize), and its documents
+    share its token list; a document that gives no tokens (a bare URL) is
+    dropped, and the count logged, for it would vote in its day's label. The
+    vocabulary counts the documents' token lists. Each distinct text is then
+    labeled (score_label of the sum of its tokens' lexicon scores, one score
+    per distinct token) and encoded through the vocabulary once, its documents
+    sharing its id tuple; a document's label is its presupplied one, else its
+    text's. Token strings are interned: one string per distinct token."""
     bars, docs = _as_columns(MarketColumns, bars), _as_columns(TextColumns, raw_docs)
-    tokens = [list(map(sys.intern, tokenize(text))) for text in docs.text]
+    per_text = {text: list(map(sys.intern, tokenize(text)))
+                for text in dict.fromkeys(docs.text)}
+    tokens = list(map(per_text.__getitem__, docs.text))
     if not all(tokens):
         log.info("dropping %d documents with no tokens after cleaning",
                  len(tokens) - sum(map(bool, tokens)))
+    kept = list(itertools.compress(docs.text, tokens))
     timestamps = list(itertools.compress(docs.timestamp, tokens))
     given = list(itertools.compress(docs.label, tokens))
-    tokens = list(filter(None, tokens))
     counts = Counter(itertools.chain.from_iterable(tokens))
     vocab = vocab_from_counts(counts, min_freq=cfg.min_freq, max_size=cfg.max_vocab)
     score = {tok: lexicon.score(tok) for tok in counts}.__getitem__
-    labels = [CLASS_INDEX[label if label is not None else score_label(sum(map(score, toks)))]
-              for toks, label in zip(tokens, given)]
     get = vocab.token_to_id.get
     ids = {tok: get(tok, UNK_ID) for tok in counts}.__getitem__
-    days_raw = _day_rows(bars, timestamps, [tuple(map(ids, toks)) for toks in tokens], labels)
+    voted = {text: CLASS_INDEX[score_label(sum(map(score, toks)))]
+             for text, toks in per_text.items()}
+    labels = [CLASS_INDEX[label] if label is not None else voted[text]
+              for text, label in zip(kept, given)]
+    seqs = {text: tuple(map(ids, toks)) for text, toks in per_text.items()}
+    days_raw = _day_rows(bars, timestamps, list(map(seqs.__getitem__, kept)), labels)
     targets = _window_targets(days_raw, cfg.window)
 
     n_train = len(split_chronological(targets, cfg.ratios)[0])

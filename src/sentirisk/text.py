@@ -58,17 +58,22 @@ class Lexicon:
 
     @classmethod
     def from_files(cls, positive_path: str | Path, negative_path: str | Path) -> "Lexicon":
+        """The word lists of two UTF-8 files; a byte-order mark that starts a
+        file is skipped, as load_market_csv skips one."""
         return cls(
-            positive=_parse_wordlist(read_text(positive_path)),
-            negative=_parse_wordlist(read_text(negative_path)),
+            positive=_parse_wordlist(read_text(positive_path, encoding="utf-8-sig"),
+                                     positive_path),
+            negative=_parse_wordlist(read_text(negative_path, encoding="utf-8-sig"),
+                                     negative_path),
         )
 
     @classmethod
     def bundled(cls) -> "Lexicon":
-        pkg = resources.files("sentirisk.lexicons")
+        pos, neg = (resources.files("sentirisk.lexicons") / name
+                    for name in ("positive.txt", "negative.txt"))
         return cls(
-            positive=_parse_wordlist((pkg / "positive.txt").read_text(encoding="utf-8")),
-            negative=_parse_wordlist((pkg / "negative.txt").read_text(encoding="utf-8")),
+            positive=_parse_wordlist(pos.read_text(encoding="utf-8"), pos),
+            negative=_parse_wordlist(neg.read_text(encoding="utf-8"), neg),
         )
 
     def score(self, token: str) -> int:
@@ -95,15 +100,30 @@ def open_text(path: Path, error: type[Exception] = DataValidationError,
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_text(path: str | Path, error: type[Exception] = DataValidationError) -> str:
+def read_text(path: str | Path, error: type[Exception] = DataValidationError,
+              encoding: str = "utf-8") -> str:
     """The text of path; a missing file, a directory, or text that is not
     UTF-8 raises error naming path."""
-    with open_text(Path(path), error) as fh:
+    with open_text(Path(path), error, encoding=encoding) as fh:
         return fh.read()
 
 
-def _parse_wordlist(text: str) -> frozenset[str]:
-    return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
+def _parse_wordlist(text: str, path: object) -> frozenset[str]:
+    """The entries of a word list, one a line, stripped and lowercased; blank
+    lines are skipped. A line that tokenize does not give as exactly its
+    entry (punctuation, '$', a space or a BOM in it) could never score a
+    token: it raises DataValidationError naming path, the 1-based line and
+    what tokenize gives."""
+    words = set()
+    for lineno, line in enumerate(text.split("\n"), 1):
+        word = line.strip().lower()
+        if not word:
+            continue
+        if tokenize(line) != [word]:
+            raise DataValidationError(f"{path}:{lineno}: lexicon entry {line.strip()!r} can "
+                                      f"never match a token: tokenize gives {tokenize(line)}")
+        words.add(word)
+    return frozenset(words)
 
 
 def label_tokens(tokens: Sequence[str], lexicon: Lexicon,

@@ -111,3 +111,19 @@ def test_run_once_passes_the_seed(tmp_path):
             "import json, sys; print(json.dumps({'argv': sys.argv[1:]}))"]
     argv = ab.run_once(echo, tmp_path, "score", 3, 0.5)["argv"]
     assert argv == ["--workload", "score", "--seed", "3", "--seconds", "0.5", "--trace", "0"]
+
+
+prepare_spec = importlib.util.spec_from_file_location(
+    "ab_prepare", SCRIPT.parent / "ab_prepare.py")
+ab_prepare = importlib.util.module_from_spec(prepare_spec)
+prepare_spec.loader.exec_module(ab_prepare)
+
+
+def test_prepare_corpora_repeat_and_do_not_and_each_tree_times_them(tmp_path, capsys):
+    dirs = ab_prepare.write_corpora(tmp_path)
+    assert capsys.readouterr().out == ("repeated: 15 distinct texts among 1963 documents\n"
+                                       "distinct: 1963 distinct texts among 1963 documents\n")
+    assert ((dirs["repeated"] / "market.csv").read_bytes()
+            == (dirs["distinct"] / "market.csv").read_bytes())
+    run = ab_prepare.run_once(ab_prepare.ROOT, dirs["distinct"], 1)
+    assert run["metrics"]["prepare_ms"]["value"] > 0

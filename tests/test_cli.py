@@ -842,6 +842,32 @@ class TestNonUtf8Input:
         assert not (tmp_path / "out.ckpt.json").exists()
 
 
+class TestLexiconEntries:
+    """prepare refuses a lexicon line that could never match a token: exit 2
+    naming the file and line, and no prepared/ written. (Every kind of such
+    line is refused by Lexicon.from_files, tests/test_text.py.)"""
+
+    def test_exits_2_naming_path_and_line(self, workspace, tmp_path, capsys):
+        line = "bull-run"
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for name in ("market.csv", "texts.jsonl"):
+            shutil.copy(workspace["root"] / name, raw / name)
+        pos, neg = raw / "positive.txt", raw / "negative.txt"
+        pos.write_text(f"{line}\nrally\n", encoding="utf-8")
+        neg.write_text("plunge\n", encoding="utf-8")
+        cfg = write_config(tmp_path, {"lexicon_positive": str(pos),
+                                      "lexicon_negative": str(neg)})
+        capsys.readouterr()
+        rc = main(["prepare", "--data-dir", str(raw), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"data error: {pos}:1: lexicon entry {line!r} can never match" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (raw / "prepared").exists()
+
+
 class TestCheckpointDatasetMismatch:
     @pytest.mark.parametrize("key, delta", [("vocab_size", 6), ("vocab_size", -6),
                                             ("window", 1)],

@@ -48,8 +48,10 @@ from sentirisk.ingest import (
 from sentirisk.layers import pad_or_truncate
 from sentirisk.model import ArchKind, DayTable, ModelConfig, build_model, day_table
 from sentirisk.synthetic import make_ablation_dataset, make_demo_docs, make_demo_market
-from sentirisk.text import Lexicon, Vocabulary
+from sentirisk.text import CLASS_INDEX, Lexicon, Vocabulary, tokenize
 from sentirisk.train import TrainConfig, score_windows, train
+
+from prepare_reference import prepare_per_document
 
 
 def bar(day: dt.date, close: float = 100.0, volume: float = 1e6) -> MarketBar:
@@ -658,6 +660,77 @@ class TestPrepareDataset:
             prepare_dataset(bars, docs + [self.url_post(day)], lex, self.CFG))[day]
         assert not got.has_text
         assert got.token_seqs == ()
+
+
+def post(day: dt.date, text: str, label=None, hour: int = 10) -> RawTextDoc:
+    return RawTextDoc(timestamp=dt.datetime(day.year, day.month, day.day, hour, 0),
+                      text=text, source="unit", label=label)
+
+
+class TestPrepareByText:
+    """prepare_dataset tokenizes, labels and encodes each distinct text once,
+    and builds the dataset the per-document reference builds."""
+
+    CFG = PrepareConfig(window=2, ratios=(0.6, 0.2, 0.2))
+
+    def test_demo_corpus_tokenizes_each_distinct_text_once(self, monkeypatch):
+        bars = make_demo_market(n_days=1020, seed=3)
+        docs = make_demo_docs(bars, seed=4)
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return tokenize(raw)
+
+        monkeypatch.setattr(data_mod, "tokenize", counted)
+        ds = prepare_dataset(bars, docs, Lexicon.bundled(), PrepareConfig())
+        assert (len(calls), len(docs)) == (15, 1963)
+        assert sorted(calls) == sorted({d.text for d in docs})
+        monkeypatch.undo()
+        assert ds == prepare_per_document(bars, docs, Lexicon.bundled(), PrepareConfig())
+
+    def test_repeated_text_keeps_each_documents_presupplied_label(self):
+        bars, _, lex = build_corpus(10)
+        days = [b.date for b in bars]
+        text = "up and down flat"  # the lexicon's label: neutral
+        docs = [post(days[0], text, "positive"), post(days[1], text),
+                post(days[2], text, "negative")]
+        ds = prepare_dataset(bars, docs, lex, self.CFG)
+        assert ds.days.label[:4] == (CLASS_INDEX["positive"], CLASS_INDEX["neutral"],
+                                     CLASS_INDEX["negative"], CLASS_INDEX["neutral"])
+        seqs = ds.days.token_seqs
+        assert seqs[0] == seqs[1] == seqs[2] and len(seqs[0]) == 1 and seqs[3] == ()
+
+    def test_repeated_bare_url_is_dropped_and_counted_per_document(self, caplog):
+        bars, docs, lex = build_corpus(10)
+        day = bars[2].date  # a day without posts
+        urls = [post(day, "https://t.co/abc", hour=h) for h in (9, 10, 11)]
+        with caplog.at_level(logging.INFO, logger="sentirisk.data"):
+            got = prepare_dataset(bars, docs + urls, lex, self.CFG)
+        assert "dropping 3 documents with no tokens" in caplog.text
+        assert got == prepare_dataset(bars, docs, lex, self.CFG)
+
+    # repeated texts, token-less ones, and texts differing only in case or punctuation
+    TEXTS = ("up", "Up!", "UP", "up up down", "down, down.", "flat market", "$FLAT market",
+             "https://t.co/x", "!!!", "www.example.com", "new words up")
+    LABELS = (None, None, "negative", "neutral", "positive")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 11), st.sampled_from(TEXTS),
+                              st.sampled_from(LABELS)), max_size=30),
+           st.integers(1, 3))
+    def test_same_dataset_and_bytes_as_per_document(self, drawn, min_freq):
+        bars, _, lex = build_corpus(12)
+        docs = [post(bars[day].date, text, label) for day, text, label in drawn]
+        cfg = replace(self.CFG, min_freq=min_freq)
+        got = prepare_dataset(bars, docs, lex, cfg)
+        want = prepare_per_document(bars, docs, lex, cfg)
+        assert got.vocab == want.vocab
+        assert (got.days, got.windows, got.stats) == (want.days, want.windows, want.stats)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_prepared(got, Path(tmp) / "got")
+            save_prepared(want, Path(tmp) / "want")
+            assert read_files(Path(tmp) / "got") == read_files(Path(tmp) / "want")
 
 
 def assert_same_samples(loaded, original):

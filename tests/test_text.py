@@ -1,12 +1,15 @@
 """Text cleaning vs committed golden corpus; labeling, vocab, and encoding rules."""
 
 import json
+import re
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sentirisk.errors import DataValidationError
 from sentirisk.text import (
     CLASS_NAMES,
     NEGATIVE,
@@ -20,6 +23,7 @@ from sentirisk.text import (
     clean_text,
     encode_doc,
     label_tokens,
+    tokenize,
     vocab_from_counts,
 )
 
@@ -123,6 +127,62 @@ class TestLabelTokens:
         assert len(lex.positive) >= 50
         assert len(lex.negative) >= 50
         assert not (lex.positive & lex.negative)
+
+
+# lexicon lines that tokenize never gives as one token, as the line's entry,
+# and what it gives instead ("bom": a byte-order mark inside a file, as two
+# files joined leave one)
+NEVER_MATCHING = {
+    "bom": ("\ufeffsurge", ["surge"]),
+    "hyphen": ("bull-run", ["bullrun"]),
+    "space": ("to the moon", ["to", "the", "moon"]),
+    "dollar": ("$moon", ["moon"]),
+    "comment": ("# comment", ["comment"]),
+}
+
+
+class TestLexiconEntries:
+    """A word-list line is an entry only when tokenize gives exactly that
+    entry; any other line could never score a token, and is refused."""
+
+    @staticmethod
+    def write(path: Path, *lines: str) -> Path:
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("kind", sorted(NEVER_MATCHING))
+    def test_never_matching_line_is_refused_naming_path_and_line(self, tmp_path, kind):
+        line, tokens = NEVER_MATCHING[kind]
+        neg = self.write(tmp_path / "neg.txt", "plunge")
+        pos = self.write(tmp_path / "pos.txt", "surge", "", line, "rally")
+        with pytest.raises(DataValidationError) as exc:
+            Lexicon.from_files(pos, neg)
+        assert str(exc.value) == (f"{pos}:3: lexicon entry {line!r} can never match "
+                                  f"a token: tokenize gives {tokens}")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(neg))}:2: "):
+            Lexicon.from_files(self.write(tmp_path / "ok.txt", "surge"),
+                               self.write(neg, "plunge", line))
+
+    def test_entries_load_stripped_and_lowercased(self, tmp_path):
+        pos = self.write(tmp_path / "pos.txt", "SURGE", "  Rally\t", "", "   ", "up2")
+        lex = Lexicon.from_files(pos, self.write(tmp_path / "neg.txt", "Plunge"))
+        assert lex == Lexicon(positive=frozenset({"surge", "rally", "up2"}),
+                              negative=frozenset({"plunge"}))
+
+    def test_byte_order_mark_that_starts_a_file_is_skipped(self, tmp_path):
+        """A file saved with a BOM loads its first entry, as market.csv does."""
+        pos = self.write(tmp_path / "pos.txt", "\ufeffsurge", "rally")
+        neg = self.write(tmp_path / "neg.txt", "\ufeffplunge")
+        assert Lexicon.from_files(pos, neg) == Lexicon(positive=frozenset({"surge", "rally"}),
+                                                       negative=frozenset({"plunge"}))
+
+    @pytest.mark.parametrize("name", ["positive.txt", "negative.txt"])
+    def test_every_bundled_line_is_its_own_token(self, name):
+        lines = (resources.files("sentirisk.lexicons") / name).read_text(encoding="utf-8")
+        entries = [line for line in lines.split("\n") if line.strip()]
+        assert len(entries) >= 50
+        for line in entries:
+            assert tokenize(line) == [line.strip().lower()], line
 
 
 class TestClassIndexing:
