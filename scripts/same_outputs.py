@@ -3,7 +3,7 @@
 on the working tree, every output file and stream compared.
 
     python3 scripts/same_outputs.py --base HEAD~1
-    python3 scripts/same_outputs.py --base HEAD~1 --declared days.json,windows.json
+    python3 scripts/same_outputs.py --base HEAD~1 --declared 'days.*,windows.*'
     python3 scripts/same_outputs.py --base 87bab81 --change ea44515 --declared '*.ckpt.json:1e-9'
 
 Extracts REV's committed files (``git archive``, scripts/archive.py) and runs
@@ -22,15 +22,17 @@ stdout and stderr and the list of steps and their exit codes (journey.txt);
 the one wall-clock time printed (run_ablation's) is masked first. For a file
 that differs the script prints the largest relative difference of its
 numbers: per tensor of a checkpoint, else over every number of the JSON
-document, JSON lines or text, with where it is. The exit code is 1 when a
-file is on one side only or differs without being declared, or when a
-declared file's numbers differ by more than its bound, or when a step
-exits other than 0 on either side (the journey runs nothing that should
-fail); 0 otherwise.
+document, JSON lines or text, with where it is; per member of a .npz
+file, once both sides hold the same members with the same dtypes and
+shapes. The exit code is 1 when a file that is not declared is on one
+side only or differs, or when a declared file's numbers differ by more
+than its bound, or when a step exits other than 0 on either side (the
+journey runs nothing that should fail); 0 otherwise.
 --declared takes NAME[:BOUND] items, comma-separated: NAME matches a file's
 path or base name (shell wildcards allowed), and BOUND (default 0: every
 number equal, only the bytes differ) is the largest relative difference it
-may have.
+may have. A declared file may be on one side only, as when a format change
+renames a file.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import base64
 import fnmatch
+import io
 import json
 import math
 import os
@@ -175,11 +178,27 @@ def _largest(pairs) -> tuple[float, str]:
                key=lambda found: found[0], default=(0.0, ""))
 
 
+def _members(content: bytes) -> dict[str, np.ndarray]:
+    """The arrays of a .npz file, by member name, in its order."""
+    with np.load(io.BytesIO(content), allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
 def differences(name: str, a: bytes, b: bytes) -> list[tuple[float, str]]:
     """The largest relative differences of the numbers of two versions of
     the file name, as (difference, where) items: one per tensor for a
-    checkpoint, one for any other file. Mismatch where they differ in more
-    than their numbers."""
+    checkpoint, one per member for a .npz file, one for any other file.
+    Mismatch where they differ in more than their numbers."""
+    if name.endswith(".npz"):
+        x, y = _members(a), _members(b)
+        if list(x) != list(y):
+            raise Mismatch(f"members {list(x)} against {list(y)}")
+        for m in x:
+            if (x[m].dtype, x[m].shape) != (y[m].dtype, y[m].shape):
+                raise Mismatch(f"{m}: {x[m].dtype} of shape {x[m].shape} against "
+                               f"{y[m].dtype} of shape {y[m].shape}")
+        return [(_largest(("", p, q) for p, q in zip(x[m].ravel().tolist(),
+                                                     y[m].ravel().tolist()))[0], m) for m in x]
     try:
         if name.endswith(".jsonl"):
             x, y = ([json.loads(line) for line in v.decode().splitlines() if line.strip()]
@@ -216,12 +235,17 @@ def _bound(path: str, declared: dict[str, float]) -> float | None:
 
 def compare_trees(base: Path, change: Path, declared: dict[str, float]) -> tuple[bool, list[str]]:
     """(whether the trees are the same outputs, the report lines): every file
-    present on both sides, equal or declared and within its bound."""
+    present on both sides, equal or declared and within its bound, and every
+    file on one side only declared."""
     a, b = _files(base), _files(change)
     ok, lines = True, []
     for path in sorted(a.keys() ^ b.keys()):
-        ok = False
-        lines.append(f"ONLY IN {'BASE' if path in a else 'CHANGE'}: {path}")
+        side = "base" if path in a else "change"
+        if _bound(path, declared) is None:
+            ok = False
+            lines.append(f"ONLY IN {side.upper()}: {path}")
+        else:
+            lines.append(f"only in {side}: {path} (declared)")
     same = 0
     for path in sorted(a.keys() & b.keys()):
         x, y = a[path].read_bytes(), b[path].read_bytes()

@@ -12,26 +12,28 @@ the window objects (ds.samples, or a split iterated) are built from the
 columns on first use.
 Each record is checked once, by its constructor, and trusted by what reads it.
 
-A prepared directory (format 4) stores each fact once: vocab.txt (line i is
-the token with id i+2); days.json and windows.json, each one JSON object of
-the dataset's columns (token ids as read: only the model pads them);
+A prepared directory (format 5) stores each fact once: vocab.txt (line i is
+the token with id i+2); days.npz and windows.npz, each an uncompressed zip
+of one .npy array per column (_DAY_MEMBERS, _WINDOW_MEMBERS: dates as day
+ordinals, classes as indices, token ids as read, in one flat array: only
+the model pads them), dated so that equal columns are equal bytes;
 norm_stats.json: stats, window, ratios, format_version, n_days, n_samples.
-Each file is one json.dumps and one json.loads; the two column files are
-compact, with no space after a separator, and spaced ones load the same.
 The normalized features and returns, has_text and prev_close are derived
 on read. load_prepared checks each column whole, in a fixed number of
-Python calls, in the file's column order: other format_versions, a
-missing or unknown column, a column whose length is not n_days or n_samples,
-an entry of the wrong type, dates out of order, a start outside days.json, a
-target_date outside its slot, token ids outside vocab.txt and non-finite
-numbers are refused naming the full path, the column and the first bad row
-(_fits is the one rule for a column's entries).
+Python calls, in the file's member order: other format_versions, a
+missing or unknown member, one whose dtype or shape is not the one
+norm_stats.json and the earlier members fix, a compressed member, dates
+out of order, a start outside days.npz, a target_date outside its slot,
+token ids outside vocab.txt, classes outside the three and non-finite
+numbers are refused naming the full path, the column and the first bad row;
+no member is read before its header is checked, and none is unpickled.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import functools
+import io
 import itertools
 import json
 import logging
@@ -39,25 +41,22 @@ import math
 import operator
 import os
 import sys
+import zipfile
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import FrozenInstanceError, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
 
 from .errors import DataValidationError
 from .ingest import (  # the loaders too: perfbench calls them as data.*
-    _TYPE_NAMES,
     MarketBar,
     MarketColumns,
     RawTextDoc,
     TextColumns,
     _as_columns,
-    _fits,
-    _type_name,
-    check_dates_increasing,
     load_market_csv,
     load_text_jsonl,
     read_json,
@@ -78,7 +77,7 @@ log = logging.getLogger(__name__)
 
 N_MARKET_FEATURES = 5  # logret, range, gap, log volume, has_text
 DEFAULT_RATIOS = (0.7, 0.15, 0.15)
-PREPARED_FORMAT_VERSION = 4
+PREPARED_FORMAT_VERSION = 5
 T = TypeVar("T")
 
 
@@ -552,16 +551,16 @@ _TMP_IDS = itertools.count()
 
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[TextIO]:
-    """A temp text file beside path, its own to this call (named by the pid
-    and a process-wide counter, so threads writing one path never share it),
-    that os.replace moves over path when the with-block completes; if
-    anything raises, it is deleted and path is untouched. An OSError opening
-    it names path."""
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[TextIO | BinaryIO]:
+    """A temp text file (binary, with binary) beside path, its own to this
+    call (named by the pid and a process-wide counter, so threads writing one
+    path never share it), that os.replace moves over path when the
+    with-block completes; if anything raises, it is deleted and path is
+    untouched. An OSError opening it names path."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp")
     try:
-        fh = tmp.open("w", encoding="utf-8", newline="")
+        fh = tmp.open("wb") if binary else tmp.open("w", encoding="utf-8", newline="")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
@@ -573,22 +572,23 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def _check_target_dates(targets: Sequence[dt.date], dates: Sequence[dt.date],
-                        starts: Sequence[int], window: int) -> None:
-    """DataValidationError for the first of targets, each the target of the
-    window of rows [start, end) of dates for its row of starts (zipped to
-    targets' length), that is not after the window's last day or, where
-    dates holds row end, is after that day; by date ordinals, all at once."""
+def _check_target_dates(targets: np.ndarray, days: np.ndarray, starts: Sequence[int],
+                        window: int, where: Callable[[int], str]) -> None:
+    """DataValidationError, its message prefixed by where(i), for the first
+    of targets, each the target of the window of rows [start, end) of days
+    for its row of starts (zipped to targets' length), that is not after the
+    window's last day or, where days holds row end, is after that day; all
+    at once, targets and days as date ordinals."""
     ends = np.array(starts[: len(targets)], dtype=np.intp) + window
-    days = np.append(_ordinals(dates), np.iinfo(np.int64).max)  # no day after the last
-    ordinals = _ordinals(targets)
-    bad = (ordinals <= days[ends - 1]) | (ordinals > days[ends])
+    after = np.append(days, np.iinfo(np.int64).max)  # no day after the last
+    bad = (targets <= after[ends - 1]) | (targets > after[ends])
     if bad.any():
         i = int(np.argmax(bad))
         end = int(ends[i])
-        after = f" and not after {dates[end]}" if end < len(dates) else ""
-        raise DataValidationError(f"target_date {targets[i]} must be after the window's "
-                                  f"last day {dates[end - 1]}{after}")
+        date = dt.date.fromordinal
+        then = f" and not after {date(days[end])}" if end < len(days) else ""
+        raise DataValidationError(f"{where(i)}target_date {date(targets[i])} must be after the "
+                                  f"window's last day {date(days[end - 1])}{then}")
 
 
 def _stored_days(samples: Sequence[WindowSample], window: int
@@ -608,7 +608,8 @@ def _stored_days(samples: Sequence[WindowSample], window: int
         if s.inputs != days[t : t + window]:  # tuple == tries identity first
             raise DataValidationError(f"window for {s.target_date} is not a run of "
                                       f"{window} consecutive days")
-    _check_target_dates([s.target_date for s in samples], dates, starts, window)
+    _check_target_dates(_ordinals([s.target_date for s in samples]), _ordinals(dates), starts,
+                        window, lambda i: "")
     return days, starts
 
 
@@ -622,156 +623,160 @@ def _check_derived(name: str, stored, derived, where: Callable[[int], str]) -> N
                                   f"{derived[i].tolist()}, the value loading derives")
 
 
+# each column file's members, in the order load_prepared reads and checks
+# them, with their dtypes: dates are day ordinals, classes indices, and day
+# i's documents are doc_counts[i] runs, of doc_lengths, of the flat token_ids
+# (None: the vocabulary's, _day_dtypes)
+_DAY_MEMBERS = {"date": "<i4", "raw": "<f8", "close": "<f8", "label": "i1",
+                "doc_counts": "<i4", "doc_lengths": "<i4", "token_ids": None}
+_WINDOW_MEMBERS = {"start": "<i4", "target_date": "<i4", "target_class": "i1",
+                   "target_return_raw": "<f8", "target_close": "<f8"}
+# every member's timestamp, so that equal columns are equal bytes
+_ZIP_TIME = (1980, 1, 1, 0, 0, 0)
+
+
+def _day_dtypes(vocab: Vocabulary) -> dict[str, str | np.dtype]:
+    """_DAY_MEMBERS, token_ids' dtype the narrowest unsigned one that holds vocab's ids."""
+    return {**_DAY_MEMBERS, "token_ids": np.min_scalar_type(vocab.size - 1).newbyteorder("<")}
+
+
+def _npz(columns: dict[str, object], dtypes: dict[str, str | np.dtype]) -> bytes:
+    """An uncompressed zip of one .npy file (version 1.0) per column, in
+    order, each the column as an array of its dtype and dated _ZIP_TIME."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as zf:
+        for name, column in columns.items():
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, np.asarray(column, dtypes[name]), version=(1, 0),
+                                      allow_pickle=False)
+            zf.writestr(zipfile.ZipInfo(f"{name}.npy", _ZIP_TIME), npy.getvalue())
+    return out.getvalue()
+
+
 def save_prepared(ds: PreparedDataset, out_dir: str | Path) -> None:
-    """Writes format 4, ds's columns as they are, each file one json.dumps
-    (the two column files compact, with no space after a separator), through
-    atomic_write: norm_stats.json last and no file before all are written."""
+    """Writes format 5, ds's columns as typed arrays (_DAY_MEMBERS,
+    _WINDOW_MEMBERS) in days.npz and windows.npz, through atomic_write:
+    norm_stats.json last and no file before all are written."""
     days, windows = ds.days, ds.windows
     meta = {**ds.stats.to_dict(), "window": ds.window, "ratios": list(ds.ratios),
             "format_version": PREPARED_FORMAT_VERSION, "n_days": len(days.date),
             "n_samples": len(windows.start)}
-    compact = functools.partial(json.dumps, separators=(",", ":"))
+    docs = list(itertools.chain.from_iterable(days.token_seqs))
+    day_columns = {"date": _ordinals(days.date),
+                   "raw": np.array(days.raw, np.float64).reshape(-1, 4),
+                   "close": days.close, "label": days.label,
+                   "doc_counts": list(map(len, days.token_seqs)),
+                   "doc_lengths": list(map(len, docs)),
+                   "token_ids": list(itertools.chain.from_iterable(docs))}
+    window_columns = {**{name: getattr(windows, name) for name in _WINDOW_MEMBERS},
+                      "target_date": _ordinals(windows.target_date)}
     files = {  # entered first, so ExitStack moves norm_stats.json into place last
-        "norm_stats.json": [json.dumps(meta, indent=2)],
-        "vocab.txt": ds.vocab.to_lines(),
-        "days.json": [compact({"date": [d.isoformat() for d in days.date],
-                               "raw": days.raw, "close": days.close,
-                               "label": [CLASS_NAMES[c] for c in days.label],
-                               "token_seqs": days.token_seqs})],
-        "windows.json": [compact({
-            "start": windows.start, "target_date": [d.isoformat() for d in windows.target_date],
-            "target_class": [CLASS_NAMES[c] for c in windows.target_class],
-            "target_return_raw": windows.target_return_raw,
-            "target_close": windows.target_close})]}
+        "norm_stats.json": (json.dumps(meta, separators=(",", ":")) + "\n").encode(),
+        "vocab.txt": "".join(map("{}\n".format, ds.vocab.to_lines())).encode(),
+        "days.npz": _npz(day_columns, _day_dtypes(ds.vocab)),
+        "windows.npz": _npz(window_columns, _WINDOW_MEMBERS)}
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
-        for name, lines in files.items():
-            stack.enter_context(atomic_write(Path(out_dir) / name)).writelines(
-                map("{}\n".format, lines))
+        for name, content in files.items():
+            stack.enter_context(atomic_write(Path(out_dir) / name, binary=True)).write(content)
 
 
-# each column's entry type, a format-3 row's field type
-_DAY_COLUMNS = {"date": str, "raw": list[float], "close": float, "label": str,
-                "token_seqs": list[list[int]]}
-_WINDOW_COLUMNS = {"start": int, "target_date": str, "target_class": str,
-                   "target_return_raw": float, "target_close": float}
+@contextmanager
+def _members(path: Path, dtypes: dict[str, str | np.dtype]
+             ) -> Iterator[Callable[[str, tuple[int, ...]], np.ndarray]]:
+    """member(name, shape): the read-only array of member name.npy of the
+    zip at path, whose members must be exactly those of dtypes. A member is
+    read only after its .npy header gives exactly its dtype and shape, in C
+    order, and the zip holds exactly those bytes for it, no more than the
+    file's size: a compressed member, another dtype (an object one too, so
+    nothing is unpickled) or shape, a short member or a cut file is refused
+    before its data is read. Every fault raises naming path and the member."""
+    try:
+        size = path.stat().st_size
+        zf = zipfile.ZipFile(path)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise DataValidationError(f"file not found: {path}") from None
+    except zipfile.BadZipFile as exc:
+        raise DataValidationError(f"{path}: not a zip of .npy members ({exc})") from None
+    with zf:
+        infos = {info.filename.removesuffix(".npy"): info for info in zf.infolist()}
+        if missing := [name for name in dtypes if name not in infos]:
+            raise DataValidationError(f"{path}: missing member {missing[0]!r}")
+        if unknown := sorted(infos.keys() - dtypes.keys()):
+            raise DataValidationError(f"{path}: unknown members {unknown}")
 
-
-def _columns(path: Path, hints: dict, n: int, count: str
-             ) -> Callable[..., list]:
-    """column(name, convert, checks_types=False): column name of the JSON
-    object in path, whose keys must be exactly those of hints, as convert
-    returns it. The column must be a list of n entries (count says whose n)
-    that fit its hint (_fits; checks_types says convert tests that itself,
-    with the same message). convert raises DataValidationError describing
-    the first bad entry, judging each entry alone or against earlier rows, so
-    a column's first bad row ends its shortest failing prefix, which a
-    bisection finds only once the whole column has failed. Every fault
-    raises naming path, the column and that 0-based row."""
-    cols = read_json(path, dict.fromkeys(hints, object))
-
-    def column(name: str, convert: Callable[[list], list], checks_types: bool = False) -> list:
-        if name not in cols:
-            raise DataValidationError(f"{path}: missing column {name!r}")
-        values, hint = cols[name], hints[name]
-        if type(values) is not list:
-            raise DataValidationError(
-                f"{path}: {name} must be a list, got {_TYPE_NAMES[type(values)]}")
-        if len(values) != n:
-            raise DataValidationError(f"{path}: {name} has {len(values)} entries, {count}")
-
-        def checked(entries: list) -> list:
-            if not checks_types and not _fits(list[hint])(entries):
-                bad = next(v for v in entries if not _fits(hint)(v))
-                raise DataValidationError(f"must be {_type_name(hint)}, got {json.dumps(bad)}")
-            return convert(entries)
-
-        try:
-            return checked(values)
-        except DataValidationError as exc:
-            fault = exc
-        good, bad = 0, n  # values[:good] passes; values[:bad] fails, with fault
-        while bad - good > 1:
-            mid = (good + bad) // 2
+        def member(name: str, shape: tuple[int, ...]) -> np.ndarray:
+            info, dtype = infos[name], np.dtype(dtypes[name])
+            if info.compress_type != zipfile.ZIP_STORED:
+                raise DataValidationError(f"{path}: {name}: compressed (zip method "
+                                          f"{info.compress_type}); format 5 stores members "
+                                          "uncompressed")
             try:
-                checked(values[:mid])
-                good = mid
-            except DataValidationError as exc:
-                bad, fault = mid, exc
-        raise DataValidationError(f"{path}: {name}[{bad - 1}]: {fault}") from None
+                with zf.open(info) as fh:  # the header alone
+                    if np.lib.format.read_magic(fh) != (1, 0):
+                        raise ValueError("not .npy version 1.0")
+                    got, fortran, got_dtype = np.lib.format.read_array_header_1_0(fh)
+                    start = fh.tell()
+            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+                raise DataValidationError(f"{path}: {name}: not a .npy array ({exc})") from None
+            if (got_dtype, got, fortran) != (dtype, shape, False):
+                order = ", in Fortran order" if fortran else ""
+                raise DataValidationError(f"{path}: {name}: {got_dtype} of shape {got}{order}, "
+                                          f"expected {dtype} of shape {shape}")
+            nbytes = math.prod(shape) * dtype.itemsize
+            if not info.compress_size == info.file_size == start + nbytes <= size:
+                raise DataValidationError(f"{path}: {name}: holds {info.file_size - start} "
+                                          f"bytes of data, expected {nbytes}")
+            try:
+                # opened again: one read of the whole member makes the same Python
+                # calls whatever its size, where reading on after the header does not
+                with zf.open(info) as fh:
+                    data = fh.read()
+            except (EOFError, zipfile.BadZipFile) as exc:
+                raise DataValidationError(f"{path}: {name}: {exc}") from None
+            return np.frombuffer(data, dtype, offset=start).reshape(shape)
 
-    return column
-
-
-def _iso_dates(entries: list) -> list[dt.date]:
-    try:
-        return list(map(dt.date.fromisoformat, entries))
-    except ValueError as exc:
-        raise DataValidationError(str(exc)) from None
-
-
-def _increasing_dates(entries: list) -> list[dt.date]:
-    dates = _iso_dates(entries)
-    check_dates_increasing(dates)
-    return dates
-
-
-def _raws(entries: list) -> list[tuple[float, ...]]:
-    if not (set(map(len, entries)) <= {4}
-            and all(map(math.isfinite, itertools.chain.from_iterable(entries)))):
-        bad = next(r for r in entries if len(r) != 4 or not all(map(math.isfinite, r)))
-        raise DataValidationError(f"must be 4 finite numbers, got {json.dumps(bad)}")
-    return [tuple(map(float, r)) for r in entries]
+        yield member
 
 
-def _finite(entries: list) -> list[float]:
-    if not all(map(math.isfinite, entries)):
-        bad = next(v for v in entries if not math.isfinite(v))
-        raise DataValidationError(f"must be finite, got {json.dumps(bad)}")
-    return list(map(float, entries))
+def _refuse(path: Path, name: str, bad: np.ndarray, message: Callable[[int], str]) -> None:
+    """DataValidationError naming path, column name and its first row where
+    bad holds, with message(row); bad is one flag per row, found at once."""
+    if bad.any():
+        row = int(bad.argmax())
+        raise DataValidationError(f"{path}: {name}[{row}]: {message(row)}")
 
 
-def _classes(entries: list) -> list[int]:
-    try:
-        return list(map(CLASS_INDEX.__getitem__, entries))
-    except KeyError as exc:
-        raise DataValidationError(f"unknown class {exc.args[0]!r}") from None
+def _check_classes_at(path: Path, name: str, classes: np.ndarray) -> None:
+    _refuse(path, name, (classes < 0) | (classes >= len(CLASS_NAMES)),
+            lambda i: f"must be a class index (0 to {len(CLASS_NAMES) - 1}), got {classes[i]}")
 
 
-def _token_seqs(size: int, entries: list) -> list[tuple[tuple[int, ...], ...]]:
-    """entries as tuples, each a list of lists of token ids below size: the
-    type check, the id-range check and the conversion in one function, each
-    level of lists flattened once."""
-    nested = _fits(list[list])
-    seqs = list(itertools.chain.from_iterable(entries)) if nested(entries) else None
-    tokens = list(itertools.chain.from_iterable(seqs)) if nested(seqs) else None
-    if not _fits(list[int])(tokens):
-        hint = _DAY_COLUMNS["token_seqs"]
-        bad = next(e for e in entries if not _fits(hint)(e))
-        raise DataValidationError(f"must be {_type_name(hint)}, got {json.dumps(bad)}")
-    if tokens and not 0 <= min(tokens) <= max(tokens) < size:
-        bad = next(tok for tok in tokens if not 0 <= tok < size)
-        raise DataValidationError(f"token id {bad} out of range for vocab of {size}")
-    return [tuple(map(tuple, e)) for e in entries]
+def _check_finite(path: Path, name: str, values: np.ndarray) -> None:
+    _refuse(path, name, ~np.isfinite(values),
+            lambda i: f"must be finite, got {values[i].tolist()}")
 
 
-def _starts_within(last: int, entries: list) -> list[int]:
-    if entries and not 0 <= min(entries) <= max(entries) <= last:
-        bad = next(t for t in entries if not 0 <= t <= last)
-        raise DataValidationError(f"must lie in [0, {last}], got {bad}")
-    return entries
+def _check_ordinals(path: Path, name: str, ordinals: np.ndarray) -> None:
+    _refuse(path, name, (ordinals < 1) | (ordinals > _MAX_ORDINAL),
+            lambda i: f"must be a day ordinal in [1, {_MAX_ORDINAL}], got {ordinals[i]}")
 
 
-def _target_dates(starts: Sequence[int], dates: Sequence[dt.date], window: int,
-                  entries: list) -> list[dt.date]:
-    targets = _iso_dates(entries)
-    _check_target_dates(targets, dates, starts, window)
-    return targets
+def _run_of(i: int, lengths: np.ndarray) -> int:
+    """The run that item i falls in, of consecutive runs of lengths."""
+    return int(np.searchsorted(np.cumsum(lengths), i, side="right"))
+
+
+def _runs(items: list, lengths: np.ndarray) -> list[tuple]:
+    """items cut into consecutive tuples, one per entry of lengths."""
+    ends = np.cumsum(lengths, dtype=np.int64).tolist()
+    return list(map(tuple, map(items.__getitem__, map(slice, [0, *ends[:-1]], ends))))
 
 
 # every key of norm_stats.json: format 1 had no format_version or n_days
 _META_FIELDS = {"means": list[float], "stds": list[float], "window": int,
                 "ratios": list[float], "format_version": int, "n_days": int, "n_samples": int}
+_MAX_ORDINAL = dt.date.max.toordinal()
 
 
 def load_prepared(in_dir: str | Path) -> PreparedDataset:
@@ -797,19 +802,51 @@ def load_prepared(in_dir: str | Path) -> PreparedDataset:
     except DataValidationError as exc:
         raise DataValidationError(f"{meta_path}: {exc}") from None
     vocab = Vocabulary.from_lines(read_text(root / "vocab.txt").splitlines())
-    column = _columns(root / "days.json", _DAY_COLUMNS, n_days, f"{meta_path} n_days {n_days}")
-    dates = column("date", _increasing_dates)
-    raws, closes = column("raw", _raws), column("close", _finite)
-    labels = column("label", _classes)
-    token_seqs = column("token_seqs", functools.partial(_token_seqs, vocab.size),
-                        checks_types=True)
-    column = _columns(root / "windows.json", _WINDOW_COLUMNS, n_samples,
-                      f"{meta_path} n_samples {n_samples}")
-    starts = column("start", functools.partial(_starts_within, n_days - window))
-    target_dates = column("target_date", functools.partial(_target_dates, starts, dates, window))
-    windows = WindowColumns(starts, target_dates, column("target_class", _classes),
-                            column("target_return_raw", _finite), column("target_close", _finite))
-    days = DayColumns(dates, raws, token_seqs, labels, closes)
+    path = root / "days.npz"
+    with _members(path, _day_dtypes(vocab)) as member:
+        dates = member("date", (n_days,))
+        _check_ordinals(path, "date", dates)
+        date = dt.date.fromordinal
+        _refuse(path, "date", np.append(False, dates[1:] <= dates[:-1]),
+                lambda i: f"dates must be strictly increasing: {date(dates[i - 1])} then "
+                          f"{date(dates[i])}")
+        raws = member("raw", (n_days, 4))
+        _refuse(path, "raw", ~np.isfinite(raws).all(axis=1),
+                lambda i: f"must be 4 finite numbers, got {raws[i].tolist()}")
+        closes = member("close", (n_days,))
+        _check_finite(path, "close", closes)
+        labels = member("label", (n_days,))
+        _check_classes_at(path, "label", labels)
+        counts = member("doc_counts", (n_days,))
+        _refuse(path, "doc_counts", counts < 0, lambda i: f"must be >= 0, got {counts[i]}")
+        lengths = member("doc_lengths", (int(counts.sum(dtype=np.int64)),))
+        _refuse(path, "doc_lengths", lengths < 0, lambda i: f"must be >= 0, got {lengths[i]}")
+        tokens = member("token_ids", (int(lengths.sum(dtype=np.int64)),))
+        _refuse(path, "token_ids", tokens >= vocab.size,
+                lambda i: f"token id {tokens[i]} out of range for vocab of {vocab.size}, in "
+                          f"day row {_run_of(_run_of(i, lengths), counts)}")
+    path = root / "windows.npz"
+    with _members(path, _WINDOW_MEMBERS) as member:
+        starts = member("start", (n_samples,))
+        last = n_days - window
+        _refuse(path, "start", (starts < 0) | (starts > last),
+                lambda i: f"must lie in [0, {last}], got {starts[i]}")
+        targets = member("target_date", (n_samples,))
+        _check_ordinals(path, "target_date", targets)
+        _check_target_dates(targets, dates, starts, window,
+                            lambda i: f"{path}: target_date[{i}]: ")
+        classes = member("target_class", (n_samples,))
+        _check_classes_at(path, "target_class", classes)
+        returns = member("target_return_raw", (n_samples,))
+        _check_finite(path, "target_return_raw", returns)
+        target_closes = member("target_close", (n_samples,))
+        _check_finite(path, "target_close", target_closes)
+    days = DayColumns(list(map(date, dates.tolist())),
+                      list(map(tuple, raws.tolist())),
+                      _runs(_runs(tokens.tolist(), lengths), counts),
+                      labels.tolist(), closes.tolist())
+    windows = WindowColumns(starts.tolist(), list(map(date, targets.tolist())),
+                            classes.tolist(), returns.tolist(), target_closes.tolist())
     try:  # stats that overflow a day's features
         return PreparedDataset.of_columns(vocab, stats, window, ratios, days, windows)
     except DataValidationError as exc:

@@ -508,7 +508,7 @@ class Workspace:
         buf = self._buffers.get(name)
         if buf is None or buf.nbytes < nbytes:
             buf = self._buffers[name] = np.empty(-(-nbytes // 8))  # 8-byte aligned
-        return buf.view(np.uint8)[:nbytes].view(dtype).reshape(shape)
+        return np.ndarray(shape, dtype, buf)
 
 
 # a _conv_plan: (token positions of the conv windows to run, the distinct

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import base64
 import dataclasses
+import datetime as dt
+import io
 import json
 import math
 import os
@@ -21,7 +23,9 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +56,8 @@ from sentirisk.synthetic import (
     write_docs_jsonl,
     write_market_csv,
 )
+
+from prepared_files import edit_members, read_members, write_members
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 N_BARS = 60
@@ -141,7 +147,7 @@ class TestPrepare:
         assert ds.vocab.size == int(m.group(4))
 
     def test_default_out_is_data_dir_prepared(self, workspace):
-        for name in ("vocab.txt", "days.json", "windows.json", "norm_stats.json"):
+        for name in ("vocab.txt", "days.npz", "windows.npz", "norm_stats.json"):
             assert (workspace["root"] / "prepared" / name).is_file()
 
     def test_market_only_dataset(self, tmp_path, capsys):
@@ -803,7 +809,7 @@ class TestNonUtf8Input:
     """One byte that is not UTF-8, appended to any input file, is a data error naming it."""
 
     @pytest.mark.parametrize("name", ["market.csv", "texts.jsonl", "config", "lexicon",
-                                      "vocab.txt", "days.json", "norm_stats.json",
+                                      "vocab.txt", "norm_stats.json",
                                       "checkpoint"])
     def test_exits_2_naming_the_file(self, workspace, trained, tmp_path, capsys, name):
         raw, prep = tmp_path / "raw", tmp_path / "prepared"
@@ -895,61 +901,67 @@ class TestCheckpointDatasetMismatch:
 
 
 def _cut_in_half(path):
-    text = path.read_text(encoding="utf-8")
-    path.write_text(text[: len(text) // 2], encoding="utf-8")
-    return f"{path}: bad json ("
+    content = path.read_bytes()
+    path.write_bytes(content[: len(content) // 2])
+    return f"{path}: not a zip of .npy members ("
 
 
 def _cut_days(prep):
-    return _cut_in_half(prep / "days.json")
+    return _cut_in_half(prep / "days.npz")
 
 
 def _cut_windows(prep):
-    return _cut_in_half(prep / "windows.json")
+    return _cut_in_half(prep / "windows.npz")
+
+
+def _meta(prep):
+    return json.loads((prep / "norm_stats.json").read_text(encoding="utf-8"))
 
 
 def _day_index_out_of_range(prep):
     # a window's first day: its days are rows start .. start + WINDOW - 1
-    n_days = json.loads((prep / "norm_stats.json").read_text(encoding="utf-8"))["n_days"]
-    _rewrite_entry(prep / "windows.json", "start", 2, n_days - WINDOW + 1)
-    return f"windows.json: start[2]: must lie in [0, {n_days - WINDOW}], got {n_days - WINDOW + 1}"
+    n_days = _meta(prep)["n_days"]
+    _rewrite_entry(prep / "windows.npz", "start", 2, n_days - WINDOW + 1)
+    return f"windows.npz: start[2]: must lie in [0, {n_days - WINDOW}], got {n_days - WINDOW + 1}"
 
 
-def _columns(path):
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-def _edit_columns(path, edit):
-    cols = _columns(path)
-    edit(cols)
-    path.write_text(json.dumps(cols), encoding="utf-8")
-
-
-def _rows(path):
-    """The entries of the columns in path as format 3 stored them: one object per row."""
-    cols = _columns(path)
-    return [dict(zip(cols, entry)) for entry in zip(*cols.values())]
+def _rows(prep):
+    """The days and windows of prep as format 3 stored them: one object per row."""
+    ds = load_prepared(prep)
+    d, w = ds.days, ds.windows
+    days = [{"date": date.isoformat(), "raw": list(raw), "close": close,
+             "label": CLASS_NAMES[label], "token_seqs": [list(seq) for seq in seqs]}
+            for date, raw, seqs, label, close in zip(d.date, d.raw, d.token_seqs, d.label,
+                                                     d.close)]
+    windows = [{"start": start, "target_date": date.isoformat(),
+                "target_class": CLASS_NAMES[cls], "target_return_raw": ret,
+                "target_close": close}
+               for start, date, cls, ret, close in zip(w.start, w.target_date, w.target_class,
+                                                       w.target_return_raw, w.target_close)]
+    return days, windows
 
 
 def _older_format(prep, version, files):
-    """prep in format version: days.json and windows.json replaced by files, each
-    a list of rows written one JSON object per line."""
-    (prep / "days.json").unlink()
-    (prep / "windows.json").unlink()
-    for name, rows in files.items():
-        (prep / name).write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    meta = json.loads((prep / "norm_stats.json").read_text(encoding="utf-8"))
+    """prep in format version: days.npz and windows.npz replaced by files, each
+    a list of rows written one JSON object per line, or a JSON object."""
+    (prep / "days.npz").unlink()
+    (prep / "windows.npz").unlink()
+    for name, content in files.items():
+        text = (json.dumps(content, separators=(",", ":")) + "\n" if isinstance(content, dict)
+                else "".join(json.dumps(r) + "\n" for r in content))
+        (prep / name).write_text(text, encoding="utf-8")
+    meta = _meta(prep)
     meta["format_version"] = version
     if version == 1:  # its norm_stats.json had no format_version or n_days
         del meta["format_version"], meta["n_days"]
-    (prep / "norm_stats.json").write_text(json.dumps(meta), encoding="utf-8")
-    return (f"prepared dataset format {version} is not supported, expected 4; "
+    (prep / "norm_stats.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
+    return (f"prepared dataset format {version} is not supported, expected 5; "
             "re-run `sentirisk prepare`")
 
 
 def _format_1(prep):
     # format 1 spelled every window's days out in samples.jsonl
-    days, windows = _rows(prep / "days.json"), _rows(prep / "windows.json")
+    days, windows = _rows(prep)
     for row in windows:
         start = row.pop("start")
         row["days"] = days[start : start + WINDOW]
@@ -958,100 +970,108 @@ def _format_1(prep):
 
 def _format_2(prep):
     # format 2 had format 3's files, with copies of derivable fields in their rows
-    days = [{**row, "has_text": bool(row["token_seqs"])} for row in _rows(prep / "days.json")]
-    return _older_format(prep, 2, {"days.jsonl": days,
-                                   "windows.jsonl": _rows(prep / "windows.json")})
+    days, windows = _rows(prep)
+    days = [{**row, "has_text": bool(row["token_seqs"])} for row in days]
+    return _older_format(prep, 2, {"days.jsonl": days, "windows.jsonl": windows})
 
 
 def _format_3(prep):
     # format 3 stored one JSON object per day and per window, one line each
-    return _older_format(prep, 3, {"days.jsonl": _rows(prep / "days.json"),
-                                   "windows.jsonl": _rows(prep / "windows.json")})
+    days, windows = _rows(prep)
+    return _older_format(prep, 3, {"days.jsonl": days, "windows.jsonl": windows})
 
 
-def _rewrite_entry(path, column, row, value):
-    """Sets entry row of column in the columns file path; value may be a function
+def _format_4(prep):
+    # format 4 stored each file's columns as one JSON object
+    files = {f"{name}.json": {key: [row[key] for row in rows] for key in rows[0]}
+             for name, rows in zip(("days", "windows"), _rows(prep))}
+    return _older_format(prep, 4, files)
+
+
+def _rewrite_entry(path, member, row, value):
+    """Sets entry row of member in the column file path; value may be a function
     of the old entry."""
-    def rewrite(cols):
-        old = cols[column][row]
-        cols[column][row] = value(old) if callable(value) else value
+    def rewrite(members):
+        old = members[member][row]
+        members[member][row] = value(old) if callable(value) else value
 
-    _edit_columns(path, rewrite)
+    edit_members(path, rewrite)
 
 
 def _swapped_days(prep):
-    def swap(cols):
-        for entries in cols.values():
-            entries[3], entries[4] = entries[4], entries[3]
+    def swap(members):
+        for key in ("date", "raw", "close", "label", "doc_counts"):
+            members[key][[3, 4]] = members[key][[4, 3]]
 
-    _edit_columns(prep / "days.json", swap)
-    later, earlier = _columns(prep / "days.json")["date"][3:5]
-    return f"days.json: date[4]: dates must be strictly increasing: {later} then {earlier}"
+    edit_members(prep / "days.npz", swap)
+    later, earlier = map(dt.date.fromordinal, read_members(prep / "days.npz")["date"][3:5])
+    return f"days.npz: date[4]: dates must be strictly increasing: {later} then {earlier}"
 
 
 def _leftover_has_text(prep):
     # has_text: 0 on a day with text once made the model drop that day's text
-    _edit_columns(prep / "days.json", lambda cols: cols.update(has_text=[0] * len(cols["date"])))
-    return f"{prep / 'days.json'}: unknown keys ['has_text']"
+    edit_members(prep / "days.npz",
+                 lambda m: m.update(has_text=np.zeros(len(m["date"]), np.int8)))
+    return f"{prep / 'days.npz'}: unknown members ['has_text']"
 
 
 def _leftover_features(prep):
-    _edit_columns(prep / "days.json",
-                  lambda cols: cols.update(features=[[0.0] * 5 for _ in cols["date"]]))
-    return f"{prep / 'days.json'}: unknown keys ['features']"
+    edit_members(prep / "days.npz", lambda m: m.update(features=np.zeros((len(m["date"]), 5))))
+    return f"{prep / 'days.npz'}: unknown members ['features']"
 
 
 def _missing_close(prep):
-    _edit_columns(prep / "days.json", lambda cols: cols.pop("close"))
-    return f"{prep / 'days.json'}: missing column 'close'"
+    edit_members(prep / "days.npz", lambda m: m.pop("close"))
+    return f"{prep / 'days.npz'}: missing member 'close'"
 
 
 def _short_label(prep):
     # a column one entry short, as a row count off by one was in format 3
-    _edit_columns(prep / "days.json", lambda cols: cols["label"].pop())
-    n_days = len(_columns(prep / "days.json")["date"])
-    return (f"{prep / 'days.json'}: label has {n_days - 1} entries, "
-            f"{prep / 'norm_stats.json'} n_days {n_days}")
+    edit_members(prep / "days.npz", lambda m: m.update(label=m["label"][:-1]))
+    n_days = _meta(prep)["n_days"]
+    return (f"{prep / 'days.npz'}: label: int8 of shape ({n_days - 1},), expected int8 of "
+            f"shape ({n_days},)")
 
 
 def _boolean_raw(prep):
-    _rewrite_entry(prep / "days.json", "raw", 1, lambda raw: [True, *raw[1:]])
-    return "days.json: raw[1]: must be a list of numbers, got [true, "
+    edit_members(prep / "days.npz", lambda m: m.update(raw=m["raw"] != 0))
+    n_days = _meta(prep)["n_days"]
+    return f"days.npz: raw: bool of shape ({n_days}, 4), expected float64 of shape ({n_days}, 4)"
 
 
 def _nan_raw(prep):
-    _rewrite_entry(prep / "days.json", "raw", 1, lambda raw: [math.nan, *raw[1:]])
-    return "days.json: raw[1]: must be 4 finite numbers, got [NaN, "
+    _rewrite_entry(prep / "days.npz", "raw", 1, lambda raw: [math.nan, *raw[1:]])
+    return "days.npz: raw[1]: must be 4 finite numbers, got [nan, "
 
 
 def _infinite_close(prep):
-    _rewrite_entry(prep / "days.json", "close", 2, math.inf)
-    return "days.json: close[2]: must be finite, got Infinity"
+    _rewrite_entry(prep / "days.npz", "close", 2, math.inf)
+    return "days.npz: close[2]: must be finite, got inf"
 
 
 def _nan_target_return_raw(prep):
-    _rewrite_entry(prep / "windows.json", "target_return_raw", 1, math.nan)
-    return "windows.json: target_return_raw[1]: must be finite, got NaN"
+    _rewrite_entry(prep / "windows.npz", "target_return_raw", 1, math.nan)
+    return "windows.npz: target_return_raw[1]: must be finite, got nan"
 
 
 def _infinite_target_close(prep):
-    _rewrite_entry(prep / "windows.json", "target_close", 3, -math.inf)
-    return "windows.json: target_close[3]: must be finite, got -Infinity"
+    _rewrite_entry(prep / "windows.npz", "target_close", 3, -math.inf)
+    return "windows.npz: target_close[3]: must be finite, got -inf"
 
 
 def _unknown_target_class(prep):
-    _rewrite_entry(prep / "windows.json", "target_class", 1, "Positive")
-    return "windows.json: target_class[1]: unknown class 'Positive'"
+    _rewrite_entry(prep / "windows.npz", "target_class", 1, 3)
+    return "windows.npz: target_class[1]: must be a class index (0 to 2), got 3"
 
 
 def _target_date_in_the_window(prep, row=2, offset=-1):
     # a target_date on the window's last day, or past the day after it, was
     # loaded as is and written into predict's CSV and alert's rows
-    dates = _columns(prep / "days.json")["date"]
-    start = _columns(prep / "windows.json")["start"][row]
+    dates = list(map(dt.date.fromordinal, read_members(prep / "days.npz")["date"]))
+    start = int(read_members(prep / "windows.npz")["start"][row])
     bad = dates[start + WINDOW + offset]
-    _rewrite_entry(prep / "windows.json", "target_date", row, bad)
-    return (f"windows.json: target_date[{row}]: target_date {bad} must be after the window's "
+    _rewrite_entry(prep / "windows.npz", "target_date", row, bad.toordinal())
+    return (f"windows.npz: target_date[{row}]: target_date {bad} must be after the window's "
             f"last day {dates[start + WINDOW - 1]} and not after {dates[start + WINDOW]}")
 
 
@@ -1060,19 +1080,68 @@ def _target_date_past_the_next_day(prep):
 
 
 def _unknown_day_label(prep):
-    _rewrite_entry(prep / "days.json", "label", 2, "bogus")
-    return "days.json: label[2]: unknown class 'bogus'"
+    _rewrite_entry(prep / "days.npz", "label", 2, 7)
+    return "days.npz: label[2]: must be a class index (0 to 2), got 7"
+
+
+def _huge_header(prep, n_days=None):
+    # a header claiming 2**40 rows, over a member of 16 bytes
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": "<i4", "fortran_order": False,
+                                                  "shape": (2**40,)})
+    edit_members(prep / "days.npz", lambda m: m.update(date=header.getvalue() + bytes(16)))
+    return (f"{prep / 'days.npz'}: date: int32 of shape ({2**40},), expected int32 of shape "
+            f"({_meta(prep)['n_days']},)")
+
+
+def _huge_header_and_n_days(prep):
+    # norm_stats.json agreeing with the header: the member holds too few bytes
+    _huge_header(prep)
+    meta = _meta(prep)
+    meta["n_days"] = 2**40
+    (prep / "norm_stats.json").write_text(json.dumps(meta), encoding="utf-8")
+    return f"{prep / 'days.npz'}: date: holds 16 bytes of data, expected {4 * 2**40}"
+
+
+def _deflated_member(prep):
+    path = prep / "windows.npz"
+    write_members(path, read_members(path), zipfile.ZIP_DEFLATED)
+    return f"{path}: start: compressed (zip method 8); format 5 stores members uncompressed"
+
+
+def _object_member(prep):
+    # an object array is a pickle: load_prepared refuses its header, never unpickling it
+    edit_members(prep / "days.npz", lambda m: m.update(label=m["label"].astype(object)))
+    n_days = _meta(prep)["n_days"]
+    return (f"{prep / 'days.npz'}: label: object of shape ({n_days},), expected int8 of shape "
+            f"({n_days},)")
+
+
+def _token_id_equal_to_vocab_size(prep):
+    size = len((prep / "vocab.txt").read_text(encoding="utf-8").splitlines()) + 2
+    _rewrite_entry(prep / "days.npz", "token_ids", 0, size)
+    return f"days.npz: token_ids[0]: token id {size} out of range for vocab of {size}, in day row "
+
+
+def _counts_past_the_lengths(prep):
+    n_docs = len(read_members(prep / "days.npz")["doc_lengths"])
+    _rewrite_entry(prep / "days.npz", "doc_counts", 1, lambda n: n + 1)
+    return (f"days.npz: doc_lengths: int32 of shape ({n_docs},), expected int32 of shape "
+            f"({n_docs + 1},)")
 
 
 class TestDamagedPrepared:
     @pytest.mark.parametrize("damage", [_cut_days, _cut_windows, _day_index_out_of_range,
                                         _format_1, _unknown_target_class, _unknown_day_label,
-                                        _format_2, _format_3, _swapped_days,
+                                        _format_2, _format_3, _format_4, _swapped_days,
                                         _leftover_has_text, _missing_close, _short_label,
                                         _leftover_features, _boolean_raw, _nan_raw,
                                         _infinite_close, _nan_target_return_raw,
                                         _infinite_target_close, _target_date_in_the_window,
-                                        _target_date_past_the_next_day],
+                                        _target_date_past_the_next_day, _huge_header,
+                                        _huge_header_and_n_days, _deflated_member,
+                                        _object_member, _token_id_equal_to_vocab_size,
+                                        _counts_past_the_lengths],
                              ids=lambda f: f.__name__.lstrip("_"))
     def test_exits_2_naming_the_fault(self, workspace, trained, tmp_path, capsys, damage):
         prep = tmp_path / "prepared"
@@ -1080,24 +1149,34 @@ class TestDamagedPrepared:
         for src in (workspace["root"] / "prepared").iterdir():
             (prep / src.name).write_bytes(src.read_bytes())
         expected = damage(prep)
+        size = sum(p.stat().st_size for p in prep.iterdir())
         capsys.readouterr()
-        rc = main(["evaluate", "--data-dir", str(tmp_path), "--model-in", str(trained)])
+        tracemalloc.start()
+        try:
+            rc = main(["evaluate", "--data-dir", str(tmp_path), "--model-in", str(trained)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         captured = capsys.readouterr()
         assert rc == 2
         assert expected in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+        # no member is read, or its array allocated, past what the files hold
+        assert peak < 4 * size + 2**21, peak
 
-    def test_committed_format_3_directory_exits_2_on_train(self, tmp_path, capsys):
-        # the golden fixture is a directory an earlier release prepared
-        shutil.copytree(Path(__file__).parent / "fixtures" / "golden_prepare" / "prepared",
+    @pytest.mark.parametrize("version, directory", [(3, "prepared"), (4, "prepared_format4")])
+    def test_committed_older_format_directory_exits_2_on_train(self, tmp_path, capsys,
+                                                                version, directory):
+        # the golden fixtures are directories earlier releases prepared
+        shutil.copytree(Path(__file__).parent / "fixtures" / "golden_prepare" / directory,
                         tmp_path / "prepared")
         ckpt = tmp_path / "model.ckpt.json"
         capsys.readouterr()
         rc = main(["train", "--data-dir", str(tmp_path), "--model-out", str(ckpt)])
         captured = capsys.readouterr()
         assert rc == 2
-        assert ("prepared dataset format 3 is not supported, expected 4; "
+        assert (f"prepared dataset format {version} is not supported, expected 5; "
                 "re-run `sentirisk prepare`") in captured.err
         assert "Traceback" not in captured.err
         assert not ckpt.exists()
@@ -1229,8 +1308,8 @@ class TestTruncatedVocab:
         rc = main([command, "--data-dir", str(tmp_path), *args])
         captured = capsys.readouterr()
         assert rc == 2
-        assert re.search(r"days\.json: token_seqs\[\d+\]: token id \d+ out of range for "
-                         r"vocab of 5",
+        assert re.search(r"days\.npz: token_ids\[\d+\]: token id \d+ out of range for "
+                         r"vocab of 5, in day row \d+$",
                          captured.err)
         assert "Traceback" not in captured.err
         assert captured.out == ""

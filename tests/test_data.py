@@ -52,6 +52,13 @@ from sentirisk.text import CLASS_INDEX, Lexicon, Vocabulary, tokenize
 from sentirisk.train import TrainConfig, score_windows, train
 
 from prepare_reference import prepare_per_document
+from prepared_files import (
+    edit_members,
+    npz_bytes,
+    read_members,
+    set_token_seqs,
+    token_seqs,
+)
 
 
 def bar(day: dt.date, close: float = 100.0, volume: float = 1e6) -> MarketBar:
@@ -753,10 +760,6 @@ def assert_same_samples(loaded, original):
             assert da.features == db.features
 
 
-def read_columns(path):
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 class TestPreparedRoundTrip:
     def test_save_then_load_preserves_everything(self, tmp_path):
         bars, docs, lex = build_corpus(30)
@@ -765,7 +768,7 @@ class TestPreparedRoundTrip:
         out = tmp_path / "prepared"
         save_prepared(ds, out)
         assert sorted(p.name for p in out.iterdir()) == [
-            "days.json", "norm_stats.json", "vocab.txt", "windows.json",
+            "days.npz", "norm_stats.json", "vocab.txt", "windows.npz",
         ]
 
         again = load_prepared(out)
@@ -777,12 +780,12 @@ class TestPreparedRoundTrip:
 
         # each day is stored once and loaded once, shared by every window holding it
         dates = {d.date for s in ds.samples for d in s.inputs}
-        stored = read_columns(out / "days.json")["date"]
-        assert sorted(stored) == sorted(d.isoformat() for d in dates)
+        stored = read_members(out / "days.npz")["date"].tolist()
+        assert stored == sorted(d.toordinal() for d in dates)
         assert len({id(d) for s in again.samples for d in s.inputs}) == len(dates)
         meta = json.loads((out / "norm_stats.json").read_text(encoding="utf-8"))
         assert (meta["format_version"], meta["n_days"], meta["n_samples"]) == (
-            4, len(dates), len(ds.samples))
+            5, len(dates), len(ds.samples))
 
     def test_ablation_dataset_round_trip(self, tmp_path):
         # its target_class counts positive days over the window, so unlike
@@ -794,7 +797,7 @@ class TestPreparedRoundTrip:
         save_prepared(ds, tmp_path)
         again = load_prepared(tmp_path)
         assert_same_samples(again.samples, samples)
-        assert len(read_columns(tmp_path / "days.json")["date"]) == 60 - 1  # last: a target only
+        assert len(read_members(tmp_path / "days.npz")["date"]) == 60 - 1  # last: a target only
 
     def test_windows_holding_copies_of_days_round_trip(self, tmp_path):
         bars, docs, lex = build_corpus(20)
@@ -803,8 +806,8 @@ class TestPreparedRoundTrip:
         copies = [replace(s, inputs=[replace(d) for d in s.inputs]) for s in ds.samples]
         save_prepared(with_samples(ds, copies), tmp_path)
         # equal copies of a day are one fact: one entry per date
-        dates = read_columns(tmp_path / "days.json")["date"]
-        assert dates == sorted({d.date.isoformat() for s in ds.samples for d in s.inputs})
+        dates = read_members(tmp_path / "days.npz")["date"].tolist()
+        assert dates == sorted({d.date.toordinal() for s in ds.samples for d in s.inputs})
         assert_same_samples(load_prepared(tmp_path).samples, ds.samples)
 
     @pytest.mark.parametrize("source", ["demo", "ablation"])
@@ -818,9 +821,9 @@ class TestPreparedRoundTrip:
                                  samples, NormStats(means=(0.0,) * 4, stds=(1.0,) * 4),
                                  window=20, ratios=(0.7, 0.15, 0.15))
         save_prepared(ds, tmp_path)
-        assert not {"features", "has_text"} & set(read_columns(tmp_path / "days.json"))
+        assert not {"features", "has_text"} & set(read_members(tmp_path / "days.npz"))
         assert not {"days", "target_return", "prev_close"} & set(
-            read_columns(tmp_path / "windows.json"))
+            read_members(tmp_path / "windows.npz"))
         again = load_prepared(tmp_path)
         for a, b in zip(again.samples, ds.samples):
             assert np.array([a.target_return, a.prev_close]).tobytes() == np.array(
@@ -911,9 +914,9 @@ class TestPreparedRoundTrip:
         real = data_mod.atomic_write
 
         @contextmanager
-        def failing(path):
-            with real(path) as fh:
-                if Path(path).name == "windows.json":
+        def failing(path, **kwargs):
+            with real(path, **kwargs) as fh:
+                if Path(path).name == "windows.npz":
                     raise OSError("disk full")
                 yield fh
 
@@ -939,36 +942,61 @@ class TestPreparedRoundTrip:
 
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_prepare"
-PREPARED_FILES = ("days.json", "norm_stats.json", "vocab.txt", "windows.json")
+PREPARED_FILES = ("days.npz", "norm_stats.json", "vocab.txt", "windows.npz")
 
 
 def read_files(path: Path) -> dict[str, bytes]:
     return {name: (path / name).read_bytes() for name in PREPARED_FILES}
 
 
-def golden_format_4() -> dict[str, bytes]:
-    """The golden format-3 directory's facts in format 4: each days.jsonl and
-    windows.jsonl row's fields as entries of their columns, re-encoded by
-    json.dumps with compact separators, which writes every float by its
-    shortest round-trip repr, so equal bytes mean the same facts bit for bit."""
+def ordinal(iso: str) -> int:
+    return dt.date.fromisoformat(iso).toordinal()
+
+
+def golden_rows(name: str) -> list[dict]:
+    """The golden format-3 directory's rows of days.jsonl or windows.jsonl."""
+    text = (GOLDEN / "prepared" / f"{name}.jsonl").read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def golden_format_5() -> dict[str, bytes]:
+    """The golden format-3 directory's facts in format 5, built from its
+    rows here: each row's fields as entries of typed columns, dates as
+    ordinals, classes as indices, each day's documents as runs of one flat
+    token array of the narrowest unsigned dtype that holds vocab.txt's ids,
+    written by tests/prepared_files.py; norm_stats.json compact."""
     prepared = GOLDEN / "prepared"
-    files = {}
-    for name in ("days", "windows"):
-        rows = [json.loads(line) for line in
-                (prepared / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()]
-        files[f"{name}.json"] = (json.dumps({key: [row[key] for row in rows]
-                                             for key in rows[0]},
-                                            separators=(",", ":")) + "\n").encode()
-    meta = (prepared / "norm_stats.json").read_bytes()
-    assert meta.count(b'"format_version": 3,') == 1
-    files["norm_stats.json"] = meta.replace(b'"format_version": 3,', b'"format_version": 4,')
-    files["vocab.txt"] = (prepared / "vocab.txt").read_bytes()
-    return files
+    days, windows = golden_rows("days"), golden_rows("windows")
+    vocab = (prepared / "vocab.txt").read_bytes()
+    docs = [doc for row in days for doc in row["token_seqs"]]
+    day_members = {
+        "date": np.array([ordinal(r["date"]) for r in days], "<i4"),
+        "raw": np.array([r["raw"] for r in days], "<f8"),
+        "close": np.array([r["close"] for r in days], "<f8"),
+        "label": np.array([CLASS_INDEX[r["label"]] for r in days], "i1"),
+        "doc_counts": np.array([len(r["token_seqs"]) for r in days], "<i4"),
+        "doc_lengths": np.array([len(doc) for doc in docs], "<i4"),
+        "token_ids": np.array([t for doc in docs for t in doc], np.uint8),  # 109 ids
+    }
+    assert vocab.count(b"\n") + 2 == 109
+    window_members = {
+        "start": np.array([r["start"] for r in windows], "<i4"),
+        "target_date": np.array([ordinal(r["target_date"]) for r in windows], "<i4"),
+        "target_class": np.array([CLASS_INDEX[r["target_class"]] for r in windows], "i1"),
+        "target_return_raw": np.array([r["target_return_raw"] for r in windows], "<f8"),
+        "target_close": np.array([r["target_close"] for r in windows], "<f8"),
+    }
+    meta = json.loads((prepared / "norm_stats.json").read_bytes())
+    assert meta["format_version"] == 3
+    meta["format_version"] = 5
+    return {"days.npz": npz_bytes(day_members),
+            "norm_stats.json": (json.dumps(meta, separators=(",", ":")) + "\n").encode(),
+            "vocab.txt": vocab, "windows.npz": npz_bytes(window_members)}
 
 
-def write_golden_format_4(out: Path) -> Path:
+def write_golden_format_5(out: Path) -> Path:
     out.mkdir(parents=True)
-    for name, content in golden_format_4().items():
+    for name, content in golden_format_5().items():
         (out / name).write_bytes(content)
     return out
 
@@ -976,10 +1004,12 @@ def write_golden_format_4(out: Path) -> Path:
 class TestGoldenPrepared:
     """fixtures/golden_prepare holds a 30-day raw corpus (a URL, $TICKERs, a
     timestamp in UTC and one with an offset, presupplied labels, two documents
-    with no tokens, weekend posts and one past the last bar) and the format-3
+    with no tokens, weekend posts and one past the last bar), the format-3
     directory `sentirisk prepare` made of it before prepare and load were
-    rewritten to split each document once and check each row in one pass. Its
-    rows are the reference for the facts format 4 stores as columns."""
+    rewritten to split each document once and check each row in one pass,
+    and in prepared_format4 the format-4 directory `sentirisk prepare` made
+    of it before the columns became typed arrays. The format-3 rows are the
+    reference for the facts format 5 stores."""
 
     def test_prepare_writes_the_golden_facts(self, tmp_path):
         from sentirisk.cli import main
@@ -987,33 +1017,44 @@ class TestGoldenPrepared:
         assert main(["prepare", "--data-dir", str(GOLDEN / "raw"),
                      "--out", str(tmp_path)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(PREPARED_FILES)
-        assert read_files(tmp_path) == golden_format_4()
+        assert read_files(tmp_path) == golden_format_5()
 
     def test_load_then_save_rewrites_the_golden_files(self, tmp_path):
-        golden = write_golden_format_4(tmp_path / "golden")
+        golden = write_golden_format_5(tmp_path / "golden")
         save_prepared(load_prepared(golden), tmp_path / "again")
         assert read_files(tmp_path / "again") == read_files(golden)
 
-    def test_format_3_directory_is_refused(self):
+    def test_committed_format_4_holds_the_golden_facts(self):
+        for name in ("days", "windows"):
+            rows = golden_rows(name)
+            columns = json.loads((GOLDEN / "prepared_format4" / f"{name}.json").read_bytes())
+            assert columns == {key: [row[key] for row in rows] for key in rows[0]}
+
+    @pytest.mark.parametrize("version, directory", [(3, "prepared"), (4, "prepared_format4")])
+    def test_older_format_directory_is_refused(self, version, directory):
         with pytest.raises(DataValidationError,
-                           match=r"format 3 is not supported, expected 4; re-run `sentirisk "
-                                 r"prepare`"):
-            load_prepared(GOLDEN / "prepared")
+                           match=rf"format {version} is not supported, expected 5; re-run "
+                                 r"`sentirisk prepare`"):
+            load_prepared(GOLDEN / directory)
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308]
 finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
                           st.floats(allow_nan=False, allow_infinity=False))
+# the edges of the token dtype: 256 ids fit uint8, 65,536 uint16
+EDGE_VOCAB_SIZES = [256, 257, 65536, 65537]
 
 
 @st.composite
 def prepared_datasets(draw) -> PreparedDataset:
     """A dataset whose days may have no documents (all of them, when market_only
     is drawn) or one-token documents, whose raw values and targets include -0.0,
-    subnormals and 1e308, and that may hold a single window."""
+    subnormals and 1e308, that may hold a single window, and whose vocabulary
+    may sit at either side of a token dtype's edge, its last id drawn often."""
     window, n_windows = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    vocab_size = draw(st.integers(2, 6))
-    docs = st.lists(st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=3),
+    vocab_size = draw(st.one_of(st.integers(2, 6), st.sampled_from(EDGE_VOCAB_SIZES)))
+    ids = st.one_of(st.integers(0, vocab_size - 1), st.just(vocab_size - 1))
+    docs = st.lists(st.lists(ids, min_size=1, max_size=3),
                     max_size=0 if draw(st.booleans()) else 2)
     date = dt.date(2020, 1, 1)
     rows = []
@@ -1037,21 +1078,15 @@ def test_save_load_save_writes_the_same_bytes(ds):
         again = load_prepared(first)
         save_prepared(again, second)
         assert read_files(second) == read_files(first)
+        assert again == ds
         assert_same_samples(again.samples, ds.samples)
-        # column files with the default separators, a space after each "," and
-        # ":", as earlier versions wrote them, load to the same dataset
-        spaced, third = Path(tmp) / "spaced", Path(tmp) / "third"
-        spaced.mkdir()
-        for name in PREPARED_FILES:
-            content = (first / name).read_bytes()
-            if name in ("days.json", "windows.json"):
-                content = (json.dumps(json.loads(content)) + "\n").encode()
-            (spaced / name).write_bytes(content)
-        assert read_files(spaced) != read_files(first)
-        from_spaced = load_prepared(spaced)
-        assert from_spaced == again
-        save_prepared(from_spaced, third)
-        assert read_files(third) == read_files(first)
+        # the format's recipe, followed by another writer, gives the same bytes
+        for name in ("days.npz", "windows.npz"):
+            members = read_members(first / name)
+            assert npz_bytes(members) == (first / name).read_bytes()
+        assert members["target_date"].dtype == np.dtype("<i4")
+        tokens = read_members(first / "days.npz")["token_ids"]
+        assert tokens.dtype == np.min_scalar_type(ds.vocab.size - 1)
 
 
 def python_calls(fn, *args) -> tuple[int, int]:
@@ -1099,7 +1134,7 @@ class TestFixedCalls:
             path = tmp_path_factory.mktemp(f"demo-{n_days}")
             save_prepared(ds, path)
             out[n_days] = ds, path
-        load_prepared(path)  # the first load fills _fits' cache
+        load_prepared(path)  # the first load makes a first call's one-off calls
         return out
 
     def test_load_prepared(self, saved):
@@ -1126,40 +1161,33 @@ def fits_by_definition(hint, value) -> bool:
 
 
 def with_entries(*edits):
-    """A change of a columns object that sets entry row of column key to value, or
-    to value(old entry) when value is a function, for each (key, row, value)."""
-    def change(cols):
+    """A change of a column file's members that sets entry row of member key
+    to value, or to value(old entry) when value is a function, for each
+    (key, row, value)."""
+    def change(members):
         for key, row, value in edits:
-            cols[key][row] = value(cols[key][row]) if callable(value) else value
-        return cols
+            members[key][row] = value(members[key][row]) if callable(value) else value
     return change
 
 
+# the golden directory's stored documents: the days' but the last, a target only
+GOLDEN_DOCS = sum(len(row["token_seqs"]) for row in golden_rows("days"))
+
+
 class TestPreparedColumnChecks:
-    """Each one-entry change of a column of the golden days.json or windows.json
-    gives _fits' message for its column, or a later check's, naming the path,
-    the column and the 0-based row; a deleted column is named too."""
+    """Each change of a member of the golden days.npz or windows.npz (another
+    dtype, shape or order, a value outside its column's range, its deletion)
+    is refused naming the path, the member and, for a value, the column's
+    0-based first bad row."""
 
-    VALUES = [True, 2.5, "1", None, [1]]
-    # the changes whose value fits the column's type: a later check speaks, or it loads
-    PAST_THE_TYPES = {
-        ("date", "1"): "Invalid isoformat string: '1'",
-        ("raw", (1,)): "must be 4 finite numbers, got [1]",
-        ("close", 2.5): None,
-        ("label", "1"): "unknown class '1'",
-        ("target_date", "1"): "Invalid isoformat string: '1'",
-        ("target_class", "1"): "unknown class '1'",
-        ("target_return_raw", 2.5): None,
-        ("target_close", 2.5): None,
-    }
-    COLUMNS = {**data_mod._DAY_COLUMNS, **data_mod._WINDOW_COLUMNS}
+    # the hints _fits serves: the JSON documents' fields, and format 4's columns
+    HINTS = (str, int, float, list[float], list[list[int]])
 
-    @pytest.mark.parametrize("hint", sorted({*COLUMNS.values(),
-                                             *(list[h] for h in COLUMNS.values()),
-                                             str | None}, key=str))
+    @pytest.mark.parametrize("hint", sorted({*HINTS, *(list[h] for h in HINTS), str | None},
+                                            key=str))
     def test_fits_is_its_definition(self, hint):
-        values = [*self.VALUES, False, 2, -0.0, "", {}, [], [2.5], [True], [None], [[]],
-                  [[1, 2]], [[1, True]], [[1], 2], [[1.0]], [[1], [2.5]], ["a"],
+        values = [True, 2.5, "1", None, [1], False, 2, -0.0, "", {}, [], [2.5], [True], [None],
+                  [[]], [[1, 2]], [[1, True]], [[1], 2], [[1.0]], [[1], [2.5]], ["a"],
                   [[[1]], [[2, 3], []]], [[[1]], [[2, True]]], [[[1]], [2]], [[[1]], 2],
                   [[1.5, 2], [0.0]], [[1.5], 2.0]]
         for v in values:
@@ -1167,10 +1195,9 @@ class TestPreparedColumnChecks:
 
     def load(self, tmp_path, name, change):
         """load_prepared's error, without the path, or its samples, for the golden
-        directory (format 4) whose name holds change() of its columns."""
-        prepared = write_golden_format_4(tmp_path / "prepared")
-        cols = json.loads((prepared / name).read_text(encoding="utf-8"))
-        (prepared / name).write_text(json.dumps(change(cols)), encoding="utf-8")
+        directory (format 5) whose file name holds change() of its members."""
+        prepared = write_golden_format_5(tmp_path / "prepared")
+        edit_members(prepared / name, change)
         try:
             return load_prepared(prepared).samples
         except DataValidationError as exc:
@@ -1181,99 +1208,112 @@ class TestPreparedColumnChecks:
     def test_target_dates_are_checked_whole_and_refused_at_the_first_bad_row(self, tmp_path):
         # the golden windows start at rows 0..9 of 29 days, 20 days each: the
         # last window ends at the last stored day, so only a lower bound holds
-        days = json.loads(golden_format_4()["days.json"])["date"]
-        assert self.load(tmp_path / "future", "windows.json",
-                         with_entries(("target_date", 9, "2030-01-01")))[-1].target_date == (
+        days = [row["date"] for row in golden_rows("days")]
+        assert self.load(tmp_path / "future", "windows.npz",
+                         with_entries(("target_date", 9, ordinal("2030-01-01"))))[-1].target_date == (
             dt.date(2030, 1, 1))
-        assert self.load(tmp_path / "last", "windows.json",
-                         with_entries(("target_date", 9, days[28]))) == (
+        assert self.load(tmp_path / "last", "windows.npz",
+                         with_entries(("target_date", 9, ordinal(days[28])))) == (
             f"target_date[9]: target_date {days[28]} must be after the window's last day "
             f"{days[28]}")
-        assert self.load(tmp_path / "two", "windows.json",
-                         with_entries(("target_date", 7, days[29 - 3]),
-                                      ("target_date", 3, days[24]))) == (
+        assert self.load(tmp_path / "two", "windows.npz",
+                         with_entries(("target_date", 7, ordinal(days[29 - 3])),
+                                      ("target_date", 3, ordinal(days[24])))) == (
             f"target_date[3]: target_date {days[24]} must be after the window's last day "
             f"{days[22]} and not after {days[23]}")
 
-    @pytest.mark.parametrize("name, row, hints", [
-        ("days.json", 1, data_mod._DAY_COLUMNS), ("windows.json", 2, data_mod._WINDOW_COLUMNS)])
-    def test_each_entry_set_to_each_kind_or_column_deleted(self, tmp_path, name, row, hints):
-        for key, hint in hints.items():
-            for value in self.VALUES:
-                got = self.load(tmp_path / f"{key}-{value}", name,
-                                with_entries((key, row, value)))
-                frozen = tuple(value) if isinstance(value, list) else value
-                if fits_by_definition(hint, value):
-                    expected = self.PAST_THE_TYPES[key, frozen]
-                    assert (got == f"{key}[{row}]: {expected}" if expected
-                            else isinstance(got, tuple))
-                else:
-                    assert got == (f"{key}[{row}]: must be {ingest._type_name(hint)}, "
-                                   f"got {json.dumps(value)}")
-            got = self.load(tmp_path / f"{key}-deleted", name,
-                            lambda cols: {k: v for k, v in cols.items() if k != key})
-            assert got == f"missing column {key!r}"
+    @pytest.mark.parametrize("name, members", [("days.npz", data_mod._DAY_MEMBERS),
+                                               ("windows.npz", data_mod._WINDOW_MEMBERS)])
+    def test_each_member_deleted_retyped_or_reshaped(self, tmp_path, name, members):
+        golden = write_golden_format_5(tmp_path / "golden")
+        for key, array in read_members(golden / name).items():
+            assert list(members) == list(read_members(golden / name))
+            other = np.dtype("<i8" if array.dtype.kind in "iu" else "<f4")
+            longer = (len(array) + 1, *array.shape[1:])
+            assert self.load(tmp_path / f"{key}-deleted", name,
+                             lambda m: m.pop(key)) == f"missing member {key!r}"
+            assert self.load(tmp_path / f"{key}-retyped", name,
+                             lambda m: m.update({key: m[key].astype(other)})) == (
+                f"{key}: {other} of shape {array.shape}, expected {array.dtype} of shape "
+                f"{array.shape}")
+            assert self.load(tmp_path / f"{key}-longer", name,
+                             lambda m: m.update({key: np.concatenate([m[key], m[key][-1:]])})) == (
+                f"{key}: {array.dtype} of shape {longer}, expected {array.dtype} of shape "
+                f"{array.shape}")
 
     @pytest.mark.parametrize("name, change, message", [
-        ("days.json", lambda cols: {**cols, "extra": [1] * len(cols["date"])},
-         "unknown keys ['extra']"),
-        ("windows.json", lambda cols: {**cols, "extra": []}, "unknown keys ['extra']"),
-        ("days.json", with_entries(("token_seqs", 1, [[True, 3]])),
-         "token_seqs[1]: must be a list of lists of integers, got [[true, 3]]"),
-        ("days.json", with_entries(("token_seqs", 1, [[2, 3.0]])),
-         "token_seqs[1]: must be a list of lists of integers, got [[2, 3.0]]"),
-        ("days.json", with_entries(("token_seqs", 1, [[2, 3], 4])),
-         "token_seqs[1]: must be a list of lists of integers, got [[2, 3], 4]"),
-        ("days.json", with_entries(("raw", 1, lambda raw: [*raw[:3], False])),
-         "raw[1]: must be a list of numbers, got ["),
-        ("days.json", with_entries(("raw", 1, [0.5, 0.25, 2.0])),
-         "raw[1]: must be 4 finite numbers, got [0.5, 0.25, 2.0]"),
-        ("days.json", with_entries(("token_seqs", 1, [[2, 109]])),  # vocab.txt: 107 tokens
-         "token_seqs[1]: token id 109 out of range for vocab of 109"),
-        ("days.json", lambda cols: list(cols.values()), "not a json object"),
-        ("windows.json", lambda cols: "start", "not a json object"),
-        ("days.json", lambda cols: {**cols, "close": {"0": 100.0}},
-         "close must be a list, got a json object"),
-        ("windows.json", lambda cols: {**cols, "start": None}, "start must be a list, got null"),
-    ], ids=["days-extra-column", "windows-extra-column", "bool-token", "float-token",
-            "int-in-token-seqs", "bool-raw", "three-raw-values", "token-id-past-vocab",
-            "days-list", "windows-string", "object-column", "null-column"])
-    def test_malformed_entry_or_column(self, tmp_path, name, change, message):
+        ("days.npz", lambda m: m.update(extra=np.zeros(3)), "unknown members ['extra']"),
+        ("windows.npz", lambda m: m.update(extra=np.zeros(0)), "unknown members ['extra']"),
+        ("days.npz", lambda m: m.update(raw=np.asfortranarray(m["raw"])),
+         "raw: float64 of shape (29, 4), in Fortran order, expected float64 of shape (29, 4)"),
+        ("days.npz", with_entries(("date", 0, 0)),
+         "date[0]: must be a day ordinal in [1, 3652059], got 0"),
+        ("days.npz", with_entries(("raw", 1, lambda raw: [*raw[:3], -math.inf])),
+         "raw[1]: must be 4 finite numbers, got ["),
+        ("days.npz", with_entries(("label", 1, 3)),
+         "label[1]: must be a class index (0 to 2), got 3"),
+        ("days.npz", with_entries(("label", 1, -1)),
+         "label[1]: must be a class index (0 to 2), got -1"),
+        ("days.npz", with_entries(("doc_counts", 1, -1)), "doc_counts[1]: must be >= 0, got -1"),
+        ("days.npz", with_entries(("doc_lengths", 1, -1)),
+         "doc_lengths[1]: must be >= 0, got -1"),
+        ("days.npz", with_entries(("doc_counts", 1, lambda n: n + 1)),
+         f"doc_lengths: int32 of shape ({GOLDEN_DOCS},), expected int32 of shape "
+         f"({GOLDEN_DOCS + 1},)"),
+        # vocab.txt: 107 tokens; day row 0 holds 14 token ids, row 1 the next 7
+        ("days.npz", with_entries(("token_ids", 14, 109)),
+         "token_ids[14]: token id 109 out of range for vocab of 109, in day row 1"),
+        ("windows.npz", with_entries(("start", 4, -1)), "start[4]: must lie in [0, 9], got -1"),
+        ("windows.npz", with_entries(("target_date", 2, 2**31 - 1)),
+         "target_date[2]: must be a day ordinal in [1, 3652059], got 2147483647"),
+        ("windows.npz", with_entries(("target_class", 2, 7)),
+         "target_class[2]: must be a class index (0 to 2), got 7"),
+        ("windows.npz", with_entries(("target_return_raw", 1, math.nan)),
+         "target_return_raw[1]: must be finite, got nan"),
+    ], ids=["days-extra-member", "windows-extra-member", "fortran-raw", "date-ordinal-0",
+            "infinite-raw", "label-3", "label-minus-1", "negative-doc-count",
+            "negative-doc-length", "counts-past-the-lengths", "token-id-past-vocab",
+            "negative-start", "target-date-past-the-calendar", "target-class-7",
+            "nan-target-return"])
+    def test_malformed_member_or_entry(self, tmp_path, name, change, message):
         assert self.load(tmp_path, name, change).startswith(message)
 
     @pytest.mark.parametrize("name, change, message", [
         # several faults in one column: its first bad row, whatever the faults' kinds
-        ("days.json", with_entries(("raw", 5, [True, 0.0, 0.0, 0.0]),
-                                   ("raw", 2, [math.nan, 0.0, 0.0, 0.0])),
-         "raw[2]: must be 4 finite numbers, got [NaN, 0.0, 0.0, 0.0]"),
-        ("days.json", with_entries(("date", 6, "soon"), ("date", 3, "2022-01-04")),
+        ("days.npz", with_entries(("raw", 5, [math.inf, 0.0, 0.0, 0.0]),
+                                  ("raw", 2, [math.nan, 0.0, 0.0, 0.0])),
+         "raw[2]: must be 4 finite numbers, got [nan, 0.0, 0.0, 0.0]"),
+        ("days.npz", with_entries(("date", 6, ordinal("2022-01-11")),
+                                  ("date", 3, ordinal("2022-01-04"))),
          "date[3]: dates must be strictly increasing: 2022-01-05 then 2022-01-04"),
-        ("days.json", with_entries(("close", 2, "100"), ("close", 1, math.inf)),
-         "close[1]: must be finite, got Infinity"),
-        # faults in several columns: the first column in the file's order
-        ("days.json", with_entries(("token_seqs", 0, [[99999]]), ("label", 4, "bogus")),
-         "label[4]: unknown class 'bogus'"),
-        ("days.json", lambda cols: with_entries(("token_seqs", 0, [[99999]]))(
-            {**cols, "label": cols["label"][:-1]}),
-         "label has 28 entries, "),
-        ("windows.json", with_entries(("target_close", 0, math.nan), ("start", 7, 99)),
+        ("days.npz", with_entries(("close", 2, math.nan), ("close", 1, math.inf)),
+         "close[1]: must be finite, got inf"),
+        # faults in several members: the first member in the file's order
+        ("days.npz", with_entries(("token_ids", 0, 200), ("label", 4, 5)),
+         "label[4]: must be a class index (0 to 2), got 5"),
+        ("days.npz", lambda m: with_entries(("token_ids", 0, 200))(
+            m.update(label=m["label"][:-1]) or m),
+         "label: int8 of shape (28,), expected int8 of shape (29,)"),
+        ("windows.npz", with_entries(("target_close", 0, math.nan), ("start", 7, 99)),
          "start[7]: must lie in [0, 9], got 99"),
-    ], ids=["raw-value-before-type", "date-order-before-format", "close-value-before-type",
-            "label-before-token_seqs", "label-length-before-token_seqs", "start-before-close"])
+    ], ids=["raw-first-row", "date-first-row", "close-first-row",
+            "label-before-token_ids", "label-shape-before-token_ids", "start-before-close"])
     def test_first_column_then_first_row(self, tmp_path, name, change, message):
         assert self.load(tmp_path, name, change).startswith(message)
 
     def test_valid_edge_entries_load_exactly(self, tmp_path):
-        def day(case, *edits):
-            return self.load(tmp_path / case, "days.json", with_entries(*edits))[0].inputs[0]
+        def day(case, change):
+            return self.load(tmp_path / case, "days.npz", change)[0].inputs[0]
 
-        ints = day("ints", ("close", 0, 102), ("raw", 0, [0, 1, -0.0, 13]))
-        assert (ints.close, ints.raw) == (102.0, (0.0, 1.0, -0.0, 13.0))
-        assert {type(v) for v in (ints.close, *ints.raw)} == {float}
-        assert math.copysign(1.0, ints.raw[2]) == -1.0
-        assert not day("no-documents", ("token_seqs", 0, [])).has_text
-        assert day("last-token-id", ("token_seqs", 0, [[0, 108]])).token_seqs == ((0, 108),)
-        target = self.load(tmp_path / "w", "windows.json", with_entries(
+        edge = day("edge", with_entries(("close", 0, 102), ("raw", 0, [0, 1, -0.0, 13])))
+        assert (edge.close, edge.raw) == (102.0, (0.0, 1.0, -0.0, 13.0))
+        assert {type(v) for v in (edge.close, *edge.raw)} == {float}
+        assert math.copysign(1.0, edge.raw[2]) == -1.0
+        assert not day("no-documents",
+                       lambda m: set_token_seqs(m, [[], *token_seqs(m)[1:]])).has_text
+        assert day("last-token-id", lambda m: set_token_seqs(
+            m, [[[0, 108]], *token_seqs(m)[1:]])).token_seqs == ((0, 108),)
+        target = self.load(tmp_path / "w", "windows.npz", with_entries(
             ("target_close", 0, 97), ("target_return_raw", 0, -0.0)))[0]
         assert type(target.target_close) is float and target.target_close == 97.0
         assert math.copysign(1.0, target.target_return_raw) == -1.0
@@ -1301,7 +1341,7 @@ class TestDocumentLength:
     def test_prepare_keeps_every_id_of_a_long_document(self, tmp_path):
         ds = prepare_dataset(*long_doc_corpus(), self.CFG)
         save_prepared(ds, tmp_path)
-        stored = [seq for seqs in read_columns(tmp_path / "days.json")["token_seqs"]
+        stored = [seq for seqs in token_seqs(read_members(tmp_path / "days.npz"))
                   for seq in seqs]
         assert max(len(seq) for seq in stored) == 40
         assert all(tok != 0 for seq in stored for tok in seq)
@@ -1316,10 +1356,8 @@ class TestDocumentLength:
         save_prepared(ds, tmp_path / "as_read")
         padded = tmp_path / "padded"
         save_prepared(ds, padded)
-        cols = read_columns(padded / "days.json")
-        cols["token_seqs"] = [[pad_or_truncate(seq, 30) for seq in seqs]
-                              for seqs in cols["token_seqs"]]
-        (padded / "days.json").write_text(json.dumps(cols), encoding="utf-8")
+        edit_members(padded / "days.npz", lambda m: set_token_seqs(
+            m, [[pad_or_truncate(seq, 30) for seq in seqs] for seqs in token_seqs(m)]))
         a, b = load_prepared(tmp_path / "as_read"), load_prepared(padded)
         assert a.samples[6].inputs[-1].token_seqs != b.samples[6].inputs[-1].token_seqs  # day 10
 

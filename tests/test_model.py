@@ -788,6 +788,22 @@ class TestWorkspace:
         classes = np.array([samples[i].target_class for i in index])
         return cache, batch_backward(model, cache, returns, classes, ws)
 
+    def test_take_views_the_front_of_one_buffer_per_name(self):
+        ws = Workspace()
+        wide = ws.take("x", (3, 4))
+        wide[:] = np.arange(12.0).reshape(3, 4)
+        ids = ws.take("x", (2, 5), np.intp)  # a narrower take of another dtype
+        assert ids.dtype == np.intp and ids.shape == (2, 5) and ids.flags.c_contiguous
+        assert ids.flags.writeable and np.shares_memory(ids, wide)
+        assert ids.tobytes() == wide.tobytes()[: ids.nbytes]  # the same bytes, from the front
+        ids[:] = 7
+        assert wide.ravel()[: ids.nbytes // 8].view(np.intp).tolist() == [7] * 10
+        assert len(ws._buffers) == 1 and ws._buffers["x"].nbytes == 96
+        empty = ws.take("y", (0, 5))
+        assert empty.shape == (0, 5) and empty.dtype == np.float64 and empty.size == 0
+        assert ws.take("x", (0,), np.intp).shape == (0,)
+        assert ws.take("x", (4, 4)).shape == (4, 4) and ws._buffers["x"].nbytes == 128
+
     def test_two_passes_share_the_states(self):
         model = build_model(BATCHED, ArchKind.CNN_GRU)
         samples = shared_day_windows(BATCHED, 11, seed=4)

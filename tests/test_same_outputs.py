@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from prepared_files import npz_bytes
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "same_outputs.py"
 sys.path.insert(0, str(SCRIPT.parent))  # same_outputs.py imports scripts/archive.py
@@ -86,7 +88,7 @@ def test_each_kind_of_file_reports_its_largest_relative_difference(tmp_path):
     assert not ok and "past its declared bound 1e-13" in lines[2]
 
 
-def test_a_structural_difference_or_a_lone_file_fails_whatever_is_declared(tmp_path):
+def test_a_structural_difference_or_an_undeclared_lone_file_fails(tmp_path):
     base, change = trees(tmp_path, {
         "a.json": ('{"n": [1, 2]}', '{"n": [1, 2, 3]}'),
         "b.txt": ("exit 0: train\n", "exit 2: train\n"),
@@ -94,7 +96,7 @@ def test_a_structural_difference_or_a_lone_file_fails_whatever_is_declared(tmp_p
         "d.json": ('{"n": [1, 2.5]}', '{"n": [1.0, 2.5]}'),
     })
     (change / "extra.json").write_text("{}", encoding="utf-8")
-    ok, lines = same.compare_trees(base, change, {"*": 0.5})
+    ok, lines = same.compare_trees(base, change, {"?.*": 0.5})
     assert not ok
     assert lines == ["0 of 5 files identical",
                      "ONLY IN CHANGE: extra.json",
@@ -103,3 +105,46 @@ def test_a_structural_difference_or_a_lone_file_fails_whatever_is_declared(tmp_p
                      "difference number 0 1",
                      'DIFFERS: c.jsonl: [0].k: "neutral" against "positive"',
                      "DIFFERS: d.json: n[0]: 1 against 1.0"]
+
+
+def npz(**members) -> bytes:
+    return npz_bytes(members)
+
+
+def test_npz_files_compare_member_by_member(tmp_path):
+    date = np.array([738000, 738001], "<i4")
+    raw = np.array([[0.5, -0.0, 1e-300, 2.0]] * 2)
+    files = {
+        "same.npz": (npz(date=date, raw=raw), npz(date=date, raw=raw.copy())),
+        "moved.npz": (npz(date=date, raw=raw), npz(date=date, raw=raw * (1 + 2**-40))),
+        "renamed.npz": (npz(date=date, raw=raw), npz(day=date, raw=raw)),
+        "retyped.npz": (npz(date=date, raw=raw), npz(date=date.astype("<i8"), raw=raw)),
+        "reshaped.npz": (npz(date=date, raw=raw), npz(date=date, raw=raw.reshape(4, 2))),
+    }
+    roots = tmp_path / "base", tmp_path / "change"
+    for root in roots:
+        root.mkdir()
+    for name, contents in files.items():
+        for root, content in zip(roots, contents):
+            (root / name).write_bytes(content)
+    ok, lines = same.compare_trees(*roots, {"moved.npz": 1e-12})
+    assert not ok
+    assert lines == [
+        "1 of 5 files identical",
+        "differs: moved.npz (declared, bound 1e-12): largest relative difference raw 9.09e-13",
+        "DIFFERS: renamed.npz: members ['date', 'raw'] against ['day', 'raw']",
+        "DIFFERS: reshaped.npz: raw: float64 of shape (2, 4) against float64 of shape (4, 2)",
+        "DIFFERS: retyped.npz: date: int32 of shape (2,) against int64 of shape (2,)"]
+
+
+def test_a_declared_file_may_be_on_one_side_only(tmp_path):
+    # a declared format change renames days.json to days.npz
+    base, change = trees(tmp_path, {"out.txt": ("x\n", "x\n")})
+    (base / "days.json").write_text("{}", encoding="utf-8")
+    (change / "days.npz").write_bytes(npz(date=np.zeros(2, "<i4")))
+    ok, lines = same.compare_trees(base, change, {"days.*": 0.0})
+    assert ok
+    assert lines == ["1 of 3 files identical", "only in base: days.json (declared)",
+                     "only in change: days.npz (declared)"]
+    ok, lines = same.compare_trees(base, change, {"days.json": 0.0})
+    assert not ok and lines[2] == "ONLY IN CHANGE: days.npz"
